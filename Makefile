@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench profile check lint verify figures examples trace clean
+.PHONY: all build test race bench bench-smoke profile check lint verify figures examples trace clean
 
 all: build test
 
@@ -46,31 +46,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Benchmarks plus the machine-readable sweeps: BENCH_PR3.json records the
-# search engine's evaluations/cache hits/pruned/wall time per
-# configuration; BENCH_PR4.json records the collective engine's simulated
-# time per algorithm and the TCP wire path's allocs/op with and without
-# buffer pooling; BENCH_PR5.json records tracing overhead and clock
-# identity on the EM3D workload; BENCH_PR8.json records the
-# compute/communication-overlap speedups (blocking vs overlapped EM3D
-# halo exchange and pipelined matmul) and gates the EM3D halo row at
-# >= 1.3x; BENCH_PR9.json records the two-level collective engine on the
-# fat-node topology (flat vs hierarchical vs model-driven Auto, blocked
-# and interleaved placements) and gates the 1 MiB Allreduce row at
-# >= 1.2x over the flat ring; BENCH_PR10.json records the hmpid job
-# service (concurrent jobs/sec, the persistent selection cache's hit
-# rates, the warm-vs-cold speedup for a returning tenant, and
-# bit-identity against serial hmpirun), gated by its test at > 50% hits
-# on repeats and >= 1.5x warm speedup.
+# The one benchmark harness (bench/README.md): five workloads, seven
+# end-to-end metrics each, per-layer rows; bench-smoke is all of it at a
+# hundredth of the length.
 bench:
-	$(GO) test -bench=. -benchmem .
-	$(GO) test -bench=. -benchmem ./internal/mpi/
-	$(GO) run ./cmd/hmpibench -searchbench BENCH_PR3.json
-	$(GO) run ./cmd/hmpibench -collbench BENCH_PR4.json
-	$(GO) run ./cmd/hmpibench -tracebench BENCH_PR5.json
-	$(GO) run ./cmd/hmpibench -overlapbench BENCH_PR8.json
-	$(GO) run ./cmd/hmpibench -hierbench BENCH_PR9.json
-	$(GO) run ./cmd/hmpibench -servicebench BENCH_PR10.json
+	$(GO) run ./bench
+
+bench-smoke:
+	$(GO) run ./bench -smoke
 
 # Profile the group-selection sweep; inspect with `go tool pprof`.
 profile:
@@ -103,4 +86,4 @@ examples:
 	$(GO) run ./examples/tcptransport
 
 clean:
-	rm -rf out test_output.txt bench_output.txt BENCH_PR3.json BENCH_PR4.json BENCH_PR5.json BENCH_PR8.json BENCH_PR9.json BENCH_PR10.json cpu.pprof mem.pprof em3d.trace em3d.metrics.json em3d.chrome.json verify_em3d.trace verify_chaos.trace hmpivet.json
+	rm -rf out bench/out test_output.txt bench_output.txt cpu.pprof mem.pprof em3d.trace em3d.metrics.json em3d.chrome.json verify_em3d.trace verify_chaos.trace hmpivet.json

@@ -1,6 +1,7 @@
 // Command hmpibench regenerates the figures of the paper's evaluation
 // section (and this reproduction's validation/ablation tables) on the
-// simulated 9-workstation heterogeneous network.
+// simulated 9-workstation heterogeneous network. Everything it prints is
+// simulated time or a count; host-time measurements are `go run ./bench`.
 //
 // Usage:
 //
@@ -8,18 +9,14 @@
 //	hmpibench -fig all          # everything
 //	hmpibench -fig 9a -csv      # comma-separated output
 //	hmpibench -list             # available figure IDs
-//	hmpibench -searchbench BENCH_PR3.json   # search-engine sweep as JSON
-//	hmpibench -collbench BENCH_PR4.json     # collective-engine benchmark as JSON
-//	hmpibench -tracebench BENCH_PR5.json    # tracing-overhead benchmark as JSON
-//	hmpibench -overlapbench BENCH_PR8.json  # compute/comm-overlap benchmark as JSON
-//	hmpibench -hierbench BENCH_PR9.json     # two-level collective benchmark as JSON
-//	hmpibench -servicebench BENCH_PR10.json # hmpid job-service benchmark as JSON
 //	hmpibench -fig mapper -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -27,82 +24,6 @@ import (
 
 	"repro/internal/experiments"
 )
-
-// writeSearchBench runs the group-selection engine sweep and stores it as
-// JSON (the artifact CI publishes as the search-performance record).
-func writeSearchBench(path string) error {
-	points, err := experiments.SearchBenchReport()
-	if err != nil {
-		return err
-	}
-	return experiments.WriteBenchJSON(path, points)
-}
-
-// writeCollBench runs the collective-engine benchmark (simulated time per
-// algorithm, wall time and allocs/op, TCP wire-path allocation profile)
-// and stores it as JSON (the artifact CI publishes as the collective
-// performance record).
-func writeCollBench(path string) error {
-	bench, err := experiments.CollBenchReport()
-	if err != nil {
-		return err
-	}
-	return experiments.WriteBenchJSON(path, bench)
-}
-
-// writeHierBench runs the two-level collective benchmark on the fat-node
-// topology (flat vs hierarchical algorithms vs the model-driven Auto
-// policy, blocked and interleaved placements) and stores it as JSON (the
-// artifact CI publishes as the hierarchy performance record).
-func writeHierBench(path string) error {
-	bench, err := experiments.HierBenchReport()
-	if err != nil {
-		return err
-	}
-	return experiments.WriteBenchJSON(path, bench)
-}
-
-// writeTraceBench runs the observability-overhead benchmark (traced vs
-// untraced EM3D, clock identity, trace-driven Timeof accuracy) and stores
-// it as JSON (the artifact CI publishes as the observability record).
-func writeTraceBench(path string) error {
-	bench, err := experiments.TraceBenchReport()
-	if err != nil {
-		return err
-	}
-	return experiments.WriteBenchJSON(path, bench)
-}
-
-// writeOverlapBench runs the compute/communication-overlap benchmark
-// (blocking vs post-early/compute/wait schedules of EM3D and matmul) and
-// stores it as JSON (the artifact CI publishes as the overlap record).
-// The report itself enforces the >= 1.3x gate on the EM3D halo row.
-func writeOverlapBench(path string) error {
-	bench, err := experiments.OverlapBenchReport()
-	if bench != nil {
-		if werr := experiments.WriteBenchJSON(path, bench); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	return err
-}
-
-// writeServiceBench runs the hmpid job-service benchmark (multi-tenant
-// job mix through an in-process daemon: concurrent throughput, the
-// persistent selection cache's hit rates, the warm-vs-cold speedup, and
-// bit-identity against serial hmpirun) and stores it as JSON (the
-// artifact CI publishes as the service performance record). The report
-// errors if any makespan diverges from the serial reference; the JSON is
-// written either way so a failed gate still leaves the evidence behind.
-func writeServiceBench(path string) error {
-	bench, err := experiments.ServiceBenchReport()
-	if bench != nil {
-		if werr := experiments.WriteBenchJSON(path, bench); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	return err
-}
 
 // writeCSV stores one figure as CSV in dir.
 func writeCSV(dir, id string, f *experiments.Figure) error {
@@ -118,30 +39,40 @@ func writeCSV(dir, id string, f *experiments.Figure) error {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure ID to regenerate (see -list), or 'all'")
-	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
-	outDir := flag.String("o", "", "also write each figure as <dir>/fig_<id>.csv")
-	list := flag.Bool("list", false, "list available figure IDs and exit")
-	searchBench := flag.String("searchbench", "", "run the search-engine sweep and write it as JSON to the given file, then exit")
-	collBench := flag.String("collbench", "", "run the collective-engine benchmark and write it as JSON to the given file, then exit")
-	traceBench := flag.String("tracebench", "", "run the tracing-overhead benchmark and write it as JSON to the given file, then exit")
-	overlapBench := flag.String("overlapbench", "", "run the compute/communication-overlap benchmark and write it as JSON to the given file, then exit")
-	hierBench := flag.String("hierbench", "", "run the two-level collective benchmark and write it as JSON to the given file, then exit")
-	serviceBench := flag.String("servicebench", "", "run the hmpid job-service benchmark and write it as JSON to the given file, then exit")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to the given file")
-	memProfile := flag.String("memprofile", "", "write a heap profile at exit to the given file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command line args (without the program name) and
+// returns the exit status: 0 on success, 1 when a figure or a file fails,
+// 2 for a bad command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hmpibench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "figure ID to regenerate (see -list), or 'all'")
+	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
+	outDir := fs.String("o", "", "also write each figure as <dir>/fig_<id>.csv")
+	list := fs.Bool("list", false, "list available figure IDs and exit")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to the given file")
+	memProfile := fs.String("memprofile", "", "write a heap profile at exit to the given file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "hmpibench: %v\n", err)
+		return 1
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hmpibench: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "hmpibench: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -149,107 +80,49 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "hmpibench: %v\n", err)
+				fail(err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle the heap so the profile shows retained allocations
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "hmpibench: %v\n", err)
+				fail(err)
 			}
 		}()
 	}
 
-	if *searchBench != "" {
-		if err := writeSearchBench(*searchBench); err != nil {
-			fmt.Fprintf(os.Stderr, "hmpibench: searchbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *searchBench)
-		return
-	}
-
-	if *collBench != "" {
-		if err := writeCollBench(*collBench); err != nil {
-			fmt.Fprintf(os.Stderr, "hmpibench: collbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *collBench)
-		return
-	}
-
-	if *traceBench != "" {
-		if err := writeTraceBench(*traceBench); err != nil {
-			fmt.Fprintf(os.Stderr, "hmpibench: tracebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *traceBench)
-		return
-	}
-
-	if *overlapBench != "" {
-		if err := writeOverlapBench(*overlapBench); err != nil {
-			fmt.Fprintf(os.Stderr, "hmpibench: overlapbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *overlapBench)
-		return
-	}
-
-	if *hierBench != "" {
-		if err := writeHierBench(*hierBench); err != nil {
-			fmt.Fprintf(os.Stderr, "hmpibench: hierbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *hierBench)
-		return
-	}
-
-	if *serviceBench != "" {
-		if err := writeServiceBench(*serviceBench); err != nil {
-			fmt.Fprintf(os.Stderr, "hmpibench: servicebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *serviceBench)
-		return
-	}
-
 	reg := experiments.Registry()
 	if *list {
-		fmt.Println(strings.Join(experiments.IDs(), "\n"))
-		return
+		fmt.Fprintln(stdout, strings.Join(experiments.IDs(), "\n"))
+		return 0
 	}
 
 	ids := experiments.IDs()
 	if *fig != "all" {
 		if _, ok := reg[*fig]; !ok {
-			fmt.Fprintf(os.Stderr, "hmpibench: unknown figure %q (try -list)\n", *fig)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "hmpibench: unknown figure %q (try -list)\n", *fig)
+			return 2
 		}
 		ids = []string{*fig}
 	}
 	for _, id := range ids {
 		f, err := reg[id]()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hmpibench: figure %s: %v\n", id, err)
-			os.Exit(1)
+			return fail(fmt.Errorf("figure %s: %w", id, err))
 		}
-		var renderErr error
+		render := experiments.Render
 		if *csv {
-			renderErr = experiments.CSV(f, os.Stdout)
-		} else {
-			renderErr = experiments.Render(f, os.Stdout)
+			render = experiments.CSV
 		}
-		if renderErr != nil {
-			fmt.Fprintf(os.Stderr, "hmpibench: %v\n", renderErr)
-			os.Exit(1)
+		if err := render(f, stdout); err != nil {
+			return fail(err)
 		}
 		if *outDir != "" {
 			if err := writeCSV(*outDir, id, f); err != nil {
-				fmt.Fprintf(os.Stderr, "hmpibench: %v\n", err)
-				os.Exit(1)
+				return fail(err)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return 0
 }

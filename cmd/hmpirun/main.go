@@ -45,41 +45,47 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/hmpi"
 	"repro/internal/jobspec"
-	"repro/internal/mpi"
 	trc "repro/internal/trace"
 )
 
 func main() {
-	jf := jobspec.RegisterFlags(flag.CommandLine, jobspec.ModeBoth)
-	trace := flag.Bool("trace", false, "print a per-process activity timeline after each run")
-	ganttWidth := flag.Int("trace-width", 100, "timeline width in columns")
-	traceFile := flag.String("tracefile", "", "record a structured event trace and write it to this file (binary; analyse with hmpitrace)")
-	metricsFile := flag.String("metrics", "", "write a metrics-registry snapshot of the recorded run to this JSON file")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintf(os.Stderr, "hmpirun: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run executes the command line args (without the program name),
+// printing to standard output.
+func run(args []string) error {
+	fs := flag.NewFlagSet("hmpirun", flag.ExitOnError)
+	jf := jobspec.RegisterFlags(fs, jobspec.ModeBoth)
+	trace := fs.Bool("trace", false, "print a per-process activity timeline after each run")
+	ganttWidth := fs.Int("trace-width", 100, "timeline width in columns")
+	traceFile := fs.String("tracefile", "", "record a structured event trace and write it to this file (binary; analyse with hmpitrace)")
+	metricsFile := fs.String("metrics", "", "write a metrics-registry snapshot of the recorded run to this JSON file")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	spec, err := jf.Spec()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	modes := []string{spec.Mode}
 	if jf.Mode() == jobspec.ModeBoth && spec.Chaos == "" {
 		modes = []string{jobspec.ModeHMPI, jobspec.ModeMPI}
 	}
 	if (*traceFile != "" || *metricsFile != "") && len(modes) > 1 {
-		fatal(errors.New("-tracefile/-metrics record a single run; pick -mode hmpi or -mode mpi"))
+		return errors.New("-tracefile/-metrics record a single run; pick -mode hmpi or -mode mpi")
 	}
 
-	machines := len(spec.ClusterOrDefault().Machines)
 	for _, mode := range modes {
 		spec.Mode = mode
-		var lastTrace *mpi.Trace
 		var rec *trc.Recorder
 		opts := jobspec.ExecOptions{
 			OnRuntime: func(rt *hmpi.Runtime) {
-				if *trace {
-					lastTrace = rt.EnableTracing()
-				}
-				if *traceFile != "" || *metricsFile != "" {
+				if *trace || *traceFile != "" || *metricsFile != "" {
 					rec = rt.EnableRecorder(spec.App, trc.Options{})
 				}
 			},
@@ -92,17 +98,24 @@ func main() {
 		}
 		res, err := jobspec.Execute(spec, opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		printResult(spec, res)
-		if *trace && lastTrace != nil {
+		if rec == nil {
+			continue
+		}
+		d := rec.Data()
+		if *trace {
 			fmt.Printf("--- %s %s timeline ---\n", res.App, mode)
-			if err := lastTrace.Gantt(os.Stdout, machines, *ganttWidth); err != nil {
-				fatal(err)
+			if err := d.Gantt(os.Stdout, *ganttWidth); err != nil {
+				return err
 			}
 		}
-		saveObs(rec, *traceFile, *metricsFile)
+		if err := saveObs(d, *traceFile, *metricsFile); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // printResult prints the one-line summary of a finished run, matching the
@@ -141,14 +154,10 @@ func printResult(spec jobspec.Spec, res *jobspec.Result) {
 
 // saveObs writes the recorded structured trace and metrics snapshot after
 // a traced run completes.
-func saveObs(rec *trc.Recorder, traceFile, metricsFile string) {
-	if rec == nil {
-		return
-	}
-	d := rec.Data()
+func saveObs(d *trc.Data, traceFile, metricsFile string) error {
 	if traceFile != "" {
 		if err := d.WriteFile(traceFile); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("trace: wrote %s (%d events, %d dropped)\n", traceFile, len(d.Events()), d.Meta.Dropped)
 	}
@@ -157,19 +166,16 @@ func saveObs(rec *trc.Recorder, traceFile, metricsFile string) {
 		reg.FillFromData(d)
 		f, err := os.Create(metricsFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := reg.Snapshot().WriteJSON(f); err != nil {
-			fatal(err)
+			f.Close()
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("trace: wrote metrics %s\n", metricsFile)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "hmpirun: %v\n", err)
-	os.Exit(1)
+	return nil
 }

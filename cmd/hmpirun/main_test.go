@@ -1,7 +1,10 @@
 package main
 
 import (
+	"io"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/jobspec"
@@ -28,5 +31,41 @@ func TestCandidateBlockSizes(t *testing.T) {
 				t.Errorf("candidate %d outside [%d,%d]", l, tc.m, tc.n)
 			}
 		}
+	}
+}
+
+// TestTraceAlonePrintsTimeline: -trace without -tracefile still records
+// the run and prints the text timeline, one row per rank.
+func TestTraceAlonePrintsTimeline(t *testing.T) {
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		out, _ := io.ReadAll(r)
+		done <- string(out)
+	}()
+	runErr := run([]string{"-app", "em3d", "-mode", "hmpi", "-nodes", "40000", "-iters", "2", "-trace", "-trace-width", "40"})
+	os.Stdout = old
+	w.Close()
+	out := <-done
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	for _, want := range []string{
+		"em3d hmpi: time ",
+		"--- em3d hmpi timeline ---",
+		"(c=compute s=send r=recv/wait .=idle)",
+		"rank  0 |", "rank  8 |",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "trace: wrote") {
+		t.Errorf("-trace alone wrote a file:\n%s", out)
 	}
 }

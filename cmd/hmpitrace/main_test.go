@@ -84,14 +84,14 @@ func TestCmdExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	var f struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		Events []map[string]any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(data, &f); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
 	}
 	// 1 process_name + 2 thread_name + 5 events.
-	if len(f.TraceEvents) != 8 {
-		t.Fatalf("exported %d entries, want 8", len(f.TraceEvents))
+	if len(f.Events) != 8 {
+		t.Fatalf("exported %d entries, want 8", len(f.Events))
 	}
 }
 

@@ -3,291 +3,170 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"testing"
 
 	"repro/internal/estimator"
 	"repro/internal/hnoc"
 	"repro/internal/mpi"
 )
 
-// This file benchmarks the collective algorithm engine (internal/mpi's
+// This file sweeps the collective algorithm engine (internal/mpi's
 // CollTuning) on the paper's 9-workstation network: the simulated
-// completion time of each algorithm, the host wall time and allocations
-// spent simulating it, and the allocation profile of the TCP wire path
-// with and without buffer pooling.
+// completion time of each algorithm at each payload size. What the host
+// spends simulating them is bench/'s mpi.coll_us.* and mpi.coll_allocs.*
+// rows.
 
-// CollPoint is one collective algorithm at one payload size.
-type CollPoint struct {
-	Collective  string  `json:"collective"`
-	Algorithm   string  `json:"algorithm"`
-	Bytes       int     `json:"bytes"`
-	SimSeconds  float64 `json:"simulated_s"`
-	WallNsPerOp int64   `json:"wall_ns_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// WirePoint is the measured TCP send/recv round-trip cost at one payload
-// size, with buffer pooling on or off.
-type WirePoint struct {
-	Bytes       int   `json:"payload_bytes"`
-	Pooled      bool  `json:"pooled"`
-	NsPerOp     int64 `json:"ns_op"`
-	AllocsPerOp int64 `json:"allocs_per_op"`
-	BytesPerOp  int64 `json:"bytes_per_op"`
-}
-
-// CollBench is the full collective-engine benchmark artifact
-// (BENCH_PR4.json).
-type CollBench struct {
-	// Collectives holds simulated Paper9 completion times per algorithm
-	// and size; rows with the same (collective, bytes) compare algorithms.
-	Collectives []CollPoint `json:"collectives"`
-	// WirePath holds the TCP transport's measured allocation profile.
-	WirePath []WirePoint `json:"wire_path"`
-	// AllreduceLargeSpeedup is simulated legacy/ring time at the largest
-	// Allreduce payload (the acceptance bar for this engine is >= 2).
-	AllreduceLargeSpeedup float64 `json:"allreduce_large_speedup"`
-	// ModelRingCrossoverBytes is the analytic model's predicted
-	// redbcast/ring crossover on Paper9 (estimator.CollModel).
-	ModelRingCrossoverBytes int `json:"model_ring_crossover_bytes"`
-}
-
-// simColl runs one collective under the given tuning on the Paper9
-// network and returns the simulated makespan, the host nanoseconds, and
-// the host allocations per operation.
-func simColl(tuning *mpi.CollTuning, main func(p *mpi.Proc) error) (CollPoint, error) {
-	var pt CollPoint
-	var runErr error
-	run := func() float64 {
-		cluster := hnoc.Paper9()
-		w := mpi.NewWorld(cluster, mpi.OneProcessPerMachine(cluster))
-		w.SetCollTuning(tuning)
-		if err := w.Run(main); err != nil {
-			runErr = err
-			return 0
-		}
-		return float64(w.Makespan())
-	}
-	pt.SimSeconds = run()
-	if runErr != nil {
-		return pt, runErr
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			run()
-		}
-	})
-	if runErr != nil {
-		return pt, runErr
-	}
-	pt.WallNsPerOp = res.NsPerOp()
-	pt.AllocsPerOp = res.AllocsPerOp()
-	return pt, nil
-}
-
-// collCases enumerates the algorithm comparisons the benchmark runs.
-func collCases() []struct {
+// collRow is one simulated collective: an algorithm at one payload size.
+// Rows with the same (collective, bytes, placement) compare algorithms.
+type collRow struct {
 	collective, algorithm string
 	bytes                 int
-	tuning                *mpi.CollTuning
-	main                  func(tuning *mpi.CollTuning, nbytes int) func(p *mpi.Proc) error
-} {
-	allreduce := func(tuning *mpi.CollTuning, nbytes int) func(p *mpi.Proc) error {
-		return func(p *mpi.Proc) error {
-			p.CommWorld().Allreduce(make([]byte, nbytes), mpi.SumFloat64)
-			return nil
+	// placement is "blocked" (each machine's ranks contiguous) or
+	// "interleaved" (ranks round-robin across machines); only the
+	// fat-node sweep of hier.go has more than one.
+	placement string
+	sim       float64
+}
+
+// simOf returns the simulated seconds of the row with the given key, or 0
+// when the sweep has no such row.
+func simOf(rows []collRow, collective, algorithm string, bytes int, placement string) float64 {
+	for _, r := range rows {
+		if r.collective == collective && r.algorithm == algorithm && r.bytes == bytes && r.placement == placement {
+			return r.sim
 		}
 	}
-	bcast := func(tuning *mpi.CollTuning, nbytes int) func(p *mpi.Proc) error {
-		return func(p *mpi.Proc) error {
+	return 0
+}
+
+// collFigure renders a sweep as a figure: one case per row, simulated
+// seconds as the only series, and the case labels as notes, four a line.
+func collFigure(id, title string, rows []collRow) *Figure {
+	f := &Figure{ID: id, Title: title, XLabel: "case", YLabel: "s"}
+	var sim []float64
+	var labels []string
+	for i, r := range rows {
+		f.X = append(f.X, float64(i+1))
+		sim = append(sim, r.sim)
+		label := fmt.Sprintf("%d=%s/%s/%dB", i+1, r.collective, r.algorithm, r.bytes)
+		if r.placement != "blocked" {
+			label += "/" + r.placement
+		}
+		labels = append(labels, label)
+	}
+	f.Series = []Series{{Name: "simulated", Y: sim}}
+	for i := 0; i < len(labels); i += 4 {
+		f.Notes = append(f.Notes, "cases "+strings.Join(labels[i:min(i+4, len(labels))], ", "))
+	}
+	return f
+}
+
+// collBody returns the rank program that runs the named collective once
+// over nbytes of payload (per rank; the total across ranks for
+// reducescatter).
+func collBody(collective string, nbytes int) func(p *mpi.Proc) error {
+	return func(p *mpi.Proc) error {
+		comm := p.CommWorld()
+		switch collective {
+		case "allreduce":
+			comm.Allreduce(make([]byte, nbytes), mpi.SumFloat64)
+		case "bcast":
 			var data []byte
 			if p.Rank() == 0 {
 				data = make([]byte, nbytes)
 			}
-			p.CommWorld().Bcast(0, data)
-			return nil
-		}
-	}
-	gather := func(tuning *mpi.CollTuning, nbytes int) func(p *mpi.Proc) error {
-		return func(p *mpi.Proc) error {
-			p.CommWorld().Gather(0, make([]byte, nbytes))
-			return nil
-		}
-	}
-	reduceScatter := func(tuning *mpi.CollTuning, nbytes int) func(p *mpi.Proc) error {
-		return func(p *mpi.Proc) error {
-			comm := p.CommWorld()
+			comm.Bcast(0, data)
+		case "gather":
+			comm.Gather(0, make([]byte, nbytes))
+		case "reducescatter":
 			parts := make([][]byte, comm.Size())
 			for i := range parts {
 				parts[i] = make([]byte, nbytes/comm.Size())
 			}
 			comm.ReduceScatter(parts, mpi.SumFloat64)
-			return nil
+		default:
+			return fmt.Errorf("experiments: no rank program for collective %q", collective)
 		}
+		return nil
 	}
-	type kase = struct {
-		collective, algorithm string
-		bytes                 int
-		tuning                *mpi.CollTuning
-		main                  func(tuning *mpi.CollTuning, nbytes int) func(p *mpi.Proc) error
+}
+
+// collCase is one row to simulate: a collective forced onto (or left to
+// choose) an algorithm by its tuning.
+type collCase struct {
+	collective, algorithm string
+	bytes                 int
+	tuning                *mpi.CollTuning
+}
+
+// simCases runs every case in a fresh world on the given network and
+// placement and returns the simulated makespans.
+func simCases(cluster *hnoc.Cluster, place []int, placement string, cases []collCase) ([]collRow, error) {
+	rows := make([]collRow, 0, len(cases))
+	for _, k := range cases {
+		w := mpi.NewWorld(cluster, place)
+		w.SetCollTuning(k.tuning)
+		if err := w.Run(collBody(k.collective, k.bytes)); err != nil {
+			return nil, fmt.Errorf("%s/%s at %d bytes (%s): %w", k.collective, k.algorithm, k.bytes, placement, err)
+		}
+		rows = append(rows, collRow{k.collective, k.algorithm, k.bytes, placement, float64(w.Makespan())})
 	}
-	var cases []kase
+	return rows, nil
+}
+
+// collRows sweeps the flat algorithms on Paper9, one process per machine.
+func collRows() ([]collRow, error) {
+	var cases []collCase
 	for _, n := range []int{1 << 10, 64 << 10, 1 << 20} {
 		cases = append(cases,
-			kase{"allreduce", "redbcast", n, &mpi.CollTuning{Allreduce: mpi.AllreduceRedBcast}, allreduce},
-			kase{"allreduce", "recdbl", n, &mpi.CollTuning{Allreduce: mpi.AllreduceRecursiveDoubling}, allreduce},
-			kase{"allreduce", "ring", n, &mpi.CollTuning{Allreduce: mpi.AllreduceRing}, allreduce},
-			kase{"allreduce", "auto", n, mpi.AutoCollTuning(), allreduce},
+			collCase{"allreduce", "redbcast", n, &mpi.CollTuning{Allreduce: mpi.AllreduceRedBcast}},
+			collCase{"allreduce", "recdbl", n, &mpi.CollTuning{Allreduce: mpi.AllreduceRecursiveDoubling}},
+			collCase{"allreduce", "ring", n, &mpi.CollTuning{Allreduce: mpi.AllreduceRing}},
+			collCase{"allreduce", "auto", n, mpi.AutoCollTuning()},
 		)
 	}
 	for _, n := range []int{64 << 10, 1 << 20} {
 		cases = append(cases,
-			kase{"bcast", "binomial", n, &mpi.CollTuning{Bcast: mpi.BcastBinomial}, bcast},
-			kase{"bcast", "segmented", n, &mpi.CollTuning{Bcast: mpi.BcastSegmented}, bcast},
+			collCase{"bcast", "binomial", n, &mpi.CollTuning{Bcast: mpi.BcastBinomial}},
+			collCase{"bcast", "segmented", n, &mpi.CollTuning{Bcast: mpi.BcastSegmented}},
 		)
 	}
 	for _, n := range []int{256, 64 << 10} {
 		cases = append(cases,
-			kase{"gather", "flat", n, &mpi.CollTuning{Gather: mpi.GatherFlat}, gather},
-			kase{"gather", "binomial", n, &mpi.CollTuning{Gather: mpi.GatherBinomial}, gather},
+			collCase{"gather", "flat", n, &mpi.CollTuning{Gather: mpi.GatherFlat}},
+			collCase{"gather", "binomial", n, &mpi.CollTuning{Gather: mpi.GatherBinomial}},
 		)
 	}
 	for _, n := range []int{9 * (4 << 10), 9 * (128 << 10)} {
 		cases = append(cases,
-			kase{"reducescatter", "viaroot", n, &mpi.CollTuning{ReduceScatter: mpi.ReduceScatterViaRoot}, reduceScatter},
-			kase{"reducescatter", "pairwise", n, &mpi.CollTuning{ReduceScatter: mpi.ReduceScatterPairwise}, reduceScatter},
+			collCase{"reducescatter", "viaroot", n, &mpi.CollTuning{ReduceScatter: mpi.ReduceScatterViaRoot}},
+			collCase{"reducescatter", "pairwise", n, &mpi.CollTuning{ReduceScatter: mpi.ReduceScatterPairwise}},
 		)
 	}
-	return cases
-}
-
-// wirePingPong measures the TCP transport's send/recv round trip on a
-// two-machine world.
-func wirePingPong(nbytes int, pooled bool) (WirePoint, error) {
-	mpi.SetBufferPooling(pooled)
-	defer mpi.SetBufferPooling(true)
-	var runErr error
-	res := testing.Benchmark(func(b *testing.B) {
-		cluster := hnoc.Homogeneous(2, 100)
-		w, closeT, err := mpi.NewWorldTCPOpts(cluster, mpi.OneProcessPerMachine(cluster), mpi.TCPOptions{})
-		if err != nil {
-			runErr = err
-			return
-		}
-		defer func() { _ = closeT() }()
-		b.ReportAllocs()
-		b.ResetTimer()
-		err = w.Run(func(p *mpi.Proc) error {
-			data := make([]byte, nbytes)
-			comm := p.CommWorld()
-			for i := 0; i < b.N; i++ {
-				if p.Rank() == 0 {
-					comm.Send(1, 0, data)
-					comm.Recv(1, 0)
-				} else {
-					comm.Recv(0, 0)
-					comm.Send(0, 0, data)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			runErr = err
-		}
-	})
-	if runErr != nil {
-		return WirePoint{}, runErr
-	}
-	return WirePoint{
-		Bytes:       nbytes,
-		Pooled:      pooled,
-		NsPerOp:     res.NsPerOp(),
-		AllocsPerOp: res.AllocsPerOp(),
-		BytesPerOp:  res.AllocedBytesPerOp(),
-	}, nil
-}
-
-// CollBenchReport runs the collective-engine benchmark and returns the
-// BENCH_PR4.json artifact.
-func CollBenchReport() (*CollBench, error) {
-	out := &CollBench{}
-	var legacyLarge, ringLarge float64
-	largest := 0
-	for _, kase := range collCases() {
-		pt, err := simColl(kase.tuning, kase.main(kase.tuning, kase.bytes))
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s at %d bytes: %w", kase.collective, kase.algorithm, kase.bytes, err)
-		}
-		pt.Collective = kase.collective
-		pt.Algorithm = kase.algorithm
-		pt.Bytes = kase.bytes
-		out.Collectives = append(out.Collectives, pt)
-		if kase.collective == "allreduce" && kase.bytes >= largest {
-			largest = kase.bytes
-			switch kase.algorithm {
-			case "redbcast":
-				legacyLarge = pt.SimSeconds
-			case "ring":
-				ringLarge = pt.SimSeconds
-			}
-		}
-	}
-	if ringLarge > 0 {
-		out.AllreduceLargeSpeedup = legacyLarge / ringLarge
-	}
-	for _, nbytes := range []int{64, 4 << 10, 64 << 10} {
-		for _, pooled := range []bool{true, false} {
-			wp, err := wirePingPong(nbytes, pooled)
-			if err != nil {
-				return nil, fmt.Errorf("wire ping-pong at %d bytes (pooled=%v): %w", nbytes, pooled, err)
-			}
-			out.WirePath = append(out.WirePath, wp)
-		}
-	}
 	cluster := hnoc.Paper9()
-	machines := make([]int, cluster.Size())
-	for i := range machines {
-		machines[i] = i
-	}
-	model, err := estimator.NewCollModel(cluster, machines)
-	if err != nil {
-		return nil, err
-	}
-	out.ModelRingCrossoverBytes = model.RingCrossoverBytes()
-	return out, nil
+	return simCases(cluster, mpi.OneProcessPerMachine(cluster), "blocked", cases)
+}
+
+// collLargeSpeedup is the simulated legacy/ring Allreduce time at the
+// sweep's largest payload (the acceptance bar for the engine is >= 2).
+func collLargeSpeedup(rows []collRow) float64 {
+	return simOf(rows, "allreduce", "redbcast", 1<<20, "blocked") / simOf(rows, "allreduce", "ring", 1<<20, "blocked")
 }
 
 // TableColl renders the collective-engine comparison as a figure:
 // simulated seconds per algorithm over the swept payload sizes.
 func TableColl() (*Figure, error) {
-	bench, err := CollBenchReport()
+	rows, err := collRows()
 	if err != nil {
 		return nil, err
 	}
-	f := &Figure{
-		ID:     "coll",
-		Title:  "Collective engine: simulated time per algorithm on Paper9",
-		XLabel: "case",
-		YLabel: "s",
+	cluster := hnoc.Paper9()
+	model, err := estimator.NewCollModel(cluster, mpi.OneProcessPerMachine(cluster))
+	if err != nil {
+		return nil, err
 	}
-	var sim []float64
-	var labels []string
-	for i, p := range bench.Collectives {
-		f.X = append(f.X, float64(i+1))
-		sim = append(sim, p.SimSeconds)
-		labels = append(labels, fmt.Sprintf("%d=%s/%s/%dB", i+1, p.Collective, p.Algorithm, p.Bytes))
-	}
-	f.Series = []Series{{Name: "simulated", Y: sim}}
-	for i := 0; i < len(labels); i += 4 {
-		end := i + 4
-		if end > len(labels) {
-			end = len(labels)
-		}
-		f.Notes = append(f.Notes, "cases "+strings.Join(labels[i:end], ", "))
-	}
+	f := collFigure("coll", "Collective engine: simulated time per algorithm on Paper9", rows)
 	f.Notes = append(f.Notes,
-		fmt.Sprintf("large-message Allreduce speedup ring vs legacy: %.2fx (acceptance bar 2x);", bench.AllreduceLargeSpeedup),
-		fmt.Sprintf("analytic model's predicted ring crossover: %d bytes.", bench.ModelRingCrossoverBytes))
+		fmt.Sprintf("large-message Allreduce speedup ring vs legacy: %.2fx (acceptance bar 2x);", collLargeSpeedup(rows)),
+		fmt.Sprintf("analytic model's predicted ring crossover: %d bytes.", model.RingCrossoverBytes()))
 	return f, nil
 }

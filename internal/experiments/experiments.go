@@ -1,8 +1,8 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (Section 5) plus the additional validation and ablation tables of this
 // reproduction, on the simulated 9-workstation network. Each generator
-// returns a Figure — labelled series over a swept parameter — that the
-// hmpibench command and the repository's benchmarks print.
+// returns a Figure — labelled series over a swept parameter, in simulated
+// time or counts — that the hmpibench command prints.
 package experiments
 
 import (
@@ -58,6 +58,7 @@ func Registry() map[string]Generator {
 		"search":      TableSearch,
 		"coll":        TableColl,
 		"hier":        TableHier,
+		"overlap":     TableOverlap,
 	}
 }
 

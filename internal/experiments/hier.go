@@ -2,65 +2,21 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/estimator"
 	"repro/internal/hnoc"
 	"repro/internal/mpi"
 )
 
-// This file benchmarks the hierarchy-aware collectives (internal/mpi's
+// This file sweeps the hierarchy-aware collectives (internal/mpi's
 // two-level algorithms) on the fat-node topology: three multi-core
 // machines with fast internal buses joined by the paper's 100 Mbit
-// Ethernet, 8 processes each. Rows with the same (collective, bytes)
-// compare the flat algorithms, the two-level algorithm, and the
-// model-driven Auto policy; the artifact keeps the rows where the
+// Ethernet, 8 processes each. Rows with the same (collective, bytes,
+// placement) compare the flat algorithms, the two-level algorithm, and
+// the model-driven Auto policy; the sweep keeps the rows where the
 // hierarchy loses (large broadcasts, large gathers) on purpose — the
 // two-level algorithms are a regime, not a universal win, and the Auto
 // policy's job is to know the difference.
-
-// HierPoint is one collective algorithm at one payload size on the
-// fat-node topology.
-type HierPoint struct {
-	Collective string `json:"collective"`
-	Algorithm  string `json:"algorithm"`
-	Bytes      int    `json:"bytes"`
-	// Placement is "blocked" (each machine's ranks contiguous, the
-	// benchmark default) or "interleaved" (ranks round-robin across
-	// machines — the placement-robustness rows).
-	Placement  string  `json:"placement"`
-	SimSeconds float64 `json:"simulated_s"`
-}
-
-// HierBench is the hierarchy-aware collective benchmark artifact
-// (BENCH_PR9.json).
-type HierBench struct {
-	// Topology names the benchmark network (3 machines x 8 processes).
-	Topology string `json:"topology"`
-	// Collectives holds simulated completion times per algorithm and
-	// size; rows with the same (collective, bytes) compare algorithms.
-	Collectives []HierPoint `json:"collectives"`
-	// AllreduceHierSpeedup1MiB is simulated flat-ring/hierarchical time
-	// at 1 MiB — the acceptance bar for this engine is >= 1.2.
-	AllreduceHierSpeedup1MiB float64 `json:"allreduce_hier_speedup_1mib"`
-	// ModelAllreduceWin{Lo,Hi}Bytes is the two-level model's closed-form
-	// win range for the hierarchical Allreduce against the flat ring
-	// (math.MaxInt marshals as its decimal value and means "unbounded").
-	ModelAllreduceWinLoBytes int `json:"model_allreduce_win_lo_bytes"`
-	ModelAllreduceWinHiBytes int `json:"model_allreduce_win_hi_bytes"`
-	// BcastHier{Min,Max}Bytes is the derived policy's hierarchical
-	// broadcast band: the model says the two-level broadcast wins only
-	// inside it.
-	BcastHierMinBytes int `json:"bcast_hier_min_bytes"`
-	BcastHierMaxBytes int `json:"bcast_hier_max_bytes"`
-	// InterleavedBcastSpeedup256KiB is simulated flat-binomial /
-	// hierarchical time for a 256 KiB broadcast on the interleaved
-	// placement — the placement-robustness win the two-level broadcast
-	// exists for (on the blocked placement the flat binomial tree's
-	// subtrees already align with the machines, so it is two-level in
-	// disguise and the hierarchy cannot beat it).
-	InterleavedBcastSpeedup256KiB float64 `json:"interleaved_bcast_speedup_256kib"`
-}
 
 // interleave returns the round-robin counterpart of a placement: the same
 // per-machine process counts, but ranks striped across machines instead
@@ -87,112 +43,112 @@ func interleave(place []int) []int {
 	return out
 }
 
-// simHier runs one collective under the given tuning on the fat-node
-// topology with the given placement and returns the simulated makespan in
-// seconds.
-func simHier(tuning *mpi.CollTuning, place []int, main func(p *mpi.Proc) error) (float64, error) {
-	cluster, _ := hnoc.FatNode3x8()
-	w := mpi.NewWorld(cluster, place)
-	w.SetCollTuning(tuning)
-	if err := w.Run(main); err != nil {
-		return 0, err
-	}
-	return float64(w.Makespan()), nil
-}
-
-// hierCases enumerates the algorithm comparisons. Every forced algorithm
-// rides a copy of the model-derived Auto tuning with only its selector
-// overridden, so nested phases (the node-tier broadcast inside the
-// hierarchical Allreduce, the net tier's own resolution) follow one
-// policy across all rows.
-func hierCases(derived *mpi.CollTuning) []struct {
-	collective, algorithm string
-	bytes                 int
-	tuning                *mpi.CollTuning
-	main                  func(p *mpi.Proc) error
-} {
-	allreduce := func(nbytes int) func(p *mpi.Proc) error {
-		return func(p *mpi.Proc) error {
-			p.CommWorld().Allreduce(make([]byte, nbytes), mpi.SumFloat64)
-			return nil
-		}
-	}
-	bcast := func(nbytes int) func(p *mpi.Proc) error {
-		return func(p *mpi.Proc) error {
-			var data []byte
-			if p.Rank() == 0 {
-				data = make([]byte, nbytes)
-			}
-			p.CommWorld().Bcast(0, data)
-			return nil
-		}
-	}
-	gather := func(nbytes int) func(p *mpi.Proc) error {
-		return func(p *mpi.Proc) error {
-			p.CommWorld().Gather(0, make([]byte, nbytes))
-			return nil
-		}
-	}
-	reduceScatter := func(total int) func(p *mpi.Proc) error {
-		return func(p *mpi.Proc) error {
-			comm := p.CommWorld()
-			parts := make([][]byte, comm.Size())
-			for i := range parts {
-				parts[i] = make([]byte, total/comm.Size())
-			}
-			comm.ReduceScatter(parts, mpi.SumFloat64)
-			return nil
-		}
-	}
+// hierCases enumerates the algorithm comparisons of one collective set.
+// Every forced algorithm rides a copy of the model-derived Auto tuning
+// with only its selector overridden, so nested phases (the node-tier
+// broadcast inside the hierarchical Allreduce, the net tier's own
+// resolution) follow one policy across all rows.
+func hierCases(derived *mpi.CollTuning) []collCase {
 	with := func(set func(t *mpi.CollTuning)) *mpi.CollTuning {
 		t := *derived
 		set(&t)
 		return &t
 	}
-	type kase = struct {
-		collective, algorithm string
-		bytes                 int
-		tuning                *mpi.CollTuning
-		main                  func(p *mpi.Proc) error
-	}
-	var cases []kase
+	var cases []collCase
 	for _, n := range []int{64 << 10, 1 << 20, 4 << 20} {
 		cases = append(cases,
-			kase{"allreduce", "recdbl", n, with(func(t *mpi.CollTuning) { t.Allreduce = mpi.AllreduceRecursiveDoubling }), allreduce(n)},
-			kase{"allreduce", "ring", n, with(func(t *mpi.CollTuning) { t.Allreduce = mpi.AllreduceRing }), allreduce(n)},
-			kase{"allreduce", "hier", n, with(func(t *mpi.CollTuning) { t.Allreduce = mpi.AllreduceHier }), allreduce(n)},
-			kase{"allreduce", "auto", n, derived, allreduce(n)},
+			collCase{"allreduce", "recdbl", n, with(func(t *mpi.CollTuning) { t.Allreduce = mpi.AllreduceRecursiveDoubling })},
+			collCase{"allreduce", "ring", n, with(func(t *mpi.CollTuning) { t.Allreduce = mpi.AllreduceRing })},
+			collCase{"allreduce", "hier", n, with(func(t *mpi.CollTuning) { t.Allreduce = mpi.AllreduceHier })},
+			collCase{"allreduce", "auto", n, derived},
 		)
 	}
 	for _, n := range []int{64 << 10, 1 << 20, 16 << 20} {
-		cases = append(cases,
-			kase{"bcast", "binomial", n, with(func(t *mpi.CollTuning) { t.Bcast = mpi.BcastBinomial }), bcast(n)},
-			kase{"bcast", "segmented", n, with(func(t *mpi.CollTuning) { t.Bcast = mpi.BcastSegmented }), bcast(n)},
-			kase{"bcast", "hier", n, with(func(t *mpi.CollTuning) { t.Bcast = mpi.BcastHier }), bcast(n)},
-			kase{"bcast", "auto", n, derived, bcast(n)},
-		)
+		cases = append(cases, hierBcastCases(derived, n)...)
 	}
 	for _, n := range []int{256, 4 << 10, 256 << 10} {
 		cases = append(cases,
-			kase{"gather", "flat", n, with(func(t *mpi.CollTuning) { t.Gather = mpi.GatherFlat }), gather(n)},
-			kase{"gather", "binomial", n, with(func(t *mpi.CollTuning) { t.Gather = mpi.GatherBinomial }), gather(n)},
-			kase{"gather", "hier", n, with(func(t *mpi.CollTuning) { t.Gather = mpi.GatherHier }), gather(n)},
-			kase{"gather", "auto", n, derived, gather(n)},
+			collCase{"gather", "flat", n, with(func(t *mpi.CollTuning) { t.Gather = mpi.GatherFlat })},
+			collCase{"gather", "binomial", n, with(func(t *mpi.CollTuning) { t.Gather = mpi.GatherBinomial })},
+			collCase{"gather", "hier", n, with(func(t *mpi.CollTuning) { t.Gather = mpi.GatherHier })},
+			collCase{"gather", "auto", n, derived},
 		)
 	}
 	for _, n := range []int{24 * (4 << 10), 24 * (128 << 10)} {
 		cases = append(cases,
-			kase{"reducescatter", "pairwise", n, with(func(t *mpi.CollTuning) { t.ReduceScatter = mpi.ReduceScatterPairwise }), reduceScatter(n)},
-			kase{"reducescatter", "hier", n, with(func(t *mpi.CollTuning) { t.ReduceScatter = mpi.ReduceScatterHier }), reduceScatter(n)},
-			kase{"reducescatter", "auto", n, derived, reduceScatter(n)},
+			collCase{"reducescatter", "pairwise", n, with(func(t *mpi.CollTuning) { t.ReduceScatter = mpi.ReduceScatterPairwise })},
+			collCase{"reducescatter", "hier", n, with(func(t *mpi.CollTuning) { t.ReduceScatter = mpi.ReduceScatterHier })},
+			collCase{"reducescatter", "auto", n, derived},
 		)
 	}
 	return cases
 }
 
-// HierBenchReport runs the hierarchy benchmark and returns the
-// BENCH_PR9.json artifact.
-func HierBenchReport() (*HierBench, error) {
+// hierBcastCases is the four-way broadcast comparison at one size.
+func hierBcastCases(derived *mpi.CollTuning, n int) []collCase {
+	with := func(alg mpi.BcastAlg) *mpi.CollTuning {
+		t := *derived
+		t.Bcast = alg
+		return &t
+	}
+	return []collCase{
+		{"bcast", "binomial", n, with(mpi.BcastBinomial)},
+		{"bcast", "segmented", n, with(mpi.BcastSegmented)},
+		{"bcast", "hier", n, with(mpi.BcastHier)},
+		{"bcast", "auto", n, derived},
+	}
+}
+
+// hierRows sweeps the fat-node topology: every comparison on the blocked
+// placement, then the placement-robustness rows — the same 256 KiB
+// broadcast on the interleaved placement, where the flat tree's
+// rank-order edges cross the Ethernet over and over while the hierarchy
+// regroups by machine.
+func hierRows() ([]collRow, error) {
+	cluster, place := hnoc.FatNode3x8()
+	derived, err := estimator.AutoCollTuningFor(cluster, place)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := simCases(cluster, place, "blocked", hierCases(derived))
+	if err != nil {
+		return nil, err
+	}
+	iplace := interleave(place)
+	iderived, err := estimator.AutoCollTuningFor(cluster, iplace)
+	if err != nil {
+		return nil, err
+	}
+	irows, err := simCases(cluster, iplace, "interleaved", hierBcastCases(iderived, 256<<10))
+	if err != nil {
+		return nil, err
+	}
+	return append(rows, irows...), nil
+}
+
+// hierAllreduceSpeedup is simulated flat-ring/hierarchical Allreduce time
+// at 1 MiB on the blocked placement — the acceptance bar is >= 1.2.
+func hierAllreduceSpeedup(rows []collRow) float64 {
+	return simOf(rows, "allreduce", "ring", 1<<20, "blocked") / simOf(rows, "allreduce", "hier", 1<<20, "blocked")
+}
+
+// hierInterleavedBcastSpeedup is simulated flat-binomial/hierarchical time
+// for the 256 KiB broadcast on the interleaved placement — the
+// placement-robustness win the two-level broadcast exists for (on the
+// blocked placement the flat binomial tree's subtrees already align with
+// the machines, so it is two-level in disguise and the hierarchy cannot
+// beat it).
+func hierInterleavedBcastSpeedup(rows []collRow) float64 {
+	return simOf(rows, "bcast", "binomial", 256<<10, "interleaved") / simOf(rows, "bcast", "hier", 256<<10, "interleaved")
+}
+
+// TableHier renders the hierarchy sweep as a figure: simulated seconds
+// per algorithm over the swept payload sizes on the fat-node topology.
+func TableHier() (*Figure, error) {
+	rows, err := hierRows()
+	if err != nil {
+		return nil, err
+	}
 	cluster, place := hnoc.FatNode3x8()
 	derived, err := estimator.AutoCollTuningFor(cluster, place)
 	if err != nil {
@@ -202,127 +158,12 @@ func HierBenchReport() (*HierBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &HierBench{Topology: "fatnode-3x8"}
-	out.ModelAllreduceWinLoBytes, out.ModelAllreduceWinHiBytes = model.HierAllreduceWinRange()
-	out.BcastHierMinBytes = derived.ResolvedBcastHierMinBytes()
-	out.BcastHierMaxBytes = derived.ResolvedBcastHierMaxBytes()
-	var ring1MiB, hier1MiB float64
-	for _, kase := range hierCases(derived) {
-		sim, err := simHier(kase.tuning, place, kase.main)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s at %d bytes: %w", kase.collective, kase.algorithm, kase.bytes, err)
-		}
-		out.Collectives = append(out.Collectives, HierPoint{
-			Collective: kase.collective,
-			Algorithm:  kase.algorithm,
-			Bytes:      kase.bytes,
-			Placement:  "blocked",
-			SimSeconds: sim,
-		})
-		if kase.collective == "allreduce" && kase.bytes == 1<<20 {
-			switch kase.algorithm {
-			case "ring":
-				ring1MiB = sim
-			case "hier":
-				hier1MiB = sim
-			}
-		}
-	}
-	if hier1MiB > 0 {
-		out.AllreduceHierSpeedup1MiB = ring1MiB / hier1MiB
-	}
-	// Placement-robustness rows: the same broadcast on the interleaved
-	// placement, where the flat tree's rank-order edges cross the
-	// Ethernet over and over while the hierarchy regroups by machine.
-	iplace := interleave(place)
-	iderived, err := estimator.AutoCollTuningFor(cluster, iplace)
-	if err != nil {
-		return nil, err
-	}
-	const interN = 256 << 10
-	ibcast := func(p *mpi.Proc) error {
-		var data []byte
-		if p.Rank() == 0 {
-			data = make([]byte, interN)
-		}
-		p.CommWorld().Bcast(0, data)
-		return nil
-	}
-	var ibin, ihier float64
-	for _, alg := range []struct {
-		name string
-		set  func(t *mpi.CollTuning)
-	}{
-		{"binomial", func(t *mpi.CollTuning) { t.Bcast = mpi.BcastBinomial }},
-		{"segmented", func(t *mpi.CollTuning) { t.Bcast = mpi.BcastSegmented }},
-		{"hier", func(t *mpi.CollTuning) { t.Bcast = mpi.BcastHier }},
-		{"auto", nil},
-	} {
-		tuning := *iderived
-		if alg.set != nil {
-			alg.set(&tuning)
-		}
-		sim, err := simHier(&tuning, iplace, ibcast)
-		if err != nil {
-			return nil, fmt.Errorf("interleaved bcast/%s: %w", alg.name, err)
-		}
-		out.Collectives = append(out.Collectives, HierPoint{
-			Collective: "bcast",
-			Algorithm:  alg.name,
-			Bytes:      interN,
-			Placement:  "interleaved",
-			SimSeconds: sim,
-		})
-		switch alg.name {
-		case "binomial":
-			ibin = sim
-		case "hier":
-			ihier = sim
-		}
-	}
-	if ihier > 0 {
-		out.InterleavedBcastSpeedup256KiB = ibin / ihier
-	}
-	return out, nil
-}
-
-// TableHier renders the hierarchy benchmark as a figure: simulated
-// seconds per algorithm over the swept payload sizes on the fat-node
-// topology.
-func TableHier() (*Figure, error) {
-	bench, err := HierBenchReport()
-	if err != nil {
-		return nil, err
-	}
-	f := &Figure{
-		ID:     "hier",
-		Title:  "Two-level collectives: simulated time per algorithm on 3x8 fat nodes",
-		XLabel: "case",
-		YLabel: "s",
-	}
-	var sim []float64
-	var labels []string
-	for i, p := range bench.Collectives {
-		f.X = append(f.X, float64(i+1))
-		sim = append(sim, p.SimSeconds)
-		label := fmt.Sprintf("%d=%s/%s/%dB", i+1, p.Collective, p.Algorithm, p.Bytes)
-		if p.Placement != "blocked" {
-			label += "/" + p.Placement
-		}
-		labels = append(labels, label)
-	}
-	f.Series = []Series{{Name: "simulated", Y: sim}}
-	for i := 0; i < len(labels); i += 4 {
-		end := i + 4
-		if end > len(labels) {
-			end = len(labels)
-		}
-		f.Notes = append(f.Notes, "cases "+strings.Join(labels[i:end], ", "))
-	}
+	winLo, winHi := model.HierAllreduceWinRange()
+	f := collFigure("hier", "Two-level collectives: simulated time per algorithm on 3x8 fat nodes", rows)
 	f.Notes = append(f.Notes,
-		fmt.Sprintf("1 MiB Allreduce speedup hier vs flat ring: %.2fx (acceptance bar 1.2x);", bench.AllreduceHierSpeedup1MiB),
-		fmt.Sprintf("model win range for the hierarchical Allreduce: [%d, %d) bytes;", bench.ModelAllreduceWinLoBytes, bench.ModelAllreduceWinHiBytes),
-		fmt.Sprintf("derived hierarchical broadcast band: [%d, %d] bytes;", bench.BcastHierMinBytes, bench.BcastHierMaxBytes),
-		fmt.Sprintf("256 KiB interleaved-placement Bcast speedup hier vs binomial: %.2fx.", bench.InterleavedBcastSpeedup256KiB))
+		fmt.Sprintf("1 MiB Allreduce speedup hier vs flat ring: %.2fx (acceptance bar 1.2x);", hierAllreduceSpeedup(rows)),
+		fmt.Sprintf("model win range for the hierarchical Allreduce: [%d, %d) bytes;", winLo, winHi),
+		fmt.Sprintf("derived hierarchical broadcast band: [%d, %d] bytes;", derived.ResolvedBcastHierMinBytes(), derived.ResolvedBcastHierMaxBytes()),
+		fmt.Sprintf("256 KiB interleaved-placement Bcast speedup hier vs binomial: %.2fx.", hierInterleavedBcastSpeedup(rows)))
 	return f, nil
 }

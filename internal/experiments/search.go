@@ -29,51 +29,15 @@ var searchConfigs = []struct {
 	{"portfolio", mapper.Options{Strategy: mapper.StrategyPortfolio, Parallelism: 4, Prune: true, Cache: true}},
 }
 
-// SearchPoint is one engine configuration's measured search work.
-type SearchPoint struct {
-	Config      string  `json:"config"`
-	Predicted   float64 `json:"predicted_s"`
-	Evaluations int64   `json:"evaluations"`
-	CacheHits   int64   `json:"cache_hits"`
-	Pruned      int64   `json:"pruned"`
-	Workers     int     `json:"workers"`
-	WallSeconds float64 `json:"wall_s"`
-}
-
-// SearchBenchReport runs the exhaustive group selection for the EM3D
-// instance on the paper network under each engine configuration and
-// reports the search work. Every configuration must reproduce the serial
-// prediction exactly — the engine's determinism contract.
-func SearchBenchReport() ([]SearchPoint, error) {
-	est, err := em3dEstimator(hostileCluster(), 400_000)
-	if err != nil {
-		return nil, err
-	}
-	var out []SearchPoint
-	for _, cfg := range searchConfigs {
-		opts := cfg.Opts
-		opts.ExhaustiveLimit = 1_000_000
-		a, err := mapper.Solve(engineProblem(est), opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SearchPoint{
-			Config:      cfg.Name,
-			Predicted:   a.Time,
-			Evaluations: a.Stats.Evaluations,
-			CacheHits:   a.Stats.CacheHits,
-			Pruned:      a.Stats.Pruned,
-			Workers:     a.Stats.Workers,
-			WallSeconds: a.Stats.WallTime.Seconds(),
-		})
-	}
-	return out, nil
-}
-
-// TableSearch renders the search-engine sweep as a figure: evaluations,
-// cache hits, pruned assignments, and wall milliseconds per configuration.
+// TableSearch runs the exhaustive group selection for the EM3D instance
+// on the paper network under each engine configuration and renders the
+// search work as a figure: the prediction, evaluations, cache hits and
+// pruned assignments per configuration. Every configuration must
+// reproduce the serial prediction exactly — the engine's determinism
+// contract. The host time of the same searches is bench/'s
+// mapper.solve_ms.* rows.
 func TableSearch() (*Figure, error) {
-	points, err := SearchBenchReport()
+	est, err := em3dEstimator(hostileCluster(), 400_000)
 	if err != nil {
 		return nil, err
 	}
@@ -81,23 +45,27 @@ func TableSearch() (*Figure, error) {
 		ID:     "search",
 		Title:  "Group-selection engine: exhaustive search work per configuration (EM3D, 400k nodes)",
 		XLabel: "config (1=serial 2=pruned 3=symmetry 4=pruned+sym 5=parallel4+pruned+sym 6=portfolio)",
-		YLabel: "count / ms",
+		YLabel: "count",
 	}
-	var pred, evals, hits, pruned, wall []float64
-	for i, p := range points {
+	var pred, evals, hits, pruned []float64
+	for i, cfg := range searchConfigs {
+		opts := cfg.Opts
+		opts.ExhaustiveLimit = 1_000_000
+		a, err := mapper.Solve(engineProblem(est), opts)
+		if err != nil {
+			return nil, err
+		}
 		f.X = append(f.X, float64(i+1))
-		pred = append(pred, p.Predicted)
-		evals = append(evals, float64(p.Evaluations))
-		hits = append(hits, float64(p.CacheHits))
-		pruned = append(pruned, float64(p.Pruned))
-		wall = append(wall, p.WallSeconds*1e3)
+		pred = append(pred, a.Time)
+		evals = append(evals, float64(a.Stats.Evaluations))
+		hits = append(hits, float64(a.Stats.CacheHits))
+		pruned = append(pruned, float64(a.Stats.Pruned))
 	}
 	f.Series = []Series{
 		{Name: "predicted [s]", Y: pred},
 		{Name: "evaluations", Y: evals},
 		{Name: "cache hits", Y: hits},
 		{Name: "pruned", Y: pruned},
-		{Name: "wall [ms]", Y: wall},
 	}
 	f.Notes = append(f.Notes,
 		"Every configuration returns the bit-identical selection of the serial scan;",

@@ -163,10 +163,6 @@ func (rt *Runtime) Finalize() {
 // Finalized reports whether Finalize has been called.
 func (rt *Runtime) Finalized() bool { return rt.finalized.Load() }
 
-// EnableTracing records per-process activity intervals for the run; call
-// before Run. See mpi.Trace.
-func (rt *Runtime) EnableTracing() *mpi.Trace { return rt.world.EnableTracing() }
-
 // Makespan returns the simulated execution time after Run completes.
 func (rt *Runtime) Makespan() vclock.Time { return rt.world.Makespan() }
 

@@ -21,8 +21,8 @@ import (
 // yields the trace via its Data method after the run completes.
 //
 // The recorder observes metadata only — byte counts, algorithm names,
-// model predictions — never payload slices, so it composes with buffer
-// pooling (mpi.World.SetBufferPooling).
+// model predictions — never payload slices, so it composes with the
+// pooled message path (internal/mpi's bufpool.go).
 func (rt *Runtime) EnableRecorder(app string, opts trace.Options) *trace.Recorder {
 	rec := trace.NewRecorder(rt.world.Size(), opts)
 	meta := trace.Meta{

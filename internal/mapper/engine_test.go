@@ -3,7 +3,6 @@ package mapper
 import (
 	"encoding/binary"
 	"math"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -354,61 +353,6 @@ func TestPortfolioBudget(t *testing.T) {
 	// must have cut the search far short of that.
 	if a.Stats.Evaluations >= 151_200 {
 		t.Fatalf("budget did not stop the search (%d evaluations)", a.Stats.Evaluations)
-	}
-}
-
-// TestParallelWallClockSpeedup asserts the headline performance claim: on
-// a multi-core machine, 4 workers finish the exhaustive scan at least
-// twice as fast as one. Skipped on small machines where the hardware
-// cannot deliver parallelism.
-func TestParallelWallClockSpeedup(t *testing.T) {
-	if runtime.NumCPU() < 4 {
-		t.Skipf("need >= 4 CPUs for a meaningful speedup test, have %d", runtime.NumCPU())
-	}
-	if testing.Short() {
-		t.Skip("speedup measurement is slow")
-	}
-	w := []float64{9, 4, 7, 2, 5}
-	s := []float64{1, 2, 4, 2, 1, 4, 2, 3}
-	avail := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	burn := func() Objective {
-		base := loadBalanceObjective(w, s)
-		return func(cand []int) float64 {
-			x := 1.0
-			for i := 0; i < 3000; i++ {
-				x = math.Sqrt(x + float64(i))
-			}
-			if x == math.Inf(1) {
-				return x // never taken; keeps the loop from being elided
-			}
-			return base(cand)
-		}
-	}
-	pr := Problem{
-		P: 5, Avail: avail, Weights: w,
-		SpeedOf:      func(r int) float64 { return s[r] },
-		Objective:    burn(),
-		NewObjective: burn,
-	}
-	t0 := time.Now()
-	serial, err := Solve(pr, Options{Strategy: StrategyExhaustive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialTime := time.Since(t0)
-	t0 = time.Now()
-	par, err := Solve(pr, Options{Strategy: StrategyExhaustive, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parTime := time.Since(t0)
-	if par.Time != serial.Time || !sameRanks(par.Ranks, serial.Ranks) {
-		t.Fatalf("parallel result (%v, %v) differs from serial (%v, %v)",
-			par.Time, par.Ranks, serial.Time, serial.Ranks)
-	}
-	if speedup := serialTime.Seconds() / parTime.Seconds(); speedup < 2 {
-		t.Fatalf("4 workers give %.2fx speedup (serial %v, parallel %v), want >= 2x",
-			speedup, serialTime, parTime)
 	}
 }
 

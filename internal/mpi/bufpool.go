@@ -15,14 +15,10 @@ package mpi
 //     p2p.go) enforce copy-on-retain: payloads handed onward to user code
 //     are copied out of the pooled buffer first, payloads folded into an
 //     accumulator are used in place and recycled without a copy.
-//
-// SetBufferPooling(false) turns all recycling off so benchmarks can
-// measure the allocation savings of the pooled path against the naive one.
 
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // poolBuf is a pooled byte buffer. b is sliced to the length of the
@@ -43,14 +39,6 @@ const (
 
 var bufPools [maxBufClass + 1]sync.Pool
 
-// poolingOff disables recycling when set; see SetBufferPooling.
-var poolingOff atomic.Bool
-
-// SetBufferPooling toggles the message-path buffer and envelope pools
-// (default on). It exists so benchmarks can quantify the pooled path
-// against the allocate-per-message one; production code never calls it.
-func SetBufferPooling(on bool) { poolingOff.Store(!on) }
-
 // bufClass returns the pool index for a request of n bytes, or -1 when
 // the request is too large to pool.
 func bufClass(n int) int {
@@ -67,7 +55,7 @@ func bufClass(n int) int {
 // getBuf returns a buffer of length n, pool-backed when possible.
 func getBuf(n int) *poolBuf {
 	c := bufClass(n)
-	if c < 0 || poolingOff.Load() {
+	if c < 0 {
 		return &poolBuf{b: make([]byte, n), class: -1}
 	}
 	if v := bufPools[c].Get(); v != nil {
@@ -81,7 +69,7 @@ func getBuf(n int) *poolBuf {
 // release returns the buffer to its pool. The caller must hold the only
 // remaining reference and must not touch the bytes afterwards.
 func (pb *poolBuf) release() {
-	if pb == nil || pb.class < 0 || poolingOff.Load() {
+	if pb == nil || pb.class < 0 {
 		return
 	}
 	bufPools[pb.class].Put(pb)
@@ -94,9 +82,6 @@ var envPool sync.Pool
 
 // getEnv returns a zeroed envelope.
 func getEnv() *envelope {
-	if poolingOff.Load() {
-		return &envelope{}
-	}
 	if v := envPool.Get(); v != nil {
 		return v.(*envelope)
 	}
@@ -106,9 +91,6 @@ func getEnv() *envelope {
 // putEnv recycles the envelope struct only; the payload must already
 // have been handed over or released by the caller.
 func putEnv(e *envelope) {
-	if poolingOff.Load() {
-		return
-	}
 	*e = envelope{}
 	envPool.Put(e)
 }

@@ -227,9 +227,6 @@ func (sc *nbSched) execRecv(c *Comm, s *nbStep, e *envelope) {
 	sc.st += vclock.Time(link.Overhead)
 	p.stats.BytesRecv += int64(len(e.data))
 	p.stats.MsgsRecv++
-	if tr := p.world.trace; tr != nil {
-		tr.add(TraceEvent{Rank: p.rank, Kind: EventRecv, Start: before, End: sc.st, Peer: e.src, Bytes: len(e.data), Tag: e.tag})
-	}
 	if rec := p.world.rec; rec != nil {
 		wall := rec.NowNS()
 		rec.Emit(p.rank, trace.Event{

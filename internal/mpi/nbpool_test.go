@@ -97,39 +97,3 @@ func TestIrecvPooledOwnershipTCP(t *testing.T) {
 	defer func() { _ = closeT() }()
 	runIrecvOwnership(t, w)
 }
-
-// BenchmarkTCPPingPongNonblocking mirrors BenchmarkTCPPingPong's pooled
-// row through Isend/Irecv+Wait: the nonblocking wrapper may add only the
-// Request objects on top of the wire path's allocs/op budget.
-func BenchmarkTCPPingPongNonblocking(b *testing.B) {
-	for _, size := range []int{64, 4096, 65536} {
-		b.Run(fmt.Sprintf("size%d", size), func(b *testing.B) {
-			w, closeT := benchWorldTCP(b, 2)
-			defer closeT()
-			b.ReportAllocs()
-			b.ResetTimer()
-			err := w.Run(func(p *Proc) error {
-				data := make([]byte, size)
-				comm := p.CommWorld()
-				for i := 0; i < b.N; i++ {
-					if p.Rank() == 0 {
-						sr := comm.Isend(1, 0, data)
-						rr := comm.Irecv(1, 0)
-						sr.Wait()
-						rr.Wait()
-					} else {
-						rr := comm.Irecv(0, 0)
-						rr.Wait()
-						sr := comm.Isend(0, 0, data)
-						sr.Wait()
-					}
-				}
-				return nil
-			})
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}

@@ -339,9 +339,6 @@ func (c *Comm) sendCore(dst, tag int, data []byte, copyBuf bool, start vclock.Ti
 	env.seq = p.reqSeq
 	p.stats.BytesSent += int64(len(data))
 	p.stats.MsgsSent++
-	if tr := p.world.trace; tr != nil {
-		tr.add(TraceEvent{Rank: p.rank, Kind: EventSend, Start: start, End: end, Peer: dstW, Bytes: len(data), Tag: tag})
-	}
 	if r := p.world.rec; r != nil {
 		wall := r.NowNS()
 		r.Emit(p.rank, trace.Event{
@@ -523,9 +520,6 @@ func (c *Comm) finishRecvTiming(e *envelope, t0 vclock.Time) Status {
 	p.clock.Advance(vclock.Time(link.Overhead))
 	p.stats.BytesRecv += int64(len(e.data))
 	p.stats.MsgsRecv++
-	if tr := p.world.trace; tr != nil {
-		tr.add(TraceEvent{Rank: p.rank, Kind: EventRecv, Start: t0, End: p.clock.Now(), Peer: e.src, Bytes: len(e.data), Tag: e.tag})
-	}
 	if r := p.world.rec; r != nil {
 		wall := r.NowNS()
 		var anySrc int64

@@ -1,11 +1,9 @@
 package mpi
 
 // Structured event recording (see internal/trace): the observability
-// subsystem's view of the message-passing layer. Unlike the legacy Trace
-// (trace.go), which collects flat activity intervals behind a mutex for
-// the Gantt view, the Recorder shards per rank, captures collectives with
-// their resolved algorithm, and feeds the exporters and analyses of the
-// trace package.
+// subsystem's view of the message-passing layer. The Recorder shards per
+// rank, captures collectives with their resolved algorithm, and feeds the
+// exporters, analyses and text timeline of the trace package.
 //
 // Every instrumentation site guards on a single nil check, so a world
 // without a recorder pays no allocations and no atomic traffic — the
@@ -13,7 +11,7 @@ package mpi
 //
 // Ownership: events carry byte counts and metadata only, never payload
 // slices, so recording composes with the pooled message path
-// (SetBufferPooling) — there is structurally nothing for the recorder to
+// (bufpool.go) — there is structurally nothing for the recorder to
 // retain.
 
 import (

@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -36,6 +37,7 @@ func TestRecorderSendRecvEvents(t *testing.T) {
 	runWorld(t, w, func(p *Proc) error {
 		comm := p.CommWorld()
 		if p.Rank() == 0 {
+			p.Compute(10)
 			comm.Send(1, 9, make([]byte, 2048))
 		} else {
 			comm.Recv(0, 9)
@@ -43,10 +45,15 @@ func TestRecorderSendRecvEvents(t *testing.T) {
 		return nil
 	})
 	d := rec.Data()
-	sends, recvs := 0, 0
+	computes, sends, recvs := 0, 0, 0
 	for _, evs := range d.PerRank {
 		for _, e := range evs {
 			switch e.Kind {
+			case trace.KindCompute:
+				computes++
+				if e.Rank != 0 || e.Peer != -1 || e.End <= e.Start {
+					t.Errorf("compute event = %+v", e)
+				}
 			case trace.KindSend:
 				sends++
 				if e.Rank != 0 || e.Peer != 1 || e.Tag != 9 || e.Bytes != 2048 {
@@ -63,8 +70,41 @@ func TestRecorderSendRecvEvents(t *testing.T) {
 			}
 		}
 	}
-	if sends != 1 || recvs != 1 {
-		t.Fatalf("sends %d recvs %d, want 1/1", sends, recvs)
+	if computes != 1 || sends != 1 || recvs != 1 {
+		t.Fatalf("computes %d sends %d recvs %d, want 1/1/1", computes, sends, recvs)
+	}
+}
+
+// TestRecorderGanttDrawsWait renders the text timeline of a live run:
+// rank 1 posts an Irecv and blocks in Wait while rank 0 computes, so its
+// row must open with the wait glyph against rank 0's compute glyph.
+func TestRecorderGanttDrawsWait(t *testing.T) {
+	w := newTestWorld(t, 2)
+	rec := attachRecorder(w)
+	runWorld(t, w, func(p *Proc) error {
+		comm := p.CommWorld()
+		if p.Rank() == 0 {
+			p.Compute(100)
+			comm.Send(1, 0, make([]byte, 500_000))
+		} else {
+			comm.Irecv(0, 0).Wait()
+			p.Compute(50)
+		}
+		return nil
+	})
+	var buf bytes.Buffer
+	if err := rec.Data().Gantt(&buf, 40); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("timeline has %d lines, want a legend and two rows:\n%s", len(lines), buf.String())
+	}
+	if !strings.HasPrefix(lines[1], "rank  0 |c") || !strings.HasPrefix(lines[2], "rank  1 |r") {
+		t.Fatalf("rows should open with c (rank 0 computing) and r (rank 1 in Wait):\n%s", buf.String())
+	}
+	if !strings.Contains(lines[1], "s") || !strings.HasSuffix(lines[2], "c|") {
+		t.Fatalf("rank 0 never sends or rank 1 never computes:\n%s", buf.String())
 	}
 }
 
@@ -193,8 +233,6 @@ func TestTracingPreservesVirtualClocks(t *testing.T) {
 // retained buffer would be recycled under the recorder and corrupt either
 // payloads or events.
 func TestTCPPooledTraced(t *testing.T) {
-	SetBufferPooling(true)
-	defer SetBufferPooling(true)
 	c := testCluster(2)
 	w, closeT, err := NewWorldTCPOpts(c, OneProcessPerMachine(c), TCPOptions{})
 	if err != nil {

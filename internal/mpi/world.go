@@ -89,9 +89,6 @@ type World struct {
 	// SetCollTuning.
 	collTuning *CollTuning
 
-	// trace, when non-nil, records per-process activity intervals.
-	trace *Trace
-
 	// rec, when non-nil, is the structured event recorder of the
 	// observability subsystem (internal/trace); see recorder.go.
 	rec *trace.Recorder
@@ -488,9 +485,6 @@ func (p *Proc) Compute(units float64) {
 	p.clock.Set(end)
 	p.stats.ComputeUnits += units
 	p.stats.ComputeTime += end - start
-	if tr := p.world.trace; tr != nil {
-		tr.add(TraceEvent{Rank: p.rank, Kind: EventCompute, Start: start, End: end, Peer: -1})
-	}
 	if r := p.world.rec; r != nil {
 		wall := r.NowNS()
 		r.Emit(p.rank, trace.Event{

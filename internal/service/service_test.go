@@ -239,11 +239,14 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 }
 
 // TestCacheCarriesAcrossJobs: repeated specs hit the daemon-lifetime
-// cache, and the stats expose it.
+// cache, and the stats expose it. Six processes on the paper's nine
+// machines keep the selection search exhaustive (9^5 candidates), the
+// regime where both cache layers carry most lookups.
 func TestCacheCarriesAcrossJobs(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
-	spec := quickSpec(40_000)
+	spec := quickSpec(6_000)
+	spec.P = 6
 	for i := 0; i < 3; i++ {
 		info, err := s.Submit(spec)
 		if err != nil {
@@ -259,6 +262,9 @@ func TestCacheCarriesAcrossJobs(t *testing.T) {
 	}
 	if st.Cache.SolveHitRate() <= 0.5 {
 		t.Fatalf("solve hit rate %.2f on identical repeats, want > 0.5", st.Cache.SolveHitRate())
+	}
+	if st.Cache.HitRate() <= 0.5 {
+		t.Fatalf("value-layer hit rate %.2f on identical repeats, want > 0.5", st.Cache.HitRate())
 	}
 	if st.Tenants[""] != 3 {
 		t.Fatalf("served counter = %v, want 3", st.Tenants)

@@ -42,7 +42,7 @@ type chromeEvent struct {
 
 // chromeFile is the top-level JSON object.
 type chromeFile struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+	Events          []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 	Metadata        *Meta         `json:"otherData,omitempty"`
 }
@@ -71,7 +71,7 @@ func WriteChrome(w io.Writer, d *Data, tl Timeline) error {
 	meta := d.Meta
 	f.Metadata = &meta
 	// Thread naming metadata first, in rank order.
-	f.TraceEvents = append(f.TraceEvents, chromeEvent{
+	f.Events = append(f.Events, chromeEvent{
 		Name: "process_name", Cat: "__metadata", Ph: "M", Pid: 0, Tid: 0,
 		Args: map[string]any{"name": processName(&meta)},
 	})
@@ -80,7 +80,7 @@ func WriteChrome(w io.Writer, d *Data, tl Timeline) error {
 		if meta.Placement != nil && r < len(meta.Placement) {
 			name = fmt.Sprintf("rank %d (machine %d)", r, meta.Placement[r])
 		}
-		f.TraceEvents = append(f.TraceEvents, chromeEvent{
+		f.Events = append(f.Events, chromeEvent{
 			Name: "thread_name", Cat: "__metadata", Ph: "M", Pid: 0, Tid: r,
 			Args: map[string]any{"name": name},
 		})
@@ -103,7 +103,7 @@ func WriteChrome(w io.Writer, d *Data, tl Timeline) error {
 			d := dur
 			ce.Dur = &d
 		}
-		f.TraceEvents = append(f.TraceEvents, ce)
+		f.Events = append(f.Events, ce)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

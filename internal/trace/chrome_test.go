@@ -65,7 +65,7 @@ func TestChromeStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var f struct {
-		TraceEvents []struct {
+		Events []struct {
 			Name string         `json:"name"`
 			Cat  string         `json:"cat"`
 			Ph   string         `json:"ph"`
@@ -85,15 +85,15 @@ func TestChromeStructure(t *testing.T) {
 	}
 	// One process_name plus one thread_name per rank, before any event.
 	nmeta := 1 + d.NumRanks()
-	if len(f.TraceEvents) != nmeta+len(d.Events()) {
-		t.Fatalf("got %d entries, want %d", len(f.TraceEvents), nmeta+len(d.Events()))
+	if len(f.Events) != nmeta+len(d.Events()) {
+		t.Fatalf("got %d entries, want %d", len(f.Events), nmeta+len(d.Events()))
 	}
 	for i := 0; i < nmeta; i++ {
-		if f.TraceEvents[i].Ph != "M" {
-			t.Fatalf("entry %d is %q, want metadata", i, f.TraceEvents[i].Ph)
+		if f.Events[i].Ph != "M" {
+			t.Fatalf("entry %d is %q, want metadata", i, f.Events[i].Ph)
 		}
 	}
-	for _, e := range f.TraceEvents[nmeta:] {
+	for _, e := range f.Events[nmeta:] {
 		switch e.Ph {
 		case "X":
 			if e.Dur == nil || *e.Dur < 0 {

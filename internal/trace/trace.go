@@ -15,7 +15,7 @@
 // recorder is not attached the instrumentation in mpi/hmpi is a single nil
 // check — zero allocations, no atomic traffic.
 //
-// Ownership rule (see SetBufferPooling in internal/mpi): events never
+// Ownership rule (see bufpool.go in internal/mpi): events never
 // retain message payloads. An Event carries the byte count and metadata
 // only — structurally, there is no []byte field to alias a pooled buffer —
 // so tracing composes with the copy-on-retain buffer pools.
