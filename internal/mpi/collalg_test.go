@@ -455,40 +455,41 @@ func TestCollTuningInheritance(t *testing.T) {
 // thresholds.
 func TestCollTuningResolution(t *testing.T) {
 	tun := &CollTuning{Allreduce: AllreduceAuto, Bcast: BcastAuto, Gather: GatherAuto, Scatter: ScatterAuto}
-	if got := tun.allreduceAlg(9, 64); got != AllreduceRecursiveDoubling {
+	flat := func() bool { return false } // no two-level structure
+	if got := tun.resolveAllreduce(9, 64, flat); got != AllreduceRecursiveDoubling {
 		t.Fatalf("small allreduce resolved to %v", got)
 	}
-	if got := tun.allreduceAlg(9, 1<<20); got != AllreduceRing {
+	if got := tun.resolveAllreduce(9, 1<<20, flat); got != AllreduceRing {
 		t.Fatalf("large allreduce resolved to %v", got)
 	}
-	if got := tun.allreduceAlg(9, 1<<20|1); got != AllreduceRecursiveDoubling {
+	if got := tun.resolveAllreduce(9, 1<<20|1, flat); got != AllreduceRecursiveDoubling {
 		t.Fatalf("unaligned large allreduce resolved to %v, want recursive doubling fallback", got)
 	}
-	if got := tun.bcastAlg(1 << 10); got != BcastBinomial {
+	if got := tun.resolveBcast(1 << 10, flat); got != BcastBinomial {
 		t.Fatalf("small bcast resolved to %v", got)
 	}
-	if got := tun.bcastAlg(1 << 20); got != BcastSegmented {
+	if got := tun.resolveBcast(1 << 20, flat); got != BcastSegmented {
 		t.Fatalf("large bcast resolved to %v", got)
 	}
-	if got := tun.gatherAlg(9, 64); got != GatherBinomial {
+	if got := tun.resolveGather(9, 64, flat); got != GatherBinomial {
 		t.Fatalf("small gather on 9 ranks resolved to %v", got)
 	}
-	if got := tun.gatherAlg(4, 64); got != GatherFlat {
+	if got := tun.resolveGather(4, 64, flat); got != GatherFlat {
 		t.Fatalf("small gather on 4 ranks resolved to %v", got)
 	}
-	if got := tun.gatherAlg(9, 1<<20); got != GatherFlat {
+	if got := tun.resolveGather(9, 1<<20, flat); got != GatherFlat {
 		t.Fatalf("large gather resolved to %v", got)
 	}
-	if got := tun.scatterAlg(9, 64); got != ScatterBinomial {
+	if got := tun.resolveScatter(9, 64); got != ScatterBinomial {
 		t.Fatalf("small scatter resolved to %v", got)
 	}
-	if got := tun.scatterAlg(9, 1<<20); got != ScatterFlat {
+	if got := tun.resolveScatter(9, 1<<20); got != ScatterFlat {
 		t.Fatalf("large scatter resolved to %v", got)
 	}
 	legacy := &CollTuning{}
-	if legacy.allreduceAlg(9, 1<<20) != AllreduceRedBcast || legacy.bcastAlg(1<<20) != BcastBinomial ||
-		legacy.gatherAlg(9, 64) != GatherFlat || legacy.scatterAlg(9, 64) != ScatterFlat ||
-		legacy.reduceScatterAlg() != ReduceScatterViaRoot {
+	if legacy.resolveAllreduce(9, 1<<20, flat) != AllreduceRedBcast || legacy.resolveBcast(1<<20, flat) != BcastBinomial ||
+		legacy.resolveGather(9, 64, flat) != GatherFlat || legacy.resolveScatter(9, 64) != ScatterFlat ||
+		legacy.resolveReduceScatter(1<<20, flat) != ReduceScatterViaRoot {
 		t.Fatal("zero tuning must resolve to the legacy algorithm everywhere")
 	}
 }

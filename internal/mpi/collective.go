@@ -3,14 +3,14 @@ package mpi
 import "fmt"
 
 // Collective operations. All members of the communicator must call the
-// same collective in the same order. Each collective with more than one
-// algorithm dispatches through the communicator's CollTuning (see
-// colltuning.go); the default policy selects the classic algorithms of
-// early-2000s MPI libraries — binomial trees for broadcast and reduce,
-// flat trees for gather and scatter, a ring for allgather and pairwise
-// exchange for alltoall — so the simulated cost of a collective reflects
-// its communication structure. The alternative algorithms live in
-// collalg.go.
+// same collective in the same order. Every collective here is the same
+// three lines: lay out the caller's data in a collRun, let the builder of
+// collsched.go append the schedule the communicator's CollTuning resolves
+// (colltuning.go), and run it (collexec.go). The default policy selects
+// the classic algorithms of early-2000s MPI libraries — binomial trees for
+// broadcast and reduce, flat trees for gather and scatter, a ring for
+// allgather and pairwise exchange for alltoall — so the simulated cost of
+// a collective reflects its communication structure.
 
 // Internal tags; user tags are non-negative, so the collective tags cannot
 // collide with point-to-point traffic on the same communicator.
@@ -30,178 +30,77 @@ const (
 	tagHier
 )
 
+// Op combines the bytes of in into inout; it is the reduction operator.
+// The two slices always have equal length.
+type Op func(inout, in []byte)
+
 // Barrier blocks until all members have entered it (dissemination
 // algorithm: ceil(log2 n) rounds of pairwise exchange).
 func (c *Comm) Barrier() {
-	n := c.Size()
-	if n == 1 {
-		return
-	}
-	c.collCheck()
-	me := c.rank
-	for k := 1; k < n; k *= 2 {
-		dst := (me + k) % n
-		src := (me - k + n) % n
-		c.collSendrecv(dst, tagBarrier, nil, src, tagBarrier)
-	}
+	x := c.newRun("Barrier", 0)
+	x.barrier(x.self())
+	x.run()
 }
 
 // Bcast broadcasts root's data to all members and returns the received
 // slice (root returns data unchanged). The algorithm comes from the
 // communicator's CollTuning: plain binomial by default, a segmented
-// pipeline for large payloads when selected.
+// pipeline or the two-level broadcast when selected.
 func (c *Comm) Bcast(root int, data []byte) []byte {
 	c.checkRank("Bcast", root)
-	if c.Size() == 1 {
-		return data
+	x := c.newRun("Bcast", len(data))
+	x.buf = data
+	length := -1 // only the root knows it
+	if c.rank == root {
+		length = len(data)
 	}
-	c.collCheck()
-	rec, t0, w0 := c.collStart()
-	alg := c.coll().Bcast
-	var out []byte
-	switch alg {
-	case BcastSegmented:
-		out = c.bcastSegmented(root, data, -1)
-	case BcastAuto, BcastHier:
-		// Both resolve at the root (explicit Hier still needs the agreed
-		// viability fallback) and travel down the header tree.
-		out, alg = c.bcastAuto(root, data)
-	default:
-		alg = BcastBinomial
-		out = c.bcastBinomial(root, data)
-	}
-	if rec != nil {
-		c.collEnd(bcastAlgNames[alg], int64(alg), len(out), t0, w0)
-	}
-	return out
+	x.bcast(x.self(), root, length)
+	x.run()
+	return x.buf
 }
-
-// bcastBinomial is the legacy broadcast: the whole payload travels a
-// binomial tree.
-func (c *Comm) bcastBinomial(root int, data []byte) []byte {
-	n := c.Size()
-	// Rotate ranks so the root is virtual rank 0, then walk the binomial
-	// tree: receive from the parent (vrank with its lowest set bit
-	// cleared), then forward to each child vrank+mask for descending
-	// mask.
-	vrank := (c.rank - root + n) % n
-	mask := 1
-	for mask < n {
-		if vrank&mask != 0 {
-			src := (c.rank - mask + n) % n
-			data = c.collRecv(src, tagBcast)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < n {
-			c.Send((c.rank+mask)%n, tagBcast, data)
-		}
-		mask >>= 1
-	}
-	return data
-}
-
-// Op combines the bytes of in into inout; it is the reduction operator.
-// The two slices always have equal length.
-type Op func(inout, in []byte)
 
 // Reduce combines every member's data with op and returns the result on
 // root (nil elsewhere). Combination runs up a binomial tree; op must be
 // associative and commutative.
 func (c *Comm) Reduce(root int, data []byte, op Op) []byte {
 	c.checkRank("Reduce", root)
-	n := c.Size()
-	acc := append([]byte(nil), data...)
-	if n == 1 {
-		return acc
+	x := c.newRun("Reduce", len(data))
+	x.buf, x.op = append([]byte(nil), data...), op
+	x.reduce(x.self(), root, len(data))
+	x.run()
+	if c.rank != root {
+		return nil
 	}
-	c.collCheck()
-	vrank := (c.rank - root + n) % n
-	mask := 1
-	for mask < n {
-		if vrank&mask != 0 {
-			parent := ((vrank &^ mask) + root) % n
-			c.Send(parent, tagReduce, acc)
-			return nil
-		}
-		child := vrank | mask
-		if child < n {
-			c.collReduceRecv((child+root)%n, tagReduce, acc, op, "Reduce")
-		}
-		mask <<= 1
-	}
-	return acc
+	return x.buf
 }
 
 // Allreduce combines every member's data with op and returns the result
 // on all members. The algorithm comes from the communicator's
-// CollTuning: reduce-to-0-then-broadcast by default, recursive doubling
-// or a bandwidth-optimal ring when selected. All members must pass
-// equal-length data.
+// CollTuning: reduce-to-0-then-broadcast by default, recursive doubling,
+// a bandwidth-optimal ring or the two-level algorithm when selected. All
+// members must pass equal-length data.
 func (c *Comm) Allreduce(data []byte, op Op) []byte {
-	n := c.Size()
-	rec, t0, w0 := c.collStart()
-	alg := c.allreduceAlgFor(n, len(data))
-	var out []byte
-	switch alg {
-	case AllreduceRecursiveDoubling:
-		if n == 1 {
-			return append([]byte(nil), data...)
-		}
-		c.collCheck()
-		out = c.allreduceRecDbl(data, op)
-	case AllreduceRing:
-		if n == 1 {
-			return append([]byte(nil), data...)
-		}
-		c.collCheck()
-		out = c.allreduceRing(data, op)
-	case AllreduceHier:
-		// allreduceAlgFor only picks Hier on communicators with a
-		// two-level structure, which implies n > 1.
-		c.collCheck()
-		out = c.allreduceHier(data, op)
-	default:
-		alg = AllreduceRedBcast
-		out = c.Bcast(0, c.Reduce(0, data, op))
-	}
-	if rec != nil {
-		c.collEnd(allreduceAlgNames[alg], int64(alg), len(data), t0, w0)
-	}
-	return out
+	x := c.newRun("Allreduce", len(data))
+	x.buf, x.op = append([]byte(nil), data...), op
+	x.allreduce(x.self(), len(data))
+	x.run()
+	return x.buf
 }
 
 // Gather collects every member's data on root, which receives the
 // concatenation indexed by rank; other members return nil. Contributions
 // may have different sizes (this therefore also covers MPI_Gatherv). The
 // algorithm comes from the communicator's CollTuning: a flat fan into the
-// root by default, a binomial combining tree when selected (GatherAuto
-// keys the choice on the local payload size, so it requires agreed
-// sizes).
+// root by default, a binomial combining tree or the two-level gather when
+// selected (GatherAuto keys the choice on the local payload size, so it
+// requires agreed sizes).
 func (c *Comm) Gather(root int, data []byte) [][]byte {
 	c.checkRank("Gather", root)
-	if c.Size() > 1 {
-		c.collCheck()
-	}
-	rec, t0, w0 := c.collStart()
-	alg := c.gatherAlgFor(c.Size(), len(data))
-	var out [][]byte
-	switch {
-	case alg == GatherHier && c.Size() > 1:
-		out = c.gatherHier(root, data)
-	case alg == GatherBinomial && c.Size() > 1:
-		out = c.gatherBinomial(root, data)
-	default:
-		alg = GatherFlat
-		out = c.gatherFlat(root, data)
-	}
-	if rec != nil {
-		c.collEnd(gatherAlgNames[alg], int64(alg), len(data), t0, w0)
-	}
-	return out
+	x := c.newRun("Gather", len(data))
+	x.buf = data
+	x.gather(x.self(), root)
+	x.run()
+	return x.blocks
 }
 
 // Scatter distributes parts[r] from root to each member r and returns the
@@ -211,140 +110,71 @@ func (c *Comm) Gather(root int, data []byte) [][]byte {
 // the root by default, a binomial bundle tree when selected.
 func (c *Comm) Scatter(root int, parts [][]byte) []byte {
 	c.checkRank("Scatter", root)
-	n := c.Size()
-	if n > 1 {
-		c.collCheck()
+	x := c.newRun("Scatter", 0)
+	if c.rank == root {
+		x.in, x.sizes = parts, c.partSizes("Scatter", parts)
 	}
-	rec, t0, w0 := c.collStart()
-	alg := c.coll().Scatter
-	if alg == ScatterAuto && n > 1 {
-		// Only the root sees the part sizes; its resolution travels down
-		// a binomial header tree.
-		resolved := ScatterFlat
-		if c.rank == root {
-			maxPart := 0
-			for _, p := range parts {
-				if len(p) > maxPart {
-					maxPart = len(p)
-				}
-			}
-			resolved = c.coll().scatterAlg(n, maxPart)
-		}
-		alg = c.scatterHeader(root, resolved)
-	}
-	var out []byte
-	if alg == ScatterBinomial && n > 1 {
-		out = c.scatterBinomial(root, parts)
-	} else {
-		alg = ScatterFlat
-		out = c.scatterFlat(root, parts)
-	}
-	if rec != nil {
-		c.collEnd(scatterAlgNames[alg], int64(alg), len(out), t0, w0)
-	}
-	return out
+	x.scatter(x.self(), root)
+	x.run()
+	return x.buf
 }
 
-// scatterFlat is the legacy scatter: the root sends each part directly.
-func (c *Comm) scatterFlat(root int, parts [][]byte) []byte {
-	if c.rank == root {
-		if len(parts) != c.Size() {
-			panic(fmt.Sprintf("mpi: Scatter needs %d parts, got %d", c.Size(), len(parts)))
-		}
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			c.Send(r, tagScatter, parts[r])
-		}
-		return append([]byte(nil), parts[root]...)
+// partSizes checks that a collective got one part per member and returns
+// the part sizes.
+func (c *Comm) partSizes(what string, parts [][]byte) []int {
+	if len(parts) != c.Size() {
+		panic(fmt.Sprintf("mpi: %s needs %d parts, got %d", what, c.Size(), len(parts)))
 	}
-	return c.collRecv(root, tagScatter)
+	sizes := make([]int, len(parts))
+	for r, p := range parts {
+		sizes[r] = len(p)
+	}
+	return sizes
 }
 
 // Allgather collects every member's data on every member (ring algorithm:
 // n-1 steps, each member forwards the newest block to its right
 // neighbour).
 func (c *Comm) Allgather(data []byte) [][]byte {
-	n := c.Size()
-	out := make([][]byte, n)
-	out[c.rank] = append([]byte(nil), data...)
-	if n == 1 {
-		return out
-	}
-	c.collCheck()
-	right := (c.rank + 1) % n
-	left := (c.rank - 1 + n) % n
-	cur := c.rank
-	for step := 0; step < n-1; step++ {
-		in := c.collSendrecv(right, tagAllgather, out[cur], left, tagAllgather)
-		cur = (cur - 1 + n) % n
-		out[cur] = in
-	}
-	return out
+	x := c.newRun("Allgather", len(data))
+	x.blocks = make([][]byte, c.Size())
+	x.blocks[c.rank] = append([]byte(nil), data...)
+	x.allgather(x.self(), len(data))
+	x.run()
+	return x.blocks
 }
 
 // Alltoall delivers parts[r] to member r and returns the blocks received
 // from every member, indexed by source rank (pairwise-exchange algorithm).
 // parts must have one entry per member.
 func (c *Comm) Alltoall(parts [][]byte) [][]byte {
-	n := c.Size()
-	if len(parts) != n {
-		panic(fmt.Sprintf("mpi: Alltoall needs %d parts, got %d", n, len(parts)))
-	}
-	out := make([][]byte, n)
-	out[c.rank] = append([]byte(nil), parts[c.rank]...)
-	if n > 1 {
-		c.collCheck()
-	}
-	for step := 1; step < n; step++ {
-		dst := (c.rank + step) % n
-		src := (c.rank - step + n) % n
-		out[src] = c.collSendrecv(dst, tagAlltoall, parts[dst], src, tagAlltoall)
-	}
-	return out
+	c.partSizes("Alltoall", parts)
+	x := c.newRun("Alltoall", len(parts[c.rank]))
+	x.in, x.blocks = parts, make([][]byte, c.Size())
+	x.blocks[c.rank] = append([]byte(nil), parts[c.rank]...)
+	x.alltoall(x.self(), x.mine)
+	x.run()
+	return x.blocks
 }
 
 // Scan computes the inclusive prefix reduction: member r returns
 // op(data_0, ..., data_r) (linear-chain algorithm).
 func (c *Comm) Scan(data []byte, op Op) []byte {
-	acc := append([]byte(nil), data...)
-	if c.Size() > 1 {
-		c.collCheck()
-	}
-	if c.rank > 0 {
-		in := c.collRecv(c.rank-1, tagScan)
-		reduceLenCheck("Scan", len(in), len(acc))
-		prev := append([]byte(nil), in...)
-		op(prev, acc)
-		acc = prev
-	}
-	if c.rank < c.Size()-1 {
-		c.Send(c.rank+1, tagScan, acc)
-	}
-	return acc
+	x := c.newRun("Scan", len(data))
+	x.buf, x.op = append([]byte(nil), data...), op
+	x.scan(x.self(), len(data), false)
+	x.run()
+	return x.buf
 }
 
 // Exscan computes the exclusive prefix reduction: member r returns
 // op(data_0, ..., data_(r-1)); member 0 returns nil (MPI_Exscan).
 func (c *Comm) Exscan(data []byte, op Op) []byte {
-	var prefix []byte // op of ranks < me, nil on rank 0
-	if c.Size() > 1 {
-		c.collCheck()
-	}
-	if c.rank > 0 {
-		prefix = c.collRecv(c.rank-1, tagScan)
-	}
-	if c.rank < c.Size()-1 {
-		out := append([]byte(nil), data...)
-		if prefix != nil {
-			combined := append([]byte(nil), prefix...)
-			op(combined, data)
-			out = combined
-		}
-		c.Send(c.rank+1, tagScan, out)
-	}
-	return prefix
+	x := c.newRun("Exscan", len(data))
+	x.buf, x.op = data, op
+	x.scan(x.self(), len(data), true)
+	x.run()
+	return x.aux
 }
 
 // ReduceScatter combines every member's parts element-wise with op and
@@ -353,59 +183,13 @@ func (c *Comm) Exscan(data []byte, op Op) []byte {
 // with sizes agreed across members — the sizes are validated up front so
 // a disagreement panics on every rank with a clear message. The algorithm
 // comes from the communicator's CollTuning: reduce-then-scatter through
-// rank 0 by default, pairwise exchange when selected.
+// rank 0 by default, pairwise exchange or the two-level algorithm when
+// selected.
 func (c *Comm) ReduceScatter(parts [][]byte, op Op) []byte {
-	n := c.Size()
-	if len(parts) != n {
-		panic(fmt.Sprintf("mpi: ReduceScatter needs %d parts, got %d", n, len(parts)))
-	}
-	rec, t0, w0 := c.collStart()
-	if n > 1 {
-		c.collCheck()
-		c.reduceScatterValidate(parts)
-		total := 0
-		for _, p := range parts {
-			total += len(p)
-		}
-		switch c.reduceScatterAlgFor(total) {
-		case ReduceScatterHier:
-			out := c.reduceScatterHier(parts, op)
-			if rec != nil {
-				c.collEnd(reduceScatterAlgNames[ReduceScatterHier], int64(ReduceScatterHier), len(out), t0, w0)
-			}
-			return out
-		case ReduceScatterPairwise:
-			out := c.reduceScatterPairwise(parts, op)
-			if rec != nil {
-				c.collEnd(reduceScatterAlgNames[ReduceScatterPairwise], int64(ReduceScatterPairwise), len(out), t0, w0)
-			}
-			return out
-		}
-	}
-	// Reduce the concatenation on rank 0, then scatter the slices.
-	sizes := make([]int, n)
-	total := 0
-	for r, p := range parts {
-		sizes[r] = len(p)
-		total += len(p)
-	}
-	flat := make([]byte, 0, total)
-	for _, p := range parts {
-		flat = append(flat, p...)
-	}
-	red := c.Reduce(0, flat, op)
-	var scatterParts [][]byte
-	if c.rank == 0 {
-		scatterParts = make([][]byte, n)
-		off := 0
-		for r := 0; r < n; r++ {
-			scatterParts[r] = red[off : off+sizes[r]]
-			off += sizes[r]
-		}
-	}
-	out := c.Scatter(0, scatterParts)
-	if rec != nil {
-		c.collEnd(reduceScatterAlgNames[ReduceScatterViaRoot], int64(ReduceScatterViaRoot), len(out), t0, w0)
-	}
-	return out
+	sizes := c.partSizes("ReduceScatter", parts)
+	x := c.newRun("ReduceScatter", 0)
+	x.in, x.sizes, x.op = parts, sizes, op
+	x.reduceScatter(x.self())
+	x.run()
+	return x.buf
 }

@@ -1,0 +1,220 @@
+package mpi
+
+// The blocking executor of collective schedules, and the per-call state
+// both executors share. It issues, for each step, the blocking primitive
+// of p2p.go — so what a schedule costs in simulated time is decided by the
+// step list alone.
+
+import (
+	"fmt"
+
+	"repro/internal/trace"
+)
+
+// collRun is one rank's execution of one collective: the plan plus the
+// buffers its steps move data between.
+type collRun struct {
+	plan
+	c      *Comm
+	buf    []byte   // the working buffer: payload, accumulator or bundle
+	aux    []byte   // headers and scan prefixes
+	in     [][]byte // blocks supplied by the caller, by rank
+	blocks [][]byte // blocks of the result, by rank
+	op     Op
+	what   string   // the collective's name, for length-mismatch panics
+	posted *Request // the send a stPost started and no stWaitSends completed yet
+}
+
+// newRun starts a collective on c: a plan with the communicator's policy
+// and machine structure, and the entry check every collective makes — a
+// collective over a communicator cannot complete once a member has failed,
+// so every survivor reports the failure even when its own part of the
+// communication would not have touched the failed process.
+func (c *Comm) newRun(what string, mine int) *collRun {
+	if c.Size() > 1 {
+		c.collCheck()
+	}
+	x := &collRun{c: c, what: what}
+	x.plan = plan{t: c.coll(), rank: c.rank, n: c.Size(), mine: mine, machines: func() *tiers {
+		if !c.hierViable() {
+			return nil
+		}
+		return c.hier().tiers
+	}}
+	return x
+}
+
+// reduceLenCheck panics with the collective's name when a received
+// contribution does not match the accumulator length.
+func reduceLenCheck(what string, got, want int) {
+	if got != want {
+		panic(fmt.Sprintf("mpi: %s length mismatch: %d vs %d", what, got, want))
+	}
+}
+
+// on returns the communicator step s travels on and s's peer as a rank of
+// that communicator.
+func (x *collRun) on(s *step) (*Comm, int) {
+	switch s.tier {
+	case tierNode:
+		h := x.c.hier()
+		return h.node, h.idx[s.peer]
+	case tierNet:
+		h := x.c.hier()
+		return h.net, h.groupOf[s.peer]
+	}
+	return x.c, s.peer
+}
+
+// payload returns the bytes a send step transmits.
+func (x *collRun) payload(s *step) []byte {
+	switch s.slot {
+	case inAux:
+		return x.aux
+	case inPart:
+		return x.in[s.idx]
+	case inBlock:
+		return x.blocks[s.idx]
+	}
+	if s.hi < 0 {
+		return x.buf
+	}
+	return x.buf[s.lo:s.hi]
+}
+
+// deliver moves the payload of envelope e where receive step s wants it
+// and recycles the envelope. Only stRecv retains the payload (pool-backed
+// payloads are copied out: copy-on-retain, see bufpool.go); every other
+// kind consumes it in place.
+func (x *collRun) deliver(s *step, e *envelope) {
+	switch s.kind {
+	case stRecv:
+		data := e.data
+		if e.pbuf != nil {
+			data = append([]byte(nil), e.data...)
+		}
+		switch s.slot {
+		case inAux:
+			x.aux = data
+		case inBlock:
+			x.blocks[s.idx] = data
+		default:
+			x.buf = data
+		}
+	case stRecvInto:
+		reduceLenCheck(x.what, len(e.data), s.hi-s.lo)
+		copy(x.buf[s.lo:s.hi], e.data)
+	case stRecvReduce:
+		acc := x.payload(s)
+		reduceLenCheck(x.what, len(e.data), len(acc))
+		x.op(acc, e.data)
+	case stRecvAppend:
+		x.buf = append(x.buf, e.data...)
+	case stRecvFrame:
+		x.buf = bundleAppend(x.buf, s.peer, e.data)
+	}
+	e.data = nil
+	releaseEnvelope(e)
+}
+
+// run executes the plan's steps in order with blocking primitives. The
+// list may grow while it runs (a local step that appends the steps a
+// header unlocked), so every iteration re-reads it.
+func (x *collRun) run() {
+	for i := 0; i < len(x.steps); i++ {
+		s := x.steps[i]
+		if s.kind == stLocal {
+			s.fn(x)
+			continue
+		}
+		c, peer := x.on(&s)
+		switch s.kind {
+		case stSend:
+			c.Send(peer, s.tag, x.payload(&s))
+		case stSendOwned:
+			c.SendOwned(peer, s.tag, x.payload(&s))
+		case stPost:
+			x.posted = c.Isend(peer, s.tag, x.payload(&s))
+		case stWaitSends:
+			x.posted.Wait()
+		case stBegin:
+			if rec := c.p.world.rec; rec != nil {
+				e := &x.events[s.idx]
+				e.t0, e.w0 = c.p.clock.Now(), rec.NowNS()
+			}
+		case stEnd:
+			x.emit(c, &x.events[s.idx])
+		default:
+			if s.fan {
+				i = x.fanIn(c, i) - 1
+				continue
+			}
+			t0 := c.p.clock.Now()
+			e := c.mboxGet("coll", c.sel(peer, s.tag), c.collWatch())
+			c.finishRecvTiming(e, t0)
+			x.deliver(&s, e)
+		}
+	}
+}
+
+// fanIn executes the run of fan-in receives starting at step i (same
+// communicator, same tag) and returns the index after it. It takes the
+// messages in arrival order — one slow child does not block the matching
+// of the others — but applies the receive timing folds in list order,
+// which keeps the simulated times bit-identical to a rank-ordered drain
+// (the folds commute with collection order: each is max-with-arrival plus
+// a constant overhead) and deterministic across transports.
+func (x *collRun) fanIn(c *Comm, i int) int {
+	first := x.steps[i]
+	end := i
+	for end < len(x.steps) && x.steps[end].fan && x.steps[end].tier == first.tier && x.steps[end].tag == first.tag {
+		end++
+	}
+	want := make([]int, 0, end-i) // the world rank each step awaits
+	for j := i; j < end; j++ {
+		_, peer := x.on(&x.steps[j])
+		want = append(want, c.s.members[peer])
+	}
+	pending := append([]int(nil), want...)
+	envs := make([]*envelope, end-i)
+	for len(pending) > 0 {
+		e := c.mboxGet("coll", recvSel{ctx: c.s.id, src: AnySource, tag: first.tag, srcs: pending}, c.collWatch())
+		for j, w := range want {
+			if w == e.src {
+				envs[j] = e
+			}
+		}
+		for k, w := range pending {
+			if w == e.src {
+				pending = append(pending[:k], pending[k+1:]...)
+				break
+			}
+		}
+	}
+	t0 := c.p.clock.Now()
+	for j, e := range envs {
+		c.finishRecvTiming(e, t0)
+		x.deliver(&x.steps[i+j], e)
+	}
+	return end
+}
+
+// emit records the KindColl event of a completed collective: the one
+// emit site of every blocking collective, nested ones included.
+func (x *collRun) emit(c *Comm, e *collEvent) {
+	rec := c.p.world.rec
+	if rec == nil {
+		return
+	}
+	bytes := e.bytes
+	if bytes < 0 {
+		bytes = len(x.buf)
+	}
+	rec.Emit(c.p.rank, trace.Event{
+		Rank: int32(c.p.rank), Kind: trace.KindColl, Peer: -1,
+		Ctx: c.s.id, Bytes: int64(bytes), Name: e.name,
+		Start: e.t0, End: c.p.clock.Now(),
+		WallStart: e.w0, WallEnd: rec.NowNS(),
+		A0: e.alg,
+	})
+}

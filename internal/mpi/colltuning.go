@@ -344,71 +344,81 @@ func (t *CollTuning) ResolvedTreeMinRanks() int { return t.treeMinRanks() }
 // payload cutoff.
 func (t *CollTuning) ResolvedTreeMaxBytes() int { return t.treeMaxBytes() }
 
-// allreduceAlg resolves Auto for an n-member Allreduce of nbytes. All
-// members know nbytes (Allreduce requires agreed lengths), so the
-// resolution is consistent without negotiation.
-func (t *CollTuning) allreduceAlg(n, nbytes int) AllreduceAlg {
-	if t.Allreduce != AllreduceAuto {
-		return t.Allreduce
-	}
-	return t.allreduceAutoAlg(n, nbytes)
-}
+// The resolve methods turn the policy into the algorithm one call runs,
+// from what every member agrees on: the member count, the payload size and
+// whether the communicator has a two-level structure (viable — asked only
+// when the policy could pick a hierarchical algorithm, and never true on
+// a tier communicator). An explicitly requested hierarchical algorithm on
+// a communicator without two levels falls back to the size-aware Auto
+// resolution; the viability answer is agreed, so the fallback is too.
 
-// allreduceAutoAlg is the flat size-aware resolution, regardless of the
-// configured algorithm — the fallback when a hierarchical choice is not
-// available.
-func (t *CollTuning) allreduceAutoAlg(n, nbytes int) AllreduceAlg {
+func (t *CollTuning) resolveAllreduce(n, nbytes int, viable func() bool) AllreduceAlg {
+	alg := t.Allreduce
+	if alg == AllreduceHier {
+		if viable() {
+			return AllreduceHier
+		}
+		alg = AllreduceAuto
+	}
+	if alg != AllreduceAuto {
+		return alg
+	}
+	if nbytes >= t.allreduceHierMinBytes() && viable() {
+		return AllreduceHier
+	}
 	if nbytes >= t.allreduceRingMinBytes() && nbytes%t.elemSize() == 0 && n > 2 {
 		return AllreduceRing
 	}
 	return AllreduceRecursiveDoubling
 }
 
-// reduceScatterAlg resolves Auto for ReduceScatter.
-func (t *CollTuning) reduceScatterAlg() ReduceScatterAlg {
-	if t.ReduceScatter == ReduceScatterAuto {
-		return ReduceScatterPairwise
+// resolveBcast is the root-side resolution (only the root knows the
+// payload size); the choice travels down the tree in the bcast header.
+func (t *CollTuning) resolveBcast(nbytes int, viable func() bool) BcastAlg {
+	alg := t.Bcast
+	if alg == BcastHier {
+		if viable() {
+			return BcastHier
+		}
+		alg = BcastAuto
 	}
-	return t.ReduceScatter
-}
-
-// bcastAlg resolves Auto at the root, which is the only rank that knows
-// nbytes; the choice travels to the other ranks in a header.
-func (t *CollTuning) bcastAlg(nbytes int) BcastAlg {
-	if t.Bcast != BcastAuto {
-		return t.Bcast
+	if alg != BcastAuto {
+		return alg
 	}
-	return t.bcastAutoAlg(nbytes)
-}
-
-// bcastAutoAlg is the flat size-aware resolution (see allreduceAutoAlg).
-func (t *CollTuning) bcastAutoAlg(nbytes int) BcastAlg {
+	if nbytes >= t.bcastHierMinBytes() && nbytes <= t.bcastHierMaxBytes() && viable() {
+		return BcastHier
+	}
 	if nbytes >= t.bcastSegMinBytes() {
 		return BcastSegmented
 	}
 	return BcastBinomial
 }
 
-// gatherAlg resolves Auto for an n-member Gather of nbytes per member.
-func (t *CollTuning) gatherAlg(n, nbytes int) GatherAlg {
-	if t.Gather != GatherAuto {
-		return t.Gather
+// resolveGather keys on the local payload size, so Auto requires agreed
+// sizes — pick the algorithm explicitly for irregular gathers.
+func (t *CollTuning) resolveGather(n, nbytes int, viable func() bool) GatherAlg {
+	alg := t.Gather
+	if alg == GatherHier {
+		if viable() {
+			return GatherHier
+		}
+		alg = GatherAuto
 	}
-	return t.gatherAutoAlg(n, nbytes)
-}
-
-// gatherAutoAlg is the flat size-aware resolution (see allreduceAutoAlg).
-func (t *CollTuning) gatherAutoAlg(n, nbytes int) GatherAlg {
+	if alg != GatherAuto {
+		return alg
+	}
+	if nbytes <= t.gatherHierMaxBytes() && viable() {
+		return GatherHier
+	}
 	if n >= t.treeMinRanks() && nbytes <= t.treeMaxBytes() {
 		return GatherBinomial
 	}
 	return GatherFlat
 }
 
-// scatterAlg resolves Auto for Scatter; only the root consults it, and
-// the choice travels to the other ranks in a header (part sizes may be
-// irregular, so non-roots cannot resolve it locally).
-func (t *CollTuning) scatterAlg(n, maxPart int) ScatterAlg {
+// resolveScatter resolves Auto at the root, the only rank that sees the
+// part sizes (they may be irregular).
+func (t *CollTuning) resolveScatter(n, maxPart int) ScatterAlg {
 	if t.Scatter != ScatterAuto {
 		return t.Scatter
 	}
@@ -416,4 +426,23 @@ func (t *CollTuning) scatterAlg(n, maxPart int) ScatterAlg {
 		return ScatterBinomial
 	}
 	return ScatterFlat
+}
+
+// resolveReduceScatter: the flat Auto choice is always pairwise (it
+// dominates the via-root algorithm at every size on a switched network).
+func (t *CollTuning) resolveReduceScatter(totalBytes int, viable func() bool) ReduceScatterAlg {
+	alg := t.ReduceScatter
+	if alg == ReduceScatterHier {
+		if viable() {
+			return ReduceScatterHier
+		}
+		alg = ReduceScatterAuto
+	}
+	if alg != ReduceScatterAuto {
+		return alg
+	}
+	if totalBytes >= t.reduceScatterHierMinBytes() && viable() {
+		return ReduceScatterHier
+	}
+	return ReduceScatterPairwise
 }

@@ -36,17 +36,64 @@ const (
 	hierSeqNet  int64 = -2
 )
 
-// hierInfo is the cached hierarchy of one communicator handle.
-type hierInfo struct {
+// tiers is the machine structure of a communicator: which of its ranks
+// share a machine. Pure data derived from the placement, so the schedule
+// builders and the replay use it without a live communicator.
+type tiers struct {
 	// groups lists the communicator ranks on each distinct machine, in
 	// ascending rank order; groups are ordered by their leader's rank
 	// (the machine's lowest communicator rank). groups[g][0] is group
 	// g's leader.
 	groups  [][]int
 	groupOf []int // communicator rank -> group index
-	node    *Comm // this rank's node tier (always non-nil)
-	net     *Comm // the leaders' net tier; nil on non-leaders
+	idx     []int // communicator rank -> index within its group
+	leaders []int // groups[g][0] for every g: the net tier
 	viable  bool  // >1 machine and some machine holds >1 rank
+}
+
+// machineTiers groups ranks 0..n-1 by machineOf.
+func machineTiers(n int, machineOf func(rank int) int) *tiers {
+	m := &tiers{groupOf: make([]int, n), idx: make([]int, n)}
+	byMachine := make(map[int]int) // machine index -> group index
+	maxNode := 0
+	for r := 0; r < n; r++ {
+		g, ok := byMachine[machineOf(r)]
+		if !ok {
+			g = len(m.groups)
+			byMachine[machineOf(r)] = g
+			m.groups = append(m.groups, nil)
+			m.leaders = append(m.leaders, r)
+		}
+		m.groupOf[r], m.idx[r] = g, len(m.groups[g])
+		m.groups[g] = append(m.groups[g], r)
+		maxNode = max(maxNode, len(m.groups[g]))
+	}
+	m.viable = len(m.groups) > 1 && maxNode > 1
+	return m
+}
+
+// node is the view over the ranks sharing rank's machine; index 0 is the
+// machine's leader.
+func (m *tiers) node(rank int) view {
+	grp := m.groups[m.groupOf[rank]]
+	return view{tier: tierNode, ranks: grp, size: len(grp), me: m.idx[rank]}
+}
+
+// net is the view over the machine leaders, indexed by group; a rank that
+// is not a leader is not a member.
+func (m *tiers) net(rank int) view {
+	v := view{tier: tierNet, ranks: m.leaders, size: len(m.leaders), me: -1}
+	if m.idx[rank] == 0 {
+		v.me = m.groupOf[rank]
+	}
+	return v
+}
+
+// hierInfo is the cached hierarchy of one communicator handle.
+type hierInfo struct {
+	*tiers
+	node *Comm // this rank's node tier (always non-nil)
+	net  *Comm // the leaders' net tier; nil on non-leaders
 }
 
 // hier derives (or returns the cached) hierarchy of the communicator.
@@ -59,63 +106,40 @@ func (c *Comm) hier() *hierInfo {
 		panic("mpi: hierarchy of a freed communicator")
 	}
 	w := c.p.world
-	n := len(c.s.members)
-	h := &hierInfo{groupOf: make([]int, n)}
-	byMachine := make(map[int]int) // machine index -> group index
-	maxNode := 0
-	for r, worldRank := range c.s.members {
-		m := w.place[worldRank]
-		g, ok := byMachine[m]
-		if !ok {
-			g = len(h.groups)
-			byMachine[m] = g
-			h.groups = append(h.groups, nil)
-		}
-		h.groups[g] = append(h.groups[g], r)
-		h.groupOf[r] = g
-		if len(h.groups[g]) > maxNode {
-			maxNode = len(h.groups[g])
-		}
-	}
-	h.viable = len(h.groups) > 1 && maxNode > 1
+	h := &hierInfo{tiers: machineTiers(len(c.s.members), func(r int) int { return w.place[c.s.members[r]] })}
 	myG := h.groupOf[c.rank]
-	grp := h.groups[myG]
 	// Node tier: the members on this rank's machine, in rank order, so
 	// node rank 0 is the leader. Every member of the parent computes the
 	// same (parent id, seq) key, so allocContext hands all of them the
 	// same base id; distinct machines get distinct offsets.
 	nodeBase := w.allocContext(c.s.id, hierSeqNode)
-	nodeMembers := make([]int, len(grp))
-	myNodeRank := -1
-	for i, r := range grp {
-		nodeMembers[i] = c.s.members[r]
-		if r == c.rank {
-			myNodeRank = i
-		}
-	}
 	h.node = &Comm{
 		p:      c.p,
-		s:      &commShared{id: nodeBase + int64(myG), members: nodeMembers},
-		rank:   myNodeRank,
+		s:      &commShared{id: nodeBase + int64(myG), members: c.worldRanks(h.groups[myG])},
+		rank:   h.idx[c.rank],
 		tuning: c.tuning,
 	}
 	// Net tier: one leader per machine, ordered by group index (ascending
 	// leader rank). Only leaders hold a handle.
-	if grp[0] == c.rank {
-		netID := w.allocContext(c.s.id, hierSeqNet)
-		netMembers := make([]int, len(h.groups))
-		for g, gr := range h.groups {
-			netMembers[g] = c.s.members[gr[0]]
-		}
+	if h.idx[c.rank] == 0 {
 		h.net = &Comm{
 			p:      c.p,
-			s:      &commShared{id: netID, members: netMembers},
+			s:      &commShared{id: w.allocContext(c.s.id, hierSeqNet), members: c.worldRanks(h.leaders)},
 			rank:   myG,
 			tuning: c.tuning,
 		}
 	}
 	c.hi = h
 	return h
+}
+
+// worldRanks maps communicator ranks to world ranks.
+func (c *Comm) worldRanks(ranks []int) []int {
+	out := make([]int, len(ranks))
+	for i, r := range ranks {
+		out[i] = c.s.members[r]
+	}
+	return out
 }
 
 // hierViable reports whether the communicator has a genuine two-level
@@ -144,20 +168,13 @@ func (c *Comm) NetComm() *Comm { return c.hier().net }
 // NodeLeader returns the communicator rank of this rank's machine leader.
 func (c *Comm) NodeLeader() int {
 	h := c.hier()
-	return h.groups[h.groupOf[c.rank]][0]
+	return h.leaders[h.groupOf[c.rank]]
 }
 
 // NodeLeaders returns the communicator rank of every machine's leader,
 // indexed by machine-group (ascending leader rank — the net tier's rank
 // order).
-func (c *Comm) NodeLeaders() []int {
-	h := c.hier()
-	out := make([]int, len(h.groups))
-	for g, grp := range h.groups {
-		out[g] = grp[0]
-	}
-	return out
-}
+func (c *Comm) NodeLeaders() []int { return append([]int(nil), c.hier().leaders...) }
 
 // freeHier releases the cached tier communicators (called by Comm.Free:
 // the parent owns its tiers).
@@ -172,312 +189,5 @@ func (c *Comm) freeHier() {
 	}
 	if h.net != nil {
 		h.net.Free()
-	}
-}
-
-// --- resolution ---------------------------------------------------------
-//
-// The *AlgFor methods are the communicator-aware layer over CollTuning's
-// pure threshold resolution: they add the hierarchy choice, which a bare
-// CollTuning cannot make (it does not know the placement). An explicitly
-// requested hierarchical algorithm on a communicator without a two-level
-// structure falls back to the size-aware Auto resolution — the viability
-// answer is agreed, so the fallback is too.
-
-func (c *Comm) allreduceAlgFor(n, nbytes int) AllreduceAlg {
-	t := c.coll()
-	alg := t.Allreduce
-	if alg == AllreduceHier {
-		if c.hierViable() {
-			return AllreduceHier
-		}
-		alg = AllreduceAuto
-	}
-	if alg != AllreduceAuto {
-		return alg
-	}
-	if nbytes >= t.allreduceHierMinBytes() && c.hierViable() {
-		return AllreduceHier
-	}
-	return t.allreduceAutoAlg(n, nbytes)
-}
-
-// bcastAlgFor is the root-side resolution (only the root knows the
-// payload size); the choice travels down the tree in the bcast header.
-func (c *Comm) bcastAlgFor(nbytes int) BcastAlg {
-	t := c.coll()
-	alg := t.Bcast
-	if alg == BcastHier {
-		if c.hierViable() {
-			return BcastHier
-		}
-		alg = BcastAuto
-	}
-	if alg != BcastAuto {
-		return alg
-	}
-	if nbytes >= t.bcastHierMinBytes() && nbytes <= t.bcastHierMaxBytes() && c.hierViable() {
-		return BcastHier
-	}
-	return t.bcastAutoAlg(nbytes)
-}
-
-func (c *Comm) gatherAlgFor(n, nbytes int) GatherAlg {
-	t := c.coll()
-	alg := t.Gather
-	if alg == GatherHier {
-		if c.hierViable() {
-			return GatherHier
-		}
-		alg = GatherAuto
-	}
-	if alg != GatherAuto {
-		return alg
-	}
-	if nbytes <= t.gatherHierMaxBytes() && c.hierViable() {
-		return GatherHier
-	}
-	return t.gatherAutoAlg(n, nbytes)
-}
-
-func (c *Comm) reduceScatterAlgFor(totalBytes int) ReduceScatterAlg {
-	t := c.coll()
-	alg := t.ReduceScatter
-	if alg == ReduceScatterHier {
-		if c.hierViable() {
-			return ReduceScatterHier
-		}
-		alg = ReduceScatterAuto
-	}
-	if alg != ReduceScatterAuto {
-		return alg
-	}
-	if totalBytes >= t.reduceScatterHierMinBytes() && c.hierViable() {
-		return ReduceScatterHier
-	}
-	return ReduceScatterPairwise
-}
-
-// --- the two-level algorithms -------------------------------------------
-
-// allreduceHier: binomial reduce to each machine's leader over the node
-// tier, Allreduce among the leaders over the net tier (which resolves its
-// own flat algorithm — the ring for large payloads), then broadcast from
-// the leader over the node tier. Each payload crosses the slow
-// inter-machine network only in the leaders' round; everything else rides
-// the machines' internal buses.
-func (c *Comm) allreduceHier(data []byte, op Op) []byte {
-	h := c.hier()
-	red := h.node.Reduce(0, data, op)
-	if h.net != nil {
-		red = h.net.Allreduce(red, op)
-	}
-	return h.node.Bcast(0, red)
-}
-
-// bcastHier: the root hands the payload to its machine leader (one fast
-// intra-machine hop, skipped when the root is the leader), the leaders
-// broadcast over the net tier, and each leader fans out over its node
-// tier.
-func (c *Comm) bcastHier(root int, data []byte) []byte {
-	h := c.hier()
-	rg := h.groupOf[root]
-	rootLeader := h.groups[rg][0]
-	if root != rootLeader {
-		switch c.rank {
-		case root:
-			c.Send(rootLeader, tagHier, data)
-		case rootLeader:
-			data = c.collRecv(root, tagHier)
-		}
-	}
-	if h.net != nil {
-		data = h.net.Bcast(rg, data)
-	}
-	return h.node.Bcast(0, data)
-}
-
-// gatherHier: each node tier gathers onto its leader, the leader frames
-// its machine's contributions into one (rank, payload) bundle, the net
-// tier gathers the bundles onto the root machine's leader (a flat fan —
-// bundles are large, so per-message overhead is not the issue at this
-// level), and a final intra-machine hop delivers the concatenation to the
-// root when it is not its machine's leader. The root absorbs M-1 bundle
-// messages instead of P-1 small ones. Like GatherAuto, selection keys on
-// the local payload size, so Auto-selected hierarchical gathers require
-// agreed sizes; the bundles themselves frame every payload, so the data
-// path handles irregular sizes.
-func (c *Comm) gatherHier(root int, data []byte) [][]byte {
-	h := c.hier()
-	g := h.groupOf[c.rank]
-	rg := h.groupOf[root]
-	rootLeader := h.groups[rg][0]
-	// Both tier gathers use the flat fan directly: the public Gather's
-	// Auto resolution keys on the local payload size, which may disagree
-	// across members of an irregular gather — the flat fan never desyncs.
-	if h.node.Size() > 1 {
-		h.node.collCheck()
-	}
-	nodeParts := h.node.gatherFlat(0, data)
-	var bundle []byte
-	if c.rank == h.groups[g][0] {
-		for i, d := range nodeParts {
-			bundle = bundleAppend(bundle, h.groups[g][i], d)
-		}
-	}
-	var merged []byte
-	if h.net != nil {
-		if h.net.Size() > 1 {
-			h.net.collCheck()
-		}
-		netOut := h.net.gatherFlat(rg, bundle)
-		if c.rank == rootLeader {
-			for _, b := range netOut {
-				merged = append(merged, b...)
-			}
-		}
-	}
-	if root != rootLeader {
-		switch c.rank {
-		case rootLeader:
-			c.SendOwned(root, tagHier, merged)
-			return nil
-		case root:
-			merged = c.collRecv(rootLeader, tagHier)
-		}
-	}
-	if c.rank != root {
-		return nil
-	}
-	out := make([][]byte, c.Size())
-	bundleEach(merged, func(r int, d []byte) {
-		out[r] = append([]byte(nil), d...)
-	})
-	return out
-}
-
-// reduceScatterHier: each node tier binomial-reduces the full
-// concatenated vector onto its leader (intra-machine bandwidth), the
-// leaders run the pairwise exchange over the net tier at machine-block
-// granularity (each machine's block is the concatenation of its members'
-// destinations — the sizes were validated by the dispatcher, so the
-// blocks agree without a second validation round), and each leader
-// scatters its machine's block to the members.
-func (c *Comm) reduceScatterHier(parts [][]byte, op Op) []byte {
-	h := c.hier()
-	n := c.Size()
-	offs := make([]int, n+1)
-	for r, p := range parts {
-		offs[r+1] = offs[r] + len(p)
-	}
-	flat := make([]byte, 0, offs[n])
-	for _, p := range parts {
-		flat = append(flat, p...)
-	}
-	red := h.node.Reduce(0, flat, op)
-	g := h.groupOf[c.rank]
-	var nodeParts [][]byte
-	if h.net != nil {
-		blocks := make([][]byte, len(h.groups))
-		for bg, grp := range h.groups {
-			var b []byte
-			for _, r := range grp {
-				b = append(b, red[offs[r]:offs[r+1]]...)
-			}
-			blocks[bg] = b
-		}
-		var myBlock []byte
-		if h.net.Size() > 1 {
-			h.net.collCheck()
-			myBlock = h.net.reduceScatterPairwise(blocks, op)
-		} else {
-			myBlock = blocks[g]
-		}
-		grp := h.groups[g]
-		nodeParts = make([][]byte, len(grp))
-		off := 0
-		for i, r := range grp {
-			sz := offs[r+1] - offs[r]
-			nodeParts[i] = myBlock[off : off+sz]
-			off += sz
-		}
-	}
-	if h.node.Size() > 1 {
-		h.node.collCheck()
-	}
-	return h.node.scatterFlat(0, nodeParts)
-}
-
-// hierAllreduceSteps builds the hierarchical Iallreduce schedule on the
-// parent communicator's rank space: binomial reduce to the machine leader
-// over the node members, reduce-to-first-leader + broadcast among the
-// leaders (schedules express single-buffer steps, so the net phase is the
-// redbcast shape rather than the chunked ring), then broadcast from the
-// leader over the node members. Every receive step has a distinct peer —
-// node children, net children, net parent and node parent never coincide
-// — so the progress engine's claim-ahead stays FIFO-safe.
-func (c *Comm) hierAllreduceSteps(sc *nbSched) {
-	h := c.hier()
-	g := h.groupOf[c.rank]
-	grp := h.groups[g]
-	me := 0
-	for i, r := range grp {
-		if r == c.rank {
-			me = i
-		}
-	}
-	// Node reduce towards the leader (group index 0).
-	for mask := 1; mask < len(grp); mask <<= 1 {
-		if me&mask != 0 {
-			sc.steps = append(sc.steps, nbStep{kind: nbSendBuf, peer: grp[me&^mask]})
-			break
-		}
-		if child := me | mask; child < len(grp) {
-			sc.steps = append(sc.steps, nbStep{kind: nbRecvReduce, peer: grp[child]})
-		}
-	}
-	if me == 0 {
-		// Net redbcast among the leaders (my net index is g).
-		nl := len(h.groups)
-		for mask := 1; mask < nl; mask <<= 1 {
-			if g&mask != 0 {
-				sc.steps = append(sc.steps, nbStep{kind: nbSendBuf, peer: h.groups[g&^mask][0]})
-				break
-			}
-			if child := g | mask; child < nl {
-				sc.steps = append(sc.steps, nbStep{kind: nbRecvReduce, peer: h.groups[child][0]})
-			}
-		}
-		recvMask := 1
-		for recvMask < nl {
-			if g&recvMask != 0 {
-				sc.steps = append(sc.steps, nbStep{kind: nbRecvBuf, peer: h.groups[g-recvMask][0]})
-				break
-			}
-			recvMask <<= 1
-		}
-		recvMask >>= 1
-		for recvMask > 0 {
-			if g+recvMask < nl {
-				sc.steps = append(sc.steps, nbStep{kind: nbSendBuf, peer: h.groups[g+recvMask][0]})
-			}
-			recvMask >>= 1
-		}
-	}
-	// Node broadcast from the leader.
-	recvMask := 1
-	for recvMask < len(grp) {
-		if me&recvMask != 0 {
-			sc.steps = append(sc.steps, nbStep{kind: nbRecvBuf, peer: grp[me-recvMask]})
-			break
-		}
-		recvMask <<= 1
-	}
-	recvMask >>= 1
-	for recvMask > 0 {
-		if me+recvMask < len(grp) {
-			sc.steps = append(sc.steps, nbStep{kind: nbSendBuf, peer: grp[me+recvMask]})
-		}
-		recvMask >>= 1
 	}
 }

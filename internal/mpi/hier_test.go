@@ -252,19 +252,19 @@ func TestHierAutoSelection(t *testing.T) {
 			got  any
 			want any
 		}{
-			{"allreduce/large", c.allreduceAlgFor(24, 1 << 20), AllreduceHier},
-			{"allreduce/small", c.allreduceAlgFor(24, 1024), AllreduceRecursiveDoubling},
-			{"bcast/large", c.bcastAlgFor(1 << 20), BcastHier},
-			{"bcast/small", c.bcastAlgFor(1024), BcastBinomial},
-			{"gather/small", c.gatherAlgFor(24, 512), GatherHier},
-			{"gather/large", c.gatherAlgFor(24, 1 << 20), GatherFlat},
-			{"reducescatter/large", c.reduceScatterAlgFor(1 << 20), ReduceScatterHier},
-			{"reducescatter/small", c.reduceScatterAlgFor(100), ReduceScatterPairwise},
+			{"allreduce/large", c.coll().resolveAllreduce(24, 1 << 20, c.hierViable), AllreduceHier},
+			{"allreduce/small", c.coll().resolveAllreduce(24, 1024, c.hierViable), AllreduceRecursiveDoubling},
+			{"bcast/large", c.coll().resolveBcast(1 << 20, c.hierViable), BcastHier},
+			{"bcast/small", c.coll().resolveBcast(1024, c.hierViable), BcastBinomial},
+			{"gather/small", c.coll().resolveGather(24, 512, c.hierViable), GatherHier},
+			{"gather/large", c.coll().resolveGather(24, 1 << 20, c.hierViable), GatherFlat},
+			{"reducescatter/large", c.coll().resolveReduceScatter(1 << 20, c.hierViable), ReduceScatterHier},
+			{"reducescatter/small", c.coll().resolveReduceScatter(100, c.hierViable), ReduceScatterPairwise},
 			// Tier communicators are single-machine / one-rank-per-machine:
 			// never hier, so the recursion bottoms out in flat algorithms.
-			{"node/large", c.NodeComm().allreduceAlgFor(8, 1 << 20), AllreduceRing},
+			{"node/large", c.coll().resolveAllreduce(8, 1<<20, c.NodeComm().hierViable), AllreduceRing},
 			// Derived communicators inherit the policy and recompute tiers.
-			{"dup/large", c.Dup().allreduceAlgFor(24, 1 << 20), AllreduceHier},
+			{"dup/large", c.coll().resolveAllreduce(24, 1<<20, c.Dup().hierViable), AllreduceHier},
 		}
 		for _, ck := range checks {
 			if ck.got != ck.want {
@@ -274,10 +274,10 @@ func TestHierAutoSelection(t *testing.T) {
 		// An explicitly hierarchical policy falls back to the flat
 		// resolution on a communicator without a two-level structure.
 		d := c.Dup().SetCollTuning(&CollTuning{Allreduce: AllreduceHier})
-		if alg := d.NodeComm().allreduceAlgFor(8, 64); alg != AllreduceRecursiveDoubling {
+		if alg := d.coll().resolveAllreduce(8, 64, d.NodeComm().hierViable); alg != AllreduceRecursiveDoubling {
 			return fmt.Errorf("rank %d: explicit hier on node tier resolved %v", p.Rank(), alg)
 		}
-		if alg := d.allreduceAlgFor(24, 64); alg != AllreduceHier {
+		if alg := d.coll().resolveAllreduce(24, 64, d.hierViable); alg != AllreduceHier {
 			return fmt.Errorf("rank %d: explicit hier on world resolved %v", p.Rank(), alg)
 		}
 		return nil

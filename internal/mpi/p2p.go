@@ -461,54 +461,6 @@ func (c *Comm) collCheck() {
 	}
 }
 
-// collRecv is the failure-aware receive used inside collectives. The
-// returned payload is retained by the caller.
-func (c *Comm) collRecv(src, tag int) []byte {
-	t0 := c.p.clock.Now()
-	e := c.mboxGet("coll", c.sel(src, tag), c.collWatch())
-	data, _ := c.consume(e, t0)
-	return data
-}
-
-// collGetAny blocks for a message carrying tag from any of the given
-// world ranks and returns the raw envelope WITHOUT applying receive
-// timing. Collective root drains use it to take messages as they arrive
-// and fold the timing in rank order afterwards, so one slow child does
-// not serialise the drain while simulated times stay deterministic.
-func (c *Comm) collGetAny(srcs []int, tag int) *envelope {
-	return c.mboxGet("coll", recvSel{ctx: c.s.id, src: AnySource, tag: tag, srcs: srcs}, c.collWatch())
-}
-
-// collReduceRecv receives from src and folds the payload into acc with
-// op, without retaining the received buffer: the low-allocation reduction
-// path. opName appears in the length-mismatch panic.
-func (c *Comm) collReduceRecv(src, tag int, acc []byte, op Op, opName string) {
-	t0 := c.p.clock.Now()
-	e := c.mboxGet("coll", c.sel(src, tag), c.collWatch())
-	c.consumeWith(e, t0, func(in []byte) {
-		reduceLenCheck(opName, len(in), len(acc))
-		op(acc, in)
-	})
-}
-
-// collSendrecv is the failure-aware combined send/receive used inside
-// collectives.
-func (c *Comm) collSendrecv(dst, sendTag int, data []byte, src, recvTag int) []byte {
-	sreq := c.Isend(dst, sendTag, data)
-	buf := c.collRecv(src, recvTag)
-	sreq.Wait()
-	return buf
-}
-
-// collSendrecvReduce sends out to dst and folds the message received from
-// src into acc, recycling the received buffer. out may alias acc: the
-// outgoing payload is captured before the reduction runs.
-func (c *Comm) collSendrecvReduce(dst, sendTag int, out []byte, src, recvTag int, acc []byte, op Op, opName string) {
-	sreq := c.Isend(dst, sendTag, out)
-	c.collReduceRecv(src, recvTag, acc, op, opName)
-	sreq.Wait()
-}
-
 // finishRecvTiming applies timing and statistics for a consumed envelope.
 // t0 is the virtual time the receive was posted, used for tracing the
 // waiting interval.
@@ -549,18 +501,6 @@ func (c *Comm) consume(e *envelope, t0 vclock.Time) ([]byte, Status) {
 	e.data = nil
 	releaseEnvelope(e)
 	return data, st
-}
-
-// consumeWith applies receive timing for e, hands the payload to fn for
-// in-place use, then recycles payload and envelope without copying: the
-// scratch path for consumers that fold the payload into an accumulator
-// and do not retain it. fn must not keep a reference to its argument.
-func (c *Comm) consumeWith(e *envelope, t0 vclock.Time, fn func(in []byte)) Status {
-	st := c.finishRecvTiming(e, t0)
-	fn(e.data)
-	e.data = nil
-	releaseEnvelope(e)
-	return st
 }
 
 // Recv blocks until a message from src with the given tag arrives (src may

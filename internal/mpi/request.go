@@ -119,7 +119,7 @@ func (p *Proc) progress() {
 	}
 	p.eng.recvQ = kept
 	for _, r := range p.eng.colls {
-		r.sched.claim(r.c)
+		r.sched.claim()
 	}
 	p.eng.active = false
 }
@@ -280,7 +280,7 @@ func (r *Request) Wait() ([]byte, Status) {
 		r.data, r.status = r.c.consume(r.env, t0)
 		r.env = nil
 	case reqColl:
-		r.data = r.sched.wait(r.c)
+		r.data = r.sched.wait()
 		p.engDropColl(r)
 	}
 	r.done = true
@@ -317,7 +317,7 @@ func (r *Request) Test() (bool, []byte, Status) {
 		r.data, r.status = r.c.consume(r.env, now)
 		r.env = nil
 	case reqColl:
-		if !r.sched.tryFinish(r.c) {
+		if !r.sched.tryFinish() {
 			return false, nil, Status{}
 		}
 		r.data = r.sched.buf
