@@ -160,13 +160,14 @@ func TableColl() (*Figure, error) {
 		return nil, err
 	}
 	cluster := hnoc.Paper9()
-	model, err := estimator.NewCollModel(cluster, mpi.OneProcessPerMachine(cluster))
+	crossover, err := estimator.CrossoverBytes(cluster, mpi.OneProcessPerMachine(cluster), "allreduce",
+		&mpi.CollTuning{Allreduce: mpi.AllreduceRing}, &mpi.CollTuning{Allreduce: mpi.AllreduceRedBcast})
 	if err != nil {
 		return nil, err
 	}
 	f := collFigure("coll", "Collective engine: simulated time per algorithm on Paper9", rows)
 	f.Notes = append(f.Notes,
 		fmt.Sprintf("large-message Allreduce speedup ring vs legacy: %.2fx (acceptance bar 2x);", collLargeSpeedup(rows)),
-		fmt.Sprintf("analytic model's predicted ring crossover: %d bytes.", model.RingCrossoverBytes()))
+		fmt.Sprintf("replayed ring-vs-legacy crossover: %d bytes.", crossover))
 	return f, nil
 }

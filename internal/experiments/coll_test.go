@@ -24,10 +24,10 @@ func TestCollGate(t *testing.T) {
 // 1 MiB, the hierarchical broadcast must win big on the interleaved
 // placement, the Auto rows must track the best forced algorithm, and the
 // losing rows the sweep keeps for honesty must actually be losing. (The
-// model's [0, MaxInt) win range on this topology is pinned by
-// estimator.TestHierWinsEverywhereOnFatNodes.)
+// thresholds the replay derives on this topology are pinned by
+// estimator.TestAutoCollTuningThresholds.)
 func TestHierGate(t *testing.T) {
-	rows, err := hierRows()
+	rows, _, _, err := hierRows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +43,8 @@ func TestHierGate(t *testing.T) {
 	// one of theirs. Blocked-placement broadcasts get 2.5% slack: the
 	// rank-blocked binomial tree's subtrees align with the machines, so
 	// it is two-level in disguise and every algorithm lands within a
-	// couple percent — an alignment the placement-blind worst-link model
-	// cannot see, so its band may dispatch hierarchically in the wash.
+	// couple percent, and Auto pays one header message per tree edge that
+	// the forced binomial row does not.
 	best := map[string]float64{}
 	auto := map[string]float64{}
 	tol := map[string]float64{}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/estimator"
 	"repro/internal/hnoc"
@@ -13,7 +14,7 @@ import (
 // machines with fast internal buses joined by the paper's 100 Mbit
 // Ethernet, 8 processes each. Rows with the same (collective, bytes,
 // placement) compare the flat algorithms, the two-level algorithm, and
-// the model-driven Auto policy; the sweep keeps the rows where the
+// the replay-derived Auto policy; the sweep keeps the rows where the
 // hierarchy loses (large broadcasts, large gathers) on purpose — the
 // two-level algorithms are a regime, not a universal win, and the Auto
 // policy's job is to know the difference.
@@ -44,7 +45,7 @@ func interleave(place []int) []int {
 }
 
 // hierCases enumerates the algorithm comparisons of one collective set.
-// Every forced algorithm rides a copy of the model-derived Auto tuning
+// Every forced algorithm rides a copy of the replay-derived Auto tuning
 // with only its selector overridden, so nested phases (the node-tier
 // broadcast inside the hierarchical Allreduce, the net tier's own
 // resolution) follow one policy across all rows.
@@ -104,26 +105,20 @@ func hierBcastCases(derived *mpi.CollTuning, n int) []collCase {
 // broadcast on the interleaved placement, where the flat tree's
 // rank-order edges cross the Ethernet over and over while the hierarchy
 // regroups by machine.
-func hierRows() ([]collRow, error) {
+func hierRows() (rows []collRow, derived, iderived *mpi.CollTuning, err error) {
 	cluster, place := hnoc.FatNode3x8()
-	derived, err := estimator.AutoCollTuningFor(cluster, place)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := simCases(cluster, place, "blocked", hierCases(derived))
-	if err != nil {
-		return nil, err
-	}
 	iplace := interleave(place)
-	iderived, err := estimator.AutoCollTuningFor(cluster, iplace)
-	if err != nil {
-		return nil, err
+	if derived, err = estimator.AutoCollTuningFor(cluster, place); err != nil {
+		return nil, nil, nil, err
+	}
+	if iderived, err = estimator.AutoCollTuningFor(cluster, iplace); err != nil {
+		return nil, nil, nil, err
+	}
+	if rows, err = simCases(cluster, place, "blocked", hierCases(derived)); err != nil {
+		return nil, nil, nil, err
 	}
 	irows, err := simCases(cluster, iplace, "interleaved", hierBcastCases(iderived, 256<<10))
-	if err != nil {
-		return nil, err
-	}
-	return append(rows, irows...), nil
+	return append(rows, irows...), derived, iderived, err
 }
 
 // hierAllreduceSpeedup is simulated flat-ring/hierarchical Allreduce time
@@ -142,28 +137,29 @@ func hierInterleavedBcastSpeedup(rows []collRow) float64 {
 	return simOf(rows, "bcast", "binomial", 256<<10, "interleaved") / simOf(rows, "bcast", "hier", 256<<10, "interleaved")
 }
 
+// band renders a derived hierarchical-broadcast band for a note.
+func band(t *mpi.CollTuning) string {
+	switch {
+	case t.BcastHierMinBytes == math.MaxInt:
+		return "never"
+	case t.BcastHierMaxBytes == math.MaxInt:
+		return fmt.Sprintf("[%d, inf)", t.BcastHierMinBytes)
+	}
+	return fmt.Sprintf("[%d, %d]", t.BcastHierMinBytes, t.BcastHierMaxBytes)
+}
+
 // TableHier renders the hierarchy sweep as a figure: simulated seconds
 // per algorithm over the swept payload sizes on the fat-node topology.
 func TableHier() (*Figure, error) {
-	rows, err := hierRows()
+	rows, derived, iderived, err := hierRows()
 	if err != nil {
 		return nil, err
 	}
-	cluster, place := hnoc.FatNode3x8()
-	derived, err := estimator.AutoCollTuningFor(cluster, place)
-	if err != nil {
-		return nil, err
-	}
-	model, err := estimator.NewTwoLevelModel(cluster, place)
-	if err != nil {
-		return nil, err
-	}
-	winLo, winHi := model.HierAllreduceWinRange()
 	f := collFigure("hier", "Two-level collectives: simulated time per algorithm on 3x8 fat nodes", rows)
 	f.Notes = append(f.Notes,
 		fmt.Sprintf("1 MiB Allreduce speedup hier vs flat ring: %.2fx (acceptance bar 1.2x);", hierAllreduceSpeedup(rows)),
-		fmt.Sprintf("model win range for the hierarchical Allreduce: [%d, %d) bytes;", winLo, winHi),
-		fmt.Sprintf("derived hierarchical broadcast band: [%d, %d] bytes;", derived.ResolvedBcastHierMinBytes(), derived.ResolvedBcastHierMaxBytes()),
+		fmt.Sprintf("replayed win range for the hierarchical Allreduce: [%d, inf) bytes;", derived.AllreduceHierMinBytes),
+		fmt.Sprintf("replayed hierarchical broadcast band: blocked %s, interleaved %s;", band(derived), band(iderived)),
 		fmt.Sprintf("256 KiB interleaved-placement Bcast speedup hier vs binomial: %.2fx.", hierInterleavedBcastSpeedup(rows)))
 	return f, nil
 }

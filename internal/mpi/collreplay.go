@@ -23,11 +23,15 @@ import (
 // name ("bcast", "reducescatter", ...), Bytes the payload every rank
 // passes (per part for scatter, reducescatter and alltoall), Root the
 // root of the rooted collectives, Tuning the policy (nil: the default).
+// Flat prices the call as the policy would resolve it on a communicator
+// without a two-level structure — the flat side of a flat-versus-
+// hierarchical comparison on one placement.
 type CollCall struct {
 	Coll   string
 	Bytes  int
 	Root   int
 	Tuning *CollTuning
+	Flat   bool
 }
 
 // plans builds every rank's schedule of the call on the placement (rank
@@ -43,10 +47,10 @@ func (call CollCall) plans(place []int) ([]plan, error) {
 	}
 	var m *tiers
 	machines := func() *tiers {
-		if m == nil {
+		if m == nil && !call.Flat {
 			m = machineTiers(n, func(r int) int { return place[r] })
 		}
-		if n < 3 || !m.viable {
+		if call.Flat || n < 3 || !m.viable {
 			return nil
 		}
 		return m

@@ -187,6 +187,24 @@ func TestRecorderCollectiveAlgNames(t *testing.T) {
 	})
 }
 
+// TestAllreduceSingleRankEmitsOneEvent: one KindColl event per public
+// collective call, whatever the policy. A single-rank Allreduce used to
+// return before its event under every algorithm but the default.
+func TestAllreduceSingleRankEmitsOneEvent(t *testing.T) {
+	for alg := AllreduceRedBcast; alg <= AllreduceHier; alg++ {
+		w := newTestWorld(t, 1)
+		w.SetCollTuning(&CollTuning{Allreduce: alg})
+		rec := attachRecorder(w)
+		runWorld(t, w, func(p *Proc) error {
+			p.CommWorld().Allreduce(make([]byte, 64), SumFloat64)
+			return nil
+		})
+		if got := countKind(rec.Data(), trace.KindColl, ""); got != 1 {
+			t.Errorf("%s: %d collective events on a single-rank communicator, want 1", allreduceAlgNames[alg], got)
+		}
+	}
+}
+
 // TestTracingPreservesVirtualClocks is the on/off determinism property:
 // attaching a recorder must not move any simulated clock by a single bit.
 // The same workload runs twice on fresh worlds — once traced, once not —
