@@ -7,12 +7,15 @@ import (
 
 // Collective algorithm selection. Every collective with more than one
 // implementation consults its communicator's CollTuning to pick one; the
-// zero value of every algorithm field is the legacy algorithm, so a nil
-// or zero tuning reproduces the library's historical behaviour (and its
-// simulated times) bit for bit. The Auto constants enable size- and
-// communicator-aware selection in the style of MPICH-G2's
-// topology/size-tiered collectives: small messages keep latency-optimal
-// trees, large messages switch to bandwidth-optimal rings and pipelines.
+// zero value of every algorithm field is the default algorithm — the
+// classic one of early-2000s MPI libraries, and measurably the right
+// default here: on the paper's applications the size-aware policy costs
+// simulated time (one header message per tree edge on small broadcasts, a
+// binomial gather at n >= 8), so a nil or zero tuning keeps them. The
+// Auto constants enable size- and communicator-aware selection in the
+// style of MPICH-G2's topology/size-tiered collectives: small messages
+// keep latency-optimal trees, large messages switch to bandwidth-optimal
+// rings and pipelines.
 //
 // Selection is policy, not negotiation: every member of a communicator
 // must run the same CollTuning (collectives must agree on the
@@ -24,7 +27,7 @@ import (
 type AllreduceAlg int
 
 const (
-	// AllreduceRedBcast is the legacy algorithm: binomial reduce to rank
+	// AllreduceRedBcast is the default algorithm: binomial reduce to rank
 	// 0, then binomial broadcast.
 	AllreduceRedBcast AllreduceAlg = iota
 	// AllreduceRecursiveDoubling exchanges full vectors along hypercube
@@ -51,7 +54,7 @@ const (
 type ReduceScatterAlg int
 
 const (
-	// ReduceScatterViaRoot is the legacy algorithm: concatenate, reduce
+	// ReduceScatterViaRoot is the default algorithm: concatenate, reduce
 	// to rank 0, scatter the slices.
 	ReduceScatterViaRoot ReduceScatterAlg = iota
 	// ReduceScatterPairwise runs n-1 pairwise exchange steps in which
@@ -74,7 +77,7 @@ const (
 type BcastAlg int
 
 const (
-	// BcastBinomial is the legacy algorithm: the whole payload travels a
+	// BcastBinomial is the default algorithm: the whole payload travels a
 	// binomial tree.
 	BcastBinomial BcastAlg = iota
 	// BcastSegmented pipelines the payload through the binomial tree in
@@ -98,7 +101,7 @@ const (
 type GatherAlg int
 
 const (
-	// GatherFlat is the legacy algorithm: every member sends directly to
+	// GatherFlat is the default algorithm: every member sends directly to
 	// the root.
 	GatherFlat GatherAlg = iota
 	// GatherBinomial combines contributions up a binomial tree, so the
@@ -123,7 +126,7 @@ const (
 type ScatterAlg int
 
 const (
-	// ScatterFlat is the legacy algorithm: the root sends each part
+	// ScatterFlat is the default algorithm: the root sends each part
 	// directly to its member.
 	ScatterFlat ScatterAlg = iota
 	// ScatterBinomial sends bundles of parts down a binomial tree;
@@ -135,9 +138,8 @@ const (
 )
 
 // CollTuning is the per-communicator collective algorithm policy. The
-// zero value selects the legacy algorithm everywhere with the default
-// thresholds, so Comm handles without an explicit policy behave exactly
-// as before this engine existed.
+// zero value selects the default algorithm everywhere with the default
+// thresholds.
 type CollTuning struct {
 	Allreduce     AllreduceAlg
 	ReduceScatter ReduceScatterAlg
@@ -196,21 +198,6 @@ type CollTuning struct {
 	ReduceScatterHierMinBytes int
 }
 
-// Default thresholds; see the CollTuning field docs.
-const (
-	defaultAllreduceRingMinBytes     = 32 << 10
-	defaultBcastSegMinBytes          = 64 << 10
-	defaultSegSize                   = 16 << 10
-	defaultTreeMinRanks              = 8
-	defaultTreeMaxBytes              = 1 << 10
-	defaultElemSize                  = 8
-	defaultAllreduceHierMinBytes     = 64 << 10
-	defaultBcastHierMinBytes         = 64 << 10
-	defaultBcastHierMaxBytes         = math.MaxInt
-	defaultGatherHierMaxBytes        = 64 << 10
-	defaultReduceScatterHierMinBytes = 64 << 10
-)
-
 // threshold resolves one CollTuning threshold field: zero selects the
 // library default (the zero value of CollTuning is the documented
 // "defaults everywhere" policy, so an unset field cannot be told apart
@@ -230,10 +217,6 @@ func threshold(v, def int, name string) int {
 
 // defaultCollTuning is the policy of communicators with no explicit one.
 var defaultCollTuning = CollTuning{}
-
-// DefaultCollTuning returns the default policy: legacy algorithms
-// everywhere, default thresholds.
-func DefaultCollTuning() *CollTuning { return &CollTuning{} }
 
 // AutoCollTuning returns a policy with size-aware selection enabled for
 // every collective, at the default thresholds.
@@ -255,95 +238,6 @@ func (c *Comm) coll() *CollTuning {
 	return &defaultCollTuning
 }
 
-func (t *CollTuning) allreduceRingMinBytes() int {
-	return threshold(t.AllreduceRingMinBytes, defaultAllreduceRingMinBytes, "AllreduceRingMinBytes")
-}
-
-func (t *CollTuning) bcastSegMinBytes() int {
-	return threshold(t.BcastSegMinBytes, defaultBcastSegMinBytes, "BcastSegMinBytes")
-}
-
-func (t *CollTuning) segSize() int {
-	return threshold(t.SegSize, defaultSegSize, "SegSize")
-}
-
-func (t *CollTuning) treeMinRanks() int {
-	return threshold(t.TreeMinRanks, defaultTreeMinRanks, "TreeMinRanks")
-}
-
-func (t *CollTuning) treeMaxBytes() int {
-	return threshold(t.TreeMaxBytes, defaultTreeMaxBytes, "TreeMaxBytes")
-}
-
-func (t *CollTuning) elemSize() int {
-	return threshold(t.ElemSize, defaultElemSize, "ElemSize")
-}
-
-func (t *CollTuning) allreduceHierMinBytes() int {
-	return threshold(t.AllreduceHierMinBytes, defaultAllreduceHierMinBytes, "AllreduceHierMinBytes")
-}
-
-func (t *CollTuning) bcastHierMinBytes() int {
-	return threshold(t.BcastHierMinBytes, defaultBcastHierMinBytes, "BcastHierMinBytes")
-}
-
-func (t *CollTuning) bcastHierMaxBytes() int {
-	return threshold(t.BcastHierMaxBytes, defaultBcastHierMaxBytes, "BcastHierMaxBytes")
-}
-
-func (t *CollTuning) gatherHierMaxBytes() int {
-	return threshold(t.GatherHierMaxBytes, defaultGatherHierMaxBytes, "GatherHierMaxBytes")
-}
-
-func (t *CollTuning) reduceScatterHierMinBytes() int {
-	return threshold(t.ReduceScatterHierMinBytes, defaultReduceScatterHierMinBytes, "ReduceScatterHierMinBytes")
-}
-
-// Resolved* getters expose the effective thresholds (defaults applied,
-// negatives rejected) for callers outside the package — the estimator's
-// model-driven AutoCollTuningFor validates its choices against them.
-
-// ResolvedAllreduceRingMinBytes returns the effective ring threshold.
-func (t *CollTuning) ResolvedAllreduceRingMinBytes() int { return t.allreduceRingMinBytes() }
-
-// ResolvedAllreduceHierMinBytes returns the effective hierarchical
-// Allreduce threshold.
-func (t *CollTuning) ResolvedAllreduceHierMinBytes() int { return t.allreduceHierMinBytes() }
-
-// ResolvedBcastHierMinBytes returns the effective hierarchical Bcast
-// threshold.
-func (t *CollTuning) ResolvedBcastHierMinBytes() int { return t.bcastHierMinBytes() }
-
-// ResolvedBcastHierMaxBytes returns the effective hierarchical Bcast
-// upper cutoff.
-func (t *CollTuning) ResolvedBcastHierMaxBytes() int { return t.bcastHierMaxBytes() }
-
-// ResolvedGatherHierMaxBytes returns the effective hierarchical Gather
-// cutoff.
-func (t *CollTuning) ResolvedGatherHierMaxBytes() int { return t.gatherHierMaxBytes() }
-
-// ResolvedReduceScatterHierMinBytes returns the effective hierarchical
-// ReduceScatter threshold.
-func (t *CollTuning) ResolvedReduceScatterHierMinBytes() int { return t.reduceScatterHierMinBytes() }
-
-// ResolvedElemSize returns the effective reduction element width.
-func (t *CollTuning) ResolvedElemSize() int { return t.elemSize() }
-
-// ResolvedBcastSegMinBytes returns the effective segmented-broadcast
-// threshold.
-func (t *CollTuning) ResolvedBcastSegMinBytes() int { return t.bcastSegMinBytes() }
-
-// ResolvedSegSize returns the effective broadcast segment size.
-func (t *CollTuning) ResolvedSegSize() int { return t.segSize() }
-
-// ResolvedTreeMinRanks returns the effective binomial gather/scatter
-// member minimum.
-func (t *CollTuning) ResolvedTreeMinRanks() int { return t.treeMinRanks() }
-
-// ResolvedTreeMaxBytes returns the effective binomial gather/scatter
-// payload cutoff.
-func (t *CollTuning) ResolvedTreeMaxBytes() int { return t.treeMaxBytes() }
-
 // The resolve methods turn the policy into the algorithm one call runs,
 // from what every member agrees on: the member count, the payload size and
 // whether the communicator has a two-level structure (viable — asked only
@@ -363,10 +257,10 @@ func (t *CollTuning) resolveAllreduce(n, nbytes int, viable func() bool) Allredu
 	if alg != AllreduceAuto {
 		return alg
 	}
-	if nbytes >= t.allreduceHierMinBytes() && viable() {
+	if nbytes >= threshold(t.AllreduceHierMinBytes, 64<<10, "AllreduceHierMinBytes") && viable() {
 		return AllreduceHier
 	}
-	if nbytes >= t.allreduceRingMinBytes() && nbytes%t.elemSize() == 0 && n > 2 {
+	if nbytes >= threshold(t.AllreduceRingMinBytes, 32<<10, "AllreduceRingMinBytes") && nbytes%t.elemSize() == 0 && n > 2 {
 		return AllreduceRing
 	}
 	return AllreduceRecursiveDoubling
@@ -385,10 +279,10 @@ func (t *CollTuning) resolveBcast(nbytes int, viable func() bool) BcastAlg {
 	if alg != BcastAuto {
 		return alg
 	}
-	if nbytes >= t.bcastHierMinBytes() && nbytes <= t.bcastHierMaxBytes() && viable() {
+	if nbytes >= threshold(t.BcastHierMinBytes, 64<<10, "BcastHierMinBytes") && nbytes <= threshold(t.BcastHierMaxBytes, math.MaxInt, "BcastHierMaxBytes") && viable() {
 		return BcastHier
 	}
-	if nbytes >= t.bcastSegMinBytes() {
+	if nbytes >= threshold(t.BcastSegMinBytes, 64<<10, "BcastSegMinBytes") {
 		return BcastSegmented
 	}
 	return BcastBinomial
@@ -407,14 +301,28 @@ func (t *CollTuning) resolveGather(n, nbytes int, viable func() bool) GatherAlg 
 	if alg != GatherAuto {
 		return alg
 	}
-	if nbytes <= t.gatherHierMaxBytes() && viable() {
+	if nbytes <= threshold(t.GatherHierMaxBytes, 64<<10, "GatherHierMaxBytes") && viable() {
 		return GatherHier
 	}
-	if n >= t.treeMinRanks() && nbytes <= t.treeMaxBytes() {
+	if t.treeWins(n, nbytes) {
 		return GatherBinomial
 	}
 	return GatherFlat
 }
+
+// treeWins is the Auto rule gather and scatter share: a binomial tree of
+// bundles beats the flat fan when per-message overhead dominates — enough
+// ranks, small enough payloads (above TreeMaxBytes the tree moves
+// asymptotically more bytes than the fan).
+func (t *CollTuning) treeWins(n, nbytes int) bool {
+	return n >= threshold(t.TreeMinRanks, 8, "TreeMinRanks") && nbytes <= threshold(t.TreeMaxBytes, 1<<10, "TreeMaxBytes")
+}
+
+// segSize is the segment size of the pipelined broadcast.
+func (t *CollTuning) segSize() int { return threshold(t.SegSize, 16<<10, "SegSize") }
+
+// elemSize is the reduction element width splitting algorithms cut on.
+func (t *CollTuning) elemSize() int { return threshold(t.ElemSize, 8, "ElemSize") }
 
 // resolveScatter resolves Auto at the root, the only rank that sees the
 // part sizes (they may be irregular).
@@ -422,7 +330,7 @@ func (t *CollTuning) resolveScatter(n, maxPart int) ScatterAlg {
 	if t.Scatter != ScatterAuto {
 		return t.Scatter
 	}
-	if n >= t.treeMinRanks() && maxPart <= t.treeMaxBytes() {
+	if t.treeWins(n, maxPart) {
 		return ScatterBinomial
 	}
 	return ScatterFlat
@@ -441,7 +349,7 @@ func (t *CollTuning) resolveReduceScatter(totalBytes int, viable func() bool) Re
 	if alg != ReduceScatterAuto {
 		return alg
 	}
-	if totalBytes >= t.reduceScatterHierMinBytes() && viable() {
+	if totalBytes >= threshold(t.ReduceScatterHierMinBytes, 64<<10, "ReduceScatterHierMinBytes") && viable() {
 		return ReduceScatterHier
 	}
 	return ReduceScatterPairwise

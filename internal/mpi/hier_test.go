@@ -299,18 +299,20 @@ func catchPanic(f func()) (msg string) {
 // TestCollTuningThresholdSemantics pins the satellite fix: zero keeps
 // selecting the library default (the zero value of CollTuning is the
 // documented default policy), while a negative override — which used to
-// silently fall back to the default — now fails loudly, both through the
-// exported getters and on the collective path.
+// silently fall back to the default — now fails loudly, in the resolution
+// and therefore on the collective path.
 func TestCollTuningThresholdSemantics(t *testing.T) {
-	var zero CollTuning
-	if got := zero.ResolvedAllreduceRingMinBytes(); got != 32<<10 {
-		t.Fatalf("zero ring threshold resolved %d, want the 32 KiB default", got)
+	flat := func() bool { return false }
+	zero := CollTuning{Allreduce: AllreduceAuto}
+	if zero.resolveAllreduce(9, 32<<10-8, flat) != AllreduceRecursiveDoubling || zero.resolveAllreduce(9, 32<<10, flat) != AllreduceRing {
+		t.Fatal("zero ring threshold did not resolve to the 32 KiB default")
 	}
-	if got := zero.ResolvedAllreduceHierMinBytes(); got != 64<<10 {
-		t.Fatalf("zero hier threshold resolved %d, want the 64 KiB default", got)
+	two := func() bool { return true }
+	if zero.resolveAllreduce(9, 64<<10-8, two) != AllreduceRing || zero.resolveAllreduce(9, 64<<10, two) != AllreduceHier {
+		t.Fatal("zero hier threshold did not resolve to the 64 KiB default")
 	}
-	neg := &CollTuning{AllreduceHierMinBytes: -1}
-	if msg := catchPanic(func() { neg.ResolvedAllreduceHierMinBytes() }); !strings.Contains(msg, "must not be negative") {
+	neg := &CollTuning{Allreduce: AllreduceAuto, AllreduceHierMinBytes: -1}
+	if msg := catchPanic(func() { neg.resolveAllreduce(9, 8, two) }); !strings.Contains(msg, "must not be negative") {
 		t.Fatalf("negative threshold: got %q, want a loud panic", msg)
 	}
 	// On the collective path the panic surfaces as a Run error.

@@ -137,30 +137,14 @@ func (c *Comm) mboxGet(kind string, s recvSel, giveUp func() error) *envelope {
 	return p.mbox.get(s, giveUp)
 }
 
-// collStart captures the entry timestamps of a collective when a recorder
-// is attached. The idiomatic use keeps the disabled path to one nil check:
-//
-//	rec, t0, w0 := c.collStart()
-//	... algorithm ...
-//	if rec != nil { c.collEnd(name, alg, bytes, t0, w0) }
+// collStart captures the entry timestamps of a collective-like operation
+// (the agreements and Shrink of ft.go) when a recorder is attached, keeping
+// the disabled path to one nil check. The collectives proper carry their
+// events in their schedules (stBegin/stEnd, collexec.go).
 func (c *Comm) collStart() (rec *trace.Recorder, t0 vclock.Time, w0 int64) {
 	rec = c.p.world.rec
 	if rec != nil {
 		t0, w0 = c.p.clock.Now(), rec.NowNS()
 	}
 	return rec, t0, w0
-}
-
-// collEnd emits the event for a completed collective. name must be a
-// constant from the algorithm tables above; alg is the resolved algorithm
-// code (A0), bytes the operation's local payload volume.
-func (c *Comm) collEnd(name string, alg int64, bytes int, t0 vclock.Time, w0 int64) {
-	r := c.p.world.rec
-	r.Emit(c.p.rank, trace.Event{
-		Rank: int32(c.p.rank), Kind: trace.KindColl, Peer: -1,
-		Ctx: c.s.id, Bytes: int64(bytes), Name: name,
-		Start: t0, End: c.p.clock.Now(),
-		WallStart: w0, WallEnd: r.NowNS(),
-		A0: alg,
-	})
 }
