@@ -3,26 +3,14 @@
 // reference that outlives the release point reads another message's
 // bytes.
 //
-// Two shapes are checked:
-//
-//   - consumeWith hands the callback a pooled slice that is returned to
-//     the pool as soon as the callback returns; the callback must not
-//     retain its argument. Storing the parameter (or a local alias of
-//     it) into anything that survives the call — an outer variable, a
-//     struct field, a map or slice element, a channel — is reported.
-//     Reading it, copying out of it, or appending its elements with
-//     `append(dst, p...)` is fine.
-//
-//   - release()/releaseEnvelope()/putEnv() return a buffer to the pool;
-//     any later use of the released variable in the same statement
-//     sequence is reported. `defer pb.release()` is exempt (it runs at
-//     function exit), and rebinding the variable starts a fresh
-//     lifetime.
+// release()/releaseEnvelope()/putEnv() return a buffer to the pool; any
+// later use of the released variable in the same statement sequence is
+// reported. `defer pb.release()` is exempt (it runs at function exit), and
+// rebinding the variable starts a fresh lifetime.
 package bufalias
 
 import (
 	"go/ast"
-	"go/token"
 
 	"repro/internal/analysis"
 )
@@ -30,23 +18,20 @@ import (
 // Analyzer is the bufalias check.
 var Analyzer = &analysis.Analyzer{
 	Name: "bufalias",
-	Doc:  "report pooled payload slices retained past their consume or release point",
+	Doc:  "report pooled buffers used after their release point",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
-	// Nested function literals are visited both from the enclosing
-	// declaration's walk and as their own body; reported dedupes.
-	reported := make(map[token.Pos]bool)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					checkBody(pass, fn.Body, reported)
+					checkBody(pass, fn.Body)
 				}
 			case *ast.FuncLit:
-				checkBody(pass, fn.Body, reported)
+				checkBody(pass, fn.Body)
 			}
 			return true
 		})
@@ -54,95 +39,10 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-func checkBody(pass *analysis.Pass, body *ast.BlockStmt, reported map[token.Pos]bool) {
-	// Front 1: consumeWith callbacks that retain their argument.
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || analysis.CalleeName(call) != "consumeWith" || len(call.Args) == 0 {
-			return true
-		}
-		lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)
-		if !ok || lit.Type.Params == nil || len(lit.Type.Params.List) == 0 {
-			return true
-		}
-		names := lit.Type.Params.List[0].Names
-		if len(names) == 0 || names[0].Name == "_" {
-			return true
-		}
-		checkRetention(pass, lit, names[0].Name, reported)
-		return true
-	})
-
-	// Front 2: uses after an explicit release. Releases inside nested
-	// literals register only in the literal's own walk, so this front
-	// never double-reports.
+func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
+	// Releases inside nested literals register only in the literal's own
+	// walk, so nothing is reported twice.
 	(&releaseWalker{pass: pass}).stmts(body.List, map[string]bool{})
-}
-
-// checkRetention reports stores that let the callback parameter (or a
-// local alias of it) survive the callback.
-func checkRetention(pass *analysis.Pass, lit *ast.FuncLit, param string, reported map[token.Pos]bool) {
-	aliases := map[string]bool{param: true}
-	isAliased := func(e ast.Expr) bool {
-		id, ok := e.(*ast.Ident)
-		return ok && aliases[id.Name]
-	}
-	report := func(pos token.Pos, how string) {
-		if !reported[pos] {
-			reported[pos] = true
-			pass.Reportf(pos, "consumeWith callback %s its pooled argument: the slice is recycled when the callback returns", how)
-		}
-	}
-	// Two passes so aliases introduced below their escape site still
-	// count; only the second pass reports. Bodies are small.
-	for round := 0; round < 2; round++ {
-		final := round == 1
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.AssignStmt:
-				for i, rhs := range x.Rhs {
-					if !isAliased(rhs) || i >= len(x.Lhs) {
-						continue
-					}
-					if id, ok := x.Lhs[i].(*ast.Ident); ok {
-						if id.Name == "_" {
-							continue
-						}
-						if x.Tok == token.DEFINE {
-							aliases[id.Name] = true
-							continue
-						}
-					}
-					// `=` to anything — an outer variable, a field, an
-					// element — retains the slice.
-					if final {
-						report(rhs.Pos(), "retains")
-					}
-				}
-			case *ast.SendStmt:
-				if isAliased(x.Value) && final {
-					report(x.Value.Pos(), "sends")
-				}
-			case *ast.CallExpr:
-				// append(dst, p) stores the slice header itself;
-				// append(dst, p...) copies elements and is fine.
-				if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "append" && x.Ellipsis == token.NoPos && len(x.Args) > 1 {
-					for _, a := range x.Args[1:] {
-						if isAliased(a) && final {
-							report(a.Pos(), "appends")
-						}
-					}
-				}
-			case *ast.ReturnStmt:
-				for _, r := range x.Results {
-					if isAliased(r) && final {
-						report(r.Pos(), "returns")
-					}
-				}
-			}
-			return true
-		})
-	}
 }
 
 // releaseWalker tracks explicitly released buffer variables through a

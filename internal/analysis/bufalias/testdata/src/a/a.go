@@ -12,46 +12,6 @@ type envelope struct{ payload []byte }
 func putEnv(e *envelope)          {}
 func releaseEnvelope(e *envelope) {}
 
-type conn struct{}
-
-func (c *conn) consumeWith(e *envelope, t0 float64, fn func(in []byte)) int { return 0 }
-
-var stash []byte
-
-func retainsParam(c *conn, e *envelope) {
-	c.consumeWith(e, 0, func(in []byte) {
-		stash = in // want "retains its pooled argument"
-	})
-}
-
-func retainsViaAlias(c *conn, e *envelope) {
-	c.consumeWith(e, 0, func(in []byte) {
-		p := in
-		stash = p // want "retains its pooled argument"
-	})
-}
-
-func copiesOK(c *conn, e *envelope) {
-	dst := make([]byte, 8)
-	c.consumeWith(e, 0, func(in []byte) {
-		copy(dst, in)
-	})
-}
-
-func appendSpreadOK(c *conn, e *envelope) {
-	var dst []byte
-	c.consumeWith(e, 0, func(in []byte) {
-		dst = append(dst, in...)
-	})
-}
-
-func appendValueBad(c *conn, e *envelope) {
-	var frames [][]byte
-	c.consumeWith(e, 0, func(in []byte) {
-		frames = append(frames, in) // want "appends its pooled argument"
-	})
-}
-
 func useAfterRelease() []byte {
 	pb := getBuf(8)
 	pb.release()

@@ -12,12 +12,19 @@ func (c *Comm) Gather(root int, data []byte) [][]byte {
 	return nil
 }
 func (c *Comm) Allreduce(data []byte, op int) []byte { return nil }
+func (c *Comm) Exscan(data []byte, op int) []byte    { return nil }
 func (c *Comm) Send(dst, tag int, data []byte)       {}
 func (c *Comm) Recv(src, tag int) ([]byte, int)      { return nil, 0 }
 
 func rootOnlyBcast(c *Comm) {
 	if c.Rank() == 0 {
 		c.Bcast(0, nil) // want "guarded by a rank-dependent condition"
+	}
+}
+
+func rootSkipsExscan(c *Comm) {
+	if c.Rank() > 0 {
+		_ = c.Exscan(nil, 0) // want "guarded by a rank-dependent condition"
 	}
 }
 

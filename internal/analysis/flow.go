@@ -204,10 +204,26 @@ var CollectiveOps = map[string]bool{
 	"Alltoall":      true,
 	"ReduceScatter": true,
 	"Scan":          true,
+	"Exscan":        true,
 	"AgreeFailed":   true,
 	"AgreeVote":     true,
 	"Ibcast":        true,
 	"Iallreduce":    true,
+}
+
+// PointToPointOps are the communicator operations between two ranks.
+var PointToPointOps = map[string]bool{
+	"Send": true, "SendOwned": true, "Isend": true, "IsendOwned": true,
+	"Recv": true, "Irecv": true, "Sendrecv": true,
+	"Probe": true, "Iprobe": true,
+}
+
+// IsCommOp reports whether name is an operation that needs its peers
+// alive and participating: point-to-point, or a collective other than the
+// failure-tolerant agreements. reconpure and ftcontract ban these in the
+// places they guard; this is the one list all three analyzers read.
+func IsCommOp(name string) bool {
+	return PointToPointOps[name] || CollectiveOps[name] && name != "AgreeFailed" && name != "AgreeVote"
 }
 
 // requestMethods are the nonblocking operations whose results are pending

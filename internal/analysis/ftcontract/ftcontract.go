@@ -31,15 +31,6 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-var commOps = map[string]bool{
-	"Send": true, "SendOwned": true, "Isend": true, "IsendOwned": true,
-	"Recv": true, "Irecv": true, "Sendrecv": true,
-	"Bcast": true, "Barrier": true, "Allgather": true, "Gather": true,
-	"Scatter": true, "Reduce": true, "Allreduce": true, "Alltoall": true,
-	"Scan": true, "Exscan": true, "ReduceScatter": true,
-	"Probe": true, "Iprobe": true,
-}
-
 var recoveryOps = map[string]bool{
 	"Shrink": true, "AgreeFailed": true, "GroupRecreate": true,
 	"Revoke": true, "GroupFree": true, "Health": true,
@@ -234,7 +225,7 @@ func (st *branchState) expr(e ast.Expr) {
 			st.recovered = true
 			return true
 		}
-		if commOps[name] && !st.recovered {
+		if analysis.IsCommOp(name) && !st.recovered {
 			st.pass.Reportf(call.Pos(),
 				"%s on a communicator with a detected failure before recovery; call Shrink or AgreeFailed first", name)
 		}

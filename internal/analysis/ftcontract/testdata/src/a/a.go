@@ -8,6 +8,7 @@ type Comm struct{}
 
 func (c *Comm) Barrier()                       {}
 func (c *Comm) Send(dst, tag int, data []byte) {}
+func (c *Comm) Iallreduce(data []byte, op int) {}
 func (c *Comm) Shrink() *Comm                  { return nil }
 func (c *Comm) AgreeFailed() []int             { return nil }
 
@@ -31,6 +32,15 @@ func recoverThenTalk(c *Comm) error {
 func talkBeforeRecovery(c *Comm) error {
 	if err := compute(); IsFailureError(err) {
 		c.Barrier() // want "before recovery"
+		c.Shrink()
+		return nil
+	}
+	return nil
+}
+
+func postBeforeRecovery(c *Comm) error {
+	if err := compute(); IsFailureError(err) {
+		c.Iallreduce(nil, 0) // want "before recovery"
 		c.Shrink()
 		return nil
 	}

@@ -27,18 +27,12 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// banned lists the method names a benchmark body must not call: all
+// banned reports the method names a benchmark body must not call: all
 // point-to-point and collective operations, plus the accessors that hand
 // out a communicator (obtaining one inside a benchmark is the first step
 // of the same mistake).
-var banned = map[string]bool{
-	"Send": true, "SendOwned": true, "Isend": true, "IsendOwned": true,
-	"Recv": true, "Irecv": true, "Sendrecv": true,
-	"Bcast": true, "Barrier": true, "Allgather": true, "Gather": true,
-	"Scatter": true, "Reduce": true, "Allreduce": true, "Alltoall": true,
-	"Scan": true, "Exscan": true, "ReduceScatter": true,
-	"Probe": true, "Iprobe": true,
-	"CommWorld": true, "Comm": true,
+func banned(name string) bool {
+	return analysis.IsCommOp(name) || name == "CommWorld" || name == "Comm"
 }
 
 func run(pass *analysis.Pass) error {
@@ -131,7 +125,7 @@ func checkBenchBody(pass *analysis.Pass, body *ast.BlockStmt) {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !banned[sel.Sel.Name] {
+		if !ok || !banned(sel.Sel.Name) {
 			return true
 		}
 		pass.Reportf(call.Pos(),

@@ -11,6 +11,7 @@ type Comm struct{}
 
 func (c *Comm) Barrier()                       {}
 func (c *Comm) Send(dst, tag int, data []byte) {}
+func (c *Comm) Ibcast(root int, data []byte)   {}
 
 type BenchmarkFunc struct {
 	Units float64
@@ -42,6 +43,16 @@ func barrierInline(h *Process) error {
 		Units: 1,
 		Run: func(p *Proc) error {
 			p.CommWorld().Barrier() // want "communication-free" "communication-free"
+			return nil
+		},
+	})
+}
+
+func ibcastInline(h *Process, c *Comm) error {
+	return h.Recon(BenchmarkFunc{
+		Units: 1,
+		Run: func(p *Proc) error {
+			c.Ibcast(0, nil) // want "communication-free"
 			return nil
 		},
 	})

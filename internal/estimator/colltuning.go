@@ -22,38 +22,6 @@ import (
 // that still holds here is taken to hold for good.
 const probeCeil = 1 << 26
 
-// minStableWinBytes finds the smallest payload from which win holds all
-// the way up (probed in powers of two to probeCeil, then refined by binary
-// search). A win region that closes again before probeCeil — the hierarchy
-// can win only below a crossover when the buses' per-byte cost is high —
-// yields math.MaxInt: a MinBytes-style threshold cannot express "only
-// below", so the policy stays flat rather than pessimising large
-// payloads.
-func minStableWinBytes(win func(int) bool) int {
-	if !win(probeCeil) {
-		return math.MaxInt
-	}
-	lastLose := 0
-	for x := 1; x <= probeCeil; x *= 2 {
-		if !win(x) {
-			lastLose = x
-		}
-	}
-	if lastLose == 0 {
-		return 1
-	}
-	lo, hi := lastLose, lastLose*2
-	for lo+1 < hi {
-		mid := lo + (hi-lo)/2
-		if win(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
-}
-
 // winBandBytes finds the single contiguous win band [lo, hi] on a
 // power-of-two probe grid up to probeCeil, refined to byte precision by
 // binary search. Returns (math.MaxInt, math.MaxInt) when win never holds
@@ -105,31 +73,28 @@ func winBandBytes(win func(int) bool) (lo, hi int) {
 	return lo, math.MaxInt
 }
 
-// maxWinningBytes finds the largest payload at which win holds, assuming
-// wins are downward-closed (true of the hierarchical gather: it wins on
-// per-message overhead, which large payloads dilute). Returns 0 when win
-// never holds and math.MaxInt when it holds through probeCeil.
+// minStableWinBytes is the smallest payload from which win holds all the
+// way up. A win region that closes again before probeCeil — the hierarchy
+// can win only below a crossover when the buses' per-byte cost is high —
+// yields math.MaxInt: a MinBytes-style threshold cannot express "only
+// below", so the policy stays flat rather than pessimising large
+// payloads.
+func minStableWinBytes(win func(int) bool) int {
+	if lo, hi := winBandBytes(win); hi == math.MaxInt {
+		return lo
+	}
+	return math.MaxInt
+}
+
+// maxWinningBytes is the largest payload at which win holds when wins are
+// downward-closed (true of the hierarchical gather: it wins on per-message
+// overhead, which large payloads dilute); 0 when win does not hold from
+// the first byte.
 func maxWinningBytes(win func(int) bool) int {
-	if !win(1) {
-		return 0
+	if lo, hi := winBandBytes(win); lo == 1 {
+		return hi
 	}
-	lo, hi := 1, 2
-	for hi <= probeCeil && win(hi) {
-		lo = hi
-		hi *= 2
-	}
-	if hi > probeCeil {
-		return math.MaxInt
-	}
-	for lo+1 < hi {
-		mid := lo + (hi-lo)/2
-		if win(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return 0
 }
 
 // cheaper returns the predicate "call a costs less than call b at this

@@ -11,10 +11,11 @@ package mpi
 //     the owner calls release exactly once when the bytes are no longer
 //     referenced anywhere.
 //   - An envelope whose pbuf field is non-nil carries a pool-backed
-//     payload. The consumption helpers on Comm (consume/consumeWith in
-//     p2p.go) enforce copy-on-retain: payloads handed onward to user code
-//     are copied out of the pooled buffer first, payloads folded into an
-//     accumulator are used in place and recycled without a copy.
+//     payload. The two consumption points (Comm.consume in p2p.go,
+//     collRun.deliver in collexec.go) enforce copy-on-retain: payloads
+//     handed onward to user code are copied out of the pooled buffer
+//     first, payloads folded into an accumulator are used in place and
+//     recycled without a copy.
 
 import (
 	"math/bits"

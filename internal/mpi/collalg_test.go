@@ -391,41 +391,6 @@ func TestTunedCollectivesTCPMatchesInProcessTiming(t *testing.T) {
 	}
 }
 
-// TestGatherAnySourceDrainKeepsLegacyTiming: the flat gather's AnySource
-// drain must leave the simulated times exactly where the historical
-// strict-rank-order drain left them (the timing fold is applied in rank
-// order regardless of arrival order).
-func TestGatherAnySourceDrainKeepsLegacyTiming(t *testing.T) {
-	const n = 6
-	run := func() (*World, error) {
-		c := testCluster(n)
-		w := NewWorld(c, OneProcessPerMachine(c))
-		err := w.Run(func(p *Proc) error {
-			// Stagger entry so arrival order differs from rank order.
-			p.Compute(float64((n - p.Rank()) * 10))
-			p.CommWorld().Gather(0, bytes.Repeat([]byte{byte(p.Rank())}, 100*(p.Rank()+1)))
-			return nil
-		})
-		return w, err
-	}
-	w1, err := run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w1.Makespan() != w2.Makespan() {
-		t.Fatalf("gather drain nondeterministic: %v vs %v", w1.Makespan(), w2.Makespan())
-	}
-	for r := 0; r < n; r++ {
-		if a, b := w1.procs[r].clock.Now(), w2.procs[r].clock.Now(); a != b {
-			t.Fatalf("rank %d clock differs across runs: %v vs %v", r, a, b)
-		}
-	}
-}
-
 // TestCollTuningInheritance: derived communicators carry their parent's
 // policy; world-level tuning reaches CommWorld.
 func TestCollTuningInheritance(t *testing.T) {

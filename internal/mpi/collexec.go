@@ -145,58 +145,12 @@ func (x *collRun) run() {
 		case stEnd:
 			x.emit(c, &x.events[s.idx])
 		default:
-			if s.fan {
-				i = x.fanIn(c, i) - 1
-				continue
-			}
 			t0 := c.p.clock.Now()
 			e := c.mboxGet("coll", c.sel(peer, s.tag), c.collWatch())
 			c.finishRecvTiming(e, t0)
 			x.deliver(&s, e)
 		}
 	}
-}
-
-// fanIn executes the run of fan-in receives starting at step i (same
-// communicator, same tag) and returns the index after it. It takes the
-// messages in arrival order — one slow child does not block the matching
-// of the others — but applies the receive timing folds in list order,
-// which keeps the simulated times bit-identical to a rank-ordered drain
-// (the folds commute with collection order: each is max-with-arrival plus
-// a constant overhead) and deterministic across transports.
-func (x *collRun) fanIn(c *Comm, i int) int {
-	first := x.steps[i]
-	end := i
-	for end < len(x.steps) && x.steps[end].fan && x.steps[end].tier == first.tier && x.steps[end].tag == first.tag {
-		end++
-	}
-	want := make([]int, 0, end-i) // the world rank each step awaits
-	for j := i; j < end; j++ {
-		_, peer := x.on(&x.steps[j])
-		want = append(want, c.s.members[peer])
-	}
-	pending := append([]int(nil), want...)
-	envs := make([]*envelope, end-i)
-	for len(pending) > 0 {
-		e := c.mboxGet("coll", recvSel{ctx: c.s.id, src: AnySource, tag: first.tag, srcs: pending}, c.collWatch())
-		for j, w := range want {
-			if w == e.src {
-				envs[j] = e
-			}
-		}
-		for k, w := range pending {
-			if w == e.src {
-				pending = append(pending[:k], pending[k+1:]...)
-				break
-			}
-		}
-	}
-	t0 := c.p.clock.Now()
-	for j, e := range envs {
-		c.finishRecvTiming(e, t0)
-		x.deliver(&x.steps[i+j], e)
-	}
-	return end
 }
 
 // emit records the KindColl event of a completed collective: the one

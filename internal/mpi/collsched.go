@@ -86,7 +86,6 @@ func blockSlot(i, n int) span { return span{slot: inBlock, idx: i, n: n} }
 type step struct {
 	kind stepKind
 	tier tierID
-	fan  bool // receive belongs to a fan-in: consecutive fan steps may be matched in arrival order
 	peer int  // rank in the communicator the collective was called on
 	tag  int
 	span
@@ -535,10 +534,7 @@ func (p *plan) gather(v view, root int) {
 
 // gatherFlat is the flat fan into index root: every other member sends
 // out; the root receives from each, in index order, with the given kind
-// into the slot in(i) names. The receives form a fan-in: the blocking
-// executor matches them in arrival order, so one slow child does not hold
-// up the others, and applies their timing in list order, which keeps the
-// simulated times those of the rank-ordered drain.
+// into the slot in(i) names.
 func (p *plan) gatherFlat(v view, root int, kind stepKind, in func(i int) span, out span) {
 	if v.me < 0 {
 		return
@@ -549,7 +545,7 @@ func (p *plan) gatherFlat(v view, root int, kind stepKind, in func(i int) span, 
 	}
 	for i := 0; i < v.size; i++ {
 		if i != root {
-			p.msg(kind, v, tagGather, i, in(i)).fan = true
+			p.msg(kind, v, tagGather, i, in(i))
 		}
 	}
 }
@@ -740,8 +736,6 @@ func (p *plan) reduceScatter(v view) {
 					x.in[r] = x.buf[offs[r]:offs[r+1]]
 				}
 			})
-		} else {
-			p.local(func(x *collRun) { x.in = nil })
 		}
 		p.scatter(v, 0)
 	}

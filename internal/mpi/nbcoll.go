@@ -184,27 +184,14 @@ func (sc *nbSched) advance(block bool) bool {
 }
 
 // recv runs one receive step against the envelope e: the cursor absorbs
-// the arrival and advances by the receive overhead, statistics and the
-// trace record the transfer, and the payload lands where the step says.
+// the arrival and advances by the receive overhead, and the payload lands
+// where the step says.
 func (sc *nbSched) recv(s *step, e *envelope) {
 	p := sc.c.p
 	p.opTick()
-	link := p.world.cluster.Link(p.world.place[e.src], p.machine)
 	before := sc.st
-	if e.arrive > sc.st {
-		sc.st = e.arrive
-	}
-	sc.st += vclock.Time(link.Overhead)
-	p.stats.BytesRecv += int64(len(e.data))
-	p.stats.MsgsRecv++
-	if rec := p.world.rec; rec != nil {
-		wall := rec.NowNS()
-		rec.Emit(p.rank, trace.Event{
-			Rank: int32(p.rank), Kind: trace.KindRecv, Peer: int32(e.src),
-			Tag: int32(e.tag), Ctx: e.ctx, Bytes: int64(len(e.data)),
-			Start: before, End: sc.st, WallStart: wall, WallEnd: wall,
-		})
-	}
+	sc.st = max(sc.st, e.arrive) + vclock.Time(p.world.cluster.Link(p.world.place[e.src], p.machine).Overhead)
+	p.noteRecv(e, before, sc.st, false)
 	sc.deliver(s, e)
 }
 

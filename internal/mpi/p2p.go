@@ -470,22 +470,28 @@ func (c *Comm) finishRecvTiming(e *envelope, t0 vclock.Time) Status {
 	link := p.world.cluster.Link(p.world.place[e.src], p.machine)
 	p.clock.AbsorbAtLeast(e.arrive)
 	p.clock.Advance(vclock.Time(link.Overhead))
+	p.noteRecv(e, t0, p.clock.Now(), p.lastRecvAnySrc)
+	return Status{Source: c.s.rankOf(e.src), Tag: e.tag, Bytes: len(e.data)}
+}
+
+// noteRecv counts a received envelope and records its trace event over
+// the virtual interval [start, end].
+func (p *Proc) noteRecv(e *envelope, start, end vclock.Time, anySrc bool) {
 	p.stats.BytesRecv += int64(len(e.data))
 	p.stats.MsgsRecv++
 	if r := p.world.rec; r != nil {
 		wall := r.NowNS()
-		var anySrc int64
-		if p.lastRecvAnySrc {
-			anySrc = 1
+		var a1 int64
+		if anySrc {
+			a1 = 1
 		}
 		r.Emit(p.rank, trace.Event{
 			Rank: int32(p.rank), Kind: trace.KindRecv, Peer: int32(e.src),
 			Tag: int32(e.tag), Ctx: e.ctx, Bytes: int64(len(e.data)),
-			Start: t0, End: p.clock.Now(), WallStart: wall, WallEnd: wall,
-			A1: anySrc,
+			Start: start, End: end, WallStart: wall, WallEnd: wall,
+			A1: a1,
 		})
 	}
-	return Status{Source: c.s.rankOf(e.src), Tag: e.tag, Bytes: len(e.data)}
 }
 
 // consume applies receive timing for e and transfers its payload to the
