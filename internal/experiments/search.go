@@ -5,28 +5,36 @@ import (
 	"repro/internal/mapper"
 )
 
-// engineProblem wires a selection problem to everything the concurrent
-// search engine can exploit: per-worker estimator sessions, the
-// compute-only lower bound, and the machine-symmetry canonical key.
-func engineProblem(est *estimator.Estimator) mapper.Problem {
+// engineProblem wires a selection problem to what the concurrent search
+// engine can exploit: per-worker estimator sessions and, when asked, the
+// compute-only lower bound (the engine then prunes) and the
+// machine-symmetry canonical key (it then memoises).
+func engineProblem(est *estimator.Estimator, bound, key bool) mapper.Problem {
 	pr := selectionProblem(est, est.Session().Timeof)
 	pr.NewObjective = func() mapper.Objective { return est.Session().Timeof }
-	pr.LowerBound = est.LowerBound
-	pr.CanonicalKey = est.AppendCanonicalKey
+	if bound {
+		pr.LowerBound = est.LowerBound
+	}
+	if key {
+		pr.CanonicalKey = est.AppendCanonicalKey
+	}
 	return pr
 }
 
 // searchConfigs are the engine configurations the search table sweeps.
+// Pruning and the symmetry memo have no switch — the engine uses whatever
+// hooks the Problem supplies — so the ablation rows withhold the hooks.
 var searchConfigs = []struct {
-	Name string
-	Opts mapper.Options
+	Name       string
+	Bound, Key bool
+	Opts       mapper.Options
 }{
-	{"serial", mapper.Options{Strategy: mapper.StrategyExhaustive}},
-	{"pruned", mapper.Options{Strategy: mapper.StrategyExhaustive, Prune: true}},
-	{"symmetry", mapper.Options{Strategy: mapper.StrategyExhaustive, Cache: true}},
-	{"pruned+sym", mapper.Options{Strategy: mapper.StrategyExhaustive, Prune: true, Cache: true}},
-	{"parallel4+pruned+sym", mapper.Options{Strategy: mapper.StrategyExhaustive, Parallelism: 4, Prune: true, Cache: true}},
-	{"portfolio", mapper.Options{Strategy: mapper.StrategyPortfolio, Parallelism: 4, Prune: true, Cache: true}},
+	{"serial", false, false, mapper.Options{Strategy: mapper.StrategyExhaustive}},
+	{"pruned", true, false, mapper.Options{Strategy: mapper.StrategyExhaustive}},
+	{"symmetry", false, true, mapper.Options{Strategy: mapper.StrategyExhaustive}},
+	{"pruned+sym", true, true, mapper.Options{Strategy: mapper.StrategyExhaustive}},
+	{"parallel4+pruned+sym", true, true, mapper.Options{Strategy: mapper.StrategyExhaustive, Parallelism: 4}},
+	{"portfolio", true, true, mapper.Options{Strategy: mapper.StrategyPortfolio, Parallelism: 4}},
 }
 
 // TableSearch runs the exhaustive group selection for the EM3D instance
@@ -51,7 +59,7 @@ func TableSearch() (*Figure, error) {
 	for i, cfg := range searchConfigs {
 		opts := cfg.Opts
 		opts.ExhaustiveLimit = 1_000_000
-		a, err := mapper.Solve(engineProblem(est), opts)
+		a, err := mapper.Solve(engineProblem(est, cfg.Bound, cfg.Key), opts)
 		if err != nil {
 			return nil, err
 		}

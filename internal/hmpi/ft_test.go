@@ -92,6 +92,8 @@ func TestGroupHealthReportsFailures(t *testing.T) {
 	rt := newRuntime(t, hnoc.Homogeneous(4, 10))
 	model := testModel(t)
 	var once sync.Once
+	var left sync.WaitGroup // members that have left the barrier below
+	left.Add(3)
 	err := runRuntimeWithTimeout(t, rt, 30*time.Second, func(h *Process) error {
 		var g *Group
 		var err error
@@ -108,10 +110,15 @@ func TestGroupHealthReportsFailures(t *testing.T) {
 		if !gh.Healthy() || len(gh.Alive) != 3 || len(gh.Failed) != 0 {
 			return fmt.Errorf("fresh group health = %+v", gh)
 		}
-		// Every member finishes the fresh-health check before the kill.
+		// Every member finishes the fresh-health check before the kill —
+		// and has left the barrier: one rank completing a dissemination
+		// barrier does not mean the others have, and a member still inside
+		// it when the victim dies rightly aborts with the failure.
 		g.Comm().Barrier()
+		left.Done()
 		victim := g.WorldRanks()[g.Size()-1]
 		if h.Rank() == g.WorldRanks()[g.ParentRank()] {
+			left.Wait()
 			once.Do(func() { rt.InjectFailure(victim) })
 			gh = g.Health()
 			if gh.Healthy() {

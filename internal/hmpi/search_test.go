@@ -9,18 +9,19 @@ import (
 )
 
 // exhaustivePaper9Opts builds the exhaustive-search option sets compared
-// by the tests below: the plain serial scan and the engine with
-// branch-and-bound and the machine-symmetry cache.
+// by the tests below: the serial engine and the parallel one. Both prune
+// and memoise — the runtime always hands the engine the estimator's bound
+// and canonical key.
 func exhaustivePaper9Opts() (plain, tuned mapper.Options) {
 	plain = mapper.Options{Strategy: mapper.StrategyExhaustive}
-	tuned = mapper.Options{Strategy: mapper.StrategyExhaustive, Prune: true, Cache: true, Parallelism: 4}
+	tuned = mapper.Options{Strategy: mapper.StrategyExhaustive, Parallelism: 4}
 	return plain, tuned
 }
 
-// TestGroupCreateWithOptionsDeterministic: the parallel, pruned,
-// symmetry-cached engine must select the exact group the serial
-// exhaustive search selects, and the parent's handle must surface the
-// search statistics.
+// TestGroupCreateWithOptionsDeterministic: the parallel engine must
+// select the exact group the serial exhaustive search selects, both must
+// account for the whole permutation tree, and the parent's handle must
+// surface the search statistics.
 func TestGroupCreateWithOptionsDeterministic(t *testing.T) {
 	model := testModel(t)
 	args := []any{4, []int{10, 300, 40, 80}, 50}
@@ -68,7 +69,7 @@ func TestGroupCreateWithOptionsDeterministic(t *testing.T) {
 	if wantStats.Evaluations == 0 {
 		t.Fatal("serial search reported no evaluations")
 	}
-	total := wantStats.Evaluations
+	total := wantStats.Evaluations + wantStats.CacheHits + wantStats.Pruned
 	if sum := gotStats.Evaluations + gotStats.CacheHits + gotStats.Pruned; sum != total {
 		t.Fatalf("tuned engine accounts for %d of %d assignments", sum, total)
 	}
@@ -101,9 +102,12 @@ func TestPaper9EvaluationReduction(t *testing.T) {
 		if sPlain.Evaluations == 0 || sTuned.Evaluations == 0 {
 			return fmt.Errorf("search stats missing: plain %+v, tuned %+v", sPlain, sTuned)
 		}
-		if reduction := float64(sPlain.Evaluations) / float64(sTuned.Evaluations); reduction < 5 {
+		// Every assignment is evaluated, served from the memo or pruned;
+		// the job's default search must evaluate at most a fifth of them.
+		tree := sPlain.Evaluations + sPlain.CacheHits + sPlain.Pruned
+		if reduction := float64(tree) / float64(sPlain.Evaluations); reduction < 5 {
 			return fmt.Errorf("symmetry+pruning reduced evaluations only %.2fx (%d -> %d), want >= 5x",
-				reduction, sPlain.Evaluations, sTuned.Evaluations)
+				reduction, tree, sPlain.Evaluations)
 		}
 		return nil
 	})
@@ -176,7 +180,7 @@ func TestPortfolioGroupCreate(t *testing.T) {
 		return ranks
 	}
 	want := runOnce(plain)
-	got := runOnce(mapper.Options{Strategy: mapper.StrategyPortfolio, Parallelism: 2, Prune: true, Cache: true})
+	got := runOnce(mapper.Options{Strategy: mapper.StrategyPortfolio, Parallelism: 2})
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("portfolio selected %v, exhaustive %v", got, want)

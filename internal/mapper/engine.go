@@ -70,6 +70,13 @@ func (b *sharedBound) update(t float64) {
 	}
 }
 
+// valueMemo is what a search memoises objective values in: the per-call
+// symCache or the caller's SelectionCache.
+type valueMemo interface {
+	get(key []byte) (float64, bool)
+	put(key []byte, t float64)
+}
+
 // symCache memoises objective values by canonical candidate key. Sharded
 // to keep lock contention off the search's hot path.
 type symCache struct{ shards [16]cacheShard }
@@ -132,14 +139,13 @@ type exhaustiveEngine struct {
 	slots []int // abstract positions not pinned by Fixed, increasing
 	pool  []int // Avail ranks not pinned, in Avail order
 	base  []int // candidate template with the Fixed ranks placed
-	prune bool
 	bound *sharedBound
-	cache *symCache
-	// shared, when non-nil, replaces the per-call symCache with the
-	// caller-owned cross-search store; ns is the namespace prefix every
-	// key carries there (see SelectionCache).
-	shared *SelectionCache
-	ns     []byte
+	// memo, non-nil when the problem supplies CanonicalKey, memoises
+	// objective values by canonical key: the caller-owned cross-search
+	// store when there is one (ns is the namespace prefix every key
+	// carries there, see SelectionCache), a per-call symCache otherwise.
+	memo valueMemo
+	ns   []byte
 	stop   *atomic.Bool // optional cooperative cancel (Portfolio's Budget)
 
 	evals, hits, pruned atomic.Int64
@@ -166,16 +172,10 @@ func newEngine(pr Problem, opts Options, bound *sharedBound, stop *atomic.Bool) 
 			e.pool = append(e.pool, r)
 		}
 	}
-	e.prune = opts.Prune && pr.LowerBound != nil
 	if pr.CanonicalKey != nil {
-		switch {
-		case opts.Shared != nil:
-			// The cross-search cache subsumes the per-call memo: one
-			// lookup path, hits counted identically.
-			e.shared = opts.Shared
-			e.ns = opts.Namespace
-		case opts.Cache:
-			e.cache = newSymCache()
+		e.memo = newSymCache()
+		if opts.Shared != nil {
+			e.memo, e.ns = opts.Shared, opts.Namespace
 		}
 	}
 	return e
@@ -279,7 +279,7 @@ func (w *engineWorker) runJob(job []int, res *jobResult) {
 		w.assigned[e.slots[i]] = true
 	}
 	d := len(job)
-	if d > 0 && e.prune {
+	if d > 0 && e.pr.LowerBound != nil {
 		if e.pr.LowerBound(w.cand, w.assigned) > e.bound.load() {
 			e.pruned.Add(fallingFactorial(len(e.pool)-d, len(e.slots)-d))
 			return
@@ -305,7 +305,7 @@ func (w *engineWorker) rec(depth int) {
 		w.cand[slot] = e.pool[pi]
 		w.used[pi] = true
 		w.assigned[slot] = true
-		if e.prune && e.pr.LowerBound(w.cand, w.assigned) > e.bound.load() {
+		if e.pr.LowerBound != nil && e.pr.LowerBound(w.cand, w.assigned) > e.bound.load() {
 			e.pruned.Add(fallingFactorial(len(e.pool)-depth-1, len(e.slots)-depth-1))
 		} else {
 			w.rec(depth + 1)
@@ -325,29 +325,17 @@ func (w *engineWorker) rec(depth int) {
 func (w *engineWorker) leaf() {
 	e := w.e
 	var t float64
-	switch {
-	case e.shared != nil:
-		w.key = append(w.key[:0], e.ns...)
-		w.key = e.pr.CanonicalKey(w.key, w.cand)
-		if ct, ok := e.shared.get(w.key); ok {
+	if e.memo != nil {
+		w.key = e.pr.CanonicalKey(append(w.key[:0], e.ns...), w.cand)
+		if ct, ok := e.memo.get(w.key); ok {
 			e.hits.Add(1)
 			t = ct
 		} else {
 			t = w.obj(w.cand)
 			e.evals.Add(1)
-			e.shared.put(w.key, t)
+			e.memo.put(w.key, t)
 		}
-	case e.cache != nil:
-		w.key = e.pr.CanonicalKey(w.key[:0], w.cand)
-		if ct, ok := e.cache.get(w.key); ok {
-			e.hits.Add(1)
-			t = ct
-		} else {
-			t = w.obj(w.cand)
-			e.evals.Add(1)
-			e.cache.put(w.key, t)
-		}
-	default:
+	} else {
 		t = w.obj(w.cand)
 		e.evals.Add(1)
 	}

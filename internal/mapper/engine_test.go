@@ -147,15 +147,18 @@ func minInt(a, b int) int {
 // serial first-improvement scan, and every leaf of the permutation tree
 // is accounted for as evaluated, cache-hit, or pruned.
 func TestEngineMatchesSerialProperty(t *testing.T) {
+	// Pruning and the symmetry memo follow the hooks the problem supplies,
+	// so the ablation variants withhold them.
 	variants := []struct {
-		name string
-		opts Options
+		name       string
+		bound, key bool
+		opts       Options
 	}{
-		{"serial-engine", Options{Strategy: StrategyExhaustive}},
-		{"parallel4", Options{Strategy: StrategyExhaustive, Parallelism: 4}},
-		{"pruned", Options{Strategy: StrategyExhaustive, Prune: true}},
-		{"cached", Options{Strategy: StrategyExhaustive, Cache: true}},
-		{"all", Options{Strategy: StrategyExhaustive, Parallelism: 3, Prune: true, Cache: true}},
+		{"serial-engine", false, false, Options{Strategy: StrategyExhaustive}},
+		{"parallel4", false, false, Options{Strategy: StrategyExhaustive, Parallelism: 4}},
+		{"pruned", true, false, Options{Strategy: StrategyExhaustive}},
+		{"cached", false, true, Options{Strategy: StrategyExhaustive}},
+		{"all", true, true, Options{Strategy: StrategyExhaustive, Parallelism: 3}},
 	}
 	state := uint64(0x9E3779B97F4A7C15)
 	var totalHits, totalPruned int64
@@ -177,7 +180,14 @@ func TestEngineMatchesSerialProperty(t *testing.T) {
 		leaves := fallingFactorial(len(pr.Avail)-len(fixedRanks), pr.P-len(pr.Fixed))
 		for _, v := range variants {
 			calls.Store(0)
-			got, err := Solve(pr, v.opts)
+			vpr := pr
+			if !v.bound {
+				vpr.LowerBound = nil
+			}
+			if !v.key {
+				vpr.CanonicalKey = nil
+			}
+			got, err := Solve(vpr, v.opts)
 			if err != nil {
 				t.Fatalf("case %d %s: %v", caseNo, v.name, err)
 			}
@@ -196,7 +206,7 @@ func TestEngineMatchesSerialProperty(t *testing.T) {
 				t.Fatalf("case %d %s: stats claim %d evaluations, objective saw %d",
 					caseNo, v.name, st.Evaluations, calls.Load())
 			}
-			if !v.opts.Prune && !v.opts.Cache && st.Evaluations != leaves {
+			if !v.bound && !v.key && st.Evaluations != leaves {
 				t.Fatalf("case %d %s: plain enumeration evaluated %d of %d leaves",
 					caseNo, v.name, st.Evaluations, leaves)
 			}
@@ -232,7 +242,7 @@ func TestEngineParallelismInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 5, 8, 16} {
-		got, err := Solve(pr, Options{Strategy: StrategyExhaustive, Parallelism: workers, Prune: true, Cache: true})
+		got, err := Solve(pr, Options{Strategy: StrategyExhaustive, Parallelism: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -299,7 +309,7 @@ func TestPortfolioDeterministicOptimum(t *testing.T) {
 	}
 	var prev Assignment
 	for run := 0; run < 3; run++ {
-		got, err := Solve(pr, Options{Strategy: StrategyPortfolio, Parallelism: 4, Prune: true, Cache: true})
+		got, err := Solve(pr, Options{Strategy: StrategyPortfolio, Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,11 +429,13 @@ func TestPruningHasTeeth(t *testing.T) {
 		Objective:  loadBalanceObjective(w, s),
 		LowerBound: loadBalanceBound(w, s),
 	}
-	plain, err := Solve(pr, Options{Strategy: StrategyExhaustive})
+	unbounded := pr
+	unbounded.LowerBound = nil
+	plain, err := Solve(unbounded, Options{Strategy: StrategyExhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := Solve(pr, Options{Strategy: StrategyExhaustive, Prune: true})
+	pruned, err := Solve(pr, Options{Strategy: StrategyExhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}

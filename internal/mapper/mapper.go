@@ -50,14 +50,16 @@ type Problem struct {
 	NewObjective func() Objective
 	// LowerBound, when set, returns a lower bound on Objective over
 	// every completion of a partial candidate: cand[i] is meaningful
-	// where assigned[i]. It enables branch-and-bound pruning
-	// (Options.Prune). It must be safe for concurrent use.
+	// where assigned[i]. The exhaustive search then prunes by branch and
+	// bound: subtrees whose bound exceeds the best time found anywhere
+	// are skipped, which never changes the result (only strictly worse
+	// subtrees are cut). It must be safe for concurrent use.
 	LowerBound func(cand []int, assigned []bool) float64
 	// CanonicalKey, when set, appends to dst a key such that candidates
 	// with equal keys have identical Objective values (typically
 	// (*estimator.Estimator).AppendCanonicalKey, which canonicalises
-	// machine symmetry). It enables the symmetry memo cache
-	// (Options.Cache). It must be safe for concurrent use.
+	// machine symmetry). The exhaustive search then scores candidates
+	// whose keys collide once. It must be safe for concurrent use.
 	CanonicalKey func(dst []byte, cand []int) []byte
 }
 
@@ -107,15 +109,11 @@ type Options struct {
 	// is partitioned deterministically and reduced with the serial
 	// tie-break (lower time wins, earlier enumeration order on ties).
 	Parallelism int
-	// Prune enables branch-and-bound on Problem.LowerBound: subtrees
-	// whose bound exceeds the best time found anywhere are skipped.
-	// Ignored when the problem supplies no bound. Never changes the
-	// result: only strictly worse subtrees are cut.
-	Prune bool
-	// Cache enables the symmetry memo cache on Problem.CanonicalKey:
-	// candidates whose canonical keys collide are scored once. Ignored
-	// when the problem supplies no key function.
-	Cache bool
+	// Prune and Cache are ignored: branch-and-bound and the symmetry memo
+	// never change the result, so they are on whenever the Problem
+	// supplies LowerBound / CanonicalKey. The fields remain only because
+	// the frozen benchmark (bench/layers.go) still sets them.
+	Prune, Cache bool
 	// Shared, when non-nil, memoises objective values in this
 	// caller-owned cross-search cache instead of a per-call one, so the
 	// memoisation survives across Solve calls (the hmpid daemon's warm
@@ -218,9 +216,9 @@ func Solve(pr Problem, opts Options) (Assignment, error) {
 }
 
 // appendSolveDigest extends the caller's MemoKey with every problem and
-// option field that determines the search result. Parallelism, Prune and
-// Cache are absent on purpose: they never change the assignment (only
-// how fast it is found), so solves differing only there share entries.
+// option field that determines the search result. Parallelism is absent
+// on purpose: it never changes the assignment (only how fast it is
+// found), so solves differing only there share entries.
 func appendSolveDigest(dst []byte, pr Problem, opts Options) []byte {
 	var buf [8]byte
 	u64 := func(v uint64) {
@@ -353,8 +351,8 @@ func exhaustiveCost(n, p, limit int) int {
 // exhaustive enumerates all injective assignments of Avail ranks to the P
 // abstract positions (respecting Fixed) and returns the best. The caller
 // (Solve) has already verified the cost against ExhaustiveLimit; the
-// engine in engine.go applies the Parallelism, Prune, and Cache options
-// without changing the result.
+// engine in engine.go parallelises, prunes and memoises without changing
+// the result.
 func exhaustive(pr Problem, opts Options) (Assignment, error) {
 	return runExhaustive(pr, opts, nil, nil)
 }
