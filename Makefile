@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke profile check lint verify figures examples trace clean
+.PHONY: all build test race bench bench-smoke profile check lint loc verify figures examples trace clean
 
 all: build test
 
@@ -29,6 +29,13 @@ lint:
 	else \
 		echo "staticcheck not installed; skipping (CI runs it)"; \
 	fi
+
+# Size of the system: non-test Go lines per package (testdata excluded),
+# then the total. Simplicity PRs quote these numbers.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # Dynamic verification: record fresh traces — a clean EM3D run on the
 # paper's network and a seeded self-healing chaos run — and replay both

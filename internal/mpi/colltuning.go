@@ -242,23 +242,31 @@ func (c *Comm) coll() *CollTuning {
 // from what every member agrees on: the member count, the payload size and
 // whether the communicator has a two-level structure (viable — asked only
 // when the policy could pick a hierarchical algorithm, and never true on
-// a tier communicator). An explicitly requested hierarchical algorithm on
-// a communicator without two levels falls back to the size-aware Auto
-// resolution; the viability answer is agreed, so the fallback is too.
+// a tier communicator).
+
+// hierOr is the part of a resolution four collectives share. A forced
+// algorithm stands — except the hierarchical one on a communicator
+// without two levels, which falls back to Auto (the viability answer is
+// agreed, so the fallback is too) — and Auto picks the hierarchy when the
+// payload is in its band and the communicator has two levels. done is
+// false when the flat size rule is left to decide.
+func hierOr[A comparable](alg, hier, auto A, inBand bool, viable func() bool) (resolved A, done bool) {
+	if alg == hier {
+		if viable() {
+			return hier, true
+		}
+		alg = auto
+	}
+	if alg != auto {
+		return alg, true
+	}
+	return hier, inBand && viable()
+}
 
 func (t *CollTuning) resolveAllreduce(n, nbytes int, viable func() bool) AllreduceAlg {
-	alg := t.Allreduce
-	if alg == AllreduceHier {
-		if viable() {
-			return AllreduceHier
-		}
-		alg = AllreduceAuto
-	}
-	if alg != AllreduceAuto {
+	inBand := nbytes >= threshold(t.AllreduceHierMinBytes, 64<<10, "AllreduceHierMinBytes")
+	if alg, done := hierOr(t.Allreduce, AllreduceHier, AllreduceAuto, inBand, viable); done {
 		return alg
-	}
-	if nbytes >= threshold(t.AllreduceHierMinBytes, 64<<10, "AllreduceHierMinBytes") && viable() {
-		return AllreduceHier
 	}
 	if nbytes >= threshold(t.AllreduceRingMinBytes, 32<<10, "AllreduceRingMinBytes") && nbytes%t.elemSize() == 0 && n > 2 {
 		return AllreduceRing
@@ -269,18 +277,10 @@ func (t *CollTuning) resolveAllreduce(n, nbytes int, viable func() bool) Allredu
 // resolveBcast is the root-side resolution (only the root knows the
 // payload size); the choice travels down the tree in the bcast header.
 func (t *CollTuning) resolveBcast(nbytes int, viable func() bool) BcastAlg {
-	alg := t.Bcast
-	if alg == BcastHier {
-		if viable() {
-			return BcastHier
-		}
-		alg = BcastAuto
-	}
-	if alg != BcastAuto {
+	inBand := nbytes >= threshold(t.BcastHierMinBytes, 64<<10, "BcastHierMinBytes") &&
+		nbytes <= threshold(t.BcastHierMaxBytes, math.MaxInt, "BcastHierMaxBytes")
+	if alg, done := hierOr(t.Bcast, BcastHier, BcastAuto, inBand, viable); done {
 		return alg
-	}
-	if nbytes >= threshold(t.BcastHierMinBytes, 64<<10, "BcastHierMinBytes") && nbytes <= threshold(t.BcastHierMaxBytes, math.MaxInt, "BcastHierMaxBytes") && viable() {
-		return BcastHier
 	}
 	if nbytes >= threshold(t.BcastSegMinBytes, 64<<10, "BcastSegMinBytes") {
 		return BcastSegmented
@@ -291,23 +291,24 @@ func (t *CollTuning) resolveBcast(nbytes int, viable func() bool) BcastAlg {
 // resolveGather keys on the local payload size, so Auto requires agreed
 // sizes — pick the algorithm explicitly for irregular gathers.
 func (t *CollTuning) resolveGather(n, nbytes int, viable func() bool) GatherAlg {
-	alg := t.Gather
-	if alg == GatherHier {
-		if viable() {
-			return GatherHier
-		}
-		alg = GatherAuto
-	}
-	if alg != GatherAuto {
+	inBand := nbytes <= threshold(t.GatherHierMaxBytes, 64<<10, "GatherHierMaxBytes")
+	if alg, done := hierOr(t.Gather, GatherHier, GatherAuto, inBand, viable); done {
 		return alg
-	}
-	if nbytes <= threshold(t.GatherHierMaxBytes, 64<<10, "GatherHierMaxBytes") && viable() {
-		return GatherHier
 	}
 	if t.treeWins(n, nbytes) {
 		return GatherBinomial
 	}
 	return GatherFlat
+}
+
+// resolveReduceScatter: the flat Auto choice is always pairwise (it
+// dominates the via-root algorithm at every size on a switched network).
+func (t *CollTuning) resolveReduceScatter(totalBytes int, viable func() bool) ReduceScatterAlg {
+	inBand := totalBytes >= threshold(t.ReduceScatterHierMinBytes, 64<<10, "ReduceScatterHierMinBytes")
+	if alg, done := hierOr(t.ReduceScatter, ReduceScatterHier, ReduceScatterAuto, inBand, viable); done {
+		return alg
+	}
+	return ReduceScatterPairwise
 }
 
 // treeWins is the Auto rule gather and scatter share: a binomial tree of
@@ -334,23 +335,4 @@ func (t *CollTuning) resolveScatter(n, maxPart int) ScatterAlg {
 		return ScatterBinomial
 	}
 	return ScatterFlat
-}
-
-// resolveReduceScatter: the flat Auto choice is always pairwise (it
-// dominates the via-root algorithm at every size on a switched network).
-func (t *CollTuning) resolveReduceScatter(totalBytes int, viable func() bool) ReduceScatterAlg {
-	alg := t.ReduceScatter
-	if alg == ReduceScatterHier {
-		if viable() {
-			return ReduceScatterHier
-		}
-		alg = ReduceScatterAuto
-	}
-	if alg != ReduceScatterAuto {
-		return alg
-	}
-	if totalBytes >= threshold(t.ReduceScatterHierMinBytes, 64<<10, "ReduceScatterHierMinBytes") && viable() {
-		return ReduceScatterHier
-	}
-	return ReduceScatterPairwise
 }

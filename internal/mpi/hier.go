@@ -1,10 +1,9 @@
 package mpi
 
-// The hierarchy layer: node-level and net-level tier communicators
-// derived from the placement, and the two-level collective algorithms
-// that run on them (in the spirit of MPICH-G2's multilevel topology-aware
-// collectives and of HMPI descendants that split every communicator into
-// node/net tiers).
+// The hierarchy layer: the machine structure of a communicator and the
+// node-level and net-level tier communicators derived from it, which the
+// two-level collective schedules (collsched.go) run on — in the spirit of
+// MPICH-G2's multilevel topology-aware collectives.
 //
 // Processes co-located on one machine form a node tier; the lowest
 // communicator rank on each machine is the machine's leader, and the
@@ -16,13 +15,6 @@ package mpi
 // the parent's cache — each recomputes its own tiers from its own member
 // list on first use, so a communicator that Shrink dropped a machine from
 // sees the machine disappear from its net tier.
-//
-// A two-level algorithm is worth running only when the communicator
-// actually has two levels: it spans more than one machine AND some
-// machine holds more than one member. Node tiers (one machine) and net
-// tiers (one member per machine) are never viable, which terminates the
-// recursion structurally — a tier communicator asked for a hierarchical
-// algorithm falls back to the flat size-aware resolution.
 
 // Reserved allocContext sequence numbers for the tier communicators.
 // nextContext's deriveSeq counts 1, 2, ... upward, so negative constants
