@@ -420,29 +420,28 @@ func TestCollTuningInheritance(t *testing.T) {
 // thresholds.
 func TestCollTuningResolution(t *testing.T) {
 	tun := &CollTuning{Allreduce: AllreduceAuto, Bcast: BcastAuto, Gather: GatherAuto, Scatter: ScatterAuto}
-	flat := func() bool { return false } // no two-level structure
-	if got := tun.resolveAllreduce(9, 64, flat); got != AllreduceRecursiveDoubling {
+	if got := tun.resolveAllreduce(9, 64, flat{}); got != AllreduceRecursiveDoubling {
 		t.Fatalf("small allreduce resolved to %v", got)
 	}
-	if got := tun.resolveAllreduce(9, 1<<20, flat); got != AllreduceRing {
+	if got := tun.resolveAllreduce(9, 1<<20, flat{}); got != AllreduceRing {
 		t.Fatalf("large allreduce resolved to %v", got)
 	}
-	if got := tun.resolveAllreduce(9, 1<<20|1, flat); got != AllreduceRecursiveDoubling {
+	if got := tun.resolveAllreduce(9, 1<<20|1, flat{}); got != AllreduceRecursiveDoubling {
 		t.Fatalf("unaligned large allreduce resolved to %v, want recursive doubling fallback", got)
 	}
-	if got := tun.resolveBcast(1 << 10, flat); got != BcastBinomial {
+	if got := tun.resolveBcast(1 << 10, flat{}); got != BcastBinomial {
 		t.Fatalf("small bcast resolved to %v", got)
 	}
-	if got := tun.resolveBcast(1 << 20, flat); got != BcastSegmented {
+	if got := tun.resolveBcast(1 << 20, flat{}); got != BcastSegmented {
 		t.Fatalf("large bcast resolved to %v", got)
 	}
-	if got := tun.resolveGather(9, 64, flat); got != GatherBinomial {
+	if got := tun.resolveGather(9, 64, flat{}); got != GatherBinomial {
 		t.Fatalf("small gather on 9 ranks resolved to %v", got)
 	}
-	if got := tun.resolveGather(4, 64, flat); got != GatherFlat {
+	if got := tun.resolveGather(4, 64, flat{}); got != GatherFlat {
 		t.Fatalf("small gather on 4 ranks resolved to %v", got)
 	}
-	if got := tun.resolveGather(9, 1<<20, flat); got != GatherFlat {
+	if got := tun.resolveGather(9, 1<<20, flat{}); got != GatherFlat {
 		t.Fatalf("large gather resolved to %v", got)
 	}
 	if got := tun.resolveScatter(9, 64); got != ScatterBinomial {
@@ -452,9 +451,9 @@ func TestCollTuningResolution(t *testing.T) {
 		t.Fatalf("large scatter resolved to %v", got)
 	}
 	legacy := &CollTuning{}
-	if legacy.resolveAllreduce(9, 1<<20, flat) != AllreduceRedBcast || legacy.resolveBcast(1<<20, flat) != BcastBinomial ||
-		legacy.resolveGather(9, 64, flat) != GatherFlat || legacy.resolveScatter(9, 64) != ScatterFlat ||
-		legacy.resolveReduceScatter(1<<20, flat) != ReduceScatterViaRoot {
+	if legacy.resolveAllreduce(9, 1<<20, flat{}) != AllreduceRedBcast || legacy.resolveBcast(1<<20, flat{}) != BcastBinomial ||
+		legacy.resolveGather(9, 64, flat{}) != GatherFlat || legacy.resolveScatter(9, 64) != ScatterFlat ||
+		legacy.resolveReduceScatter(1<<20, flat{}) != ReduceScatterViaRoot {
 		t.Fatal("zero tuning must resolve to the legacy algorithm everywhere")
 	}
 }

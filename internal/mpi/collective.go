@@ -40,6 +40,7 @@ func (c *Comm) Barrier() {
 	x := c.newRun("Barrier", 0)
 	x.barrier(x.self())
 	x.run()
+	x.release()
 }
 
 // Bcast broadcasts root's data to all members and returns the received
@@ -56,7 +57,7 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 	}
 	x.bcast(x.self(), root, length)
 	x.run()
-	return x.buf
+	return done(x, x.buf)
 }
 
 // Reduce combines every member's data with op and returns the result on
@@ -69,9 +70,9 @@ func (c *Comm) Reduce(root int, data []byte, op Op) []byte {
 	x.reduce(x.self(), root, len(data))
 	x.run()
 	if c.rank != root {
-		return nil
+		x.buf = nil
 	}
-	return x.buf
+	return done(x, x.buf)
 }
 
 // Allreduce combines every member's data with op and returns the result
@@ -84,7 +85,7 @@ func (c *Comm) Allreduce(data []byte, op Op) []byte {
 	x.buf, x.op = append([]byte(nil), data...), op
 	x.allreduce(x.self(), len(data))
 	x.run()
-	return x.buf
+	return done(x, x.buf)
 }
 
 // Gather collects every member's data on root, which receives the
@@ -100,7 +101,7 @@ func (c *Comm) Gather(root int, data []byte) [][]byte {
 	x.buf = data
 	x.gather(x.self(), root)
 	x.run()
-	return x.blocks
+	return done(x, x.blocks)
 }
 
 // Scatter distributes parts[r] from root to each member r and returns the
@@ -116,7 +117,7 @@ func (c *Comm) Scatter(root int, parts [][]byte) []byte {
 	}
 	x.scatter(x.self(), root)
 	x.run()
-	return x.buf
+	return done(x, x.buf)
 }
 
 // partSizes checks that a collective got one part per member and returns
@@ -141,7 +142,7 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 	x.blocks[c.rank] = append([]byte(nil), data...)
 	x.allgather(x.self(), len(data))
 	x.run()
-	return x.blocks
+	return done(x, x.blocks)
 }
 
 // Alltoall delivers parts[r] to member r and returns the blocks received
@@ -154,7 +155,7 @@ func (c *Comm) Alltoall(parts [][]byte) [][]byte {
 	x.blocks[c.rank] = append([]byte(nil), parts[c.rank]...)
 	x.alltoall(x.self(), x.mine)
 	x.run()
-	return x.blocks
+	return done(x, x.blocks)
 }
 
 // Scan computes the inclusive prefix reduction: member r returns
@@ -164,7 +165,7 @@ func (c *Comm) Scan(data []byte, op Op) []byte {
 	x.buf, x.op = append([]byte(nil), data...), op
 	x.scan(x.self(), len(data), false)
 	x.run()
-	return x.buf
+	return done(x, x.buf)
 }
 
 // Exscan computes the exclusive prefix reduction: member r returns
@@ -174,7 +175,7 @@ func (c *Comm) Exscan(data []byte, op Op) []byte {
 	x.buf, x.op = data, op
 	x.scan(x.self(), len(data), true)
 	x.run()
-	return x.aux
+	return done(x, x.aux)
 }
 
 // ReduceScatter combines every member's parts element-wise with op and
@@ -191,5 +192,5 @@ func (c *Comm) ReduceScatter(parts [][]byte, op Op) []byte {
 	x.in, x.sizes, x.op = parts, sizes, op
 	x.reduceScatter(x.self())
 	x.run()
-	return x.buf
+	return done(x, x.buf)
 }

@@ -7,6 +7,7 @@ package mpi
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/trace"
 )
@@ -25,23 +26,46 @@ type collRun struct {
 	posted *Request // the send a stPost started and no stWaitSends completed yet
 }
 
-// newRun starts a collective on c: a plan with the communicator's policy
-// and machine structure, and the entry check every collective makes — a
+// runPool recycles collRuns — above all their step lists — between
+// blocking collectives, of any rank of any world: jobs run few collectives
+// per world, so a per-rank scratch would never warm up.
+var runPool = sync.Pool{New: func() any { return new(collRun) }}
+
+// newRun starts a blocking collective on c. The caller hands the run back
+// with release once it has taken the result out.
+func (c *Comm) newRun(what string, mine int) *collRun {
+	x := runPool.Get().(*collRun)
+	x.start(c, what, mine)
+	return x
+}
+
+// release recycles a finished run. Everything it pointed to — the caller's
+// buffers, the results, the closures of its local steps — is dropped.
+func (x *collRun) release() {
+	clear(x.steps)
+	*x = collRun{plan: plan{steps: x.steps[:0], events: x.events[:0]}}
+	if cap(x.steps) <= 4096 { // one huge schedule must not pin its list in the pool
+		runPool.Put(x)
+	}
+}
+
+// done releases the run and returns out, the result taken from it.
+func done[T any](x *collRun, out T) T {
+	x.release()
+	return out
+}
+
+// start readies x for a collective on c: an empty plan with the
+// communicator's policy, and the entry check every collective makes — a
 // collective over a communicator cannot complete once a member has failed,
 // so every survivor reports the failure even when its own part of the
 // communication would not have touched the failed process.
-func (c *Comm) newRun(what string, mine int) *collRun {
+func (x *collRun) start(c *Comm, what string, mine int) {
 	if c.Size() > 1 {
 		c.collCheck()
 	}
-	x := &collRun{c: c, what: what}
-	x.plan = plan{t: c.coll(), rank: c.rank, n: c.Size(), mine: mine, machines: func() *tiers {
-		if !c.hierViable() {
-			return nil
-		}
-		return c.hier().tiers
-	}}
-	return x
+	x.c, x.what = c, what
+	x.plan = plan{steps: x.steps, events: x.events, t: c.coll(), rank: c.rank, n: c.Size(), mine: mine, comm: c}
 }
 
 // reduceLenCheck panics with the collective's name when a received

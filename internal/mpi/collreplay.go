@@ -45,15 +45,11 @@ func (call CollCall) plans(place []int) ([]plan, error) {
 	if t == nil {
 		t = &defaultCollTuning
 	}
-	var m *tiers
-	machines := func() *tiers {
-		if m == nil && !call.Flat {
-			m = machineTiers(n, func(r int) int { return place[r] })
+	var m *tiers // the placement's two-level structure, if it has one and the call wants it
+	if !call.Flat && n >= 3 {
+		if m = machineTiers(n, func(r int) int { return place[r] }); !m.viable {
+			m = nil
 		}
-		if call.Flat || n < 3 || !m.viable {
-			return nil
-		}
-		return m
 	}
 	sizes := make([]int, n)
 	for r := range sizes {
@@ -62,7 +58,7 @@ func (call CollCall) plans(place []int) ([]plan, error) {
 	plans := make([]plan, n)
 	for r := range plans {
 		p := &plans[r]
-		*p = plan{t: t, rank: r, n: n, mine: call.Bytes, machines: machines}
+		*p = plan{t: t, rank: r, n: n, mine: call.Bytes, tiers: m}
 		v := p.self()
 		switch call.Coll {
 		case "barrier":

@@ -118,11 +118,19 @@ func (v view) rank(i int) int {
 	return v.ranks[i]
 }
 
+// kidList is the children of one rank in a binomial tree, smallest
+// subtree first: at most one per bit of the rank space, so it lives on
+// the stack.
+type kidList struct {
+	n  int
+	at [32]int
+}
+
 // tree places index me in the binomial tree over the view rooted at index
-// root: its parent (-1 at the root) and its children, smallest subtree
-// first. Child vr+m (in root-relative numbering) heads the subtree
-// [vr+m, vr+2m). Every tree-shaped algorithm walks this one function.
-func (v view) tree(root int) (parent int, kids []int) {
+// root: its parent (-1 at the root) and its children, as kids.at[:kids.n].
+// Child vr+m (in root-relative numbering) heads the subtree [vr+m, vr+2m).
+// Every tree-shaped algorithm walks this one function.
+func (v view) tree(root int) (parent int, kids kidList) {
 	n := v.size
 	vr := (v.me - root + n) % n
 	parent = -1
@@ -134,7 +142,8 @@ func (v view) tree(root int) (parent int, kids []int) {
 		}
 	}
 	for m := 1; m < mask && vr+m < n; m <<= 1 {
-		kids = append(kids, (vr+m+root)%n)
+		kids.at[kids.n] = (vr + m + root) % n
+		kids.n++
 	}
 	return parent, kids
 }
@@ -148,11 +157,11 @@ func (v view) subtree(root, kid int) (lo, hi int) {
 
 // span returns the root-relative range of index me's own subtree, given
 // its children.
-func (v view) span(root int, kids []int) (lo, hi int) {
+func (v view) span(root int, kids *kidList) (lo, hi int) {
 	lo = (v.me - root + v.size) % v.size
 	hi = lo + 1
-	if len(kids) > 0 {
-		_, hi = v.subtree(root, kids[len(kids)-1])
+	if kids.n > 0 {
+		_, hi = v.subtree(root, kids.at[kids.n-1])
 	}
 	return lo, hi
 }
@@ -164,22 +173,40 @@ type plan struct {
 	t      *CollTuning
 	rank   int // the calling rank
 	n      int // size of the communicator the collective was called on
-	// machines reports the communicator's machine groups when it has a
-	// two-level structure, nil otherwise. Asked only by resolutions that
-	// may pick a hierarchical algorithm, so a policy that never does pays
-	// nothing for it.
-	machines func() *tiers
-	mine     int   // the calling rank's payload size
+	// The machine groups of the communicator: derived on demand from comm
+	// on a live rank (a policy that never asks for a hierarchical
+	// algorithm pays nothing for them), given up front to the replay.
+	comm  *Comm
+	tiers *tiers
+	mine  int   // the calling rank's payload size
 	sizes    []int // every rank's payload size, for the collectives whose sizes may differ; nil when this rank does not know them
 }
 
 func (p *plan) self() view { return view{size: p.n, me: p.rank} }
 
-// viable reports whether view v has a two-level structure. Only the whole
-// communicator can: a node tier sits on one machine and a net tier has
-// one member per machine, which ends the recursion.
-func (p *plan) viable(v view) func() bool {
-	return func() bool { return v.tier == tierSelf && v.size >= 3 && p.machines() != nil }
+// machines returns the communicator's machine groups when it has a
+// two-level structure, nil otherwise.
+func (p *plan) machines() *tiers {
+	if p.comm == nil {
+		return p.tiers
+	}
+	if !p.comm.hierViable() {
+		return nil
+	}
+	return p.comm.hier().tiers
+}
+
+// twoLevel implements structure for the whole communicator.
+func (p *plan) twoLevel() bool { return p.machines() != nil }
+
+// viable is the structure of view v, for the resolutions. Only the whole
+// communicator can have two levels: a node tier sits on one machine and a
+// net tier has one member per machine, which ends the recursion.
+func (p *plan) viable(v view) structure {
+	if v.tier == tierSelf {
+		return p
+	}
+	return flat{}
 }
 
 func (p *plan) msg(kind stepKind, v view, tag, peer int, sp span) *step {
@@ -235,19 +262,19 @@ func (p *plan) barrier(v view) {
 
 // --- Bcast ----------------------------------------------------------------
 
-// header sends hdr (valid at the root) down the binomial tree in the
-// auxiliary buffer. Only the root of a broadcast or scatter knows the
-// payload sizes, so a size-aware choice costs this one small message per
-// tree edge.
-func (p *plan) header(v view, root, tag int, hdr []byte) {
+// header sends the n-byte hdr (the root's; nil elsewhere) down the
+// binomial tree in the auxiliary buffer. Only the root of a broadcast or
+// scatter knows the payload sizes, so a size-aware choice costs this one
+// small message per tree edge.
+func (p *plan) header(v view, root, tag int, hdr []byte, n int) {
 	parent, kids := v.tree(root)
 	if parent < 0 {
 		p.local(func(x *collRun) { x.aux = hdr })
 	} else {
-		p.msg(stRecv, v, tag, parent, aux(len(hdr)))
+		p.msg(stRecv, v, tag, parent, aux(n))
 	}
-	for i := len(kids) - 1; i >= 0; i-- {
-		p.msg(stSend, v, tag, kids[i], aux(len(hdr)))
+	for i := kids.n - 1; i >= 0; i-- {
+		p.msg(stSend, v, tag, kids.at[i], aux(n))
 	}
 }
 
@@ -265,7 +292,7 @@ func (p *plan) bcast(v view, root, length int) {
 		return
 	}
 	if length < 0 {
-		p.header(v, root, tagBcastHdr, make([]byte, 9))
+		p.header(v, root, tagBcastHdr, nil, 9)
 		p.local(func(x *collRun) {
 			p.bcastBody(ev, v, root, BcastAlg(x.aux[0]), int(binary.LittleEndian.Uint64(x.aux[1:])))
 		})
@@ -275,7 +302,7 @@ func (p *plan) bcast(v view, root, length int) {
 	hdr := make([]byte, 9)
 	hdr[0] = byte(alg)
 	binary.LittleEndian.PutUint64(hdr[1:], uint64(length))
-	p.header(v, root, tagBcastHdr, hdr)
+	p.header(v, root, tagBcastHdr, hdr, 9)
 	p.bcastBody(ev, v, root, alg, length)
 }
 
@@ -313,8 +340,8 @@ func (p *plan) bcastBody(ev int, v view, root int, alg BcastAlg, length int) {
 			if parent >= 0 {
 				p.msg(stRecvInto, v, tagBcast, parent, part(lo, hi))
 			}
-			for i := len(kids) - 1; i >= 0; i-- {
-				p.msg(stSend, v, tagBcast, kids[i], part(lo, hi))
+			for i := kids.n - 1; i >= 0; i-- {
+				p.msg(stSend, v, tagBcast, kids.at[i], part(lo, hi))
 			}
 		}
 	default:
@@ -322,8 +349,8 @@ func (p *plan) bcastBody(ev int, v view, root int, alg BcastAlg, length int) {
 		if parent >= 0 {
 			p.msg(stRecv, v, tagBcast, parent, whole(length))
 		}
-		for i := len(kids) - 1; i >= 0; i-- {
-			p.msg(stSend, v, tagBcast, kids[i], whole(length))
+		for i := kids.n - 1; i >= 0; i-- {
+			p.msg(stSend, v, tagBcast, kids.at[i], whole(length))
 		}
 	}
 	p.end(ev, v, bcastAlgNames[alg], int64(alg), -1)
@@ -337,7 +364,7 @@ func (p *plan) reduce(v view, root, nbytes int) {
 		return
 	}
 	parent, kids := v.tree(root)
-	for _, k := range kids {
+	for _, k := range kids.at[:kids.n] {
 		p.msg(stRecvReduce, v, tagReduce, k, whole(nbytes))
 	}
 	if parent >= 0 {
@@ -474,6 +501,27 @@ func bundleEach(buf []byte, fn func(rank int, data []byte)) {
 	}
 }
 
+// The local steps of the gathers and scatters. They read everything from
+// the run, so scheduling one allocates nothing.
+
+// frameOwn turns the payload in buf into a bundle holding it.
+func frameOwn(x *collRun) { x.buf = bundleAppend(nil, x.rank, x.buf) }
+
+// unbundle unpacks the bundle a gather delivered to its root.
+func unbundle(x *collRun) {
+	x.blocks = make([][]byte, x.n)
+	bundleEach(x.buf, func(r int, d []byte) { x.blocks[r] = append([]byte(nil), d...) })
+}
+
+// keepOwnBlock starts a gather root's result with its own payload.
+func keepOwnBlock(x *collRun) {
+	x.blocks = make([][]byte, x.n)
+	x.blocks[x.rank] = append([]byte(nil), x.buf...)
+}
+
+// takeOwnPart makes buf a copy of the caller's part for this rank.
+func takeOwnPart(x *collRun) { x.buf = append([]byte(nil), x.in[x.rank]...) }
+
 // bundled is the size of the bundle holding the payloads of view indices
 // [lo, hi) in root-relative numbering.
 func (p *plan) bundled(v view, root, lo, hi int) int {
@@ -494,38 +542,31 @@ func (p *plan) gather(v view, root int) {
 	if v.size > 1 {
 		alg = p.t.resolveGather(v.size, mine, p.viable(v))
 	}
-	decode := func(x *collRun) { // the root unpacks the bundle the tree delivered
-		x.blocks = make([][]byte, v.size)
-		bundleEach(x.buf, func(r int, d []byte) { x.blocks[r] = append([]byte(nil), d...) })
-	}
 	switch alg {
 	case GatherHier:
 		p.gatherHier(v, root)
 		if v.me == root {
-			p.local(decode)
+			p.local(unbundle)
 		}
 	case GatherBinomial:
 		// Each interior rank bundles its subtree and sends one message up,
 		// so the root absorbs log2(n) messages instead of n-1.
-		p.local(func(x *collRun) { x.buf = bundleAppend(nil, p.rank, x.buf) })
+		p.local(frameOwn)
 		parent, kids := v.tree(root)
-		for _, k := range kids {
+		for _, k := range kids.at[:kids.n] {
 			lo, hi := v.subtree(root, k)
 			p.msg(stRecvAppend, v, tagGather, k, whole(p.bundled(v, root, lo, hi)))
 		}
 		if parent >= 0 {
-			lo, hi := v.span(root, kids)
+			lo, hi := v.span(root, &kids)
 			p.msg(stSendOwned, v, tagGather, parent, whole(p.bundled(v, root, lo, hi)))
 		} else {
-			p.local(decode)
+			p.local(unbundle)
 		}
 	default:
 		alg = GatherFlat
 		if v.me == root {
-			p.local(func(x *collRun) {
-				x.blocks = make([][]byte, v.size)
-				x.blocks[root] = append([]byte(nil), x.buf...)
-			})
+			p.local(keepOwnBlock)
 		}
 		p.gatherFlat(v, root, stRecv, func(i int) span { return blockSlot(v.rank(i), p.size(v.rank(i))) }, whole(mine))
 	}
@@ -567,7 +608,7 @@ func (p *plan) gatherHier(v view, root int) {
 		return total
 	}
 	if p.rank == leader {
-		p.local(func(x *collRun) { x.buf = bundleAppend(nil, p.rank, x.buf) })
+		p.local(frameOwn)
 	}
 	node := m.node(p.rank)
 	p.gatherFlat(node, 0, stRecvFrame, func(i int) span { return whole(p.size(node.rank(i))) }, whole(p.size(p.rank)))
@@ -597,7 +638,7 @@ func (p *plan) scatter(v view, root int) {
 	alg := p.t.Scatter
 	if alg == ScatterAuto && v.size > 1 {
 		if p.sizes == nil {
-			p.header(v, root, tagScatterHdr, make([]byte, 1))
+			p.header(v, root, tagScatterHdr, nil, 1)
 			p.local(func(x *collRun) { p.scatterBody(ev, v, root, ScatterAlg(x.aux[0])) })
 			return
 		}
@@ -606,7 +647,7 @@ func (p *plan) scatter(v view, root int) {
 			maxPart = max(maxPart, s)
 		}
 		alg = p.t.resolveScatter(v.size, maxPart)
-		p.header(v, root, tagScatterHdr, []byte{byte(alg)})
+		p.header(v, root, tagScatterHdr, []byte{byte(alg)}, 1)
 	}
 	p.scatterBody(ev, v, root, alg)
 }
@@ -620,7 +661,7 @@ func (p *plan) scatterBody(ev int, v view, root int, alg ScatterAlg) {
 					p.msg(stSend, v, tagScatter, i, userPart(v.rank(i), p.size(v.rank(i))))
 				}
 			}
-			p.local(func(x *collRun) { x.buf = append([]byte(nil), x.in[p.rank]...) })
+			p.local(takeOwnPart)
 		} else {
 			p.msg(stRecv, v, tagScatter, root, whole(p.size(p.rank)))
 		}
@@ -639,7 +680,7 @@ func (p *plan) scatterBody(ev int, v view, root int, alg ScatterAlg) {
 			}
 		})
 	} else {
-		lo, hi := v.span(root, kids)
+		lo, hi := v.span(root, &kids)
 		p.msg(stRecv, v, tagScatter, parent, whole(p.bundled(v, root, lo, hi)))
 	}
 	if p.sizes != nil {
@@ -656,7 +697,7 @@ func (p *plan) scatterBody(ev int, v view, root int, alg ScatterAlg) {
 // scatterTree forwards each child's run of the bundle in buf (entries in
 // tree order starting with this rank's own), keeps the own entry and
 // closes the scatter's event.
-func (p *plan) scatterTree(ev int, v view, root int, kids []int, sizes []int) {
+func (p *plan) scatterTree(ev int, v view, root int, kids kidList, sizes []int) {
 	me := (v.me - root + v.size) % v.size
 	off := func(u int) int { // byte offset of root-relative entry u in this rank's bundle
 		o := 0
@@ -665,9 +706,9 @@ func (p *plan) scatterTree(ev int, v view, root int, kids []int, sizes []int) {
 		}
 		return o
 	}
-	for i := len(kids) - 1; i >= 0; i-- {
-		lo, hi := v.subtree(root, kids[i])
-		p.msg(stSendOwned, v, tagScatter, kids[i], part(off(lo), off(hi)))
+	for i := kids.n - 1; i >= 0; i-- {
+		lo, hi := v.subtree(root, kids.at[i])
+		p.msg(stSendOwned, v, tagScatter, kids.at[i], part(off(lo), off(hi)))
 	}
 	own := sizes[p.rank]
 	p.local(func(x *collRun) { x.buf = append([]byte(nil), x.buf[8:8+own]...) })
@@ -719,7 +760,7 @@ func (p *plan) reduceScatter(v view) {
 		// At step s each rank sends its contribution for rank+s and folds
 		// the one arriving from rank-s into its own block: no rank ever
 		// holds more than one block, nothing concatenates through rank 0.
-		p.local(func(x *collRun) { x.buf = append([]byte(nil), x.in[p.rank]...) })
+		p.local(takeOwnPart)
 		for s := 1; s < n; s++ {
 			dst := (v.me + s) % n
 			p.sendrecv(v, tagReduceScatter, dst, userPart(dst, p.size(dst)), stRecvReduce, (v.me-s+n)%n, whole(p.size(p.rank)))

@@ -240,9 +240,17 @@ func (c *Comm) coll() *CollTuning {
 
 // The resolve methods turn the policy into the algorithm one call runs,
 // from what every member agrees on: the member count, the payload size and
-// whether the communicator has a two-level structure (viable — asked only
-// when the policy could pick a hierarchical algorithm, and never true on
-// a tier communicator).
+// whether the communicator has a two-level structure (a structure — asked
+// only when the policy could pick a hierarchical algorithm, and never two
+// levels on a tier communicator).
+
+// structure answers whether a communicator has two levels.
+type structure interface{ twoLevel() bool }
+
+// flat is the structure of a communicator that has one level.
+type flat struct{}
+
+func (flat) twoLevel() bool { return false }
 
 // hierOr is the part of a resolution four collectives share. A forced
 // algorithm stands — except the hierarchical one on a communicator
@@ -250,9 +258,9 @@ func (c *Comm) coll() *CollTuning {
 // agreed, so the fallback is too) — and Auto picks the hierarchy when the
 // payload is in its band and the communicator has two levels. done is
 // false when the flat size rule is left to decide.
-func hierOr[A comparable](alg, hier, auto A, inBand bool, viable func() bool) (resolved A, done bool) {
+func hierOr[A comparable](alg, hier, auto A, inBand bool, on structure) (resolved A, done bool) {
 	if alg == hier {
-		if viable() {
+		if on.twoLevel() {
 			return hier, true
 		}
 		alg = auto
@@ -260,12 +268,12 @@ func hierOr[A comparable](alg, hier, auto A, inBand bool, viable func() bool) (r
 	if alg != auto {
 		return alg, true
 	}
-	return hier, inBand && viable()
+	return hier, inBand && on.twoLevel()
 }
 
-func (t *CollTuning) resolveAllreduce(n, nbytes int, viable func() bool) AllreduceAlg {
+func (t *CollTuning) resolveAllreduce(n, nbytes int, on structure) AllreduceAlg {
 	inBand := nbytes >= threshold(t.AllreduceHierMinBytes, 64<<10, "AllreduceHierMinBytes")
-	if alg, done := hierOr(t.Allreduce, AllreduceHier, AllreduceAuto, inBand, viable); done {
+	if alg, done := hierOr(t.Allreduce, AllreduceHier, AllreduceAuto, inBand, on); done {
 		return alg
 	}
 	if nbytes >= threshold(t.AllreduceRingMinBytes, 32<<10, "AllreduceRingMinBytes") && nbytes%t.elemSize() == 0 && n > 2 {
@@ -276,10 +284,10 @@ func (t *CollTuning) resolveAllreduce(n, nbytes int, viable func() bool) Allredu
 
 // resolveBcast is the root-side resolution (only the root knows the
 // payload size); the choice travels down the tree in the bcast header.
-func (t *CollTuning) resolveBcast(nbytes int, viable func() bool) BcastAlg {
+func (t *CollTuning) resolveBcast(nbytes int, on structure) BcastAlg {
 	inBand := nbytes >= threshold(t.BcastHierMinBytes, 64<<10, "BcastHierMinBytes") &&
 		nbytes <= threshold(t.BcastHierMaxBytes, math.MaxInt, "BcastHierMaxBytes")
-	if alg, done := hierOr(t.Bcast, BcastHier, BcastAuto, inBand, viable); done {
+	if alg, done := hierOr(t.Bcast, BcastHier, BcastAuto, inBand, on); done {
 		return alg
 	}
 	if nbytes >= threshold(t.BcastSegMinBytes, 64<<10, "BcastSegMinBytes") {
@@ -290,9 +298,9 @@ func (t *CollTuning) resolveBcast(nbytes int, viable func() bool) BcastAlg {
 
 // resolveGather keys on the local payload size, so Auto requires agreed
 // sizes — pick the algorithm explicitly for irregular gathers.
-func (t *CollTuning) resolveGather(n, nbytes int, viable func() bool) GatherAlg {
+func (t *CollTuning) resolveGather(n, nbytes int, on structure) GatherAlg {
 	inBand := nbytes <= threshold(t.GatherHierMaxBytes, 64<<10, "GatherHierMaxBytes")
-	if alg, done := hierOr(t.Gather, GatherHier, GatherAuto, inBand, viable); done {
+	if alg, done := hierOr(t.Gather, GatherHier, GatherAuto, inBand, on); done {
 		return alg
 	}
 	if t.treeWins(n, nbytes) {
@@ -303,9 +311,9 @@ func (t *CollTuning) resolveGather(n, nbytes int, viable func() bool) GatherAlg 
 
 // resolveReduceScatter: the flat Auto choice is always pairwise (it
 // dominates the via-root algorithm at every size on a switched network).
-func (t *CollTuning) resolveReduceScatter(totalBytes int, viable func() bool) ReduceScatterAlg {
+func (t *CollTuning) resolveReduceScatter(totalBytes int, on structure) ReduceScatterAlg {
 	inBand := totalBytes >= threshold(t.ReduceScatterHierMinBytes, 64<<10, "ReduceScatterHierMinBytes")
-	if alg, done := hierOr(t.ReduceScatter, ReduceScatterHier, ReduceScatterAuto, inBand, viable); done {
+	if alg, done := hierOr(t.ReduceScatter, ReduceScatterHier, ReduceScatterAuto, inBand, on); done {
 		return alg
 	}
 	return ReduceScatterPairwise

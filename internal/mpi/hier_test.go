@@ -252,19 +252,19 @@ func TestHierAutoSelection(t *testing.T) {
 			got  any
 			want any
 		}{
-			{"allreduce/large", c.coll().resolveAllreduce(24, 1 << 20, c.hierViable), AllreduceHier},
-			{"allreduce/small", c.coll().resolveAllreduce(24, 1024, c.hierViable), AllreduceRecursiveDoubling},
-			{"bcast/large", c.coll().resolveBcast(1 << 20, c.hierViable), BcastHier},
-			{"bcast/small", c.coll().resolveBcast(1024, c.hierViable), BcastBinomial},
-			{"gather/small", c.coll().resolveGather(24, 512, c.hierViable), GatherHier},
-			{"gather/large", c.coll().resolveGather(24, 1 << 20, c.hierViable), GatherFlat},
-			{"reducescatter/large", c.coll().resolveReduceScatter(1 << 20, c.hierViable), ReduceScatterHier},
-			{"reducescatter/small", c.coll().resolveReduceScatter(100, c.hierViable), ReduceScatterPairwise},
+			{"allreduce/large", c.coll().resolveAllreduce(24, 1 << 20, twoLevels(c.hierViable())), AllreduceHier},
+			{"allreduce/small", c.coll().resolveAllreduce(24, 1024, twoLevels(c.hierViable())), AllreduceRecursiveDoubling},
+			{"bcast/large", c.coll().resolveBcast(1 << 20, twoLevels(c.hierViable())), BcastHier},
+			{"bcast/small", c.coll().resolveBcast(1024, twoLevels(c.hierViable())), BcastBinomial},
+			{"gather/small", c.coll().resolveGather(24, 512, twoLevels(c.hierViable())), GatherHier},
+			{"gather/large", c.coll().resolveGather(24, 1 << 20, twoLevels(c.hierViable())), GatherFlat},
+			{"reducescatter/large", c.coll().resolveReduceScatter(1 << 20, twoLevels(c.hierViable())), ReduceScatterHier},
+			{"reducescatter/small", c.coll().resolveReduceScatter(100, twoLevels(c.hierViable())), ReduceScatterPairwise},
 			// Tier communicators are single-machine / one-rank-per-machine:
 			// never hier, so the recursion bottoms out in flat algorithms.
-			{"node/large", c.coll().resolveAllreduce(8, 1<<20, c.NodeComm().hierViable), AllreduceRing},
+			{"node/large", c.coll().resolveAllreduce(8, 1<<20, twoLevels(c.NodeComm().hierViable())), AllreduceRing},
 			// Derived communicators inherit the policy and recompute tiers.
-			{"dup/large", c.coll().resolveAllreduce(24, 1<<20, c.Dup().hierViable), AllreduceHier},
+			{"dup/large", c.coll().resolveAllreduce(24, 1<<20, twoLevels(c.Dup().hierViable())), AllreduceHier},
 		}
 		for _, ck := range checks {
 			if ck.got != ck.want {
@@ -274,15 +274,20 @@ func TestHierAutoSelection(t *testing.T) {
 		// An explicitly hierarchical policy falls back to the flat
 		// resolution on a communicator without a two-level structure.
 		d := c.Dup().SetCollTuning(&CollTuning{Allreduce: AllreduceHier})
-		if alg := d.coll().resolveAllreduce(8, 64, d.NodeComm().hierViable); alg != AllreduceRecursiveDoubling {
+		if alg := d.coll().resolveAllreduce(8, 64, twoLevels(d.NodeComm().hierViable())); alg != AllreduceRecursiveDoubling {
 			return fmt.Errorf("rank %d: explicit hier on node tier resolved %v", p.Rank(), alg)
 		}
-		if alg := d.coll().resolveAllreduce(24, 64, d.hierViable); alg != AllreduceHier {
+		if alg := d.coll().resolveAllreduce(24, 64, twoLevels(d.hierViable())); alg != AllreduceHier {
 			return fmt.Errorf("rank %d: explicit hier on world resolved %v", p.Rank(), alg)
 		}
 		return nil
 	})
 }
+
+// twoLevels is a structure with a fixed answer.
+type twoLevels bool
+
+func (b twoLevels) twoLevel() bool { return bool(b) }
 
 // catchPanic runs f and returns the panic message, or "" if f returned
 // normally.
@@ -302,12 +307,11 @@ func catchPanic(f func()) (msg string) {
 // silently fall back to the default — now fails loudly, in the resolution
 // and therefore on the collective path.
 func TestCollTuningThresholdSemantics(t *testing.T) {
-	flat := func() bool { return false }
 	zero := CollTuning{Allreduce: AllreduceAuto}
-	if zero.resolveAllreduce(9, 32<<10-8, flat) != AllreduceRecursiveDoubling || zero.resolveAllreduce(9, 32<<10, flat) != AllreduceRing {
+	if zero.resolveAllreduce(9, 32<<10-8, flat{}) != AllreduceRecursiveDoubling || zero.resolveAllreduce(9, 32<<10, flat{}) != AllreduceRing {
 		t.Fatal("zero ring threshold did not resolve to the 32 KiB default")
 	}
-	two := func() bool { return true }
+	two := twoLevels(true)
 	if zero.resolveAllreduce(9, 64<<10-8, two) != AllreduceRing || zero.resolveAllreduce(9, 64<<10, two) != AllreduceHier {
 		t.Fatal("zero hier threshold did not resolve to the 64 KiB default")
 	}

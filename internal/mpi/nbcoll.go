@@ -62,7 +62,8 @@ type nbSched struct {
 }
 
 func (c *Comm) newSched(name, what string, mine int) *nbSched {
-	sc := &nbSched{collRun: *c.newRun(what, mine), name: name}
+	sc := &nbSched{name: name}
+	sc.start(c, what, mine)
 	if c.Size() > 1 {
 		sc.tag = c.nbTag()
 	}
