@@ -57,9 +57,9 @@ func TestAutoCollTuningThresholds(t *testing.T) {
 	slow, slowPlace := slowBusCluster()
 	const never = math.MaxInt
 	for _, k := range []struct {
-		name                              string
-		cluster                           *hnoc.Cluster
-		place                             []int
+		name                               string
+		cluster                            *hnoc.Cluster
+		place                              []int
 		allreduce, bcastLo, bcastHi, g, rs int
 	}{
 		{"fat3x8/blocked", fat, blocked, 32761, never, never, 1024, 1},

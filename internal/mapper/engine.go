@@ -146,7 +146,7 @@ type exhaustiveEngine struct {
 	// carries there, see SelectionCache), a per-call symCache otherwise.
 	memo valueMemo
 	ns   []byte
-	stop   *atomic.Bool // optional cooperative cancel (Portfolio's Budget)
+	stop *atomic.Bool // optional cooperative cancel (Portfolio's Budget)
 
 	evals, hits, pruned atomic.Int64
 }

@@ -429,10 +429,10 @@ func TestCollTuningResolution(t *testing.T) {
 	if got := tun.resolveAllreduce(9, 1<<20|1, flat{}); got != AllreduceRecursiveDoubling {
 		t.Fatalf("unaligned large allreduce resolved to %v, want recursive doubling fallback", got)
 	}
-	if got := tun.resolveBcast(1 << 10, flat{}); got != BcastBinomial {
+	if got := tun.resolveBcast(1<<10, flat{}); got != BcastBinomial {
 		t.Fatalf("small bcast resolved to %v", got)
 	}
-	if got := tun.resolveBcast(1 << 20, flat{}); got != BcastSegmented {
+	if got := tun.resolveBcast(1<<20, flat{}); got != BcastSegmented {
 		t.Fatalf("large bcast resolved to %v", got)
 	}
 	if got := tun.resolveGather(9, 64, flat{}); got != GatherBinomial {

@@ -16,7 +16,6 @@ import (
 // buffers its steps move data between.
 type collRun struct {
 	plan
-	c      *Comm
 	buf    []byte   // the working buffer: payload, accumulator or bundle
 	aux    []byte   // headers and scan prefixes
 	in     [][]byte // blocks supplied by the caller, by rank
@@ -64,7 +63,7 @@ func (x *collRun) start(c *Comm, what string, mine int) {
 	if c.Size() > 1 {
 		c.collCheck()
 	}
-	x.c, x.what = c, what
+	x.what = what
 	x.plan = plan{steps: x.steps, events: x.events, t: c.coll(), rank: c.rank, n: c.Size(), mine: mine, comm: c}
 }
 
@@ -81,13 +80,13 @@ func reduceLenCheck(what string, got, want int) {
 func (x *collRun) on(s *step) (*Comm, int) {
 	switch s.tier {
 	case tierNode:
-		h := x.c.hier()
+		h := x.comm.hier()
 		return h.node, h.idx[s.peer]
 	case tierNet:
-		h := x.c.hier()
+		h := x.comm.hier()
 		return h.net, h.groupOf[s.peer]
 	}
-	return x.c, s.peer
+	return x.comm, s.peer
 }
 
 // payload returns the bytes a send step transmits.

@@ -86,7 +86,7 @@ func blockSlot(i, n int) span { return span{slot: inBlock, idx: i, n: n} }
 type step struct {
 	kind stepKind
 	tier tierID
-	peer int  // rank in the communicator the collective was called on
+	peer int // rank in the communicator the collective was called on
 	tag  int
 	span
 	fn func(x *collRun) // stLocal only
@@ -155,9 +155,9 @@ func (v view) subtree(root, kid int) (lo, hi int) {
 	return lo, min(lo+lo-(v.me-root+v.size)%v.size, v.size)
 }
 
-// span returns the root-relative range of index me's own subtree, given
+// reach returns the root-relative range of index me's own subtree, given
 // its children.
-func (v view) span(root int, kids *kidList) (lo, hi int) {
+func (v view) reach(root int, kids *kidList) (lo, hi int) {
 	lo = (v.me - root + v.size) % v.size
 	hi = lo + 1
 	if kids.n > 0 {
@@ -179,7 +179,7 @@ type plan struct {
 	comm  *Comm
 	tiers *tiers
 	mine  int   // the calling rank's payload size
-	sizes    []int // every rank's payload size, for the collectives whose sizes may differ; nil when this rank does not know them
+	sizes []int // every rank's payload size, for the collectives whose sizes may differ; nil when this rank does not know them
 }
 
 func (p *plan) self() view { return view{size: p.n, me: p.rank} }
@@ -558,7 +558,7 @@ func (p *plan) gather(v view, root int) {
 			p.msg(stRecvAppend, v, tagGather, k, whole(p.bundled(v, root, lo, hi)))
 		}
 		if parent >= 0 {
-			lo, hi := v.span(root, &kids)
+			lo, hi := v.reach(root, &kids)
 			p.msg(stSendOwned, v, tagGather, parent, whole(p.bundled(v, root, lo, hi)))
 		} else {
 			p.local(unbundle)
@@ -680,7 +680,7 @@ func (p *plan) scatterBody(ev int, v view, root int, alg ScatterAlg) {
 			}
 		})
 	} else {
-		lo, hi := v.span(root, &kids)
+		lo, hi := v.reach(root, &kids)
 		p.msg(stRecv, v, tagScatter, parent, whole(p.bundled(v, root, lo, hi)))
 	}
 	if p.sizes != nil {

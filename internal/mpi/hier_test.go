@@ -252,13 +252,13 @@ func TestHierAutoSelection(t *testing.T) {
 			got  any
 			want any
 		}{
-			{"allreduce/large", c.coll().resolveAllreduce(24, 1 << 20, twoLevels(c.hierViable())), AllreduceHier},
+			{"allreduce/large", c.coll().resolveAllreduce(24, 1<<20, twoLevels(c.hierViable())), AllreduceHier},
 			{"allreduce/small", c.coll().resolveAllreduce(24, 1024, twoLevels(c.hierViable())), AllreduceRecursiveDoubling},
-			{"bcast/large", c.coll().resolveBcast(1 << 20, twoLevels(c.hierViable())), BcastHier},
+			{"bcast/large", c.coll().resolveBcast(1<<20, twoLevels(c.hierViable())), BcastHier},
 			{"bcast/small", c.coll().resolveBcast(1024, twoLevels(c.hierViable())), BcastBinomial},
 			{"gather/small", c.coll().resolveGather(24, 512, twoLevels(c.hierViable())), GatherHier},
-			{"gather/large", c.coll().resolveGather(24, 1 << 20, twoLevels(c.hierViable())), GatherFlat},
-			{"reducescatter/large", c.coll().resolveReduceScatter(1 << 20, twoLevels(c.hierViable())), ReduceScatterHier},
+			{"gather/large", c.coll().resolveGather(24, 1<<20, twoLevels(c.hierViable())), GatherFlat},
+			{"reducescatter/large", c.coll().resolveReduceScatter(1<<20, twoLevels(c.hierViable())), ReduceScatterHier},
 			{"reducescatter/small", c.coll().resolveReduceScatter(100, twoLevels(c.hierViable())), ReduceScatterPairwise},
 			// Tier communicators are single-machine / one-rank-per-machine:
 			// never hier, so the recursion bottoms out in flat algorithms.

@@ -142,7 +142,7 @@ claiming:
 				continue claiming
 			}
 		}
-		if sc.envs[i] = sc.c.p.mbox.tryGet(sc.c.sel(s.peer, sc.tag), false); sc.envs[i] == nil {
+		if sc.envs[i] = sc.comm.p.mbox.tryGet(sc.comm.sel(s.peer, sc.tag), false); sc.envs[i] == nil {
 			dry = append(dry, s.peer)
 		}
 	}
@@ -154,7 +154,7 @@ claiming:
 // step has no claimed message (false). With block it waits for such
 // messages. Event steps are the blocking executor's business.
 func (sc *nbSched) advance(block bool) bool {
-	c := sc.c
+	c := sc.comm
 	if now := c.p.clock.Now(); now > sc.st {
 		sc.st = now
 	}
@@ -188,7 +188,7 @@ func (sc *nbSched) advance(block bool) bool {
 // the arrival and advances by the receive overhead, and the payload lands
 // where the step says.
 func (sc *nbSched) recv(s *step, e *envelope) {
-	p := sc.c.p
+	p := sc.comm.p
 	p.opTick()
 	before := sc.st
 	sc.st = max(sc.st, e.arrive) + vclock.Time(p.world.cluster.Link(p.world.place[e.src], p.machine).Overhead)
@@ -201,7 +201,7 @@ func (sc *nbSched) recv(s *step, e *envelope) {
 // rank's clock.
 func (sc *nbSched) wait() []byte {
 	sc.advance(true)
-	sc.c.p.clock.AbsorbAtLeast(sc.st)
+	sc.comm.p.clock.AbsorbAtLeast(sc.st)
 	return sc.buf
 }
 
@@ -212,6 +212,6 @@ func (sc *nbSched) tryFinish() bool {
 	if !sc.advance(false) {
 		return false
 	}
-	sc.c.p.clock.AbsorbAtLeast(sc.st)
+	sc.comm.p.clock.AbsorbAtLeast(sc.st)
 	return true
 }

@@ -50,7 +50,7 @@ type Request struct {
 	done bool
 
 	// Receive requests.
-	src  int       // requested source (comm rank or AnySource)
+	src  int // requested source (comm rank or AnySource)
 	tag  int
 	rsel recvSel   // selector, cached at post time
 	env  *envelope // matched by the engine, not yet consumed
