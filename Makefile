@@ -11,9 +11,13 @@ build:
 	$(GO) vet ./...
 
 # The CI gate: vet, static analysis, build, and the race-enabled suite.
+# -short trims the golden collective matrix to the payloads the race
+# detector gets through in seconds (internal/mpi/golden_test.go); the only
+# other test it skips, the benchmark's smoke run, is run after it.
 check: lint
 	$(GO) build ./...
-	$(GO) test -race ./...
+	$(GO) test -race -short ./...
+	$(GO) test -race -run TestSmoke ./bench
 
 # Static analysis: go vet, the HMPI analyzers (hmpivet) over the tree —
 # a directory walk sweeps every shipped .mpc model too — the PMDL lints,
@@ -51,7 +55,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -short ./...
 
 # The one benchmark harness (bench/README.md): five workloads, seven
 # end-to-end metrics each, per-layer rows; bench-smoke is all of it at a

@@ -3,14 +3,28 @@
 // reference that outlives the release point reads another message's
 // bytes.
 //
-// release()/releaseEnvelope()/putEnv() return a buffer to the pool; any
-// later use of the released variable in the same statement sequence is
-// reported. `defer pb.release()` is exempt (it runs at function exit), and
-// rebinding the variable starts a fresh lifetime.
+// Two shapes are checked:
+//
+//   - A function that recycles an envelope — releaseEnvelope(e) or
+//     putEnv(e) — consumes the payload e.data in place: the bytes go back
+//     to the pool with the envelope, so the function must not retain them.
+//     Storing e.data (or a local alias of it) into anything that survives
+//     the call — an outer variable, a struct field, a map or slice element,
+//     a channel — is reported. Reading it, copying out of it, or
+//     appending its elements with `append(dst, e.data...)` is fine; a
+//     consumer that keeps the payload takes it through e.retained(), which
+//     copies pool-backed bytes out first.
+//
+//   - release()/releaseEnvelope()/putEnv() return a buffer to the pool;
+//     any later use of the released variable in the same statement
+//     sequence is reported. `defer pb.release()` is exempt (it runs at
+//     function exit), and rebinding the variable starts a fresh
+//     lifetime.
 package bufalias
 
 import (
 	"go/ast"
+	"go/token"
 
 	"repro/internal/analysis"
 )
@@ -18,20 +32,23 @@ import (
 // Analyzer is the bufalias check.
 var Analyzer = &analysis.Analyzer{
 	Name: "bufalias",
-	Doc:  "report pooled buffers used after their release point",
+	Doc:  "report pooled payload slices retained past their consume or release point",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
+	// Nested function literals are visited both from the enclosing
+	// declaration's walk and as their own body; reported dedupes.
+	reported := make(map[token.Pos]bool)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					checkBody(pass, fn.Body)
+					checkBody(pass, fn.Body, reported)
 				}
 			case *ast.FuncLit:
-				checkBody(pass, fn.Body)
+				checkBody(pass, fn.Body, reported)
 			}
 			return true
 		})
@@ -39,10 +56,107 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	// Releases inside nested literals register only in the literal's own
-	// walk, so nothing is reported twice.
+func checkBody(pass *analysis.Pass, body *ast.BlockStmt, reported map[token.Pos]bool) {
+	// Front 1: in-place consumers — statement lists that recycle an
+	// envelope — that retain its payload on the way there. (What follows
+	// the release is front 2's business.)
+	ast.Inspect(body, func(n ast.Node) bool {
+		var list []ast.Stmt
+		switch b := n.(type) {
+		case *ast.BlockStmt:
+			list = b.List
+		case *ast.CaseClause:
+			list = b.Body
+		}
+		for i, st := range list {
+			es, ok := st.(*ast.ExprStmt)
+			if !ok {
+				continue
+			}
+			call, ok := es.X.(*ast.CallExpr)
+			if !ok || len(call.Args) != 1 {
+				continue
+			}
+			if env, ok := releaseTarget(call); ok {
+				checkRetention(pass, list[:i], env, reported)
+			}
+		}
+		return true
+	})
+
+	// Front 2: uses after an explicit release. Releases inside nested
+	// literals register only in the literal's own walk, so this front
+	// never double-reports.
 	(&releaseWalker{pass: pass}).stmts(body.List, map[string]bool{})
+}
+
+// checkRetention reports stores that let env.data (or a local alias of
+// it) survive the statements leading up to env's release.
+func checkRetention(pass *analysis.Pass, stmts []ast.Stmt, env string, reported map[token.Pos]bool) {
+	aliases := map[string]bool{}
+	isAliased := func(e ast.Expr) bool {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return aliases[x.Name]
+		case *ast.SelectorExpr:
+			id, ok := x.X.(*ast.Ident)
+			return ok && id.Name == env && x.Sel.Name == "data"
+		}
+		return false
+	}
+	report := func(pos token.Pos, how string) {
+		if !reported[pos] {
+			reported[pos] = true
+			pass.Reportf(pos, "in-place consumer %s the pooled payload of %s: the slice is recycled with the envelope", how, env)
+		}
+	}
+	// Two passes so aliases introduced below their escape site still
+	// count; only the second pass reports. Bodies are small.
+	for round := 0; round < 2; round++ {
+		final := round == 1
+		inspect := func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				for i, rhs := range x.Rhs {
+					if !isAliased(rhs) || i >= len(x.Lhs) {
+						continue
+					}
+					if id, ok := x.Lhs[i].(*ast.Ident); ok {
+						if id.Name == "_" {
+							continue
+						}
+						if x.Tok == token.DEFINE {
+							aliases[id.Name] = true
+							continue
+						}
+					}
+					// `=` to anything — an outer variable, a field, an
+					// element — retains the slice.
+					if final {
+						report(rhs.Pos(), "retains")
+					}
+				}
+			case *ast.SendStmt:
+				if isAliased(x.Value) && final {
+					report(x.Value.Pos(), "sends")
+				}
+			case *ast.CallExpr:
+				// append(dst, p) stores the slice header itself;
+				// append(dst, p...) copies elements and is fine.
+				if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "append" && x.Ellipsis == token.NoPos && len(x.Args) > 1 {
+					for _, a := range x.Args[1:] {
+						if isAliased(a) && final {
+							report(a.Pos(), "appends")
+						}
+					}
+				}
+			}
+			return true
+		}
+		for _, st := range stmts {
+			ast.Inspect(st, inspect)
+		}
+	}
 }
 
 // releaseWalker tracks explicitly released buffer variables through a

@@ -7,10 +7,46 @@ type poolBuf struct{ b []byte }
 func getBuf(n int) *poolBuf  { return &poolBuf{b: make([]byte, n)} }
 func (pb *poolBuf) release() {}
 
-type envelope struct{ payload []byte }
+type envelope struct{ data []byte }
 
 func putEnv(e *envelope)          {}
 func releaseEnvelope(e *envelope) {}
+
+type run struct {
+	buf    []byte
+	frames [][]byte
+}
+
+var stash []byte
+
+// The in-place consumers: each recycles its envelope, so the payload must
+// not outlive the call.
+func (x *run) retainsPayload(e *envelope) {
+	x.buf = e.data // want "retains the pooled payload of e"
+	releaseEnvelope(e)
+}
+
+func retainsViaAlias(e *envelope) {
+	p := e.data
+	stash = p // want "retains the pooled payload of e"
+	e.data = nil
+	releaseEnvelope(e)
+}
+
+func (x *run) copiesOK(e *envelope) {
+	copy(x.buf, e.data)
+	releaseEnvelope(e)
+}
+
+func (x *run) appendSpreadOK(e *envelope) {
+	x.buf = append(x.buf, e.data...)
+	putEnv(e)
+}
+
+func (x *run) appendValueBad(e *envelope) {
+	x.frames = append(x.frames, e.data) // want "appends the pooled payload of e"
+	releaseEnvelope(e)
+}
 
 func useAfterRelease() []byte {
 	pb := getBuf(8)
@@ -48,7 +84,7 @@ func doubleRelease() {
 
 func envelopeAfterPut(e *envelope) []byte {
 	putEnv(e)
-	return e.payload // want "use of e after release"
+	return e.data // want "use of e after release"
 }
 
 func branchReleaseOK(e *envelope, drop bool) []byte {
@@ -58,5 +94,5 @@ func branchReleaseOK(e *envelope, drop bool) []byte {
 		releaseEnvelope(e)
 		return nil
 	}
-	return e.payload
+	return e.data
 }

@@ -22,55 +22,60 @@ import (
 // that still holds here is taken to hold for good.
 const probeCeil = 1 << 26
 
-// winBandBytes finds the single contiguous win band [lo, hi] on a
-// power-of-two probe grid up to probeCeil, refined to byte precision by
-// binary search. Returns (math.MaxInt, math.MaxInt) when win never holds
-// at a probed size; hi is math.MaxInt when the band is still open
-// there. The models compared here are differences of two piecewise-linear
-// functions with at most one interior kink each, so their win region is a
-// single band and the grid cannot skip over it unless the band spans
-// less than one octave — narrower than any band worth dispatching on.
+// winBandBytes finds the payload band [lo, hi] in which win holds, when
+// that is one contiguous band: it probes a grid of four sizes per octave up
+// to probeCeil and refines the band's two edges to byte precision by binary
+// search between neighbouring grid points. hi is math.MaxInt when the band
+// is still open at probeCeil. Replayed times are sums and maxima over
+// serialised interfaces, segment pipelines and header messages — nothing
+// guarantees that two of them cross only once — so the search does not
+// assume a single band: a second win region anywhere on the grid (a
+// CollTuning threshold pair cannot express one) makes it report no band at
+// all, (math.MaxInt, math.MaxInt), as it does when win never holds, and the
+// policy stays flat. Only a region narrower than the quarter-octave grid
+// between two probes can go unseen, and a band that narrow is not worth
+// dispatching on.
 func winBandBytes(win func(int) bool) (lo, hi int) {
-	firstWin := 0
-	for x := 1; x <= probeCeil; x *= 2 {
-		if win(x) {
-			firstWin = x
-			break
-		}
-	}
-	if firstWin == 0 {
-		return math.MaxInt, math.MaxInt
-	}
-	lo = 1
-	if firstWin > 1 {
-		l, h := firstWin/2, firstWin // !win(l), win(h)
-		for l+1 < h {
-			mid := l + (h-l)/2
-			if win(mid) {
-				h = mid
+	// edge refines a transition between grid neighbours a < b with
+	// win(a) != win(b) and returns the winning side's last byte.
+	edge := func(a, b int, winsAtA bool) int {
+		for a+1 < b {
+			if mid := a + (b-a)/2; win(mid) == winsAtA {
+				a = mid
 			} else {
-				l = mid
+				b = mid
 			}
 		}
-		lo = h
+		if winsAtA {
+			return a
+		}
+		return b
 	}
-	lastWin := firstWin
-	for x := firstWin * 2; x <= probeCeil; x *= 2 {
-		if !win(x) {
-			l, h := lastWin, x // win(l), !win(h)
-			for l+1 < h {
-				mid := l + (h-l)/2
-				if win(mid) {
-					l = mid
-				} else {
-					h = mid
+	lo, hi = math.MaxInt, math.MaxInt
+	prev, prevWon, bands := 0, false, 0
+	for octave := 1; octave <= probeCeil; octave *= 2 {
+		for q := 0; q < 4 && octave+q*octave/4 <= probeCeil; q++ {
+			x := octave + q*octave/4
+			if x == prev {
+				continue // the first octaves have fewer than four sizes
+			}
+			won := win(x)
+			switch {
+			case won && !prevWon:
+				if bands++; bands > 1 {
+					return math.MaxInt, math.MaxInt
 				}
+				lo = edge(prev, x, false)
+			case !won && prevWon:
+				hi = edge(prev, x, true)
 			}
-			return lo, l
+			prev, prevWon = x, won
 		}
-		lastWin = x
 	}
-	return lo, math.MaxInt
+	if prevWon {
+		hi = math.MaxInt
+	}
+	return lo, hi
 }
 
 // minStableWinBytes is the smallest payload from which win holds all the

@@ -172,3 +172,33 @@ func TestAutoMatchesSimulation(t *testing.T) {
 		t.Fatalf("slow buses, 1 MiB: Auto simulated %g, ring %g — Auto did not stay flat", auto, ring)
 	}
 }
+
+// TestWinBandSearch: the search finds a single band's edges to the byte —
+// also a band that fits between two powers of two — and reports no band
+// when the win region is not one band, so the policy stays flat.
+func TestWinBandSearch(t *testing.T) {
+	const never = math.MaxInt
+	between := func(lo, hi int) func(int) bool { return func(x int) bool { return lo <= x && x <= hi } }
+	for _, k := range []struct {
+		name   string
+		win    func(int) bool
+		lo, hi int
+	}{
+		{"never", func(int) bool { return false }, never, never},
+		{"always", func(int) bool { return true }, 1, never},
+		{"from a crossover up", func(x int) bool { return x >= 3929 }, 3929, never},
+		{"up to a crossover", func(x int) bool { return x <= 884736 }, 1, 884736},
+		{"inside one octave", between(1100, 1500), 1100, 1500},
+		{"two bands", func(x int) bool { return between(64, 4096)(x) || x >= 1<<20 }, never, never},
+	} {
+		if lo, hi := winBandBytes(k.win); lo != k.lo || hi != k.hi {
+			t.Errorf("%s: band [%d, %d], want [%d, %d]", k.name, lo, hi, k.lo, k.hi)
+		}
+	}
+	if got := minStableWinBytes(between(64, 4096)); got != never {
+		t.Errorf("a band that closes again gave MinBytes %d, want never", got)
+	}
+	if got := maxWinningBytes(between(64, 4096)); got != 0 {
+		t.Errorf("a band that does not start at the first byte gave MaxBytes %d, want 0", got)
+	}
+}

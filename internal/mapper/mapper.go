@@ -109,10 +109,12 @@ type Options struct {
 	// is partitioned deterministically and reduced with the serial
 	// tie-break (lower time wins, earlier enumeration order on ties).
 	Parallelism int
-	// Prune and Cache are ignored: branch-and-bound and the symmetry memo
-	// never change the result, so they are on whenever the Problem
-	// supplies LowerBound / CanonicalKey. The fields remain only because
-	// the frozen benchmark (bench/layers.go) still sets them.
+	// Deprecated: Prune and Cache are ignored. Branch-and-bound and the
+	// symmetry memo never change the result, so they are on whenever the
+	// Problem supplies LowerBound / CanonicalKey. The fields exist only
+	// because the benchmark's sources (bench/layers.go), which this
+	// repository's changes may not touch, still set them; they go in the
+	// first change that may edit that line.
 	Prune, Cache bool
 	// Shared, when non-nil, memoises objective values in this
 	// caller-owned cross-search cache instead of a per-call one, so the

@@ -13,9 +13,10 @@ package mpi
 //   - An envelope whose pbuf field is non-nil carries a pool-backed
 //     payload. The two consumption points (Comm.consume in p2p.go,
 //     collRun.deliver in collexec.go) enforce copy-on-retain: payloads
-//     handed onward to user code are copied out of the pooled buffer
-//     first, payloads folded into an accumulator are used in place and
-//     recycled without a copy.
+//     handed onward to user code leave through envelope.retained, which
+//     copies them out of the pooled buffer first; payloads folded into an
+//     accumulator are used in place and recycled without a copy (hmpivet's
+//     bufalias reports an in-place consumer that keeps e.data).
 
 import (
 	"math/bits"
@@ -87,6 +88,16 @@ func getEnv() *envelope {
 		return v.(*envelope)
 	}
 	return &envelope{}
+}
+
+// retained returns e's payload for a consumer that keeps it: pool-backed
+// bytes are copied out first (copy-on-retain), everything else is handed
+// over as it is.
+func (e *envelope) retained() []byte {
+	if e.pbuf != nil {
+		return append([]byte(nil), e.data...)
+	}
+	return e.data
 }
 
 // putEnv recycles the envelope struct only; the payload must already

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // runTuned runs main on an n-process world with the given tuning, under
@@ -387,6 +389,59 @@ func TestTunedCollectivesTCPMatchesInProcessTiming(t *testing.T) {
 	for r := 0; r < n; r++ {
 		if a, b := inproc.procs[r].clock.Now(), wire.procs[r].clock.Now(); a != b {
 			t.Fatalf("rank %d clock: inproc %v, tcp %v", r, a, b)
+		}
+	}
+}
+
+// TestGatherAnySourceDrainKeepsLegacyTiming: the flat gather's AnySource
+// drain must leave the simulated times exactly where a strict-rank-order
+// drain leaves them (the timing fold is applied in rank order regardless of
+// arrival order) — with the members entering staggered, so arrival order
+// is the reverse of rank order — and the root's receives must be traced as
+// the wildcard receives they are, all starting when the drain finished.
+func TestGatherAnySourceDrainKeepsLegacyTiming(t *testing.T) {
+	const n = 6
+	run := func() (*World, *trace.Data, error) {
+		c := testCluster(n)
+		w := NewWorld(c, OneProcessPerMachine(c))
+		rec := attachRecorder(w)
+		err := w.Run(func(p *Proc) error {
+			// Stagger entry so arrival order differs from rank order.
+			p.Compute(float64((n - p.Rank()) * 10))
+			p.CommWorld().Gather(0, bytes.Repeat([]byte{byte(p.Rank())}, 100*(p.Rank()+1)))
+			return nil
+		})
+		return w, rec.Data(), err
+	}
+	w1, d1, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, _, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w1.Makespan() != w2.Makespan() {
+		t.Fatalf("gather drain nondeterministic: %v vs %v", w1.Makespan(), w2.Makespan())
+	}
+	for r := 0; r < n; r++ {
+		if a, b := w1.procs[r].clock.Now(), w2.procs[r].clock.Now(); a != b {
+			t.Fatalf("rank %d clock differs across runs: %v vs %v", r, a, b)
+		}
+	}
+	// Rank 5 arrives first, rank 1 last; the root still applies 1..5.
+	var recvs []trace.Event
+	for _, e := range d1.PerRank[0] {
+		if e.Kind == trace.KindRecv {
+			recvs = append(recvs, e)
+		}
+	}
+	if len(recvs) != n-1 {
+		t.Fatalf("root recorded %d receives, want %d", len(recvs), n-1)
+	}
+	for i, e := range recvs {
+		if int(e.Peer) != i+1 || e.A1 != 1 || e.Start != recvs[0].Start {
+			t.Errorf("receive %d = %+v: want peer %d, the any-source mark, start %v", i, e, i+1, recvs[0].Start)
 		}
 	}
 }

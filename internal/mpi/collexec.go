@@ -7,9 +7,11 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/trace"
+	"repro/internal/vclock"
 )
 
 // collRun is one rank's execution of one collective: the plan plus the
@@ -23,12 +25,20 @@ type collRun struct {
 	op     Op
 	what   string   // the collective's name, for length-mismatch panics
 	posted *Request // the send a stPost started and no stWaitSends completed yet
+	// envs[i] is a message taken from the mailbox ahead of receive step i's
+	// execution: by an stDrain here, by the progress engine's claim in
+	// nbcoll.go. Taking reads no clock; the step applies the timing.
+	envs    []*envelope
+	srcs    []int       // scratch of drain: the world ranks still to arrive
+	drained vclock.Time // when the last drain finished: its receives' trace events start here
 }
 
 // runPool recycles collRuns — above all their step lists — between
 // blocking collectives, of any rank of any world: jobs run few collectives
 // per world, so a per-rank scratch would never warm up.
-var runPool = sync.Pool{New: func() any { return new(collRun) }}
+var runPool = sync.Pool{New: func() any {
+	return &collRun{plan: plan{steps: make([]step, 0, 32), events: make([]collEvent, 0, 4)}}
+}}
 
 // newRun starts a blocking collective on c. The caller hands the run back
 // with release once it has taken the result out.
@@ -42,7 +52,7 @@ func (c *Comm) newRun(what string, mine int) *collRun {
 // buffers, the results, the closures of its local steps — is dropped.
 func (x *collRun) release() {
 	clear(x.steps)
-	*x = collRun{plan: plan{steps: x.steps[:0], events: x.events[:0]}}
+	*x = collRun{plan: plan{steps: x.steps[:0], events: x.events[:0]}, envs: x.envs[:0], srcs: x.srcs[:0]}
 	if cap(x.steps) <= 4096 { // one huge schedule must not pin its list in the pool
 		runPool.Put(x)
 	}
@@ -98,6 +108,8 @@ func (x *collRun) payload(s *step) []byte {
 		return x.in[s.idx]
 	case inBlock:
 		return x.blocks[s.idx]
+	case inEntries:
+		return bundleRun(x.buf, s.lo, s.hi)
 	}
 	if s.hi < 0 {
 		return x.buf
@@ -106,16 +118,12 @@ func (x *collRun) payload(s *step) []byte {
 }
 
 // deliver moves the payload of envelope e where receive step s wants it
-// and recycles the envelope. Only stRecv retains the payload (pool-backed
-// payloads are copied out: copy-on-retain, see bufpool.go); every other
-// kind consumes it in place.
+// and recycles the envelope. Only stRecv retains the payload
+// (copy-on-retain, see bufpool.go); every other kind consumes it in place.
 func (x *collRun) deliver(s *step, e *envelope) {
 	switch s.kind {
 	case stRecv:
-		data := e.data
-		if e.pbuf != nil {
-			data = append([]byte(nil), e.data...)
-		}
+		data := e.retained()
 		switch s.slot {
 		case inAux:
 			x.aux = data
@@ -145,19 +153,19 @@ func (x *collRun) deliver(s *step, e *envelope) {
 // header unlocked), so every iteration re-reads it.
 func (x *collRun) run() {
 	for i := 0; i < len(x.steps); i++ {
-		s := x.steps[i]
+		s := &x.steps[i]
 		if s.kind == stLocal {
-			s.fn(x)
+			s.fn(x) // may grow the list and so move it: s is not used again
 			continue
 		}
-		c, peer := x.on(&s)
+		c, peer := x.on(s)
 		switch s.kind {
 		case stSend:
-			c.Send(peer, s.tag, x.payload(&s))
+			c.Send(peer, s.tag, x.payload(s))
 		case stSendOwned:
-			c.SendOwned(peer, s.tag, x.payload(&s))
+			c.SendOwned(peer, s.tag, x.payload(s))
 		case stPost:
-			x.posted = c.Isend(peer, s.tag, x.payload(&s))
+			x.posted = c.Isend(peer, s.tag, x.payload(s))
 		case stWaitSends:
 			x.posted.Wait()
 		case stBegin:
@@ -167,13 +175,46 @@ func (x *collRun) run() {
 			}
 		case stEnd:
 			x.emit(c, &x.events[s.idx])
+		case stDrain:
+			x.drain(c, s.tag, i+1, i+1+s.idx)
 		default:
 			t0 := c.p.clock.Now()
-			e := c.mboxGet("coll", c.sel(peer, s.tag), c.collWatch())
+			var e *envelope
+			if i < len(x.envs) && x.envs[i] != nil {
+				e, x.envs[i], t0 = x.envs[i], nil, x.drained
+			} else {
+				e = c.mboxGet("coll", c.sel(peer, s.tag), c.collWatch())
+			}
 			c.finishRecvTiming(e, t0)
-			x.deliver(&s, e)
+			x.deliver(s, e)
 		}
 	}
+}
+
+// drain takes the messages of receive steps [first, end), all on c, out of
+// the mailbox in arrival order — an any-source receive narrowed to the
+// peers still missing, so a peer's message for a later collective stays
+// queued — and parks each in envs for its step.
+func (x *collRun) drain(c *Comm, tag, first, end int) {
+	for len(x.envs) < end {
+		x.envs = append(x.envs, nil)
+	}
+	world := func(k int) int { _, peer := x.on(&x.steps[k]); return c.s.members[peer] }
+	x.srcs = x.srcs[:0]
+	for k := first; k < end; k++ {
+		x.srcs = append(x.srcs, world(k))
+	}
+	for len(x.srcs) > 0 {
+		e := c.mboxGet("coll", recvSel{ctx: c.s.id, src: AnySource, tag: tag, srcs: x.srcs}, c.collWatch())
+		k := first
+		for x.envs[k] != nil || world(k) != e.src {
+			k++
+		}
+		x.envs[k] = e
+		i := slices.Index(x.srcs, e.src)
+		x.srcs = slices.Delete(x.srcs, i, i+1)
+	}
+	x.drained = c.p.clock.Now()
 }
 
 // emit records the KindColl event of a completed collective: the one

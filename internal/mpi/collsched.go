@@ -23,6 +23,7 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/vclock"
 )
@@ -39,6 +40,7 @@ const (
 	stRecvReduce                 // receive and fold into buf[lo:hi] with the op
 	stRecvAppend                 // receive and append to buf (a bundle grows)
 	stRecvFrame                  // receive and append to buf as a (peer, payload) bundle entry
+	stDrain                      // take the next idx receives' messages as they arrive; the steps still apply them in list order
 	stBegin                      // open collective event idx
 	stEnd                        // emit collective event idx
 	stLocal                      // run fn: local data movement, or a continuation
@@ -51,10 +53,11 @@ func (k stepKind) isRecv() bool { return k >= stRecv && k <= stRecvFrame }
 type slot uint8
 
 const (
-	inBuf   slot = iota // buf[lo:hi]; hi < 0 means all of it
-	inAux               // the auxiliary buffer: headers, scan prefixes
-	inPart              // in[idx], a block supplied by the caller
-	inBlock             // blocks[idx], a block of the result
+	inBuf     slot = iota // buf[lo:hi]; hi < 0 means all of it
+	inAux                 // the auxiliary buffer: headers, scan prefixes
+	inPart                // in[idx], a block supplied by the caller
+	inBlock               // blocks[idx], a block of the result
+	inEntries             // entries lo..hi-1 of the bundle in buf
 )
 
 // tierID names the communicator a step travels on: the one the collective
@@ -77,11 +80,12 @@ type span struct {
 	n      int
 }
 
-func whole(n int) span        { return span{hi: -1, n: n} }
-func part(lo, hi int) span    { return span{lo: lo, hi: hi, n: hi - lo} }
-func aux(n int) span          { return span{slot: inAux, n: n} }
-func userPart(i, n int) span  { return span{slot: inPart, idx: i, n: n} }
-func blockSlot(i, n int) span { return span{slot: inBlock, idx: i, n: n} }
+func whole(n int) span           { return span{hi: -1, n: n} }
+func part(lo, hi int) span       { return span{lo: lo, hi: hi, n: hi - lo} }
+func aux(n int) span             { return span{slot: inAux, n: n} }
+func userPart(i, n int) span     { return span{slot: inPart, idx: i, n: n} }
+func blockSlot(i, n int) span    { return span{slot: inBlock, idx: i, n: n} }
+func entries(lo, hi, n int) span { return span{slot: inEntries, lo: lo, hi: hi, n: n} }
 
 type step struct {
 	kind stepKind
@@ -501,6 +505,18 @@ func bundleEach(buf []byte, fn func(rank int, data []byte)) {
 	}
 }
 
+// bundleRun returns entries lo..hi-1 of a bundle, headers included.
+func bundleRun(buf []byte, lo, hi int) []byte {
+	start, off := 0, 0
+	for k := 0; k < hi; k++ {
+		if k == lo {
+			start = off
+		}
+		off += 8 + int(binary.LittleEndian.Uint32(buf[off+4:]))
+	}
+	return buf[start:off]
+}
+
 // The local steps of the gathers and scatters. They read everything from
 // the run, so scheduling one allocates nothing.
 
@@ -521,6 +537,9 @@ func keepOwnBlock(x *collRun) {
 
 // takeOwnPart makes buf a copy of the caller's part for this rank.
 func takeOwnPart(x *collRun) { x.buf = append([]byte(nil), x.in[x.rank]...) }
+
+// keepOwnEntry makes buf a copy of the payload of its bundle's first entry.
+func keepOwnEntry(x *collRun) { x.buf = append([]byte(nil), bundleRun(x.buf, 0, 1)[8:]...) }
 
 // bundled is the size of the bundle holding the payloads of view indices
 // [lo, hi) in root-relative numbering.
@@ -574,8 +593,12 @@ func (p *plan) gather(v view, root int) {
 }
 
 // gatherFlat is the flat fan into index root: every other member sends
-// out; the root receives from each, in index order, with the given kind
-// into the slot in(i) names.
+// out; the root receives from each with the given kind into the slot in(i)
+// names. The root drains: it takes the messages in whatever order they
+// arrive, so one slow member does not hold up (in host time) the ones
+// queued behind it, and then applies them in index order — each receive is
+// max-with-arrival plus a constant overhead, so simulated time does not
+// depend on the arrival order.
 func (p *plan) gatherFlat(v view, root int, kind stepKind, in func(i int) span, out span) {
 	if v.me < 0 {
 		return
@@ -583,6 +606,9 @@ func (p *plan) gatherFlat(v view, root int, kind stepKind, in func(i int) span, 
 	if v.me != root {
 		p.msg(stSend, v, tagGather, root, out)
 		return
+	}
+	if v.size > 1 {
+		p.steps = append(p.steps, step{kind: stDrain, tier: v.tier, tag: tagGather, span: span{idx: v.size - 1}})
 	}
 	for i := 0; i < v.size; i++ {
 		if i != root {
@@ -600,12 +626,9 @@ func (p *plan) gatherHier(v view, root int) {
 	m := p.machines()
 	g, rg := m.groupOf[p.rank], m.groupOf[root]
 	leader, rootLeader := m.groups[g][0], m.groups[rg][0]
-	bundle := func(g int) int {
-		total := 0
-		for _, r := range m.groups[g] {
-			total += 8 + p.size(r)
-		}
-		return total
+	bundle := func(g int) int { // the framed payloads of machine g
+		grp := m.groups[g]
+		return p.bundled(view{ranks: grp, size: len(grp)}, 0, 0, len(grp))
 	}
 	if p.rank == leader {
 		p.local(frameOwn)
@@ -614,10 +637,7 @@ func (p *plan) gatherHier(v view, root int) {
 	p.gatherFlat(node, 0, stRecvFrame, func(i int) span { return whole(p.size(node.rank(i))) }, whole(p.size(p.rank)))
 	p.gatherFlat(m.net(p.rank), rg, stRecvAppend, func(i int) span { return whole(bundle(i)) }, whole(bundle(g)))
 	if root != rootLeader {
-		total := 0
-		for i := range m.groups {
-			total += bundle(i)
-		}
+		total := p.bundled(v, 0, 0, v.size)
 		switch p.rank {
 		case rootLeader:
 			p.msg(stSendOwned, v, tagHier, root, whole(total))
@@ -669,49 +689,34 @@ func (p *plan) scatterBody(ev int, v view, root int, alg ScatterAlg) {
 		return
 	}
 	// Bundles of parts travel down the binomial tree: a rank's bundle holds
-	// its subtree's entries in tree order, so each child's share is one
-	// contiguous run of it. The root serialises log2(n) transfers instead
-	// of n-1.
+	// its subtree's entries in tree order, own entry first, so each child's
+	// share is one contiguous run of it (found by walking the bundle: only
+	// the root knows the part sizes). The root serialises log2(n) transfers
+	// instead of n-1.
+	me, last := v.reach(root, &kids)
 	if parent < 0 {
 		p.local(func(x *collRun) {
-			x.buf = nil
-			for u := 0; u < v.size; u++ {
+			total := 8 * v.size
+			for _, part := range x.in {
+				total += len(part)
+			}
+			x.buf = bundleAppend(make([]byte, 0, total), 0, nil) // the root keeps its own part out of the bundle
+			for u := 1; u < v.size; u++ {
 				x.buf = bundleAppend(x.buf, u, x.in[v.rank((u+root)%v.size)])
 			}
 		})
 	} else {
-		lo, hi := v.reach(root, &kids)
-		p.msg(stRecv, v, tagScatter, parent, whole(p.bundled(v, root, lo, hi)))
-	}
-	if p.sizes != nil {
-		p.scatterTree(ev, v, root, kids, p.sizes)
-		return
-	}
-	p.local(func(x *collRun) { // the bundle tells the part sizes the root alone knew
-		sizes := make([]int, p.n)
-		bundleEach(x.buf, func(u int, d []byte) { sizes[v.rank((u+root)%v.size)] = len(d) })
-		p.scatterTree(ev, v, root, kids, sizes)
-	})
-}
-
-// scatterTree forwards each child's run of the bundle in buf (entries in
-// tree order starting with this rank's own), keeps the own entry and
-// closes the scatter's event.
-func (p *plan) scatterTree(ev int, v view, root int, kids kidList, sizes []int) {
-	me := (v.me - root + v.size) % v.size
-	off := func(u int) int { // byte offset of root-relative entry u in this rank's bundle
-		o := 0
-		for w := me; w < u; w++ {
-			o += 8 + sizes[v.rank((w+root)%v.size)]
-		}
-		return o
+		p.msg(stRecv, v, tagScatter, parent, whole(p.bundled(v, root, me, last)))
 	}
 	for i := kids.n - 1; i >= 0; i-- {
 		lo, hi := v.subtree(root, kids.at[i])
-		p.msg(stSendOwned, v, tagScatter, kids.at[i], part(off(lo), off(hi)))
+		p.msg(stSendOwned, v, tagScatter, kids.at[i], entries(lo-me, hi-me, p.bundled(v, root, lo, hi)))
 	}
-	own := sizes[p.rank]
-	p.local(func(x *collRun) { x.buf = append([]byte(nil), x.buf[8:8+own]...) })
+	if parent < 0 {
+		p.local(takeOwnPart)
+	} else {
+		p.local(keepOwnEntry)
+	}
 	p.end(ev, v, scatterAlgNames[ScatterBinomial], int64(ScatterBinomial), -1)
 }
 
@@ -768,7 +773,7 @@ func (p *plan) reduceScatter(v view) {
 	default:
 		// Reduce the concatenation on rank 0, then scatter the slices.
 		alg = ReduceScatterViaRoot
-		p.local(func(x *collRun) { x.buf = concat(x.in, nil, offs[n]) })
+		p.local(func(x *collRun) { x.buf = slices.Concat(x.in...) })
 		p.reduce(v, 0, offs[n])
 		if p.rank == 0 {
 			p.local(func(x *collRun) {
@@ -783,20 +788,6 @@ func (p *plan) reduceScatter(v view) {
 	p.end(ev, v, reduceScatterAlgNames[alg], int64(alg), -1)
 }
 
-// concat joins the blocks in the given order (nil: index order).
-func concat(blocks [][]byte, order []int, total int) []byte {
-	out := make([]byte, 0, total)
-	if order == nil {
-		for _, b := range blocks {
-			out = append(out, b...)
-		}
-	}
-	for _, r := range order {
-		out = append(out, blocks[r]...)
-	}
-	return out
-}
-
 // reduceScatterHier: each node tier reduces the whole vector onto its
 // leader over the machine's bus, the leaders run the pairwise exchange
 // over the net tier at machine-block granularity, and each leader hands
@@ -805,21 +796,24 @@ func concat(blocks [][]byte, order []int, total int) []byte {
 // not change a single sum), which makes every machine's block one range.
 func (p *plan) reduceScatterHier(v view) {
 	m := p.machines()
-	var order, offs []int // ranks machine by machine; byte offset of each entry of order
-	mOffs := []int{0}     // byte offset of each machine's block
-	at := make([]int, p.n)
-	offs = append(offs, 0)
+	start := make([]int, p.n)                // byte offset of each rank's block
+	mOffs := make([]int, 1, len(m.groups)+1) // byte offset of each machine's block
+	total := 0
 	for _, grp := range m.groups {
 		for _, r := range grp {
-			at[r] = len(order)
-			order = append(order, r)
-			offs = append(offs, offs[len(offs)-1]+p.size(r))
+			start[r], total = total, total+p.size(r)
 		}
-		mOffs = append(mOffs, offs[len(offs)-1])
+		mOffs = append(mOffs, total)
 	}
-	total := mOffs[len(mOffs)-1]
-	block := func(r int) span { return part(offs[at[r]], offs[at[r]+1]) }
-	p.local(func(x *collRun) { x.buf = concat(x.in, order, total) })
+	block := func(r int) span { return part(start[r], start[r]+p.size(r)) }
+	p.local(func(x *collRun) {
+		x.buf = make([]byte, 0, total)
+		for _, grp := range m.groups {
+			for _, r := range grp {
+				x.buf = append(x.buf, x.in[r]...)
+			}
+		}
+	})
 	node, net := m.node(p.rank), m.net(p.rank)
 	p.reduce(node, 0, total)
 	if g := net.me; g >= 0 {

@@ -198,6 +198,21 @@ type CollTuning struct {
 	ReduceScatterHierMinBytes int
 }
 
+// Default thresholds; see the CollTuning field docs.
+const (
+	defaultAllreduceRingMinBytes     = 32 << 10
+	defaultBcastSegMinBytes          = 64 << 10
+	defaultSegSize                   = 16 << 10
+	defaultTreeMinRanks              = 8
+	defaultTreeMaxBytes              = 1 << 10
+	defaultElemSize                  = 8
+	defaultAllreduceHierMinBytes     = 64 << 10
+	defaultBcastHierMinBytes         = 64 << 10
+	defaultBcastHierMaxBytes         = math.MaxInt
+	defaultGatherHierMaxBytes        = 64 << 10
+	defaultReduceScatterHierMinBytes = 64 << 10
+)
+
 // threshold resolves one CollTuning threshold field: zero selects the
 // library default (the zero value of CollTuning is the documented
 // "defaults everywhere" policy, so an unset field cannot be told apart
@@ -272,11 +287,11 @@ func hierOr[A comparable](alg, hier, auto A, inBand bool, on structure) (resolve
 }
 
 func (t *CollTuning) resolveAllreduce(n, nbytes int, on structure) AllreduceAlg {
-	inBand := nbytes >= threshold(t.AllreduceHierMinBytes, 64<<10, "AllreduceHierMinBytes")
+	inBand := nbytes >= threshold(t.AllreduceHierMinBytes, defaultAllreduceHierMinBytes, "AllreduceHierMinBytes")
 	if alg, done := hierOr(t.Allreduce, AllreduceHier, AllreduceAuto, inBand, on); done {
 		return alg
 	}
-	if nbytes >= threshold(t.AllreduceRingMinBytes, 32<<10, "AllreduceRingMinBytes") && nbytes%t.elemSize() == 0 && n > 2 {
+	if nbytes >= threshold(t.AllreduceRingMinBytes, defaultAllreduceRingMinBytes, "AllreduceRingMinBytes") && nbytes%t.elemSize() == 0 && n > 2 {
 		return AllreduceRing
 	}
 	return AllreduceRecursiveDoubling
@@ -285,12 +300,12 @@ func (t *CollTuning) resolveAllreduce(n, nbytes int, on structure) AllreduceAlg 
 // resolveBcast is the root-side resolution (only the root knows the
 // payload size); the choice travels down the tree in the bcast header.
 func (t *CollTuning) resolveBcast(nbytes int, on structure) BcastAlg {
-	inBand := nbytes >= threshold(t.BcastHierMinBytes, 64<<10, "BcastHierMinBytes") &&
-		nbytes <= threshold(t.BcastHierMaxBytes, math.MaxInt, "BcastHierMaxBytes")
+	inBand := nbytes >= threshold(t.BcastHierMinBytes, defaultBcastHierMinBytes, "BcastHierMinBytes") &&
+		nbytes <= threshold(t.BcastHierMaxBytes, defaultBcastHierMaxBytes, "BcastHierMaxBytes")
 	if alg, done := hierOr(t.Bcast, BcastHier, BcastAuto, inBand, on); done {
 		return alg
 	}
-	if nbytes >= threshold(t.BcastSegMinBytes, 64<<10, "BcastSegMinBytes") {
+	if nbytes >= threshold(t.BcastSegMinBytes, defaultBcastSegMinBytes, "BcastSegMinBytes") {
 		return BcastSegmented
 	}
 	return BcastBinomial
@@ -299,7 +314,7 @@ func (t *CollTuning) resolveBcast(nbytes int, on structure) BcastAlg {
 // resolveGather keys on the local payload size, so Auto requires agreed
 // sizes — pick the algorithm explicitly for irregular gathers.
 func (t *CollTuning) resolveGather(n, nbytes int, on structure) GatherAlg {
-	inBand := nbytes <= threshold(t.GatherHierMaxBytes, 64<<10, "GatherHierMaxBytes")
+	inBand := nbytes <= threshold(t.GatherHierMaxBytes, defaultGatherHierMaxBytes, "GatherHierMaxBytes")
 	if alg, done := hierOr(t.Gather, GatherHier, GatherAuto, inBand, on); done {
 		return alg
 	}
@@ -312,7 +327,7 @@ func (t *CollTuning) resolveGather(n, nbytes int, on structure) GatherAlg {
 // resolveReduceScatter: the flat Auto choice is always pairwise (it
 // dominates the via-root algorithm at every size on a switched network).
 func (t *CollTuning) resolveReduceScatter(totalBytes int, on structure) ReduceScatterAlg {
-	inBand := totalBytes >= threshold(t.ReduceScatterHierMinBytes, 64<<10, "ReduceScatterHierMinBytes")
+	inBand := totalBytes >= threshold(t.ReduceScatterHierMinBytes, defaultReduceScatterHierMinBytes, "ReduceScatterHierMinBytes")
 	if alg, done := hierOr(t.ReduceScatter, ReduceScatterHier, ReduceScatterAuto, inBand, on); done {
 		return alg
 	}
@@ -324,14 +339,14 @@ func (t *CollTuning) resolveReduceScatter(totalBytes int, on structure) ReduceSc
 // ranks, small enough payloads (above TreeMaxBytes the tree moves
 // asymptotically more bytes than the fan).
 func (t *CollTuning) treeWins(n, nbytes int) bool {
-	return n >= threshold(t.TreeMinRanks, 8, "TreeMinRanks") && nbytes <= threshold(t.TreeMaxBytes, 1<<10, "TreeMaxBytes")
+	return n >= threshold(t.TreeMinRanks, defaultTreeMinRanks, "TreeMinRanks") && nbytes <= threshold(t.TreeMaxBytes, defaultTreeMaxBytes, "TreeMaxBytes")
 }
 
 // segSize is the segment size of the pipelined broadcast.
-func (t *CollTuning) segSize() int { return threshold(t.SegSize, 16<<10, "SegSize") }
+func (t *CollTuning) segSize() int { return threshold(t.SegSize, defaultSegSize, "SegSize") }
 
 // elemSize is the reduction element width splitting algorithms cut on.
-func (t *CollTuning) elemSize() int { return threshold(t.ElemSize, 8, "ElemSize") }
+func (t *CollTuning) elemSize() int { return threshold(t.ElemSize, defaultElemSize, "ElemSize") }
 
 // resolveScatter resolves Auto at the root, the only rank that sees the
 // part sizes (they may be irregular).

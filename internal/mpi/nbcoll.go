@@ -56,7 +56,6 @@ type nbSched struct {
 	collRun
 	name string // "ibcast" or "iallreduce", for traces
 	tag  int
-	envs []*envelope // envs[i]: claimed by the progress engine for receive step i, not yet executed
 	next int         // first unexecuted step
 	st   vclock.Time // virtual cursor of the executed prefix
 }
@@ -159,14 +158,14 @@ func (sc *nbSched) advance(block bool) bool {
 		sc.st = now
 	}
 	for ; sc.next < len(sc.steps); sc.next++ {
-		s := sc.steps[sc.next]
+		s := &sc.steps[sc.next]
 		switch {
 		case s.kind == stLocal:
-			s.fn(&sc.collRun)
+			s.fn(&sc.collRun) // may grow the list and so move it: s is not used again
 		case s.kind.isSend():
 			// The transfer anchors at the cursor instead of the rank's
 			// clock, and the cursor advances by the send overhead.
-			_, sc.st = c.sendCore(s.peer, sc.tag, sc.payload(&s), s.kind != stSendOwned, sc.st, nil)
+			_, sc.st = c.sendCore(s.peer, sc.tag, sc.payload(s), s.kind != stSendOwned, sc.st, nil)
 		case s.kind.isRecv():
 			var e *envelope
 			if sc.next < len(sc.envs) {
@@ -178,7 +177,7 @@ func (sc *nbSched) advance(block bool) bool {
 				}
 				e = c.mboxGet("coll", c.sel(s.peer, sc.tag), c.collWatch())
 			}
-			sc.recv(&s, e)
+			sc.recv(s, e)
 		}
 	}
 	return true

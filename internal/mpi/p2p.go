@@ -500,10 +500,7 @@ func (p *Proc) noteRecv(e *envelope, start, end vclock.Time, anySrc bool) {
 // recycled and must not be touched afterwards.
 func (c *Comm) consume(e *envelope, t0 vclock.Time) ([]byte, Status) {
 	st := c.finishRecvTiming(e, t0)
-	data := e.data
-	if e.pbuf != nil {
-		data = append([]byte(nil), e.data...)
-	}
+	data := e.retained()
 	e.data = nil
 	releaseEnvelope(e)
 	return data, st
