@@ -696,11 +696,11 @@ func (p *plan) scatterBody(ev int, v view, root int, alg ScatterAlg) {
 	me, last := v.reach(root, &kids)
 	if parent < 0 {
 		p.local(func(x *collRun) {
-			total := 8 * v.size
+			total := 8*v.size - len(x.in[x.rank]) // the root keeps its own part out of the bundle
 			for _, part := range x.in {
 				total += len(part)
 			}
-			x.buf = bundleAppend(make([]byte, 0, total), 0, nil) // the root keeps its own part out of the bundle
+			x.buf = bundleAppend(make([]byte, 0, total), 0, nil)
 			for u := 1; u < v.size; u++ {
 				x.buf = bundleAppend(x.buf, u, x.in[v.rank((u+root)%v.size)])
 			}
