@@ -1,13 +1,18 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/hnoc"
 	"repro/internal/jobspec"
+	trc "repro/internal/trace"
 )
 
 // quickSpec returns a small em3d job; vary nodes for distinct problems.
@@ -327,4 +332,50 @@ func TestCloseDrains(t *testing.T) {
 		}
 	}
 	s.Close() // idempotent
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/condensed.golden.json")
+
+// TestCondensedGolden pins what a job's recorder condenses to: the
+// JobInfo.Trace and JobInfo.Metrics JSON of one fixed spec per app is
+// byte-identical to testdata/condensed.golden.json, which was captured
+// from the commit before the recorder learned to grow (PR 17). Any change
+// to the recorder, Data or FillFromData that moves an event count, the
+// send-size histogram or the makespan shows up here.
+func TestCondensedGolden(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	var buf bytes.Buffer
+	for _, sp := range mixedSpecs(3) {
+		info, err := s.Submit(sp)
+		if err == nil {
+			info, err = s.Result(info.ID)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", sp.App, err)
+		}
+		doc, err := json.MarshalIndent(struct {
+			App     string        `json:"app"`
+			Trace   *TraceSummary `json:"trace"`
+			Metrics *trc.Snapshot `json:"metrics"`
+		}{sp.App, info.Trace, info.Metrics}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(doc)
+		buf.WriteByte('\n')
+	}
+	const golden = "testdata/condensed.golden.json"
+	if *updateGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with go test -run CondensedGolden -update)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("condensed trace/metrics differ from %s:\n got:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
+	}
 }
