@@ -19,12 +19,13 @@ check: lint
 	$(GO) test -race -short ./...
 	$(GO) test -race -run TestSmoke ./bench
 
-# Static analysis: go vet, the HMPI analyzers (hmpivet) over the tree —
-# a directory walk sweeps every shipped .mpc model too — the PMDL lints,
-# and staticcheck when the binary is on PATH (CI installs a pinned
-# version; locally it is optional so an offline checkout still gates on
-# the in-tree checks).
+# Static analysis: gofmt with nothing left to rewrite, go vet, the HMPI
+# analyzers (hmpivet) over the tree — a directory walk sweeps every
+# shipped .mpc model too — the PMDL lints, and staticcheck when the binary
+# is on PATH (CI installs a pinned version; locally it is optional so an
+# offline checkout still gates on the in-tree checks).
 lint:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/hmpivet .
 	for m in models/*.mpc; do $(GO) run ./cmd/pmc -lint $$m || exit 1; done

@@ -159,7 +159,7 @@ func saveObs(d *trc.Data, traceFile, metricsFile string) error {
 		if err := d.WriteFile(traceFile); err != nil {
 			return err
 		}
-		fmt.Printf("trace: wrote %s (%d events, %d dropped)\n", traceFile, len(d.Events()), d.Meta.Dropped)
+		fmt.Printf("trace: wrote %s (%d events, %d dropped)\n", traceFile, d.NumEvents(), d.Meta.Dropped)
 	}
 	if metricsFile != "" {
 		reg := trc.NewRegistry()

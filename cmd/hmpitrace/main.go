@@ -201,7 +201,7 @@ func cmdInfo(args []string) {
 	d := load(fs, args)
 	fmt.Printf("app:      %s\n", orDash(d.Meta.App))
 	fmt.Printf("ranks:    %d\n", d.NumRanks())
-	fmt.Printf("events:   %d\n", len(d.Events()))
+	fmt.Printf("events:   %d\n", d.NumEvents())
 	fmt.Printf("makespan: %.6gs\n", float64(d.Makespan()))
 	if d.Meta.Dropped > 0 {
 		fmt.Printf("dropped:  %d\n", d.Meta.Dropped)

@@ -15,6 +15,7 @@ package em3d
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/hnoc"
 	"repro/internal/pmdl"
@@ -302,8 +303,12 @@ algorithm Em3d(int p, int k, int d[p], int dep[p][p]) {
 }
 `
 
-// Model compiles the Em3d performance model (Figure 4).
-func Model() *pmdl.Model { return pmdl.MustParseModel(modelSource) }
+// Model returns the Em3d performance model (Figure 4), compiled on first
+// use. A compiled model is immutable, so every caller shares the one
+// value.
+func Model() *pmdl.Model { return compiledModel() }
+
+var compiledModel = sync.OnceValue(func() *pmdl.Model { return pmdl.MustParseModel(modelSource) })
 
 // ModelArgs returns the actual parameters (p, k, d, dep) for the model.
 func (pr *Problem) ModelArgs() []any {

@@ -13,6 +13,7 @@ package jacobi
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/hnoc"
 	"repro/internal/partition"
@@ -151,8 +152,11 @@ algorithm Jacobi(int p, int h[p], int cols) {
 }
 `
 
-// Model compiles the Jacobi performance model.
-func Model() *pmdl.Model { return pmdl.MustParseModel(modelSource) }
+// Model returns the Jacobi performance model, compiled on first use. A
+// compiled model is immutable, so every caller shares the one value.
+func Model() *pmdl.Model { return compiledModel() }
+
+var compiledModel = sync.OnceValue(func() *pmdl.Model { return pmdl.MustParseModel(modelSource) })
 
 // ModelArgs returns (p, h, cols) for the given strip heights.
 func (pr *Problem) ModelArgs(heights []int) []any {

@@ -21,6 +21,7 @@ package matmul
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/hnoc"
 	"repro/internal/partition"
@@ -251,8 +252,12 @@ algorithm ParallelAxB(int m, int r, int n, int l, int w[m],
 };
 `
 
-// Model compiles the ParallelAxB performance model (Figure 7).
-func Model() *pmdl.Model { return pmdl.MustParseModel(modelSource) }
+// Model returns the ParallelAxB performance model (Figure 7), compiled on
+// first use. A compiled model is immutable, so every caller shares the one
+// value.
+func Model() *pmdl.Model { return compiledModel() }
+
+var compiledModel = sync.OnceValue(func() *pmdl.Model { return pmdl.MustParseModel(modelSource) })
 
 // ModelArgs returns the actual parameters (m, r, n, l, w, h) of the
 // ParallelAxB model for this distribution.

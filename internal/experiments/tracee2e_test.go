@@ -44,6 +44,9 @@ func checkPhase(t *testing.T, rec *trace.Recorder, phase string, predicted, boun
 	if d.Meta.Unclosed != 0 {
 		t.Fatalf("%d regions left unclosed", d.Meta.Unclosed)
 	}
+	if n, merged := d.NumEvents(), len(d.Events()); n != merged || n == 0 {
+		t.Fatalf("NumEvents = %d, Events() merged %d", n, merged)
+	}
 	rep := trace.BuildReport(d)
 	if len(rep.Phases) != 1 || rep.Phases[0].Name != phase {
 		t.Fatalf("report phases = %+v, want exactly %q", rep.Phases, phase)

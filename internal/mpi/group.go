@@ -1,16 +1,11 @@
 package mpi
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Group is an ordered set of world ranks, the MPI group abstraction. Groups
-// are immutable values; the constructors below mirror the MPI-1 group
-// operations (which standard MPI provides and HMPI deliberately does not —
-// HMPI's only group constructor is performance-model driven, but its
-// substrate must still offer the full MPI set, and HMPI programs may obtain
-// these groups through HMPI_Get_comm).
+// are immutable values. Of the MPI-1 group constructors only Incl is here:
+// HMPI's own group constructor is performance-model driven, and nothing in
+// the tree built a group by set algebra or rank ranges.
 type Group struct {
 	ranks []int // world ranks; index in the slice is the group rank
 }
@@ -51,52 +46,6 @@ func (g *Group) Rank(worldRank int) int {
 // Contains reports whether the world rank is a member.
 func (g *Group) Contains(worldRank int) bool { return g.Rank(worldRank) >= 0 }
 
-// Translate maps ranks in g to the corresponding ranks in other
-// (MPI_Group_translate_ranks); absent processes map to -1.
-func (g *Group) Translate(ranks []int, other *Group) []int {
-	out := make([]int, len(ranks))
-	for i, r := range ranks {
-		out[i] = other.Rank(g.WorldRank(r))
-	}
-	return out
-}
-
-// Union returns the group of processes in g followed by the processes of h
-// not in g (MPI_Group_union ordering).
-func (g *Group) Union(h *Group) *Group {
-	out := append([]int(nil), g.ranks...)
-	for _, r := range h.ranks {
-		if !g.Contains(r) {
-			out = append(out, r)
-		}
-	}
-	return &Group{ranks: out}
-}
-
-// Intersection returns the processes of g that are also in h, in g's order
-// (MPI_Group_intersection).
-func (g *Group) Intersection(h *Group) *Group {
-	var out []int
-	for _, r := range g.ranks {
-		if h.Contains(r) {
-			out = append(out, r)
-		}
-	}
-	return &Group{ranks: out}
-}
-
-// Difference returns the processes of g not in h, in g's order
-// (MPI_Group_difference).
-func (g *Group) Difference(h *Group) *Group {
-	var out []int
-	for _, r := range g.ranks {
-		if !h.Contains(r) {
-			out = append(out, r)
-		}
-	}
-	return &Group{ranks: out}
-}
-
 // Incl returns the group containing the processes with the listed group
 // ranks of g, in the listed order (MPI_Group_incl).
 func (g *Group) Incl(groupRanks []int) *Group {
@@ -107,73 +56,6 @@ func (g *Group) Incl(groupRanks []int) *Group {
 	return NewGroup(out)
 }
 
-// Excl returns g without the processes with the listed group ranks
-// (MPI_Group_excl).
-func (g *Group) Excl(groupRanks []int) *Group {
-	drop := make(map[int]bool, len(groupRanks))
-	for _, r := range groupRanks {
-		if r < 0 || r >= len(g.ranks) {
-			panic(fmt.Sprintf("mpi: Excl rank %d out of range", r))
-		}
-		drop[r] = true
-	}
-	var out []int
-	for i, r := range g.ranks {
-		if !drop[i] {
-			out = append(out, r)
-		}
-	}
-	return &Group{ranks: out}
-}
-
-// RangeTriplet is one (first, last, stride) range of group ranks, as in
-// MPI_Group_range_incl/excl. Stride may be negative; last is inclusive.
-type RangeTriplet struct {
-	First, Last, Stride int
-}
-
-func (t RangeTriplet) expand(size int) []int {
-	if t.Stride == 0 {
-		panic("mpi: zero stride in range triplet")
-	}
-	var out []int
-	if t.Stride > 0 {
-		for r := t.First; r <= t.Last; r += t.Stride {
-			out = append(out, r)
-		}
-	} else {
-		for r := t.First; r >= t.Last; r += t.Stride {
-			out = append(out, r)
-		}
-	}
-	for _, r := range out {
-		if r < 0 || r >= size {
-			panic(fmt.Sprintf("mpi: range rank %d out of range [0,%d)", r, size))
-		}
-	}
-	return out
-}
-
-// RangeIncl returns the group of processes covered by the range triplets
-// (MPI_Group_range_incl).
-func (g *Group) RangeIncl(ranges []RangeTriplet) *Group {
-	var sel []int
-	for _, t := range ranges {
-		sel = append(sel, t.expand(len(g.ranks))...)
-	}
-	return g.Incl(sel)
-}
-
-// RangeExcl returns g without the processes covered by the range triplets
-// (MPI_Group_range_excl).
-func (g *Group) RangeExcl(ranges []RangeTriplet) *Group {
-	var sel []int
-	for _, t := range ranges {
-		sel = append(sel, t.expand(len(g.ranks))...)
-	}
-	return g.Excl(sel)
-}
-
 // Equal reports whether both groups contain the same processes in the same
 // order (MPI_IDENT).
 func (g *Group) Equal(h *Group) bool {
@@ -182,24 +64,6 @@ func (g *Group) Equal(h *Group) bool {
 	}
 	for i := range g.ranks {
 		if g.ranks[i] != h.ranks[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Similar reports whether both groups contain the same processes in any
-// order (MPI_SIMILAR or MPI_IDENT).
-func (g *Group) Similar(h *Group) bool {
-	if len(g.ranks) != len(h.ranks) {
-		return false
-	}
-	a := append([]int(nil), g.ranks...)
-	b := append([]int(nil), h.ranks...)
-	sort.Ints(a)
-	sort.Ints(b)
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

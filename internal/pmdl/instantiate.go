@@ -9,7 +9,8 @@ import (
 // Model is a compiled performance model: the parsed source plus the host
 // functions its scheme may call. It corresponds to the set of functions the
 // paper's compiler generates from a model description (the HMPI_Model
-// handle).
+// handle). Nothing writes to a Model once ParseModel has returned it, so
+// one value may be instantiated from any number of goroutines at once.
 type Model struct {
 	File   *File
 	Source string
@@ -28,7 +29,7 @@ func ParseModel(src string) (*Model, error) {
 		return nil, err
 	}
 	m := &Model{File: f, Source: src, hosts: make(map[string]HostFunc)}
-	m.RegisterHost("GetProcessor", getProcessorBuiltin)
+	m.registerHost("GetProcessor", getProcessorBuiltin)
 	return m, nil
 }
 
@@ -44,8 +45,8 @@ func MustParseModel(src string) *Model {
 // Name returns the algorithm name.
 func (m *Model) Name() string { return m.File.Algorithm.Name }
 
-// RegisterHost makes fn callable from the scheme under the given name.
-func (m *Model) RegisterHost(name string, fn HostFunc) { m.hosts[name] = fn }
+// registerHost makes fn callable from the scheme under the given name.
+func (m *Model) registerHost(name string, fn HostFunc) { m.hosts[name] = fn }
 
 // Instance is a performance model bound to actual parameters: the total
 // number of abstract processors, the computation volume of each, the

@@ -8,6 +8,8 @@ package pmdl
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/sched"
@@ -394,4 +396,47 @@ func TestParallelAxBTimeofMonotoneInN(t *testing.T) {
 		}
 		prev = ms
 	}
+}
+
+// TestModelSharedAcrossGoroutines: a compiled Model is read-only, so the
+// applications compile theirs once and every job instantiates the same
+// value. Eight goroutines instantiate one model and unroll its scheme at
+// once; run under -race, any write to the shared AST or host table shows.
+func TestModelSharedAcrossGoroutines(t *testing.T) {
+	m, err := ParseModel(em3dSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instantiate := func() (*Instance, *sched.DAG, error) {
+		inst, err := m.Instantiate(3, 100, []int{200, 300, 500}, [][]int{{0, 10, 5}, {10, 0, 20}, {5, 20, 0}})
+		if err != nil {
+			return nil, nil, err
+		}
+		dag, err := inst.BuildDAG()
+		return inst, dag, err
+	}
+	want, wantDAG, err := instantiate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				inst, dag, err := instantiate()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(inst.CompVolume, want.CompVolume) || !reflect.DeepEqual(inst.CommVolume, want.CommVolume) ||
+					len(dag.Tasks) != len(wantDAG.Tasks) {
+					t.Errorf("concurrent instance differs from the serial one")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

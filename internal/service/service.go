@@ -73,12 +73,6 @@ type Config struct {
 	// TenantQueueDepth, when positive, additionally bounds one tenant's
 	// queued jobs, so a single tenant cannot occupy the whole queue.
 	TenantQueueDepth int
-	// TraceShardCap bounds each job recorder's per-rank event ring
-	// (default 4096). The daemon condenses every trace to a summary and a
-	// metrics snapshot, so a bounded ring is the right trade: a small job
-	// keeps its full trace, a huge one reports Dropped instead of paying
-	// the full recorder allocation on every run.
-	TraceShardCap int
 }
 
 // JobEvent is one entry of a job's event log, streamed to watchers.
@@ -168,9 +162,6 @@ func newServer(cfg Config) *Server {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
-	}
-	if cfg.TraceShardCap <= 0 {
-		cfg.TraceShardCap = 4096
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -465,6 +456,12 @@ func (s *Server) worker() {
 	}
 }
 
+// traceShardCap bounds each job recorder's per-rank event ring. The daemon
+// condenses every trace to a summary and a metrics snapshot, so a bounded
+// ring is the right trade: a small job keeps its full trace, a huge one
+// reports Dropped instead of holding every event until it is condensed.
+const traceShardCap = 4096
+
 // run executes one job on a fresh runtime with a recorder attached, and
 // condenses its observability payload.
 func (s *Server) run(j *job) (*jobspec.Result, *TraceSummary, *trc.Snapshot, error) {
@@ -472,7 +469,7 @@ func (s *Server) run(j *job) (*jobspec.Result, *TraceSummary, *trc.Snapshot, err
 	res, err := jobspec.Execute(j.spec, jobspec.ExecOptions{
 		Selection: s.cache,
 		OnRuntime: func(rt *hmpi.Runtime) {
-			rec = rt.EnableRecorder(j.spec.App, trc.Options{ShardCap: s.cfg.TraceShardCap})
+			rec = rt.EnableRecorder(j.spec.App, trc.Options{ShardCap: traceShardCap})
 		},
 	})
 	if err != nil {
@@ -480,7 +477,7 @@ func (s *Server) run(j *job) (*jobspec.Result, *TraceSummary, *trc.Snapshot, err
 	}
 	d := rec.Data()
 	tr := &TraceSummary{
-		Events:   len(d.Events()),
+		Events:   d.NumEvents(),
 		Dropped:  d.Meta.Dropped,
 		Makespan: float64(d.Makespan()),
 	}

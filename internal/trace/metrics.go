@@ -12,6 +12,7 @@ package trace
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"sort"
 	"sync"
 )
@@ -179,13 +180,19 @@ func sortedKeys[V any](m map[string]V) []string {
 // counters, a message-size histogram over sends, and gauges for makespan
 // and drop/unclosed counts.
 func (g *Registry) FillFromData(d *Data) {
+	var counts [math.MaxUint8 + 1]int64 // by Kind
 	for _, evs := range d.PerRank {
 		for i := range evs {
 			e := &evs[i]
-			g.Add("events_"+e.Kind.String()+"_total", 1)
+			counts[e.Kind]++
 			if e.Kind == KindSend {
 				g.Observe("send_bytes", float64(e.Bytes))
 			}
+		}
+	}
+	for k, n := range counts {
+		if n > 0 {
+			g.Add("events_"+Kind(k).String()+"_total", n)
 		}
 	}
 	g.SetGauge("trace_makespan_s", float64(d.Makespan()))

@@ -7,13 +7,16 @@
 // happens-before graph) and a predicted-vs-observed report that replays a
 // trace through the cost models of internal/estimator.
 //
-// Recording model: one shard per world rank, each a fixed-capacity ring of
-// Event values. Every event is emitted by the goroutine of the rank it
-// describes (simulated processes are goroutine-confined), so each shard
-// has exactly one writer and appends without locks; the published count is
-// an atomic so concurrent metadata reads see a consistent prefix. When the
-// recorder is not attached the instrumentation in mpi/hmpi is a single nil
-// check — zero allocations, no atomic traffic.
+// Recording model: one shard per world rank, each a ring of Event values
+// that starts empty, grows by doubling up to Options.ShardCap and then
+// overwrites its oldest entry, so a run pays for the events it emits and
+// not for the ones it might. Every event is emitted by the goroutine of
+// the rank it describes (simulated processes are goroutine-confined), so
+// each shard has exactly one writer and appends without locks; the
+// published count is an atomic so concurrent metadata reads (Dropped)
+// see a consistent value. When the recorder is not attached the
+// instrumentation in mpi/hmpi is a single nil check — zero allocations, no
+// atomic traffic.
 //
 // Ownership rule (see bufpool.go in internal/mpi): events never
 // retain message payloads. An Event carries the byte count and metadata
@@ -22,9 +25,10 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -133,7 +137,12 @@ type Options struct {
 	ShardCap int
 }
 
-const defaultShardCap = 1 << 14
+const (
+	defaultShardCap = 1 << 14
+	// shardBlock is a shard's first allocation, in events; each later one
+	// doubles the shard until it reaches its cap.
+	shardBlock = 64
+)
 
 // Meta describes a recorded run: enough context to analyse the trace
 // without the live runtime (the binary format embeds it, so a trace file
@@ -178,9 +187,12 @@ type regionFrame struct {
 
 // shard is the per-rank ring buffer. Single writer (the rank's own
 // goroutine); n is atomic so post-run readers and metric snapshots load a
-// published count.
+// published count. events holds min(n, cap) retained events in a slice
+// that is reallocated as it grows, so only the writer, or a reader after
+// the run, may touch it.
 type shard struct {
 	events  []Event
+	cap     int64        // retention bound: len(events) never exceeds it
 	n       atomic.Int64 // total emitted (monotone; retained = min(n, cap))
 	regions []regionFrame
 	badEnds atomic.Int64 // RegionEnd calls with no matching begin
@@ -211,8 +223,7 @@ func NewRecorder(nranks int, opts Options) *Recorder {
 	r := &Recorder{start: time.Now(), shards: make([]shard, nranks)}
 	r.meta.NRanks = nranks
 	for i := range r.shards {
-		r.shards[i].events = make([]Event, cap)
-		r.shards[i].regions = make([]regionFrame, 0, 8)
+		r.shards[i].cap = int64(cap)
 	}
 	return r
 }
@@ -226,11 +237,17 @@ func (r *Recorder) NowNS() int64 { return time.Since(r.start).Nanoseconds() }
 
 // Emit records one event on rank's shard. Must be called from the
 // goroutine owning that rank (the simulation confines each rank to one
-// goroutine, so every instrumentation site satisfies this for free).
+// goroutine, so every instrumentation site satisfies this for free). It
+// allocates only when the shard grows.
 func (r *Recorder) Emit(rank int, e Event) {
 	s := &r.shards[rank]
 	n := s.n.Load()
-	s.events[n%int64(len(s.events))] = e
+	if n == int64(len(s.events)) && n < s.cap {
+		grown := make([]Event, min(max(2*n, shardBlock), s.cap))
+		copy(grown, s.events)
+		s.events = grown
+	}
+	s.events[n%s.cap] = e
 	s.n.Store(n + 1)
 }
 
@@ -333,8 +350,8 @@ func (r *Recorder) Dropped() int64 {
 	var d int64
 	for i := range r.shards {
 		s := &r.shards[i]
-		if n, c := s.n.Load(), int64(len(s.events)); n > c {
-			d += n - c
+		if n := s.n.Load(); n > s.cap {
+			d += n - s.cap
 		}
 	}
 	return d
@@ -345,26 +362,35 @@ func (r *Recorder) Dropped() int64 {
 func (r *Recorder) RankEvents(rank int) []Event {
 	s := &r.shards[rank]
 	n := s.n.Load()
-	c := int64(len(s.events))
-	if n <= c {
-		return append([]Event(nil), s.events[:n]...)
+	if n <= s.cap {
+		return slices.Clone(s.events[:n])
 	}
-	// Ring wrapped: oldest retained event sits at n % cap.
-	out := make([]Event, 0, c)
-	head := n % c
-	out = append(out, s.events[head:]...)
-	return append(out, s.events[:head]...)
+	return s.unwrap(n)
+}
+
+// unwrap copies a wrapped ring out oldest first; the oldest retained
+// event sits at n % cap.
+func (s *shard) unwrap(n int64) []Event {
+	head := n % s.cap
+	return slices.Concat(s.events[head:], s.events[:head])
 }
 
 // Data snapshots the recorder into an analysable, exportable form. Call
-// after the run completes (concurrent emission would race on slot
-// contents).
+// after the run completes: concurrent emission would race on slot
+// contents, and a shard that has not wrapped is handed over as it lies,
+// not copied, so events emitted afterwards would show through once it
+// does wrap.
 func (r *Recorder) Data() *Data {
 	d := &Data{Meta: r.meta, PerRank: make([][]Event, len(r.shards))}
 	d.Meta.NRanks = len(r.shards)
 	for i := range r.shards {
-		d.PerRank[i] = r.RankEvents(i)
-		d.Meta.Unclosed += int64(len(r.shards[i].regions))
+		s := &r.shards[i]
+		if n := s.n.Load(); n <= s.cap {
+			d.PerRank[i] = s.events[:n:n]
+		} else {
+			d.PerRank[i] = s.unwrap(n)
+		}
+		d.Meta.Unclosed += int64(len(s.regions))
 	}
 	d.Meta.Dropped = r.Dropped()
 	d.Meta.Pending = r.PendingOps()
@@ -380,6 +406,16 @@ type Data struct {
 
 // NumRanks returns the number of ranks in the snapshot.
 func (d *Data) NumRanks() int { return len(d.PerRank) }
+
+// NumEvents returns the number of events in the snapshot, len(d.Events())
+// without the merge.
+func (d *Data) NumEvents() int {
+	var total int
+	for _, evs := range d.PerRank {
+		total += len(evs)
+	}
+	return total
+}
 
 // EachEvent calls fn for every event, rank-major in per-rank emission
 // order, stopping early when fn returns false. It is the iteration hook
@@ -398,17 +434,36 @@ func (d *Data) EachEvent(fn func(rank int, e Event) bool) {
 // Events returns all events merged across ranks, sorted by virtual start
 // time with rank as the tie-break and per-rank emission order preserved —
 // a deterministic order for a deterministic simulation, which is what
-// makes the Chrome export golden-testable.
+// makes the Chrome export golden-testable. It sorts one compact key per
+// event and gathers the events once; the key's position in the rank-major
+// stream makes the order total, so no stable sort is needed.
 func (d *Data) Events() []Event {
-	var total int
-	for _, evs := range d.PerRank {
-		total += len(evs)
+	type key struct {
+		start vclock.Time
+		rank  int32  // the event's Rank field, the documented tie-break
+		pos   uint64 // shard<<32 | index: where the event lies in PerRank
 	}
-	out := make([]Event, 0, total)
-	for _, evs := range d.PerRank {
-		out = append(out, evs...)
+	keys := make([]key, 0, d.NumEvents())
+	for shard, evs := range d.PerRank {
+		for i := range evs {
+			keys = append(keys, key{evs[i].Start, evs[i].Rank, uint64(shard)<<32 | uint64(i)})
+		}
 	}
-	stableSortEvents(out)
+	slices.SortFunc(keys, func(a, b key) int {
+		switch {
+		case a.start < b.start:
+			return -1
+		case a.start > b.start:
+			return 1
+		case a.rank != b.rank:
+			return cmp.Compare(a.rank, b.rank)
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	out := make([]Event, len(keys))
+	for i, k := range keys {
+		out[i] = d.PerRank[k.pos>>32][uint32(k.pos)]
+	}
 	return out
 }
 
@@ -423,16 +478,4 @@ func (d *Data) Makespan() vclock.Time {
 		}
 	}
 	return max
-}
-
-// stableSortEvents sorts by (Start, Rank) keeping equal elements in
-// emission order, so the merged stream is deterministic whenever the
-// simulation is.
-func stableSortEvents(evs []Event) {
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].Start != evs[j].Start {
-			return evs[i].Start < evs[j].Start
-		}
-		return evs[i].Rank < evs[j].Rank
-	})
 }

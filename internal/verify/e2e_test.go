@@ -8,6 +8,7 @@ package verify_test
 // nothing.
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -219,5 +220,60 @@ func TestE2ENonblockingCollectivesVerify(t *testing.T) {
 	}
 	if v := rep.Violations(); len(v) != 0 {
 		t.Fatalf("nonblocking collectives produced violations:\n%v", v)
+	}
+}
+
+// TestE2EWrappedRingKeepsNewest runs one deterministic job twice, once with
+// room for every event and once with eight slots per rank: the small ring
+// must hold exactly the newest eight of each rank (the simulated fields are
+// the same run to run; the wall-clock ones are not compared), count the
+// rest as dropped, and the verifier must say the trace is not sound.
+func TestE2EWrappedRingKeepsNewest(t *testing.T) {
+	const shardCap = 8
+	record := func(opts trace.Options) *trace.Data {
+		rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := rt.EnableRecorder("em3d", opts)
+		pr, err := em3d.Generate(em3d.Config{P: 6, TotalNodes: 6000, Light: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := em3d.RunHMPI(rt, pr, em3d.RunOptions{Iters: 2}); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Data()
+	}
+	full, small := record(trace.Options{}), record(trace.Options{ShardCap: shardCap})
+	if full.Meta.Dropped != 0 {
+		t.Fatalf("the reference run dropped %d events", full.Meta.Dropped)
+	}
+	if want := int64(full.NumEvents() - small.NumEvents()); small.Meta.Dropped != want || want == 0 {
+		t.Fatalf("Dropped = %d, want %d (> 0)", small.Meta.Dropped, want)
+	}
+	for rank, all := range full.PerRank {
+		got, want := small.PerRank[rank], all[max(0, len(all)-shardCap):]
+		if len(got) != len(want) {
+			t.Fatalf("rank %d retained %d events, want %d", rank, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			g.WallStart, g.WallEnd, w.WallStart, w.WallEnd = 0, 0, 0, 0
+			if g != w {
+				t.Errorf("rank %d event %d = %+v, want %+v", rank, i, g, w)
+			}
+		}
+	}
+	rep, err := verify.Run(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warned := false
+	for _, f := range rep.Findings {
+		warned = warned || strings.Contains(f.Message, "dropped from the recording ring")
+	}
+	if !warned {
+		t.Fatalf("verifier did not flag the wrapped trace: %v", rep.Findings)
 	}
 }
