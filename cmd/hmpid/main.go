@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	hmpid serve  -socket /tmp/hmpid.sock -workers 8 -budget 60
+//	hmpid serve  -socket /tmp/hmpid.sock -workers 8 -budget 1
 //	hmpid submit -socket /tmp/hmpid.sock -app em3d -nodes 400000 -wait
 //	hmpid submit -socket /tmp/hmpid.sock -app matmul -n 90 -tenant acme
 //	hmpid status -socket /tmp/hmpid.sock j1
@@ -75,7 +75,7 @@ func cmdServe(args []string) {
 	queue := fs.Int("queue-depth", 256, "max queued jobs before submissions are rejected")
 	tenantQueue := fs.Int("tenant-queue-depth", 0, "max queued jobs per tenant (0 = unlimited)")
 	cacheEntries := fs.Int("cache-entries", 0, "selection cache bound (0 = default)")
-	budget := fs.Float64("budget", 0, "admission budget: max predicted makespan in simulated seconds (0 = unlimited)")
+	budget := fs.Float64("budget", 0, "admission budget in simulated seconds: a job is rejected when its price, the HMPI_Timeof prediction its run would report, exceeds it (0 = unlimited)")
 	fs.Parse(args)
 
 	os.Remove(*socket) // a previous daemon's stale socket

@@ -15,10 +15,19 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/apps"
 	"repro/internal/apps/em3d"
-	"repro/internal/hmpi"
 	"repro/internal/hnoc"
 )
+
+// run executes the program on a fresh runtime over the cluster.
+func run(cluster *hnoc.Cluster, prog apps.Program, mode apps.Mode) apps.Result {
+	res, err := apps.RunOn(cluster, prog, mode)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
+}
 
 func main() {
 	cluster := hnoc.Paper9()
@@ -33,18 +42,11 @@ func main() {
 	// post-early/compute/wait one — must reproduce the serial field
 	// bit-for-bit.
 	for _, overlap := range []bool{false, true} {
-		rt, err := hmpi.New(hmpi.Config{Cluster: cluster})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer rt.Finalize()
-		res, err := em3d.RunHMPI(rt, small, em3d.RunOptions{Iters: 3, RealMath: true, Overlap: overlap})
-		if err != nil {
-			log.Fatal(err)
-		}
+		prog := &em3d.Program{Problem: small, Opts: em3d.RunOptions{Iters: 3, RealMath: true, Overlap: overlap}}
+		run(cluster, prog, apps.HMPI)
 		for i := range want {
 			for n := range want[i] {
-				if res.Field[i][n] != want[i][n] {
+				if prog.Field[i][n] != want[i][n] {
 					log.Fatalf("verification failed at body %d node %d (overlap=%v)", i, n, overlap)
 				}
 			}
@@ -60,24 +62,9 @@ func main() {
 	fmt.Printf("\nsubbody sizes (nodes): %v\n", pr.D())
 	fmt.Printf("machine speeds:        %v\n\n", cluster.Speeds())
 
-	rtH, err := hmpi.New(hmpi.Config{Cluster: cluster})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rtH.Finalize()
-	hres, err := em3d.RunHMPI(rtH, pr, em3d.RunOptions{Iters: 10})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rtM, err := hmpi.New(hmpi.Config{Cluster: cluster})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rtM.Finalize()
-	mres, err := em3d.RunMPI(rtM, pr, em3d.RunOptions{Iters: 10})
-	if err != nil {
-		log.Fatal(err)
-	}
+	prog := &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: 10}}
+	hres := run(cluster, prog, apps.HMPI)
+	mres := run(cluster, prog, apps.MPI)
 
 	fmt.Println("subbody -> machine mapping:")
 	fmt.Println("  body   nodes   MPI machine(speed)   HMPI machine(speed)")
@@ -95,15 +82,7 @@ func main() {
 	// --- Overlap on top: hide the halo exchange behind the interior. ---
 	// The overlapped schedule posts the halo receives early, updates the
 	// interior nodes while the boundary values travel, and only then waits.
-	rtO, err := hmpi.New(hmpi.Config{Cluster: cluster})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rtO.Finalize()
-	ores, err := em3d.RunHMPI(rtO, pr, em3d.RunOptions{Iters: 10, Overlap: true})
-	if err != nil {
-		log.Fatal(err)
-	}
+	ores := run(cluster, &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: 10, Overlap: true}}, apps.HMPI)
 	fmt.Printf("\nHMPI time with overlapped halo exchange: %.4f s (%.2fx over blocking)\n",
 		float64(ores.Time), float64(hres.Time)/float64(ores.Time))
 }

@@ -17,10 +17,19 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/apps"
 	"repro/internal/apps/jacobi"
-	"repro/internal/hmpi"
 	"repro/internal/hnoc"
 )
+
+// run executes the program on a fresh runtime over the cluster.
+func run(cluster *hnoc.Cluster, prog apps.Program, mode apps.Mode) apps.Result {
+	res, err := apps.RunOn(cluster, prog, mode)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
+}
 
 func main() {
 	cluster := hnoc.Paper9()
@@ -31,17 +40,10 @@ func main() {
 		log.Fatal(err)
 	}
 	want := small.SerialRun()
-	rt, err := hmpi.New(hmpi.Config{Cluster: cluster})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rt.Finalize()
-	res, err := jacobi.RunHMPI(rt, small, true)
-	if err != nil {
-		log.Fatal(err)
-	}
+	check := &jacobi.Program{Problem: small, Collect: true}
+	run(cluster, check, apps.HMPI)
 	for i := range want {
-		if res.Field[i] != want[i] {
+		if check.Field[i] != want[i] {
 			log.Fatalf("verification failed at %d", i)
 		}
 	}
@@ -52,31 +54,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rtH, err := hmpi.New(hmpi.Config{Cluster: cluster})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rtH.Finalize()
-	hres, err := jacobi.RunHMPI(rtH, pr, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rtM, err := hmpi.New(hmpi.Config{Cluster: cluster})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rtM.Finalize()
-	mres, err := jacobi.RunMPI(rtM, pr, false)
-	if err != nil {
-		log.Fatal(err)
-	}
+	prog := &jacobi.Program{Problem: pr}
+	hres := run(cluster, prog, apps.HMPI)
+	heights := prog.Heights
+	mres := run(cluster, prog, apps.MPI)
 
 	fmt.Printf("\n2700x2700 grid, 10 sweeps, 9 strips\n")
 	fmt.Println("strip -> machine (HMPI):")
 	for s, rank := range hres.Selection {
 		m := cluster.Machines[rank]
 		fmt.Printf("  strip %d: %4d rows on %-12s (speed %3.0f)\n",
-			s, hres.Heights[s], m.Name, m.Speed)
+			s, heights[s], m.Name, m.Speed)
 	}
 	fmt.Printf("\nuniform strips: %.3f s\n", float64(mres.Time))
 	fmt.Printf("HMPI:           %.3f s (predicted %.3f s)\n", float64(hres.Time), hres.Predicted)

@@ -17,10 +17,19 @@ import (
 	"log"
 	"math"
 
+	"repro/internal/apps"
 	"repro/internal/apps/matmul"
-	"repro/internal/hmpi"
 	"repro/internal/hnoc"
 )
+
+// run executes the program on a fresh runtime over the cluster.
+func run(cluster *hnoc.Cluster, prog apps.Program, mode apps.Mode) apps.Result {
+	res, err := apps.RunOn(cluster, prog, mode)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
+}
 
 func main() {
 	cluster := hnoc.Paper9()
@@ -34,17 +43,10 @@ func main() {
 	// Both schedules — the blocking pivot broadcast and the pipelined
 	// post-ahead one — must reproduce the serial product.
 	for _, overlap := range []bool{false, true} {
-		rt, err := hmpi.New(hmpi.Config{Cluster: cluster})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer rt.Finalize()
-		res, err := matmul.RunHMPI(rt, small, []int{3, 9}, matmul.RunOptions{CollectC: true, Overlap: overlap})
-		if err != nil {
-			log.Fatal(err)
-		}
+		prog := &matmul.Program{Problem: small, Ls: []int{3, 9}, Opts: matmul.RunOptions{CollectC: true, Overlap: overlap}}
+		run(cluster, prog, apps.HMPI)
 		for i := range want {
-			if math.Abs(res.C[i]-want[i]) > 1e-9 {
+			if math.Abs(prog.C[i]-want[i]) > 1e-9 {
 				log.Fatalf("verification failed at element %d (overlap=%v)", i, overlap)
 			}
 		}
@@ -62,27 +64,13 @@ func main() {
 	// HMPI searches the generalised block size with HMPI_Timeof before
 	// creating the group (the bsize loop of Figure 8).
 	candidates := []int{3, 5, 9, 15, 27, 45}
-	rtH, err := hmpi.New(hmpi.Config{Cluster: cluster})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rtH.Finalize()
-	hres, err := matmul.RunHMPI(rtH, pr, candidates, matmul.RunOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rtM, err := hmpi.New(hmpi.Config{Cluster: cluster})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rtM.Finalize()
-	mres, err := matmul.RunMPI(rtM, pr, matmul.RunOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	prog := &matmul.Program{Problem: pr, Ls: candidates}
+	hres := run(cluster, prog, apps.HMPI)
+	chosen := prog.Dist.L()
+	mres := run(cluster, prog, apps.MPI)
 
 	fmt.Printf("\ngeneralised block size candidates %v -> HMPI_Timeof chose l=%d\n",
-		candidates, hres.L)
+		candidates, chosen)
 	fmt.Println("grid placement (row-major):")
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
@@ -98,15 +86,7 @@ func main() {
 		float64(mres.Time)/float64(hres.Time))
 
 	// --- Pipelining on top: step k+1's pivots travel behind step k. ---
-	rtO, err := hmpi.New(hmpi.Config{Cluster: cluster})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rtO.Finalize()
-	ores, err := matmul.RunHMPI(rtO, pr, candidates, matmul.RunOptions{Overlap: true})
-	if err != nil {
-		log.Fatal(err)
-	}
+	ores := run(cluster, &matmul.Program{Problem: pr, Ls: candidates, Opts: matmul.RunOptions{Overlap: true}}, apps.HMPI)
 	fmt.Printf("\nHMPI time with pipelined pivot transfers: %.3f s (%.2fx over blocking)\n",
 		float64(ores.Time), float64(hres.Time)/float64(ores.Time))
 }

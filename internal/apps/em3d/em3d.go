@@ -10,7 +10,7 @@
 // kernel, the parallel algorithm over a communicator (the same code runs
 // under the plain-MPI baseline and under an HMPI-selected group, exactly
 // as in the paper, where only the group-creation code differs), the
-// performance model of Figure 4, and drivers for both variants.
+// performance model of Figure 4, and the Program the apps driver runs.
 package em3d
 
 import (

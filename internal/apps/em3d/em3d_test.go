@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/hmpi"
 	"repro/internal/hnoc"
 )
@@ -152,34 +153,31 @@ func TestModelArgsInstantiate(t *testing.T) {
 
 // TestParallelMatchesSerial is the core correctness check: the parallel
 // algorithm with real math produces bit-identical fields to the serial
-// reference, under both the HMPI and the plain-MPI drivers.
+// reference, in both the HMPI and the plain-MPI mode.
 func TestParallelMatchesSerial(t *testing.T) {
 	pr := smallProblem(t, 5, 500)
 	iters := 4
 	want := pr.Clone().SerialRun(iters)
 
 	cluster := hnoc.Paper9()
-	for name, run := range map[string]func(*hmpi.Runtime, *Problem, RunOptions) (Result, error){
-		"HMPI": RunHMPI,
-		"MPI":  RunMPI,
-	} {
+	for name, mode := range map[string]apps.Mode{"HMPI": apps.HMPI, "MPI": apps.MPI} {
 		t.Run(name, func(t *testing.T) {
 			rt, err := hmpi.New(hmpi.Config{Cluster: cluster})
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := run(rt, pr, RunOptions{Iters: iters, RealMath: true})
-			if err != nil {
+			prog := &Program{Problem: pr, Opts: RunOptions{Iters: iters, RealMath: true}}
+			if _, err := apps.Run(rt, prog, mode); err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Field) != len(want) {
-				t.Fatalf("field has %d bodies, want %d", len(res.Field), len(want))
+			if len(prog.Field) != len(want) {
+				t.Fatalf("field has %d bodies, want %d", len(prog.Field), len(want))
 			}
 			for i := range want {
 				for n := range want[i] {
-					if res.Field[i][n] != want[i][n] {
+					if prog.Field[i][n] != want[i][n] {
 						t.Fatalf("%s: body %d node %d: %v != %v",
-							name, i, n, res.Field[i][n], want[i][n])
+							name, i, n, prog.Field[i][n], want[i][n])
 					}
 				}
 			}
@@ -198,7 +196,8 @@ func TestHMPIBeatsMPIOnPaperCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hres, err := RunHMPI(rtH, pr, RunOptions{Iters: 5})
+	prog := &Program{Problem: pr, Opts: RunOptions{Iters: 5}}
+	hres, err := apps.Run(rtH, prog, apps.HMPI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +205,7 @@ func TestHMPIBeatsMPIOnPaperCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := RunMPI(rtM, pr, RunOptions{Iters: 5})
+	mres, err := apps.Run(rtM, prog, apps.MPI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +232,7 @@ func TestHMPISelectionMapsBigBodiesToFastMachines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunHMPI(rt, pr, RunOptions{Iters: 2})
+	res, err := apps.Run(rt, &Program{Problem: pr, Opts: RunOptions{Iters: 2}}, apps.HMPI)
 	if err != nil {
 		t.Fatal(err)
 	}

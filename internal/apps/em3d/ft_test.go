@@ -6,20 +6,24 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/chaos"
 	"repro/internal/hmpi"
 	"repro/internal/hnoc"
 )
 
-func runFT(t *testing.T, rt *hmpi.Runtime, pr *Problem, opts RunOptions) FTResult {
+// runFT runs the problem under the self-healing driver and returns the
+// result together with the gathered field.
+func runFT(t *testing.T, rt *hmpi.Runtime, pr *Problem, opts RunOptions) (apps.Result, Field) {
 	t.Helper()
 	type out struct {
-		res FTResult
+		res apps.Result
 		err error
 	}
+	prog := &Program{Problem: pr, Opts: opts}
 	done := make(chan out, 1)
 	go func() {
-		res, err := RunResilientHMPI(rt, pr, opts)
+		res, err := apps.Run(rt, prog, apps.SelfHealing)
 		done <- out{res, err}
 	}()
 	select {
@@ -27,10 +31,10 @@ func runFT(t *testing.T, rt *hmpi.Runtime, pr *Problem, opts RunOptions) FTResul
 		if o.err != nil {
 			t.Fatal(o.err)
 		}
-		return o.res
+		return o.res, prog.Field
 	case <-time.After(60 * time.Second):
 		t.Fatal("resilient run did not finish (hang in recovery path)")
-		return FTResult{}
+		return apps.Result{}, nil
 	}
 }
 
@@ -55,7 +59,7 @@ func TestResilientSurvivesAnySingleFailure(t *testing.T) {
 	}
 
 	// The failure-free run fixes the mid-run kill time and the selection.
-	base := runFT(t, newRT(), pr, RunOptions{Iters: iters})
+	base, _ := runFT(t, newRT(), pr, RunOptions{Iters: iters})
 	if base.Attempts != 1 {
 		t.Fatalf("failure-free run took %d attempts", base.Attempts)
 	}
@@ -79,11 +83,11 @@ func TestResilientSurvivesAnySingleFailure(t *testing.T) {
 			if err := sched.Attach(rt.World(), func(chaos.Event) { fired.Store(true) }); err != nil {
 				t.Fatal(err)
 			}
-			res := runFT(t, rt, pr, RunOptions{Iters: iters, RealMath: true})
+			res, field := runFT(t, rt, pr, RunOptions{Iters: iters, RealMath: true})
 			for i := range want {
 				for n := range want[i] {
-					if res.Field[i][n] != want[i][n] {
-						t.Fatalf("body %d node %d: %v != %v", i, n, res.Field[i][n], want[i][n])
+					if field[i][n] != want[i][n] {
+						t.Fatalf("body %d node %d: %v != %v", i, n, field[i][n], want[i][n])
 					}
 				}
 			}

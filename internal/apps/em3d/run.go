@@ -3,9 +3,9 @@ package em3d
 import (
 	"fmt"
 
-	"repro/internal/hmpi"
+	"repro/internal/apps"
 	"repro/internal/mpi"
-	"repro/internal/vclock"
+	"repro/internal/pmdl"
 )
 
 // Field snapshots returned by runs, for verification: E values per body.
@@ -328,123 +328,45 @@ func exchangeBoundary(comm *mpi.Comm, pr *Problem, me, tag int, dep [][][]int, f
 	return remote, nil
 }
 
-// Result reports one parallel run.
-type Result struct {
-	// Time is the simulated execution time of the algorithm proper
-	// (excluding Recon and group management), the quantity Figure 9
-	// plots.
-	Time vclock.Time
-	// Selection is the world ranks running each subbody.
-	Selection []int
-	// Predicted is HMPI_Timeof's prediction for one iteration of the
-	// algorithm on the selected group (HMPI runs only).
-	Predicted float64
-	// Field is the final E field (only when RealMath was set).
+// Program is EM3D as the driver runs it (apps.Program): the paper's Figure
+// 5. Its one plan is the problem itself — the decomposition is fixed, only
+// the group selection follows the speeds — so nothing is shared at run
+// time: every process holds the problem and works on its own clone.
+type Program struct {
+	Problem *Problem
+	Opts    RunOptions
+	// Field is the final E field, gathered on communicator rank 0 after
+	// the timed region (RealMath runs only).
 	Field Field
 }
 
-// RunHMPI executes the full HMPI program of Figure 5: Recon with the
-// serial EM3D benchmark, group creation from the Em3d performance model,
-// the parallel algorithm over the group's communicator, and group release.
-func RunHMPI(rt *hmpi.Runtime, pr *Problem, opts RunOptions) (Result, error) {
-	var res Result
-	model := Model()
-	err := rt.Run(func(h *hmpi.Process) error {
-		local := pr.Clone()
-		// HMPI_Recon: the benchmark is the serial EM3D kernel over K
-		// nodes, truly representative of the application.
-		bench := hmpi.BenchmarkFunc{
-			Units: 1,
-			Run: func(p *mpi.Proc) error {
-				p.Compute(local.KernelUnits(local.K))
-				return nil
-			},
-		}
-		if err := h.Recon(bench); err != nil {
-			return err
-		}
-		var g *hmpi.Group
-		var err error
-		if h.IsHost() {
-			// The model describes one iteration; the prediction for
-			// the whole run is iters times it.
-			pred, err := h.Timeof(model, local.ModelArgs()...)
-			if err != nil {
-				return err
-			}
-			res.Predicted = pred * float64(opts.Iters)
-			// Record the prediction under the phase name the region
-			// below uses, so the predicted-vs-observed report joins
-			// them.
-			h.Proc().TracePredict("em3d", res.Predicted)
-		}
-		if h.IsHost() || h.IsFree() {
-			g, err = h.GroupCreate(model, local.ModelArgs()...)
-			if err != nil {
-				return err
-			}
-		}
-		if !h.IsMember(g) {
-			return nil
-		}
-		comm := g.Comm()
-		h.Proc().TraceRegionBegin("em3d")
-		start := h.Proc().Now()
-		if err := RunParallel(comm, local, opts); err != nil {
-			return err
-		}
-		comm.Barrier() // measure until the last process finishes
-		elapsed := h.Proc().Now() - start
-		h.Proc().TraceRegionEnd("em3d")
-		if h.IsHost() {
-			res.Time = elapsed
-			res.Selection = g.WorldRanks()
-			if opts.RealMath {
-				res.Field = gatherField(comm, local)
-			}
-		} else if opts.RealMath {
-			gatherField(comm, local)
-		}
-		return h.GroupFree(g)
-	})
-	return res, err
-}
+func (p *Program) Name() string       { return "em3d" }
+func (p *Program) Model() *pmdl.Model { return Model() }
 
-// RunMPI executes the plain-MPI baseline of Figure 3: the group running
-// the algorithm is the first p processes of the world in rank order,
-// chosen without regard to machine speeds.
-func RunMPI(rt *hmpi.Runtime, pr *Problem, opts RunOptions) (Result, error) {
-	var res Result
-	p := len(pr.Bodies)
-	err := rt.Run(func(h *hmpi.Process) error {
-		local := pr.Clone()
-		world := h.CommWorld()
-		color := 0
-		if h.Rank() >= p {
-			color = mpi.Undefined
+// KernelUnits: the benchmark is the serial EM3D kernel over K nodes, truly
+// representative of the application.
+func (p *Program) KernelUnits() float64 { return p.Problem.KernelUnits(p.Problem.K) }
+
+// Scale: the model describes one iteration.
+func (p *Program) Scale() float64 { return float64(p.Opts.Iters) }
+
+func (p *Program) Plans([]float64) ([]apps.Plan, error) { return []apps.Plan{p.Problem}, nil }
+func (p *Program) Baseline() (apps.Plan, int)           { return p.Problem, len(p.Problem.Bodies) }
+func (p *Program) Share(*mpi.Comm, apps.Plan) apps.Plan { return p.Problem }
+
+// Run starts from a fresh clone of the replicated initial field, so
+// independent runs — and the restarted attempts of a self-healing one —
+// never see a previous run's values.
+func (p *Program) Run(comm *mpi.Comm, _ apps.Plan) (func(), error) {
+	local := p.Problem.Clone()
+	if err := RunParallel(comm, local, p.Opts); err != nil || !p.Opts.RealMath {
+		return nil, err
+	}
+	return func() {
+		if f := gatherField(comm, local); f != nil {
+			p.Field = f
 		}
-		comm := world.Split(color, h.Rank())
-		if comm == nil {
-			return nil
-		}
-		start := h.Proc().Now()
-		if err := RunParallel(comm, local, opts); err != nil {
-			return err
-		}
-		comm.Barrier()
-		elapsed := h.Proc().Now() - start
-		if comm.Rank() == 0 {
-			res.Time = elapsed
-			res.Selection = identity(p)
-			if opts.RealMath {
-				res.Field = gatherField(comm, local)
-			}
-		} else if opts.RealMath {
-			gatherField(comm, local)
-		}
-		return nil
-	})
-	return res, err
+	}, nil
 }
 
 // gatherField collects the final E field on the communicator's rank 0.
@@ -457,14 +379,6 @@ func gatherField(comm *mpi.Comm, pr *Problem) Field {
 	out := make(Field, len(all))
 	for i, b := range all {
 		out[i] = mpi.BytesFloat64(b)
-	}
-	return out
-}
-
-func identity(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
 	}
 	return out
 }

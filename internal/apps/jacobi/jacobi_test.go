@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/hmpi"
 	"repro/internal/hnoc"
 )
@@ -94,7 +95,7 @@ func TestModelInstantiates(t *testing.T) {
 }
 
 // TestParallelMatchesSerial: the distributed sweeps are bit-identical to
-// the serial reference under both drivers.
+// the serial reference in both modes.
 func TestParallelMatchesSerial(t *testing.T) {
 	pr, err := Generate(Config{Rows: 23, Cols: 11, Iters: 5, P: 4, RealMath: true})
 	if err != nil {
@@ -107,19 +108,19 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hres, err := RunHMPI(rtH, pr, true)
-	if err != nil {
+	hprog := &Program{Problem: pr, Collect: true}
+	if _, err := apps.Run(rtH, hprog, apps.HMPI); err != nil {
 		t.Fatal(err)
 	}
 	rtM, err := hmpi.New(hmpi.Config{Cluster: cluster})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := RunMPI(rtM, pr, true)
-	if err != nil {
+	mprog := &Program{Problem: pr, Collect: true}
+	if _, err := apps.Run(rtM, mprog, apps.MPI); err != nil {
 		t.Fatal(err)
 	}
-	for name, field := range map[string][]float64{"HMPI": hres.Field, "MPI": mres.Field} {
+	for name, field := range map[string][]float64{"HMPI": hprog.Field, "MPI": mprog.Field} {
 		if len(field) != len(want) {
 			t.Fatalf("%s field has %d values, want %d", name, len(field), len(want))
 		}
@@ -140,7 +141,8 @@ func TestHMPIBeatsUniformBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hres, err := RunHMPI(rtH, pr, false)
+	hprog := &Program{Problem: pr}
+	hres, err := apps.Run(rtH, hprog, apps.HMPI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,21 +150,21 @@ func TestHMPIBeatsUniformBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := RunMPI(rtM, pr, false)
+	mres, err := apps.Run(rtM, &Program{Problem: pr}, apps.MPI)
 	if err != nil {
 		t.Fatal(err)
 	}
 	speedup := float64(mres.Time) / float64(hres.Time)
 	if speedup < 2 {
 		t.Fatalf("Jacobi speedup only %.2fx (HMPI %v, MPI %v, heights %v)",
-			speedup, hres.Time, mres.Time, hres.Heights)
+			speedup, hres.Time, mres.Time, hprog.Heights)
 	}
 	t.Logf("Jacobi speedup %.2fx (HMPI %.4gs heights %v, MPI %.4gs)",
-		speedup, float64(hres.Time), hres.Heights, float64(mres.Time))
+		speedup, float64(hres.Time), hprog.Heights, float64(mres.Time))
 	// The strips follow the speeds: the largest strip must not be on the
 	// slowest machine.
 	maxStrip, maxIdx := 0, 0
-	for i, h := range hres.Heights {
+	for i, h := range hprog.Heights {
 		if h > maxStrip {
 			maxStrip, maxIdx = h, i
 		}
@@ -170,7 +172,7 @@ func TestHMPIBeatsUniformBaseline(t *testing.T) {
 	slowRank := 8 // machine with speed 9
 	if hres.Selection[maxIdx] == slowRank {
 		t.Fatalf("largest strip on the slowest machine: heights %v selection %v",
-			hres.Heights, hres.Selection)
+			hprog.Heights, hres.Selection)
 	}
 }
 
@@ -183,7 +185,7 @@ func TestPredictedTracksSimulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunHMPI(rt, pr, false)
+	res, err := apps.Run(rt, &Program{Problem: pr}, apps.HMPI)
 	if err != nil {
 		t.Fatal(err)
 	}

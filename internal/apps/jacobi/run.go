@@ -3,9 +3,10 @@ package jacobi
 import (
 	"fmt"
 
+	"repro/internal/apps"
 	"repro/internal/hmpi"
 	"repro/internal/mpi"
-	"repro/internal/vclock"
+	"repro/internal/pmdl"
 )
 
 const (
@@ -115,153 +116,74 @@ func RunParallel(comm *mpi.Comm, pr *Problem, heights []int, collect bool) ([]fl
 	return out, nil
 }
 
-// Result reports one run.
-type Result struct {
-	Time      vclock.Time
-	Selection []int
-	Heights   []int
-	Predicted float64
-	Field     []float64
+// Program is the relaxation as the driver runs it (apps.Program). A plan
+// is a set of strip heights; the one HMPI candidate sizes the strips by the
+// measured speeds.
+type Program struct {
+	Problem *Problem
+	// Collect gathers the final field on communicator rank 0 (RealMath).
+	Collect bool
+	// Heights are the strip heights the run used and Field the gathered
+	// result, both set on communicator rank 0.
+	Heights []int
+	Field   []float64
 }
 
-// RunHMPI executes the HMPI variant: Recon with the row kernel, strip
-// heights from the measured speeds (host's strip first, then the fastest
-// free processes in selection order), group creation from the Jacobi
-// model, and the sweeps over the group's communicator.
-func RunHMPI(rt *hmpi.Runtime, pr *Problem, collect bool) (Result, error) {
-	var res Result
-	model := Model()
-	err := rt.Run(func(h *hmpi.Process) error {
-		bench := hmpi.BenchmarkFunc{
-			Units: 1,
-			Run: func(p *mpi.Proc) error {
-				p.Compute(pr.KernelUnits(1))
-				return nil
-			},
-		}
-		if err := h.Recon(bench); err != nil {
-			return err
-		}
-		var g *hmpi.Group
-		var hostHeights []int
-		if h.IsHost() {
-			// Strip speeds: the host first (it is the parent, strip
-			// 0), then the other processes fastest-first — mirroring
-			// the greedy order the selection will tend to choose.
-			speeds := h.Speeds()
-			order := speedOrder(speeds, hmpi.HostRank, pr.P)
-			stripSpeeds := make([]float64, pr.P)
-			for i, rank := range order {
-				stripSpeeds[i] = speeds[rank]
-			}
-			var err error
-			hostHeights, err = pr.Heights(stripSpeeds)
-			if err != nil {
-				return err
-			}
-			pred, err := h.Timeof(model, pr.ModelArgs(hostHeights)...)
-			if err != nil {
-				return err
-			}
-			res.Predicted = pred * float64(pr.Iters)
-			h.Proc().TracePredict("jacobi", res.Predicted)
-			g, err = h.GroupCreate(model, pr.ModelArgs(hostHeights)...)
-			if err != nil {
-				return err
-			}
-		} else if h.IsFree() {
-			var err error
-			g, err = h.GroupCreate(nil)
-			if err != nil {
-				return err
-			}
-		}
-		if !h.IsMember(g) {
-			return nil
-		}
-		comm := g.Comm()
-		heights := bcastHeights(comm, hostHeights, pr.P)
-		h.Proc().TraceRegionBegin("jacobi")
-		start := h.Proc().Now()
-		field, err := RunParallel(comm, pr, heights, collect)
-		if err != nil {
-			return err
-		}
-		comm.Barrier()
-		elapsed := h.Proc().Now() - start
-		h.Proc().TraceRegionEnd("jacobi")
-		if h.IsHost() {
-			res.Time = elapsed
-			res.Selection = g.WorldRanks()
-			res.Heights = heights
-			res.Field = field
-		}
-		return h.GroupFree(g)
-	})
-	return res, err
+// strips is a plan: the heights of the problem's strips.
+type strips struct {
+	pr      *Problem
+	heights []int
 }
 
-// speedOrder returns process ranks ordered host-first then by descending
-// speed, truncated to p entries.
-func speedOrder(speeds []float64, host, p int) []int {
-	order := []int{host}
-	var rest []int
-	for r := range speeds {
-		if r != host {
-			rest = append(rest, r)
-		}
+func (s strips) ModelArgs() []any { return s.pr.ModelArgs(s.heights) }
+
+func (p *Program) Name() string       { return "jacobi" }
+func (p *Program) Model() *pmdl.Model { return Model() }
+
+// KernelUnits: the update of one grid row.
+func (p *Program) KernelUnits() float64 { return p.Problem.KernelUnits(1) }
+
+// Scale: the model describes one sweep.
+func (p *Program) Scale() float64 { return float64(p.Problem.Iters) }
+
+// Plans sizes the strips by speed: the host first (it is the parent, strip
+// 0), then the other processes fastest-first — mirroring the greedy order
+// the selection will tend to choose.
+func (p *Program) Plans(speeds []float64) ([]apps.Plan, error) {
+	pr := p.Problem
+	if len(speeds) < pr.P {
+		return nil, fmt.Errorf("jacobi: %d processes cannot run %d strips", len(speeds), pr.P)
 	}
-	for i := 1; i < len(rest); i++ {
-		for j := i; j > 0 && speeds[rest[j]] > speeds[rest[j-1]]; j-- {
-			rest[j], rest[j-1] = rest[j-1], rest[j]
-		}
+	stripSpeeds := make([]float64, pr.P)
+	for i, rank := range apps.SpeedOrder(speeds, hmpi.HostRank, pr.P) {
+		stripSpeeds[i] = speeds[rank]
 	}
-	order = append(order, rest...)
-	return order[:p]
+	heights, err := pr.Heights(stripSpeeds)
+	if err != nil {
+		return nil, err
+	}
+	return []apps.Plan{strips{pr, heights}}, nil
 }
 
-// bcastHeights shares the host's strip heights with the group.
-func bcastHeights(comm *mpi.Comm, heights []int, p int) []int {
+// Baseline is uniform strips on the first P processes.
+func (p *Program) Baseline() (apps.Plan, int) {
+	return strips{p.Problem, p.Problem.UniformHeights()}, p.Problem.P
+}
+
+// Share broadcasts the host's strip heights.
+func (p *Program) Share(comm *mpi.Comm, plan apps.Plan) apps.Plan {
 	var payload []byte
-	if comm.Rank() == 0 {
-		payload = mpi.IntsBytes(heights)
+	if s, ok := plan.(strips); ok {
+		payload = mpi.IntsBytes(s.heights)
 	}
-	payload = comm.Bcast(0, payload)
-	return mpi.BytesInts(payload)
+	return strips{p.Problem, mpi.BytesInts(comm.Bcast(0, payload))}
 }
 
-// RunMPI executes the baseline: uniform strips on the first P processes in
-// rank order.
-func RunMPI(rt *hmpi.Runtime, pr *Problem, collect bool) (Result, error) {
-	var res Result
-	heights := pr.UniformHeights()
-	err := rt.Run(func(h *hmpi.Process) error {
-		world := h.CommWorld()
-		color := 0
-		if h.Rank() >= pr.P {
-			color = mpi.Undefined
-		}
-		comm := world.Split(color, h.Rank())
-		if comm == nil {
-			return nil
-		}
-		start := h.Proc().Now()
-		field, err := RunParallel(comm, pr, heights, collect)
-		if err != nil {
-			return err
-		}
-		comm.Barrier()
-		elapsed := h.Proc().Now() - start
-		if comm.Rank() == 0 {
-			res.Time = elapsed
-			res.Heights = heights
-			res.Selection = make([]int, pr.P)
-			for i := range res.Selection {
-				res.Selection[i] = i
-			}
-			res.Field = field
-		}
-		return nil
-	})
-	return res, err
+func (p *Program) Run(comm *mpi.Comm, plan apps.Plan) (func(), error) {
+	heights := plan.(strips).heights
+	field, err := RunParallel(comm, p.Problem, heights, p.Collect)
+	if comm.Rank() == 0 {
+		p.Heights, p.Field = heights, field
+	}
+	return nil, err
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/chaos"
 	"repro/internal/hmpi"
 	"repro/internal/hnoc"
@@ -20,7 +21,7 @@ func TestResilientMatmulRecovers(t *testing.T) {
 	opts := RunOptions{CollectC: true}
 	const l = 2
 
-	run := func(t *testing.T, sched *chaos.Schedule) FTResult {
+	run := func(t *testing.T, sched *chaos.Schedule) (apps.Result, []float64) {
 		t.Helper()
 		rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Homogeneous(6, 50)})
 		if err != nil {
@@ -32,12 +33,13 @@ func TestResilientMatmulRecovers(t *testing.T) {
 			}
 		}
 		type out struct {
-			res FTResult
+			res apps.Result
 			err error
 		}
+		prog := &Program{Problem: pr, Ls: []int{l}, Opts: opts}
 		done := make(chan out, 1)
 		go func() {
-			res, err := RunResilientHMPI(rt, pr, l, opts)
+			res, err := apps.Run(rt, prog, apps.SelfHealing)
 			done <- out{res, err}
 		}()
 		select {
@@ -45,14 +47,14 @@ func TestResilientMatmulRecovers(t *testing.T) {
 			if o.err != nil {
 				t.Fatal(o.err)
 			}
-			return o.res
+			return o.res, prog.C
 		case <-time.After(60 * time.Second):
 			t.Fatal("resilient matmul did not finish (hang in recovery path)")
-			return FTResult{}
+			return apps.Result{}, nil
 		}
 	}
 
-	base := run(t, nil)
+	base, _ := run(t, nil)
 	if base.Attempts != 1 || base.Recovery != 0 {
 		t.Fatalf("failure-free run: attempts %d recovery %g", base.Attempts, float64(base.Recovery))
 	}
@@ -67,7 +69,7 @@ func TestResilientMatmulRecovers(t *testing.T) {
 		t.Fatal("no non-host member in the baseline selection")
 	}
 
-	res := run(t, &chaos.Schedule{Events: []chaos.Event{{Rank: victim, At: base.Time / 2}}})
+	res, c := run(t, &chaos.Schedule{Events: []chaos.Event{{Rank: victim, At: base.Time / 2}}})
 	if res.Attempts < 2 {
 		t.Fatalf("attempts = %d, want >= 2 after the kill", res.Attempts)
 	}
@@ -79,12 +81,12 @@ func TestResilientMatmulRecovers(t *testing.T) {
 			t.Fatalf("final selection %v still contains the dead rank %d", res.Selection, victim)
 		}
 	}
-	if len(res.C) != len(want) {
-		t.Fatalf("C has %d elements, want %d", len(res.C), len(want))
+	if len(c) != len(want) {
+		t.Fatalf("C has %d elements, want %d", len(c), len(want))
 	}
 	for i := range want {
-		if res.C[i] != want[i] {
-			t.Fatalf("C[%d] = %v, want %v", i, res.C[i], want[i])
+		if c[i] != want[i] {
+			t.Fatalf("C[%d] = %v, want %v", i, c[i], want[i])
 		}
 	}
 }

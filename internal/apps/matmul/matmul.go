@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/apps"
 	"repro/internal/hnoc"
 	"repro/internal/partition"
 	"repro/internal/pmdl"
@@ -274,28 +275,8 @@ func ArrangeGrid(speeds []float64, hostRank, m int) ([][]float64, []int, error) 
 	if len(speeds) < m*m {
 		return nil, nil, fmt.Errorf("matmul: %d processes cannot fill a %dx%d grid", len(speeds), m, m)
 	}
-	type proc struct {
-		rank  int
-		speed float64
-	}
-	var others []proc
-	for r, s := range speeds {
-		if r != hostRank {
-			others = append(others, proc{r, s})
-		}
-	}
-	// Descending speed, stable on rank for determinism.
-	for i := 1; i < len(others); i++ {
-		for j := i; j > 0 && others[j].speed > others[j-1].speed; j-- {
-			others[j], others[j-1] = others[j-1], others[j]
-		}
-	}
+	ranks := apps.SpeedOrder(speeds, hostRank, m*m)
 	grid := make([][]float64, m)
-	ranks := make([]int, 0, m*m)
-	ranks = append(ranks, hostRank)
-	for _, p := range others[:m*m-1] {
-		ranks = append(ranks, p.rank)
-	}
 	for i := 0; i < m; i++ {
 		grid[i] = make([]float64, m)
 		for j := 0; j < m; j++ {

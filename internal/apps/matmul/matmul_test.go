@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/hmpi"
 	"repro/internal/hnoc"
 )
@@ -176,22 +177,23 @@ func TestHMPIRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunHMPI(rt, pr, []int{3, 6}, RunOptions{CollectC: true})
+	prog := &Program{Problem: pr, Ls: []int{3, 6}, Opts: RunOptions{CollectC: true}}
+	res, err := apps.Run(rt, prog, apps.HMPI)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Time <= 0 || res.Predicted <= 0 {
 		t.Fatalf("times: %v predicted %v", res.Time, res.Predicted)
 	}
-	if res.L != 3 && res.L != 6 {
-		t.Fatalf("chosen L = %d not among candidates", res.L)
+	if l := prog.Dist.L(); l != 3 && l != 6 {
+		t.Fatalf("chosen L = %d not among candidates", l)
 	}
 	if len(res.Selection) != 9 {
 		t.Fatalf("selection %v", res.Selection)
 	}
 	for i := range want {
-		if math.Abs(res.C[i]-want[i]) > 1e-9 {
-			t.Fatalf("HMPI C[%d] = %v, want %v", i, res.C[i], want[i])
+		if math.Abs(prog.C[i]-want[i]) > 1e-9 {
+			t.Fatalf("HMPI C[%d] = %v, want %v", i, prog.C[i], want[i])
 		}
 	}
 }
@@ -206,16 +208,16 @@ func TestMPIRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunMPI(rt, pr, RunOptions{CollectC: true})
-	if err != nil {
+	prog := &Program{Problem: pr, Opts: RunOptions{CollectC: true}}
+	if _, err := apps.Run(rt, prog, apps.MPI); err != nil {
 		t.Fatal(err)
 	}
-	if res.L != 2 {
-		t.Fatalf("baseline L = %d, want m", res.L)
+	if l := prog.Dist.L(); l != 2 {
+		t.Fatalf("baseline L = %d, want m", l)
 	}
 	for i := range want {
-		if math.Abs(res.C[i]-want[i]) > 1e-9 {
-			t.Fatalf("MPI C[%d] = %v, want %v", i, res.C[i], want[i])
+		if math.Abs(prog.C[i]-want[i]) > 1e-9 {
+			t.Fatalf("MPI C[%d] = %v, want %v", i, prog.C[i], want[i])
 		}
 	}
 }
@@ -232,7 +234,8 @@ func TestHMPIBeatsMPIOnPaperCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hres, err := RunHMPI(rtH, pr, []int{9}, RunOptions{})
+	prog := &Program{Problem: pr, Ls: []int{9}}
+	hres, err := apps.Run(rtH, prog, apps.HMPI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +243,7 @@ func TestHMPIBeatsMPIOnPaperCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := RunMPI(rtM, pr, RunOptions{})
+	mres, err := apps.Run(rtM, prog, apps.MPI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +323,7 @@ func TestTimeofOrdersBlockSizesConsistently(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunHMPI(rt, pr, []int{l}, RunOptions{})
+		res, err := apps.Run(rt, &Program{Problem: pr, Ls: []int{l}}, apps.HMPI)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,11 +350,11 @@ func TestHMPISearchPicksCompetitiveL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunHMPI(rt, pr, []int{3, 9, 15, 45}, RunOptions{})
-	if err != nil {
+	prog := &Program{Problem: pr, Ls: []int{3, 9, 15, 45}}
+	if _, err := apps.Run(rt, prog, apps.HMPI); err != nil {
 		t.Fatal(err)
 	}
-	if res.L == 3 {
+	if prog.Dist.L() == 3 {
 		t.Errorf("search chose the degenerate block size l=m")
 	}
 }

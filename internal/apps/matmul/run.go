@@ -2,12 +2,12 @@ package matmul
 
 import (
 	"fmt"
-	"math"
 
+	"repro/internal/apps"
 	"repro/internal/hmpi"
 	"repro/internal/mpi"
 	"repro/internal/partition"
-	"repro/internal/vclock"
+	"repro/internal/pmdl"
 )
 
 // Message tags of the algorithm's two communication phases.
@@ -417,186 +417,87 @@ func collectC(comm *mpi.Comm, pr *Problem, dist *Dist, st *procState) ([]float64
 	return out, nil
 }
 
-// Result reports one run.
-type Result struct {
-	// Time is the simulated execution time of the multiplication proper.
-	Time vclock.Time
-	// Selection is the world ranks at each grid position (row-major).
-	Selection []int
-	// L is the generalised block size used.
-	L int
-	// Predicted is HMPI_Timeof's prediction for the chosen configuration
-	// (HMPI runs only).
-	Predicted float64
-	// C is the gathered result (RealMath with CollectC only).
-	C []float64
+// Program is the matrix multiplication as the driver runs it
+// (apps.Program): the paper's Figure 8. A plan is a distribution (*Dist);
+// there is one candidate per generalised block size in Ls, and HMPI_Timeof
+// picks among them (Figure 8's block-size loop).
+type Program struct {
+	Problem *Problem
+	// Ls lists the candidate generalised block sizes.
+	Ls   []int
+	Opts RunOptions
+	// Dist is the distribution the run used and C the gathered result
+	// (RealMath with CollectC only), both set on communicator rank 0.
+	Dist *Dist
+	C    []float64
 }
 
-// RunHMPI executes the full HMPI program of Figure 8: Recon with the rMxM
-// benchmark, HMPI_Timeof search for the optimal generalised block size
-// over the candidate list (nil means the single size cfgL), group creation
-// from the ParallelAxB model, and the multiplication over the group's
-// communicator.
-func RunHMPI(rt *hmpi.Runtime, pr *Problem, lCandidates []int, opts RunOptions) (Result, error) {
-	var res Result
-	model := Model()
-	err := rt.Run(func(h *hmpi.Process) error {
-		// HMPI_Recon with the rMxM kernel (one r×r block update).
-		bench := hmpi.BenchmarkFunc{
-			Units: 1,
-			Run: func(p *mpi.Proc) error {
-				p.Compute(pr.KernelUnits(1))
-				return nil
-			},
-		}
-		if err := h.Recon(bench); err != nil {
-			return err
-		}
+func (p *Program) Name() string       { return "matmul" }
+func (p *Program) Model() *pmdl.Model { return Model() }
 
-		var g *hmpi.Group
-		var hostDist *Dist
-		if h.IsHost() {
-			// Arrange the measured speeds into the grid and find the
-			// optimal generalised block size with HMPI_Timeof
-			// (Figure 8's block-size loop).
-			grid, _, err := ArrangeGrid(h.Speeds(), hmpi.HostRank, pr.M)
-			if err != nil {
-				return err
-			}
-			bestTime := math.Inf(1)
-			for _, l := range lCandidates {
-				d, err := NewHetero(grid, l, pr.N, pr.R)
-				if err != nil {
-					return err
-				}
-				t, err := h.Timeof(model, d.ModelArgs()...)
-				if err != nil {
-					return err
-				}
-				if t < bestTime {
-					bestTime = t
-					hostDist = d
-				}
-			}
-			if hostDist == nil {
-				return fmt.Errorf("matmul: no feasible generalised block size in %v", lCandidates)
-			}
-			res.Predicted = bestTime
-			res.L = hostDist.L()
-			// Record the winning prediction under the phase name the
-			// region below uses, so the predicted-vs-observed report
-			// joins them.
-			h.Proc().TracePredict("matmul", res.Predicted)
-			g, err = h.GroupCreate(model, hostDist.ModelArgs()...)
-			if err != nil {
-				return err
-			}
-		} else if h.IsFree() {
-			var err error
-			g, err = h.GroupCreate(nil)
-			if err != nil {
-				return err
-			}
+// KernelUnits: the rMxM kernel, one r×r block update.
+func (p *Program) KernelUnits() float64 { return p.Problem.KernelUnits(1) }
+
+// Scale: the model describes the whole multiplication.
+func (p *Program) Scale() float64 { return 1 }
+
+// Plans arranges the speeds into the grid — a process of speed zero (a
+// failed one) takes no cell — and builds the heterogeneous distribution for
+// every candidate block size.
+func (p *Program) Plans(speeds []float64) ([]apps.Plan, error) {
+	pr := p.Problem
+	grid, _, err := ArrangeGrid(speeds, hmpi.HostRank, pr.M)
+	if err != nil {
+		return nil, err
+	}
+	plans := make([]apps.Plan, len(p.Ls))
+	for i, l := range p.Ls {
+		if plans[i], err = NewHetero(grid, l, pr.N, pr.R); err != nil {
+			return nil, err
 		}
-		if !h.IsMember(g) {
-			return nil
-		}
-		comm := g.Comm()
-		// The host broadcasts the chosen distribution (l, w, flattened
-		// row starts) so every member reconstructs it identically.
-		dist := bcastDist(comm, hostDist, pr)
-		h.Proc().TraceRegionBegin("matmul")
-		start := h.Proc().Now()
-		c, err := RunParallel(comm, pr, dist, opts)
-		if err != nil {
-			return err
-		}
-		comm.Barrier()
-		elapsed := h.Proc().Now() - start
-		h.Proc().TraceRegionEnd("matmul")
-		if h.IsHost() {
-			res.Time = elapsed
-			res.Selection = g.WorldRanks()
-			res.C = c
-		}
-		return h.GroupFree(g)
-	})
-	return res, err
+	}
+	return plans, nil
 }
 
-// bcastDist shares the host's distribution with all group members.
-func bcastDist(comm *mpi.Comm, d *Dist, pr *Problem) *Dist {
+// Baseline is the homogeneous 2-D block-cyclic distribution on the first
+// M² processes.
+func (p *Program) Baseline() (apps.Plan, int) {
+	pr := p.Problem
+	return NewHomogeneous(pr.M, pr.N, pr.R), pr.M * pr.M
+}
+
+// Share broadcasts the host's distribution as (l, w, flattened heights),
+// from which every member rebuilds it identically.
+func (p *Program) Share(comm *mpi.Comm, plan apps.Plan) apps.Plan {
 	var payload []byte
-	if comm.Rank() == 0 {
-		vals := []int64{int64(d.L())}
-		for _, w := range d.W {
-			vals = append(vals, int64(w))
+	if d, ok := plan.(*Dist); ok {
+		vals := append([]int{d.L()}, d.W...)
+		for _, row := range d.H {
+			vals = append(vals, row...)
 		}
-		for i := 0; i < d.M; i++ {
-			for j := 0; j < d.M; j++ {
-				vals = append(vals, int64(d.H[i][j]))
-			}
-		}
-		payload = mpi.Int64Bytes(vals)
+		payload = mpi.IntsBytes(vals)
 	}
 	payload = comm.Bcast(0, payload)
 	if comm.Rank() == 0 {
-		return d
+		return plan
 	}
-	vals := mpi.BytesInt64(payload)
-	m := pr.M
-	l := int(vals[0])
-	w := make([]int, m)
-	for j := 0; j < m; j++ {
-		w[j] = int(vals[1+j])
-	}
+	vals, m := mpi.BytesInts(payload), p.Problem.M
 	hs := make([][]int, m)
-	for i := 0; i < m; i++ {
-		hs[i] = make([]int, m)
-		for j := 0; j < m; j++ {
-			hs[i][j] = int(vals[1+m+i*m+j])
-		}
+	for i := range hs {
+		hs[i] = vals[1+m+i*m : 1+m+(i+1)*m]
 	}
-	b, err := partition.FromParts(l, w, hs)
+	b, err := partition.FromParts(vals[0], vals[1:1+m], hs)
 	if err != nil {
 		panic(fmt.Sprintf("matmul: broadcast distribution invalid: %v", err))
 	}
-	return &Dist{Block2D: b, N: pr.N, R: pr.R}
+	return &Dist{Block2D: b, N: p.Problem.N, R: p.Problem.R}
 }
 
-// RunMPI executes the plain-MPI baseline: the homogeneous 2-D block-cyclic
-// distribution on the first M² processes of the world in rank order.
-func RunMPI(rt *hmpi.Runtime, pr *Problem, opts RunOptions) (Result, error) {
-	var res Result
-	p := pr.M * pr.M
-	dist := NewHomogeneous(pr.M, pr.N, pr.R)
-	err := rt.Run(func(h *hmpi.Process) error {
-		world := h.CommWorld()
-		color := 0
-		if h.Rank() >= p {
-			color = mpi.Undefined
-		}
-		comm := world.Split(color, h.Rank())
-		if comm == nil {
-			return nil
-		}
-		start := h.Proc().Now()
-		c, err := RunParallel(comm, pr, dist, opts)
-		if err != nil {
-			return err
-		}
-		comm.Barrier()
-		elapsed := h.Proc().Now() - start
-		if comm.Rank() == 0 {
-			res.Time = elapsed
-			res.L = dist.L()
-			res.Selection = make([]int, p)
-			for i := range res.Selection {
-				res.Selection[i] = i
-			}
-			res.C = c
-		}
-		return nil
-	})
-	return res, err
+func (p *Program) Run(comm *mpi.Comm, plan apps.Plan) (func(), error) {
+	dist := plan.(*Dist)
+	c, err := RunParallel(comm, p.Problem, dist, p.Opts)
+	if comm.Rank() == 0 {
+		p.Dist, p.C = dist, c
+	}
+	return nil, err
 }

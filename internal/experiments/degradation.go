@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/apps"
 	"repro/internal/apps/em3d"
 	"repro/internal/apps/matmul"
 	"repro/internal/chaos"
@@ -30,37 +31,32 @@ func TableDegradation() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	em3dRun := func(sched *chaos.Schedule) (em3d.FTResult, error) {
-		// A fresh cluster per run: failure marks are durable on a cluster.
+	// resilient runs a program under the self-healing driver with the
+	// kill schedule attached. A fresh cluster per run: failure marks are
+	// durable on a cluster.
+	resilient := func(prog apps.Program, sched *chaos.Schedule) (apps.Result, error) {
 		rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
 		if err != nil {
-			return em3d.FTResult{}, err
+			return apps.Result{}, err
 		}
 		defer rt.Finalize()
 		if sched != nil {
 			if err := sched.Attach(rt.World(), nil); err != nil {
-				return em3d.FTResult{}, err
+				return apps.Result{}, err
 			}
 		}
-		return em3d.RunResilientHMPI(rt, em3dPr, em3d.RunOptions{Iters: em3dIters})
+		return apps.Run(rt, prog, apps.SelfHealing)
+	}
+	em3dRun := func(sched *chaos.Schedule) (apps.Result, error) {
+		return resilient(&em3d.Program{Problem: em3dPr, Opts: em3d.RunOptions{Iters: em3dIters}}, sched)
 	}
 
 	mmPr, err := matmul.Generate(matmul.Config{M: 2, R: 8, N: 16})
 	if err != nil {
 		return nil, err
 	}
-	mmRun := func(sched *chaos.Schedule) (matmul.FTResult, error) {
-		rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-		if err != nil {
-			return matmul.FTResult{}, err
-		}
-		defer rt.Finalize()
-		if sched != nil {
-			if err := sched.Attach(rt.World(), nil); err != nil {
-				return matmul.FTResult{}, err
-			}
-		}
-		return matmul.RunResilientHMPI(rt, mmPr, 8, matmul.RunOptions{})
+	mmRun := func(sched *chaos.Schedule) (apps.Result, error) {
+		return resilient(&matmul.Program{Problem: mmPr, Ls: []int{8}}, sched)
 	}
 
 	emBase, err := em3dRun(nil)

@@ -11,9 +11,9 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/apps"
 	"repro/internal/apps/em3d"
 	"repro/internal/apps/matmul"
-	"repro/internal/hmpi"
 	"repro/internal/hnoc"
 )
 
@@ -80,30 +80,23 @@ var em3dSizes = []int{100_000, 200_000, 300_000, 400_000, 600_000, 800_000}
 
 const em3dIters = 10
 
+// versus runs the program under HMPI and as the plain-MPI baseline, each on
+// its own runtime over the cluster, and returns the two algorithm times.
+func versus(c *hnoc.Cluster, prog apps.Program) (hmpiTime, mpiTime float64, err error) {
+	hres, err := apps.RunOn(c, prog, apps.HMPI)
+	if err != nil {
+		return 0, 0, err
+	}
+	mres, err := apps.RunOn(c, prog, apps.MPI)
+	return float64(hres.Time), float64(mres.Time), err
+}
+
 func em3dPoint(nodes int) (hmpiTime, mpiTime float64, err error) {
 	pr, err := em3d.Generate(em3d.Config{P: 9, TotalNodes: nodes, K: 1000, Light: true})
 	if err != nil {
 		return 0, 0, err
 	}
-	rtH, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer rtH.Finalize()
-	hres, err := em3d.RunHMPI(rtH, pr, em3d.RunOptions{Iters: em3dIters})
-	if err != nil {
-		return 0, 0, err
-	}
-	rtM, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer rtM.Finalize()
-	mres, err := em3d.RunMPI(rtM, pr, em3d.RunOptions{Iters: em3dIters})
-	if err != nil {
-		return 0, 0, err
-	}
-	return float64(hres.Time), float64(mres.Time), nil
+	return versus(hnoc.Paper9(), &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: em3dIters}})
 }
 
 // Fig9a reproduces Figure 9(a): execution times of the EM3D algorithm,
@@ -158,30 +151,12 @@ func Fig9b() (*Figure, error) {
 
 // --- Matrix multiplication (Figures 10 and 11) --------------------------
 
-func mmPoint(r, n int, lCandidates []int) (matmul.Result, matmul.Result, error) {
+func mmPoint(r, n int, lCandidates []int) (hmpiTime, mpiTime float64, err error) {
 	pr, err := matmul.Generate(matmul.Config{M: 3, R: r, N: n})
 	if err != nil {
-		return matmul.Result{}, matmul.Result{}, err
+		return 0, 0, err
 	}
-	rtH, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-	if err != nil {
-		return matmul.Result{}, matmul.Result{}, err
-	}
-	defer rtH.Finalize()
-	hres, err := matmul.RunHMPI(rtH, pr, lCandidates, matmul.RunOptions{})
-	if err != nil {
-		return matmul.Result{}, matmul.Result{}, err
-	}
-	rtM, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-	if err != nil {
-		return matmul.Result{}, matmul.Result{}, err
-	}
-	defer rtM.Finalize()
-	mres, err := matmul.RunMPI(rtM, pr, matmul.RunOptions{})
-	if err != nil {
-		return matmul.Result{}, matmul.Result{}, err
-	}
-	return hres, mres, nil
+	return versus(hnoc.Paper9(), &matmul.Program{Problem: pr, Ls: lCandidates})
 }
 
 // Fig10 reproduces Figure 10: the MM execution time of the HMPI program
@@ -202,15 +177,15 @@ func Fig10() (*Figure, error) {
 	var hs, ms []float64
 	var mpiTime float64
 	for i, l := range ls {
-		hres, mres, err := mmPoint(r, n, []int{l})
+		h, m, err := mmPoint(r, n, []int{l})
 		if err != nil {
 			return nil, err
 		}
 		if i == 0 {
-			mpiTime = float64(mres.Time)
+			mpiTime = m
 		}
 		f.X = append(f.X, float64(l))
-		hs = append(hs, float64(hres.Time))
+		hs = append(hs, h)
 		ms = append(ms, mpiTime) // the baseline does not depend on l
 	}
 	f.Series = []Series{{Name: "HMPI", Y: hs}, {Name: "MPI", Y: ms}}
@@ -245,12 +220,12 @@ func Fig10b() (*Figure, error) {
 		f.X = append(f.X, float64(n*r))
 		var mpiTime float64
 		for i, l := range ls {
-			hres, mres, err := mmPoint(r, n, []int{l})
+			h, m, err := mmPoint(r, n, []int{l})
 			if err != nil {
 				return nil, err
 			}
-			series[i].Y = append(series[i].Y, float64(hres.Time))
-			mpiTime = float64(mres.Time)
+			series[i].Y = append(series[i].Y, h)
+			mpiTime = m
 		}
 		series[len(ls)].Y = append(series[len(ls)].Y, mpiTime)
 	}
@@ -274,13 +249,13 @@ func Fig11a() (*Figure, error) {
 	}
 	var hs, ms []float64
 	for _, n := range ns {
-		hres, mres, err := mmPoint(r, n, []int{9})
+		h, m, err := mmPoint(r, n, []int{9})
 		if err != nil {
 			return nil, err
 		}
 		f.X = append(f.X, float64(n*r))
-		hs = append(hs, float64(hres.Time))
-		ms = append(ms, float64(mres.Time))
+		hs = append(hs, h)
+		ms = append(ms, m)
 	}
 	f.Series = []Series{{Name: "HMPI", Y: hs}, {Name: "MPI", Y: ms}}
 	f.Notes = append(f.Notes,
@@ -329,12 +304,7 @@ func TableTimeof() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-		if err != nil {
-			return nil, err
-		}
-		defer rt.Finalize()
-		res, err := em3d.RunHMPI(rt, pr, em3d.RunOptions{Iters: em3dIters})
+		res, err := apps.RunOn(hnoc.Paper9(), &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: em3dIters}}, apps.HMPI)
 		if err != nil {
 			return nil, err
 		}
@@ -348,12 +318,7 @@ func TableTimeof() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-		if err != nil {
-			return nil, err
-		}
-		defer rt.Finalize()
-		res, err := matmul.RunHMPI(rt, pr, []int{9}, matmul.RunOptions{})
+		res, err := apps.RunOn(hnoc.Paper9(), &matmul.Program{Problem: pr, Ls: []int{9}}, apps.HMPI)
 		if err != nil {
 			return nil, err
 		}

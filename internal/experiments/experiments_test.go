@@ -127,11 +127,11 @@ func TestFig9bSpeedupBand(t *testing.T) {
 
 // TestFig11bSpeedupBand runs one Figure 11 point and checks the ~3x claim.
 func TestFig11bSpeedupBand(t *testing.T) {
-	hres, mres, err := mmPoint(9, 90, []int{9})
+	h, m, err := mmPoint(9, 90, []int{9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	speedup := float64(mres.Time) / float64(hres.Time)
+	speedup := m / h
 	if speedup < 2.2 || speedup > 3.8 {
 		t.Errorf("MM speedup %.2f outside the expected band [2.2, 3.8]", speedup)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/apps/em3d"
-	"repro/internal/hmpi"
 	"repro/internal/hnoc"
 )
 
@@ -32,26 +31,12 @@ func TableHeterogeneity() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		rtH, err := hmpi.New(hmpi.Config{Cluster: c})
-		if err != nil {
-			return nil, err
-		}
-		defer rtH.Finalize()
-		hres, err := em3d.RunHMPI(rtH, pr, em3d.RunOptions{Iters: em3dIters})
-		if err != nil {
-			return nil, err
-		}
-		rtM, err := hmpi.New(hmpi.Config{Cluster: c.Clone()})
-		if err != nil {
-			return nil, err
-		}
-		defer rtM.Finalize()
-		mres, err := em3d.RunMPI(rtM, pr, em3d.RunOptions{Iters: em3dIters})
+		h, m, err := versus(c, &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: em3dIters}})
 		if err != nil {
 			return nil, err
 		}
 		f.X = append(f.X, ratio)
-		speedups = append(speedups, float64(mres.Time)/float64(hres.Time))
+		speedups = append(speedups, m/h)
 	}
 	f.Series = []Series{{Name: "speedup", Y: speedups}}
 	f.Notes = append(f.Notes,

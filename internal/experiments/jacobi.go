@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/apps/jacobi"
-	"repro/internal/hmpi"
 	"repro/internal/hnoc"
 )
 
@@ -25,28 +24,14 @@ func TableJacobi() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		rtH, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-		if err != nil {
-			return nil, err
-		}
-		defer rtH.Finalize()
-		hres, err := jacobi.RunHMPI(rtH, pr, false)
-		if err != nil {
-			return nil, err
-		}
-		rtM, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-		if err != nil {
-			return nil, err
-		}
-		defer rtM.Finalize()
-		mres, err := jacobi.RunMPI(rtM, pr, false)
+		h, m, err := versus(hnoc.Paper9(), &jacobi.Program{Problem: pr})
 		if err != nil {
 			return nil, err
 		}
 		f.X = append(f.X, float64(g))
-		hs = append(hs, float64(hres.Time))
-		ms = append(ms, float64(mres.Time))
-		sp = append(sp, float64(mres.Time)/float64(hres.Time))
+		hs = append(hs, h)
+		ms = append(ms, m)
+		sp = append(sp, m/h)
 	}
 	f.Series = []Series{{Name: "HMPI", Y: hs}, {Name: "uniform", Y: ms}, {Name: "speedup", Y: sp}}
 	f.Notes = append(f.Notes,

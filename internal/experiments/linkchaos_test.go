@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/apps/em3d"
 	"repro/internal/chaos"
 	"repro/internal/hmpi"
@@ -46,7 +47,7 @@ func runLinkChaosEM3D(t *testing.T, pr *em3d.Problem, spec string, seed int64) c
 	if err := sched.Arm(rt.World(), seed, nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := em3d.RunResilientHMPI(rt, pr, em3d.RunOptions{Iters: 5})
+	res, err := apps.Run(rt, &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: 5}}, apps.SelfHealing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestEM3DLinkChaosDegradedNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := em3d.RunResilientHMPI(baseRT, pr, em3d.RunOptions{Iters: 5})
+	base, err := apps.Run(baseRT, &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: 5}}, apps.SelfHealing)
 	if err != nil {
 		t.Fatal(err)
 	}

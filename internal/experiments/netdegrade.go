@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/apps"
 	"repro/internal/apps/em3d"
 	"repro/internal/chaos"
 	"repro/internal/hmpi"
@@ -36,27 +37,27 @@ func TableNetDegrade() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(spec string, degrade bool) (em3d.FTResult, int64, error) {
+	run := func(spec string, degrade bool) (apps.Result, int64, error) {
 		rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
 		if err != nil {
-			return em3d.FTResult{}, 0, err
+			return apps.Result{}, 0, err
 		}
 		defer rt.Finalize()
 		if spec != "" {
 			sched, err := chaos.Parse(spec, rt.World().Size())
 			if err != nil {
-				return em3d.FTResult{}, 0, err
+				return apps.Result{}, 0, err
 			}
 			if err := sched.Arm(rt.World(), netChaosSeed, nil); err != nil {
-				return em3d.FTResult{}, 0, err
+				return apps.Result{}, 0, err
 			}
 		}
 		if degrade {
 			rt.EnableDegradation(hmpi.DefaultDegradationPolicy())
 		}
-		res, err := em3d.RunResilientHMPI(rt, pr, em3d.RunOptions{Iters: em3dIters})
+		res, err := apps.Run(rt, &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: em3dIters}}, apps.SelfHealing)
 		if err != nil {
-			return em3d.FTResult{}, 0, err
+			return apps.Result{}, 0, err
 		}
 		var retransmits int64
 		for _, st := range rt.World().LinkStatsSnapshot() {

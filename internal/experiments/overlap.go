@@ -13,27 +13,18 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/apps"
 	"repro/internal/apps/em3d"
 	"repro/internal/apps/matmul"
-	"repro/internal/hmpi"
 	"repro/internal/hnoc"
 )
 
-// em3dOverlapTimes runs the EM3D HMPI program with both schedules on
-// Paper9 and returns (blocking, overlapped) simulated times.
-func em3dOverlapTimes(cfg em3d.Config, iters int) (float64, float64, error) {
-	pr, err := em3d.Generate(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
+// overlapTimes runs the HMPI program prog(overlap) builds with both
+// schedules on Paper9 and returns (blocking, overlapped) simulated times.
+func overlapTimes(prog func(overlap bool) apps.Program) (float64, float64, error) {
 	times := make([]float64, 2)
 	for i, overlap := range []bool{false, true} {
-		rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-		if err != nil {
-			return 0, 0, err
-		}
-		defer rt.Finalize()
-		res, err := em3d.RunHMPI(rt, pr, em3d.RunOptions{Iters: iters, Overlap: overlap})
+		res, err := apps.RunOn(hnoc.Paper9(), prog(overlap), apps.HMPI)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -42,27 +33,27 @@ func em3dOverlapTimes(cfg em3d.Config, iters int) (float64, float64, error) {
 	return times[0], times[1], nil
 }
 
-// matmulOverlapTimes runs the matmul HMPI program with both schedules on
-// Paper9 and returns (blocking, pipelined) simulated times.
+// em3dOverlapTimes is overlapTimes for an EM3D workload.
+func em3dOverlapTimes(cfg em3d.Config, iters int) (float64, float64, error) {
+	pr, err := em3d.Generate(cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	return overlapTimes(func(overlap bool) apps.Program {
+		return &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: iters, Overlap: overlap}}
+	})
+}
+
+// matmulOverlapTimes is overlapTimes for a matmul workload: (blocking,
+// pipelined).
 func matmulOverlapTimes(cfg matmul.Config, lCandidates []int) (float64, float64, error) {
 	pr, err := matmul.Generate(cfg)
 	if err != nil {
 		return 0, 0, err
 	}
-	times := make([]float64, 2)
-	for i, overlap := range []bool{false, true} {
-		rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-		if err != nil {
-			return 0, 0, err
-		}
-		defer rt.Finalize()
-		res, err := matmul.RunHMPI(rt, pr, lCandidates, matmul.RunOptions{Overlap: overlap})
-		if err != nil {
-			return 0, 0, err
-		}
-		times[i] = float64(res.Time)
-	}
-	return times[0], times[1], nil
+	return overlapTimes(func(overlap bool) apps.Program {
+		return &matmul.Program{Problem: pr, Ls: lCandidates, Opts: matmul.RunOptions{Overlap: overlap}}
+	})
 }
 
 // TableOverlap renders the overlap comparison as a figure: simulated

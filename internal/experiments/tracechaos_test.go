@@ -8,6 +8,7 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/apps/em3d"
 	"repro/internal/hmpi"
 	"repro/internal/hnoc"
@@ -24,7 +25,7 @@ func TestTracedChaosRunRecordsFaultStory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := em3d.RunResilientHMPI(baseRT, pr, em3d.RunOptions{Iters: 5})
+	base, err := apps.Run(baseRT, &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: 5}}, apps.SelfHealing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestTracedChaosRunRecordsFaultStory(t *testing.T) {
 	if err := killSchedule(base.Selection, base.Time, kills).Attach(rt.World(), nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := em3d.RunResilientHMPI(rt, pr, em3d.RunOptions{Iters: 5})
+	res, err := apps.Run(rt, &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: 5}}, apps.SelfHealing)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/apps/em3d"
 	"repro/internal/apps/matmul"
 	"repro/internal/hmpi"
@@ -72,7 +73,7 @@ func TestTraceReportEM3D(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt, rec := tracedRuntime(t, "em3d")
-	res, err := em3d.RunHMPI(rt, pr, em3d.RunOptions{Iters: 5})
+	res, err := apps.Run(rt, &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: 5}}, apps.HMPI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestTraceReportMatmul(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt, rec := tracedRuntime(t, "matmul")
-	res, err := matmul.RunHMPI(rt, pr, []int{9}, matmul.RunOptions{})
+	res, err := apps.Run(rt, &matmul.Program{Problem: pr, Ls: []int{9}}, apps.HMPI)
 	if err != nil {
 		t.Fatal(err)
 	}

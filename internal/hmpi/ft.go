@@ -13,6 +13,7 @@ package hmpi
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/mapper"
 	"repro/internal/mpi"
@@ -126,7 +127,7 @@ func (h *Process) GroupRecreate(g *Group, model *pmdl.Model, args ...any) (*Grou
 	if err != nil {
 		// Too few survivors for the model (or the like): release the
 		// processes waiting in receiveGroup before reporting.
-		h.abortGroupCreate()
+		h.AbortGroupCreate()
 		return nil, err
 	}
 	ng, err := h.distributeGroup(asg.Ranks, inst.Parent)
@@ -218,7 +219,7 @@ func (h *Process) resilientHost(plan ResilientPlan, work func(g *Group) error) e
 		}
 		if err != nil {
 			if g != nil {
-				h.abortGroupCreate() // wakes survivors in receiveGroup
+				h.AbortGroupCreate() // wakes survivors in receiveGroup
 			}
 			h.ctrlTo(parked, ctrlAbort)
 			return err
@@ -336,7 +337,7 @@ func (h *Process) ctrlTo(ranks []int, code int64) {
 func excludeRanks(ranks, exclude []int) []int {
 	out := make([]int, 0, len(ranks))
 	for _, r := range ranks {
-		if indexOf(exclude, r) < 0 {
+		if !slices.Contains(exclude, r) {
 			out = append(out, r)
 		}
 	}

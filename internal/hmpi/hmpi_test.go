@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/hnoc"
 
@@ -403,21 +404,33 @@ func TestReconRejectsBadBenchmarks(t *testing.T) {
 
 func TestGroupCreateTooFewProcesses(t *testing.T) {
 	// A model demanding more abstract processors than the network has
-	// processes must fail cleanly on the host; frees would block waiting,
-	// so only the host calls here.
+	// processes fails cleanly everywhere: the host's selection error
+	// releases the free processes waiting for the decision, so every
+	// rank's GroupCreate returns an error instead of blocking.
 	rt := newRuntime(t, hnoc.Homogeneous(3, 10))
 	model := testModel(t)
-	err := rt.Run(func(h *Process) error {
-		if !h.IsHost() {
+	done := make(chan error, 1)
+	go func() {
+		done <- rt.Run(func(h *Process) error {
+			var err error
+			if h.IsHost() {
+				_, err = h.GroupCreate(model, 20, make([]int, 20), 1)
+			} else {
+				_, err = h.GroupCreate(nil)
+			}
+			if err == nil {
+				return fmt.Errorf("rank %d: oversized group accepted", h.Rank())
+			}
 			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := h.GroupCreate(model, 20, make([]int, 20), 1); err == nil {
-			return fmt.Errorf("oversized group accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("free processes still waiting after the host's selection failed")
 	}
 }
 

@@ -2,6 +2,7 @@ package hmpi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/estimator"
 	"repro/internal/mapper"
@@ -121,7 +122,7 @@ func (h *Process) solveSelectionOpts(model *pmdl.Model, args []any, parentRank i
 		return nil, mapper.Assignment{}, err
 	}
 	avail := h.rt.freeRanks()
-	if !contains(avail, parentRank) {
+	if !slices.Contains(avail, parentRank) {
 		avail = append([]int{parentRank}, avail...)
 	}
 	asg, err := solveWithEstimator(est, inst, h.speeds, avail, parentRank, opts, h.rt.cfg.Selection)
@@ -164,27 +165,35 @@ func solveWithEstimator(est *estimator.Estimator, inst *pmdl.Instance, speeds []
 // PredictTimeof prices a prospective job without constructing a world or
 // running any process: it solves the same selection problem HMPI_Timeof
 // would solve inside a run, using the machines' nominal speeds (what a
-// runtime knows before the first HMPI_Recon). hmpid's admission control
-// uses it to estimate a submitted job's makespan at accept/reject time.
+// runtime knows before the first HMPI_Recon).
 func PredictTimeof(cfg Config, model *pmdl.Model, args ...any) (float64, mapper.SearchStats, error) {
-	if cfg.Cluster == nil {
-		return 0, mapper.SearchStats{}, fmt.Errorf("hmpi: nil cluster")
-	}
-	if err := cfg.Cluster.Validate(); err != nil {
+	return PredictTimeofAt(cfg, nil, model, args...)
+}
+
+// PredictTimeofAt is PredictTimeof under the given per-rank speed
+// estimates; nil means the nominal speeds. Fed ReconSpeeds it returns,
+// bit for bit, what HMPI_Timeof returns inside a run on the unloaded
+// cluster, and shares that run's selection-memo entries.
+func PredictTimeofAt(cfg Config, speeds []float64, model *pmdl.Model, args ...any) (float64, mapper.SearchStats, error) {
+	placement, err := cfg.offlinePlacement()
+	if err != nil {
 		return 0, mapper.SearchStats{}, err
 	}
-	placement := cfg.Placement
-	if placement == nil {
-		placement = mpi.OneProcessPerMachine(cfg.Cluster)
+	if speeds == nil {
+		speeds = make([]float64, len(placement))
+		for r, m := range placement {
+			speeds[r] = cfg.Cluster.Machines[m].Speed
+		}
+	}
+	if len(speeds) != len(placement) {
+		return 0, mapper.SearchStats{}, fmt.Errorf("hmpi: %d speeds for %d processes", len(speeds), len(placement))
 	}
 	inst, err := model.Instantiate(args...)
 	if err != nil {
 		return 0, mapper.SearchStats{}, err
 	}
-	speeds := make([]float64, len(placement))
 	avail := make([]int, len(placement))
-	for r := range placement {
-		speeds[r] = cfg.Cluster.Machines[placement[r]].Speed
+	for r := range avail {
 		avail[r] = r
 	}
 	est, err := estimator.New(inst, cfg.Cluster, speeds, placement)
@@ -196,6 +205,37 @@ func PredictTimeof(cfg Config, model *pmdl.Model, args ...any) (float64, mapper.
 		return 0, mapper.SearchStats{}, err
 	}
 	return asg.Time, asg.Stats, nil
+}
+
+// ReconSpeeds returns, per world rank, the speed estimate an HMPI_Recon
+// whose benchmark is one kernel of kernelUnits would report on the
+// unloaded cluster: 1/(kernelUnits/Machine.Speed), the expression Recon
+// evaluates, in kernels per second — the unit every model's volumes are in.
+func ReconSpeeds(cfg Config, kernelUnits float64) ([]float64, error) {
+	placement, err := cfg.offlinePlacement()
+	if err != nil {
+		return nil, err
+	}
+	speeds := make([]float64, len(placement))
+	for r, m := range placement {
+		speeds[r] = 1 / (kernelUnits / cfg.Cluster.Machines[m].Speed)
+	}
+	return speeds, nil
+}
+
+// offlinePlacement validates the configuration for world-less use and
+// returns the placement a runtime built from it would run under.
+func (cfg Config) offlinePlacement() ([]int, error) {
+	if cfg.Cluster == nil {
+		return nil, fmt.Errorf("hmpi: nil cluster")
+	}
+	if err := cfg.Cluster.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Placement != nil {
+		return cfg.Placement, nil
+	}
+	return mpi.OneProcessPerMachine(cfg.Cluster), nil
 }
 
 // Timeof implements HMPI_Timeof: it predicts the execution time of the
@@ -280,6 +320,9 @@ func (h *Process) createGroup(isParent bool, model *pmdl.Model, args []any, opts
 		t0, w0 := h.traceStart()
 		inst, asg, err := h.solveSelectionOpts(model, args, h.Rank(), opts)
 		if err != nil {
+			// No group satisfies the model (too few processes, typically):
+			// release the free processes waiting in receiveGroup.
+			h.AbortGroupCreate()
 			return nil, err
 		}
 		g, err := h.distributeGroup(asg.Ranks, inst.Parent)
@@ -344,11 +387,13 @@ func (h *Process) distributeGroup(ranks []int, parentIdx int) (*Group, error) {
 	return h.buildGroup(ranks, parentIdx, key)
 }
 
-// abortGroupCreate tells every free process waiting in receiveGroup that
-// the pending creation is off (the parent's selection failed, typically
-// because too few processes survive for the model). The negative parent
-// rank is the abort marker.
-func (h *Process) abortGroupCreate() {
+// AbortGroupCreate tells every free process waiting in GroupCreate that the
+// pending creation is off: their call returns an error. GroupCreate does it
+// itself when the parent's selection fails (typically too few processes for
+// the model); a parent whose own planning fails before it can call
+// GroupCreate calls this in its place, so no free process is left waiting.
+// The negative parent rank is the abort marker.
+func (h *Process) AbortGroupCreate() {
 	comm := h.CommWorld()
 	payload := mpi.Int64Bytes([]int64{-1})
 	for _, r := range h.rt.freeRanks() {
@@ -385,7 +430,7 @@ func (h *Process) receiveGroup() (*Group, error) {
 	// commit (and hence any subsequent creation's free-set
 	// snapshot, by any future parent) must observe this process as
 	// busy if it was selected.
-	if indexOf(ranks, me) >= 0 {
+	if slices.Contains(ranks, me) {
 		h.rt.setFree(me, false)
 	}
 	comm.Send(parentRank, tagGroupAck, nil)
@@ -401,7 +446,7 @@ func (h *Process) buildGroup(ranks []int, parentIdx int, key int64) (*Group, err
 		ranks:     append([]int(nil), ranks...),
 		key:       key,
 		parentIdx: parentIdx,
-		rank:      indexOf(ranks, me),
+		rank:      slices.Index(ranks, me),
 	}
 	if g.rank < 0 {
 		return nil, nil // not selected; stays free
@@ -409,15 +454,6 @@ func (h *Process) buildGroup(ranks []int, parentIdx int, key int64) (*Group, err
 	g.comm = mpi.NewCommFromGroup(h.proc, mpi.NewGroup(ranks), key)
 	h.rt.setFree(me, false)
 	return g, nil
-}
-
-func indexOf(xs []int, x int) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
 }
 
 // GroupFree implements HMPI_Group_free: a collective operation over the
@@ -451,15 +487,6 @@ func (h *Process) GroupFree(g *Group) error {
 
 // debugGroups prints the group-creation protocol steps.
 var debugGroups = false
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
 
 // Group is an HMPI group handle (HMPI_Group): the result of the
 // performance-model-driven group creation. Each member holds its own

@@ -3,6 +3,7 @@ package jobspec
 import (
 	"fmt"
 
+	"repro/internal/apps"
 	"repro/internal/apps/em3d"
 	"repro/internal/apps/jacobi"
 	"repro/internal/apps/matmul"
@@ -59,6 +60,10 @@ func Execute(s Spec, opts ExecOptions) (*Result, error) {
 	if err := s.Normalize(); err != nil {
 		return nil, err
 	}
+	prog, err := s.program()
+	if err != nil {
+		return nil, err
+	}
 	rt, err := hmpi.New(hmpi.Config{Cluster: s.ClusterOrDefault(), Selection: opts.Selection})
 	if err != nil {
 		return nil, err
@@ -72,98 +77,72 @@ func Execute(s Spec, opts ExecOptions) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := sched.Arm(rt.World(), s.ChaosSeed, func(e chaos.Event) {
-			if opts.OnChaosKill != nil {
-				opts.OnChaosKill(e)
-			}
-		}); err != nil {
+		if err := sched.Arm(rt.World(), s.ChaosSeed, opts.OnChaosKill); err != nil {
 			return nil, err
 		}
 		if s.Degrade {
 			rt.EnableDegradation(hmpi.DefaultDegradationPolicy())
 		}
 	}
-	res := &Result{App: s.App, Mode: s.Mode}
+	mode := apps.HMPI
+	switch {
+	case s.Chaos != "":
+		mode = apps.SelfHealing
+	case s.Mode == ModeMPI:
+		mode = apps.MPI
+	}
+	r, err := apps.Run(rt, prog, mode)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		App: s.App, Mode: s.Mode,
+		Makespan: rt.Makespan(), Time: r.Time, Predicted: r.Predicted, Selection: r.Selection,
+		Attempts: r.Attempts, WorkTime: r.WorkTime, Recovery: r.Recovery, Degraded: rt.DegradedPairs(),
+	}
+	// What a Result says about the plan is what it has always said (the
+	// golden file pins it): matmul's baseline reports no block size and
+	// jacobi's no selection.
+	switch p := prog.(type) {
+	case *matmul.Program:
+		if s.Mode == ModeHMPI {
+			res.L = p.Dist.L()
+		}
+	case *jacobi.Program:
+		res.Heights = p.Heights
+		if s.Mode == ModeMPI {
+			res.Selection = nil
+		}
+	}
+	return res, nil
+}
+
+// program builds the application the spec describes: the one place a job's
+// workload is generated, for pricing and running alike.
+func (s Spec) program() (apps.Program, error) {
 	switch s.App {
 	case "em3d":
 		pr, err := em3d.Generate(em3d.Config{P: s.P, TotalNodes: s.Nodes, Light: true})
 		if err != nil {
 			return nil, err
 		}
-		ro := em3d.RunOptions{Iters: s.Iters}
-		switch {
-		case s.Chaos != "":
-			r, err := em3d.RunResilientHMPI(rt, pr, ro)
-			if err != nil {
-				return nil, err
-			}
-			res.Time, res.WorkTime, res.Recovery = r.Time, r.WorkTime, r.Recovery
-			res.Attempts, res.Selection = r.Attempts, r.Selection
-		case s.Mode == ModeHMPI:
-			r, err := em3d.RunHMPI(rt, pr, ro)
-			if err != nil {
-				return nil, err
-			}
-			res.Time, res.Predicted, res.Selection = r.Time, r.Predicted, r.Selection
-		default:
-			r, err := em3d.RunMPI(rt, pr, ro)
-			if err != nil {
-				return nil, err
-			}
-			res.Time, res.Selection = r.Time, r.Selection
-		}
+		return &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: s.Iters}}, nil
 	case "matmul":
 		pr, err := matmul.Generate(matmul.Config{M: s.M, R: s.R, N: s.N})
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case s.Chaos != "":
-			r, err := matmul.RunResilientHMPI(rt, pr, s.L, matmul.RunOptions{})
-			if err != nil {
-				return nil, err
-			}
-			res.Time, res.WorkTime, res.Recovery = r.Time, r.WorkTime, r.Recovery
-			res.Attempts, res.L, res.Selection = r.Attempts, r.L, r.Selection
-		case s.Mode == ModeHMPI:
-			ls := []int{s.L}
-			if s.L <= 0 {
-				ls = CandidateBlockSizes(pr.M, pr.N)
-			}
-			r, err := matmul.RunHMPI(rt, pr, ls, matmul.RunOptions{})
-			if err != nil {
-				return nil, err
-			}
-			res.Time, res.Predicted, res.L, res.Selection = r.Time, r.Predicted, r.L, r.Selection
-		default:
-			r, err := matmul.RunMPI(rt, pr, matmul.RunOptions{})
-			if err != nil {
-				return nil, err
-			}
-			res.Time, res.Selection = r.Time, r.Selection
+		ls := []int{s.L}
+		if s.L <= 0 {
+			ls = CandidateBlockSizes(pr.M, pr.N)
 		}
+		return &matmul.Program{Problem: pr, Ls: ls}, nil
 	case "jacobi":
 		pr, err := jacobi.Generate(jacobi.Config{Rows: s.Grid, Cols: s.Grid, Iters: s.Iters, P: s.P})
 		if err != nil {
 			return nil, err
 		}
-		if s.Mode == ModeHMPI {
-			r, err := jacobi.RunHMPI(rt, pr, false)
-			if err != nil {
-				return nil, err
-			}
-			res.Time, res.Predicted, res.Heights, res.Selection = r.Time, r.Predicted, r.Heights, r.Selection
-		} else {
-			r, err := jacobi.RunMPI(rt, pr, false)
-			if err != nil {
-				return nil, err
-			}
-			res.Time, res.Heights = r.Time, r.Heights
-		}
-	default:
-		return nil, fmt.Errorf("jobspec: unknown app %q", s.App)
+		return &jacobi.Program{Problem: pr}, nil
 	}
-	res.Makespan = rt.Makespan()
-	res.Degraded = rt.DegradedPairs()
-	return res, nil
+	return nil, fmt.Errorf("jobspec: unknown app %q", s.App)
 }

@@ -9,12 +9,8 @@ package jobspec
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
-	"repro/internal/apps/em3d"
-	"repro/internal/apps/jacobi"
-	"repro/internal/apps/matmul"
+	"repro/internal/apps"
 	"repro/internal/hmpi"
 	"repro/internal/hnoc"
 	"repro/internal/mapper"
@@ -81,29 +77,23 @@ func Default() Spec {
 // combination. It is idempotent; Execute and Predict call it themselves.
 func (s *Spec) Normalize() error {
 	d := Default()
+	for _, size := range []struct {
+		name string
+		v    *int
+		def  int
+	}{
+		{"nodes", &s.Nodes, d.Nodes}, {"p", &s.P, d.P}, {"iters", &s.Iters, d.Iters},
+		{"n", &s.N, d.N}, {"r", &s.R, d.R}, {"m", &s.M, d.M}, {"grid", &s.Grid, d.Grid},
+	} {
+		if *size.v < 0 {
+			return fmt.Errorf("jobspec: negative %s %d", size.name, *size.v)
+		}
+		if *size.v == 0 {
+			*size.v = size.def
+		}
+	}
 	if s.Mode == "" {
 		s.Mode = d.Mode
-	}
-	if s.Nodes == 0 {
-		s.Nodes = d.Nodes
-	}
-	if s.P == 0 {
-		s.P = d.P
-	}
-	if s.Iters == 0 {
-		s.Iters = d.Iters
-	}
-	if s.N == 0 {
-		s.N = d.N
-	}
-	if s.R == 0 {
-		s.R = d.R
-	}
-	if s.M == 0 {
-		s.M = d.M
-	}
-	if s.Grid == 0 {
-		s.Grid = d.Grid
 	}
 	if s.ChaosSeed == 0 {
 		s.ChaosSeed = d.ChaosSeed
@@ -165,92 +155,21 @@ func CandidateBlockSizes(m, n int) []int {
 	return out
 }
 
-// Predict prices the job without running it: the predicted makespan (in
-// simulated seconds) of the job's selection problem under the machines'
-// nominal speeds, via hmpi.PredictTimeof. The service's admission control
-// uses it to accept, queue, or reject at submit time. Mode and chaos are
-// ignored — the price is the fault-free HMPI prediction, which bounds the
-// useful work either mode schedules. A shared selection cache makes
-// repeated pricing of similar specs nearly free.
+// Predict prices the job without running it: the prediction (in simulated
+// seconds) an HMPI-mode run of the spec reports on the unloaded cluster —
+// the run's own planner, fed the speeds its HMPI_Recon would measure. The
+// service's admission control uses it to accept, queue, or reject at submit
+// time. Mode and chaos are ignored — the price is the fault-free HMPI
+// prediction, which bounds the useful work either mode schedules. A shared
+// selection cache makes repeated pricing of similar specs nearly free, and
+// the run of a priced job starts from the memo entries its price left.
 func (s Spec) Predict(cache *mapper.SelectionCache) (float64, error) {
 	if err := s.Normalize(); err != nil {
 		return 0, err
 	}
-	cfg := hmpi.Config{Cluster: s.ClusterOrDefault(), Selection: cache}
-	switch s.App {
-	case "em3d":
-		pr, err := em3d.Generate(em3d.Config{P: s.P, TotalNodes: s.Nodes, Light: true})
-		if err != nil {
-			return 0, err
-		}
-		t, _, err := hmpi.PredictTimeof(cfg, em3d.Model(), pr.ModelArgs()...)
-		if err != nil {
-			return 0, err
-		}
-		return t * float64(s.Iters), nil
-	case "matmul":
-		pr, err := matmul.Generate(matmul.Config{M: s.M, R: s.R, N: s.N})
-		if err != nil {
-			return 0, err
-		}
-		speeds := nominalSpeeds(cfg.Cluster)
-		grid, _, err := matmul.ArrangeGrid(speeds, hmpi.HostRank, pr.M)
-		if err != nil {
-			return 0, err
-		}
-		ls := []int{s.L}
-		if s.L <= 0 {
-			ls = CandidateBlockSizes(pr.M, pr.N)
-		}
-		best := math.Inf(1)
-		for _, l := range ls {
-			d, err := matmul.NewHetero(grid, l, pr.N, pr.R)
-			if err != nil {
-				return 0, err
-			}
-			t, _, err := hmpi.PredictTimeof(cfg, matmul.Model(), d.ModelArgs()...)
-			if err != nil {
-				return 0, err
-			}
-			if t < best {
-				best = t
-			}
-		}
-		return best, nil
-	case "jacobi":
-		pr, err := jacobi.Generate(jacobi.Config{Rows: s.Grid, Cols: s.Grid, Iters: s.Iters, P: s.P})
-		if err != nil {
-			return 0, err
-		}
-		// Strip speeds as the run would build them: host first, then
-		// the rest fastest-first.
-		speeds := nominalSpeeds(cfg.Cluster)
-		rest := append([]float64(nil), speeds[hmpi.HostRank+1:]...)
-		rest = append(rest, speeds[:hmpi.HostRank]...)
-		sort.Sort(sort.Reverse(sort.Float64Slice(rest)))
-		strip := append([]float64{speeds[hmpi.HostRank]}, rest...)
-		if len(strip) > pr.P {
-			strip = strip[:pr.P]
-		}
-		heights, err := pr.Heights(strip)
-		if err != nil {
-			return 0, err
-		}
-		t, _, err := hmpi.PredictTimeof(cfg, jacobi.Model(), pr.ModelArgs(heights)...)
-		if err != nil {
-			return 0, err
-		}
-		return t * float64(pr.Iters), nil
+	prog, err := s.program()
+	if err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("jobspec: unknown app %q", s.App)
-}
-
-// nominalSpeeds returns the pre-Recon speed estimate per world rank under
-// the default one-process-per-machine placement.
-func nominalSpeeds(c *hnoc.Cluster) []float64 {
-	out := make([]float64, len(c.Machines))
-	for i, m := range c.Machines {
-		out[i] = m.Speed
-	}
-	return out
+	return apps.Predict(hmpi.Config{Cluster: s.ClusterOrDefault(), Selection: cache}, prog)
 }

@@ -3,6 +3,7 @@ package jobspec
 import (
 	"flag"
 	"testing"
+	"time"
 
 	"repro/internal/mapper"
 )
@@ -32,6 +33,14 @@ func TestNormalizeValidation(t *testing.T) {
 		{"chaos matmul without l", func(s *Spec) { s.App = "matmul"; s.L = -1; s.Chaos = "2@0.5" }, false},
 		{"chaos matmul with l", func(s *Spec) { s.App = "matmul"; s.Chaos = "2@0.5" }, true},
 		{"degrade without chaos", func(s *Spec) { s.Degrade = true }, false},
+		{"negative nodes", func(s *Spec) { s.Nodes = -1 }, false},
+		{"negative p", func(s *Spec) { s.P = -1 }, false},
+		{"negative iters", func(s *Spec) { s.Iters = -1 }, false},
+		{"negative n", func(s *Spec) { s.N = -1 }, false},
+		{"negative r", func(s *Spec) { s.R = -1 }, false},
+		{"negative m", func(s *Spec) { s.M = -1 }, false},
+		{"negative grid", func(s *Spec) { s.Grid = -1 }, false},
+		{"negative l searches", func(s *Spec) { s.App = "matmul"; s.L = -1 }, true},
 	}
 	for _, c := range cases {
 		s := Default()
@@ -181,5 +190,53 @@ func TestPredictAllApps(t *testing.T) {
 	}
 	if cache.Stats().Hits == 0 {
 		t.Fatal("repeated predictions never hit the cache")
+	}
+}
+
+// TestPredictIsTheRunsPrediction: the admission price is in simulated
+// seconds — Predict plans with the speeds an unloaded HMPI_Recon reports,
+// so it equals, bit for bit, the prediction the run itself records.
+func TestPredictIsTheRunsPrediction(t *testing.T) {
+	for _, row := range goldenRows() {
+		if row.spec.Mode == ModeMPI {
+			continue
+		}
+		price, err := row.spec.Predict(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		res, err := Execute(row.spec, ExecOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		if price != res.Predicted {
+			t.Errorf("%s: Predict = %v, the run predicted %v", row.name, price, res.Predicted)
+		}
+	}
+}
+
+// TestInfeasibleSpecReturns: a spec no group of the cluster can run is an
+// error from Execute, not a hang — the host's planning, Timeof or selection
+// failure releases the free processes waiting for the group.
+func TestInfeasibleSpecReturns(t *testing.T) {
+	for _, s := range []Spec{
+		{App: "em3d", P: 12},
+		{App: "jacobi", P: 12, Grid: 120},
+		{App: "matmul", M: 4, N: 16, R: 2, L: 4},
+		{App: "matmul", M: 3, N: 18, R: 2, L: 2},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Execute(s, ExecOptions{})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%+v: infeasible spec ran", s)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%+v: Execute did not return", s)
+		}
 	}
 }

@@ -96,8 +96,21 @@ func TestAdmissionBudget(t *testing.T) {
 	// Raising the budget admits the same spec.
 	s2 := New(Config{Workers: 1, Budget: price * 2})
 	defer s2.Close()
-	if _, err := s2.Submit(spec); err != nil {
+	admitted, err := s2.Submit(spec)
+	if err != nil {
 		t.Fatalf("under-budget job rejected: %v", err)
+	}
+	// The budget is in simulated seconds: an absolute ceiling of ten times
+	// the makespan the job is then observed to take admits it too.
+	done, err := s2.Result(admitted.ID)
+	if err != nil || done.Result == nil {
+		t.Fatalf("admitted job did not complete: %+v, %v", done, err)
+	}
+	s3 := New(Config{Workers: 1, Budget: 10 * float64(done.Result.Makespan)})
+	defer s3.Close()
+	if info, err := s3.Submit(spec); err != nil {
+		t.Fatalf("job priced %.6g s rejected under a budget of 10 makespans (%.6g s): %v",
+			info.Predicted, 10*float64(done.Result.Makespan), err)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/apps/em3d"
 	"repro/internal/hmpi"
 	"repro/internal/hnoc"
@@ -171,7 +172,7 @@ func TestE2EOverlapRunVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := em3d.RunHMPI(rt, pr, em3d.RunOptions{Iters: 3, RealMath: true, Overlap: true}); err != nil {
+	if _, err := apps.Run(rt, &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: 3, RealMath: true, Overlap: true}}, apps.HMPI); err != nil {
 		t.Fatal(err)
 	}
 	d := rec.Data()
@@ -240,7 +241,7 @@ func TestE2EWrappedRingKeepsNewest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := em3d.RunHMPI(rt, pr, em3d.RunOptions{Iters: 2}); err != nil {
+		if _, err := apps.Run(rt, &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: 2}}, apps.HMPI); err != nil {
 			t.Fatal(err)
 		}
 		return rec.Data()
