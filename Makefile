@@ -21,13 +21,17 @@ check: lint
 
 # Static analysis: gofmt with nothing left to rewrite, go vet, the HMPI
 # analyzers (hmpivet) over the tree — a directory walk sweeps every
-# shipped .mpc model too — the PMDL lints, and staticcheck when the binary
-# is on PATH (CI installs a pinned version; locally it is optional so an
-# offline checkout still gates on the in-tree checks).
+# shipped .mpc model too — runtimeclose over the tests as well (every
+# hmpi.New in a test reaches Finalize; the other analyzers' test findings
+# are deliberate contract violations under test), the PMDL lints, and
+# staticcheck when the binary is on PATH (CI installs a pinned version;
+# locally it is optional so an offline checkout still gates on the in-tree
+# checks).
 lint:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/hmpivet .
+	$(GO) run ./cmd/hmpivet -tests -only runtimeclose .
 	for m in models/*.mpc; do $(GO) run ./cmd/pmc -lint $$m || exit 1; done
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -69,9 +69,9 @@ func (d Diagnostic) String() string {
 }
 
 // Run applies every analyzer to every package and returns the findings
-// sorted by position. A finding is suppressed only by a well-formed
-// directive on the reported line naming its analyzer and justifying the
-// exception:
+// sorted by position, analyzer and message. A finding is suppressed only
+// by a well-formed directive on the reported line naming its analyzer and
+// justifying the exception:
 //
 //	//hmpivet:ignore <name>[,<name>...] -- <reason>
 //
@@ -119,7 +119,13 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		// One analyzer can make two findings at one position (two groups
+		// live at one return): the message is the last key, so the output
+		// is a function of the input alone.
+		return a.Message < b.Message
 	})
 	return diags, nil
 }

@@ -20,6 +20,7 @@ package collmatch
 import (
 	"go/ast"
 	"go/token"
+	"sort"
 
 	"repro/internal/analysis"
 )
@@ -65,7 +66,16 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt, reported map[token.Pos]
 			elseOps = collOps(pass, ifs.Else)
 		}
 		flag := func(ops, other map[string]token.Pos) {
-			for op, pos := range ops {
+			// In name order: one helper call can stand for several
+			// collectives, and which of them names the finding must not
+			// depend on map iteration.
+			names := make([]string, 0, len(ops))
+			for op := range ops {
+				names = append(names, op)
+			}
+			sort.Strings(names)
+			for _, op := range names {
+				pos := ops[op]
 				if _, balanced := other[op]; balanced {
 					continue
 				}

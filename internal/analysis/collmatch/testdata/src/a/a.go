@@ -79,3 +79,17 @@ func balancedThroughHelperOK(c *Comm) {
 		_ = c.Allreduce(nil, 0)
 	}
 }
+
+func syncAll(c *Comm) {
+	c.Barrier()
+	_ = c.Gather(0, nil)
+	_ = c.Allreduce(nil, 0)
+}
+
+func helperHidesSeveral(c *Comm) {
+	// One call standing for several collectives is one finding, named
+	// after the first of them in name order.
+	if c.Rank() == 0 {
+		syncAll(c) // want "collective Allreduce is guarded"
+	}
+}

@@ -13,6 +13,7 @@ package analysis
 
 import (
 	"go/ast"
+	"reflect"
 )
 
 // Program is the cross-package view: every function of every loaded
@@ -33,39 +34,40 @@ type Func struct {
 	// name; the receiver type is not consulted — parse-only analysis has
 	// no reliable type identity).
 	Name string
+	// Summary is computed by buildSummaries.
+	Summary
+}
 
-	// summary bits, computed by buildSummaries:
-
-	// FreesParam[i] is true when the i-th parameter is passed to
-	// GroupFree (directly or through a callee that frees it) on some
-	// path.
-	FreesParam []bool
+// Summary is what callers may assume about a function without reading
+// its body.
+type Summary struct {
+	// Releases[k][i] is true when the i-th parameter is released as a
+	// handle of kind k on some path: passed to one of the kind's release
+	// calls, the receiver of one of its release methods, or handed to a
+	// callee that releases it.
+	Releases [numHandles][]bool
 	// EscapesParam[i] is true when the i-th parameter is stored,
 	// returned, captured, or passed to an unknown callee — ownership may
 	// transfer, so callers must not report the handle as leaked.
 	EscapesParam []bool
-	// WaitsParam[i] is true when the i-th parameter is completed as a
-	// nonblocking request — Wait or Test is called on it, or it is passed
-	// to WaitAll/WaitAny or to a callee that completes it — on some path.
-	WaitsParam []bool
-	// ReturnsOwned is true when the function returns a group handle it
-	// created itself (directly via a create method or through a callee
-	// that returns an owned handle): the caller inherits the obligation
-	// to free it.
-	ReturnsOwned bool
-	// ReturnsRequest is true when the function returns a nonblocking
-	// request it started itself (directly via Isend/Irecv/Ibcast/... or
-	// through a callee that returns one): the caller inherits the
-	// obligation to complete it.
-	ReturnsRequest bool
+	// Returns[k] is true when the function returns a handle of kind k it
+	// started itself (directly or through a callee that returns one): the
+	// caller inherits the obligation to release it.
+	Returns [numHandles]bool
 	// CollOps is the set of collective operation names the function
 	// performs, directly or through known callees (transitively).
 	CollOps map[string]bool
 }
 
-// NumParams returns the number of named parameters (the summary index
-// space).
-func (f *Func) NumParams() int { return len(f.FreesParam) }
+// newSummary is the summary of a function of np parameters that does
+// nothing: where the fixpoint starts, and where each round's recount does.
+func newSummary(np int) Summary {
+	s := Summary{EscapesParam: make([]bool, np), CollOps: make(map[string]bool)}
+	for k := range s.Releases {
+		s.Releases[k] = make([]bool, np)
+	}
+	return s
+}
 
 // paramNames flattens the declared parameter names in order. Unnamed and
 // blank parameters occupy their index with "".
@@ -98,11 +100,7 @@ func BuildProgram(pkgs []*Package) *Program {
 					continue
 				}
 				fn := &Func{Pkg: pkg, Decl: fd, Name: fd.Name.Name}
-				np := len(paramNames(fd))
-				fn.FreesParam = make([]bool, np)
-				fn.EscapesParam = make([]bool, np)
-				fn.WaitsParam = make([]bool, np)
-				fn.CollOps = make(map[string]bool)
+				fn.Summary = newSummary(len(paramNames(fd)))
 				prog.funcs[fn.Name] = append(prog.funcs[fn.Name], fn)
 			}
 		}
@@ -179,15 +177,87 @@ func CalleeName(call *ast.CallExpr) string {
 	return ""
 }
 
-// createMethods are the HMPI group-creating operations whose results are
-// owned handles. Shared by the summaries below and the groupfree
-// analyzer.
-var createMethods = map[string]bool{
-	"GroupCreate":                 true,
-	"GroupCreateChild":            true,
-	"GroupCreateWithOptions":      true,
-	"GroupCreateChildWithOptions": true,
-	"GroupRecreate":               true,
+// Handle describes one kind of paired obligation of the programming
+// model — HMPI_Group_create … HMPI_Group_free, Isend/Irecv … Wait,
+// HMPI_Init … HMPI_Finalize — as the call names that start a lifetime,
+// release it, or merely read it. The summaries below are indexed by kind
+// and Lifetime walks one kind per analyzer; the three instances are the
+// whole vocabulary.
+type Handle struct {
+	kind int
+	// Qualifier, when set, is the package identifier a start must be
+	// spelled with (hmpi.New): the bare name is too common to claim.
+	Qualifier string
+	// Starts are the methods whose first result is a handle the caller
+	// must release.
+	Starts map[string]bool
+	// ReleaseCalls release every handle passed to them as an argument,
+	// slice literals included.
+	ReleaseCalls map[string]bool
+	// ReleaseMethods are the argument-less methods that release their
+	// receiver.
+	ReleaseMethods map[string]bool
+	// ReadCalls take a handle as an argument without taking ownership.
+	ReadCalls map[string]bool
+}
+
+const (
+	groupKind = iota
+	requestKind
+	runtimeKind
+	numHandles
+)
+
+var (
+	// GroupHandle: GroupRecreate(old, ...) is both a start and a release —
+	// the runtime dissolves the old group as part of building its
+	// successor. Membership tests read the handle without taking it.
+	GroupHandle = &Handle{
+		kind:         groupKind,
+		Starts:       set("GroupCreate", "GroupCreateChild", "GroupRecreate"),
+		ReleaseCalls: set("GroupFree", "GroupRecreate"),
+		ReadCalls:    set("IsMember"),
+	}
+	// RequestHandle: the nonblocking operations and their completions.
+	RequestHandle = &Handle{
+		kind:           requestKind,
+		Starts:         set("Isend", "IsendOwned", "Irecv", "Ibcast", "Iallreduce"),
+		ReleaseCalls:   set("WaitAll", "WaitAny"),
+		ReleaseMethods: set("Wait", "Test"),
+	}
+	// RuntimeHandle: the per-job runtime, hmpi.New … rt.Finalize().
+	RuntimeHandle = &Handle{
+		kind:           runtimeKind,
+		Qualifier:      "hmpi",
+		Starts:         set("New"),
+		ReleaseMethods: set("Finalize"),
+	}
+
+	handles = [numHandles]*Handle{GroupHandle, RequestHandle, RuntimeHandle}
+)
+
+func set(names ...string) map[string]bool {
+	m := make(map[string]bool, len(names))
+	for _, n := range names {
+		m[n] = true
+	}
+	return m
+}
+
+// startName returns how findings name the call when it starts a lifetime
+// of this kind directly ("GroupCreate", "hmpi.New"), or "".
+func (h *Handle) startName(call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !h.Starts[sel.Sel.Name] {
+		return ""
+	}
+	if h.Qualifier == "" {
+		return sel.Sel.Name
+	}
+	if id, ok := sel.X.(*ast.Ident); ok && id.Name == h.Qualifier {
+		return h.Qualifier + "." + sel.Sel.Name
+	}
+	return ""
 }
 
 // CollectiveOps are the communicator operations that every member of a
@@ -226,100 +296,58 @@ func IsCommOp(name string) bool {
 	return PointToPointOps[name] || CollectiveOps[name] && name != "AgreeFailed" && name != "AgreeVote"
 }
 
-// requestMethods are the nonblocking operations whose results are pending
-// requests the caller must complete with Wait/Test/WaitAll/WaitAny.
-// Shared by the summaries below and the reqwait analyzer.
-var requestMethods = map[string]bool{
-	"Isend":      true,
-	"IsendOwned": true,
-	"Irecv":      true,
-	"Ibcast":     true,
-	"Iallreduce": true,
-}
-
-// completeFuncs are the package-level functions that complete every
-// request (or slice of requests) passed to them.
-var completeFuncs = map[string]bool{
-	"WaitAll": true,
-	"WaitAny": true,
-}
-
-// completeMethods are the request methods that complete their receiver.
-var completeMethods = map[string]bool{
-	"Wait": true,
-	"Test": true,
-}
-
-// IsCreateCall reports whether the call creates an owned group handle
-// directly (h.GroupCreate and friends).
-func IsCreateCall(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && createMethods[sel.Sel.Name]
-}
-
-// IsRequestCall reports whether the call starts a nonblocking operation
-// directly (comm.Isend and friends).
-func IsRequestCall(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && requestMethods[sel.Sel.Name]
-}
-
-// IsCreateName reports whether name is one of the group-creating methods.
-func IsCreateName(name string) bool { return createMethods[name] }
-
-// IsRequestName reports whether name is one of the nonblocking operations
-// returning a pending request.
-func IsRequestName(name string) bool { return requestMethods[name] }
-
-// IsCompleteFunc reports whether name is a package-level function that
-// completes every request passed to it (WaitAll, WaitAny).
-func IsCompleteFunc(name string) bool { return completeFuncs[name] }
-
-// IsCompleteMethod reports whether name is a request method that
-// completes its receiver (Wait, Test).
-func IsCompleteMethod(name string) bool { return completeMethods[name] }
-
-// CallReturnsOwned reports whether a call to the named function with the
-// given argument count resolves only to functions returning an owned
-// group handle: the caller inherits the obligation to free the result.
-func (p *Program) CallReturnsOwned(name string, nargs int, from *Package) bool {
-	if p == nil || name == "" {
-		return false
+// StartName returns how findings name the call when it starts a lifetime
+// of kind h — directly, or by resolving only to helpers that return a
+// handle they started, so the caller inherits the obligation — or "".
+func (p *Program) StartName(h *Handle, call *ast.CallExpr, from *Package) string {
+	if what := h.startName(call); what != "" {
+		return what
 	}
+	if name := CalleeName(call); p.CallReturns(h, name, len(call.Args), from) {
+		return name
+	}
+	return ""
+}
+
+// all reports whether a call to the named function resolves to at least
+// one candidate and ok holds for every one of them: summaries merge
+// conservatively across name-based candidates.
+func (p *Program) all(name string, nargs int, from *Package, ok func(*Func) bool) bool {
 	cands := p.Resolve(name, nargs, from)
-	if len(cands) == 0 {
-		return false
-	}
 	for _, c := range cands {
-		if !c.ReturnsOwned {
+		if !ok(c) {
 			return false
 		}
 	}
-	return true
+	return len(cands) > 0
 }
 
-// CallReturnsRequest reports whether a call to the named function with
-// the given argument count resolves only to functions returning a pending
-// request: the caller inherits the obligation to complete it.
-func (p *Program) CallReturnsRequest(name string, nargs int, from *Package) bool {
-	if p == nil || name == "" {
-		return false
-	}
-	cands := p.Resolve(name, nargs, from)
-	if len(cands) == 0 {
-		return false
-	}
-	for _, c := range cands {
-		if !c.ReturnsRequest {
-			return false
-		}
-	}
-	return true
+// CallReturns reports whether a call to the named function resolves only
+// to functions returning a handle of kind h they started.
+func (p *Program) CallReturns(h *Handle, name string, nargs int, from *Package) bool {
+	return p.all(name, nargs, from, func(c *Func) bool { return c.Returns[h.kind] })
 }
 
-// buildSummaries computes FreesParam/EscapesParam/ReturnsOwned/CollOps
-// for every function, iterating to a fixpoint so wrapper chains (a helper
-// that calls a helper that frees) converge.
+// ReleasesArg reports whether a call to the named function releases its
+// ai-th argument as a handle of kind h in every resolvable candidate:
+// `releaseGroup(g)` then counts like a direct GroupFree.
+func (p *Program) ReleasesArg(h *Handle, name string, nargs, ai int, from *Package) bool {
+	return p.all(name, nargs, from, func(c *Func) bool {
+		return ai < len(c.Releases[h.kind]) && c.Releases[h.kind][ai]
+	})
+}
+
+// EscapesArg reports whether a call to the named function may retain its
+// ai-th argument (any candidate escapes it, or the callee is unknown).
+func (p *Program) EscapesArg(name string, nargs, ai int, from *Package) bool {
+	return !p.all(name, nargs, from, func(c *Func) bool {
+		return ai < len(c.EscapesParam) && !c.EscapesParam[ai]
+	})
+}
+
+// buildSummaries computes Releases/EscapesParam/Returns/CollOps for every
+// function, iterating to a fixpoint so wrapper chains (a helper that calls
+// a helper that frees) converge.
 func (p *Program) buildSummaries() {
 	changed := true
 	for round := 0; changed && round < 16; round++ {
@@ -344,68 +372,55 @@ func (p *Program) summarize(fn *Func) bool {
 			idx[n] = i
 		}
 	}
-	frees := make([]bool, len(names))
-	escapes := make([]bool, len(names))
-	waits := make([]bool, len(names))
-	colls := make(map[string]bool)
-	returnsOwned := false
-	returnsRequest := false
-
-	// owned tracks local variables holding handles the function created
-	// (directly or via owned-returning callees); ownedReq does the same
-	// for started nonblocking requests.
-	owned := make(map[string]bool)
-	ownedReq := make(map[string]bool)
+	param := func(e ast.Expr) (int, bool) {
+		id, ok := e.(*ast.Ident)
+		if !ok {
+			return 0, false
+		}
+		i, ok := idx[id.Name]
+		return i, ok
+	}
+	next := newSummary(len(names))
+	// owned holds, per local variable, the kinds of handle the function
+	// started and bound to it (directly or via callees that return one).
+	owned := make(map[string][numHandles]bool)
+	// starts ORs into kinds the kinds of handle the call starts.
+	starts := func(call *ast.CallExpr, kinds [numHandles]bool) [numHandles]bool {
+		for k, h := range handles {
+			kinds[k] = kinds[k] || p.StartName(h, call, fn.Pkg) != ""
+		}
+		return kinds
+	}
 
 	var scan func(n ast.Node) bool
 	scan = func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.AssignStmt:
 			// `g, err := h.GroupCreate(...)` or `g := mk(...)` where mk
-			// returns an owned handle.
+			// returns a handle it started.
 			if len(x.Rhs) == 1 {
-				if call, ok := x.Rhs[0].(*ast.CallExpr); ok {
-					if IsCreateCall(call) || p.returnsOwnedCall(call, fn.Pkg) {
-						if id, ok := x.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-							owned[id.Name] = true
-						}
-					}
-					if IsRequestCall(call) || p.returnsRequestCall(call, fn.Pkg) {
-						if id, ok := x.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-							ownedReq[id.Name] = true
-						}
-					}
+				call, isCall := x.Rhs[0].(*ast.CallExpr)
+				if id, ok := x.Lhs[0].(*ast.Ident); ok && isCall && id.Name != "_" {
+					owned[id.Name] = starts(call, owned[id.Name])
 				}
 			}
 
 		case *ast.ReturnStmt:
 			for _, e := range x.Results {
-				if id, ok := e.(*ast.Ident); ok {
-					if owned[id.Name] {
-						returnsOwned = true
+				switch e := e.(type) {
+				case *ast.Ident:
+					for k, own := range owned[e.Name] {
+						next.Returns[k] = next.Returns[k] || own
 					}
-					if ownedReq[id.Name] {
-						returnsRequest = true
-					}
-					if i, ok := idx[id.Name]; ok {
-						escapes[i] = true
-					}
-					continue
-				}
-				if call, ok := e.(*ast.CallExpr); ok {
-					if IsCreateCall(call) || p.returnsOwnedCall(call, fn.Pkg) {
-						returnsOwned = true
-					}
-					if IsRequestCall(call) || p.returnsRequestCall(call, fn.Pkg) {
-						returnsRequest = true
-					}
+				case *ast.CallExpr:
+					next.Returns = starts(e, next.Returns)
 				}
 			}
 
 		case *ast.CallExpr:
 			name := CalleeName(x)
 			if CollectiveOps[name] {
-				colls[name] = true
+				next.CollOps[name] = true
 			}
 			// Classify each argument ourselves and stop the generic walk
 			// (return false below): a parameter passed to a call is
@@ -415,89 +430,67 @@ func (p *Program) summarize(fn *Func) bool {
 				if e == nil {
 					return
 				}
-				if id, ok := e.(*ast.Ident); ok {
-					if _, isParam := idx[id.Name]; isParam {
-						return // classified by the caller below
-					}
+				if _, isParam := param(e); !isParam {
+					ast.Inspect(e, scan)
 				}
-				ast.Inspect(e, scan)
 			}
 			switch fun := x.Fun.(type) {
 			case *ast.Ident:
 				// plain function name, not a value use
 			case *ast.SelectorExpr:
 				// param.Method(...): a method call on the parameter is a
-				// read, not an escape of the receiver. A Wait/Test on a
-				// parameter additionally completes it as a request.
-				if id, ok := fun.X.(*ast.Ident); ok && completeMethods[fun.Sel.Name] && len(x.Args) == 0 {
-					if i, ok := idx[id.Name]; ok {
-						waits[i] = true
+				// read, not an escape of the receiver — and a release when
+				// the method is one of a kind's release methods.
+				if i, ok := param(fun.X); ok && len(x.Args) == 0 {
+					for k, h := range handles {
+						if h.ReleaseMethods[fun.Sel.Name] {
+							next.Releases[k][i] = true
+						}
 					}
 				}
 				descend(fun.X)
 			default:
 				descend(x.Fun)
 			}
-			switch name {
-			case "GroupFree":
-				for _, a := range x.Args {
-					if id, ok := a.(*ast.Ident); ok {
-						if i, ok := idx[id.Name]; ok {
-							frees[i] = true
-							continue
-						}
-					}
-					descend(a)
+			for k, h := range handles {
+				release := h.ReleaseCalls[name]
+				if !release && !h.ReadCalls[name] {
+					continue
 				}
-				return false
-			case "IsMember":
 				for _, a := range x.Args {
-					descend(a)
-				}
-				return false
-			case "WaitAll", "WaitAny":
-				for _, a := range x.Args {
-					if id, ok := a.(*ast.Ident); ok {
-						if i, ok := idx[id.Name]; ok {
-							waits[i] = true
-							continue
-						}
+					if i, ok := param(a); ok && release {
+						next.Releases[k][i] = true
+					} else {
+						descend(a)
 					}
-					descend(a)
 				}
 				return false
 			}
 			cands := p.Resolve(name, len(x.Args), fn.Pkg)
 			for _, c := range cands {
 				for op := range c.CollOps {
-					colls[op] = true
+					next.CollOps[op] = true
 				}
 			}
 			for ai, a := range x.Args {
-				id, ok := a.(*ast.Ident)
-				if !ok {
-					descend(a)
-					continue
-				}
-				i, isParam := idx[id.Name]
+				i, isParam := param(a)
 				if !isParam {
 					descend(a)
 					continue
 				}
 				if len(cands) == 0 {
 					// Unknown callee: the parameter escapes.
-					escapes[i] = true
+					next.EscapesParam[i] = true
 					continue
 				}
 				for _, c := range cands {
-					if ai < len(c.FreesParam) && c.FreesParam[ai] {
-						frees[i] = true
-					}
-					if ai < len(c.WaitsParam) && c.WaitsParam[ai] {
-						waits[i] = true
+					for k := range handles {
+						if ai < len(c.Releases[k]) && c.Releases[k][ai] {
+							next.Releases[k][i] = true
+						}
 					}
 					if ai >= len(c.EscapesParam) || c.EscapesParam[ai] {
-						escapes[i] = true
+						next.EscapesParam[i] = true
 					}
 				}
 			}
@@ -506,106 +499,24 @@ func (p *Program) summarize(fn *Func) bool {
 		case *ast.SelectorExpr:
 			// param.Method() / param.field reads do not escape the
 			// parameter; do not descend into the base identifier.
-			if id, ok := x.X.(*ast.Ident); ok {
-				if _, isParam := idx[id.Name]; isParam {
-					return false
-				}
+			if _, isParam := param(x.X); isParam {
+				return false
 			}
 
 		case *ast.Ident:
 			// A bare mention outside the classified shapes above:
-			// stored, compared, appended — treat as escape.
+			// stored, returned, compared, appended — treat as escape.
 			if i, ok := idx[x.Name]; ok {
-				escapes[i] = true
+				next.EscapesParam[i] = true
 			}
 		}
 		return true
 	}
 	ast.Inspect(fn.Decl.Body, scan)
 
-	changed := returnsOwned != fn.ReturnsOwned || returnsRequest != fn.ReturnsRequest ||
-		len(colls) != len(fn.CollOps)
-	for i := range frees {
-		if frees[i] != fn.FreesParam[i] || escapes[i] != fn.EscapesParam[i] || waits[i] != fn.WaitsParam[i] {
-			changed = true
-		}
-	}
-	if !changed {
-		for op := range colls {
-			if !fn.CollOps[op] {
-				changed = true
-				break
-			}
-		}
-	}
-	fn.FreesParam = frees
-	fn.EscapesParam = escapes
-	fn.WaitsParam = waits
-	fn.ReturnsOwned = returnsOwned
-	fn.ReturnsRequest = returnsRequest
-	fn.CollOps = colls
+	changed := !reflect.DeepEqual(next, fn.Summary)
+	fn.Summary = next
 	return changed
-}
-
-// returnsOwnedCall reports whether a call resolves only to functions that
-// return an owned handle (all candidates agree, so the caller reliably
-// inherits the obligation).
-func (p *Program) returnsOwnedCall(call *ast.CallExpr, from *Package) bool {
-	return p.CallReturnsOwned(CalleeName(call), len(call.Args), from)
-}
-
-// returnsRequestCall reports whether a call resolves only to functions
-// that return a pending request.
-func (p *Program) returnsRequestCall(call *ast.CallExpr, from *Package) bool {
-	return p.CallReturnsRequest(CalleeName(call), len(call.Args), from)
-}
-
-// FreesArg reports whether a call to the named function with the given
-// argument count frees its ai-th argument in every resolvable candidate.
-// Analyzers use it to treat `releaseGroup(g)` like a direct GroupFree.
-func (p *Program) FreesArg(name string, nargs, ai int, from *Package) bool {
-	cands := p.Resolve(name, nargs, from)
-	if len(cands) == 0 {
-		return false
-	}
-	for _, c := range cands {
-		if ai >= len(c.FreesParam) || !c.FreesParam[ai] {
-			return false
-		}
-	}
-	return true
-}
-
-// WaitsArg reports whether a call to the named function with the given
-// argument count completes its ai-th argument as a request in every
-// resolvable candidate. Analyzers use it to treat `finish(r)` like a
-// direct Wait.
-func (p *Program) WaitsArg(name string, nargs, ai int, from *Package) bool {
-	cands := p.Resolve(name, nargs, from)
-	if len(cands) == 0 {
-		return false
-	}
-	for _, c := range cands {
-		if ai >= len(c.WaitsParam) || !c.WaitsParam[ai] {
-			return false
-		}
-	}
-	return true
-}
-
-// EscapesArg reports whether a call to the named function may retain its
-// ai-th argument (any candidate escapes it, or the callee is unknown).
-func (p *Program) EscapesArg(name string, nargs, ai int, from *Package) bool {
-	cands := p.Resolve(name, nargs, from)
-	if len(cands) == 0 {
-		return true
-	}
-	for _, c := range cands {
-		if ai >= len(c.EscapesParam) || c.EscapesParam[ai] {
-			return true
-		}
-	}
-	return false
 }
 
 // PerformsCollective returns the collective operations a call to the

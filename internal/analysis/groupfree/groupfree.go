@@ -4,450 +4,23 @@
 // member processes busy forever — later GroupCreate calls then select from
 // a shrunken free pool, silently degrading placement.
 //
-// The analysis is flow-sensitive within one function body and follows
-// handles across function boundaries through analysis.Program summaries:
-//
-//   - a create result that is never passed to GroupFree (and never
-//     escapes the function) is reported at the creation site;
-//   - a return statement crossed while a created group is live is
-//     reported, unless the enclosing branch condition mentions the group
-//     variable or its paired error (the idioms `if err != nil { return }`
-//     — the group is nil on error — and `if !h.IsMember(g) { return }`
-//     — non-selected processes hold nil);
-//   - a handle passed to a helper the program view can resolve is judged
-//     by the helper's summary: a helper that reaches GroupFree counts as
-//     a free, a helper that merely reads the handle leaves it live (the
-//     false negative the purely syntactic version had), and a helper
-//     that stores or returns it takes ownership;
-//   - a call resolving only to helpers that return a handle they created
-//     starts a tracked lifetime in the caller, exactly like a direct
-//     GroupCreate.
-//
-// A value that escapes (returned, stored, or passed to a call the
-// program view cannot resolve) is trusted to be freed elsewhere.
+// The check is the shared lifetime walk (analysis.Lifetime) over the group
+// handle table: GroupRecreate(old, ...) consumes its old group, a return
+// guarded by the group variable or its paired error is the nil-handle
+// path, and helpers are judged by their analysis.Program summaries.
 package groupfree
 
-import (
-	"go/ast"
+import "repro/internal/analysis"
 
-	"repro/internal/analysis"
-)
+var lifetime = analysis.Lifetime{
+	Handle: analysis.GroupHandle,
+	Never:  "result of %s is never freed: missing GroupFree",
+	Return: "group from %s may leak: return without GroupFree on this path",
+}
 
 // Analyzer is the groupfree check.
 var Analyzer = &analysis.Analyzer{
 	Name: "groupfree",
 	Doc:  "report HMPI groups created but not released with GroupFree on all analysable paths",
-	Run:  run,
-}
-
-func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					analyzeBody(pass, fn.Body)
-				}
-			case *ast.FuncLit:
-				analyzeBody(pass, fn.Body)
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-// track follows one created group variable through the body.
-type track struct {
-	name    string
-	errName string
-	pos     ast.Node
-	what    string // the creating method, for messages
-	freed   bool
-	escaped bool
-}
-
-type walker struct {
-	pass   *analysis.Pass
-	tracks []*track
-	// inClosure disables return-path reporting while scanning a nested
-	// function literal: its returns are not the tracked function's.
-	inClosure bool
-	// reportable holds the creation positions of groups that are freed
-	// on some path; only those get return-path reports (a group never
-	// freed at all is reported once, at its creation). Nil during the
-	// state-collection pass, which reports nothing.
-	reportable map[ast.Node]bool
-}
-
-func analyzeBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	// Pass 1: collect final per-track state without reporting.
-	w1 := &walker{pass: pass}
-	w1.stmts(body.List, nil)
-	reportable := make(map[ast.Node]bool)
-	for _, tr := range w1.tracks {
-		if tr.freed {
-			reportable[tr.pos] = true
-		}
-	}
-	// Pass 2: report early-return leaks for groups that do get freed
-	// somewhere.
-	w2 := &walker{pass: pass, reportable: reportable}
-	w2.stmts(body.List, nil)
-	for _, tr := range w1.tracks {
-		if !tr.freed && !tr.escaped {
-			pass.Reportf(tr.pos.Pos(), "result of %s is never freed: missing GroupFree", tr.what)
-		}
-	}
-}
-
-func (w *walker) lookup(name string) *track {
-	if name == "" || name == "_" {
-		return nil
-	}
-	// Latest registration wins: rebinding a name starts a new lifetime.
-	for i := len(w.tracks) - 1; i >= 0; i-- {
-		if w.tracks[i].name == name {
-			return w.tracks[i]
-		}
-	}
-	return nil
-}
-
-// stmts walks a statement list. guards holds the identifier names
-// mentioned by enclosing branch conditions; a return under such a guard
-// is not reported for tracks whose group or error variable is among them.
-func (w *walker) stmts(list []ast.Stmt, guards map[string]bool) {
-	for _, s := range list {
-		w.stmt(s, guards)
-	}
-}
-
-func (w *walker) stmt(s ast.Stmt, guards map[string]bool) {
-	switch x := s.(type) {
-	case *ast.BlockStmt:
-		w.stmts(x.List, guards)
-
-	case *ast.AssignStmt:
-		// Creates inside a nested closure belong to that closure's own
-		// analysis pass; here we only scan them for uses of our tracks.
-		if tr, ok := w.createTarget(x); ok && !w.inClosure {
-			// Scan the call arguments first: GroupRecreate(old, ...)
-			// consumes the old group.
-			for _, rhs := range x.Rhs {
-				w.scanExpr(rhs)
-			}
-			// Rebinding a live tracked name is treated as an escape of
-			// the old value (we cannot follow both lifetimes).
-			if old := w.lookup(tr.name); old != nil && !old.freed {
-				old.escaped = true
-			}
-			w.tracks = append(w.tracks, tr)
-			return
-		}
-		// An assignment that stores a tracked group anywhere marks it
-		// escaped (rhs scan); lhs index/selector expressions are scanned
-		// too.
-		for _, e := range x.Lhs {
-			w.scanExpr(e)
-		}
-		for _, e := range x.Rhs {
-			w.scanExpr(e)
-		}
-
-	case *ast.IfStmt:
-		if x.Init != nil {
-			w.stmt(x.Init, guards)
-		}
-		w.scanExpr(x.Cond)
-		inner := withGuards(guards, condIdents(x.Cond))
-		w.stmt(x.Body, inner)
-		if x.Else != nil {
-			w.stmt(x.Else, inner)
-		}
-
-	case *ast.ForStmt:
-		if x.Init != nil {
-			w.stmt(x.Init, guards)
-		}
-		if x.Cond != nil {
-			w.scanExpr(x.Cond)
-		}
-		if x.Post != nil {
-			w.stmt(x.Post, guards)
-		}
-		w.stmt(x.Body, guards)
-
-	case *ast.RangeStmt:
-		w.scanExpr(x.X)
-		w.stmt(x.Body, guards)
-
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			w.stmt(x.Init, guards)
-		}
-		if x.Tag != nil {
-			w.scanExpr(x.Tag)
-		}
-		w.stmt(x.Body, guards)
-
-	case *ast.TypeSwitchStmt:
-		w.stmt(x.Body, guards)
-
-	case *ast.SelectStmt:
-		w.stmt(x.Body, guards)
-
-	case *ast.CaseClause:
-		for _, e := range x.List {
-			w.scanExpr(e)
-		}
-		w.stmts(x.Body, guards)
-
-	case *ast.CommClause:
-		if x.Comm != nil {
-			w.stmt(x.Comm, guards)
-		}
-		w.stmts(x.Body, guards)
-
-	case *ast.ReturnStmt:
-		for _, e := range x.Results {
-			// Returning the group hands ownership to the caller.
-			if id, ok := e.(*ast.Ident); ok {
-				if tr := w.lookup(id.Name); tr != nil {
-					tr.escaped = true
-					continue
-				}
-			}
-			w.scanExpr(e)
-		}
-		if w.inClosure || w.reportable == nil {
-			return
-		}
-		for _, tr := range w.tracks {
-			if tr.freed || tr.escaped || !w.reportable[tr.pos] {
-				continue
-			}
-			if guards[tr.name] || (tr.errName != "" && guards[tr.errName]) {
-				continue
-			}
-			w.pass.Reportf(x.Pos(), "group from %s may leak: return without GroupFree on this path", tr.what)
-		}
-
-	case *ast.DeferStmt:
-		w.scanExpr(x.Call)
-
-	case *ast.ExprStmt:
-		w.scanExpr(x.X)
-
-	case *ast.GoStmt:
-		w.scanExpr(x.Call)
-
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.scanExpr(v)
-					}
-				}
-			}
-		}
-
-	case *ast.LabeledStmt:
-		w.stmt(x.Stmt, guards)
-
-	case *ast.SendStmt:
-		w.scanExpr(x.Chan)
-		w.scanExpr(x.Value)
-
-	case *ast.IncDecStmt:
-		w.scanExpr(x.X)
-	}
-}
-
-// createTarget recognises `g, err := h.GroupCreate(...)` (and the other
-// creating methods) and builds its track. A call resolving only to
-// helpers whose summary says they return an owned handle counts as a
-// create too: the caller inherits the free obligation.
-func (w *walker) createTarget(x *ast.AssignStmt) (*track, bool) {
-	if len(x.Rhs) != 1 {
-		return nil, false
-	}
-	call, ok := x.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return nil, false
-	}
-	what := ""
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && analysis.IsCreateName(sel.Sel.Name) {
-		what = sel.Sel.Name
-	} else if name := analysis.CalleeName(call); w.pass.Prog.CallReturnsOwned(name, len(call.Args), w.pass.Package()) {
-		what = name
-	}
-	if what == "" {
-		return nil, false
-	}
-	if len(x.Lhs) == 0 {
-		return nil, false
-	}
-	gid, ok := x.Lhs[0].(*ast.Ident)
-	if !ok || gid.Name == "_" {
-		return nil, false
-	}
-	tr := &track{name: gid.Name, pos: x, what: what}
-	if len(x.Lhs) > 1 {
-		if eid, ok := x.Lhs[1].(*ast.Ident); ok {
-			tr.errName = eid.Name
-		}
-	}
-	return tr, true
-}
-
-// scanExpr applies the use/free/escape rules to an expression tree.
-func (w *walker) scanExpr(e ast.Expr) {
-	switch x := e.(type) {
-	case nil:
-		return
-
-	case *ast.Ident:
-		// A bare reference outside the whitelisted shapes below is an
-		// escape: stored, compared, appended, passed along.
-		if tr := w.lookup(x.Name); tr != nil {
-			tr.escaped = true
-		}
-
-	case *ast.SelectorExpr:
-		// g.Comm(), g.Rank(): a method or field access on the group is
-		// a plain use.
-		if id, ok := x.X.(*ast.Ident); ok {
-			if w.lookup(id.Name) != nil {
-				return
-			}
-		}
-		w.scanExpr(x.X)
-
-	case *ast.CallExpr:
-		if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
-			switch {
-			case sel.Sel.Name == "GroupFree":
-				w.scanExpr(sel.X)
-				for _, a := range x.Args {
-					if id, ok := a.(*ast.Ident); ok {
-						if tr := w.lookup(id.Name); tr != nil {
-							tr.freed = true
-							continue
-						}
-					}
-					w.scanExpr(a)
-				}
-				return
-			case sel.Sel.Name == "IsMember":
-				// Membership tests read the handle without taking it.
-				w.scanExpr(sel.X)
-				for _, a := range x.Args {
-					if id, ok := a.(*ast.Ident); ok && w.lookup(id.Name) != nil {
-						continue
-					}
-					w.scanExpr(a)
-				}
-				return
-			case analysis.IsCreateName(sel.Sel.Name):
-				// GroupRecreate(old, ...) consumes the old handle: the
-				// runtime dissolves it as part of building the successor.
-				w.scanExpr(sel.X)
-				for _, a := range x.Args {
-					if id, ok := a.(*ast.Ident); ok {
-						if tr := w.lookup(id.Name); tr != nil {
-							tr.freed = true
-							continue
-						}
-					}
-					w.scanExpr(a)
-				}
-				return
-			}
-		}
-		// A tracked handle passed to a resolvable helper is judged by the
-		// helper's summary; passing it to an unknown callee escapes it
-		// (trusted to be freed elsewhere), as before.
-		name := analysis.CalleeName(x)
-		prog, from := w.pass.Prog, w.pass.Package()
-		w.scanExpr(x.Fun)
-		for ai, a := range x.Args {
-			id, ok := a.(*ast.Ident)
-			if !ok {
-				w.scanExpr(a)
-				continue
-			}
-			tr := w.lookup(id.Name)
-			if tr == nil {
-				w.scanExpr(a)
-				continue
-			}
-			switch {
-			case prog.FreesArg(name, len(x.Args), ai, from):
-				tr.freed = true
-			case name == "" || prog.EscapesArg(name, len(x.Args), ai, from):
-				tr.escaped = true
-			}
-			// Otherwise a known helper only reads the handle: a plain
-			// use, the lifetime obligation stays here.
-		}
-
-	case *ast.FuncLit:
-		// The closure may free or leak captured groups; walk it with
-		// the same tracks but without treating its returns as ours.
-		saved := w.inClosure
-		w.inClosure = true
-		w.stmts(x.Body.List, nil)
-		w.inClosure = saved
-
-	case *ast.ParenExpr:
-		w.scanExpr(x.X)
-	case *ast.StarExpr:
-		w.scanExpr(x.X)
-	case *ast.UnaryExpr:
-		w.scanExpr(x.X)
-	case *ast.BinaryExpr:
-		w.scanExpr(x.X)
-		w.scanExpr(x.Y)
-	case *ast.IndexExpr:
-		w.scanExpr(x.X)
-		w.scanExpr(x.Index)
-	case *ast.SliceExpr:
-		w.scanExpr(x.X)
-		w.scanExpr(x.Low)
-		w.scanExpr(x.High)
-		w.scanExpr(x.Max)
-	case *ast.TypeAssertExpr:
-		w.scanExpr(x.X)
-	case *ast.CompositeLit:
-		for _, el := range x.Elts {
-			w.scanExpr(el)
-		}
-	case *ast.KeyValueExpr:
-		w.scanExpr(x.Value)
-	}
-}
-
-// condIdents collects the identifier names a branch condition mentions.
-func condIdents(e ast.Expr) []string {
-	var out []string
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			out = append(out, id.Name)
-		}
-		return true
-	})
-	return out
-}
-
-func withGuards(base map[string]bool, names []string) map[string]bool {
-	out := make(map[string]bool, len(base)+len(names))
-	for k := range base {
-		out[k] = true
-	}
-	for _, n := range names {
-		out[n] = true
-	}
-	return out
+	Run:  lifetime.Check,
 }

@@ -144,3 +144,21 @@ func recreateConsumesOld(h *Process) error {
 	}
 	return h.GroupFree(ng)
 }
+
+// A helper that hands its parameter to GroupRecreate releases it: the
+// runtime dissolves the old group while building the successor.
+func rebuild(h *Process, g *Group) (*Group, error) {
+	return h.GroupRecreate(g, nil)
+}
+
+func recreatedByHelper(h *Process) error {
+	g, err := h.GroupCreate(nil)
+	if err != nil {
+		return err
+	}
+	ng, err := rebuild(h, g)
+	if err != nil {
+		return err
+	}
+	return h.GroupFree(ng)
+}

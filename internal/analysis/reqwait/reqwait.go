@@ -10,440 +10,25 @@
 // result is discarded as a statement (`comm.Isend(...)` alone, or
 // assigned to `_`) is deliberate fire-and-forget — the sender's Isend has
 // already charged its overhead and the transfer completes on its own —
-// and is the accepted idiom for one-way pushes, so it is not reported.
+// and is the accepted idiom for one-way pushes, so the table has no
+// Discarded message.
 //
-// The analysis mirrors groupfree: flow-sensitive within one function
-// body, following handles across function boundaries through
-// analysis.Program summaries:
-//
-//   - a bound request that is never completed (and never escapes the
-//     function) is reported at the start call;
-//   - a return statement crossed while a completed-elsewhere request is
-//     still pending on this path is reported, unless the enclosing
-//     branch condition mentions the request variable;
-//   - a request passed to a helper the program view can resolve is
-//     judged by the helper's summary: a helper that reaches
-//     Wait/Test/WaitAll/WaitAny counts as a completion, a helper that
-//     merely reads the handle leaves it pending, and a helper that
-//     stores or returns it takes ownership;
-//   - a call resolving only to helpers that return a request they
-//     started begins a tracked lifetime in the caller, exactly like a
-//     direct Isend.
-//
-// A value that escapes (returned, stored, appended to a slice, or passed
-// to a call the program view cannot resolve) is trusted to be completed
-// elsewhere — the WaitAll-over-a-slice idiom lands here.
+// The check is the shared lifetime walk (analysis.Lifetime) over the
+// request handle table. A request appended to a slice escapes — the
+// WaitAll-over-a-slice idiom lands there.
 package reqwait
 
-import (
-	"go/ast"
+import "repro/internal/analysis"
 
-	"repro/internal/analysis"
-)
+var lifetime = analysis.Lifetime{
+	Handle: analysis.RequestHandle,
+	Never:  "request from %s is never completed: missing Wait or Test",
+	Return: "request from %s may be left pending: return without Wait on this path",
+}
 
 // Analyzer is the reqwait check.
 var Analyzer = &analysis.Analyzer{
 	Name: "reqwait",
 	Doc:  "report nonblocking requests bound from Isend/Irecv/... but not completed with Wait/Test on all analysable paths",
-	Run:  run,
-}
-
-func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					analyzeBody(pass, fn.Body)
-				}
-			case *ast.FuncLit:
-				analyzeBody(pass, fn.Body)
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-// track follows one bound request variable through the body.
-type track struct {
-	name    string
-	pos     ast.Node
-	what    string // the starting method, for messages
-	done    bool
-	escaped bool
-}
-
-type walker struct {
-	pass   *analysis.Pass
-	tracks []*track
-	// inClosure disables return-path reporting while scanning a nested
-	// function literal: its returns are not the tracked function's.
-	inClosure bool
-	// reportable holds the start positions of requests completed on some
-	// path; only those get return-path reports (a request never completed
-	// at all is reported once, at its start). Nil during the
-	// state-collection pass, which reports nothing.
-	reportable map[ast.Node]bool
-}
-
-func analyzeBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	// Pass 1: collect final per-track state without reporting.
-	w1 := &walker{pass: pass}
-	w1.stmts(body.List, nil)
-	reportable := make(map[ast.Node]bool)
-	for _, tr := range w1.tracks {
-		if tr.done {
-			reportable[tr.pos] = true
-		}
-	}
-	// Pass 2: report early-return leaks for requests that do get
-	// completed somewhere.
-	w2 := &walker{pass: pass, reportable: reportable}
-	w2.stmts(body.List, nil)
-	for _, tr := range w1.tracks {
-		if !tr.done && !tr.escaped {
-			pass.Reportf(tr.pos.Pos(), "request from %s is never completed: missing Wait or Test", tr.what)
-		}
-	}
-}
-
-func (w *walker) lookup(name string) *track {
-	if name == "" || name == "_" {
-		return nil
-	}
-	// Latest registration wins: rebinding a name starts a new lifetime.
-	for i := len(w.tracks) - 1; i >= 0; i-- {
-		if w.tracks[i].name == name {
-			return w.tracks[i]
-		}
-	}
-	return nil
-}
-
-// stmts walks a statement list. guards holds the identifier names
-// mentioned by enclosing branch conditions; a return under such a guard
-// is not reported for tracks whose variable is among them.
-func (w *walker) stmts(list []ast.Stmt, guards map[string]bool) {
-	for _, s := range list {
-		w.stmt(s, guards)
-	}
-}
-
-func (w *walker) stmt(s ast.Stmt, guards map[string]bool) {
-	switch x := s.(type) {
-	case *ast.BlockStmt:
-		w.stmts(x.List, guards)
-
-	case *ast.AssignStmt:
-		// Starts inside a nested closure belong to that closure's own
-		// analysis pass; here we only scan them for uses of our tracks.
-		if tr, ok := w.startTarget(x); ok && !w.inClosure {
-			for _, rhs := range x.Rhs {
-				w.scanExpr(rhs)
-			}
-			// Rebinding a live tracked name is treated as an escape of
-			// the old value (we cannot follow both lifetimes).
-			if old := w.lookup(tr.name); old != nil && !old.done {
-				old.escaped = true
-			}
-			w.tracks = append(w.tracks, tr)
-			return
-		}
-		for _, e := range x.Lhs {
-			w.scanExpr(e)
-		}
-		for _, e := range x.Rhs {
-			w.scanExpr(e)
-		}
-
-	case *ast.IfStmt:
-		if x.Init != nil {
-			w.stmt(x.Init, guards)
-		}
-		w.scanExpr(x.Cond)
-		inner := withGuards(guards, condIdents(x.Cond))
-		w.stmt(x.Body, inner)
-		if x.Else != nil {
-			w.stmt(x.Else, inner)
-		}
-
-	case *ast.ForStmt:
-		if x.Init != nil {
-			w.stmt(x.Init, guards)
-		}
-		if x.Cond != nil {
-			w.scanExpr(x.Cond)
-		}
-		if x.Post != nil {
-			w.stmt(x.Post, guards)
-		}
-		w.stmt(x.Body, guards)
-
-	case *ast.RangeStmt:
-		w.scanExpr(x.X)
-		w.stmt(x.Body, guards)
-
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			w.stmt(x.Init, guards)
-		}
-		if x.Tag != nil {
-			w.scanExpr(x.Tag)
-		}
-		w.stmt(x.Body, guards)
-
-	case *ast.TypeSwitchStmt:
-		w.stmt(x.Body, guards)
-
-	case *ast.SelectStmt:
-		w.stmt(x.Body, guards)
-
-	case *ast.CaseClause:
-		for _, e := range x.List {
-			w.scanExpr(e)
-		}
-		w.stmts(x.Body, guards)
-
-	case *ast.CommClause:
-		if x.Comm != nil {
-			w.stmt(x.Comm, guards)
-		}
-		w.stmts(x.Body, guards)
-
-	case *ast.ReturnStmt:
-		for _, e := range x.Results {
-			// Returning the request hands ownership to the caller.
-			if id, ok := e.(*ast.Ident); ok {
-				if tr := w.lookup(id.Name); tr != nil {
-					tr.escaped = true
-					continue
-				}
-			}
-			w.scanExpr(e)
-		}
-		if w.inClosure || w.reportable == nil {
-			return
-		}
-		for _, tr := range w.tracks {
-			if tr.done || tr.escaped || !w.reportable[tr.pos] {
-				continue
-			}
-			if guards[tr.name] {
-				continue
-			}
-			w.pass.Reportf(x.Pos(), "request from %s may be left pending: return without Wait on this path", tr.what)
-		}
-
-	case *ast.DeferStmt:
-		w.scanExpr(x.Call)
-
-	case *ast.ExprStmt:
-		w.scanExpr(x.X)
-
-	case *ast.GoStmt:
-		w.scanExpr(x.Call)
-
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.scanExpr(v)
-					}
-				}
-			}
-		}
-
-	case *ast.LabeledStmt:
-		w.stmt(x.Stmt, guards)
-
-	case *ast.SendStmt:
-		w.scanExpr(x.Chan)
-		w.scanExpr(x.Value)
-
-	case *ast.IncDecStmt:
-		w.scanExpr(x.X)
-	}
-}
-
-// startTarget recognises `r := comm.Isend(...)` (and the other starting
-// methods) and builds its track. A call resolving only to helpers whose
-// summary says they return a started request counts too: the caller
-// inherits the completion obligation.
-func (w *walker) startTarget(x *ast.AssignStmt) (*track, bool) {
-	if len(x.Rhs) != 1 {
-		return nil, false
-	}
-	call, ok := x.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return nil, false
-	}
-	what := ""
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && analysis.IsRequestName(sel.Sel.Name) {
-		what = sel.Sel.Name
-	} else if name := analysis.CalleeName(call); w.pass.Prog.CallReturnsRequest(name, len(call.Args), w.pass.Package()) {
-		what = name
-	}
-	if what == "" {
-		return nil, false
-	}
-	if len(x.Lhs) == 0 {
-		return nil, false
-	}
-	rid, ok := x.Lhs[0].(*ast.Ident)
-	if !ok || rid.Name == "_" {
-		return nil, false
-	}
-	return &track{name: rid.Name, pos: x, what: what}, true
-}
-
-// scanExpr applies the use/complete/escape rules to an expression tree.
-func (w *walker) scanExpr(e ast.Expr) {
-	switch x := e.(type) {
-	case nil:
-		return
-
-	case *ast.Ident:
-		// A bare reference outside the whitelisted shapes below is an
-		// escape: stored, compared, appended, passed along.
-		if tr := w.lookup(x.Name); tr != nil {
-			tr.escaped = true
-		}
-
-	case *ast.SelectorExpr:
-		// r.Wait() is handled at the call; a plain field access on the
-		// request is a read.
-		if id, ok := x.X.(*ast.Ident); ok {
-			if w.lookup(id.Name) != nil {
-				return
-			}
-		}
-		w.scanExpr(x.X)
-
-	case *ast.CallExpr:
-		if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
-			if id, ok := sel.X.(*ast.Ident); ok && analysis.IsCompleteMethod(sel.Sel.Name) && len(x.Args) == 0 {
-				if tr := w.lookup(id.Name); tr != nil {
-					tr.done = true
-					return
-				}
-			}
-		}
-		name := analysis.CalleeName(x)
-		if analysis.IsCompleteFunc(name) {
-			// WaitAll(r1, r2) / WaitAll([]*Request{r1, r2}) / WaitAll(reqs):
-			// every tracked request mentioned in the arguments — including
-			// inside a slice literal — completes.
-			w.scanExpr(x.Fun)
-			for _, a := range x.Args {
-				w.completeMentions(a)
-			}
-			return
-		}
-		// A tracked request passed to a resolvable helper is judged by
-		// the helper's summary; passing it to an unknown callee escapes
-		// it (trusted to be completed elsewhere).
-		prog, from := w.pass.Prog, w.pass.Package()
-		w.scanExpr(x.Fun)
-		for ai, a := range x.Args {
-			id, ok := a.(*ast.Ident)
-			if !ok {
-				w.scanExpr(a)
-				continue
-			}
-			tr := w.lookup(id.Name)
-			if tr == nil {
-				w.scanExpr(a)
-				continue
-			}
-			switch {
-			case prog.WaitsArg(name, len(x.Args), ai, from):
-				tr.done = true
-			case name == "" || prog.EscapesArg(name, len(x.Args), ai, from):
-				tr.escaped = true
-			}
-			// Otherwise a known helper only reads the handle: a plain
-			// use, the completion obligation stays here.
-		}
-
-	case *ast.FuncLit:
-		// The closure may complete or leak captured requests; walk it
-		// with the same tracks but without treating its returns as ours.
-		saved := w.inClosure
-		w.inClosure = true
-		w.stmts(x.Body.List, nil)
-		w.inClosure = saved
-
-	case *ast.ParenExpr:
-		w.scanExpr(x.X)
-	case *ast.StarExpr:
-		w.scanExpr(x.X)
-	case *ast.UnaryExpr:
-		w.scanExpr(x.X)
-	case *ast.BinaryExpr:
-		w.scanExpr(x.X)
-		w.scanExpr(x.Y)
-	case *ast.IndexExpr:
-		w.scanExpr(x.X)
-		w.scanExpr(x.Index)
-	case *ast.SliceExpr:
-		w.scanExpr(x.X)
-		w.scanExpr(x.Low)
-		w.scanExpr(x.High)
-		w.scanExpr(x.Max)
-	case *ast.TypeAssertExpr:
-		w.scanExpr(x.X)
-	case *ast.CompositeLit:
-		for _, el := range x.Elts {
-			w.scanExpr(el)
-		}
-	case *ast.KeyValueExpr:
-		w.scanExpr(x.Value)
-	}
-}
-
-// completeMentions marks every tracked identifier in the expression as
-// completed — the WaitAll/WaitAny argument rule, reaching through slice
-// literals and parens.
-func (w *walker) completeMentions(e ast.Expr) {
-	switch x := e.(type) {
-	case *ast.Ident:
-		if tr := w.lookup(x.Name); tr != nil {
-			tr.done = true
-			return
-		}
-	case *ast.ParenExpr:
-		w.completeMentions(x.X)
-		return
-	case *ast.CompositeLit:
-		for _, el := range x.Elts {
-			w.completeMentions(el)
-		}
-		return
-	}
-	w.scanExpr(e)
-}
-
-// condIdents collects the identifier names a branch condition mentions.
-func condIdents(e ast.Expr) []string {
-	var out []string
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			out = append(out, id.Name)
-		}
-		return true
-	})
-	return out
-}
-
-func withGuards(base map[string]bool, names []string) map[string]bool {
-	out := make(map[string]bool, len(base)+len(names))
-	for k := range base {
-		out[k] = true
-	}
-	for _, n := range names {
-		out[n] = true
-	}
-	return out
+	Run:  lifetime.Check,
 }

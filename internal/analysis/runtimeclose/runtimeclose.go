@@ -7,177 +7,27 @@
 // daemon, and a later audit cannot tell a job still running from one that
 // leaked.
 //
-// The analysis is syntactic and per-function:
-//
-//   - a binding `rt, err := hmpi.New(cfg)` starts a tracked lifetime;
-//     rebinding the same name starts a new one (the old value must have
-//     been finalized or handed off by then);
-//   - any `rt.Finalize()` in the body discharges the obligation —
-//     including a deferred call or a call from a nested function literal,
-//     since `defer rt.Finalize()` next to New is the idiom the runtime's
-//     idempotent Finalize is designed for;
-//   - a runtime that escapes is trusted to be finalized by its new owner:
-//     returning it, storing it anywhere, or passing it to another
-//     function all transfer the obligation (jobspec.Execute's OnRuntime
-//     hook is the canonical pass-as-arg case);
-//   - discarding the result entirely — `hmpi.New(cfg)` as a statement or
-//     an `_` binding — is reported outright: a runtime nothing references
-//     can never be finalized.
-//
-// Because Finalize is idempotent and safe to defer immediately, the
-// check deliberately stays path-insensitive: one Finalize (or escape)
-// anywhere in the function satisfies it. A Finalize reached on only some
-// branches is accepted — the fix for that is `defer`, and the analyzer
-// would rather miss that case than flag every structured shutdown path.
+// The check is the shared lifetime walk (analysis.Lifetime) over the
+// runtime handle table. Finalize is idempotent and safe to defer
+// immediately, so `defer rt.Finalize()` next to New releases the handle
+// before any later return is crossed — which is why return-path reporting
+// costs structured shutdown code nothing. Discarding the result entirely
+// (`hmpi.New(cfg)` as a statement or an `_` binding) is reported outright:
+// a runtime nothing references can never be finalized.
 package runtimeclose
 
-import (
-	"go/ast"
-	"go/token"
+import "repro/internal/analysis"
 
-	"repro/internal/analysis"
-)
+var lifetime = analysis.Lifetime{
+	Handle:    analysis.RuntimeHandle,
+	Never:     "runtime from %s is never finalized: missing Finalize (defer it next to New)",
+	Return:    "runtime from %s may leak: return without Finalize on this path (defer it next to New)",
+	Discarded: "result of %s discarded: the runtime can never reach Finalize",
+}
 
 // Analyzer is the runtimeclose check.
 var Analyzer = &analysis.Analyzer{
 	Name: "runtimeclose",
 	Doc:  "report runtimes from hmpi.New that never reach Finalize and never escape",
-	Run:  run,
-}
-
-func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					analyzeBody(pass, fn.Body)
-				}
-			case *ast.FuncLit:
-				analyzeBody(pass, fn.Body)
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-// track follows one bound runtime variable through a function body.
-type track struct {
-	name      string
-	pos       ast.Node
-	finalized bool
-	escaped   bool
-}
-
-// analyzeBody checks one function body. Creations are collected outside
-// nested function literals (a literal's own hmpi.New is its own
-// analysis); uses are scanned everywhere, so a closure that finalizes a
-// captured runtime counts.
-func analyzeBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	var tracks []*track
-	// attribute resolves a use at position p to the binding it refers to:
-	// the latest same-named binding that precedes it textually, so a
-	// rebound name splits cleanly into two lifetimes.
-	attribute := func(name string, p token.Pos) *track {
-		if name == "" || name == "_" {
-			return nil
-		}
-		var best *track
-		for _, tr := range tracks {
-			if tr.name == name && tr.pos.Pos() < p {
-				best = tr
-			}
-		}
-		return best
-	}
-
-	// Pass 1: find the hmpi.New bindings of this body (and report the
-	// discarded forms immediately).
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ExprStmt:
-			if call, ok := x.X.(*ast.CallExpr); ok && isHMPINew(call) {
-				pass.Reportf(call.Pos(), "result of hmpi.New discarded: the runtime can never reach Finalize")
-				return false
-			}
-		case *ast.AssignStmt:
-			if len(x.Rhs) != 1 {
-				return true
-			}
-			call, ok := x.Rhs[0].(*ast.CallExpr)
-			if !ok || !isHMPINew(call) || len(x.Lhs) == 0 {
-				return true
-			}
-			id, ok := x.Lhs[0].(*ast.Ident)
-			if !ok || id.Name == "_" {
-				pass.Reportf(call.Pos(), "result of hmpi.New discarded: the runtime can never reach Finalize")
-				return true
-			}
-			tracks = append(tracks, &track{name: id.Name, pos: x})
-		}
-		return true
-	})
-	if len(tracks) == 0 {
-		return
-	}
-
-	// Pass 2: scan every use, nested literals included. Method calls on
-	// a tracked runtime are plain uses (Finalize discharges it); a bare
-	// mention anywhere else — returned, stored, passed as an argument —
-	// escapes it, transferring the obligation.
-	var scan func(n ast.Node) bool
-	scan = func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.CallExpr:
-			if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
-				if id, ok := sel.X.(*ast.Ident); ok {
-					if tr := attribute(id.Name, id.Pos()); tr != nil {
-						if sel.Sel.Name == "Finalize" {
-							tr.finalized = true
-						}
-						for _, a := range x.Args {
-							ast.Inspect(a, scan)
-						}
-						return false
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			// The creating assignment's own LHS is the binding, not a
-			// use; scan only the call's arguments.
-			if len(x.Rhs) == 1 {
-				if call, ok := x.Rhs[0].(*ast.CallExpr); ok && isHMPINew(call) {
-					for _, a := range call.Args {
-						ast.Inspect(a, scan)
-					}
-					return false
-				}
-			}
-		case *ast.Ident:
-			if tr := attribute(x.Name, x.Pos()); tr != nil {
-				tr.escaped = true
-			}
-		}
-		return true
-	}
-	ast.Inspect(body, scan)
-
-	for _, tr := range tracks {
-		if !tr.finalized && !tr.escaped {
-			pass.Reportf(tr.pos.Pos(), "runtime from hmpi.New is never finalized: missing Finalize (defer it next to New)")
-		}
-	}
-}
-
-// isHMPINew recognises the creation call hmpi.New(...).
-func isHMPINew(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "New" {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == "hmpi"
+	Run:  lifetime.Check,
 }

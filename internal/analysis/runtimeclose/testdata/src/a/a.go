@@ -84,3 +84,59 @@ func rebind(cfg hmpi.Config) {
 	rt, _ = hmpi.New(cfg) // want "never finalized"
 	rt.Run(nil)
 }
+
+func bad() bool { return false }
+
+// closeIt finalizes its parameter: its summary releases the handle.
+func closeIt(rt *hmpi.Runtime) { rt.Finalize() }
+
+// inspect only reads its parameter: the obligation stays with the caller.
+func inspect(rt *hmpi.Runtime) bool { return rt.Finalized() }
+
+// mkRuntime returns a runtime it built: callers inherit the obligation.
+func mkRuntime(cfg hmpi.Config) *hmpi.Runtime {
+	rt, _ := hmpi.New(cfg)
+	return rt
+}
+
+// closedByHelper hands the runtime to a helper that finalizes it.
+func closedByHelper(cfg hmpi.Config) {
+	rt, _ := hmpi.New(cfg)
+	rt.Run(nil)
+	closeIt(rt)
+}
+
+// readByHelper: a resolvable helper that only reads is not an escape.
+func readByHelper(cfg hmpi.Config) {
+	rt, _ := hmpi.New(cfg) // want "runtime from hmpi.New is never finalized"
+	inspect(rt)
+}
+
+// startedByHelper: the lifetime starts at the helper call and is named
+// after it.
+func startedByHelper(cfg hmpi.Config) {
+	rt := mkRuntime(cfg) // want "runtime from mkRuntime is never finalized"
+	rt.Run(nil)
+}
+
+// startedByHelperClosed is the same start, finalized.
+func startedByHelperClosed(cfg hmpi.Config) {
+	rt := mkRuntime(cfg)
+	defer rt.Finalize()
+	rt.Run(nil)
+}
+
+// earlyReturn finalizes without defer: the error return holds a nil
+// runtime and is fine, the return between New and Finalize leaks.
+func earlyReturn(cfg hmpi.Config) error {
+	rt, err := hmpi.New(cfg)
+	if err != nil {
+		return err
+	}
+	if bad() {
+		return nil // want "return without Finalize"
+	}
+	rt.Run(nil)
+	rt.Finalize()
+	return nil
+}

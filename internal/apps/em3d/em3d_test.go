@@ -162,12 +162,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	cluster := hnoc.Paper9()
 	for name, mode := range map[string]apps.Mode{"HMPI": apps.HMPI, "MPI": apps.MPI} {
 		t.Run(name, func(t *testing.T) {
-			rt, err := hmpi.New(hmpi.Config{Cluster: cluster})
-			if err != nil {
-				t.Fatal(err)
-			}
 			prog := &Program{Problem: pr, Opts: RunOptions{Iters: iters, RealMath: true}}
-			if _, err := apps.Run(rt, prog, mode); err != nil {
+			if _, err := apps.RunOn(cluster, prog, mode); err != nil {
 				t.Fatal(err)
 			}
 			if len(prog.Field) != len(want) {
@@ -192,20 +188,12 @@ func TestHMPIBeatsMPIOnPaperCluster(t *testing.T) {
 	pr := smallProblem(t, 9, 40000)
 	cluster := hnoc.Paper9()
 
-	rtH, err := hmpi.New(hmpi.Config{Cluster: cluster})
-	if err != nil {
-		t.Fatal(err)
-	}
 	prog := &Program{Problem: pr, Opts: RunOptions{Iters: 5}}
-	hres, err := apps.Run(rtH, prog, apps.HMPI)
+	hres, err := apps.RunOn(cluster, prog, apps.HMPI)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtM, err := hmpi.New(hmpi.Config{Cluster: cluster})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mres, err := apps.Run(rtM, prog, apps.MPI)
+	mres, err := apps.RunOn(cluster, prog, apps.MPI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +216,7 @@ func TestHMPISelectionMapsBigBodiesToFastMachines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := apps.Run(rt, &Program{Problem: pr, Opts: RunOptions{Iters: 2}}, apps.HMPI)
+	res, err := apps.RunOn(hnoc.Paper9(), &Program{Problem: pr, Opts: RunOptions{Iters: 2}}, apps.HMPI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,6 +242,7 @@ func TestRunParallelSizeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	err = rt.Run(func(h *hmpi.Process) error {
 		return RunParallel(h.CommWorld(), pr, RunOptions{Iters: 1})
 	})

@@ -30,6 +30,7 @@ func TestModelMatchesExecutionVolumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	// Run the algorithm directly on the world communicator (process i is
 	// subbody i) so the stats contain nothing but the algorithm's own
 	// traffic.

@@ -104,20 +104,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 	want := pr.SerialRun()
 	cluster := hnoc.Paper9()
 
-	rtH, err := hmpi.New(hmpi.Config{Cluster: cluster})
-	if err != nil {
-		t.Fatal(err)
-	}
 	hprog := &Program{Problem: pr, Collect: true}
-	if _, err := apps.Run(rtH, hprog, apps.HMPI); err != nil {
-		t.Fatal(err)
-	}
-	rtM, err := hmpi.New(hmpi.Config{Cluster: cluster})
-	if err != nil {
+	if _, err := apps.RunOn(cluster, hprog, apps.HMPI); err != nil {
 		t.Fatal(err)
 	}
 	mprog := &Program{Problem: pr, Collect: true}
-	if _, err := apps.Run(rtM, mprog, apps.MPI); err != nil {
+	if _, err := apps.RunOn(cluster, mprog, apps.MPI); err != nil {
 		t.Fatal(err)
 	}
 	for name, field := range map[string][]float64{"HMPI": hprog.Field, "MPI": mprog.Field} {
@@ -137,20 +129,12 @@ func TestHMPIBeatsUniformBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtH, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	hprog := &Program{Problem: pr}
-	hres, err := apps.Run(rtH, hprog, apps.HMPI)
+	hres, err := apps.RunOn(hnoc.Paper9(), hprog, apps.HMPI)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtM, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mres, err := apps.Run(rtM, &Program{Problem: pr}, apps.MPI)
+	mres, err := apps.RunOn(hnoc.Paper9(), &Program{Problem: pr}, apps.MPI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +165,7 @@ func TestPredictedTracksSimulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := apps.Run(rt, &Program{Problem: pr}, apps.HMPI)
+	res, err := apps.RunOn(hnoc.Paper9(), &Program{Problem: pr}, apps.HMPI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +178,7 @@ func TestPredictedTracksSimulated(t *testing.T) {
 func TestRunParallelValidation(t *testing.T) {
 	pr, _ := Generate(Config{Rows: 12, Cols: 4, Iters: 1, P: 3})
 	rt, _ := hmpi.New(hmpi.Config{Cluster: hnoc.Homogeneous(3, 10)})
+	defer rt.Finalize()
 	err := rt.Run(func(h *hmpi.Process) error {
 		_, err := RunParallel(h.CommWorld(), pr, []int{6, 6, 6}, false) // sums to 18 != 12
 		return err

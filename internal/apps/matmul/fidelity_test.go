@@ -22,6 +22,7 @@ func runWithDist(t *testing.T, pr *Problem, dist *Dist) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	err = rt.Run(func(h *hmpi.Process) error {
 		_, err := RunParallel(h.CommWorld(), pr, dist, RunOptions{})
 		return err
@@ -95,6 +96,7 @@ func TestCommVolumesMatchModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	err = rt.Run(func(h *hmpi.Process) error {
 		_, err := RunParallel(h.CommWorld(), pr, dist, RunOptions{})
 		return err

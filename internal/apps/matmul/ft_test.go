@@ -27,6 +27,7 @@ func TestResilientMatmulRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer rt.Finalize()
 		if sched != nil {
 			if err := sched.Attach(rt.World(), nil); err != nil {
 				t.Fatal(err)

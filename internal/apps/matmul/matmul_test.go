@@ -141,6 +141,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer rt.Finalize()
 			var got []float64
 			err = rt.Run(func(h *hmpi.Process) error {
 				c, err := RunParallel(h.CommWorld(), pr, dist, RunOptions{CollectC: true})
@@ -173,12 +174,8 @@ func TestHMPIRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := pr.SerialMultiply()
-	rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	prog := &Program{Problem: pr, Ls: []int{3, 6}, Opts: RunOptions{CollectC: true}}
-	res, err := apps.Run(rt, prog, apps.HMPI)
+	res, err := apps.RunOn(hnoc.Paper9(), prog, apps.HMPI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +201,8 @@ func TestMPIRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := pr.SerialMultiply()
-	rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	prog := &Program{Problem: pr, Opts: RunOptions{CollectC: true}}
-	if _, err := apps.Run(rt, prog, apps.MPI); err != nil {
+	if _, err := apps.RunOn(hnoc.Paper9(), prog, apps.MPI); err != nil {
 		t.Fatal(err)
 	}
 	if l := prog.Dist.L(); l != 2 {
@@ -230,20 +223,12 @@ func TestHMPIBeatsMPIOnPaperCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtH, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	prog := &Program{Problem: pr, Ls: []int{9}}
-	hres, err := apps.Run(rtH, prog, apps.HMPI)
+	hres, err := apps.RunOn(hnoc.Paper9(), prog, apps.HMPI)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtM, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mres, err := apps.Run(rtM, prog, apps.MPI)
+	mres, err := apps.RunOn(hnoc.Paper9(), prog, apps.MPI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,6 +276,7 @@ func TestRunParallelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	err = rt.Run(func(h *hmpi.Process) error {
 		_, err := RunParallel(h.CommWorld(), pr, dist, RunOptions{})
 		return err
@@ -300,6 +286,7 @@ func TestRunParallelValidation(t *testing.T) {
 	}
 	badDist := NewHomogeneous(3, 7, 2)
 	rt2, _ := hmpi.New(hmpi.Config{Cluster: hnoc.Homogeneous(9, 10)})
+	defer rt2.Finalize()
 	err = rt2.Run(func(h *hmpi.Process) error {
 		_, err := RunParallel(h.CommWorld(), pr, badDist, RunOptions{})
 		return err
@@ -319,11 +306,7 @@ func TestTimeofOrdersBlockSizesConsistently(t *testing.T) {
 		t.Fatal(err)
 	}
 	measure := func(l int) (predicted float64, simulated float64) {
-		rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := apps.Run(rt, &Program{Problem: pr, Ls: []int{l}}, apps.HMPI)
+		res, err := apps.RunOn(hnoc.Paper9(), &Program{Problem: pr, Ls: []int{l}}, apps.HMPI)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,12 +329,8 @@ func TestHMPISearchPicksCompetitiveL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	prog := &Program{Problem: pr, Ls: []int{3, 9, 15, 45}}
-	if _, err := apps.Run(rt, prog, apps.HMPI); err != nil {
+	if _, err := apps.RunOn(hnoc.Paper9(), prog, apps.HMPI); err != nil {
 		t.Fatal(err)
 	}
 	if prog.Dist.L() == 3 {

@@ -42,6 +42,7 @@ func runLinkChaosEM3D(t *testing.T, pr *em3d.Problem, spec string, seed int64) c
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	rec := rt.EnableRecorder("em3d-linkchaos", trace.Options{})
 	rt.EnableDegradation(hmpi.DefaultDegradationPolicy())
 	if err := sched.Arm(rt.World(), seed, nil); err != nil {
@@ -79,11 +80,7 @@ func TestEM3DLinkChaosDegradedNetwork(t *testing.T) {
 	}
 	// The failure-free pass reveals which ranks the model selects and how
 	// long a clean run takes; the chaos schedule is aimed at them.
-	baseRT, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := apps.Run(baseRT, &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: 5}}, apps.SelfHealing)
+	base, err := apps.RunOn(hnoc.Paper9(), &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: 5}}, apps.SelfHealing)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,7 @@ func TestTracedChaosRunRecordsFaultStory(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A failure-free pass sizes the kill schedule.
-	baseRT, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := apps.Run(baseRT, &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: 5}}, apps.SelfHealing)
+	base, err := apps.RunOn(hnoc.Paper9(), &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: 5}}, apps.SelfHealing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,6 +31,7 @@ func TestTracedChaosRunRecordsFaultStory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	rec := rt.EnableRecorder("em3d-chaos", trace.Options{})
 	if err := killSchedule(base.Selection, base.Time, kills).Attach(rt.World(), nil); err != nil {
 		t.Fatal(err)

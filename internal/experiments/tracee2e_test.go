@@ -73,6 +73,7 @@ func TestTraceReportEM3D(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt, rec := tracedRuntime(t, "em3d")
+	defer rt.Finalize()
 	res, err := apps.Run(rt, &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: 5}}, apps.HMPI)
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +87,7 @@ func TestTraceReportMatmul(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt, rec := tracedRuntime(t, "matmul")
+	defer rt.Finalize()
 	res, err := apps.Run(rt, &matmul.Program{Problem: pr, Ls: []int{9}}, apps.HMPI)
 	if err != nil {
 		t.Fatal(err)

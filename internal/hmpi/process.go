@@ -101,18 +101,13 @@ func (h *Process) Recon(bench BenchmarkFunc) error {
 
 // solveSelection instantiates the model and solves the process-selection
 // problem over the currently free processes plus the given parent process,
-// which is pinned to the model's parent coordinate. It uses the runtime's
-// configured search options.
+// which is pinned to the model's parent coordinate, with the runtime's
+// configured search options (Config.Select). The selection problem hands
+// the mapper everything the concurrent engine can exploit: per-worker
+// estimator sessions (allocation-free evaluation), the compute-only lower
+// bound (branch-and-bound), and the machine-symmetry canonical key
+// (memoisation).
 func (h *Process) solveSelection(model *pmdl.Model, args []any, parentRank int) (*pmdl.Instance, mapper.Assignment, error) {
-	return h.solveSelectionOpts(model, args, parentRank, h.rt.cfg.Select)
-}
-
-// solveSelectionOpts is solveSelection with explicit search options. The
-// selection problem hands the mapper everything the concurrent engine can
-// exploit: per-worker estimator sessions (allocation-free evaluation), the
-// compute-only lower bound (branch-and-bound), and the machine-symmetry
-// canonical key (memoisation).
-func (h *Process) solveSelectionOpts(model *pmdl.Model, args []any, parentRank int, opts mapper.Options) (*pmdl.Instance, mapper.Assignment, error) {
 	inst, err := model.Instantiate(args...)
 	if err != nil {
 		return nil, mapper.Assignment{}, err
@@ -125,7 +120,7 @@ func (h *Process) solveSelectionOpts(model *pmdl.Model, args []any, parentRank i
 	if !slices.Contains(avail, parentRank) {
 		avail = append([]int{parentRank}, avail...)
 	}
-	asg, err := solveWithEstimator(est, inst, h.speeds, avail, parentRank, opts, h.rt.cfg.Selection)
+	asg, err := solveWithEstimator(est, inst, h.speeds, avail, parentRank, h.rt.cfg.Select, h.rt.cfg.Selection)
 	if err != nil {
 		return nil, mapper.Assignment{}, err
 	}
@@ -245,20 +240,8 @@ func (cfg Config) offlinePlacement() ([]int, error) {
 // generalised block size of the matrix-multiplication algorithm) before
 // creating a group.
 func (h *Process) Timeof(model *pmdl.Model, args ...any) (float64, error) {
-	t, _, err := h.TimeofWithOptions(h.rt.cfg.Select, model, args...)
-	return t, err
-}
-
-// TimeofWithOptions is Timeof with explicit search options (parallelism,
-// strategy, pruning, caching, budget), overriding the runtime's
-// configured ones for this call. It additionally reports the search work
-// behind the prediction.
-func (h *Process) TimeofWithOptions(opts mapper.Options, model *pmdl.Model, args ...any) (float64, mapper.SearchStats, error) {
-	_, asg, err := h.solveSelectionOpts(model, args, HostRank, opts)
-	if err != nil {
-		return 0, mapper.SearchStats{}, err
-	}
-	return asg.Time, asg.Stats, nil
+	_, asg, err := h.solveSelection(model, args, HostRank)
+	return asg.Time, err
 }
 
 // GroupCreate implements HMPI_Group_create: it creates the group of
@@ -270,21 +253,13 @@ func (h *Process) TimeofWithOptions(opts mapper.Options, model *pmdl.Model, args
 // — free processes may pass nil, mirroring the paper's programs, where
 // only the host packs model parameters. Selected processes receive a
 // Group whose Comm carries the algorithm's communication; non-selected
-// processes receive nil and remain free.
+// processes receive nil and remain free. The parent's group reports the
+// search work through Group.SearchStats.
 func (h *Process) GroupCreate(model *pmdl.Model, args ...any) (*Group, error) {
-	return h.GroupCreateWithOptions(h.rt.cfg.Select, model, args...)
-}
-
-// GroupCreateWithOptions is GroupCreate with explicit search options
-// (parallelism, strategy, pruning, caching, budget), overriding the
-// runtime's configured ones for this creation. Only the parent's options
-// matter — free processes receive the parent's decision either way. The
-// resulting group reports the search work through Group.SearchStats.
-func (h *Process) GroupCreateWithOptions(opts mapper.Options, model *pmdl.Model, args ...any) (*Group, error) {
 	if !h.IsHost() && !h.IsFree() {
 		return nil, fmt.Errorf("hmpi: process %d is neither host nor free; it must not call GroupCreate", h.Rank())
 	}
-	return h.createGroup(h.IsHost(), model, args, opts)
+	return h.createGroup(h.IsHost(), model, args)
 }
 
 // GroupCreateChild creates a group whose parent is this process — which
@@ -295,30 +270,24 @@ func (h *Process) GroupCreateWithOptions(opts mapper.Options, model *pmdl.Model,
 // as for host-parented groups. Only one group creation may be in flight at
 // a time.
 func (h *Process) GroupCreateChild(model *pmdl.Model, args ...any) (*Group, error) {
-	return h.GroupCreateChildWithOptions(h.rt.cfg.Select, model, args...)
-}
-
-// GroupCreateChildWithOptions is GroupCreateChild with explicit search
-// options, overriding the runtime's configured ones for this creation.
-func (h *Process) GroupCreateChildWithOptions(opts mapper.Options, model *pmdl.Model, args ...any) (*Group, error) {
 	if h.IsFree() {
 		return nil, fmt.Errorf("hmpi: process %d is free; a child group's parent must belong to an existing group", h.Rank())
 	}
 	if model == nil {
 		return nil, fmt.Errorf("hmpi: the parent must supply a model to GroupCreateChild")
 	}
-	return h.createGroup(true, model, args, opts)
+	return h.createGroup(true, model, args)
 }
 
 // createGroup is the shared implementation: the parent (isParent) solves
 // the selection and distributes it; free processes receive it.
-func (h *Process) createGroup(isParent bool, model *pmdl.Model, args []any, opts mapper.Options) (*Group, error) {
+func (h *Process) createGroup(isParent bool, model *pmdl.Model, args []any) (*Group, error) {
 	if isParent {
 		if model == nil {
 			return nil, fmt.Errorf("hmpi: the parent must supply a model to GroupCreate")
 		}
 		t0, w0 := h.traceStart()
-		inst, asg, err := h.solveSelectionOpts(model, args, h.Rank(), opts)
+		inst, asg, err := h.solveSelection(model, args, h.Rank())
 		if err != nil {
 			// No group satisfies the model (too few processes, typically):
 			// release the free processes waiting in receiveGroup.

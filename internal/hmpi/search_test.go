@@ -18,25 +18,37 @@ func exhaustivePaper9Opts() (plain, tuned mapper.Options) {
 	return plain, tuned
 }
 
-// TestGroupCreateWithOptionsDeterministic: the parallel engine must
-// select the exact group the serial exhaustive search selects, both must
-// account for the whole permutation tree, and the parent's handle must
-// surface the search statistics.
-func TestGroupCreateWithOptionsDeterministic(t *testing.T) {
+// selectRuntime builds a Paper9 runtime whose group-selection search is
+// tuned through Config.Select, the one way in.
+func selectRuntime(t *testing.T, opts mapper.Options) *Runtime {
+	t.Helper()
+	rt, err := New(Config{Cluster: hnoc.Paper9(), Select: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+// TestGroupCreateSelectDeterministic: the parallel engine must select the
+// exact group the serial exhaustive search selects, both must account for
+// the whole permutation tree, and the parent's handle must surface the
+// search statistics.
+func TestGroupCreateSelectDeterministic(t *testing.T) {
 	model := testModel(t)
 	args := []any{4, []int{10, 300, 40, 80}, 50}
 	plain, tuned := exhaustivePaper9Opts()
 
 	runOnce := func(opts mapper.Options) ([]int, mapper.SearchStats) {
 		t.Helper()
-		rt := newRuntime(t, hnoc.Paper9())
+		rt := selectRuntime(t, opts)
+		defer rt.Finalize()
 		var ranks []int
 		var stats mapper.SearchStats
 		err := rt.Run(func(h *Process) error {
 			var g *Group
 			var err error
 			if h.IsHost() || h.IsFree() {
-				g, err = h.GroupCreateWithOptions(opts, model, args...)
+				g, err = h.GroupCreate(model, args...)
 				if err != nil {
 					return err
 				}
@@ -83,69 +95,65 @@ func TestPaper9EvaluationReduction(t *testing.T) {
 	model := testModel(t)
 	args := []any{4, []int{10, 300, 40, 80}, 50}
 	plain, tuned := exhaustivePaper9Opts()
-	rt := newRuntime(t, hnoc.Paper9())
+	tPlain, sPlain, err := PredictTimeof(Config{Cluster: hnoc.Paper9(), Select: plain}, model, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tTuned, sTuned, err := PredictTimeof(Config{Cluster: hnoc.Paper9(), Select: tuned}, model, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tTuned != tPlain {
+		t.Fatalf("tuned Timeof %v differs from serial %v", tTuned, tPlain)
+	}
+	if sPlain.Evaluations == 0 || sTuned.Evaluations == 0 {
+		t.Fatalf("search stats missing: plain %+v, tuned %+v", sPlain, sTuned)
+	}
+	// Every assignment is evaluated, served from the memo or pruned;
+	// the job's default search must evaluate at most a fifth of them.
+	tree := sPlain.Evaluations + sPlain.CacheHits + sPlain.Pruned
+	if reduction := float64(tree) / float64(sPlain.Evaluations); reduction < 5 {
+		t.Fatalf("symmetry+pruning reduced evaluations only %.2fx (%d -> %d), want >= 5x",
+			reduction, tree, sPlain.Evaluations)
+	}
+}
+
+// TestTimeofHonoursConfigSelect: an in-run Timeof searches with the
+// runtime's Config.Select — the parallel exhaustive engine here — and
+// predicts exactly what the stats-reporting offline pricing predicts
+// under the same configuration.
+func TestTimeofHonoursConfigSelect(t *testing.T) {
+	model := testModel(t)
+	_, tuned := exhaustivePaper9Opts()
+	rt := selectRuntime(t, tuned)
+	defer rt.Finalize()
+	var got float64
 	err := rt.Run(func(h *Process) error {
 		if !h.IsHost() {
 			return nil
 		}
-		tPlain, sPlain, err := h.TimeofWithOptions(plain, model, args...)
-		if err != nil {
-			return err
-		}
-		tTuned, sTuned, err := h.TimeofWithOptions(tuned, model, args...)
-		if err != nil {
-			return err
-		}
-		if tTuned != tPlain {
-			return fmt.Errorf("tuned Timeof %v differs from serial %v", tTuned, tPlain)
-		}
-		if sPlain.Evaluations == 0 || sTuned.Evaluations == 0 {
-			return fmt.Errorf("search stats missing: plain %+v, tuned %+v", sPlain, sTuned)
-		}
-		// Every assignment is evaluated, served from the memo or pruned;
-		// the job's default search must evaluate at most a fifth of them.
-		tree := sPlain.Evaluations + sPlain.CacheHits + sPlain.Pruned
-		if reduction := float64(tree) / float64(sPlain.Evaluations); reduction < 5 {
-			return fmt.Errorf("symmetry+pruning reduced evaluations only %.2fx (%d -> %d), want >= 5x",
-				reduction, tree, sPlain.Evaluations)
-		}
-		return nil
+		var err error
+		got, err = h.Timeof(model, 3, []int{10, 10, 1000}, 100)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestTimeofWithOptionsMatchesTimeof: the stats-reporting variant must
-// predict exactly what Timeof predicts.
-func TestTimeofWithOptionsMatchesTimeof(t *testing.T) {
-	model := testModel(t)
-	rt := newRuntime(t, hnoc.Paper9())
-	err := rt.Run(func(h *Process) error {
-		if !h.IsHost() {
-			return nil
-		}
-		want, err := h.Timeof(model, 3, []int{10, 10, 1000}, 100)
-		if err != nil {
-			return err
-		}
-		got, stats, err := h.TimeofWithOptions(rt.cfg.Select, model, 3, []int{10, 10, 1000}, 100)
-		if err != nil {
-			return err
-		}
-		if got != want {
-			return fmt.Errorf("TimeofWithOptions %v, Timeof %v", got, want)
-		}
-		if stats.Evaluations == 0 {
-			return fmt.Errorf("no evaluations reported")
-		}
-		if stats.WallTime <= 0 {
-			return fmt.Errorf("no wall time reported")
-		}
-		return nil
-	})
+	want, stats, err := PredictTimeof(rt.cfg, model, 3, []int{10, 10, 1000}, 100)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("Timeof %v, PredictTimeof %v", got, want)
+	}
+	if stats.Evaluations == 0 {
+		t.Fatal("no evaluations reported")
+	}
+	if stats.Workers < 2 {
+		t.Fatalf("search ran on %d worker, Config.Select asked for %d", stats.Workers, tuned.Parallelism)
+	}
+	if stats.WallTime <= 0 {
+		t.Fatal("no wall time reported")
 	}
 }
 
@@ -158,13 +166,14 @@ func TestPortfolioGroupCreate(t *testing.T) {
 	plain, _ := exhaustivePaper9Opts()
 	runOnce := func(opts mapper.Options) []int {
 		t.Helper()
-		rt := newRuntime(t, hnoc.Paper9())
+		rt := selectRuntime(t, opts)
+		defer rt.Finalize()
 		var ranks []int
 		err := rt.Run(func(h *Process) error {
 			var g *Group
 			var err error
 			if h.IsHost() || h.IsFree() {
-				g, err = h.GroupCreateWithOptions(opts, model, args...)
+				g, err = h.GroupCreate(model, args...)
 				if err != nil {
 					return err
 				}

@@ -577,190 +577,43 @@ func getProcessorBuiltin(pos Pos, args []Value) (Value, error) {
 // BuildDAG interprets the scheme declaration into a task graph. Par loops
 // fork: every activity generated by an iteration starts at the loop entry;
 // the loop joins all iterations at its end. Sequential composition chains.
-// Control-flow computation (loop variables, host-function calls) executes
-// sequentially during interpretation and costs nothing.
 func (inst *Instance) BuildDAG() (*sched.DAG, error) {
-	alg := inst.Model.File.Algorithm
-	d := &sched.DAG{}
-	b := &dagBuilder{inst: inst, d: d}
-	e := newEnv(inst.paramEnv)
-	if _, err := b.exec(alg.Scheme, e, nil); err != nil {
+	b := &dagBuilder{inst: inst, d: &sched.DAG{}}
+	if _, err := walkScheme[[]int](inst, b, inst.Model.File.Algorithm.Scheme, newEnv(inst.paramEnv), nil); err != nil {
 		return nil, err
 	}
-	return d, nil
+	return b.d, nil
 }
 
-// dagBuilder interprets scheme statements, threading dependency frontiers.
+// dagBuilder is the scheme sink that threads dependency frontiers: the
+// state is the set of tasks the next activity must wait for.
 type dagBuilder struct {
 	inst *Instance
 	d    *sched.DAG
 }
 
+func (b *dagBuilder) action(_ Pos, src, dst int, pct float64, in []int) ([]int, error) {
+	if dst < 0 {
+		return []int{b.d.AddCompute(src, pct/100*b.inst.CompVolume[src], in)}, nil
+	}
+	return []int{b.d.AddTransfer(src, dst, pct/100*b.inst.CommVolume[src][dst], in)}, nil
+}
+
+func (b *dagBuilder) fork(in []int) []int { return in }
+
 // join collapses a wide frontier into a single Nop so dependency lists
 // stay small.
-func (b *dagBuilder) join(f []int) []int {
-	if len(f) <= 8 {
-		return f
+func (b *dagBuilder) join(acc, out []int) []int {
+	acc = append(acc, out...)
+	if len(acc) <= 8 {
+		return acc
 	}
-	return []int{b.d.AddNop(f)}
+	return []int{b.d.AddNop(acc)}
 }
 
-// exec runs one statement with entry frontier `in`, returning the exit
-// frontier.
-func (b *dagBuilder) exec(s Stmt, e *env, in []int) ([]int, error) {
-	switch x := s.(type) {
-	case *BlockStmt:
-		scope := newEnv(e)
-		cur := in
-		for _, st := range x.Stmts {
-			out, err := b.exec(st, scope, cur)
-			if err != nil {
-				return nil, err
-			}
-			cur = out
-		}
-		return cur, nil
-
-	case *DeclStmt:
-		for i, name := range x.Names {
-			var v Value
-			switch x.Type.Kind {
-			case TypeInt:
-				v = IntVal(0)
-			case TypeDouble:
-				v = DoubleVal(0)
-			case TypeStruct:
-				def, ok := b.inst.it.structs[x.Type.Struct]
-				if !ok {
-					return nil, errf(x.Pos, "unknown struct type %q", x.Type.Struct)
-				}
-				v = newStruct(def)
-			}
-			cell, err := e.define(x.Pos, name, v)
-			if err != nil {
-				return nil, err
-			}
-			if x.Inits[i] != nil {
-				iv, err := b.inst.it.eval(x.Inits[i], e)
-				if err != nil {
-					return nil, err
-				}
-				if _, err := b.inst.it.assign(x.Pos, cell, iv); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return in, nil
-
-	case *ExprStmt:
-		if _, err := b.inst.it.eval(x.X, e); err != nil {
-			return nil, err
-		}
-		return in, nil
-
-	case *IfStmt:
-		ok, err := b.inst.guardHolds(x.Cond, e)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return b.exec(x.Then, e, in)
-		}
-		if x.Else != nil {
-			return b.exec(x.Else, e, in)
-		}
-		return in, nil
-
-	case *LoopStmt:
-		scope := newEnv(e)
-		if x.Init != nil {
-			if _, err := b.exec(x.Init, scope, nil); err != nil {
-				return nil, err
-			}
-		}
-		var parOuts []int
-		cur := in
-		for iter := 0; ; iter++ {
-			if iter > maxLoopIterations {
-				return nil, errf(x.Pos, "loop exceeded %d iterations (model bug?)", maxLoopIterations)
-			}
-			if x.Cond != nil {
-				ok, err := b.inst.guardHolds(x.Cond, scope)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					break
-				}
-			} else if !x.Par {
-				return nil, errf(x.Pos, "for loop without condition never terminates")
-			}
-			if x.Par {
-				out, err := b.exec(x.Body, scope, in)
-				if err != nil {
-					return nil, err
-				}
-				parOuts = append(parOuts, out...)
-				parOuts = b.join(parOuts) // keep it bounded as we go
-			} else {
-				out, err := b.exec(x.Body, scope, cur)
-				if err != nil {
-					return nil, err
-				}
-				cur = out
-			}
-			if x.Post != nil {
-				if _, err := b.exec(x.Post, scope, nil); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if x.Par {
-			if len(parOuts) == 0 {
-				return in, nil
-			}
-			return b.join(parOuts), nil
-		}
-		return cur, nil
-
-	case *ActionStmt:
-		// Percentages evaluate in real arithmetic: see interp.floatDiv.
-		b.inst.it.floatDiv = true
-		pctV, err := b.inst.it.eval(x.Percent, e)
-		b.inst.it.floatDiv = false
-		if err != nil {
-			return nil, err
-		}
-		pct, err := asDouble(x.Pos, pctV)
-		if err != nil {
-			return nil, err
-		}
-		if pct < 0 {
-			return nil, errf(x.Pos, "negative percentage %g", pct)
-		}
-		if x.B == nil {
-			proc, err := b.inst.evalCoords(x.Pos, x.A, e)
-			if err != nil {
-				return nil, err
-			}
-			units := pct / 100 * b.inst.CompVolume[proc]
-			id := b.d.AddCompute(proc, units, in)
-			return []int{id}, nil
-		}
-		src, err := b.inst.evalCoords(x.Pos, x.A, e)
-		if err != nil {
-			return nil, err
-		}
-		dst, err := b.inst.evalCoords(x.Pos, x.B, e)
-		if err != nil {
-			return nil, err
-		}
-		bytes := pct / 100 * b.inst.CommVolume[src][dst]
-		id := b.d.AddTransfer(src, dst, bytes, in)
-		return []int{id}, nil
+func (b *dagBuilder) merge(in, acc []int) []int {
+	if len(acc) == 0 {
+		return in
 	}
-	return nil, errf(Pos{}, "unknown statement type %T", s)
+	return acc
 }
-
-// maxLoopIterations bounds scheme loops against runaway models.
-const maxLoopIterations = 10_000_000

@@ -601,24 +601,29 @@ func (n *TraceNode) Ops(out []*TraceOp) []*TraceOp {
 	return out
 }
 
-// UnrollScheme symbolically executes the scheme declaration, evaluating
-// control flow exactly as BuildDAG does, but records the series-parallel
-// structure of the generated activities instead of a dependency DAG.
+// UnrollScheme symbolically executes the scheme declaration with the
+// interpreter BuildDAG uses (walkScheme) — so control flow, and the checks
+// on an activity's percentage (evaluation errors, negative values), are
+// BuildDAG's — but records the series-parallel structure of the generated
+// activities instead of a dependency DAG. Sequential composition is
+// associative and comes out flat: a block or seq loop nested in a sequence
+// contributes its activities to that sequence.
 func (inst *Instance) UnrollScheme() (*TraceNode, error) {
-	u := &unroller{inst: inst}
-	n, err := u.stmt(inst.Model.File.Algorithm.Scheme, newEnv(inst.paramEnv))
+	u := &unroller{}
+	kids, err := walkScheme[[]*TraceNode](inst, u, inst.Model.File.Algorithm.Scheme, newEnv(inst.paramEnv), nil)
 	if err != nil {
 		return nil, err
 	}
-	if n == nil {
-		n = &TraceNode{}
+	if n := seqNode(kids); n != nil {
+		return n, nil
 	}
-	return n, nil
+	return &TraceNode{}, nil
 }
 
+// unroller is the scheme sink that builds the trace: the state is the
+// children of the enclosing sequential composition so far.
 type unroller struct {
-	inst *Instance
-	ops  int
+	ops int
 }
 
 // maxUnrollOps bounds the trace size; lint instantiations are tiny, so a
@@ -637,144 +642,32 @@ func seqNode(kids []*TraceNode) *TraceNode {
 	return &TraceNode{Kids: kids}
 }
 
-func (u *unroller) stmt(s Stmt, e *env) (*TraceNode, error) {
-	switch x := s.(type) {
-	case *BlockStmt:
-		scope := newEnv(e)
-		var kids []*TraceNode
-		for _, st := range x.Stmts {
-			n, err := u.stmt(st, scope)
-			if err != nil {
-				return nil, err
-			}
-			if n != nil {
-				kids = append(kids, n)
-			}
-		}
-		return seqNode(kids), nil
-
-	case *DeclStmt:
-		for i, name := range x.Names {
-			var v Value
-			switch x.Type.Kind {
-			case TypeInt:
-				v = IntVal(0)
-			case TypeDouble:
-				v = DoubleVal(0)
-			case TypeStruct:
-				def, ok := u.inst.it.structs[x.Type.Struct]
-				if !ok {
-					return nil, errf(x.Pos, "unknown struct type %q", x.Type.Struct)
-				}
-				v = newStruct(def)
-			}
-			cell, err := e.define(x.Pos, name, v)
-			if err != nil {
-				return nil, err
-			}
-			if x.Inits[i] != nil {
-				iv, err := u.inst.it.eval(x.Inits[i], e)
-				if err != nil {
-					return nil, err
-				}
-				if _, err := u.inst.it.assign(x.Pos, cell, iv); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return nil, nil
-
-	case *ExprStmt:
-		if _, err := u.inst.it.eval(x.X, e); err != nil {
-			return nil, err
-		}
-		return nil, nil
-
-	case *IfStmt:
-		ok, err := u.inst.guardHolds(x.Cond, e)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return u.stmt(x.Then, e)
-		}
-		if x.Else != nil {
-			return u.stmt(x.Else, e)
-		}
-		return nil, nil
-
-	case *LoopStmt:
-		scope := newEnv(e)
-		if x.Init != nil {
-			if _, err := u.stmt(x.Init, scope); err != nil {
-				return nil, err
-			}
-		}
-		var kids []*TraceNode
-		for iter := 0; ; iter++ {
-			if iter > maxLoopIterations {
-				return nil, errf(x.Pos, "loop exceeded %d iterations (model bug?)", maxLoopIterations)
-			}
-			if x.Cond != nil {
-				ok, err := u.inst.guardHolds(x.Cond, scope)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					break
-				}
-			} else if !x.Par {
-				return nil, errf(x.Pos, "for loop without condition never terminates")
-			}
-			n, err := u.stmt(x.Body, scope)
-			if err != nil {
-				return nil, err
-			}
-			if n != nil {
-				kids = append(kids, n)
-			}
-			if x.Post != nil {
-				if _, err := u.stmt(x.Post, scope); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if x.Par {
-			if len(kids) == 0 {
-				return nil, nil
-			}
-			if len(kids) == 1 {
-				return kids[0], nil
-			}
-			return &TraceNode{Par: true, Kids: kids}, nil
-		}
-		return seqNode(kids), nil
-
-	case *ActionStmt:
-		u.ops++
-		if u.ops > maxUnrollOps {
-			return nil, errf(x.Pos, "scheme unrolls to more than %d activities", maxUnrollOps)
-		}
-		// Evaluate the percentage for its diagnostics (division by
-		// zero), exactly as BuildDAG would.
-		u.inst.it.floatDiv = true
-		_, err := u.inst.it.eval(x.Percent, e)
-		u.inst.it.floatDiv = false
-		if err != nil {
-			return nil, err
-		}
-		src, err := u.inst.evalCoords(x.Pos, x.A, e)
-		if err != nil {
-			return nil, err
-		}
-		dst := -1
-		if x.B != nil {
-			dst, err = u.inst.evalCoords(x.Pos, x.B, e)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return &TraceNode{Op: &TraceOp{Src: src, Dst: dst, Pos: x.Pos}}, nil
+func (u *unroller) action(pos Pos, src, dst int, _ float64, in []*TraceNode) ([]*TraceNode, error) {
+	u.ops++
+	if u.ops > maxUnrollOps {
+		return nil, errf(pos, "scheme unrolls to more than %d activities", maxUnrollOps)
 	}
-	return nil, errf(Pos{}, "unknown statement type %T", s)
+	return append(in, &TraceNode{Op: &TraceOp{Src: src, Dst: dst, Pos: pos}}), nil
+}
+
+// fork: a par iteration is its own sequence.
+func (u *unroller) fork([]*TraceNode) []*TraceNode { return nil }
+
+// join collects the par branches, dropping iterations that generated
+// nothing.
+func (u *unroller) join(acc, out []*TraceNode) []*TraceNode {
+	if n := seqNode(out); n != nil {
+		acc = append(acc, n)
+	}
+	return acc
+}
+
+func (u *unroller) merge(in, acc []*TraceNode) []*TraceNode {
+	switch len(acc) {
+	case 0:
+		return in
+	case 1:
+		return append(in, acc[0])
+	}
+	return append(in, &TraceNode{Par: true, Kids: acc})
 }

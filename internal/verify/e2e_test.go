@@ -83,6 +83,7 @@ func TestE2ECleanRunVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	model := ringModel(t)
 	rec := rt.EnableRecorder("verify-e2e-clean", trace.Options{})
 	err = runWithTimeout(t, rt, 30*time.Second, func(h *hmpi.Process) error {
@@ -123,6 +124,7 @@ func TestE2EChaosRecreateVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	model := ringModel(t)
 	rec := rt.EnableRecorder("verify-e2e-chaos", trace.Options{})
 	var killed atomic.Bool
@@ -167,6 +169,7 @@ func TestE2EOverlapRunVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	rec := rt.EnableRecorder("verify-e2e-overlap", trace.Options{})
 	pr, err := em3d.Generate(em3d.Config{P: 5, TotalNodes: 2000})
 	if err != nil {
@@ -197,6 +200,7 @@ func TestE2ENonblockingCollectivesVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Finalize()
 	rec := rt.EnableRecorder("verify-e2e-nbcoll", trace.Options{})
 	err = runWithTimeout(t, rt, 30*time.Second, func(h *hmpi.Process) error {
 		comm := h.CommWorld()
@@ -236,6 +240,7 @@ func TestE2EWrappedRingKeepsNewest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer rt.Finalize()
 		rec := rt.EnableRecorder("em3d", opts)
 		pr, err := em3d.Generate(em3d.Config{P: 6, TotalNodes: 6000, Light: true})
 		if err != nil {
