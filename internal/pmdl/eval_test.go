@@ -134,12 +134,12 @@ func TestHostFunctionWithRef(t *testing.T) {
 	var got []int64
 	hosts := map[string]HostFunc{
 		"Probe": func(pos Pos, args []Value) (Value, error) {
-			x, _ := asInt(pos, args[0])
+			x, _ := args[0].asInt(pos)
 			got = append(got, x)
-			if ref, ok := args[1].(RefVal); ok {
-				ref.Cell.V = IntVal(x * 2)
+			if ref := args[1]; ref.ref && ref.cell != nil {
+				*ref.cell = intNum(x * 2)
 			}
-			return IntVal(0), nil
+			return scalarValue(intNum(0)), nil
 		},
 	}
 	src := `algorithm E(int p) {
@@ -291,18 +291,18 @@ func TestCoordsOfRoundTrip(t *testing.T) {
 }
 
 func TestFormatValue(t *testing.T) {
-	arr := newArray([]int{3})
-	arr.Elems[1].V = IntVal(5)
-	s := &StructVal{Type: "P", Fields: map[string]*Cell{"I": {V: IntVal(2)}}, Order: []string{"I"}}
+	arr := Value{kind: kindArray, dims: []int{3}, elems: []num{{}, intNum(5), {}}}
+	s := Value{kind: kindStruct, def: &StructDef{Name: "P", Fields: []string{"I"}}, elems: []num{intNum(2)}}
+	one := intNum(1)
 	for _, tc := range []struct {
 		v    Value
 		want string
 	}{
-		{IntVal(42), "42"},
-		{DoubleVal(2.5), "2.5"},
+		{scalarValue(intNum(42)), "42"},
+		{scalarValue(dblNum(2.5)), "2.5"},
 		{arr, "[0 5 0]"},
 		{s, "P{I: 2}"},
-		{RefVal{Cell: &Cell{V: IntVal(1)}}, "&1"},
+		{Value{ref: true, cell: &one}, "&1"},
 	} {
 		if got := FormatValue(tc.v); got != tc.want {
 			t.Errorf("FormatValue(%v) = %q, want %q", tc.v, got, tc.want)
@@ -312,14 +312,15 @@ func TestFormatValue(t *testing.T) {
 
 func TestGetProcessorBuiltinErrors(t *testing.T) {
 	// Wrong arity and wrong shapes must produce errors, not panics.
-	if _, err := getProcessorBuiltin(Pos{}, []Value{IntVal(1)}); err == nil {
+	if _, err := getProcessorBuiltin(Pos{}, []Value{scalarValue(intNum(1))}); err == nil {
 		t.Error("wrong arity accepted")
 	}
+	oneD := Value{kind: kindArray, dims: []int{1}, elems: make([]num, 1)}
 	args := []Value{
-		IntVal(0), IntVal(0), IntVal(1),
-		newArray([]int{1}), // h must be 4-D
-		newArray([]int{1}),
-		RefVal{Cell: &Cell{V: IntVal(0)}},
+		scalarValue(intNum(0)), scalarValue(intNum(0)), scalarValue(intNum(1)),
+		oneD, // h must be 4-D
+		oneD,
+		{ref: true, cell: new(num)},
 	}
 	if _, err := getProcessorBuiltin(Pos{}, args); err == nil {
 		t.Error("1-D h accepted")

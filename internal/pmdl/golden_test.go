@@ -406,3 +406,37 @@ func TestLoopLimitError(t *testing.T) {
 		t.Fatalf("got %q, want %q", got, want)
 	}
 }
+
+// BenchmarkPaperMatmulSweep is the L=0 HMPI_Timeof sweep's model work: one
+// op instantiates the matmul model at each of the six candidate block sizes
+// of the paper's problem and builds each task graph.
+func BenchmarkPaperMatmulSweep(b *testing.B) {
+	var t testing.T
+	cases := appCases(&t, "paper/matmul", matmulProgram(&t, 90, 9, 3, jobspec.CandidateBlockSizes(3, 90)), hnoc.Paper9())
+	for _, stage := range []string{"instantiate", "builddag"} {
+		b.Run(stage, func(b *testing.B) {
+			insts := make([]*pmdl.Instance, len(cases))
+			for i, c := range cases {
+				var err error
+				if insts[i], err = c.model.Instantiate(c.args...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for i, c := range cases {
+					var err error
+					if stage == "instantiate" {
+						_, err = c.model.Instantiate(c.args...)
+					} else {
+						_, err = insts[i].BuildDAG()
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

@@ -2,33 +2,37 @@ package pmdl
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sched"
 )
 
-// Model is a compiled performance model: the parsed source plus the host
-// functions its scheme may call. It corresponds to the set of functions the
-// paper's compiler generates from a model description (the HMPI_Model
-// handle). Nothing writes to a Model once ParseModel has returned it, so
-// one value may be instantiated from any number of goroutines at once.
+// Model is a compiled performance model: the parsed source, the program it
+// lowers to, and the host functions its scheme may call. It corresponds to
+// the set of functions the paper's compiler generates from a model
+// description (the HMPI_Model handle). Nothing writes to a Model once
+// ParseModel has returned it, so one value may be instantiated from any
+// number of goroutines at once.
 type Model struct {
 	File   *File
 	Source string
+	prog   *program
 	hosts  map[string]HostFunc
 }
 
-// ParseModel compiles model source text. The builtin host function
-// GetProcessor (used by the paper's matrix-multiplication model to locate
-// the owner of a pivot block) is pre-registered.
+// ParseModel compiles model source text: parse, check, lower. The builtin
+// host function GetProcessor (used by the paper's matrix-multiplication
+// model to locate the owner of a pivot block) is pre-registered.
 func ParseModel(src string) (*Model, error) {
 	f, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	if err := Check(f); err != nil {
+	prog, err := compile(f)
+	if err != nil {
 		return nil, err
 	}
-	m := &Model{File: f, Source: src, hosts: make(map[string]HostFunc)}
+	m := &Model{File: f, Source: src, prog: prog, hosts: make(map[string]HostFunc)}
 	m.registerHost("GetProcessor", getProcessorBuiltin)
 	return m, nil
 }
@@ -51,7 +55,10 @@ func (m *Model) registerHost(name string, fn HostFunc) { m.hosts[name] = fn }
 // Instance is a performance model bound to actual parameters: the total
 // number of abstract processors, the computation volume of each, the
 // communication volume between each pair, and the parent — everything
-// HMPI_Group_create and HMPI_Timeof consume.
+// HMPI_Group_create and HMPI_Timeof consume. Nothing writes to an Instance
+// once Instantiate has returned it: BuildDAG and UnrollScheme each run the
+// scheme on a frame of their own, so they may be called from any number of
+// goroutines at once.
 type Instance struct {
 	Model *Model
 	// Dims are the coordinate ranges; NumProcs is their product.
@@ -67,8 +74,8 @@ type Instance struct {
 	// Parent is the abstract index of the parent processor.
 	Parent int
 
-	paramEnv *env
-	it       *interp
+	params []num   // the bound scalar parameters: a scheme frame's leading slots
+	arrays []array // the bound array parameters
 }
 
 // Instantiate binds actual parameters (in declaration order) and evaluates
@@ -80,211 +87,155 @@ func (m *Model) Instantiate(args ...any) (*Instance, error) {
 	if len(args) != len(alg.Params) {
 		return nil, fmt.Errorf("pmdl: model %s takes %d parameters, got %d", alg.Name, len(alg.Params), len(args))
 	}
-	structs := make(map[string]*StructDef, len(m.File.Typedefs))
-	for _, td := range m.File.Typedefs {
-		structs[td.Name] = td
-	}
-	it := &interp{structs: structs, hosts: m.hosts}
-	paramEnv := newEnv(nil)
+	return m.instantiate(func(i int, _ []int) (any, error) { return args[i], nil }, 0)
+}
 
+// instantiate is Instantiate with parameter i's argument supplied by
+// argOf, which is handed the parameter's evaluated dimensions. A non-zero
+// maxDim bounds them (AutoInstantiate's guard against huge guesses).
+func (m *Model) instantiate(argOf func(i int, dims []int) (any, error), maxDim int64) (*Instance, error) {
+	alg, p := m.File.Algorithm, m.prog
+	fr := p.newFrame(m.hosts, nil)
 	for i, prm := range alg.Params {
-		v, err := bindArg(it, paramEnv, prm, args[i])
+		cp := p.params[i]
+		dims := make([]int, len(cp.dims))
+		for k, de := range cp.dims {
+			n := de(fr).int()
+			switch {
+			case fr.err != nil:
+				return nil, fr.err
+			case maxDim > 0 && (n <= 0 || n > maxDim):
+				return nil, errf(prm.Pos, "parameter %s: auto-instantiated dimension %d out of range", prm.Name, n)
+			case n <= 0:
+				return nil, errf(prm.Pos, "parameter %s: dimension %d evaluates to %d", prm.Name, k, n)
+			}
+			dims[k] = int(n)
+		}
+		arg, err := argOf(i, dims)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := paramEnv.define(prm.Pos, prm.Name, v); err != nil {
+		if err := bindArg(fr, prm, cp.slot, dims, arg); err != nil {
 			return nil, err
 		}
 	}
 
-	inst := &Instance{Model: m, paramEnv: paramEnv, it: it}
-
-	// Coordinate space.
-	for _, cv := range alg.Coords {
-		sv, err := it.eval(cv.Size, paramEnv)
-		if err != nil {
-			return nil, err
-		}
-		n, err := asInt(cv.Pos, sv)
-		if err != nil {
-			return nil, err
+	inst := &Instance{Model: m, NumProcs: 1, params: fr.slots[:p.nparams:p.nparams], arrays: fr.arrays}
+	for i, cv := range alg.Coords {
+		n := p.coordSizes[i](fr).int()
+		if fr.err != nil {
+			return nil, fr.err
 		}
 		if n <= 0 {
 			return nil, errf(cv.Pos, "coordinate %s has non-positive range %d", cv.Name, n)
 		}
 		inst.Dims = append(inst.Dims, int(n))
+		inst.NumProcs *= int(n)
 	}
-	inst.NumProcs = 1
-	for _, d := range inst.Dims {
-		inst.NumProcs *= d
-	}
+	fr.dims = inst.Dims
 
 	inst.CompVolume = make([]float64, inst.NumProcs)
 	inst.CommVolume = make([][]float64, inst.NumProcs)
+	comm := make([]float64, inst.NumProcs*inst.NumProcs)
 	for i := range inst.CommVolume {
-		inst.CommVolume[i] = make([]float64, inst.NumProcs)
+		inst.CommVolume[i] = comm[i*inst.NumProcs : (i+1)*inst.NumProcs : (i+1)*inst.NumProcs]
 	}
 
-	if err := inst.evalNode(); err != nil {
-		return nil, err
+	inst.evalNode(fr)
+	inst.evalLink(fr)
+	if p.parent != nil && fr.err == nil {
+		inst.Parent = fr.procIndex(alg.Pos, p.parent)
 	}
-	if err := inst.evalLink(); err != nil {
-		return nil, err
-	}
-	if err := inst.evalParent(); err != nil {
-		return nil, err
+	if fr.err != nil {
+		return nil, fr.err
 	}
 	return inst, nil
 }
 
-// bindArg converts one Go argument to a model value, checking the declared
-// dimensions.
-func bindArg(it *interp, env *env, prm Param, arg any) (Value, error) {
-	wantDims := make([]int, len(prm.Dims))
-	for i, de := range prm.Dims {
-		v, err := it.eval(de, env)
-		if err != nil {
-			return nil, err
-		}
-		n, err := asInt(prm.Pos, v)
-		if err != nil {
-			return nil, err
-		}
-		if n <= 0 {
-			return nil, errf(prm.Pos, "parameter %s: dimension %d evaluates to %d", prm.Name, i, n)
-		}
-		wantDims[i] = int(n)
-	}
-	if len(wantDims) == 0 {
+// bindArg converts one Go argument to a model value of the evaluated
+// dimensions and stores it in the parameter's slot.
+func bindArg(fr *frame, prm Param, slot int, dims []int, arg any) error {
+	if len(dims) == 0 {
 		switch x := arg.(type) {
 		case int:
-			if prm.Type.Kind == TypeDouble {
-				return DoubleVal(x), nil
-			}
-			return IntVal(x), nil
+			fr.slots[slot] = intNum(int64(x))
 		case int64:
-			if prm.Type.Kind == TypeDouble {
-				return DoubleVal(x), nil
-			}
-			return IntVal(x), nil
+			fr.slots[slot] = intNum(x)
 		case float64:
 			if prm.Type.Kind == TypeInt {
-				return nil, fmt.Errorf("pmdl: parameter %s is int, got float64", prm.Name)
+				return fmt.Errorf("pmdl: parameter %s is int, got float64", prm.Name)
 			}
-			return DoubleVal(x), nil
+			fr.slots[slot] = dblNum(x)
 		default:
-			return nil, fmt.Errorf("pmdl: parameter %s: unsupported scalar type %T", prm.Name, arg)
+			return fmt.Errorf("pmdl: parameter %s: unsupported scalar type %T", prm.Name, arg)
 		}
+		if prm.Type.Kind == TypeDouble {
+			fr.slots[slot] = dblNum(fr.slots[slot].float())
+		}
+		return nil
 	}
-	flat, gotDims, isFloat, err := flatten(arg)
+	elems, gotDims, err := flatten(nil, arg, prm.Type.Kind == TypeDouble)
 	if err != nil {
-		return nil, fmt.Errorf("pmdl: parameter %s: %w", prm.Name, err)
+		return fmt.Errorf("pmdl: parameter %s: %w", prm.Name, err)
 	}
-	if len(gotDims) != len(wantDims) {
-		return nil, fmt.Errorf("pmdl: parameter %s: got %d dimensions, want %d", prm.Name, len(gotDims), len(wantDims))
+	if len(gotDims) != len(dims) {
+		return fmt.Errorf("pmdl: parameter %s: got %d dimensions, want %d", prm.Name, len(gotDims), len(dims))
 	}
-	for i := range wantDims {
-		if gotDims[i] != wantDims[i] {
-			return nil, fmt.Errorf("pmdl: parameter %s: dimension %d is %d, want %d", prm.Name, i, gotDims[i], wantDims[i])
+	for i := range dims {
+		if gotDims[i] != dims[i] {
+			return fmt.Errorf("pmdl: parameter %s: dimension %d is %d, want %d", prm.Name, i, gotDims[i], dims[i])
 		}
 	}
-	a := newArray(wantDims)
-	for i, f := range flat {
-		if isFloat || prm.Type.Kind == TypeDouble {
-			a.Elems[i].V = DoubleVal(f)
-		} else {
-			a.Elems[i].V = IntVal(int64(f))
-		}
-	}
-	return a, nil
+	fr.arrays[slot] = array{dims: dims, elems: elems}
+	return nil
 }
 
-// flatten turns nested int/float64 slices into a flat float64 slice plus
-// dimensions, verifying rectangularity.
-func flatten(arg any) ([]float64, []int, bool, error) {
+// flatten appends the elements of nested int/float64 slices to dst in
+// row-major order (ints as doubles when dbl) and returns the dimensions,
+// verifying rectangularity.
+func flatten(dst []num, arg any, dbl bool) ([]num, []int, error) {
+	nested := func(n int, at func(int) any) ([]num, []int, error) {
+		if n == 0 {
+			return nil, nil, fmt.Errorf("empty array")
+		}
+		var inner []int
+		for i := 0; i < n; i++ {
+			var dims []int
+			var err error
+			if dst, dims, err = flatten(dst, at(i), dbl); err != nil {
+				return nil, nil, err
+			}
+			if i == 0 {
+				inner = dims
+			} else if !slices.Equal(dims, inner) {
+				return nil, nil, fmt.Errorf("ragged array at index %d", i)
+			}
+		}
+		return dst, append([]int{n}, inner...), nil
+	}
 	switch x := arg.(type) {
 	case []int:
-		out := make([]float64, len(x))
-		for i, v := range x {
-			out[i] = float64(v)
+		for _, v := range x {
+			if dbl {
+				dst = append(dst, dblNum(float64(v)))
+			} else {
+				dst = append(dst, intNum(int64(v)))
+			}
 		}
-		return out, []int{len(x)}, false, nil
+		return dst, []int{len(x)}, nil
 	case []float64:
-		return append([]float64(nil), x...), []int{len(x)}, true, nil
+		for _, v := range x {
+			dst = append(dst, dblNum(v))
+		}
+		return dst, []int{len(x)}, nil
 	case [][]int:
-		return flattenNested(len(x), func(i int) any { return x[i] })
+		return nested(len(x), func(i int) any { return x[i] })
 	case [][][]int:
-		return flattenNested(len(x), func(i int) any { return x[i] })
+		return nested(len(x), func(i int) any { return x[i] })
 	case [][][][]int:
-		return flattenNested(len(x), func(i int) any { return x[i] })
-	default:
-		return nil, nil, false, fmt.Errorf("unsupported array type %T", arg)
+		return nested(len(x), func(i int) any { return x[i] })
 	}
-}
-
-func flattenNested(n int, at func(int) any) ([]float64, []int, bool, error) {
-	if n == 0 {
-		return nil, nil, false, fmt.Errorf("empty array")
-	}
-	var flat []float64
-	var innerDims []int
-	isFloat := false
-	for i := 0; i < n; i++ {
-		f, dims, fl, err := flatten(at(i))
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if i == 0 {
-			innerDims = dims
-			isFloat = fl
-		} else if !equalDims(dims, innerDims) {
-			return nil, nil, false, fmt.Errorf("ragged array at index %d", i)
-		}
-		flat = append(flat, f...)
-	}
-	return flat, append([]int{n}, innerDims...), isFloat, nil
-}
-
-func equalDims(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// coordEnv returns an environment binding the coordinate variables to the
-// tuple with flat index idx (row-major: first coordinate slowest).
-func (inst *Instance) coordEnv(idx int) *env {
-	e := newEnv(inst.paramEnv)
-	rem := idx
-	stride := inst.NumProcs
-	for k, cv := range inst.Model.File.Algorithm.Coords {
-		stride /= inst.Dims[k]
-		c := rem / stride
-		rem %= stride
-		e.vars[cv.Name] = &Cell{V: IntVal(int64(c))}
-	}
-	return e
-}
-
-// flatIndex converts a coordinate tuple to the abstract processor index.
-func (inst *Instance) flatIndex(pos Pos, coords []int64) (int, error) {
-	if len(coords) != len(inst.Dims) {
-		return 0, errf(pos, "expected %d coordinates, got %d", len(inst.Dims), len(coords))
-	}
-	idx := 0
-	for k, c := range coords {
-		if c < 0 || int(c) >= inst.Dims[k] {
-			return 0, errf(pos, "coordinate %d out of range [0,%d)", c, inst.Dims[k])
-		}
-		idx = idx*inst.Dims[k] + int(c)
-	}
-	return idx, nil
+	return nil, nil, fmt.Errorf("unsupported array type %T", arg)
 }
 
 // CoordsOf returns the coordinate tuple of an abstract processor index.
@@ -302,164 +253,77 @@ func (inst *Instance) CoordsOf(idx int) []int {
 
 // evalNode fills CompVolume: for each abstract processor the first node
 // clause whose guard holds defines its volume.
-func (inst *Instance) evalNode() error {
-	for p := 0; p < inst.NumProcs; p++ {
-		e := inst.coordEnv(p)
-		for _, cl := range inst.Model.File.Algorithm.Nodes {
-			ok, err := inst.guardHolds(cl.Guard, e)
-			if err != nil {
-				return err
-			}
-			if !ok {
+func (inst *Instance) evalNode(fr *frame) {
+	p := inst.Model.prog
+	for proc := 0; proc < inst.NumProcs && fr.err == nil; proc++ {
+		fr.setTuple(p.coordSlot, proc, inst.NumProcs, inst.Dims)
+		for _, cl := range p.nodes {
+			if cl.guard(fr).int() == 0 || fr.err != nil {
 				continue
 			}
-			v, err := inst.it.eval(cl.Volume, e)
-			if err != nil {
-				return err
+			vol := cl.volume(fr).float()
+			if fr.err == nil && vol < 0 {
+				fr.fail(cl.pos, "negative computation volume %g for processor %d", vol, proc)
 			}
-			vol, err := asDouble(cl.Pos, v)
-			if err != nil {
-				return err
-			}
-			if vol < 0 {
-				return errf(cl.Pos, "negative computation volume %g for processor %d", vol, p)
-			}
-			inst.CompVolume[p] = vol
+			inst.CompVolume[proc] = vol
 			break
 		}
 	}
-	return nil
 }
 
 // evalLink fills CommVolume. Each clause instance defines the volume for
 // one ordered pair; conflicting definitions for the same pair are an
 // error in the model.
-func (inst *Instance) evalLink() error {
-	alg := inst.Model.File.Algorithm
-	if alg.Link == nil {
-		return nil
-	}
-	// Dimensions of the link iteration variables.
-	varDims := make([]int, len(alg.Link.Vars))
-	for i, lv := range alg.Link.Vars {
-		v, err := inst.it.eval(lv.Size, inst.paramEnv)
-		if err != nil {
-			return err
+func (inst *Instance) evalLink(fr *frame) {
+	p := inst.Model.prog
+	// Ranges of the link iteration variables.
+	varDims := make([]int, len(p.linkSizes))
+	total := 1
+	for i, size := range p.linkSizes {
+		n := size(fr).int()
+		if fr.err != nil {
+			return
 		}
-		n, err := asInt(lv.Pos, v)
-		if err != nil {
-			return err
-		}
-		if n <= 0 {
-			return errf(lv.Pos, "link variable %s has non-positive range %d", lv.Name, n)
+		if lv := inst.Model.File.Algorithm.Link.Vars[i]; n <= 0 {
+			fr.fail(lv.Pos, "link variable %s has non-positive range %d", lv.Name, n)
+			return
 		}
 		varDims[i] = int(n)
+		total *= int(n)
 	}
-	total := 1
-	for _, d := range varDims {
-		total *= d
+	if len(p.links) == 0 {
+		return
 	}
-	defined := make([][]bool, inst.NumProcs)
-	for i := range defined {
-		defined[i] = make([]bool, inst.NumProcs)
-	}
-	for p := 0; p < inst.NumProcs; p++ {
-		base := inst.coordEnv(p)
+	defined := make([]bool, inst.NumProcs*inst.NumProcs)
+	for proc := 0; proc < inst.NumProcs; proc++ {
+		fr.setTuple(p.coordSlot, proc, inst.NumProcs, inst.Dims)
 		for vi := 0; vi < total; vi++ {
-			e := newEnv(base)
-			rem := vi
-			stride := total
-			for k, lv := range alg.Link.Vars {
-				stride /= varDims[k]
-				e.vars[lv.Name] = &Cell{V: IntVal(int64(rem / stride))}
-				rem %= stride
-			}
-			for _, cl := range alg.Link.Clauses {
-				ok, err := inst.guardHolds(cl.Guard, e)
-				if err != nil {
-					return err
+			fr.setTuple(p.linkSlot, vi, total, varDims)
+			for _, cl := range p.links {
+				if fr.err != nil {
+					return
 				}
-				if !ok {
+				if cl.guard(fr).int() == 0 || fr.err != nil {
 					continue
 				}
-				vol, err := inst.evalVolume(cl.Pos, cl.Volume, e)
-				if err != nil {
-					return err
+				vol := cl.volume(fr).float()
+				if fr.err == nil && vol < 0 {
+					fr.fail(cl.pos, "negative communication volume %g", vol)
 				}
-				src, err := inst.evalCoords(cl.Pos, cl.Src, e)
-				if err != nil {
-					return err
-				}
-				dst, err := inst.evalCoords(cl.Pos, cl.Dst, e)
-				if err != nil {
-					return err
-				}
-				if src == dst {
+				src := fr.procIndex(cl.pos, cl.src)
+				dst := fr.procIndex(cl.pos, cl.dst)
+				if fr.err != nil || src == dst {
 					continue // self transfers carry no cost
 				}
-				if defined[src][dst] && inst.CommVolume[src][dst] != vol {
-					return errf(cl.Pos, "conflicting link volumes for pair %d->%d: %g and %g",
+				if defined[src*inst.NumProcs+dst] && inst.CommVolume[src][dst] != vol {
+					fr.fail(cl.pos, "conflicting link volumes for pair %d->%d: %g and %g",
 						src, dst, inst.CommVolume[src][dst], vol)
 				}
 				inst.CommVolume[src][dst] = vol
-				defined[src][dst] = true
+				defined[src*inst.NumProcs+dst] = true
 			}
 		}
 	}
-	return nil
-}
-
-func (inst *Instance) evalParent() error {
-	alg := inst.Model.File.Algorithm
-	if alg.Parent == nil {
-		inst.Parent = 0
-		return nil
-	}
-	idx, err := inst.evalCoords(alg.Pos, alg.Parent, inst.paramEnv)
-	if err != nil {
-		return err
-	}
-	inst.Parent = idx
-	return nil
-}
-
-func (inst *Instance) guardHolds(guard Expr, e *env) (bool, error) {
-	v, err := inst.it.eval(guard, e)
-	if err != nil {
-		return false, err
-	}
-	return isTruthy(exprPos(guard), v)
-}
-
-func (inst *Instance) evalVolume(pos Pos, expr Expr, e *env) (float64, error) {
-	v, err := inst.it.eval(expr, e)
-	if err != nil {
-		return 0, err
-	}
-	vol, err := asDouble(pos, v)
-	if err != nil {
-		return 0, err
-	}
-	if vol < 0 {
-		return 0, errf(pos, "negative communication volume %g", vol)
-	}
-	return vol, nil
-}
-
-func (inst *Instance) evalCoords(pos Pos, exprs []Expr, e *env) (int, error) {
-	coords := make([]int64, len(exprs))
-	for i, ex := range exprs {
-		v, err := inst.it.eval(ex, e)
-		if err != nil {
-			return 0, err
-		}
-		c, err := asInt(pos, v)
-		if err != nil {
-			return 0, err
-		}
-		coords[i] = c
-	}
-	return inst.flatIndex(pos, coords)
 }
 
 // TotalCompVolume returns the sum of all per-processor computation
@@ -492,52 +356,33 @@ func (inst *Instance) TotalCommVolume() float64 {
 // P_ij's rectangle) and w the width vector of the distribution.
 func getProcessorBuiltin(pos Pos, args []Value) (Value, error) {
 	if len(args) != 6 {
-		return nil, errf(pos, "GetProcessor takes 6 arguments, got %d", len(args))
+		return Value{}, errf(pos, "GetProcessor takes 6 arguments, got %d", len(args))
 	}
-	row, err := asInt(pos, args[0])
-	if err != nil {
-		return nil, err
-	}
-	col, err := asInt(pos, args[1])
-	if err != nil {
-		return nil, err
-	}
-	m, err := asInt(pos, args[2])
-	if err != nil {
-		return nil, err
-	}
-	h, ok := args[3].(*ArrayVal)
-	if !ok || len(h.Dims) != 4 {
-		return nil, errf(pos, "GetProcessor: h must be a 4-dimensional array")
-	}
-	w, ok := args[4].(*ArrayVal)
-	if !ok || len(w.Dims) != 1 {
-		return nil, errf(pos, "GetProcessor: w must be a 1-dimensional array")
-	}
-	ref, ok := args[5].(RefVal)
-	if !ok {
-		return nil, errf(pos, "GetProcessor: last argument must be &struct")
-	}
-	out, ok := ref.Cell.V.(*StructVal)
-	if !ok {
-		return nil, errf(pos, "GetProcessor: output must be a struct with fields I and J")
-	}
-	hAt := func(i, j, k, l int64) (int64, error) {
-		mm := int64(m)
-		idx := ((i*mm+j)*mm+k)*mm + l
-		if idx < 0 || int(idx) >= len(h.Elems) {
-			return 0, errf(pos, "GetProcessor: h index out of range")
+	var row, col, m int64
+	for i, dst := range []*int64{&row, &col, &m} {
+		var err error
+		if *dst, err = args[i].asInt(pos); err != nil {
+			return Value{}, err
 		}
-		return asInt(pos, h.Elems[idx].V)
+	}
+	h, w, out := args[3], args[4], args[5]
+	if h.ref || h.kind != kindArray || len(h.dims) != 4 {
+		return Value{}, errf(pos, "GetProcessor: h must be a 4-dimensional array")
+	}
+	if w.ref || w.kind != kindArray || len(w.dims) != 1 {
+		return Value{}, errf(pos, "GetProcessor: w must be a 1-dimensional array")
+	}
+	if !out.ref {
+		return Value{}, errf(pos, "GetProcessor: last argument must be &struct")
+	}
+	if out.kind != kindStruct {
+		return Value{}, errf(pos, "GetProcessor: output must be a struct with fields I and J")
 	}
 	// Locate the column slice containing col.
 	var J int64 = -1
 	acc := int64(0)
-	for j := int64(0); j < m; j++ {
-		wj, err := asInt(pos, w.Elems[j].V)
-		if err != nil {
-			return nil, err
-		}
+	for j := int64(0); j < m && int(j) < len(w.elems); j++ {
+		wj := w.elems[j].int()
 		if col < acc+wj {
 			J = j
 			break
@@ -545,16 +390,17 @@ func getProcessorBuiltin(pos Pos, args []Value) (Value, error) {
 		acc += wj
 	}
 	if J < 0 {
-		return nil, errf(pos, "GetProcessor: column %d outside generalised block", col)
+		return Value{}, errf(pos, "GetProcessor: column %d outside generalised block", col)
 	}
 	// Locate the row slice within column J.
 	var I int64 = -1
 	acc = 0
 	for i := int64(0); i < m; i++ {
-		hij, err := hAt(i, J, i, J)
-		if err != nil {
-			return nil, err
+		idx := ((i*m+J)*m+i)*m + J // h[i][J][i][J]
+		if idx < 0 || int(idx) >= len(h.elems) {
+			return Value{}, errf(pos, "GetProcessor: h index out of range")
 		}
+		hij := h.elems[idx].int()
 		if row < acc+hij {
 			I = i
 			break
@@ -562,16 +408,14 @@ func getProcessorBuiltin(pos Pos, args []Value) (Value, error) {
 		acc += hij
 	}
 	if I < 0 {
-		return nil, errf(pos, "GetProcessor: row %d outside generalised block", row)
+		return Value{}, errf(pos, "GetProcessor: row %d outside generalised block", row)
 	}
-	iCell, ok1 := out.Fields["I"]
-	jCell, ok2 := out.Fields["J"]
-	if !ok1 || !ok2 {
-		return nil, errf(pos, "GetProcessor: output struct needs fields I and J")
+	iCell, jCell := out.field("I"), out.field("J")
+	if iCell == nil || jCell == nil {
+		return Value{}, errf(pos, "GetProcessor: output struct needs fields I and J")
 	}
-	iCell.V = IntVal(I)
-	jCell.V = IntVal(J)
-	return IntVal(0), nil
+	*iCell, *jCell = intNum(I), intNum(J)
+	return scalarValue(intNum(0)), nil
 }
 
 // BuildDAG interprets the scheme declaration into a task graph. Par loops
@@ -579,10 +423,24 @@ func getProcessorBuiltin(pos Pos, args []Value) (Value, error) {
 // the loop joins all iterations at its end. Sequential composition chains.
 func (inst *Instance) BuildDAG() (*sched.DAG, error) {
 	b := &dagBuilder{inst: inst, d: &sched.DAG{}}
-	if _, err := walkScheme[[]int](inst, b, inst.Model.File.Algorithm.Scheme, newEnv(inst.paramEnv), nil); err != nil {
+	if _, err := walkScheme[[]int](inst.schemeFrame(), b, inst.Model.prog.scheme, nil); err != nil {
 		return nil, err
 	}
 	return b.d, nil
+}
+
+// schemeFrame returns a fresh frame with the instance's parameters bound.
+func (inst *Instance) schemeFrame() *frame {
+	p := inst.Model.prog
+	fr := p.newFrame(inst.Model.hosts, inst.Dims)
+	copy(fr.slots, inst.params)
+	copy(fr.arrays, inst.arrays)
+	if p.writes {
+		for i := range fr.arrays {
+			fr.arrays[i].elems = slices.Clone(fr.arrays[i].elems)
+		}
+	}
+	return fr
 }
 
 // dagBuilder is the scheme sink that threads dependency frontiers: the
@@ -602,13 +460,20 @@ func (b *dagBuilder) action(_ Pos, src, dst int, pct float64, in []int) ([]int, 
 func (b *dagBuilder) fork(in []int) []int { return in }
 
 // join collapses a wide frontier into a single Nop so dependency lists
-// stay small.
+// stay small. A frontier therefore never holds more than 8 tasks, and the
+// buffer a par loop accumulates into rarely regrows.
 func (b *dagBuilder) join(acc, out []int) []int {
-	acc = append(acc, out...)
-	if len(acc) <= 8 {
+	if len(out) == 0 {
 		return acc
 	}
-	return []int{b.d.AddNop(acc)}
+	if acc == nil {
+		acc = make([]int, 0, 8)
+	}
+	acc = append(acc, out...)
+	if len(acc) > 8 {
+		acc = append(acc[:0], b.d.AddNop(acc))
+	}
+	return acc
 }
 
 func (b *dagBuilder) merge(in, acc []int) []int {

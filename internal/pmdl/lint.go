@@ -463,58 +463,16 @@ func exprEqual(a, b Expr) bool {
 // must tile) may fail to auto-instantiate, in which case callers fall back
 // to explicit arguments.
 func (m *Model) AutoInstantiate() (*Instance, error) {
-	alg := m.File.Algorithm
-	structs := make(map[string]*StructDef, len(m.File.Typedefs))
-	for _, td := range m.File.Typedefs {
-		structs[td.Name] = td
-	}
-	it := &interp{structs: structs, hosts: m.hosts}
-	e := newEnv(nil)
-	args := make([]any, 0, len(alg.Params))
-	for _, prm := range alg.Params {
-		if len(prm.Dims) == 0 {
-			if prm.Type.Kind == TypeDouble {
-				args = append(args, 1.0)
-				if _, err := e.define(prm.Pos, prm.Name, DoubleVal(1)); err != nil {
-					return nil, err
-				}
-			} else {
-				args = append(args, 2)
-				if _, err := e.define(prm.Pos, prm.Name, IntVal(2)); err != nil {
-					return nil, err
-				}
-			}
-			continue
+	return m.instantiate(func(i int, dims []int) (any, error) {
+		prm := m.File.Algorithm.Params[i]
+		switch {
+		case len(dims) > 0:
+			return onesSlice(prm, dims)
+		case prm.Type.Kind == TypeDouble:
+			return 1.0, nil
 		}
-		dims := make([]int, len(prm.Dims))
-		for i, de := range prm.Dims {
-			v, err := it.eval(de, e)
-			if err != nil {
-				return nil, err
-			}
-			n, err := asInt(prm.Pos, v)
-			if err != nil {
-				return nil, err
-			}
-			if n <= 0 || n > 64 {
-				return nil, errf(prm.Pos, "parameter %s: auto-instantiated dimension %d out of range", prm.Name, n)
-			}
-			dims[i] = int(n)
-		}
-		arr, err := onesSlice(prm, dims)
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, arr)
-		av := newArray(dims)
-		for i := range av.Elems {
-			av.Elems[i].V = IntVal(1)
-		}
-		if _, err := e.define(prm.Pos, prm.Name, av); err != nil {
-			return nil, err
-		}
-	}
-	return m.Instantiate(args...)
+		return 2, nil
+	}, 64)
 }
 
 // onesSlice builds the nested Go slice of ones matching the declared
@@ -610,7 +568,7 @@ func (n *TraceNode) Ops(out []*TraceOp) []*TraceOp {
 // contributes its activities to that sequence.
 func (inst *Instance) UnrollScheme() (*TraceNode, error) {
 	u := &unroller{}
-	kids, err := walkScheme[[]*TraceNode](inst, u, inst.Model.File.Algorithm.Scheme, newEnv(inst.paramEnv), nil)
+	kids, err := walkScheme[[]*TraceNode](inst.schemeFrame(), u, inst.Model.prog.scheme, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -118,11 +118,10 @@ func TestParsePrecedence(t *testing.T) {
 	  parent[0];
 	  scheme { int i; par(i=0; i < 1+1; i++) 100%%[0]; };
 	}`
-	f, err := Parse(src)
+	m, err := ParseModel(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &Model{File: f, hosts: map[string]HostFunc{}}
 	inst, err := m.Instantiate(1)
 	if err != nil {
 		t.Fatal(err)
@@ -160,11 +159,10 @@ func TestParseNegativeAndFloatLiterals(t *testing.T) {
 	  node {I>=0: bench*(100.5 - -2);};
 	  parent[0]; scheme { };
 	}`
-	f, err := Parse(src)
+	m, err := ParseModel(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &Model{File: f, hosts: map[string]HostFunc{}}
 	inst, err := m.Instantiate(1)
 	if err != nil {
 		t.Fatal(err)

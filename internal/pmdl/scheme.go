@@ -1,9 +1,12 @@
 package pmdl
 
+import "fmt"
+
 // The scheme interpreter. A scheme declaration is ordinary control flow —
 // blocks, declarations, expressions, ifs, seq and par loops — whose leaves
 // are activities (`pct%%[coords]` computations and `pct%%[a]->[b]`
-// transfers). walkScheme executes the control flow once; what the
+// transfers), lowered by Check to the cstmt forms of compile.go. walkScheme
+// executes the control flow once on one frame; what the
 // activities and the par structure turn into is the sink's business: a
 // dependency DAG for pricing (BuildDAG) or a series-parallel trace for the
 // lints (UnrollScheme).
@@ -33,17 +36,17 @@ type schemeSink[T any] interface {
 // maxLoopIterations bounds scheme loops against runaway models.
 const maxLoopIterations = 10_000_000
 
-// walkScheme runs one statement with entry state in, returning the exit
-// state. Control-flow computation (loop variables, host-function calls)
-// executes sequentially during interpretation and generates nothing.
-func walkScheme[T any](inst *Instance, sink schemeSink[T], s Stmt, e *env, in T) (T, error) {
+// walkScheme runs one lowered statement on the frame with entry state in,
+// returning the exit state. Control-flow computation (loop variables,
+// host-function calls) executes sequentially during interpretation and
+// generates nothing.
+func walkScheme[T any](fr *frame, sink schemeSink[T], s cstmt, in T) (T, error) {
 	var zero T
 	switch x := s.(type) {
-	case *BlockStmt:
-		scope := newEnv(e)
+	case *cblock:
 		cur := in
-		for _, st := range x.Stmts {
-			out, err := walkScheme(inst, sink, st, scope, cur)
+		for _, st := range x.stmts {
+			out, err := walkScheme(fr, sink, st, cur)
 			if err != nil {
 				return zero, err
 			}
@@ -51,60 +54,35 @@ func walkScheme[T any](inst *Instance, sink schemeSink[T], s Stmt, e *env, in T)
 		}
 		return cur, nil
 
-	case *DeclStmt:
-		for i, name := range x.Names {
-			var v Value
-			switch x.Type.Kind {
-			case TypeInt:
-				v = IntVal(0)
-			case TypeDouble:
-				v = DoubleVal(0)
-			case TypeStruct:
-				def, ok := inst.it.structs[x.Type.Struct]
-				if !ok {
-					return zero, errf(x.Pos, "unknown struct type %q", x.Type.Struct)
-				}
-				v = newStruct(def)
-			}
-			cell, err := e.define(x.Pos, name, v)
-			if err != nil {
-				return zero, err
-			}
-			if x.Inits[i] != nil {
-				iv, err := inst.it.eval(x.Inits[i], e)
-				if err != nil {
-					return zero, err
-				}
-				if _, err := inst.it.assign(x.Pos, cell, iv); err != nil {
-					return zero, err
-				}
-			}
+	case *cdecl:
+		for i := x.lo; i < x.hi; i++ {
+			fr.slots[i] = x.zero
 		}
-		return in, nil
-
-	case *ExprStmt:
-		if _, err := inst.it.eval(x.X, e); err != nil {
-			return zero, err
+		for _, init := range x.inits {
+			init(fr)
 		}
-		return in, nil
+		return in, fr.err
 
-	case *IfStmt:
-		ok, err := inst.guardHolds(x.Cond, e)
-		if err != nil {
-			return zero, err
+	case *cexpr:
+		x.run(fr)
+		return in, fr.err
+
+	case *cif:
+		ok := x.cond(fr).int() != 0
+		if fr.err != nil {
+			return zero, fr.err
 		}
 		if ok {
-			return walkScheme(inst, sink, x.Then, e, in)
+			return walkScheme(fr, sink, x.then, in)
 		}
-		if x.Else != nil {
-			return walkScheme(inst, sink, x.Else, e, in)
+		if x.els != nil {
+			return walkScheme(fr, sink, x.els, in)
 		}
 		return in, nil
 
-	case *LoopStmt:
-		scope := newEnv(e)
-		if x.Init != nil {
-			if _, err := walkScheme(inst, sink, x.Init, scope, zero); err != nil {
+	case *cloop:
+		if x.init != nil {
+			if _, err := walkScheme(fr, sink, x.init, zero); err != nil {
 				return zero, err
 			}
 		}
@@ -114,69 +92,54 @@ func walkScheme[T any](inst *Instance, sink schemeSink[T], s Stmt, e *env, in T)
 		cur, acc := in, zero
 		for iter := 0; ; iter++ {
 			if iter > maxLoopIterations {
-				return zero, errf(x.Pos, "loop exceeded %d iterations (model bug?)", maxLoopIterations)
+				return zero, errf(x.pos, "loop exceeded %d iterations (model bug?)", maxLoopIterations)
 			}
-			if x.Cond != nil {
-				ok, err := inst.guardHolds(x.Cond, scope)
-				if err != nil {
-					return zero, err
+			if x.cond != nil {
+				ok := x.cond(fr).int() != 0
+				if fr.err != nil {
+					return zero, fr.err
 				}
 				if !ok {
 					break
 				}
-			} else if !x.Par {
-				return zero, errf(x.Pos, "for loop without condition never terminates")
 			}
-			if x.Par {
-				out, err := walkScheme(inst, sink, x.Body, scope, sink.fork(in))
+			if x.par {
+				out, err := walkScheme(fr, sink, x.body, sink.fork(in))
 				if err != nil {
 					return zero, err
 				}
 				acc = sink.join(acc, out)
 			} else {
-				out, err := walkScheme(inst, sink, x.Body, scope, cur)
+				out, err := walkScheme(fr, sink, x.body, cur)
 				if err != nil {
 					return zero, err
 				}
 				cur = out
 			}
-			if x.Post != nil {
-				if _, err := walkScheme(inst, sink, x.Post, scope, zero); err != nil {
+			if x.post != nil {
+				if _, err := walkScheme(fr, sink, x.post, zero); err != nil {
 					return zero, err
 				}
 			}
 		}
-		if x.Par {
+		if x.par {
 			return sink.merge(in, acc), nil
 		}
 		return cur, nil
 
-	case *ActionStmt:
-		// Percentages evaluate in real arithmetic: see interp.floatDiv.
-		inst.it.floatDiv = true
-		pctV, err := inst.it.eval(x.Percent, e)
-		inst.it.floatDiv = false
-		if err != nil {
-			return zero, err
+	case *caction:
+		pct := x.pct(fr).float()
+		if fr.err == nil && pct < 0 {
+			fr.fail(x.pos, "negative percentage %g", pct)
 		}
-		pct, err := asDouble(x.Pos, pctV)
-		if err != nil {
-			return zero, err
+		src, dst := fr.procIndex(x.pos, x.a), -1
+		if x.b != nil {
+			dst = fr.procIndex(x.pos, x.b)
 		}
-		if pct < 0 {
-			return zero, errf(x.Pos, "negative percentage %g", pct)
+		if fr.err != nil {
+			return zero, fr.err
 		}
-		src, err := inst.evalCoords(x.Pos, x.A, e)
-		if err != nil {
-			return zero, err
-		}
-		dst := -1
-		if x.B != nil {
-			if dst, err = inst.evalCoords(x.Pos, x.B, e); err != nil {
-				return zero, err
-			}
-		}
-		return sink.action(x.Pos, src, dst, pct, in)
+		return sink.action(x.pos, src, dst, pct, in)
 	}
-	return zero, errf(Pos{}, "unknown statement type %T", s)
+	panic(fmt.Sprintf("pmdl: unknown lowered statement %T", s))
 }

@@ -1,11 +1,16 @@
 package pmdl
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// Static semantic analysis of a model file: name resolution, arity checks
-// and structural rules, reported before any instantiation. The paper's
-// toolchain compiles model descriptions ahead of time (Figure 1); Check is
-// the diagnostic half of that compiler. ParseModel runs it automatically.
+// Static semantic analysis of a model file — name resolution, arity checks
+// and structural rules, reported before any instantiation — and, in the same
+// walk, its compilation: every name the walk resolves becomes a frame slot
+// and every expression it checks is lowered (compile.go) with its slots
+// bound. The paper's toolchain compiles model descriptions ahead of time
+// (Figure 1); this is that compiler. ParseModel runs it.
 //
 // Checked rules:
 //
@@ -17,123 +22,174 @@ import "fmt"
 //   - coordinate target lists ([...] in actions, link clauses and parent)
 //     have exactly one expression per coordinate;
 //   - array subscripts do not exceed the declared dimensionality;
-//   - assignment targets are lvalues.
+//   - assignment targets are lvalues, and not arrays.
 //
 // Host-function calls cannot be resolved statically (they are registered
 // at run time), so call names are not checked here; unknown functions
-// surface when the scheme is interpreted.
+// surface when the call is evaluated. So do operations whose operands have
+// the wrong kind (arithmetic on an array, a struct assigned to an int):
+// kinds are known here, but the diagnostic belongs to the evaluation that
+// reaches the expression, after the operands' own errors.
 
 // Check performs the semantic analysis and returns the first error.
 func Check(f *File) error {
+	_, err := compile(f)
+	return err
+}
+
+// compile checks the file and lowers it.
+func compile(f *File) (*program, error) {
 	c := &checker{
 		structs: make(map[string]*StructDef),
 		coords:  len(f.Algorithm.Coords),
 	}
 	for _, td := range f.Typedefs {
 		if _, dup := c.structs[td.Name]; dup {
-			return errf(td.Pos, "duplicate struct typedef %q", td.Name)
+			return nil, errf(td.Pos, "duplicate struct typedef %q", td.Name)
 		}
 		fields := map[string]bool{}
 		for _, fd := range td.Fields {
 			if fields[fd] {
-				return errf(td.Pos, "duplicate field %q in struct %s", fd, td.Name)
+				return nil, errf(td.Pos, "duplicate field %q in struct %s", fd, td.Name)
 			}
 			fields[fd] = true
 		}
 		c.structs[td.Name] = td
 	}
 	alg := f.Algorithm
+	p := &program{}
+	var err error
 
-	// Parameters.
+	// Parameters. Dimension expressions may reference earlier parameters.
 	global := newScope(nil)
 	for _, prm := range alg.Params {
 		if prm.Type.Kind == TypeStruct {
 			if _, ok := c.structs[prm.Type.Struct]; !ok {
-				return errf(prm.Pos, "parameter %s has unknown type %q", prm.Name, prm.Type.Struct)
+				return nil, errf(prm.Pos, "parameter %s has unknown type %q", prm.Name, prm.Type.Struct)
 			}
 		}
-		if err := global.declare(prm.Pos, prm.Name, symbol{dims: len(prm.Dims), typ: prm.Type}); err != nil {
-			return err
+		cp := cparam{slot: c.nslots}
+		if cp.dims, err = c.scalars(prm.Dims, global, prm.Pos); err != nil {
+			return nil, err
 		}
-		// Dimension expressions may reference earlier parameters.
-		for _, dim := range prm.Dims {
-			if err := c.expr(dim, global); err != nil {
-				return err
-			}
+		if len(prm.Dims) > 0 {
+			cp.slot = p.narrays
+			p.narrays++
+		} else {
+			c.nslots++
 		}
+		if err := global.declare(prm.Pos, prm.Name, symbol{dims: len(prm.Dims), typ: prm.Type, slot: cp.slot}); err != nil {
+			return nil, err
+		}
+		p.params = append(p.params, cp)
 	}
+	p.nparams = c.nslots
 
-	// Coordinates: sizes reference parameters; names join the scope.
+	// Coordinates: sizes reference parameters; names join the scope, but
+	// only the node and link clauses are evaluated with them bound.
+	p.coordSlot = c.nslots
 	for _, cv := range alg.Coords {
-		if err := c.expr(cv.Size, global); err != nil {
-			return err
+		size, err := c.scalar(cv.Size, global, cv.Pos)
+		if err != nil {
+			return nil, err
 		}
-		if err := global.declare(cv.Pos, cv.Name, symbol{typ: TypeRef{Kind: TypeInt}}); err != nil {
-			return err
+		p.coordSizes = append(p.coordSizes, size)
+		if err := global.declare(cv.Pos, cv.Name, symbol{typ: TypeRef{Kind: TypeInt}, slot: c.nslots, coord: true}); err != nil {
+			return nil, err
 		}
+		c.nslots++
 	}
 
 	// Node clauses.
+	c.inClause = true
 	for _, cl := range alg.Nodes {
-		if err := c.expr(cl.Guard, global); err != nil {
-			return err
+		n := cnode{pos: cl.Pos}
+		if n.guard, err = c.scalar(cl.Guard, global, exprPos(cl.Guard)); err != nil {
+			return nil, err
 		}
-		if err := c.expr(cl.Volume, global); err != nil {
-			return err
+		if n.volume, err = c.scalar(cl.Volume, global, cl.Pos); err != nil {
+			return nil, err
 		}
+		p.nodes = append(p.nodes, n)
 	}
+	c.inClause = false
 
 	// Link clauses, with the link variables in scope.
 	if alg.Link != nil {
 		linkScope := newScope(global)
+		p.linkSlot = c.nslots
 		for _, lv := range alg.Link.Vars {
-			if err := c.expr(lv.Size, global); err != nil {
-				return err
+			size, err := c.scalar(lv.Size, global, lv.Pos)
+			if err != nil {
+				return nil, err
 			}
-			if err := linkScope.declare(lv.Pos, lv.Name, symbol{typ: TypeRef{Kind: TypeInt}}); err != nil {
-				return err
+			p.linkSizes = append(p.linkSizes, size)
+			if err := linkScope.declare(lv.Pos, lv.Name, symbol{typ: TypeRef{Kind: TypeInt}, slot: c.nslots}); err != nil {
+				return nil, err
 			}
+			c.nslots++
 		}
+		c.inClause = true
 		for _, cl := range alg.Link.Clauses {
-			if err := c.expr(cl.Guard, linkScope); err != nil {
-				return err
+			l := clink{pos: cl.Pos}
+			if l.guard, err = c.scalar(cl.Guard, linkScope, exprPos(cl.Guard)); err != nil {
+				return nil, err
 			}
-			if err := c.expr(cl.Volume, linkScope); err != nil {
-				return err
+			if l.volume, err = c.scalar(cl.Volume, linkScope, cl.Pos); err != nil {
+				return nil, err
 			}
 			for _, side := range [][]Expr{cl.Src, cl.Dst} {
 				if len(side) != c.coords {
-					return errf(cl.Pos, "link target names %d coordinates, algorithm has %d", len(side), c.coords)
-				}
-				for _, e := range side {
-					if err := c.expr(e, linkScope); err != nil {
-						return err
-					}
+					return nil, errf(cl.Pos, "link target names %d coordinates, algorithm has %d", len(side), c.coords)
 				}
 			}
+			if l.src, err = c.scalars(cl.Src, linkScope, cl.Pos); err != nil {
+				return nil, err
+			}
+			if l.dst, err = c.scalars(cl.Dst, linkScope, cl.Pos); err != nil {
+				return nil, err
+			}
+			p.links = append(p.links, l)
 		}
+		c.inClause = false
 	}
 
 	// Parent.
 	if alg.Parent != nil {
 		if len(alg.Parent) != c.coords {
-			return errf(alg.Pos, "parent names %d coordinates, algorithm has %d", len(alg.Parent), c.coords)
+			return nil, errf(alg.Pos, "parent names %d coordinates, algorithm has %d", len(alg.Parent), c.coords)
 		}
-		for _, e := range alg.Parent {
-			if err := c.expr(e, global); err != nil {
-				return err
-			}
+		if p.parent, err = c.scalars(alg.Parent, global, alg.Pos); err != nil {
+			return nil, err
 		}
 	}
 
 	// Scheme.
-	return c.stmt(alg.Scheme, newScope(global))
+	if p.scheme, err = c.stmt(alg.Scheme, newScope(global)); err != nil {
+		return nil, err
+	}
+	p.nslots, p.nargs, p.writes = c.nslots, c.nargs, c.writes
+	return p, nil
 }
 
-// symbol is a declared name.
+// symbol is a declared name. slot is the frame slot of a scalar, the first
+// field's slot of a struct local, or the index of an array parameter.
 type symbol struct {
-	dims int // >0 for arrays
-	typ  TypeRef
+	dims  int // >0 for arrays
+	typ   TypeRef
+	slot  int
+	def   *StructDef // struct locals
+	coord bool
+}
+
+func (sym symbol) operand() operand {
+	switch {
+	case sym.dims > 0:
+		return indexOperand(sym.slot, sym.dims, nil)
+	case sym.def != nil:
+		return structOperand(sym.slot, sym.def)
+	}
+	return slotOperand(sym.slot)
 }
 
 // scope is a lexical scope for the checker.
@@ -166,182 +222,320 @@ func (s *scope) lookup(name string) (symbol, bool) {
 type checker struct {
 	structs map[string]*StructDef
 	coords  int
+	nslots  int  // frame slots assigned so far
+	nargs   int  // host-call argument scratch assigned so far
+	writes  bool // see program.writes
+	// inClause is set while a node or link clause is compiled: the only
+	// places a coordinate variable holds a value.
+	inClause bool
+	// realDiv is set while the percentage of a %% action is compiled.
+	realDiv bool
 }
 
-func (c *checker) stmt(s Stmt, sc *scope) error {
+func (c *checker) stmt(s Stmt, sc *scope) (cstmt, error) {
 	switch x := s.(type) {
 	case *BlockStmt:
 		inner := newScope(sc)
+		out := &cblock{}
 		for _, st := range x.Stmts {
-			if err := c.stmt(st, inner); err != nil {
-				return err
+			cs, err := c.stmt(st, inner)
+			if err != nil {
+				return nil, err
 			}
+			out.stmts = append(out.stmts, cs)
 		}
-		return nil
+		return out, nil
 	case *DeclStmt:
+		out := &cdecl{lo: c.nslots, zero: num{dbl: x.Type.Kind == TypeDouble}}
+		var def *StructDef
+		width := 1
 		if x.Type.Kind == TypeStruct {
-			if _, ok := c.structs[x.Type.Struct]; !ok {
-				return errf(x.Pos, "unknown struct type %q", x.Type.Struct)
+			if def = c.structs[x.Type.Struct]; def == nil {
+				return nil, errf(x.Pos, "unknown struct type %q", x.Type.Struct)
 			}
+			width = len(def.Fields)
 		}
 		for i, name := range x.Names {
-			if x.Inits[i] != nil {
-				if err := c.expr(x.Inits[i], sc); err != nil {
-					return err
-				}
+			// The variable is in scope in its own initialiser, as in C.
+			sym := symbol{typ: x.Type, slot: c.nslots, def: def}
+			if err := sc.declare(x.Pos, name, sym); err != nil {
+				return nil, err
 			}
-			if err := sc.declare(x.Pos, name, symbol{typ: x.Type}); err != nil {
-				return err
+			c.nslots += width
+			if x.Inits[i] != nil {
+				src, err := c.expr(x.Inits[i], sc)
+				if err != nil {
+					return nil, err
+				}
+				out.inits = append(out.inits, assignOperand(x.Pos, TokAssign, sym.operand(), src).num)
 			}
 		}
-		return nil
+		out.hi = c.nslots
+		return out, nil
 	case *LoopStmt:
 		inner := newScope(sc)
+		out := &cloop{par: x.Par, pos: x.Pos}
+		var err error
 		if x.Init != nil {
-			if err := c.stmt(x.Init, inner); err != nil {
-				return err
+			if out.init, err = c.stmt(x.Init, inner); err != nil {
+				return nil, err
 			}
 		}
 		if x.Cond != nil {
-			if err := c.expr(x.Cond, inner); err != nil {
-				return err
+			if out.cond, err = c.scalar(x.Cond, inner, exprPos(x.Cond)); err != nil {
+				return nil, err
 			}
 		} else if !x.Par {
-			return errf(x.Pos, "for loop without a condition never terminates")
+			return nil, errf(x.Pos, "for loop without a condition never terminates")
 		}
 		if x.Post != nil {
-			if err := c.stmt(x.Post, inner); err != nil {
-				return err
+			if out.post, err = c.stmt(x.Post, inner); err != nil {
+				return nil, err
 			}
 		}
-		return c.stmt(x.Body, inner)
+		out.body, err = c.stmt(x.Body, inner)
+		return out, err
 	case *IfStmt:
-		if err := c.expr(x.Cond, sc); err != nil {
-			return err
+		out := &cif{}
+		var err error
+		if out.cond, err = c.scalar(x.Cond, sc, exprPos(x.Cond)); err != nil {
+			return nil, err
 		}
-		if err := c.stmt(x.Then, sc); err != nil {
-			return err
+		if out.then, err = c.stmt(x.Then, sc); err != nil {
+			return nil, err
 		}
 		if x.Else != nil {
-			return c.stmt(x.Else, sc)
+			out.els, err = c.stmt(x.Else, sc)
 		}
-		return nil
+		return out, err
 	case *ExprStmt:
-		return c.expr(x.X, sc)
+		o, err := c.expr(x.X, sc)
+		if err != nil {
+			return nil, err
+		}
+		if o.num == nil { // a bare struct, array or & expression: evaluate and discard
+			val := o.val
+			return &cexpr{func(fr *frame) num { val(fr); return num{} }}, nil
+		}
+		return &cexpr{o.num}, nil
 	case *ActionStmt:
-		if err := c.expr(x.Percent, sc); err != nil {
-			return err
+		out := &caction{pos: x.Pos}
+		var err error
+		c.realDiv = true
+		out.pct, err = c.scalar(x.Percent, sc, x.Pos)
+		c.realDiv = false
+		if err != nil {
+			return nil, err
 		}
 		for _, side := range [][]Expr{x.A, x.B} {
-			if side == nil {
-				continue
-			}
-			if len(side) != c.coords {
-				return errf(x.Pos, "action target names %d coordinates, algorithm has %d", len(side), c.coords)
-			}
-			for _, e := range side {
-				if err := c.expr(e, sc); err != nil {
-					return err
-				}
+			if side != nil && len(side) != c.coords {
+				return nil, errf(x.Pos, "action target names %d coordinates, algorithm has %d", len(side), c.coords)
 			}
 		}
-		return nil
+		if out.a, err = c.scalars(x.A, sc, x.Pos); err != nil {
+			return nil, err
+		}
+		if out.b, err = c.scalars(x.B, sc, x.Pos); err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
-	return fmt.Errorf("pmdl: unknown statement %T", s)
+	return nil, fmt.Errorf("pmdl: unknown statement %T", s)
 }
 
-func (c *checker) expr(e Expr, sc *scope) error {
-	switch x := e.(type) {
-	case *IntLit, *FloatLit, *SizeofExpr:
-		return nil
-	case *Ident:
-		if _, ok := sc.lookup(x.Name); !ok {
-			return errf(x.Pos, "undefined name %q", x.Name)
+// scalar compiles an expression that is used as a number; pos is where the
+// evaluation reports an operand that turns out not to be one.
+func (c *checker) scalar(e Expr, sc *scope, pos Pos) (scalarFn, error) {
+	o, err := c.expr(e, sc)
+	if err != nil {
+		return nil, err
+	}
+	if o.kind != kindInt {
+		o = failOperand(pos, "expected a numeric value, got "+o.kind.String(), o)
+	}
+	return o.num, nil
+}
+
+// scalars compiles a list with scalar; a nil list stays nil.
+func (c *checker) scalars(es []Expr, sc *scope, pos Pos) ([]scalarFn, error) {
+	var out []scalarFn
+	for _, e := range es {
+		fn, err := c.scalar(e, sc, pos)
+		if err != nil {
+			return nil, err
 		}
-		return nil
+		out = append(out, fn)
+	}
+	return out, nil
+}
+
+func (c *checker) expr(e Expr, sc *scope) (operand, error) {
+	switch x := e.(type) {
+	case *IntLit:
+		return constOperand(intNum(x.Value)), nil
+	case *FloatLit:
+		return constOperand(dblNum(x.Value)), nil
+	case *SizeofExpr:
+		if x.Type.Kind == TypeDouble {
+			return constOperand(intNum(8)), nil
+		}
+		return constOperand(intNum(4)), nil
+	case *Ident:
+		sym, ok := sc.lookup(x.Name)
+		switch {
+		case !ok:
+			return operand{}, errf(x.Pos, "undefined name %q", x.Name)
+		case sym.coord && !c.inClause:
+			return failOperand(x.Pos, fmt.Sprintf("undefined name %q", x.Name)), nil
+		}
+		return sym.operand(), nil
 	case *MemberExpr:
 		// The base must be a struct-typed name; resolve its type when
 		// statically known.
 		if id, ok := x.X.(*Ident); ok {
 			sym, found := sc.lookup(id.Name)
 			if !found {
-				return errf(id.Pos, "undefined name %q", id.Name)
+				return operand{}, errf(id.Pos, "undefined name %q", id.Name)
 			}
-			if sym.typ.Kind == TypeStruct {
-				def := c.structs[sym.typ.Struct]
-				if def != nil && !containsString(def.Fields, x.Name) {
-					return errf(x.Pos, "struct %s has no field %q", sym.typ.Struct, x.Name)
-				}
-				return nil
+			if sym.typ.Kind != TypeStruct {
+				return operand{}, errf(x.Pos, "%q is not a struct", id.Name)
 			}
-			return errf(x.Pos, "%q is not a struct", id.Name)
+			field := slices.Index(c.structs[sym.typ.Struct].Fields, x.Name)
+			if field < 0 {
+				return operand{}, errf(x.Pos, "struct %s has no field %q", sym.typ.Struct, x.Name)
+			}
+			if sym.def != nil {
+				return slotOperand(sym.slot + field), nil
+			}
+			// A struct-typed parameter is bound to a number, not a struct.
 		}
-		return c.expr(x.X, sc)
+		base, err := c.expr(x.X, sc)
+		if err != nil {
+			return operand{}, err
+		}
+		return failOperand(x.Pos, "member access on non-struct value", base), nil
 	case *IndexExpr:
-		// Count subscript depth against declared dimensionality for
-		// plain identifiers.
-		depth := 0
+		// Unwind x[i][j]... into the base and its subscripts in order.
+		var subs []subscript
 		base := e
 		for {
-			idx, ok := base.(*IndexExpr)
+			ix, ok := base.(*IndexExpr)
 			if !ok {
 				break
 			}
-			if err := c.expr(idx.Idx, sc); err != nil {
-				return err
+			idx, err := c.scalar(ix.Idx, sc, ix.Pos)
+			if err != nil {
+				return operand{}, err
 			}
-			depth++
-			base = idx.X
+			subs = append(subs, subscript{idx, ix.Pos})
+			base = ix.X
 		}
-		if id, ok := base.(*Ident); ok {
-			sym, found := sc.lookup(id.Name)
-			if !found {
-				return errf(id.Pos, "undefined name %q", id.Name)
+		slices.Reverse(subs)
+		id, ok := base.(*Ident)
+		if !ok {
+			// Only a parameter name is an array: whatever this base is,
+			// it is evaluated and then refused, before any subscript.
+			b, err := c.expr(base, sc)
+			if err != nil {
+				return operand{}, err
 			}
-			if sym.dims == 0 {
-				return errf(x.Pos, "%q is not an array", id.Name)
-			}
-			if depth > sym.dims {
-				return errf(x.Pos, "%q has %d dimensions, %d subscripts given", id.Name, sym.dims, depth)
-			}
-			return nil
+			return failOperand(subs[0].pos, "indexing a non-array value", b), nil
 		}
-		return c.expr(base, sc)
+		sym, found := sc.lookup(id.Name)
+		if !found {
+			return operand{}, errf(id.Pos, "undefined name %q", id.Name)
+		}
+		if sym.dims == 0 {
+			return operand{}, errf(x.Pos, "%q is not an array", id.Name)
+		}
+		if len(subs) > sym.dims {
+			return operand{}, errf(x.Pos, "%q has %d dimensions, %d subscripts given", id.Name, sym.dims, len(subs))
+		}
+		return indexOperand(sym.slot, sym.dims, subs), nil
 	case *CallExpr:
 		// Host functions are resolved at run time; only check args.
-		for _, a := range x.Args {
-			if err := c.expr(a, sc); err != nil {
-				return err
+		args := make([]operand, len(x.Args))
+		for i, a := range x.Args {
+			var err error
+			if args[i], err = c.expr(a, sc); err != nil {
+				return operand{}, err
 			}
 		}
-		return nil
+		base := c.nargs
+		c.nargs += len(args)
+		return callOperand(x.Pos, x.Name, args, base), nil
 	case *UnaryExpr:
-		if x.Op == TokAmp {
+		switch x.Op {
+		case TokAmp:
 			if !isLvalue(x.X) {
-				return errf(x.Pos, "& requires an assignable operand")
+				return operand{}, errf(x.Pos, "& requires an assignable operand")
+			}
+			o, err := c.expr(x.X, sc)
+			c.writes = c.writes || o.elem || o.kind == kindArray
+			return refOperand(o), err
+		case TokMinus:
+			o, err := c.expr(x.X, sc)
+			if err != nil || o.kind != kindInt {
+				return failOperand(x.Pos, "unary - on non-numeric value", o), err
+			}
+			return negOperand(o.num), nil
+		case TokNot:
+			v, err := c.scalar(x.X, sc, x.Pos)
+			return scalarOperand(func(fr *frame) num { return boolNum(v(fr).int() == 0) }), err
+		}
+		return operand{}, errf(x.Pos, "invalid unary operator %s", x.Op)
+	case *BinaryExpr:
+		if x.Op == TokAndAnd || x.Op == TokOrOr {
+			l, err := c.scalar(x.X, sc, x.Pos)
+			if err != nil {
+				return operand{}, err
+			}
+			r, err := c.scalar(x.Y, sc, x.Pos)
+			return logicOperand(x.Op == TokAndAnd, l, r), err
+		}
+		l, err := c.expr(x.X, sc)
+		if err != nil {
+			return operand{}, err
+		}
+		r, err := c.expr(x.Y, sc)
+		if err != nil {
+			return operand{}, err
+		}
+		for _, o := range []operand{l, r} {
+			if o.kind != kindInt {
+				return failOperand(x.Pos, "expected a numeric value, got "+o.kind.String(), l, r), nil
 			}
 		}
-		return c.expr(x.X, sc)
-	case *BinaryExpr:
-		if err := c.expr(x.X, sc); err != nil {
-			return err
-		}
-		return c.expr(x.Y, sc)
+		return binaryOperand(x.Pos, x.Op, l.num, r.num, c.realDiv), nil
 	case *AssignExpr:
 		if !isLvalue(x.LHS) {
-			return errf(x.Pos, "left side of assignment is not assignable")
+			return operand{}, errf(x.Pos, "left side of assignment is not assignable")
 		}
-		if err := c.expr(x.LHS, sc); err != nil {
-			return err
+		dst, err := c.expr(x.LHS, sc)
+		if err != nil {
+			return operand{}, err
 		}
-		return c.expr(x.RHS, sc)
+		if dst.kind == kindArray {
+			return operand{}, errf(x.Pos, "left side of assignment is not assignable")
+		}
+		src, err := c.expr(x.RHS, sc)
+		if err != nil {
+			return operand{}, err
+		}
+		c.writes = c.writes || dst.elem
+		return assignOperand(x.Pos, x.Op, dst, src), nil
 	case *IncDecExpr:
 		if !isLvalue(x.X) {
-			return errf(x.Pos, "operand of ++/-- is not assignable")
+			return operand{}, errf(x.Pos, "operand of ++/-- is not assignable")
 		}
-		return c.expr(x.X, sc)
+		o, err := c.expr(x.X, sc)
+		if err != nil {
+			return operand{}, err
+		}
+		c.writes = c.writes || o.elem
+		return incDecOperand(x.Pos, x.Op, o), nil
 	}
-	return fmt.Errorf("pmdl: unknown expression %T", e)
+	return operand{}, fmt.Errorf("pmdl: unknown expression %T", e)
 }
 
 func isLvalue(e Expr) bool {
@@ -352,11 +546,3 @@ func isLvalue(e Expr) bool {
 	return false
 }
 
-func containsString(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}

@@ -2,280 +2,164 @@ package pmdl
 
 import (
 	"fmt"
+	"strings"
 )
 
-// Runtime value model of the interpreter. Arithmetic follows C semantics:
+// Runtime values of a compiled model. Arithmetic follows C semantics:
 // int/int division truncates, mixed int/double promotes to double,
-// comparisons and logical operators produce int 0/1.
+// comparisons and logical operators produce int 0/1. A variable's type is
+// the type of the value last stored in it: an int local assigned 2.5 holds
+// 2.5, as in the mpC runtime's untyped evaluation the models were written
+// against.
 
-// Value is a runtime value: IntVal, DoubleVal, *StructVal, *ArrayVal or
-// RefVal.
-type Value interface{ valueKind() string }
-
-// IntVal is an int value.
-type IntVal int64
-
-// DoubleVal is a double value.
-type DoubleVal float64
-
-// Cell is an assignable storage location.
-type Cell struct{ V Value }
-
-// StructVal is a struct instance with assignable int fields.
-type StructVal struct {
-	Type   string
-	Fields map[string]*Cell
-	Order  []string
+// num is an unboxed scalar, an int or a double. Frame slots, struct fields
+// and array elements are all nums.
+type num struct {
+	i   int64   // the value when !dbl
+	f   float64 // the value when dbl
+	dbl bool
 }
 
-// ArrayVal is a (possibly multi-dimensional) array. Elements are stored
-// flattened in row-major order; indexing one subscript at a time yields
-// sub-array views until the last dimension, which yields element cells.
-type ArrayVal struct {
-	Dims  []int
-	Elems []*Cell // len == product of Dims
+func intNum(i int64) num   { return num{i: i} }
+func dblNum(f float64) num { return num{f: f, dbl: true} }
+
+func boolNum(b bool) num {
+	if b {
+		return num{i: 1}
+	}
+	return num{}
 }
 
-// RefVal is the address of a cell, produced by unary & and consumed by
-// host functions (e.g. GetProcessor's output parameter).
-type RefVal struct{ Cell *Cell }
-
-func (IntVal) valueKind() string     { return "int" }
-func (DoubleVal) valueKind() string  { return "double" }
-func (*StructVal) valueKind() string { return "struct" }
-func (*ArrayVal) valueKind() string  { return "array" }
-func (RefVal) valueKind() string     { return "ref" }
-
-// newStruct builds a zeroed struct instance from its definition.
-func newStruct(def *StructDef) *StructVal {
-	s := &StructVal{Type: def.Name, Fields: make(map[string]*Cell, len(def.Fields))}
-	for _, f := range def.Fields {
-		s.Fields[f] = &Cell{V: IntVal(0)}
-		s.Order = append(s.Order, f)
+func (n num) int() int64 {
+	if n.dbl {
+		return int64(n.f)
 	}
-	return s
+	return n.i
 }
 
-// newArray builds a zeroed int array with the given dimensions.
-func newArray(dims []int) *ArrayVal {
-	n := 1
-	for _, d := range dims {
-		n *= d
+func (n num) float() float64 {
+	if n.dbl {
+		return n.f
 	}
-	a := &ArrayVal{Dims: dims, Elems: make([]*Cell, n)}
-	for i := range a.Elems {
-		a.Elems[i] = &Cell{V: IntVal(0)}
-	}
-	return a
+	return float64(n.i)
 }
 
-// index returns the sub-array view (more than one remaining dimension) or
-// the element cell (last dimension) at position i of the first dimension.
-func (a *ArrayVal) index(pos Pos, i int64) (Value, *Cell, error) {
-	if len(a.Dims) == 0 {
-		return nil, nil, errf(pos, "indexing a non-array value")
+func (n num) String() string {
+	if n.dbl {
+		return fmt.Sprintf("%g", n.f)
 	}
-	if i < 0 || int(i) >= a.Dims[0] {
-		return nil, nil, errf(pos, "index %d out of range [0,%d)", i, a.Dims[0])
-	}
-	if len(a.Dims) == 1 {
-		return nil, a.Elems[i], nil
-	}
-	stride := 1
-	for _, d := range a.Dims[1:] {
-		stride *= d
-	}
-	return &ArrayVal{
-		Dims:  a.Dims[1:],
-		Elems: a.Elems[int(i)*stride : (int(i)+1)*stride],
-	}, nil, nil
+	return fmt.Sprintf("%d", n.i)
 }
 
-// env is a lexical scope chain.
-type env struct {
-	vars   map[string]*Cell
-	parent *env
+// valueKind classifies a Value. Every expression's kind is known when the
+// model is compiled; only int versus double is decided at run time.
+type valueKind uint8
+
+const (
+	kindInt valueKind = iota // also the static kind of every scalar expression
+	kindDouble
+	kindStruct
+	kindArray
+	kindRef
+)
+
+func (k valueKind) String() string {
+	return [...]string{"int", "double", "struct", "array", "ref"}[k]
 }
 
-func newEnv(parent *env) *env {
-	return &env{vars: make(map[string]*Cell), parent: parent}
+// Value is what crosses the host-function boundary: a scalar, a struct
+// local, an array parameter (or the sub-array a partial subscript selects),
+// or the address of one of those, produced by unary &. Struct and array
+// values alias the storage of the evaluation they come from, so a host
+// function writes through them.
+type Value struct {
+	kind  valueKind  // of the value, or of the target when ref
+	ref   bool       // produced by &
+	num   num        // a scalar value
+	cell  *num       // ref to a scalar: its storage
+	def   *StructDef // struct type
+	dims  []int      // array extents
+	elems []num      // struct fields in declaration order, or array elements row-major
 }
 
-func (e *env) lookup(name string) (*Cell, bool) {
-	for s := e; s != nil; s = s.parent {
-		if c, ok := s.vars[name]; ok {
-			return c, true
+func scalarValue(n num) Value {
+	if n.dbl {
+		return Value{kind: kindDouble, num: n}
+	}
+	return Value{kind: kindInt, num: n}
+}
+
+// Kind names the value's kind: int, double, struct, array or ref.
+func (v Value) Kind() string {
+	if v.ref {
+		return kindRef.String()
+	}
+	return v.kind.String()
+}
+
+// asInt is the value as a C int, for host functions.
+func (v Value) asInt(pos Pos) (int64, error) {
+	if v.ref || v.kind > kindDouble {
+		return 0, errf(pos, "expected a numeric value, got %s", v.Kind())
+	}
+	return v.num.int(), nil
+}
+
+// field returns the storage of the named field of a struct value (or of
+// the struct a ref points at), nil if there is none.
+func (v Value) field(name string) *num {
+	if v.kind != kindStruct {
+		return nil
+	}
+	for i, f := range v.def.Fields {
+		if f == name {
+			return &v.elems[i]
 		}
 	}
-	return nil, false
-}
-
-func (e *env) define(pos Pos, name string, v Value) (*Cell, error) {
-	if _, exists := e.vars[name]; exists {
-		return nil, errf(pos, "redeclaration of %q", name)
-	}
-	c := &Cell{V: v}
-	e.vars[name] = c
-	return c, nil
-}
-
-// Numeric conversions.
-
-func asInt(pos Pos, v Value) (int64, error) {
-	switch x := v.(type) {
-	case IntVal:
-		return int64(x), nil
-	case DoubleVal:
-		return int64(x), nil
-	default:
-		return 0, errf(pos, "expected a numeric value, got %s", v.valueKind())
-	}
-}
-
-func asDouble(pos Pos, v Value) (float64, error) {
-	switch x := v.(type) {
-	case IntVal:
-		return float64(x), nil
-	case DoubleVal:
-		return float64(x), nil
-	default:
-		return 0, errf(pos, "expected a numeric value, got %s", v.valueKind())
-	}
-}
-
-func isTruthy(pos Pos, v Value) (bool, error) {
-	i, err := asInt(pos, v)
-	return i != 0, err
-}
-
-func boolVal(b bool) Value {
-	if b {
-		return IntVal(1)
-	}
-	return IntVal(0)
+	return nil
 }
 
 // HostFunc is a function the embedding Go program registers with a model;
 // the scheme may call it by name (the matrix-multiplication model calls
-// GetProcessor this way). Arguments arrive evaluated; & arguments arrive
-// as RefVal so the function can write through them.
+// GetProcessor this way). Arguments arrive evaluated, & arguments as refs
+// the function can write through; the result must be a scalar.
 type HostFunc func(pos Pos, args []Value) (Value, error)
 
-// numericBinop applies a C-semantics binary operator.
-func numericBinop(pos Pos, op TokKind, a, b Value) (Value, error) {
-	_, aIsD := a.(DoubleVal)
-	_, bIsD := b.(DoubleVal)
-	if aIsD || bIsD {
-		x, err := asDouble(pos, a)
-		if err != nil {
-			return nil, err
-		}
-		y, err := asDouble(pos, b)
-		if err != nil {
-			return nil, err
-		}
-		switch op {
-		case TokPlus:
-			return DoubleVal(x + y), nil
-		case TokMinus:
-			return DoubleVal(x - y), nil
-		case TokStar:
-			return DoubleVal(x * y), nil
-		case TokSlash:
-			if y == 0 {
-				return nil, errf(pos, "division by zero")
-			}
-			return DoubleVal(x / y), nil
-		case TokPercent:
-			return nil, errf(pos, "%% requires integer operands")
-		case TokEq:
-			return boolVal(x == y), nil
-		case TokNe:
-			return boolVal(x != y), nil
-		case TokLt:
-			return boolVal(x < y), nil
-		case TokGt:
-			return boolVal(x > y), nil
-		case TokLe:
-			return boolVal(x <= y), nil
-		case TokGe:
-			return boolVal(x >= y), nil
-		}
-		return nil, errf(pos, "invalid binary operator %s", op)
-	}
-	x, err := asInt(pos, a)
-	if err != nil {
-		return nil, err
-	}
-	y, err := asInt(pos, b)
-	if err != nil {
-		return nil, err
-	}
-	switch op {
-	case TokPlus:
-		return IntVal(x + y), nil
-	case TokMinus:
-		return IntVal(x - y), nil
-	case TokStar:
-		return IntVal(x * y), nil
-	case TokSlash:
-		if y == 0 {
-			return nil, errf(pos, "division by zero")
-		}
-		return IntVal(x / y), nil
-	case TokPercent:
-		if y == 0 {
-			return nil, errf(pos, "modulo by zero")
-		}
-		return IntVal(x % y), nil
-	case TokEq:
-		return boolVal(x == y), nil
-	case TokNe:
-		return boolVal(x != y), nil
-	case TokLt:
-		return boolVal(x < y), nil
-	case TokGt:
-		return boolVal(x > y), nil
-	case TokLe:
-		return boolVal(x <= y), nil
-	case TokGe:
-		return boolVal(x >= y), nil
-	}
-	return nil, errf(pos, "invalid binary operator %s", op)
-}
-
-// FormatValue renders a value for diagnostics and the pmc tool.
+// FormatValue renders a value for diagnostics.
 func FormatValue(v Value) string {
-	switch x := v.(type) {
-	case IntVal:
-		return fmt.Sprintf("%d", int64(x))
-	case DoubleVal:
-		return fmt.Sprintf("%g", float64(x))
-	case *StructVal:
-		s := x.Type + "{"
-		for i, f := range x.Order {
-			if i > 0 {
-				s += ", "
-			}
-			s += f + ": " + FormatValue(x.Fields[f].V)
+	if v.ref {
+		v.ref = false
+		if v.cell != nil {
+			v.num = *v.cell
 		}
-		return s + "}"
-	case *ArrayVal:
-		s := "["
-		for i, c := range x.Elems {
+		return "&" + FormatValue(v)
+	}
+	var b strings.Builder
+	switch v.kind {
+	case kindStruct:
+		b.WriteString(v.def.Name + "{")
+		for i, f := range v.def.Fields {
 			if i > 0 {
-				s += " "
+				b.WriteString(", ")
+			}
+			b.WriteString(f + ": " + v.elems[i].String())
+		}
+		b.WriteString("}")
+	case kindArray:
+		b.WriteString("[")
+		for i, e := range v.elems {
+			if i > 0 {
+				b.WriteString(" ")
 			}
 			if i >= 16 {
-				s += "..."
+				b.WriteString("...")
 				break
 			}
-			s += FormatValue(c.V)
+			b.WriteString(e.String())
 		}
-		return s + "]"
-	case RefVal:
-		return "&" + FormatValue(x.Cell.V)
+		b.WriteString("]")
 	default:
-		return "?"
+		return v.num.String()
 	}
+	return b.String()
 }
