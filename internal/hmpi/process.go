@@ -21,6 +21,25 @@ type Process struct {
 	// Recon. Every process holds its own copy, as in a distributed
 	// runtime.
 	speeds []float64
+	// planned holds the selections this process solved since its last
+	// Recon or group creation — the planning round in which a program
+	// prices its candidate plans with Timeof and then creates a group for
+	// the winner, an identical problem.
+	planned []plannedSolve
+}
+
+// plannedSolve is one solved selection problem and everything that pins
+// it besides the speed estimates (a Recon drops the list): the model and
+// its arguments, the parent, the available ranks (placement is the
+// runtime's), and the cluster's degradation and failure state.
+type plannedSolve struct {
+	model  *pmdl.Model
+	args   string // fmt %#v of the argument list: values, not the caller's slices
+	parent int
+	avail  []int
+	epoch  uint64
+	inst   *pmdl.Instance
+	asg    mapper.Assignment
 }
 
 // Proc exposes the underlying message-passing process, for computation
@@ -95,6 +114,7 @@ func (h *Process) Recon(bench BenchmarkFunc) error {
 	for r, b := range all {
 		h.speeds[r] = mpi.BytesFloat64(b)[0]
 	}
+	h.planned = nil
 	h.recordRecon(mine, t0, w0)
 	return nil
 }
@@ -106,24 +126,36 @@ func (h *Process) Recon(bench BenchmarkFunc) error {
 // the mapper everything the concurrent engine can exploit: per-worker
 // estimator sessions (allocation-free evaluation), the compute-only lower
 // bound (branch-and-bound), and the machine-symmetry canonical key
-// (memoisation).
+// (memoisation). A problem already solved in this planning round — same
+// model, arguments, parent, available ranks and cluster state — is not
+// solved again: HMPI_Group_create for the plan HMPI_Timeof just priced
+// takes that solve, search statistics included.
 func (h *Process) solveSelection(model *pmdl.Model, args []any, parentRank int) (*pmdl.Instance, mapper.Assignment, error) {
+	avail := h.rt.freeRanks()
+	if !slices.Contains(avail, parentRank) {
+		avail = append([]int{parentRank}, avail...)
+	}
+	cluster := h.rt.cfg.Cluster
+	key := plannedSolve{model: model, args: fmt.Sprintf("%#v", args), parent: parentRank, avail: avail, epoch: cluster.ModelEpoch()}
+	for _, p := range h.planned {
+		if p.model == key.model && p.args == key.args && p.parent == key.parent && p.epoch == key.epoch && slices.Equal(p.avail, key.avail) {
+			return p.inst, p.asg, nil
+		}
+	}
 	inst, err := model.Instantiate(args...)
 	if err != nil {
 		return nil, mapper.Assignment{}, err
 	}
-	est, err := estimator.New(inst, h.rt.cfg.Cluster, h.speeds, h.rt.placement)
+	est, err := estimator.New(inst, cluster, h.speeds, h.rt.placement)
 	if err != nil {
 		return nil, mapper.Assignment{}, err
-	}
-	avail := h.rt.freeRanks()
-	if !slices.Contains(avail, parentRank) {
-		avail = append([]int{parentRank}, avail...)
 	}
 	asg, err := solveWithEstimator(est, inst, h.speeds, avail, parentRank, h.rt.cfg.Select, h.rt.cfg.Selection)
 	if err != nil {
 		return nil, mapper.Assignment{}, err
 	}
+	key.inst, key.asg = inst, asg
+	h.planned = append(h.planned, key)
 	return inst, asg, nil
 }
 
@@ -310,6 +342,7 @@ func (h *Process) createGroup(isParent bool, model *pmdl.Model, args []any) (*Gr
 // dies during creation surfaces through the first operation on the group,
 // not by deadlocking the creation itself.
 func (h *Process) distributeGroup(ranks []int, parentIdx int) (*Group, error) {
+	h.planned = nil // the free set is about to change
 	me := h.Rank()
 	comm := h.CommWorld()
 	key := h.rt.allocGroupKey()

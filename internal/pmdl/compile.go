@@ -65,6 +65,7 @@ type frame struct {
 	coords []int64 // scratch: one coordinate tuple
 	args   []Value // scratch: host-call arguments
 	hosts  map[string]HostFunc
+	iters  int // scheme loop iterations so far, all loops together
 	// err is the first evaluation error. Closures record it and carry on
 	// with a zero value; whoever runs a closure checks it before using
 	// the result, and a host function is never called once it is set.

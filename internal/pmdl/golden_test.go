@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/apps"
@@ -438,5 +439,58 @@ func BenchmarkPaperMatmulSweep(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestInstanceBuildDAGConcurrent: an Instance is read-only after
+// Instantiate. Eight goroutines build the task graph and unroll the scheme
+// of one instance at once and must all see what a lone caller sees; run
+// under -race, any write to the instance shows. The second instance's scheme
+// stores into an array parameter, which every evaluation must do on its own
+// copy.
+func TestInstanceBuildDAGConcurrent(t *testing.T) {
+	writer, err := pmdl.ParseModel(`algorithm W(int p, int d[p]) { coord I=p; node {I>=0: bench*(10);}; parent[0];
+  scheme { int i; for (i = 0; i < p; i++) { d[i] += 50; (d[i])%%[i]; } }; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := appCases(t, "matmul", matmulProgram(t, 90, 9, 3, []int{9}), hnoc.Paper9())
+	cases = append(cases, goldenCase{"writer", writer, []any{3, []int{10, 20, 30}}})
+	for _, c := range cases {
+		inst, err := c.model.Instantiate(c.args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest := func() (string, error) {
+			dag, err := inst.BuildDAG()
+			if err != nil {
+				return "", err
+			}
+			tr, err := inst.UnrollScheme()
+			if err != nil {
+				return "", err
+			}
+			var b strings.Builder
+			writeTrace(&b, tr)
+			return dagDigest(dag) + fmt.Sprintf(" %x", sha256.Sum256([]byte(b.String()))), nil
+		}
+		want, err := digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 4; i++ {
+					if got, err := digest(); err != nil || got != want {
+						t.Errorf("%s: concurrent evaluation gave %s (%v), a lone one %s", c.name, got, err, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -78,6 +78,10 @@ type Instance struct {
 	arrays []array // the bound array parameters
 }
 
+// maxProcs bounds the abstract processors of an instance: the pairwise
+// volume table is quadratic in them.
+const maxProcs = 1 << 12
+
 // Instantiate binds actual parameters (in declaration order) and evaluates
 // the node, link and parent sections. Accepted Go argument types: int,
 // float64, []int, [][]int, [][][]int, [][][][]int and []float64; array
@@ -128,6 +132,9 @@ func (m *Model) instantiate(argOf func(i int, dims []int) (any, error), maxDim i
 		}
 		if n <= 0 {
 			return nil, errf(cv.Pos, "coordinate %s has non-positive range %d", cv.Name, n)
+		}
+		if n > maxProcs || inst.NumProcs*int(n) > maxProcs {
+			return nil, errf(cv.Pos, "more than %d abstract processors", maxProcs)
 		}
 		inst.Dims = append(inst.Dims, int(n))
 		inst.NumProcs *= int(n)

@@ -467,7 +467,7 @@ func (m *Model) AutoInstantiate() (*Instance, error) {
 		prm := m.File.Algorithm.Params[i]
 		switch {
 		case len(dims) > 0:
-			return onesSlice(prm, dims)
+			return filledSlice(prm, dims, 1)
 		case prm.Type.Kind == TypeDouble:
 			return 1.0, nil
 		}
@@ -475,52 +475,45 @@ func (m *Model) AutoInstantiate() (*Instance, error) {
 	}, 64)
 }
 
-// onesSlice builds the nested Go slice of ones matching the declared
-// dimensionality.
-func onesSlice(prm Param, dims []int) (any, error) {
+// filledSlice builds the nested Go slice of the declared dimensionality
+// with every element v.
+func filledSlice(prm Param, dims []int, v int) (any, error) {
 	if prm.Type.Kind == TypeDouble {
 		if len(dims) != 1 {
 			return nil, errf(prm.Pos, "cannot auto-instantiate multi-dimensional double parameter %s", prm.Name)
 		}
-		out := make([]float64, dims[0])
-		for i := range out {
-			out[i] = 1
-		}
-		return out, nil
+		return repeat(float64(v), dims[0]), nil
 	}
 	switch len(dims) {
 	case 1:
-		out := make([]int, dims[0])
-		for i := range out {
-			out[i] = 1
-		}
-		return out, nil
+		return repeat(v, dims[0]), nil
 	case 2:
-		out := make([][]int, dims[0])
-		for i := range out {
-			row := make([]int, dims[1])
-			for j := range row {
-				row[j] = 1
-			}
-			out[i] = row
-		}
-		return out, nil
+		return nest[[]int](prm, dims, v), nil
 	case 3:
-		out := make([][][]int, dims[0])
-		for i := range out {
-			inner, _ := onesSlice(prm, dims[1:])
-			out[i] = inner.([][]int)
-		}
-		return out, nil
+		return nest[[][]int](prm, dims, v), nil
 	case 4:
-		out := make([][][][]int, dims[0])
-		for i := range out {
-			inner, _ := onesSlice(prm, dims[1:])
-			out[i] = inner.([][][]int)
-		}
-		return out, nil
+		return nest[[][][]int](prm, dims, v), nil
 	}
 	return nil, errf(prm.Pos, "cannot auto-instantiate %d-dimensional parameter %s", len(dims), prm.Name)
+}
+
+func repeat[T any](v T, n int) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// nest builds the outermost level of filledSlice out of dims[0] inner
+// slices of type T.
+func nest[T any](prm Param, dims []int, v int) []T {
+	out := make([]T, dims[0])
+	for i := range out {
+		inner, _ := filledSlice(prm, dims[1:], v)
+		out[i] = inner.(T)
+	}
+	return out
 }
 
 // --- Symbolic scheme unrolling -------------------------------------------

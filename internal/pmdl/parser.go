@@ -9,7 +9,23 @@ type parser struct {
 	toks    []Token
 	pos     int
 	structs map[string]bool // typedef'd struct names seen so far
+	depth   int             // statements and expressions open around the current token
 }
+
+// maxNesting bounds how deeply statements and expressions nest, so that
+// source text cannot run the recursive descent (and every later walk of the
+// tree) out of stack.
+const maxNesting = 500
+
+// enter opens one nesting level; the caller defers p.leave().
+func (p *parser) enter() error {
+	if p.depth++; p.depth > maxNesting {
+		return errf(p.peek().Pos, "nesting deeper than %d levels", maxNesting)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 // Parse compiles model source text into a File.
 func Parse(src string) (*File, error) {
@@ -448,6 +464,10 @@ func (p *parser) parseBlock() (*BlockStmt, error) {
 }
 
 func (p *parser) parseStmt() (Stmt, error) {
+	defer p.leave()
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
 	t := p.peek()
 	switch t.Kind {
 	case TokLBrace:
@@ -658,6 +678,10 @@ func (p *parser) parseBinary(minPrec int) (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
+	defer p.leave()
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
 	t := p.peek()
 	switch t.Kind {
 	case TokMinus, TokNot, TokAmp:

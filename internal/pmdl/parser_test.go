@@ -53,11 +53,13 @@ func TestParseErrors(t *testing.T) {
 		"stmt without semi":   wrapScheme(`int i i`),
 		"if without paren":    wrapScheme(`if 1 100%%[0];`),
 		"action bad target":   wrapScheme(`100%%0;`),
+		"expression too deep": wrapScheme(`int i; i = ` + strings.Repeat("(", 100_000) + "1" + strings.Repeat(")", 100_000) + `;`),
+		"blocks too deep":     wrapScheme(strings.Repeat("{", 100_000) + strings.Repeat("}", 100_000)),
 	}
 	for name, src := range cases {
 		t.Run(name, func(t *testing.T) {
 			if _, err := Parse(src); err == nil {
-				t.Fatalf("accepted: %s", src)
+				t.Fatalf("accepted: %.200s", src)
 			}
 		})
 	}

@@ -33,7 +33,8 @@ type schemeSink[T any] interface {
 	merge(in, acc T) T
 }
 
-// maxLoopIterations bounds scheme loops against runaway models.
+// maxLoopIterations bounds the loop iterations of one walk of a scheme,
+// all loops together, against runaway models.
 const maxLoopIterations = 10_000_000
 
 // walkScheme runs one lowered statement on the frame with entry state in,
@@ -90,8 +91,8 @@ func walkScheme[T any](fr *frame, sink schemeSink[T], s cstmt, in T) (T, error) 
 		// starts each from the fork of the entry state and folds their
 		// exits into acc.
 		cur, acc := in, zero
-		for iter := 0; ; iter++ {
-			if iter > maxLoopIterations {
+		for ; ; fr.iters++ {
+			if fr.iters > maxLoopIterations {
 				return zero, errf(x.pos, "loop exceeded %d iterations (model bug?)", maxLoopIterations)
 			}
 			if x.cond != nil {

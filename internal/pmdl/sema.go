@@ -545,4 +545,3 @@ func isLvalue(e Expr) bool {
 	}
 	return false
 }
-
