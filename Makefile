@@ -13,10 +13,13 @@ build:
 # The CI gate: vet, static analysis, build, and the race-enabled suite.
 # -short trims the golden collective matrix to the payloads the race
 # detector gets through in seconds (internal/mpi/golden_test.go); the only
-# other test it skips, the benchmark's smoke run, is run after it.
+# other test it skips, the benchmark's smoke run, is run after it. The
+# pmdl concurrency tests (one Model, one Instance, many goroutines) repeat:
+# a race needs the schedule that shows it.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=5 -run 'Concurrent|SharedAcrossGoroutines' ./internal/pmdl
 	$(GO) test -race -run TestSmoke ./bench
 
 # Static analysis: gofmt with nothing left to rewrite, go vet, the HMPI
@@ -71,9 +74,12 @@ bench:
 bench-smoke:
 	$(GO) run ./bench -smoke
 
-# Profile the group-selection sweep; inspect with `go tool pprof`.
+# Profile the group-selection sweep, and the paper-size matmul block-size
+# sweep (one HMPI_Timeof per candidate: model instantiation, task-graph
+# construction, selection); inspect with `go tool pprof`.
 profile:
 	$(GO) run ./cmd/hmpibench -fig search -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) run ./cmd/hmpibench -fig 11a -cpuprofile matmul.cpu.pprof -memprofile matmul.mem.pprof
 
 # Regenerate every figure/table of EXPERIMENTS.md (writes CSVs to out/).
 figures:
@@ -102,4 +108,4 @@ examples:
 	$(GO) run ./examples/tcptransport
 
 clean:
-	rm -rf out bench/out test_output.txt bench_output.txt cpu.pprof mem.pprof em3d.trace em3d.metrics.json em3d.chrome.json verify_em3d.trace verify_chaos.trace hmpivet.json
+	rm -rf out bench/out test_output.txt bench_output.txt cpu.pprof mem.pprof matmul.cpu.pprof matmul.mem.pprof em3d.trace em3d.metrics.json em3d.chrome.json verify_em3d.trace verify_chaos.trace hmpivet.json

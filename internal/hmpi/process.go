@@ -42,6 +42,10 @@ type plannedSolve struct {
 	asg    mapper.Assignment
 }
 
+func (p plannedSolve) sameProblem(q plannedSolve) bool {
+	return p.model == q.model && p.args == q.args && p.parent == q.parent && p.epoch == q.epoch && slices.Equal(p.avail, q.avail)
+}
+
 // Proc exposes the underlying message-passing process, for computation
 // accounting (Proc().Compute) and direct MPI calls.
 func (h *Process) Proc() *mpi.Proc { return h.proc }
@@ -138,7 +142,7 @@ func (h *Process) solveSelection(model *pmdl.Model, args []any, parentRank int) 
 	cluster := h.rt.cfg.Cluster
 	key := plannedSolve{model: model, args: fmt.Sprintf("%#v", args), parent: parentRank, avail: avail, epoch: cluster.ModelEpoch()}
 	for _, p := range h.planned {
-		if p.model == key.model && p.args == key.args && p.parent == key.parent && p.epoch == key.epoch && slices.Equal(p.avail, key.avail) {
+		if p.sameProblem(key) {
 			return p.inst, p.asg, nil
 		}
 	}

@@ -11,12 +11,11 @@ import "fmt"
 // program is what ParseModel compiles a model file to.
 type program struct {
 	nslots  int // frame size: parameters, coordinates, link variables, scheme locals
-	nparams int // leading slots the scalar parameters occupy
 	narrays int // array parameters
 	nargs   int // host-call argument scratch, a region per call site
 
 	params     []cparam
-	coordSlot  int // slot of the first coordinate variable
+	coordSlot  int // slot of the first coordinate variable; the scalar parameters occupy the slots before it
 	coordSizes []scalarFn
 	nodes      []cnode
 	linkSlot   int // slot of the first link variable
@@ -178,6 +177,12 @@ func failOperand(pos Pos, msg string, before ...operand) operand {
 	o := scalarOperand(func(fr *frame) num { run(fr); return num{} })
 	o.addr = func(fr *frame) *num { run(fr); return &fr.sink }
 	return o
+}
+
+// notNumeric is failOperand for a non-scalar operand bad where a number is
+// needed.
+func notNumeric(pos Pos, bad operand, before ...operand) operand {
+	return failOperand(pos, "expected a numeric value, got "+bad.kind.String(), before...)
 }
 
 // subscript is one [expr] of an index chain; pos is its bracket.
@@ -394,10 +399,10 @@ func assignOperand(pos Pos, op TokKind, dst, src operand) operand {
 	}
 	if op != TokAssign {
 		if dst.kind != kindInt {
-			return mismatch("expected a numeric value, got %s", dst.kind)
+			return notNumeric(pos, dst, dst, src)
 		}
 		if src.kind != kindInt {
-			return mismatch("expected a numeric value, got %s", src.kind)
+			return notNumeric(pos, src, dst, src)
 		}
 		if op == TokPlusEq {
 			op = TokPlus
@@ -439,7 +444,7 @@ func assignOperand(pos Pos, op TokKind, dst, src operand) operand {
 // incDecOperand is x++ or x-- (postfix: the value is the old one).
 func incDecOperand(pos Pos, op TokKind, x operand) operand {
 	if x.kind != kindInt {
-		return failOperand(pos, "expected a numeric value, got "+x.kind.String(), x)
+		return notNumeric(pos, x, x)
 	}
 	if op == TokInc {
 		op = TokPlus

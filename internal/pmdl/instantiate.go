@@ -124,7 +124,7 @@ func (m *Model) instantiate(argOf func(i int, dims []int) (any, error), maxDim i
 		}
 	}
 
-	inst := &Instance{Model: m, NumProcs: 1, params: fr.slots[:p.nparams:p.nparams], arrays: fr.arrays}
+	inst := &Instance{Model: m, NumProcs: 1, params: fr.slots[:p.coordSlot:p.coordSlot], arrays: fr.arrays}
 	for i, cv := range alg.Coords {
 		n := p.coordSizes[i](fr).int()
 		if fr.err != nil {
@@ -307,10 +307,11 @@ func (inst *Instance) evalLink(fr *frame) {
 		for vi := 0; vi < total; vi++ {
 			fr.setTuple(p.linkSlot, vi, total, varDims)
 			for _, cl := range p.links {
+				holds := cl.guard(fr).int() != 0
 				if fr.err != nil {
 					return
 				}
-				if cl.guard(fr).int() == 0 || fr.err != nil {
+				if !holds {
 					continue
 				}
 				vol := cl.volume(fr).float()
@@ -319,7 +320,10 @@ func (inst *Instance) evalLink(fr *frame) {
 				}
 				src := fr.procIndex(cl.pos, cl.src)
 				dst := fr.procIndex(cl.pos, cl.dst)
-				if fr.err != nil || src == dst {
+				if fr.err != nil {
+					return
+				}
+				if src == dst {
 					continue // self transfers carry no cost
 				}
 				if defined[src*inst.NumProcs+dst] && inst.CommVolume[src][dst] != vol {

@@ -83,7 +83,6 @@ func compile(f *File) (*program, error) {
 		}
 		p.params = append(p.params, cp)
 	}
-	p.nparams = c.nslots
 
 	// Coordinates: sizes reference parameters; names join the scope, but
 	// only the node and link clauses are evaluated with them bound.
@@ -351,7 +350,7 @@ func (c *checker) scalar(e Expr, sc *scope, pos Pos) (scalarFn, error) {
 		return nil, err
 	}
 	if o.kind != kindInt {
-		o = failOperand(pos, "expected a numeric value, got "+o.kind.String(), o)
+		o = notNumeric(pos, o, o)
 	}
 	return o.num, nil
 }
@@ -503,7 +502,7 @@ func (c *checker) expr(e Expr, sc *scope) (operand, error) {
 		}
 		for _, o := range []operand{l, r} {
 			if o.kind != kindInt {
-				return failOperand(x.Pos, "expected a numeric value, got "+o.kind.String(), l, r), nil
+				return notNumeric(x.Pos, o, l, r), nil
 			}
 		}
 		return binaryOperand(x.Pos, x.Op, l.num, r.num, c.realDiv), nil

@@ -89,8 +89,8 @@ func scalarValue(n num) Value {
 	return Value{kind: kindInt, num: n}
 }
 
-// Kind names the value's kind: int, double, struct, array or ref.
-func (v Value) Kind() string {
+// kindName names the value's kind: int, double, struct, array or ref.
+func (v Value) kindName() string {
 	if v.ref {
 		return kindRef.String()
 	}
@@ -100,7 +100,7 @@ func (v Value) Kind() string {
 // asInt is the value as a C int, for host functions.
 func (v Value) asInt(pos Pos) (int64, error) {
 	if v.ref || v.kind > kindDouble {
-		return 0, errf(pos, "expected a numeric value, got %s", v.Kind())
+		return 0, errf(pos, "expected a numeric value, got %s", v.kindName())
 	}
 	return v.num.int(), nil
 }
