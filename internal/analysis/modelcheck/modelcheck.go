@@ -25,6 +25,7 @@ package modelcheck
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/pmdl"
 )
@@ -196,7 +197,14 @@ func cycleDiag(inst *pmdl.Instance, run []*pmdl.TraceOp) (pmdl.Diag, bool) {
 		color[v] = black
 		return false
 	}
+	// Sorted starts: which processor of a cycle the message names must not
+	// depend on map iteration order.
+	starts := make([]int, 0, len(adj))
 	for v := range adj {
+		starts = append(starts, v)
+	}
+	sort.Ints(starts)
+	for _, v := range starts {
 		if color[v] == white && dfs(v) {
 			break
 		}

@@ -46,6 +46,13 @@ func TestLintFixtures(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
 			diags := lintFixture(t, tc.fixture)
+			// A finding reads the same on every run: seqcycle once named
+			// whichever processor of the cycle a map iteration met first.
+			for i := 0; i < 20; i++ {
+				if again := lintFixture(t, tc.fixture); !reflect.DeepEqual(again, diags) {
+					t.Fatalf("run %d reports %v, the first run %v", i, again, diags)
+				}
+			}
 			got := make([]string, len(diags))
 			for i, d := range diags {
 				got[i] = d.Code

@@ -5,8 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/estimator"
 	"repro/internal/hmpi"
 	"repro/internal/hnoc"
+	"repro/internal/mapper"
+	"repro/internal/mpi"
 )
 
 func TestGenerateValidation(t *testing.T) {
@@ -335,5 +338,43 @@ func TestHMPISearchPicksCompetitiveL(t *testing.T) {
 	}
 	if prog.Dist.L() == 3 {
 		t.Errorf("search chose the degenerate block size l=m")
+	}
+}
+
+// TestWarmPredictBuildsNoTaskGraph: pricing a plan the selection cache has
+// already solved is a lookup — the key comes from the instance and the
+// cluster, so no estimator, and so no task graph, is built for a hit. An
+// allocation bound, not a timing: a warm hmpi.PredictTimeof allocates less
+// than a quarter of what one estimator.New for the same instance does.
+func TestWarmPredictBuildsNoTaskGraph(t *testing.T) {
+	grid := [][]float64{{46, 46, 46}, {46, 46, 46}, {176, 106, 9}}
+	d, err := NewHetero(grid, 3, 18, 6) // one of the benchmark's small matmul shapes
+	if err != nil {
+		t.Fatal(err)
+	}
+	args, cluster := d.ModelArgs(), hnoc.Paper9()
+	inst, err := Model().Instantiate(args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := testing.AllocsPerRun(5, func() {
+		if _, err := estimator.New(inst, cluster, cluster.Speeds(), mpi.OneProcessPerMachine(cluster)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	cfg := hmpi.Config{Cluster: cluster, Selection: mapper.NewSelectionCache(0)}
+	cold, _, err := hmpi.PredictTimeof(cfg, Model(), args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := testing.AllocsPerRun(20, func() {
+		got, stats, err := hmpi.PredictTimeof(cfg, Model(), args...)
+		if err != nil || got != cold || !stats.Memoized {
+			t.Fatalf("warm prediction %v (memoized %v, err %v), cold %v", got, stats.Memoized, err, cold)
+		}
+	})
+	t.Logf("estimator.New %v allocs, warm PredictTimeof %v", build, warm)
+	if warm >= build/4 {
+		t.Fatalf("a warm PredictTimeof makes %v allocations, estimator.New %v: a hit still builds the task graph", warm, build)
 	}
 }

@@ -79,9 +79,6 @@ func New(inst *pmdl.Instance, cluster *hnoc.Cluster, speeds []float64, placement
 // Instance returns the model instance being estimated.
 func (e *Estimator) Instance() *pmdl.Instance { return e.inst }
 
-// DAGSize returns the number of tasks in the scheme's task graph.
-func (e *Estimator) DAGSize() int { return e.dag.Size() }
-
 // Timeof predicts the execution time (seconds) of the algorithm when
 // abstract processor i runs as world process candidate[i]. Processes
 // sharing a machine share its speed evenly. It panics on malformed

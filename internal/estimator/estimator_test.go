@@ -150,15 +150,12 @@ func TestNaiveVsDAGEstimator(t *testing.T) {
 	}
 }
 
-func TestDAGSize(t *testing.T) {
+func TestInstanceAccessor(t *testing.T) {
 	inst := chainInstance(t)
 	cl, speeds, place := testNet()
 	e, err := New(inst, cl, speeds, place)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.DAGSize() == 0 {
-		t.Fatal("empty DAG")
 	}
 	if e.Instance() != inst {
 		t.Fatal("Instance accessor broken")

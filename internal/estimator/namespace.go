@@ -1,19 +1,17 @@
-// Cache-namespace derivation for cross-job selection caching.
+// Identity of a cost model and of a selection problem, computable before
+// an Estimator — and so a task graph — exists.
 //
 // AppendCanonicalKey's contract — equal keys imply bit-identical Timeof —
 // holds only within one cost model: the key encodes the candidate's shape
 // (machine classes, co-location, per-process speeds) but not the link
-// costs behind the class indices, nor the task graph being replayed. Two
-// jobs on different clusters, or running different algorithms, can emit
-// byte-identical keys with different objective values. A daemon-lifetime
-// selection cache (mapper.SelectionCache) therefore qualifies every entry
-// with a namespace that pins down everything Timeof reads besides the
-// candidate itself:
+// costs behind the class indices, nor the task graph being replayed. A
+// mapper.SelectionCache therefore qualifies every value with a namespace
+// that pins everything Timeof reads besides the candidate itself:
 //
+//   - the model instance (pmdl.Instance.Digest: source and arguments, of
+//     which the task graph and the process count are pure functions);
 //   - the full all-pairs link-cost matrix, via ModelLink so degradation
-//     state is folded in (a degraded link is a different cost model);
-//   - the instantiated task graph — kinds, endpoints, volumes, deps;
-//   - the process count.
+//     state is folded in (a degraded link is a different cost model).
 //
 // Per-process speeds and placement are deliberately absent: the canonical
 // key already carries the speed of every selected process per position,
@@ -26,77 +24,57 @@ import (
 	"encoding/binary"
 	"math"
 
-	"repro/internal/sched"
+	"repro/internal/hnoc"
+	"repro/internal/pmdl"
 )
 
-// AppendNamespace appends a compact digest of the estimator's cost model
-// to dst and returns the extended slice. Two estimators with equal
-// namespaces agree on Timeof for key-equal candidates; estimators built
-// from clusters with different link costs (including degradation), from
-// different model instances, or with different process counts get
-// different namespaces. Safe for concurrent use.
-func (e *Estimator) AppendNamespace(dst []byte) []byte {
-	h := sha256.New()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-
-	u64(uint64(e.inst.NumProcs))
-	n := e.cluster.Size()
-	u64(uint64(n))
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			ls := e.cluster.ModelLink(a, b)
-			f64(ls.Latency)
-			f64(ls.Bandwidth)
-			f64(ls.Overhead)
+// AppendNamespace appends a compact digest of the cost model — the model
+// instance and the cluster's link costs — to dst. Estimators of equal
+// namespaces agree on Timeof for key-equal candidates; a different
+// instance or different link costs (including degradation) give a
+// different namespace. Safe for concurrent use.
+func AppendNamespace(dst []byte, inst *pmdl.Instance, cluster *hnoc.Cluster) []byte {
+	n := cluster.Size()
+	b := make([]byte, 0, 8192) // on the stack; sixteen machines fit
+	b = append(b, inst.Digest[:]...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			ls := cluster.ModelLink(i, j)
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ls.Latency))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ls.Bandwidth))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ls.Overhead))
 		}
 	}
-	u64(uint64(len(e.dag.Tasks)))
-	for _, t := range e.dag.Tasks {
-		u64(uint64(t.Kind))
-		switch t.Kind {
-		case sched.KindCompute:
-			u64(uint64(t.Proc))
-			f64(t.Units)
-		default:
-			u64(uint64(t.Src))
-			u64(uint64(t.Dst))
-			f64(t.Bytes)
-		}
-		u64(uint64(len(t.Deps)))
-		for _, d := range t.Deps {
-			u64(uint64(d))
-		}
-	}
-	sum := h.Sum(nil)
+	sum := sha256.Sum256(b)
 	return append(dst, sum[:16]...)
 }
 
 // AppendMemoKey appends a digest pinning everything Timeof depends on
-// besides the candidate: the namespace (cost model + task graph) plus
-// the world placement and the per-process speed estimates, which the
-// namespace deliberately omits (the canonical key carries them per
-// candidate, but a whole-solve memo has no candidate yet). Two
-// estimators with equal memo keys agree on Timeof for every candidate,
-// which is the contract mapper.Options.MemoKey requires. Safe for
-// concurrent use.
-func (e *Estimator) AppendMemoKey(dst []byte) []byte {
-	h := sha256.New()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+// besides the candidate: the namespace ns plus the world placement and
+// the per-process speed estimates, which the namespace deliberately omits
+// (the canonical key carries them per candidate, but a whole-solve memo
+// has no candidate yet). Estimators of equal memo keys agree on Timeof for
+// every candidate, the contract mapper.Options.MemoKey requires.
+func AppendMemoKey(dst, ns []byte, speeds []float64, placement []int) []byte {
+	b := append(make([]byte, 0, 1024), ns...) // on the stack
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(placement)))
+	for r, m := range placement {
+		b = binary.LittleEndian.AppendUint64(b, uint64(m))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(speeds[r]))
 	}
-	h.Write(e.AppendNamespace(nil))
-	u64(uint64(len(e.placement)))
-	for r, m := range e.placement {
-		u64(uint64(m))
-		u64(math.Float64bits(e.speeds[r]))
-	}
-	sum := h.Sum(nil)
+	sum := sha256.Sum256(b)
 	return append(dst, sum[:16]...)
+}
+
+// AppendNamespace is AppendNamespace of the estimator's instance and
+// cluster.
+func (e *Estimator) AppendNamespace(dst []byte) []byte {
+	return AppendNamespace(dst, e.inst, e.cluster)
+}
+
+// AppendMemoKey is AppendMemoKey of the estimator's namespace, speeds and
+// placement.
+func (e *Estimator) AppendMemoKey(dst []byte) []byte {
+	return AppendMemoKey(dst, e.AppendNamespace(nil), e.speeds, e.placement)
 }

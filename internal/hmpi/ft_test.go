@@ -167,7 +167,7 @@ func TestGroupRecreateExcludesFailed(t *testing.T) {
 			rt.InjectFailure(v)
 			return nil
 		}
-		for g.Healthy() { // wait until the failure is visible
+		for g.Health().Healthy() { // wait until the failure is visible
 			time.Sleep(time.Millisecond)
 		}
 		var ng *Group
@@ -188,7 +188,7 @@ func TestGroupRecreateExcludesFailed(t *testing.T) {
 					return fmt.Errorf("recreated group %v contains failed rank %d", ng.WorldRanks(), v)
 				}
 			}
-			if !ng.Healthy() {
+			if !ng.Health().Healthy() {
 				return fmt.Errorf("recreated group unhealthy: %+v", ng.Health())
 			}
 			// The new group is fully functional.
@@ -229,7 +229,7 @@ func TestGroupRecreateParentDeathErrors(t *testing.T) {
 			rt.InjectFailure(parent)
 			return nil
 		}
-		for g.Healthy() { // wait until the failure is visible
+		for g.Health().Healthy() { // wait until the failure is visible
 			time.Sleep(time.Millisecond)
 		}
 		_, rerr := h.GroupRecreate(g, nil)

@@ -68,13 +68,14 @@ type Config struct {
 	// Select tunes the group-selection search (default: auto strategy —
 	// exhaustive for small problems, greedy plus local search beyond).
 	Select mapper.Options
-	// Selection, when non-nil, is a caller-owned cross-job selection
-	// cache: every group-selection and Timeof search memoises candidate
-	// evaluations into it under a namespace derived from the runtime's
-	// cost model (estimator.AppendNamespace), so repeated or symmetric
-	// selection problems across runtime lifecycles skip re-evaluation.
-	// Results are bit-identical with or without it. Shared safely by
-	// concurrent runtimes; hmpid owns one per daemon.
+	// Selection is the store every Timeof and group-selection search looks
+	// its problem up in first and memoises into: a problem solved before is
+	// not solved again, and the candidates a search scores are kept under
+	// the cost model's namespace (estimator.AppendNamespace). Nil means a
+	// cache private to the runtime, so HMPI_Group_create still takes the
+	// solve HMPI_Timeof just made; a caller-owned one carries solves across
+	// runtime lifecycles as well (hmpid owns one per daemon) and is shared
+	// safely by concurrent runtimes. Results are bit-identical either way.
 	Selection *mapper.SelectionCache
 }
 
@@ -119,6 +120,9 @@ func New(cfg Config) (*Runtime, error) {
 	// Private copy: OnFail and EnableDegradation mutate the cluster's
 	// failure/degradation view, which must never leak across runtimes.
 	cfg.Cluster = cfg.Cluster.Clone()
+	if cfg.Selection == nil {
+		cfg.Selection = mapper.NewSelectionCache(0)
+	}
 	placement := cfg.Placement
 	if placement == nil {
 		placement = mpi.OneProcessPerMachine(cfg.Cluster)

@@ -21,29 +21,6 @@ type Process struct {
 	// Recon. Every process holds its own copy, as in a distributed
 	// runtime.
 	speeds []float64
-	// planned holds the selections this process solved since its last
-	// Recon or group creation — the planning round in which a program
-	// prices its candidate plans with Timeof and then creates a group for
-	// the winner, an identical problem.
-	planned []plannedSolve
-}
-
-// plannedSolve is one solved selection problem and everything that pins
-// it besides the speed estimates (a Recon drops the list): the model and
-// its arguments, the parent, the available ranks (placement is the
-// runtime's), and the cluster's degradation and failure state.
-type plannedSolve struct {
-	model  *pmdl.Model
-	args   string // fmt %#v of the argument list: values, not the caller's slices
-	parent int
-	avail  []int
-	epoch  uint64
-	inst   *pmdl.Instance
-	asg    mapper.Assignment
-}
-
-func (p plannedSolve) sameProblem(q plannedSolve) bool {
-	return p.model == q.model && p.args == q.args && p.parent == q.parent && p.epoch == q.epoch && slices.Equal(p.avail, q.avail)
 }
 
 // Proc exposes the underlying message-passing process, for computation
@@ -118,79 +95,63 @@ func (h *Process) Recon(bench BenchmarkFunc) error {
 	for r, b := range all {
 		h.speeds[r] = mpi.BytesFloat64(b)[0]
 	}
-	h.planned = nil
 	h.recordRecon(mine, t0, w0)
 	return nil
 }
 
-// solveSelection instantiates the model and solves the process-selection
-// problem over the currently free processes plus the given parent process,
-// which is pinned to the model's parent coordinate, with the runtime's
-// configured search options (Config.Select). The selection problem hands
-// the mapper everything the concurrent engine can exploit: per-worker
-// estimator sessions (allocation-free evaluation), the compute-only lower
-// bound (branch-and-bound), and the machine-symmetry canonical key
-// (memoisation). A problem already solved in this planning round — same
-// model, arguments, parent, available ranks and cluster state — is not
-// solved again: HMPI_Group_create for the plan HMPI_Timeof just priced
-// takes that solve, search statistics included.
+// solveSelection solves the process-selection problem for the model over
+// the currently free processes plus the given parent process, which is
+// pinned to the model's parent coordinate.
 func (h *Process) solveSelection(model *pmdl.Model, args []any, parentRank int) (*pmdl.Instance, mapper.Assignment, error) {
 	avail := h.rt.freeRanks()
 	if !slices.Contains(avail, parentRank) {
 		avail = append([]int{parentRank}, avail...)
 	}
-	cluster := h.rt.cfg.Cluster
-	key := plannedSolve{model: model, args: fmt.Sprintf("%#v", args), parent: parentRank, avail: avail, epoch: cluster.ModelEpoch()}
-	for _, p := range h.planned {
-		if p.sameProblem(key) {
-			return p.inst, p.asg, nil
-		}
-	}
+	return h.rt.cfg.solve(h.rt.placement, h.speeds, avail, parentRank, model, args)
+}
+
+// solve is the one path from a model and its arguments to a selection:
+// instantiate, then choose for the model's abstract processors the ranks of
+// avail, the parent pinned to parentRank, that minimise the predicted
+// execution time under cfg.Select. The problem is looked up in
+// cfg.Selection first: its key — instance digest, the cluster's link costs
+// with degradation, placement, speeds, avail, parent, options — needs no
+// estimator, and whatever a Recon, a kill, a group creation or a degraded
+// link changes is in it, so nothing is ever invalidated. A problem solved
+// before, by this process's last Timeof or by another job's admission, is
+// that solve, search statistics included; only a miss builds the task graph
+// and hands the mapper what its engine exploits: per-worker estimator
+// sessions, the compute-only lower bound, the machine-symmetry canonical key.
+func (cfg Config) solve(placement []int, speeds []float64, avail []int, parentRank int, model *pmdl.Model, args []any) (*pmdl.Instance, mapper.Assignment, error) {
 	inst, err := model.Instantiate(args...)
 	if err != nil {
 		return nil, mapper.Assignment{}, err
 	}
-	est, err := estimator.New(inst, cluster, h.speeds, h.rt.placement)
-	if err != nil {
-		return nil, mapper.Assignment{}, err
-	}
-	asg, err := solveWithEstimator(est, inst, h.speeds, avail, parentRank, h.rt.cfg.Select, h.rt.cfg.Selection)
-	if err != nil {
-		return nil, mapper.Assignment{}, err
-	}
-	key.inst, key.asg = inst, asg
-	h.planned = append(h.planned, key)
-	return inst, asg, nil
-}
-
-// solveWithEstimator builds and solves the selection problem for one
-// instantiated model. When a cross-job selection cache is provided (and
-// the caller did not wire its own via opts.Shared), the search memoises
-// into it under the estimator's cost-model namespace — the qualification
-// that keeps jobs on different clusters, task graphs, or degradation
-// states from ever aliasing each other's entries.
-func solveWithEstimator(est *estimator.Estimator, inst *pmdl.Instance, speeds []float64, avail []int, parentRank int, opts mapper.Options, shared *mapper.SelectionCache) (mapper.Assignment, error) {
-	if shared != nil && opts.Shared == nil {
-		opts.Shared = shared
-		opts.Namespace = est.AppendNamespace(nil)
-		// Timeof is fully determined by the memo key (cost model,
-		// placement, speeds) plus the problem fields, so whole solves are
-		// safe to reuse across jobs — the daemon's warm path skips the
-		// search outright.
-		opts.MemoKey = est.AppendMemoKey(nil)
+	opts := cfg.Select
+	if cfg.Selection != nil && opts.Shared == nil {
+		opts.Shared = cfg.Selection
+		opts.Namespace = estimator.AppendNamespace(nil, inst, cfg.Cluster)
+		opts.MemoKey = estimator.AppendMemoKey(nil, opts.Namespace, speeds, placement)
 	}
 	pr := mapper.Problem{
-		P:            inst.NumProcs,
-		Avail:        avail,
-		Fixed:        map[int]int{inst.Parent: parentRank},
-		Weights:      inst.CompVolume,
-		SpeedOf:      func(r int) float64 { return speeds[r] },
-		Objective:    est.Session().Timeof,
-		NewObjective: func() mapper.Objective { return est.Session().Timeof },
-		LowerBound:   est.LowerBound,
-		CanonicalKey: est.AppendCanonicalKey,
+		P:       inst.NumProcs,
+		Avail:   avail,
+		Fixed:   map[int]int{inst.Parent: parentRank},
+		Weights: inst.CompVolume,
+		SpeedOf: func(r int) float64 { return speeds[r] },
 	}
-	return mapper.Solve(pr, opts)
+	asg, err := mapper.SolveLazy(pr, opts, func(pr *mapper.Problem) error {
+		est, err := estimator.New(inst, cfg.Cluster, speeds, placement)
+		if err != nil {
+			return err
+		}
+		pr.Objective = est.Session().Timeof
+		pr.NewObjective = func() mapper.Objective { return est.Session().Timeof }
+		pr.LowerBound = est.LowerBound
+		pr.CanonicalKey = est.AppendCanonicalKey
+		return nil
+	})
+	return inst, asg, err
 }
 
 // PredictTimeof prices a prospective job without constructing a world or
@@ -204,7 +165,7 @@ func PredictTimeof(cfg Config, model *pmdl.Model, args ...any) (float64, mapper.
 // PredictTimeofAt is PredictTimeof under the given per-rank speed
 // estimates; nil means the nominal speeds. Fed ReconSpeeds it returns,
 // bit for bit, what HMPI_Timeof returns inside a run on the unloaded
-// cluster, and shares that run's selection-memo entries.
+// cluster, and with a cfg.Selection that run's Timeof is a hit.
 func PredictTimeofAt(cfg Config, speeds []float64, model *pmdl.Model, args ...any) (float64, mapper.SearchStats, error) {
 	placement, err := cfg.offlinePlacement()
 	if err != nil {
@@ -219,23 +180,12 @@ func PredictTimeofAt(cfg Config, speeds []float64, model *pmdl.Model, args ...an
 	if len(speeds) != len(placement) {
 		return 0, mapper.SearchStats{}, fmt.Errorf("hmpi: %d speeds for %d processes", len(speeds), len(placement))
 	}
-	inst, err := model.Instantiate(args...)
-	if err != nil {
-		return 0, mapper.SearchStats{}, err
-	}
 	avail := make([]int, len(placement))
 	for r := range avail {
 		avail[r] = r
 	}
-	est, err := estimator.New(inst, cfg.Cluster, speeds, placement)
-	if err != nil {
-		return 0, mapper.SearchStats{}, err
-	}
-	asg, err := solveWithEstimator(est, inst, speeds, avail, HostRank, cfg.Select, cfg.Selection)
-	if err != nil {
-		return 0, mapper.SearchStats{}, err
-	}
-	return asg.Time, asg.Stats, nil
+	_, asg, err := cfg.solve(placement, speeds, avail, HostRank, model, args)
+	return asg.Time, asg.Stats, err
 }
 
 // ReconSpeeds returns, per world rank, the speed estimate an HMPI_Recon
@@ -346,7 +296,6 @@ func (h *Process) createGroup(isParent bool, model *pmdl.Model, args []any) (*Gr
 // dies during creation surfaces through the first operation on the group,
 // not by deadlocking the creation itself.
 func (h *Process) distributeGroup(ranks []int, parentIdx int) (*Group, error) {
-	h.planned = nil // the free set is about to change
 	me := h.Rank()
 	comm := h.CommWorld()
 	key := h.rt.allocGroupKey()
@@ -535,14 +484,3 @@ func (g *Group) SearchStats() mapper.SearchStats { return g.stats }
 // the algorithm's computations and communications. It is a local
 // operation.
 func (g *Group) Comm() *mpi.Comm { return g.comm }
-
-// Healthy reports whether no member of the group has failed
-// (fault-tolerance extension).
-func (g *Group) Healthy() bool {
-	for _, r := range g.ranks {
-		if g.rt.world.IsFailed(r) {
-			return false
-		}
-	}
-	return true
-}

@@ -3,7 +3,6 @@ package hnoc
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Protocol identifies the network protocol used between a pair of machines.
@@ -112,16 +111,7 @@ type Cluster struct {
 	// away from the affected pairs.
 	degMu    sync.Mutex
 	degraded map[[2]int]float64
-
-	// modelEpoch counts the DegradeLink and MarkFailed calls.
-	modelEpoch atomic.Uint64
 }
-
-// ModelEpoch identifies the state of what the runtime believes about the
-// network beyond its configuration — link degradation and failed machines:
-// while it has not moved, ModelLink and IsMachineFailed answer as they did.
-// Safe for concurrent use.
-func (c *Cluster) ModelEpoch() uint64 { return c.modelEpoch.Load() }
 
 // DegradeLink records that the link between machines i and j behaves
 // `factor` times worse than configured (factor > 1; a factor <= 1 clears
@@ -134,7 +124,6 @@ func (c *Cluster) DegradeLink(i, j int, factor float64) {
 	}
 	c.degMu.Lock()
 	defer c.degMu.Unlock()
-	c.modelEpoch.Add(1)
 	if factor <= 1 {
 		delete(c.degraded, [2]int{i, j})
 		return
@@ -180,7 +169,6 @@ func (c *Cluster) ModelLink(i, j int) LinkSpec {
 func (c *Cluster) MarkFailed(i int) {
 	c.failMu.Lock()
 	defer c.failMu.Unlock()
-	c.modelEpoch.Add(1)
 	if i >= 0 && i < len(c.Machines) {
 		c.Machines[i].Failed = true
 	}

@@ -1,11 +1,6 @@
-// SelectionCache: the cross-search promotion of the symmetry memo cache.
-//
-// The per-call symCache (engine.go) lives for one Solve call: every
-// GroupCreate or Timeof rebuilds it from nothing, so two jobs solving the
-// same selection problem redo each other's work. A SelectionCache is the
-// daemon-lifetime version — a size-bounded, concurrency-safe store an
-// hmpid server (or any long-lived caller) owns and threads through
-// Options.Shared, so the canonical-key memoisation survives across jobs.
+// SelectionCache: the one store of what group selection has already
+// worked out, at two grains — the objective value of a candidate and the
+// assignment a whole search returned.
 //
 // Correctness has two legs:
 //
@@ -24,193 +19,204 @@
 package mapper
 
 import (
-	"container/list"
+	"encoding/binary"
+	"slices"
 	"sync"
 )
 
-// cacheShards is the number of independently locked segments. Sharding
-// keeps the search workers' leaf lookups from serialising on one mutex;
-// 16 matches the per-call symCache.
-const cacheShards = 16
+// lruShards is the number of independently locked segments of an lru.
+// Sharding keeps the search workers' leaf lookups from serialising on one
+// mutex.
+const (
+	lruShardBits = 4
+	lruShards    = 1 << lruShardBits
+)
 
 // DefaultSelectionCacheEntries bounds a NewSelectionCache(0) cache.
 const DefaultSelectionCacheEntries = 1 << 16
 
-// SelectionCache is a size-bounded, namespace-qualified memo of objective
-// values by canonical candidate key, safe for concurrent use by any
-// number of searches. The zero value is not usable; create one with
-// NewSelectionCache.
-//
-// It carries a second, coarser layer: a whole-solve memo of final
-// assignments keyed by a digest of the problem, the options, and the
-// caller's Options.MemoKey. The value layer makes a repeated search skip
-// its objective evaluations; the solve layer makes it skip the search
-// walk itself — the difference between a warm job being somewhat faster
-// and paying nothing for selection at all.
+// SelectionCache is a size-bounded memo of group selection, safe for
+// concurrent use by any number of searches: objective values by
+// namespace-qualified canonical candidate key, and solved problems by a
+// digest of the problem, the options and the caller's Options.MemoKey.
+// The value layer makes a repeated search skip its objective evaluations;
+// the solve layer makes it skip the search walk itself, and whatever the
+// caller would have built to run it. The zero value is not usable; create
+// one with NewSelectionCache.
 type SelectionCache struct {
-	shards [cacheShards]lruShard
-	solve  solveStore
+	values lru[float64]
+	solves lru[Assignment]
 }
 
-// lruShard is one locked segment: a map into an intrusive LRU list.
-type lruShard struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[string]*list.Element
-	ll    *list.List // front = most recently used
-	hits  int64
-	miss  int64
-	puts  int64
-	evict int64
-}
-
-type lruEntry struct {
-	key string
-	val float64
-}
-
-// NewSelectionCache creates a cache bounded to at most `entries` keys
-// (rounded up to a multiple of the shard count; entries <= 0 means
-// DefaultSelectionCacheEntries). Each entry costs roughly its key length
-// plus ~100 bytes of bookkeeping.
+// NewSelectionCache creates a cache bounded to at most `entries` keys per
+// layer (rounded up to a multiple of the shard count; entries <= 0 means
+// DefaultSelectionCacheEntries). Each value costs roughly its key length
+// plus ~100 bytes of bookkeeping, and nothing is allocated for a shard
+// until it holds one.
 func NewSelectionCache(entries int) *SelectionCache {
 	if entries <= 0 {
 		entries = DefaultSelectionCacheEntries
 	}
-	per := (entries + cacheShards - 1) / cacheShards
+	per := (entries + lruShards - 1) / lruShards
 	c := new(SelectionCache)
-	for i := range c.shards {
-		c.shards[i].cap = per
-		c.shards[i].m = make(map[string]*list.Element)
-		c.shards[i].ll = list.New()
-	}
-	// Solve entries are one per distinct selection problem (not per
-	// candidate), so a shard's worth of capacity goes a long way.
-	c.solve.cap = per
-	c.solve.m = make(map[string]*list.Element)
-	c.solve.ll = list.New()
+	c.values.cap, c.solves.cap = per, per
 	return c
 }
 
-// solveStore is the whole-solve memo: one locked LRU of final
-// assignments. Looked up once per Solve call, so a single mutex is not a
-// contention point the way the per-candidate shards would be.
-type solveStore struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[string]*list.Element
-	ll    *list.List // front = most recently used
-	hits  int64
-	miss  int64
-	puts  int64
-	evict int64
+// lru is a size-bounded map from byte-string keys to V in lruShards
+// locked segments, each evicting its least recently used entry when full.
+// Storing under an existing key keeps the first value: values of equal
+// keys are identical by the contracts above, so which one wins is moot.
+type lru[V any] struct {
+	cap    int // entries per shard
+	shards [lruShards]lruShard[V]
 }
 
-type solveResult struct {
-	key   string
-	ranks []int
-	time  float64
+type lruShard[V any] struct {
+	mu                      sync.Mutex
+	m                       map[string]*lruEntry[V]
+	first, last             *lruEntry[V] // the most and the least recently used
+	hits, miss, puts, evict int64
 }
 
-// getSolve looks a solve digest up, returning a self-contained
-// Assignment (the ranks are copied; callers may mutate them) whose Stats
-// mark it as memoised.
-func (c *SelectionCache) getSolve(key []byte) (Assignment, bool) {
-	s := &c.solve
-	s.mu.Lock()
-	el, ok := s.m[string(key)]
-	if !ok {
-		s.miss++
-		s.mu.Unlock()
-		return Assignment{}, false
-	}
-	s.hits++
-	s.ll.MoveToFront(el)
-	res := el.Value.(*solveResult)
-	a := Assignment{
-		Ranks: append([]int(nil), res.ranks...),
-		Time:  res.time,
-		Stats: SearchStats{Memoized: true},
-	}
-	s.mu.Unlock()
-	return a, true
+type lruEntry[V any] struct {
+	key        string
+	val        V
+	prev, next *lruEntry[V]
 }
 
-// putSolve stores a finished solve under its digest (first value wins;
-// equal digests produce identical assignments by the MemoKey contract).
-func (c *SelectionCache) putSolve(key []byte, a Assignment) {
-	s := &c.solve
-	s.mu.Lock()
-	if el, ok := s.m[string(key)]; ok {
-		s.ll.MoveToFront(el)
-		s.mu.Unlock()
-		return
+// unlink takes e out of the recency list.
+func (sh *lruShard[V]) unlink(e *lruEntry[V]) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		sh.first = e.next
 	}
-	s.puts++
-	el := s.ll.PushFront(&solveResult{
-		key:   string(key),
-		ranks: append([]int(nil), a.Ranks...),
-		time:  a.Time,
-	})
-	s.m[el.Value.(*solveResult).key] = el
-	if s.ll.Len() > s.cap {
-		old := s.ll.Back()
-		s.ll.Remove(old)
-		delete(s.m, old.Value.(*solveResult).key)
-		s.evict++
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		sh.last = e.prev
 	}
-	s.mu.Unlock()
 }
 
-// shardFor hashes a key (FNV-1a, same as the per-call cache) to a shard.
-func (c *SelectionCache) shardFor(key []byte) *lruShard {
+// pushFront makes the unlinked e the most recently used entry.
+func (sh *lruShard[V]) pushFront(e *lruEntry[V]) {
+	e.prev, e.next = nil, sh.first
+	if sh.first != nil {
+		sh.first.prev = e
+	} else {
+		sh.last = e
+	}
+	sh.first = e
+}
+
+// shard hashes a key to its segment: FNV-1a over eight-byte words (a leaf
+// lookup hashes ~80 bytes, and byte-at-a-time was half its cost), the top
+// bits because a product's low bits see only its factors' low bits.
+func (c *lru[V]) shard(key []byte) *lruShard[V] {
 	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
+	for ; len(key) >= 8; key = key[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(key)) * 1099511628211
 	}
-	return &c.shards[h&(cacheShards-1)]
+	for _, b := range key {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return &c.shards[h>>(64-lruShardBits)]
 }
 
-// get looks a key up, promoting it to most-recently-used on a hit.
-func (c *SelectionCache) get(key []byte) (float64, bool) {
-	sh := c.shardFor(key)
+// get looks a key up, promoting it to most recently used on a hit.
+func (c *lru[V]) get(key []byte) (val V, ok bool) {
+	sh := c.shard(key)
 	sh.mu.Lock()
-	el, ok := sh.m[string(key)]
+	defer sh.mu.Unlock()
+	e, ok := sh.m[string(key)]
 	if !ok {
 		sh.miss++
-		sh.mu.Unlock()
-		return 0, false
+		return val, false
 	}
 	sh.hits++
-	sh.ll.MoveToFront(el)
-	v := el.Value.(*lruEntry).val
-	sh.mu.Unlock()
-	return v, true
+	sh.unlink(e)
+	sh.pushFront(e)
+	return e.val, true
 }
 
-// put inserts a key, evicting the shard's least-recently-used entry when
-// full. Re-inserting an existing key keeps the first value (values for
-// equal keys are bit-identical by contract, so which one wins is moot).
-func (c *SelectionCache) put(key []byte, val float64) {
-	sh := c.shardFor(key)
+// put inserts a key, evicting the shard's least recently used entry when
+// full.
+func (c *lru[V]) put(key []byte, val V) {
+	sh := c.shard(key)
 	sh.mu.Lock()
-	if el, ok := sh.m[string(key)]; ok {
-		sh.ll.MoveToFront(el)
-		sh.mu.Unlock()
+	defer sh.mu.Unlock()
+	if e, ok := sh.m[string(key)]; ok {
+		sh.unlink(e)
+		sh.pushFront(e)
 		return
 	}
+	if sh.m == nil {
+		sh.m = make(map[string]*lruEntry[V])
+	}
 	sh.puts++
-	el := sh.ll.PushFront(&lruEntry{key: string(key), val: val})
-	sh.m[el.Value.(*lruEntry).key] = el
-	if sh.ll.Len() > sh.cap {
-		old := sh.ll.Back()
-		sh.ll.Remove(old)
-		delete(sh.m, old.Value.(*lruEntry).key)
+	e := &lruEntry[V]{key: string(key), val: val}
+	sh.m[e.key] = e
+	sh.pushFront(e)
+	if len(sh.m) > c.cap {
+		delete(sh.m, sh.last.key)
+		sh.unlink(sh.last)
 		sh.evict++
 	}
-	sh.mu.Unlock()
 }
+
+// count sums the shards' counters and populations. The snapshot is not
+// atomic across shards (concurrent searches may land between shard
+// reads), which is fine for the monitoring it serves.
+func (c *lru[V]) count() (hits, miss, puts, evict, entries int64) {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		hits += sh.hits
+		miss += sh.miss
+		puts += sh.puts
+		evict += sh.evict
+		entries += int64(len(sh.m))
+		sh.mu.Unlock()
+	}
+	return
+}
+
+// reset drops every entry and zeroes the counters, keeping the capacity.
+func (c *lru[V]) reset() {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		sh.m, sh.first, sh.last = nil, nil, nil
+		sh.hits, sh.miss, sh.puts, sh.evict = 0, 0, 0, 0
+		sh.mu.Unlock()
+	}
+}
+
+// solved is the one way to a solved problem: the assignment stored under
+// key — marked Memoized, its counters those of the search that produced
+// it — or, on a miss, what search returns, which is stored unless it
+// failed. The caller gets its own copy of the ranks either way.
+func (c *SelectionCache) solved(key []byte, search func() (Assignment, error)) (Assignment, error) {
+	a, ok := c.solves.get(key)
+	if ok {
+		a.Stats.Memoized = true
+	} else {
+		var err error
+		if a, err = search(); err != nil {
+			return a, err
+		}
+		c.solves.put(key, a)
+	}
+	a.Ranks = slices.Clone(a.Ranks)
+	return a, nil
+}
+
+// keyBufPool recycles key buffers for sharedObjective. The wrapper must
+// not carry per-closure scratch: the portfolio hands one Objective to
+// several concurrent sub-searches, so a wrapped objective has to stay as
+// concurrency-safe as the stateless objective it wraps.
+var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // sharedObjective returns pr with its objectives routed through the
 // shared cache: each evaluation first looks its canonical key up under
@@ -220,22 +226,16 @@ func (c *SelectionCache) put(key []byte, val float64) {
 // cache into its leaf loop, where it can also keep exact leaf accounting.
 // Values for equal keys are bit-identical by the CanonicalKey contract,
 // so wrapped and unwrapped searches return identical results.
-// keyBufPool recycles key buffers for sharedObjective. The wrapper must
-// not carry per-closure scratch: the portfolio hands one Objective to
-// several concurrent sub-searches, so a wrapped objective has to stay as
-// concurrency-safe as the stateless objective it wraps.
-var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
 func sharedObjective(pr Problem, shared *SelectionCache, ns []byte) Problem {
 	wrap := func(obj Objective) Objective {
 		return func(cand []int) float64 {
 			bp := keyBufPool.Get().(*[]byte)
 			buf := append((*bp)[:0], ns...)
 			buf = pr.CanonicalKey(buf, cand)
-			v, ok := shared.get(buf)
+			v, ok := shared.values.get(buf)
 			if !ok {
 				v = obj(cand)
-				shared.put(buf, v)
+				shared.values.put(buf, v)
 			}
 			*bp = buf
 			keyBufPool.Put(bp)
@@ -252,17 +252,18 @@ func sharedObjective(pr Problem, shared *SelectionCache, ns []byte) Problem {
 
 // CacheStats is a point-in-time snapshot of a SelectionCache's counters.
 type CacheStats struct {
-	// Hits and Misses count lookups by outcome, across every search that
-	// used the cache since creation (or the last Reset).
+	// Hits and Misses count value lookups by outcome, across every search
+	// that used the cache since creation (or the last Reset).
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// Puts counts insertions; Evictions counts entries dropped to respect
-	// the size bound. Entries is the current population.
+	// Puts counts value insertions; Evictions counts values dropped to
+	// respect the size bound. Entries is the current population.
 	Puts      int64 `json:"puts"`
 	Evictions int64 `json:"evictions"`
 	Entries   int64 `json:"entries"`
-	// SolveHits, SolveMisses and SolveEntries are the whole-solve memo's
-	// counters: a SolveHit is an entire selection search skipped.
+	// SolveHits, SolveMisses and SolveEntries are the solve layer's
+	// counters: a SolveHit is an entire selection search skipped, a
+	// SolveMiss one that ran.
 	SolveHits    int64 `json:"solve_hits"`
 	SolveMisses  int64 `json:"solve_misses"`
 	SolveEntries int64 `json:"solve_entries"`
@@ -277,9 +278,9 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// SolveHitRate returns the whole-solve memo's rate: the fraction of
-// selection searches skipped outright. This is the figure that says how
-// often repeated job specs were served from the warm cache.
+// SolveHitRate returns the solve layer's rate: the fraction of selection
+// searches skipped outright. This is the figure that says how often
+// repeated job specs were served from the warm cache.
 func (s CacheStats) SolveHitRate() float64 {
 	if s.SolveHits+s.SolveMisses == 0 {
 		return 0
@@ -287,43 +288,16 @@ func (s CacheStats) SolveHitRate() float64 {
 	return float64(s.SolveHits) / float64(s.SolveHits+s.SolveMisses)
 }
 
-// Stats sums the per-shard counters. The snapshot is not atomic across
-// shards (concurrent searches may land between shard reads), which is
-// fine for the monitoring it serves.
+// Stats snapshots both layers' counters.
 func (c *SelectionCache) Stats() CacheStats {
 	var out CacheStats
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		out.Hits += sh.hits
-		out.Misses += sh.miss
-		out.Puts += sh.puts
-		out.Evictions += sh.evict
-		out.Entries += int64(sh.ll.Len())
-		sh.mu.Unlock()
-	}
-	c.solve.mu.Lock()
-	out.SolveHits = c.solve.hits
-	out.SolveMisses = c.solve.miss
-	out.SolveEntries = int64(c.solve.ll.Len())
-	c.solve.mu.Unlock()
+	out.Hits, out.Misses, out.Puts, out.Evictions, out.Entries = c.values.count()
+	out.SolveHits, out.SolveMisses, _, _, out.SolveEntries = c.solves.count()
 	return out
 }
 
 // Reset drops every entry and zeroes the counters, keeping the capacity.
 func (c *SelectionCache) Reset() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[string]*list.Element)
-		sh.ll = list.New()
-		sh.hits, sh.miss, sh.puts, sh.evict = 0, 0, 0, 0
-		sh.mu.Unlock()
-	}
-	s := &c.solve
-	s.mu.Lock()
-	s.m = make(map[string]*list.Element)
-	s.ll = list.New()
-	s.hits, s.miss, s.puts, s.evict = 0, 0, 0, 0
-	s.mu.Unlock()
+	c.values.reset()
+	c.solves.reset()
 }

@@ -10,13 +10,13 @@ import (
 // TestSelectionCacheBound: the cache never exceeds its entry budget, and
 // the bookkeeping identity Puts - Evictions == Entries holds.
 func TestSelectionCacheBound(t *testing.T) {
-	c := NewSelectionCache(cacheShards) // one entry per shard
+	c := NewSelectionCache(lruShards) // one entry per shard
 	for i := 0; i < 500; i++ {
-		c.put([]byte(fmt.Sprintf("key-%d", i)), float64(i))
+		c.values.put([]byte(fmt.Sprintf("key-%d", i)), float64(i))
 	}
 	st := c.Stats()
-	if st.Entries > cacheShards {
-		t.Fatalf("cache holds %d entries, budget %d", st.Entries, cacheShards)
+	if st.Entries > lruShards {
+		t.Fatalf("cache holds %d entries, budget %d", st.Entries, lruShards)
 	}
 	if st.Puts-st.Evictions != st.Entries {
 		t.Fatalf("puts %d - evictions %d != entries %d", st.Puts, st.Evictions, st.Entries)
@@ -29,29 +29,29 @@ func TestSelectionCacheBound(t *testing.T) {
 // TestSelectionCacheLRUOrder: within one shard, a get refreshes recency,
 // so the untouched entry is the one evicted.
 func TestSelectionCacheLRUOrder(t *testing.T) {
-	c := NewSelectionCache(2 * cacheShards) // two entries per shard
+	c := NewSelectionCache(2 * lruShards) // two entries per shard
 	// Collect three distinct keys that land in the same shard.
-	target := c.shardFor([]byte("seed"))
+	target := c.values.shard([]byte("seed"))
 	var keys [][]byte
 	for i := 0; len(keys) < 3; i++ {
 		k := []byte(fmt.Sprintf("k%d", i))
-		if c.shardFor(k) == target {
+		if c.values.shard(k) == target {
 			keys = append(keys, k)
 		}
 	}
-	c.put(keys[0], 1)
-	c.put(keys[1], 2)
-	if _, ok := c.get(keys[0]); !ok { // refresh keys[0]; keys[1] is now LRU
+	c.values.put(keys[0], 1)
+	c.values.put(keys[1], 2)
+	if _, ok := c.values.get(keys[0]); !ok { // refresh keys[0]; keys[1] is now LRU
 		t.Fatal("keys[0] missing immediately after put")
 	}
-	c.put(keys[2], 3) // shard full: must evict keys[1]
-	if _, ok := c.get(keys[1]); ok {
+	c.values.put(keys[2], 3) // shard full: must evict keys[1]
+	if _, ok := c.values.get(keys[1]); ok {
 		t.Fatal("least-recently-used entry survived eviction")
 	}
-	if v, ok := c.get(keys[0]); !ok || v != 1 {
+	if v, ok := c.values.get(keys[0]); !ok || v != 1 {
 		t.Fatalf("refreshed entry lost or corrupted: %v %v", v, ok)
 	}
-	if v, ok := c.get(keys[2]); !ok || v != 3 {
+	if v, ok := c.values.get(keys[2]); !ok || v != 3 {
 		t.Fatalf("newest entry lost or corrupted: %v %v", v, ok)
 	}
 }
@@ -62,10 +62,10 @@ func TestSelectionCacheStats(t *testing.T) {
 	if got := c.Stats().HitRate(); got != 0 {
 		t.Fatalf("hit rate before any lookup = %v", got)
 	}
-	c.put([]byte("a"), 7)
-	c.get([]byte("a")) // hit
-	c.get([]byte("a")) // hit
-	c.get([]byte("b")) // miss
+	c.values.put([]byte("a"), 7)
+	c.values.get([]byte("a")) // hit
+	c.values.get([]byte("a")) // hit
+	c.values.get([]byte("b")) // miss
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 1 || st.Puts != 1 {
 		t.Fatalf("stats %+v, want 2 hits / 1 miss / 1 put", st)
@@ -78,7 +78,7 @@ func TestSelectionCacheStats(t *testing.T) {
 	if st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Fatalf("Reset left counters %+v", st)
 	}
-	if _, ok := c.get([]byte("a")); ok {
+	if _, ok := c.values.get([]byte("a")); ok {
 		t.Fatal("Reset left entries behind")
 	}
 }
@@ -96,11 +96,11 @@ func TestSelectionCacheConcurrent(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				k := []byte(fmt.Sprintf("key-%d", i%257))
 				want := float64(i % 257)
-				if v, ok := c.get(k); ok && v != want {
+				if v, ok := c.values.get(k); ok && v != want {
 					t.Errorf("goroutine %d: key %s = %v, want %v", g, k, v, want)
 					return
 				}
-				c.put(k, want)
+				c.values.put(k, want)
 			}
 		}(g)
 	}
@@ -312,11 +312,11 @@ func TestNamespaceCollisionRegression(t *testing.T) {
 	})
 }
 
-// TestSolveMemo covers the whole-solve layer: a repeated Solve with the
-// same MemoKey is served without running any search, bit-identical to
-// the search it replaces; distinct MemoKeys never alias; the memo hands
-// out copies, so callers mutating Ranks cannot corrupt the store; and
-// budgeted (wall-clock-dependent) searches are never memoised.
+// TestSolveMemo covers the solve layer: a repeated Solve with the same
+// MemoKey is served without running any search, bit-identical to the
+// search it replaces, counters included; distinct MemoKeys never alias;
+// the memo hands out copies, so callers mutating Ranks cannot corrupt the
+// store; and budgeted (wall-clock-dependent) searches are never memoised.
 func TestSolveMemo(t *testing.T) {
 	w := []float64{5, 3, 2}
 	s := []float64{1, 1, 2, 2, 4}
@@ -359,8 +359,11 @@ func TestSolveMemo(t *testing.T) {
 	if !warm.Stats.Memoized {
 		t.Fatal("repeated solve ran the search instead of the memo")
 	}
-	if warm.Stats.Evaluations != 0 || warm.Stats.CacheHits != 0 {
-		t.Fatalf("memoised solve reports search work: %+v", warm.Stats)
+	// A hit reports the search that produced it, and says it is a hit.
+	want := cold.Stats
+	want.Memoized = true
+	if warm.Stats != want || want.Evaluations == 0 {
+		t.Fatalf("memoised solve reports %+v, the search was %+v", warm.Stats, cold.Stats)
 	}
 	if warm.Time != cold.Time || fmt.Sprint(warm.Ranks) != fmt.Sprint(cold.Ranks) {
 		t.Fatalf("memoised solve differs: %v/%v vs %v/%v", warm.Ranks, warm.Time, cold.Ranks, cold.Time)

@@ -40,9 +40,9 @@ type SearchStats struct {
 	Workers int
 	// WallTime is the elapsed time of the search.
 	WallTime time.Duration
-	// Memoized marks an assignment served from the shared cache's
-	// whole-solve memo (Options.MemoKey): no search ran at all, and the
-	// other counters are zero.
+	// Memoized marks an assignment served from the selection cache's solve
+	// layer (Options.MemoKey): no search ran, and the other counters are
+	// those of the search that first solved the problem.
 	Memoized bool
 }
 
@@ -70,57 +70,6 @@ func (b *sharedBound) update(t float64) {
 	}
 }
 
-// valueMemo is what a search memoises objective values in: the per-call
-// symCache or the caller's SelectionCache.
-type valueMemo interface {
-	get(key []byte) (float64, bool)
-	put(key []byte, t float64)
-}
-
-// symCache memoises objective values by canonical candidate key. Sharded
-// to keep lock contention off the search's hot path.
-type symCache struct{ shards [16]cacheShard }
-
-type cacheShard struct {
-	mu sync.Mutex
-	m  map[string]float64
-}
-
-func newSymCache() *symCache {
-	c := new(symCache)
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]float64)
-	}
-	return c
-}
-
-// shardOf hashes a key (FNV-1a) onto a shard index.
-func shardOf(key []byte) int {
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return int(h & 15)
-}
-
-func (c *symCache) get(key []byte) (float64, bool) {
-	sh := &c.shards[shardOf(key)]
-	sh.mu.Lock()
-	t, ok := sh.m[string(key)]
-	sh.mu.Unlock()
-	return t, ok
-}
-
-func (c *symCache) put(key []byte, t float64) {
-	sh := &c.shards[shardOf(key)]
-	sh.mu.Lock()
-	if _, ok := sh.m[string(key)]; !ok {
-		sh.m[string(key)] = t
-	}
-	sh.mu.Unlock()
-}
-
 // fallingFactorial returns m(m-1)...(m-j+1) — the number of injective
 // completions of j slots from an m-element pool.
 func fallingFactorial(m, j int) int64 {
@@ -141,10 +90,10 @@ type exhaustiveEngine struct {
 	base  []int // candidate template with the Fixed ranks placed
 	bound *sharedBound
 	// memo, non-nil when the problem supplies CanonicalKey, memoises
-	// objective values by canonical key: the caller-owned cross-search
-	// store when there is one (ns is the namespace prefix every key
-	// carries there, see SelectionCache), a per-call symCache otherwise.
-	memo valueMemo
+	// objective values by canonical key: the caller's cache when there is
+	// one (ns is the namespace prefix every key carries there, see
+	// SelectionCache), a throwaway one otherwise.
+	memo *SelectionCache
 	ns   []byte
 	stop *atomic.Bool // optional cooperative cancel (Portfolio's Budget)
 
@@ -173,9 +122,9 @@ func newEngine(pr Problem, opts Options, bound *sharedBound, stop *atomic.Bool) 
 		}
 	}
 	if pr.CanonicalKey != nil {
-		e.memo = newSymCache()
-		if opts.Shared != nil {
-			e.memo, e.ns = opts.Shared, opts.Namespace
+		e.memo, e.ns = opts.Shared, opts.Namespace
+		if e.memo == nil {
+			e.memo = NewSelectionCache(0)
 		}
 	}
 	return e
@@ -315,7 +264,7 @@ func (w *engineWorker) rec(depth int) {
 	}
 }
 
-// leaf scores one complete candidate: from the symmetry cache when a
+// leaf scores one complete candidate: from the selection cache when a
 // candidate with the same canonical key was already scored (equal keys
 // guarantee bit-identical objectives), from the objective otherwise. With
 // a Shared cache the key is namespace-qualified and the memo survives
@@ -327,13 +276,13 @@ func (w *engineWorker) leaf() {
 	var t float64
 	if e.memo != nil {
 		w.key = e.pr.CanonicalKey(append(w.key[:0], e.ns...), w.cand)
-		if ct, ok := e.memo.get(w.key); ok {
+		if ct, ok := e.memo.values.get(w.key); ok {
 			e.hits.Add(1)
 			t = ct
 		} else {
 			t = w.obj(w.cand)
 			e.evals.Add(1)
-			e.memo.put(w.key, t)
+			e.memo.values.put(w.key, t)
 		}
 	} else {
 		t = w.obj(w.cand)

@@ -116,31 +116,31 @@ type Options struct {
 	// repository's changes may not touch, still set them; they go in the
 	// first change that may edit that line.
 	Prune, Cache bool
-	// Shared, when non-nil, memoises objective values in this
-	// caller-owned cross-search cache instead of a per-call one, so the
-	// memoisation survives across Solve calls (the hmpid daemon's warm
-	// path). It requires a non-empty Namespace: canonical keys identify a
-	// candidate's shape, not the cost model scoring it, so entries from
-	// different clusters or model instances must never alias. Ignored
-	// when the problem supplies no CanonicalKey. Hits return values
-	// bit-identical to evaluation, so the assignment returned is
-	// independent of the cache's content, size, and eviction history.
+	// Shared, when non-nil, is the caller's SelectionCache — the one store
+	// of scored candidates and solved problems — so what this search works
+	// out outlives the call (a runtime's planning round, the hmpid daemon's
+	// warm path); without one an exhaustive search memoises into a cache it
+	// throws away. It requires a non-empty Namespace when the problem
+	// supplies a CanonicalKey: canonical keys identify a candidate's shape,
+	// not the cost model scoring it, so entries from different clusters or
+	// model instances must never alias. Hits return values bit-identical to
+	// evaluation, so the assignment returned is independent of the cache's
+	// content, size, and eviction history.
 	Shared *SelectionCache
-	// Namespace is the key prefix qualifying every Shared entry this
-	// search reads or writes — typically estimator.AppendNamespace's
-	// digest of the cluster's link costs and the instantiated model.
+	// Namespace is the key prefix qualifying every value this search reads
+	// from or writes to Shared — typically estimator.AppendNamespace's
+	// digest of the model instance and the cluster's link costs.
 	Namespace []byte
-	// MemoKey, when non-empty alongside Shared, additionally memoises the
-	// whole solve: the final assignment is stored in Shared under a digest
-	// of MemoKey, the problem, and the result-affecting options, and a
-	// repeated Solve returns it without searching (Stats.Memoized marks
-	// such a result). The caller's MemoKey must pin everything the
-	// objective depends on that the problem's own fields do not — for
-	// Timeof objectives, estimator.AppendMemoKey (cost model + placement +
-	// speeds). Every strategy is deterministic given those inputs, so a
-	// memoised assignment is bit-identical to the search it replaces;
-	// searches under a wall-clock Budget are the one exception and are
-	// never memoised.
+	// MemoKey, when non-empty alongside Shared, stores the solved problem
+	// itself: the assignment goes into Shared under a digest of MemoKey,
+	// the problem, and the result-affecting options, and a repeated Solve
+	// returns it without searching (Stats.Memoized marks such a result).
+	// The caller's MemoKey must pin everything the objective depends on
+	// that the problem's own fields do not — for Timeof objectives,
+	// estimator.AppendMemoKey (cost model + placement + speeds). Every
+	// strategy is deterministic given those inputs, so a stored assignment
+	// is bit-identical to the search it replaces; searches under a
+	// wall-clock Budget are the one exception and are never stored.
 	MemoKey []byte
 	// Restarts is the number of local-search starts for
 	// StrategyGreedyLocal (default 1): start 0 climbs from the greedy
@@ -191,30 +191,41 @@ type Assignment struct {
 
 // Solve runs the selection search.
 func Solve(pr Problem, opts Options) (Assignment, error) {
+	return SolveLazy(pr, opts, nil)
+}
+
+// SolveLazy is Solve for a caller whose objective is costly to build: pr
+// arrives without Objective, NewObjective, LowerBound and CanonicalKey —
+// none of which the solve layer's key reads — and bind, when non-nil,
+// supplies them, called only once a search is certain to run. A problem
+// the Shared cache has already solved (Options.MemoKey) therefore costs
+// the lookup and nothing else.
+func SolveLazy(pr Problem, opts Options, bind func(*Problem) error) (Assignment, error) {
 	opts.fill()
 	if err := validate(pr); err != nil {
 		return Assignment{}, err
 	}
-	if opts.Shared != nil && len(opts.Namespace) == 0 && pr.CanonicalKey != nil {
-		return Assignment{}, fmt.Errorf("mapper: a Shared selection cache needs a Namespace (canonical keys do not identify the cluster or model)")
-	}
-	// Whole-solve memo: with a MemoKey, a repeated problem skips the
-	// search entirely. Budgeted searches are wall-clock-dependent, so
-	// they are neither served from nor stored into the memo.
-	var memoShared *SelectionCache
-	var memoKey []byte
-	if opts.Shared != nil && len(opts.MemoKey) > 0 && opts.Budget == 0 {
-		memoKey = appendSolveDigest(append([]byte(nil), opts.MemoKey...), pr, opts)
-		if a, ok := opts.Shared.getSolve(memoKey); ok {
-			return a, nil
+	search := func() (Assignment, error) {
+		if bind != nil {
+			if err := bind(&pr); err != nil {
+				return Assignment{}, err
+			}
 		}
-		memoShared = opts.Shared
+		if pr.Objective == nil {
+			return Assignment{}, fmt.Errorf("mapper: nil objective")
+		}
+		if opts.Shared != nil && len(opts.Namespace) == 0 && pr.CanonicalKey != nil {
+			return Assignment{}, fmt.Errorf("mapper: a Shared selection cache needs a Namespace (canonical keys do not identify the cluster or model)")
+		}
+		return solve(pr, opts)
 	}
-	a, err := solve(pr, opts)
-	if err == nil && memoShared != nil {
-		memoShared.putSolve(memoKey, a)
+	// Budgeted searches are wall-clock-dependent, so they are neither
+	// served from nor stored into the solve layer.
+	if opts.Shared == nil || len(opts.MemoKey) == 0 || opts.Budget != 0 {
+		return search()
 	}
-	return a, err
+	key := append(make([]byte, 0, 1024), opts.MemoKey...) // on the stack
+	return opts.Shared.solved(appendSolveDigest(key, pr, opts), search)
 }
 
 // appendSolveDigest extends the caller's MemoKey with every problem and
@@ -309,9 +320,6 @@ func solve(pr Problem, opts Options) (Assignment, error) {
 func validate(pr Problem) error {
 	if pr.P <= 0 {
 		return fmt.Errorf("mapper: non-positive processor count %d", pr.P)
-	}
-	if pr.Objective == nil {
-		return fmt.Errorf("mapper: nil objective")
 	}
 	seen := make(map[int]bool, len(pr.Avail))
 	for _, r := range pr.Avail {

@@ -20,7 +20,7 @@ func evalVolume(t *testing.T, expr string, hosts map[string]HostFunc) float64 {
 		t.Fatalf("parse %q: %v", expr, err)
 	}
 	for name, fn := range hosts {
-		m.registerHost(name, fn)
+		m.hosts[name] = fn
 	}
 	inst, err := m.Instantiate(1, 7, 3, 2.5)
 	if err != nil {
@@ -157,7 +157,7 @@ func TestHostFunctionWithRef(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, fn := range hosts {
-		m.registerHost(name, fn)
+		m.hosts[name] = fn
 	}
 	inst, err := m.Instantiate(1)
 	if err != nil {

@@ -171,8 +171,8 @@ func goldenCases(t *testing.T) []goldenCase {
 	return cases
 }
 
-// dagDigest hashes what estimator.AppendNamespace hashes of a task graph:
-// kind, endpoints, volume bits and dependencies of every task, in order.
+// dagDigest hashes a task graph: kind, endpoints, volume bits and
+// dependencies of every task, in order.
 func dagDigest(d *sched.DAG) string {
 	h := sha256.New()
 	var buf [8]byte

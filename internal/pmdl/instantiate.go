@@ -1,7 +1,10 @@
 package pmdl
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/sched"
@@ -18,6 +21,7 @@ type Model struct {
 	Source string
 	prog   *program
 	hosts  map[string]HostFunc
+	srcSum [sha256.Size]byte // of Source
 }
 
 // ParseModel compiles model source text: parse, check, lower. The builtin
@@ -32,9 +36,8 @@ func ParseModel(src string) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{File: f, Source: src, prog: prog, hosts: make(map[string]HostFunc)}
-	m.registerHost("GetProcessor", getProcessorBuiltin)
-	return m, nil
+	hosts := map[string]HostFunc{"GetProcessor": getProcessorBuiltin}
+	return &Model{File: f, Source: src, prog: prog, hosts: hosts, srcSum: sha256.Sum256([]byte(src))}, nil
 }
 
 // MustParseModel is ParseModel for known-good embedded sources.
@@ -48,9 +51,6 @@ func MustParseModel(src string) *Model {
 
 // Name returns the algorithm name.
 func (m *Model) Name() string { return m.File.Algorithm.Name }
-
-// registerHost makes fn callable from the scheme under the given name.
-func (m *Model) registerHost(name string, fn HostFunc) { m.hosts[name] = fn }
 
 // Instance is a performance model bound to actual parameters: the total
 // number of abstract processors, the computation volume of each, the
@@ -73,9 +73,32 @@ type Instance struct {
 	CommVolume [][]float64
 	// Parent is the abstract index of the parent processor.
 	Parent int
+	// Digest identifies the source and the bound arguments; volumes, parent and
+	// task graph are functions of the two (GetProcessor is the one host function).
+	Digest [sha256.Size]byte
 
 	params []num   // the bound scalar parameters: a scheme frame's leading slots
 	arrays []array // the bound array parameters
+}
+
+// setDigest hashes the source and the arguments as bindArg flattened them.
+func (inst *Instance) setDigest() {
+	b := append(make([]byte, 0, 4096), inst.Model.srcSum[:]...) // on the stack
+	put := func(ns ...num) {
+		for _, n := range ns {
+			kind, bits := byte(0), uint64(n.i)
+			if n.dbl {
+				kind, bits = 1, math.Float64bits(n.f)
+			}
+			b = binary.LittleEndian.AppendUint64(append(b, kind), bits)
+		}
+	}
+	put(inst.params...)
+	for _, a := range inst.arrays {
+		put(intNum(int64(len(a.elems)))) // delimits the run
+		put(a.elems...)
+	}
+	inst.Digest = sha256.Sum256(b)
 }
 
 // maxProcs bounds the abstract processors of an instance: the pairwise
@@ -125,6 +148,7 @@ func (m *Model) instantiate(argOf func(i int, dims []int) (any, error), maxDim i
 	}
 
 	inst := &Instance{Model: m, NumProcs: 1, params: fr.slots[:p.coordSlot:p.coordSlot], arrays: fr.arrays}
+	inst.setDigest()
 	for i, cv := range alg.Coords {
 		n := p.coordSizes[i](fr).int()
 		if fr.err != nil {
@@ -206,14 +230,15 @@ func flatten(dst []num, arg any, dbl bool) ([]num, []int, error) {
 			return nil, nil, fmt.Errorf("empty array")
 		}
 		var inner []int
+		start := len(dst)
 		for i := 0; i < n; i++ {
 			var dims []int
 			var err error
 			if dst, dims, err = flatten(dst, at(i), dbl); err != nil {
 				return nil, nil, err
 			}
-			if i == 0 {
-				inner = dims
+			if i == 0 { // the other n-1 rows are this long, or the array is ragged
+				inner, dst = dims, slices.Grow(dst, min((n-1)*(len(dst)-start), 1<<16))
 			} else if !slices.Equal(dims, inner) {
 				return nil, nil, fmt.Errorf("ragged array at index %d", i)
 			}
