@@ -15,6 +15,7 @@ package em3d
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/hnoc"
@@ -32,8 +33,12 @@ type Body struct {
 	E, H []float64
 	// EDeps[i] lists the H nodes the value of E node i depends on;
 	// HDeps[i] lists the E nodes H node i depends on. Dependencies may
-	// be local or remote.
+	// be local or remote. Both are nil on a Light problem.
 	EDeps, HDeps [][]NodeRef
+	// EBound and HBound list, ascending, the E and H nodes that read at
+	// least one remote value: the part of an update that has to wait for
+	// the halo exchange. Light problems have them too.
+	EBound, HBound []int
 }
 
 // Nodes returns the total node count of the subbody.
@@ -51,7 +56,7 @@ type Problem struct {
 	K int
 	// FlopsPerNode is the arithmetic cost of updating one node.
 	FlopsPerNode int
-	// Light marks a problem generated without local dependency lists;
+	// Light marks a problem generated without per-node dependency lists;
 	// such problems cannot run with real math.
 	Light bool
 }
@@ -72,10 +77,11 @@ type Config struct {
 	Degree int
 	// K is the benchmark kernel size in nodes (default 1000).
 	K int
-	// Light skips materialising the per-node local dependency lists,
-	// which large timing-only sweeps never read (real-math runs need
-	// them and must not set Light). Boundary lists and field arrays,
-	// which the communication code reads, are always built.
+	// Light skips materialising the per-node dependency lists, which
+	// timing-only runs never read (real-math runs need them and must not
+	// set Light): the problem then holds no per-node slice at all. The
+	// field arrays and boundary lists, which the communication code
+	// reads, are always built.
 	Light bool
 	// Seed makes generation deterministic.
 	Seed uint64
@@ -169,10 +175,7 @@ func Generate(cfg Config) (*Problem, error) {
 	for i := 0; i < cfg.P; i++ {
 		nE := sizes[i] / 2
 		nH := sizes[i] - nE
-		b := &Body{
-			E: make([]float64, nE), H: make([]float64, nH),
-			EDeps: make([][]NodeRef, nE), HDeps: make([][]NodeRef, nH),
-		}
+		b := &Body{E: make([]float64, nE), H: make([]float64, nH)}
 		for n := 0; n < nE; n++ {
 			b.E[n] = rng.float()
 		}
@@ -187,6 +190,7 @@ func Generate(cfg Config) (*Problem, error) {
 	// Local dependencies.
 	if !cfg.Light {
 		for _, b := range pr.Bodies {
+			b.EDeps, b.HDeps = make([][]NodeRef, len(b.E)), make([][]NodeRef, len(b.H))
 			for n := range b.E {
 				for d := 0; d < cfg.Degree; d++ {
 					b.EDeps[n] = append(b.EDeps[n], NodeRef{Body: -1, Index: rng.intn(len(b.H))})
@@ -218,17 +222,29 @@ func Generate(cfg Config) (*Problem, error) {
 				pr.DepH[i][j] = append(pr.DepH[i][j], hIdx...)
 				for _, h := range hIdx {
 					e := rng.intn(len(bi.E))
-					bi.EDeps[e] = append(bi.EDeps[e], NodeRef{Body: j, Index: h})
+					bi.EBound = append(bi.EBound, e)
+					if !cfg.Light {
+						bi.EDeps[e] = append(bi.EDeps[e], NodeRef{Body: j, Index: h})
+					}
 				}
 				// H nodes of i reading E nodes of j.
 				eIdx := pickDistinct(&rng, len(bj.E), nBound)
 				pr.DepE[i][j] = append(pr.DepE[i][j], eIdx...)
 				for _, ei := range eIdx {
 					hn := rng.intn(len(bi.H))
-					bi.HDeps[hn] = append(bi.HDeps[hn], NodeRef{Body: j, Index: ei})
+					bi.HBound = append(bi.HBound, hn)
+					if !cfg.Light {
+						bi.HDeps[hn] = append(bi.HDeps[hn], NodeRef{Body: j, Index: ei})
+					}
 				}
 			}
 		}
+	}
+	// Two boundary values may land on one node: a node is listed once.
+	for _, b := range pr.Bodies {
+		slices.Sort(b.EBound)
+		slices.Sort(b.HBound)
+		b.EBound, b.HBound = slices.Compact(b.EBound), slices.Compact(b.HBound)
 	}
 	return pr, nil
 }

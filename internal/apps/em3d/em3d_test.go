@@ -3,6 +3,8 @@ package em3d
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/apps"
@@ -153,31 +155,55 @@ func TestModelArgsInstantiate(t *testing.T) {
 
 // TestParallelMatchesSerial is the core correctness check: the parallel
 // algorithm with real math produces bit-identical fields to the serial
-// reference, in both the HMPI and the plain-MPI mode.
+// reference, in both the HMPI and the plain-MPI mode, on both schedules.
+// Rings of two (one neighbour twice), three and more bodies; more than one
+// iteration, so a halo scratch array that kept a previous phase's values
+// would show.
 func TestParallelMatchesSerial(t *testing.T) {
-	pr := smallProblem(t, 5, 500)
-	iters := 4
-	want := pr.Clone().SerialRun(iters)
-
-	cluster := hnoc.Paper9()
 	for name, mode := range map[string]apps.Mode{"HMPI": apps.HMPI, "MPI": apps.MPI} {
 		t.Run(name, func(t *testing.T) {
-			prog := &Program{Problem: pr, Opts: RunOptions{Iters: iters, RealMath: true}}
-			if _, err := apps.RunOn(cluster, prog, mode); err != nil {
-				t.Fatal(err)
-			}
-			if len(prog.Field) != len(want) {
-				t.Fatalf("field has %d bodies, want %d", len(prog.Field), len(want))
-			}
-			for i := range want {
-				for n := range want[i] {
-					if prog.Field[i][n] != want[i][n] {
-						t.Fatalf("%s: body %d node %d: %v != %v",
-							name, i, n, prog.Field[i][n], want[i][n])
+			for _, p := range []int{2, 3, 5, 6, 9} {
+				pr := smallProblem(t, p, 100*p)
+				for _, iters := range []int{1, 4} {
+					want := pr.Clone().SerialRun(iters)
+					for _, overlap := range []bool{false, true} {
+						prog := &Program{Problem: pr, Opts: RunOptions{Iters: iters, RealMath: true, Overlap: overlap}}
+						if _, err := apps.RunOn(hnoc.Paper9(), prog, mode); err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(prog.Field, want) {
+							t.Fatalf("p=%d iters=%d overlap=%v: parallel field differs from the serial one", p, iters, overlap)
+						}
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestConcurrentRunsShareOneProblem: a timing-only run only reads its
+// problem, so two runs over one *Problem at once are race-free (the race
+// detector checks that in `make check`) and leave it as generated.
+func TestConcurrentRunsShareOneProblem(t *testing.T) {
+	pr, err := Generate(Config{P: 6, TotalNodes: 12_000, Light: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := pr.digest()
+	var wg sync.WaitGroup
+	for _, overlap := range []bool{false, true} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prog := &Program{Problem: pr, Opts: RunOptions{Iters: 3, Overlap: overlap}}
+			if _, err := apps.RunOn(hnoc.Paper9(), prog, apps.HMPI); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if pr.digest() != before {
+		t.Fatal("a timing-only run wrote to the shared problem")
 	}
 }
 

@@ -35,7 +35,7 @@ func TestModelMatchesExecutionVolumes(t *testing.T) {
 	// subbody i) so the stats contain nothing but the algorithm's own
 	// traffic.
 	err = rt.Run(func(h *hmpi.Process) error {
-		return RunParallel(h.CommWorld(), pr.Clone(), RunOptions{Iters: iters})
+		return RunParallel(h.CommWorld(), pr, RunOptions{Iters: iters})
 	})
 	if err != nil {
 		t.Fatal(err)

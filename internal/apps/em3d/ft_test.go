@@ -46,6 +46,14 @@ func TestResilientSurvivesAnySingleFailure(t *testing.T) {
 	pr := smallProblem(t, 4, 400)
 	iters := 3
 	want := pr.Clone().SerialRun(iters)
+	// Every attempt, restarted ones included, starts from the field as
+	// generated: no run writes to the problem.
+	pristine := pr.digest()
+	defer func() {
+		if pr.digest() != pristine {
+			t.Error("a run wrote to the program's problem")
+		}
+	}()
 	// Each runtime gets a fresh cluster: failure marks are durable on a
 	// cluster (a dead machine stays dead), so reusing one would leak kills
 	// between subtests.

@@ -78,9 +78,8 @@ func TestLightGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&buf, "p=%d nodes=%d frac=%v sha256=%s\n", cfg.P, cfg.TotalNodes, cfg.BoundaryFrac, pr.digest())
 		for i, b := range pr.Bodies {
-			intE, bndE := boundarySplit(b.EDeps)
-			intH, bndH := boundarySplit(b.HDeps)
-			fmt.Fprintf(&buf, "  body %d: E %d+%d H %d+%d\n", i, intE, bndE, intH, bndH)
+			fmt.Fprintf(&buf, "  body %d: E %d+%d H %d+%d\n", i,
+				len(b.E)-len(b.EBound), len(b.EBound), len(b.H)-len(b.HBound), len(b.HBound))
 		}
 		if cfg.P > 9 {
 			continue

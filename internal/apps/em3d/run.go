@@ -1,7 +1,10 @@
 package em3d
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/apps"
 	"repro/internal/mpi"
@@ -20,17 +23,21 @@ func (pr *Problem) snapshotE() Field {
 	return out
 }
 
-// Clone deep-copies the problem so independent runs start from the same
-// initial field values.
+// Clone copies the problem's field values, so independent runs start from
+// the same initial field; the dependency lists, never written, are shared.
 func (pr *Problem) Clone() *Problem {
-	cp := &Problem{K: pr.K, FlopsPerNode: pr.FlopsPerNode, Light: pr.Light, DepH: pr.DepH, DepE: pr.DepE}
-	for _, b := range pr.Bodies {
-		cp.Bodies = append(cp.Bodies, &Body{
-			E: append([]float64(nil), b.E...), H: append([]float64(nil), b.H...),
-			EDeps: b.EDeps, HDeps: b.HDeps,
-		})
+	cp := *pr
+	cp.Bodies = make([]*Body, len(pr.Bodies))
+	for i, b := range pr.Bodies {
+		cp.Bodies[i] = b.clone()
 	}
-	return cp
+	return &cp
+}
+
+func (b *Body) clone() *Body {
+	cp := *b
+	cp.E, cp.H = slices.Clone(b.E), slices.Clone(b.H)
+	return &cp
 }
 
 // lookupH resolves an H-node dependency of body `me`.
@@ -127,7 +134,7 @@ const (
 // size must equal the number of subbodies. This one function serves both
 // the plain-MPI baseline and the HMPI version — exactly as in the paper,
 // where the computational code of the two programs is identical and only
-// group creation differs.
+// group creation differs. Without RealMath the problem is only read.
 func RunParallel(comm *mpi.Comm, pr *Problem, opts RunOptions) error {
 	p := len(pr.Bodies)
 	if comm.Size() != p {
@@ -138,200 +145,133 @@ func RunParallel(comm *mpi.Comm, pr *Problem, opts RunOptions) error {
 	}
 	me := comm.Rank()
 	body := pr.Bodies[me]
-	if opts.Overlap {
-		return runOverlap(comm, pr, opts)
-	}
-
+	haloH := newHalo(comm, pr, opts, tagHBoundary, pr.DepH, func(b *Body) []float64 { return b.H })
+	haloE := newHalo(comm, pr, opts, tagEBoundary, pr.DepE, func(b *Body) []float64 { return b.E })
 	for it := 0; it < opts.Iters; it++ {
-		// Phase 1: gather remote H boundary values, then compute E.
-		remoteH, err := exchangeBoundary(comm, pr, me, tagHBoundary, pr.DepH, func(j int) []float64 { return pr.Bodies[j].H })
-		if err != nil {
+		// Phase 1: gather remote H boundary values and compute E.
+		if err := haloH.exchange(len(body.E), len(body.EBound)); err != nil {
 			return err
 		}
-		comm.Proc().Compute(pr.KernelUnits(len(body.E)))
 		if opts.RealMath {
-			pr.computeE(me, remoteH)
+			pr.computeE(me, haloH.remote)
 		}
-		// Phase 2: gather remote E boundary values, then compute H.
-		remoteE, err := exchangeBoundary(comm, pr, me, tagEBoundary, pr.DepE, func(j int) []float64 { return pr.Bodies[j].E })
-		if err != nil {
+		// Phase 2: gather remote E boundary values and compute H.
+		if err := haloE.exchange(len(body.H), len(body.HBound)); err != nil {
 			return err
 		}
-		comm.Proc().Compute(pr.KernelUnits(len(body.H)))
 		if opts.RealMath {
-			pr.computeH(me, remoteE)
+			pr.computeH(me, haloE.remote)
 		}
 	}
 	return nil
 }
 
-// boundarySplit counts, for one dependency list, the nodes that read any
-// remote value (boundary) and those that read only local ones (interior):
-// the interior update can run while the halo exchange is in flight.
-// Boundary references exist even on Light problems (only the local lists
-// are skipped there), so the split is available on timing-only runs too.
-func boundarySplit(deps [][]NodeRef) (interior, boundary int) {
-	for _, refs := range deps {
-		remote := false
-		for _, ref := range refs {
-			if ref.Body >= 0 {
-				remote = true
-				break
+// halo is one rank's boundary exchange of one field (H or E), built once
+// per run and reused every iteration. dep[i][j] lists the indices of body
+// j's field that body i reads. What a run allocates per exchange is the
+// wire buffers it sends: nothing here is sized by a body's node count
+// unless RealMath needs the values.
+type halo struct {
+	comm    *mpi.Comm
+	pr      *Problem
+	me, tag int
+	dep     [][][]int
+	mine    []float64 // this rank's field, packed as it stands at each exchange
+	overlap bool
+	// from are the bodies this one reads values of, to those that read
+	// its own, both ascending.
+	from, to []int
+	// remote maps a body in from to a dense copy of its field holding the
+	// received boundary values (RealMath only). Every exchange overwrites
+	// exactly the indices the update reads, so the arrays are reused.
+	remote       map[int][]float64
+	recvs, sends []*mpi.Request
+}
+
+func newHalo(comm *mpi.Comm, pr *Problem, opts RunOptions, tag int, dep [][][]int, field func(*Body) []float64) *halo {
+	h := &halo{comm: comm, pr: pr, me: comm.Rank(), tag: tag, dep: dep, overlap: opts.Overlap}
+	h.mine = field(pr.Bodies[h.me])
+	if opts.RealMath {
+		h.remote = make(map[int][]float64)
+	}
+	for j, b := range pr.Bodies {
+		if j == h.me {
+			continue
+		}
+		if len(dep[h.me][j]) > 0 {
+			h.from = append(h.from, j)
+			if opts.RealMath {
+				h.remote[j] = make([]float64, len(field(b)))
 			}
 		}
-		if remote {
-			boundary++
-		} else {
-			interior++
+		if len(dep[j][h.me]) > 0 {
+			h.to = append(h.to, j)
 		}
 	}
-	return interior, boundary
+	return h
 }
 
-// runOverlap is the overlapped schedule of RunParallel: per phase it
-// posts the halo receives first, then the sends, computes the interior
-// nodes while the boundary values travel, waits for the receives, and
-// finishes with the boundary nodes. The send requests complete at the
-// end of the phase, after the compute they were hidden behind.
-func runOverlap(comm *mpi.Comm, pr *Problem, opts RunOptions) error {
-	me := comm.Rank()
-	body := pr.Bodies[me]
-	proc := comm.Proc()
-	intE, bndE := boundarySplit(body.EDeps)
-	intH, bndH := boundarySplit(body.HDeps)
-	for it := 0; it < opts.Iters; it++ {
-		// Phase 1: exchange H boundaries behind the interior E update.
-		ex := postBoundary(comm, pr, me, tagHBoundary, pr.DepH, func(j int) []float64 { return pr.Bodies[j].H })
-		proc.Compute(pr.KernelUnits(intE))
-		remoteH, err := ex.wait(pr, me, pr.DepH, func(j int) []float64 { return pr.Bodies[j].H })
-		if err != nil {
-			return err
+// exchange runs one phase: it sends the boundary values the neighbours
+// read, receives the ones this body reads, and charges the update of its
+// nodes, `boundary` of which read a remote value. The blocking schedule
+// completes the whole exchange and then computes. The overlapped one
+// posts the receives before the sends (post-early, so arriving values
+// land in already-posted requests), computes the interior nodes while the
+// values travel, waits for the receives, computes the boundary nodes, and
+// completes the sends last, after the compute they were hidden behind.
+func (h *halo) exchange(nodes, boundary int) error {
+	proc := h.comm.Proc()
+	h.recvs, h.sends = h.recvs[:0], h.sends[:0]
+	if h.overlap {
+		for _, j := range h.from {
+			h.recvs = append(h.recvs, h.comm.Irecv(j, h.tag))
 		}
-		proc.Compute(pr.KernelUnits(bndE))
-		if opts.RealMath {
-			pr.computeE(me, remoteH)
+	}
+	for _, i := range h.to {
+		// Packed straight into the buffer the message path takes over.
+		idx := h.dep[i][h.me]
+		buf := make([]byte, 8*len(idx))
+		for k, n := range idx {
+			binary.LittleEndian.PutUint64(buf[8*k:], math.Float64bits(h.mine[n]))
 		}
-		mpi.WaitAll(ex.sends)
-		// Phase 2: exchange E boundaries behind the interior H update.
-		ex = postBoundary(comm, pr, me, tagEBoundary, pr.DepE, func(j int) []float64 { return pr.Bodies[j].E })
-		proc.Compute(pr.KernelUnits(intH))
-		remoteE, err := ex.wait(pr, me, pr.DepE, func(j int) []float64 { return pr.Bodies[j].E })
-		if err != nil {
-			return err
+		h.sends = append(h.sends, h.comm.IsendOwned(i, h.tag, buf))
+	}
+	if h.overlap {
+		proc.Compute(h.pr.KernelUnits(nodes - boundary))
+	}
+	for k, j := range h.from {
+		var data []byte
+		if h.overlap {
+			data, _ = h.recvs[k].Wait()
+		} else {
+			data, _ = h.comm.Recv(j, h.tag)
 		}
-		proc.Compute(pr.KernelUnits(bndH))
-		if opts.RealMath {
-			pr.computeH(me, remoteE)
+		idx := h.dep[h.me][j]
+		if len(data) != 8*len(idx) {
+			return fmt.Errorf("em3d: body %d received %d bytes from %d, want %d",
+				h.me, len(data), j, 8*len(idx))
 		}
-		mpi.WaitAll(ex.sends)
+		if dense := h.remote[j]; dense != nil {
+			for v, n := range idx {
+				dense[n] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*v:]))
+			}
+		}
+	}
+	if h.overlap {
+		proc.Compute(h.pr.KernelUnits(boundary))
+		mpi.WaitAll(h.sends)
+	} else {
+		mpi.WaitAll(h.sends)
+		proc.Compute(h.pr.KernelUnits(nodes))
 	}
 	return nil
-}
-
-// boundaryExchange is one in-flight halo exchange: the receive requests
-// (with the body each came from) and the send requests, completed
-// separately so sends can ride behind the whole phase.
-type boundaryExchange struct {
-	recvs   []*mpi.Request
-	recvSrc []int
-	sends   []*mpi.Request
-}
-
-// postBoundary starts an overlapped halo exchange: the receives are
-// posted before the sends (post-early, so arriving values land in the
-// already-posted requests), and the call returns without blocking.
-func postBoundary(comm *mpi.Comm, pr *Problem, me, tag int, dep [][][]int, field func(int) []float64) *boundaryExchange {
-	p := len(pr.Bodies)
-	ex := &boundaryExchange{}
-	for j := 0; j < p; j++ {
-		if j == me || len(dep[me][j]) == 0 {
-			continue
-		}
-		ex.recvs = append(ex.recvs, comm.Irecv(j, tag))
-		ex.recvSrc = append(ex.recvSrc, j)
-	}
-	mine := field(me)
-	for i := 0; i < p; i++ {
-		if i == me || len(dep[i][me]) == 0 {
-			continue
-		}
-		vals := make([]float64, len(dep[i][me]))
-		for k, idx := range dep[i][me] {
-			vals[k] = mine[idx]
-		}
-		ex.sends = append(ex.sends, comm.IsendOwned(i, tag, mpi.Float64Bytes(vals)))
-	}
-	return ex
-}
-
-// wait completes the receive half of the exchange and scatters the
-// payloads into dense per-body arrays, like exchangeBoundary's receive
-// loop. The send requests stay pending for the caller.
-func (ex *boundaryExchange) wait(pr *Problem, me int, dep [][][]int, field func(int) []float64) (map[int][]float64, error) {
-	remote := make(map[int][]float64)
-	for k, r := range ex.recvs {
-		data, _ := r.Wait()
-		j := ex.recvSrc[k]
-		vals := mpi.BytesFloat64(data)
-		if len(vals) != len(dep[me][j]) {
-			return nil, fmt.Errorf("em3d: body %d received %d values from %d, want %d",
-				me, len(vals), j, len(dep[me][j]))
-		}
-		dense := make([]float64, len(field(j)))
-		for kk, idx := range dep[me][j] {
-			dense[idx] = vals[kk]
-		}
-		remote[j] = dense
-	}
-	return remote, nil
-}
-
-// exchangeBoundary sends the boundary values others need from subbody
-// `me` and receives the values `me` needs, returning them as sparse dense
-// arrays indexed by the owning body. dep[i][j] lists indices of body j's
-// field that body i reads; field(j) returns body j's current field values.
-func exchangeBoundary(comm *mpi.Comm, pr *Problem, me, tag int, dep [][][]int, field func(int) []float64) (map[int][]float64, error) {
-	p := len(pr.Bodies)
-	// Send to every body i that needs our values.
-	var reqs []*mpi.Request
-	for i := 0; i < p; i++ {
-		if i == me || len(dep[i][me]) == 0 {
-			continue
-		}
-		vals := make([]float64, len(dep[i][me]))
-		mine := field(me)
-		for k, idx := range dep[i][me] {
-			vals[k] = mine[idx]
-		}
-		reqs = append(reqs, comm.Isend(i, tag, mpi.Float64Bytes(vals)))
-	}
-	// Receive what we need. The received values are scattered back into
-	// dense arrays the compute phase can index by original node index.
-	remote := make(map[int][]float64)
-	for j := 0; j < p; j++ {
-		if j == me || len(dep[me][j]) == 0 {
-			continue
-		}
-		data, _ := comm.Recv(j, tag)
-		vals := mpi.BytesFloat64(data)
-		if len(vals) != len(dep[me][j]) {
-			return nil, fmt.Errorf("em3d: body %d received %d values from %d, want %d",
-				me, len(vals), j, len(dep[me][j]))
-		}
-		dense := make([]float64, len(field(j)))
-		for k, idx := range dep[me][j] {
-			dense[idx] = vals[k]
-		}
-		remote[j] = dense
-	}
-	mpi.WaitAll(reqs)
-	return remote, nil
 }
 
 // Program is EM3D as the driver runs it (apps.Program): the paper's Figure
 // 5. Its one plan is the problem itself — the decomposition is fixed, only
 // the group selection follows the speeds — so nothing is shared at run
-// time: every process holds the problem and works on its own clone.
+// time: every process holds the problem, reads it, and writes only to its
+// own copy of the subbody it updates.
 type Program struct {
 	Problem *Problem
 	Opts    RunOptions
@@ -354,16 +294,22 @@ func (p *Program) Plans([]float64) ([]apps.Plan, error) { return []apps.Plan{p.P
 func (p *Program) Baseline() (apps.Plan, int)           { return p.Problem, len(p.Problem.Bodies) }
 func (p *Program) Share(*mpi.Comm, apps.Plan) apps.Plan { return p.Problem }
 
-// Run starts from a fresh clone of the replicated initial field, so
-// independent runs — and the restarted attempts of a self-healing one —
-// never see a previous run's values.
+// Run never writes to the problem, so independent runs — and the restarted
+// attempts of a self-healing one — all start from its initial field. A
+// timing-only run only reads it; a RealMath run updates a copy of its own
+// subbody, the one body a rank writes.
 func (p *Program) Run(comm *mpi.Comm, _ apps.Plan) (func(), error) {
-	local := p.Problem.Clone()
-	if err := RunParallel(comm, local, p.Opts); err != nil || !p.Opts.RealMath {
+	if !p.Opts.RealMath {
+		return nil, RunParallel(comm, p.Problem, p.Opts)
+	}
+	local := *p.Problem
+	local.Bodies = slices.Clone(p.Problem.Bodies)
+	local.Bodies[comm.Rank()] = local.Bodies[comm.Rank()].clone()
+	if err := RunParallel(comm, &local, p.Opts); err != nil {
 		return nil, err
 	}
 	return func() {
-		if f := gatherField(comm, local); f != nil {
+		if f := gatherField(comm, &local); f != nil {
 			p.Field = f
 		}
 	}, nil

@@ -139,9 +139,11 @@ func RunParallel(comm *mpi.Comm, pr *Problem, dist *Dist, opts RunOptions) ([]fl
 
 	for k := 0; k < n; k++ {
 		krho := k % l
+		if pr.RealMath {
+			st.stashA, st.stashB = map[int][]float64{}, map[int][]float64{}
+		}
 		// ---- Pivot column of A moves horizontally. ----
 		jStar := dist.ColOwner(krho)
-		st.stashA = map[int][]float64{}
 		if st.mj == jStar {
 			// I own the pivot blocks for my row residues; send each
 			// to the row-overlapping processor of every other column.
@@ -182,7 +184,6 @@ func RunParallel(comm *mpi.Comm, pr *Problem, dist *Dist, opts RunOptions) ([]fl
 
 		// ---- Pivot row of B moves vertically within columns. ----
 		iStar := dist.RowOwnerInColumn(krho, st.mj)
-		st.stashB = map[int][]float64{}
 		clo, chi := st.myCols()
 		if st.mi == iStar {
 			for sigma := clo; sigma < chi; sigma++ {
@@ -258,7 +259,10 @@ func postStep(comm *mpi.Comm, st *procState, k int) *stepComm {
 	pr, dist := st.pr, st.dist
 	n, l := pr.N, dist.L()
 	krho := k % l
-	sc := &stepComm{stashA: map[int][]float64{}, stashB: map[int][]float64{}}
+	sc := &stepComm{}
+	if pr.RealMath {
+		sc.stashA, sc.stashB = map[int][]float64{}, map[int][]float64{}
+	}
 
 	// Pivot column of A moves horizontally.
 	jStar := dist.ColOwner(krho)
