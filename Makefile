@@ -76,16 +76,19 @@ bench:
 bench-smoke:
 	$(GO) run ./bench -smoke
 
-# Three profiles, one per place the host time of a run can go; inspect
+# Four profiles, one per place the host time of a run can go; inspect
 # with `go tool pprof`. cpu/mem: the group-selection sweep (mapper and
 # estimator). matmul.*: the paper-size block-size sweep, one HMPI_Timeof
 # per candidate (model instantiation, task-graph construction, selection).
 # em3d.*: the paper-size EM3D sweep, generation plus timing-only runs — the
 # application side, where an allocation per field node shows first.
+# msg.*: the collective sweep on live worlds — the message path (mailbox,
+# sendCore's copies, the buffer pools), where a copy per message shows.
 profile:
 	$(GO) run ./cmd/hmpibench -fig search -cpuprofile cpu.pprof -memprofile mem.pprof
 	$(GO) run ./cmd/hmpibench -fig 11a -cpuprofile matmul.cpu.pprof -memprofile matmul.mem.pprof
 	$(GO) run ./cmd/hmpibench -fig 9a -cpuprofile em3d.cpu.pprof -memprofile em3d.mem.pprof
+	$(GO) run ./cmd/hmpibench -fig coll -cpuprofile msg.cpu.pprof -memprofile msg.mem.pprof
 
 # Regenerate every figure/table of EXPERIMENTS.md (writes CSVs to out/).
 figures:
@@ -114,4 +117,4 @@ examples:
 	$(GO) run ./examples/tcptransport
 
 clean:
-	rm -rf out bench/out test_output.txt bench_output.txt cpu.pprof mem.pprof matmul.cpu.pprof matmul.mem.pprof em3d.cpu.pprof em3d.mem.pprof em3d.trace em3d.metrics.json em3d.chrome.json verify_em3d.trace verify_chaos.trace hmpivet.json
+	rm -rf out bench/out test_output.txt bench_output.txt cpu.pprof mem.pprof matmul.cpu.pprof matmul.mem.pprof em3d.cpu.pprof em3d.mem.pprof msg.cpu.pprof msg.mem.pprof em3d.trace em3d.metrics.json em3d.chrome.json verify_em3d.trace verify_chaos.trace hmpivet.json

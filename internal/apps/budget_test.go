@@ -7,6 +7,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/apps/em3d"
 	"repro/internal/apps/jacobi"
+	"repro/internal/apps/matmul"
 	"repro/internal/hnoc"
 )
 
@@ -43,6 +44,14 @@ func TestTimingOnlyRunAllocatesWhatItSends(t *testing.T) {
 		t.Fatal(err)
 	}
 	jaSent := 2 * (ja.P - 1) * 8 * ja.Cols * iters
+	// The blocking schedule on the homogeneous 3x3 grid: at each of the N
+	// steps every block of the pivot column and of the pivot row goes to the
+	// M-1 other processor columns (rows).
+	mm, err := matmul.Generate(matmul.Config{M: 3, R: 9, N: 90})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mmSent := mm.N * 2 * mm.N * (mm.M - 1) * 8 * mm.R * mm.R
 
 	for _, c := range []struct {
 		name string
@@ -52,6 +61,7 @@ func TestTimingOnlyRunAllocatesWhatItSends(t *testing.T) {
 		{"em3d", &em3d.Program{Problem: em, Opts: em3d.RunOptions{Iters: iters}}, emSent},
 		{"em3d-overlap", &em3d.Program{Problem: em, Opts: em3d.RunOptions{Iters: iters, Overlap: true}}, emSent},
 		{"jacobi", &jacobi.Program{Problem: ja}, jaSent},
+		{"matmul", &matmul.Program{Problem: mm}, mmSent},
 	} {
 		got := allocated(func() {
 			if _, err := apps.RunOn(hnoc.Paper9(), c.prog, apps.MPI); err != nil {

@@ -1,10 +1,14 @@
 package mpi
 
-// Pooled buffers and envelopes for the per-message hot path. Every
-// message used to cost several heap allocations: the envelope struct, the
-// sender's defensive payload copy, and — on the TCP transport — a fresh
-// header+payload frame per write and a fresh payload slice per read. The
-// pools below recycle all of them under an explicit ownership rule:
+// Pooled buffers and envelopes for the per-message hot path: a message
+// allocates what its receiver keeps and nothing else. The pools recycle
+// every envelope struct; on the TCP transport the header+payload frame of
+// a write and the payload slice of a read; in-process (and for wire
+// self-delivery) the copy of a collective send whose receive folds or lands
+// the payload in place (a step marked pooled, collsched.go). They never
+// held the copy of a send whose receiver is handed the payload — Recv,
+// Wait, a collective's stRecv: that copy is the receiver's from the start,
+// one allocation and one copy per message (sendCore). The ownership rule:
 //
 //   - A *poolBuf is owned by whoever obtained it from getBuf. Passing the
 //     underlying bytes to another component does NOT transfer ownership;

@@ -23,8 +23,8 @@ type collRun struct {
 	in     [][]byte // blocks supplied by the caller, by rank
 	blocks [][]byte // blocks of the result, by rank
 	op     Op
-	what   string   // the collective's name, for length-mismatch panics
-	posted *Request // the send a stPost started and no stWaitSends completed yet
+	what   string  // the collective's name, for length-mismatch panics
+	posted Request // the send a stPost started, until the next stWaitSends completes it
 	// envs[i] is a message taken from the mailbox ahead of receive step i's
 	// execution: by an stDrain here, by the progress engine's claim in
 	// nbcoll.go. Taking reads no clock; the step applies the timing.
@@ -160,12 +160,11 @@ func (x *collRun) run() {
 		}
 		c, peer := x.on(s)
 		switch s.kind {
-		case stSend:
-			c.Send(peer, s.tag, x.payload(s))
-		case stSendOwned:
-			c.SendOwned(peer, s.tag, x.payload(s))
+		case stSend, stSendOwned:
+			c.send(peer, s.tag, x.payload(s), s.mode())
 		case stPost:
-			x.posted = c.Isend(peer, s.tag, x.payload(s))
+			x.posted = Request{kind: reqSend, c: c}
+			c.isend(&x.posted, peer, s.tag, x.payload(s), s.mode())
 		case stWaitSends:
 			x.posted.Wait()
 		case stBegin:

@@ -9,8 +9,9 @@ package mpi
 // placement, bit for bit what a World running it would report; the
 // estimator prices collectives with it. Along the way the replay proves
 // the lists consistent: every receive finds a send of the same size at the
-// head of its pair's FIFO, nothing stays unreceived, and no rank waits
-// forever.
+// head of its pair's FIFO, a send's payload comes from the buffer pool
+// exactly when that receive consumes it in place, nothing stays unreceived,
+// and no rank waits forever.
 
 import (
 	"fmt"
@@ -110,10 +111,16 @@ func replayClocks(link func(a, b int) hnoc.LinkSpec, place []int, call CollCall)
 	if err != nil {
 		return nil, err
 	}
+	return replayPlans(link, place, call.Coll, plans)
+}
+
+// replayPlans walks the given per-rank lists of one call of coll.
+func replayPlans(link func(a, b int) hnoc.LinkSpec, place []int, coll string, plans []plan) ([]vclock.Time, error) {
 	n := len(place)
 	type flight struct {
 		arrive vclock.Time
 		bytes  int
+		mode   payloadMode
 	}
 	type rankState struct {
 		clock  vclock.Clock
@@ -139,7 +146,7 @@ func replayClocks(link func(a, b int) hnoc.LinkSpec, place []int, call CollCall)
 					l := link(place[r], place[s.peer])
 					st.clock.Advance(vclock.Time(l.Overhead))
 					_, end := st.nic.Reserve(st.clock.Now(), vclock.Time(l.TransferTime(s.n)))
-					fifo[r*n+s.peer] = append(fifo[r*n+s.peer], flight{end + vclock.Time(l.Latency), s.n})
+					fifo[r*n+s.peer] = append(fifo[r*n+s.peer], flight{end + vclock.Time(l.Latency), s.n, s.mode()})
 					if s.kind == stPost {
 						st.posted = end
 					} else {
@@ -154,7 +161,13 @@ func replayClocks(link func(a, b int) hnoc.LinkSpec, place []int, call CollCall)
 					}
 					if q[0].bytes != s.n {
 						return nil, fmt.Errorf("mpi: replay %s: rank %d step %d expects %d bytes from rank %d, which sent %d",
-							call.Coll, r, st.next, s.n, s.peer, q[0].bytes)
+							coll, r, st.next, s.n, s.peer, q[0].bytes)
+					}
+					// A pooled copy that is retained is copied twice, a fresh one
+					// consumed in place is garbage at once; a ceded one is neither.
+					if m := q[0].mode; m != payCeded && (m == payPooled) != (s.kind != stRecv) {
+						return nil, fmt.Errorf("mpi: replay %s: rank %d step %d (receive kind %d) meets a send of rank %d with payload mode %d",
+							coll, r, st.next, s.kind, s.peer, m)
 					}
 					st.clock.AbsorbAtLeast(q[0].arrive)
 					st.clock.Advance(vclock.Time(link(place[s.peer], place[r]).Overhead))
@@ -171,7 +184,7 @@ func replayClocks(link func(a, b int) hnoc.LinkSpec, place []int, call CollCall)
 			for r := range ranks {
 				if st := &ranks[r]; st.next < len(plans[r].steps) {
 					return nil, fmt.Errorf("mpi: replay %s: deadlock: rank %d waits at step %d for rank %d",
-						call.Coll, r, st.next, plans[r].steps[st.next].peer)
+						coll, r, st.next, plans[r].steps[st.next].peer)
 				}
 			}
 		}
@@ -182,7 +195,7 @@ func replayClocks(link func(a, b int) hnoc.LinkSpec, place []int, call CollCall)
 		for dst := 0; dst < n; dst++ {
 			if len(fifo[r*n+dst]) > 0 {
 				return nil, fmt.Errorf("mpi: replay %s: rank %d never receives %d message(s) rank %d sent it",
-					call.Coll, dst, len(fifo[r*n+dst]), r)
+					coll, dst, len(fifo[r*n+dst]), r)
 			}
 		}
 	}

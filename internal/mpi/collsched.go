@@ -90,10 +90,25 @@ func entries(lo, hi, n int) span { return span{slot: inEntries, lo: lo, hi: hi, 
 type step struct {
 	kind stepKind
 	tier tierID
-	peer int // rank in the communicator the collective was called on
-	tag  int
+	// pooled marks an stSend or stPost whose matching receive is not an
+	// stRecv: it consumes the payload in place, so the copy the send makes
+	// is a pooled one. The replay holds every mark to its receive.
+	pooled bool
+	peer   int // rank in the communicator the collective was called on
+	tag    int
 	span
 	fn func(x *collRun) // stLocal only
+}
+
+// mode is how a send step's payload travels (see payloadMode).
+func (s *step) mode() payloadMode {
+	switch {
+	case s.kind == stSendOwned:
+		return payCeded
+	case s.pooled:
+		return payPooled
+	}
+	return payCopy
 }
 
 // collEvent is one KindColl trace event of a plan: the collective itself
@@ -226,7 +241,7 @@ func (p *plan) local(fn func(x *collRun)) {
 
 // sendrecv is the combined exchange: post the send, receive, complete.
 func (p *plan) sendrecv(v view, tag, to int, out span, recv stepKind, from int, in span) {
-	p.msg(stPost, v, tag, to, out)
+	p.msg(stPost, v, tag, to, out).pooled = recv != stRecv
 	p.msg(recv, v, tag, from, in)
 	p.waitSends()
 }
@@ -345,7 +360,7 @@ func (p *plan) bcastBody(ev int, v view, root int, alg BcastAlg, length int) {
 				p.msg(stRecvInto, v, tagBcast, parent, part(lo, hi))
 			}
 			for i := kids.n - 1; i >= 0; i-- {
-				p.msg(stSend, v, tagBcast, kids.at[i], part(lo, hi))
+				p.msg(stSend, v, tagBcast, kids.at[i], part(lo, hi)).pooled = true
 			}
 		}
 	default:
@@ -372,7 +387,7 @@ func (p *plan) reduce(v view, root, nbytes int) {
 		p.msg(stRecvReduce, v, tagReduce, k, whole(nbytes))
 	}
 	if parent >= 0 {
-		p.msg(stSend, v, tagReduce, parent, whole(nbytes))
+		p.msg(stSend, v, tagReduce, parent, whole(nbytes)).pooled = true
 	}
 }
 
@@ -425,7 +440,7 @@ func (p *plan) allreduceRecDbl(v view, nbytes int) {
 		// The first 2*rem ranks fold pairwise: evens hand their vector to
 		// the odd neighbour and sit out the doubling.
 		if me%2 == 0 {
-			p.msg(stSend, v, tagAllreduce, me+1, whole(nbytes))
+			p.msg(stSend, v, tagAllreduce, me+1, whole(nbytes)).pooled = true
 			newrank = -1
 		} else {
 			p.msg(stRecvReduce, v, tagAllreduce, me-1, whole(nbytes))
@@ -604,7 +619,7 @@ func (p *plan) gatherFlat(v view, root int, kind stepKind, in func(i int) span, 
 		return
 	}
 	if v.me != root {
-		p.msg(stSend, v, tagGather, root, out)
+		p.msg(stSend, v, tagGather, root, out).pooled = kind != stRecv
 		return
 	}
 	if v.size > 1 {

@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -85,4 +87,79 @@ func TestSchedulesSoundByEnumeration(t *testing.T) {
 		}
 	}
 	t.Logf("%d collective calls proved sound", calls)
+}
+
+// TestLiveListsPassTheReplay covers the one path the enumeration cannot:
+// on a live world only the root of a size-aware Bcast or Scatter knows the
+// sizes, so every other rank ends its list with a continuation (stLocal)
+// that appends the tail once the header has arrived. Each rank keeps the
+// list it actually executed, and the lists of the world go through the
+// same replay — sizes, payload marks, nothing unreceived.
+func TestLiveListsPassTheReplay(t *testing.T) {
+	cfgs := goldenConfigs()
+	var continued atomic.Int64 // lists that grew while they ran, over all ranks
+	pooled := 0
+	for _, cfg := range cfgs[8:] { // paper9/n9 and both 24-rank fat-node placements
+		n := len(cfg.place)
+		for _, coll := range []string{"bcast", "scatter"} {
+			for _, size := range goldenSizes {
+				if coll == "scatter" && size > 64<<10 {
+					continue
+				}
+				for _, root := range []int{0, n - 1} {
+					w := NewWorld(cfg.cluster, cfg.place)
+					w.SetCollTuning(AutoCollTuning())
+					plans := make([]plan, n)
+					err := w.Run(func(p *Proc) error {
+						c := p.CommWorld()
+						// What Comm.Bcast and Comm.Scatter do, keeping the list. The
+						// scatter's parts are equal, so a non-root rank's own size
+						// stands for everyone's, as in the replay.
+						x := c.newRun(coll, size)
+						if coll == "bcast" {
+							length := -1
+							if c.rank == root {
+								x.buf, length = goldenPayload(root, 0, size), size
+							}
+							x.bcast(x.self(), root, length)
+						} else {
+							if c.rank == root {
+								x.in = goldenParts(root, n, size)
+								x.sizes = c.partSizes("Scatter", x.in)
+							}
+							x.scatter(x.self(), root)
+						}
+						built := len(x.steps)
+						x.run()
+						if len(x.buf) != size {
+							return fmt.Errorf("rank %d got %d bytes, want %d", c.rank, len(x.buf), size)
+						}
+						if len(x.steps) > built {
+							continued.Add(1)
+						}
+						plans[c.rank] = plan{steps: slices.Clone(x.steps)}
+						x.release()
+						return nil
+					})
+					if err == nil {
+						_, err = replayPlans(cfg.cluster.Link, cfg.place, coll, plans)
+					}
+					if err != nil {
+						t.Fatalf("%s %s size=%d root=%d: %v", cfg.name, coll, size, root, err)
+					}
+					for _, p := range plans {
+						for _, s := range p.steps {
+							if s.pooled {
+								pooled++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if continued.Load() == 0 || pooled == 0 {
+		t.Fatalf("%d lists grew from a header and %d sends were pooled: the continuation path was not exercised", continued.Load(), pooled)
+	}
+	t.Logf("%d lists grew from a header, %d pooled sends matched", continued.Load(), pooled)
 }

@@ -165,7 +165,7 @@ func (sc *nbSched) advance(block bool) bool {
 		case s.kind.isSend():
 			// The transfer anchors at the cursor instead of the rank's
 			// clock, and the cursor advances by the send overhead.
-			_, sc.st = c.sendCore(s.peer, sc.tag, sc.payload(s), s.kind != stSendOwned, sc.st, nil)
+			_, sc.st = c.sendCore(s.peer, sc.tag, sc.payload(s), s.mode(), sc.st, nil)
 		case s.kind.isRecv():
 			var e *envelope
 			if sc.next < len(sc.envs) {

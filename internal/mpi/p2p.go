@@ -283,14 +283,23 @@ func (c *Comm) checkRank(op string, rank int) {
 	}
 }
 
+// payloadMode is how a send's payload travels in-process (a wire transport
+// serialises every payload into a pooled frame, whatever the mode).
+type payloadMode uint8
+
+const (
+	payCeded  payloadMode = iota // the caller cedes data; it travels as it is
+	payCopy                      // a fresh copy, which the receiver is handed and keeps
+	payPooled                    // a pooled copy: the receiver consumes it in place and recycles it
+)
+
 // sendCommon computes the timing of a transfer anchored at the process
 // clock, advances the clock by the sender-side overhead and enqueues the
 // envelope. It returns the virtual time at which the sender's interface
-// finishes the transfer. When copyBuf is false the caller cedes ownership
-// of data.
-func (c *Comm) sendCommon(dst, tag int, data []byte, copyBuf bool) vclock.Time {
+// finishes the transfer.
+func (c *Comm) sendCommon(dst, tag int, data []byte, mode payloadMode) vclock.Time {
 	c.p.progress()
-	end, _ := c.sendCore(dst, tag, data, copyBuf, c.p.clock.Now(), &c.p.clock)
+	end, _ := c.sendCore(dst, tag, data, mode, c.p.clock.Now(), &c.p.clock)
 	return end
 }
 
@@ -302,7 +311,7 @@ func (c *Comm) sendCommon(dst, tag int, data []byte, copyBuf bool) vclock.Time {
 // When clk is non-nil it is advanced by the overhead exactly where the
 // blocking path always did, so blocking timing is preserved bit for bit;
 // schedule steps pass nil and account on their cursor instead.
-func (c *Comm) sendCore(dst, tag int, data []byte, copyBuf bool, start vclock.Time, clk *vclock.Clock) (end, cpuFree vclock.Time) {
+func (c *Comm) sendCore(dst, tag int, data []byte, mode payloadMode, start vclock.Time, clk *vclock.Clock) (end, cpuFree vclock.Time) {
 	c.checkRank("Send", dst)
 	p := c.p
 	p.opTick()
@@ -322,12 +331,22 @@ func (c *Comm) sendCore(dst, tag int, data []byte, copyBuf bool, start vclock.Ti
 	}
 	_, end = p.nicOut.Reserve(cpuFree, vclock.Time(link.TransferTime(len(data))))
 	buf := data
+	var pb *poolBuf
 	// Buffered send: the sender may reuse data as soon as the call
 	// returns. The wire transport serialises the payload into a frame
 	// before deliver returns, so the defensive copy is needed only on the
 	// in-process path (and for wire self-delivery, which has no wire).
-	if copyBuf && (!p.world.wireTransport || dstW == p.rank) {
-		buf = append([]byte(nil), data...)
+	if mode != payCeded && (!p.world.wireTransport || dstW == p.rank) {
+		if mode == payPooled && len(data) > 0 {
+			pb = getBuf(len(data))
+			copy(pb.b, data)
+			buf = pb.b
+		} else {
+			// The receiver keeps this copy: Recv, Wait and a collective's
+			// stRecv hand it to their caller as it is, so it is the one
+			// allocation and the one copy of the message.
+			buf = append([]byte(nil), data...)
+		}
 	}
 	p.reqSeq++
 	env := getEnv()
@@ -335,6 +354,7 @@ func (c *Comm) sendCore(dst, tag int, data []byte, copyBuf bool, start vclock.Ti
 	env.src = p.rank
 	env.tag = tag
 	env.data = buf
+	env.pbuf = pb
 	env.arrive = end + vclock.Time(link.Latency)
 	env.seq = p.reqSeq
 	p.stats.BytesSent += int64(len(data))
@@ -361,17 +381,17 @@ func (c *Comm) sendCore(dst, tag int, data []byte, copyBuf bool, start vclock.Ti
 // communicator rank dst. The send buffers internally, so Send never waits
 // for a matching receive; the sender's clock advances by the message
 // overhead plus its interface's serialisation of the transfer.
-func (c *Comm) Send(dst, tag int, data []byte) {
-	end := c.sendCommon(dst, tag, data, true)
-	c.p.clock.AbsorbAtLeast(end)
-}
+func (c *Comm) Send(dst, tag int, data []byte) { c.send(dst, tag, data, payCopy) }
 
 // SendOwned is Send without the defensive copy: the caller cedes ownership
 // of data and must not modify it afterwards. Use it on hot paths that send
 // many freshly built (or immutable) buffers.
-func (c *Comm) SendOwned(dst, tag int, data []byte) {
-	end := c.sendCommon(dst, tag, data, false)
-	c.p.clock.AbsorbAtLeast(end)
+func (c *Comm) SendOwned(dst, tag int, data []byte) { c.send(dst, tag, data, payCeded) }
+
+// send is the blocking send in any payload mode: post, then wait for the
+// interface to finish the transfer.
+func (c *Comm) send(dst, tag int, data []byte, mode payloadMode) {
+	c.p.clock.AbsorbAtLeast(c.sendCommon(dst, tag, data, mode))
 }
 
 // sel builds the mailbox selector for a receive or probe on this

@@ -42,7 +42,11 @@ const (
 	reqColl                // a collective schedule fully executed
 )
 
-// Request represents an outstanding nonblocking operation.
+// Request represents an outstanding nonblocking operation. A receive or a
+// collective request is on the heap — the progress engine holds it until it
+// completes. A send request is only a finish time and an id: the one a
+// caller drops (a fire-and-forget IsendOwned) or completes before returning
+// (Sendrecv) stays on the caller's stack.
 type Request struct {
 	id   int64 // per-rank request id from 1; 0 for internal requests
 	kind reqKind
@@ -167,21 +171,25 @@ func (p *Proc) emitReqDone(kind trace.Kind, id int64, t0 vclock.Time, a0 int64) 
 // message overhead; the transfer occupies the interface in the background.
 // Wait on the returned request completes when the local buffer is reusable.
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
-	end := c.sendCommon(dst, tag, data, true)
-	return c.isendReq(dst, tag, len(data), end)
+	return c.isend(&Request{kind: reqSend, c: c}, dst, tag, data, payCopy)
 }
 
 // IsendOwned is Isend without the defensive copy; see SendOwned.
 func (c *Comm) IsendOwned(dst, tag int, data []byte) *Request {
-	end := c.sendCommon(dst, tag, data, false)
-	return c.isendReq(dst, tag, len(data), end)
+	return c.isend(&Request{kind: reqSend, c: c}, dst, tag, data, payCeded)
 }
 
-func (c *Comm) isendReq(dst, tag, bytes int, end vclock.Time) *Request {
+// isend is the body of every nonblocking send: it sends, numbers the fresh
+// send request r, records its posting event and returns r. Isend and
+// IsendOwned only make the Request, so they inline into their callers and
+// a request the caller does not keep never reaches the heap.
+func (c *Comm) isend(r *Request, dst, tag int, data []byte, mode payloadMode) *Request {
+	r.sendEnd = c.sendCommon(dst, tag, data, mode)
 	p := c.p
 	p.reqID++
-	p.emitReqPost(trace.KindIsend, p.reqID, c.s.members[dst], tag, c.s.id, bytes)
-	return &Request{id: p.reqID, kind: reqSend, c: c, sendEnd: end}
+	r.id = p.reqID
+	p.emitReqPost(trace.KindIsend, r.id, c.s.members[dst], tag, c.s.id, len(data))
+	return r
 }
 
 // Irecv starts a nonblocking receive. The progress engine matches posted

@@ -453,9 +453,6 @@ func newProc(w *World, rank int) *Proc {
 // Rank returns the process's world rank.
 func (p *Proc) Rank() int { return p.rank }
 
-// WorldSize returns the number of processes in the world.
-func (p *Proc) WorldSize() int { return p.world.Size() }
-
 // World returns the world the process belongs to.
 func (p *Proc) World() *World { return p.world }
 
