@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke profile check lint loc verify figures examples trace clean
+.PHONY: all build test race bench bench-smoke profile check lint loc reach verify figures examples trace clean
 
 all: build test
 
@@ -51,6 +51,55 @@ loc:
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t; \
 		printf "%7d hmpi + mapper + estimator\n", n["./internal/hmpi"] + n["./internal/mapper"] + n["./internal/estimator"] }'
 
+# Reachability of the system: every binary the repository ships (cmd/,
+# examples/, bench) built with coverage of the whole module, then driven
+# through everything the other targets and ci.yml's e2e job drive —
+# examples, figures, verify, trace, lint, kill chaos, link chaos with
+# -degrade, the infeasible spec (must fail), the daemon from serve to
+# shutdown, bench -smoke — and each CLI's remaining modes (hmpirun -trace,
+# hmpitrace links|metrics, pmc describe|-args|-dag|-fmt|-gen|-lint=warn,
+# hmpid status|result|watch|cancel), all under one GOCOVERDIR. reach.txt
+# lists every function outside cmd/, examples/ and bench/ that none of it
+# entered. A function there is MPI-1 or HMPI call-table substrate, something
+# only outside input selects (a chaos production, a cluster file's load
+# profile, a diagnostic's String), or a failure path only tests can drive —
+# or it goes, with its tests (ROADMAP, deletion round).
+R := out/reach
+reach:
+	rm -rf $(R) reach.txt && mkdir -p $(R)/bin $(R)/cov
+	$(GO) build -cover -coverpkg=./... -o $(R)/bin/ ./cmd/... ./examples/... ./bench
+	export GOCOVERDIR=$(R)/cov PATH="$(R)/bin:$$PATH" && set -e && \
+	for e in quickstart em3d matmul jacobi adaptive multiprotocol faulttolerance nestedgroups tcptransport; do $$e >/dev/null; done && \
+	hmpibench -fig all -o $(R)/figures >/dev/null && \
+	hmpirun -app em3d -mode hmpi -tracefile $(R)/em3d.trace -metrics $(R)/em3d.metrics.json && \
+	hmpirun -app em3d -p 6 -chaos "2@0.004;4@0.008" -tracefile $(R)/chaos.trace -metrics $(R)/chaos.metrics.json && \
+	hmpirun -app em3d -p 6 -nodes 60000 -iters 5 -chaos "link:1-2@0:drop=0.4;part:{1}|{2}@0.002+0.001" -chaos-seed 7 -degrade \
+		-tracefile $(R)/netchaos.trace -metrics $(R)/netchaos.metrics.json && \
+	hmpirun -app matmul -mode hmpi -trace >/dev/null && \
+	! timeout 60 hmpirun -app em3d -p 12 && \
+	hmpiverify $(R)/em3d.trace $(R)/chaos.trace $(R)/netchaos.trace && \
+	for t in em3d chaos netchaos; do \
+		for c in info report critical breakdown links metrics; do hmpitrace $$c $(R)/$$t.trace >/dev/null; done; \
+		hmpitrace export -o $(R)/$$t.chrome.json $(R)/$$t.trace; \
+	done && \
+	hmpivet . && hmpivet -tests -only runtimeclose . && hmpivet -json . >/dev/null && \
+	for m in models/*.mpc; do pmc -lint $$m; pmc -fmt $$m >/dev/null; pmc -gen models $$m >/dev/null; done && \
+	for m in internal/pmdl/testdata/lint/*.mpc; do pmc -lint=warn $$m >/dev/null; done && \
+	pmc -args '[3,10,[100,200,300],[[0,5,0],[5,0,5],[0,5,0]]]' -dag models/em3d.mpc >/dev/null && \
+	s="-socket $(R)/hmpid.sock" && { hmpid serve $$s -workers 4 & } && \
+	for i in $$(seq 50); do [ -S $(R)/hmpid.sock ] && break; sleep 0.1; done && \
+	hmpid submit $$s -wait -app em3d -nodes 40000 -iters 2 >/dev/null && \
+	hmpid submit $$s -wait -app jacobi -grid 300 -p 4 -iters 2 -tenant acme >/dev/null && \
+	hmpid submit $$s -wait -app matmul -n 24 -r 4 -l 8 >/dev/null && \
+	hmpid submit $$s -wait -app em3d -nodes 40000 -iters 2 >/dev/null && \
+	for op in status result watch cancel; do hmpid $$op $$s j1 >/dev/null; done && \
+	hmpid stats $$s >/dev/null && \
+	hmpid shutdown $$s && wait && \
+	bench -smoke -out $(R)/bench >/dev/null
+	$(GO) tool covdata textfmt -i=$(R)/cov -o $(R)/cover.out
+	$(GO) tool cover -func=$(R)/cover.out | awk '$$3 == "0.0%" && $$1 !~ /^repro\/(cmd|examples|bench)\//' > reach.txt
+	@cat reach.txt; echo "$$(wc -l < reach.txt) functions no binary reaches (reach.txt)"
+
 # Dynamic verification: record fresh traces — a clean EM3D run on the
 # paper's network and a seeded self-healing chaos run — and replay both
 # through hmpiverify. Any semantic violation (deadlock, collective
@@ -83,7 +132,7 @@ bench-smoke:
 # em3d.*: the paper-size EM3D sweep, generation plus timing-only runs — the
 # application side, where an allocation per field node shows first.
 # msg.*: the collective sweep on live worlds — the message path (mailbox,
-# sendCore's copies, the buffer pools), where a copy per message shows.
+# sendCommon's copies, the buffer pools), where a copy per message shows.
 profile:
 	$(GO) run ./cmd/hmpibench -fig search -cpuprofile cpu.pprof -memprofile mem.pprof
 	$(GO) run ./cmd/hmpibench -fig 11a -cpuprofile matmul.cpu.pprof -memprofile matmul.mem.pprof
@@ -117,4 +166,4 @@ examples:
 	$(GO) run ./examples/tcptransport
 
 clean:
-	rm -rf out bench/out test_output.txt bench_output.txt cpu.pprof mem.pprof matmul.cpu.pprof matmul.mem.pprof em3d.cpu.pprof em3d.mem.pprof msg.cpu.pprof msg.mem.pprof em3d.trace em3d.metrics.json em3d.chrome.json verify_em3d.trace verify_chaos.trace hmpivet.json
+	rm -rf out bench/out test_output.txt bench_output.txt cpu.pprof mem.pprof matmul.cpu.pprof matmul.mem.pprof em3d.cpu.pprof em3d.mem.pprof msg.cpu.pprof msg.mem.pprof em3d.trace em3d.metrics.json em3d.chrome.json verify_em3d.trace verify_chaos.trace hmpivet.json reach.txt

@@ -6,8 +6,8 @@
 // snapshot, collective-sequence consistency across the members of each
 // communicator, group-lifecycle leak accounting (ULFM recreate paths
 // included), AnySource message races, and nonblocking-request
-// lifecycles (every posted Isend/Irecv/Ibcast/Iallreduce must reach a
-// wait or a successful test in clean runs).
+// lifecycles (every posted Isend/Irecv must reach a wait or a successful
+// test in clean runs).
 //
 // Usage:
 //

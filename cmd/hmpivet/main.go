@@ -43,7 +43,6 @@ import (
 	"repro/internal/analysis/modelcheck"
 	"repro/internal/analysis/reconpure"
 	"repro/internal/analysis/reqwait"
-	"repro/internal/analysis/retrycontract"
 	"repro/internal/analysis/runtimeclose"
 	"repro/internal/analysis/tagconst"
 	"repro/internal/analysis/tracescope"
@@ -59,7 +58,6 @@ var all = []*analysis.Analyzer{
 	groupfree.Analyzer,
 	reconpure.Analyzer,
 	reqwait.Analyzer,
-	retrycontract.Analyzer,
 	runtimeclose.Analyzer,
 	tagconst.Analyzer,
 	tracescope.Analyzer,

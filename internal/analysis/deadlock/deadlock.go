@@ -164,7 +164,7 @@ func branchOps(body ast.Node) []op {
 		}
 		name := analysis.CalleeName(call)
 		switch name {
-		case "Send", "SendOwned":
+		case "Send":
 			if len(call.Args) >= 2 {
 				out = append(out, mkOp(true, call))
 			}

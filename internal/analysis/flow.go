@@ -221,7 +221,7 @@ var (
 	// RequestHandle: the nonblocking operations and their completions.
 	RequestHandle = &Handle{
 		kind:           requestKind,
-		Starts:         set("Isend", "IsendOwned", "Irecv", "Ibcast", "Iallreduce"),
+		Starts:         set("Isend", "IsendOwned", "Irecv"),
 		ReleaseCalls:   set("WaitAll", "WaitAny"),
 		ReleaseMethods: set("Wait", "Test"),
 	}
@@ -277,13 +277,11 @@ var CollectiveOps = map[string]bool{
 	"Exscan":        true,
 	"AgreeFailed":   true,
 	"AgreeVote":     true,
-	"Ibcast":        true,
-	"Iallreduce":    true,
 }
 
 // PointToPointOps are the communicator operations between two ranks.
 var PointToPointOps = map[string]bool{
-	"Send": true, "SendOwned": true, "Isend": true, "IsendOwned": true,
+	"Send": true, "Isend": true, "IsendOwned": true,
 	"Recv": true, "Irecv": true, "Sendrecv": true,
 	"Probe": true, "Iprobe": true,
 }

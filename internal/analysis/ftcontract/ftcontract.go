@@ -5,7 +5,7 @@
 // point-to-point or collective traffic on it can block forever waiting
 // on the dead rank. The contract is that a detection branch must either
 // run a recovery operation (Shrink, AgreeFailed, GroupRecreate, Revoke,
-// GroupFree, Health, FailedRanks, RunResilient) before any further
+// GroupFree, Health, RunResilient) before any further
 // communication, or leave the computation (return, panic, break,
 // continue, goto).
 //
@@ -34,7 +34,7 @@ var Analyzer = &analysis.Analyzer{
 var recoveryOps = map[string]bool{
 	"Shrink": true, "AgreeFailed": true, "GroupRecreate": true,
 	"Revoke": true, "GroupFree": true, "Health": true,
-	"FailedRanks": true, "RunResilient": true,
+	"RunResilient": true,
 }
 
 func run(pass *analysis.Pass) error {

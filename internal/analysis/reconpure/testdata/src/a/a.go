@@ -9,9 +9,9 @@ func (p *Proc) CommWorld() *Comm      { return nil }
 
 type Comm struct{}
 
-func (c *Comm) Barrier()                       {}
-func (c *Comm) Send(dst, tag int, data []byte) {}
-func (c *Comm) Ibcast(root int, data []byte)   {}
+func (c *Comm) Barrier()                        {}
+func (c *Comm) Send(dst, tag int, data []byte)  {}
+func (c *Comm) Isend(dst, tag int, data []byte) {}
 
 type BenchmarkFunc struct {
 	Units float64
@@ -48,11 +48,11 @@ func barrierInline(h *Process) error {
 	})
 }
 
-func ibcastInline(h *Process, c *Comm) error {
+func isendInline(h *Process, c *Comm) error {
 	return h.Recon(BenchmarkFunc{
 		Units: 1,
 		Run: func(p *Proc) error {
-			c.Ibcast(0, nil) // want "communication-free"
+			c.Isend(1, 0, nil) // want "communication-free"
 			return nil
 		},
 	})

@@ -1,7 +1,6 @@
 // Package reqwait checks the nonblocking-request lifecycle: every
-// *Request bound from Isend, IsendOwned, Irecv, Ibcast or Iallreduce must
-// reach a Wait, Test, WaitAll or WaitAny on the paths the analysis can
-// follow. A request that is never completed leaks its payload and — for
+// *Request bound from Isend, IsendOwned or Irecv must reach a Wait, Test,
+// WaitAll or WaitAny on the paths the analysis can follow. A request that is never completed leaks its payload and — for
 // receives — leaves the matched envelope claimed forever; its virtual
 // time is never charged, so the simulated makespan silently under-counts
 // the communication.

@@ -12,8 +12,6 @@ type Comm struct{}
 func (c *Comm) Isend(dst, tag int, data []byte) *Request      { return nil }
 func (c *Comm) IsendOwned(dst, tag int, data []byte) *Request { return nil }
 func (c *Comm) Irecv(src, tag int) *Request                   { return nil }
-func (c *Comm) Ibcast(root int, data []byte) *Request         { return nil }
-func (c *Comm) Iallreduce(data []byte, op any) *Request       { return nil }
 func (c *Comm) Send(dst, tag int, data []byte)                {}
 
 func WaitAll(reqs ...*Request) {}
@@ -34,10 +32,6 @@ func neverWaited(c *Comm) {
 func recvNeverWaited(c *Comm) []byte {
 	r := c.Irecv(1, 0) // want "never completed"
 	return nil
-}
-
-func collNeverWaited(c *Comm) {
-	r := c.Ibcast(0, nil) // want "never completed"
 }
 
 func earlyReturnLeak(c *Comm) error {

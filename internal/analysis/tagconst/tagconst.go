@@ -52,7 +52,6 @@ type p2pOp struct {
 
 var tagArgs = map[string]p2pOp{
 	"Send":       {3, []tagUse{{1, true}}},
-	"SendOwned":  {3, []tagUse{{1, true}}},
 	"Isend":      {3, []tagUse{{1, true}}},
 	"IsendOwned": {3, []tagUse{{1, true}}},
 	"Recv":       {2, []tagUse{{1, false}}},

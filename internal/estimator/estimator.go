@@ -82,8 +82,8 @@ func (e *Estimator) Instance() *pmdl.Instance { return e.inst }
 // Timeof predicts the execution time (seconds) of the algorithm when
 // abstract processor i runs as world process candidate[i]. Processes
 // sharing a machine share its speed evenly. It panics on malformed
-// candidates (the mapper only generates well-formed ones); use Validate
-// for untrusted input.
+// candidates (the mapper only generates well-formed ones). A search scoring
+// many candidates keeps one Session per worker instead.
 func (e *Estimator) Timeof(candidate []int) float64 {
 	return e.TimeofWith(candidate, true)
 }
@@ -93,44 +93,9 @@ func (e *Estimator) Timeof(candidate []int) float64 {
 // transfers all proceed in parallel. Used by the ablation study of the
 // network model.
 func (e *Estimator) TimeofWith(candidate []int, serialiseNIC bool) float64 {
-	if len(candidate) != e.inst.NumProcs {
-		panic(fmt.Sprintf("estimator: candidate has %d entries, want %d", len(candidate), e.inst.NumProcs))
-	}
-	// Count processes per machine for speed sharing.
-	share := make(map[int]int, len(candidate))
-	for _, r := range candidate {
-		share[e.placement[r]]++
-	}
-	res := sched.Resources{
-		Speed: func(p int) float64 {
-			r := candidate[p]
-			return e.speeds[r] / float64(share[e.placement[r]])
-		},
-		Link: func(src, dst int) sched.Link {
-			ls := e.cluster.ModelLink(e.placement[candidate[src]], e.placement[candidate[dst]])
-			return sched.Link{Latency: ls.Latency, Bandwidth: ls.Bandwidth, Overhead: ls.Overhead}
-		},
-		SerialiseNIC: serialiseNIC,
-	}
-	return sched.Makespan(e.dag, e.inst.NumProcs, res)
-}
-
-// Validate checks that a candidate names distinct, in-range processes.
-func (e *Estimator) Validate(candidate []int) error {
-	if len(candidate) != e.inst.NumProcs {
-		return fmt.Errorf("estimator: candidate has %d entries, want %d", len(candidate), e.inst.NumProcs)
-	}
-	seen := make(map[int]bool, len(candidate))
-	for _, r := range candidate {
-		if r < 0 || r >= len(e.speeds) {
-			return fmt.Errorf("estimator: process rank %d out of range", r)
-		}
-		if seen[r] {
-			return fmt.Errorf("estimator: process rank %d assigned twice", r)
-		}
-		seen[r] = true
-	}
-	return nil
+	s := e.Session()
+	s.res.SerialiseNIC = serialiseNIC
+	return s.Timeof(candidate)
 }
 
 // NaiveTimeof is the ablation baseline for the DAG-based estimator: it

@@ -99,23 +99,6 @@ func TestTimeofSharingPenalty(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	inst := chainInstance(t)
-	cl, speeds, place := testNet()
-	e, err := New(inst, cl, speeds, place)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Validate([]int{0, 1}); err != nil {
-		t.Errorf("valid candidate rejected: %v", err)
-	}
-	for _, bad := range [][]int{{0}, {0, 0}, {0, 9}, {-1, 1}} {
-		if err := e.Validate(bad); err == nil {
-			t.Errorf("candidate %v accepted", bad)
-		}
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	inst := chainInstance(t)
 	cl, speeds, place := testNet()

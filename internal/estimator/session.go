@@ -46,8 +46,9 @@ func (e *Estimator) Session() *Session {
 	return s
 }
 
-// Timeof is (*Estimator).Timeof with reusable state: bit-identical
-// predictions, no allocation per candidate.
+// Timeof is the one candidate evaluator — (*Estimator).Timeof runs it in a
+// session of its own — replaying the task graph against the candidate's
+// resources with no allocation per candidate.
 func (s *Session) Timeof(candidate []int) float64 {
 	e := s.e
 	if len(candidate) != e.inst.NumProcs {

@@ -73,15 +73,23 @@ func ringCandidates() [][]int {
 	return out
 }
 
-// TestSessionMatchesTimeof pins the per-worker arena to the map-based
-// evaluator bit for bit, across reuse of the same session.
+// TestSessionMatchesTimeof pins a session reused across candidates to the
+// Estimator's entry points, which evaluate each candidate in a session of
+// its own, bit for bit — and the NIC ablation to the one call that asked
+// for it.
 func TestSessionMatchesTimeof(t *testing.T) {
 	e := paper9Ring(t)
 	s := e.Session()
 	for _, cand := range ringCandidates() {
 		want := e.Timeof(cand)
+		if ideal := e.TimeofWith(cand, false); ideal > want {
+			t.Fatalf("TimeofWith(%v, false) = %v exceeds the serialised %v", cand, ideal, want)
+		}
 		if got := s.Timeof(cand); got != want {
 			t.Fatalf("session Timeof(%v) = %v, want %v", cand, got, want)
+		}
+		if got := e.TimeofWith(cand, true); got != want {
+			t.Fatalf("TimeofWith(%v, true) = %v, want %v", cand, got, want)
 		}
 	}
 }
@@ -238,9 +246,12 @@ func TestLowerBoundSound(t *testing.T) {
 // with genuinely different links: machines within a rack are equivalent,
 // machines across racks are not.
 func TestClassifyMachines(t *testing.T) {
-	c := hnoc.TwoTier(2, 50,
-		hnoc.LinkSpec{Protocol: hnoc.ProtoTCP, Latency: 100e-6, Bandwidth: 100e6, Overhead: 10e-6},
-		hnoc.LinkSpec{Protocol: hnoc.ProtoTCP, Latency: 1e-3, Bandwidth: 10e6, Overhead: 10e-6})
+	c := hnoc.Homogeneous(4, 50) // two racks of two: a slower uplink between the racks
+	c.Remote = hnoc.LinkSpec{Protocol: hnoc.ProtoTCP, Latency: 100e-6, Bandwidth: 100e6, Overhead: 10e-6}
+	uplink := hnoc.LinkSpec{Protocol: hnoc.ProtoTCP, Latency: 1e-3, Bandwidth: 10e6, Overhead: 10e-6}
+	for _, pair := range [][2]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}} {
+		c.Overrides = append(c.Overrides, hnoc.LinkOverride{A: pair[0], B: pair[1], Link: uplink})
+	}
 	got := classifyMachines(c)
 	want := []int{0, 0, 1, 1}
 	for i := range want {

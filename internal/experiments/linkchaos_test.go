@@ -54,8 +54,10 @@ func runLinkChaosEM3D(t *testing.T, pr *em3d.Problem, spec string, seed int64) c
 	}
 	// Zero false positives: lossy links and the transient partition must
 	// never get a live process declared dead.
-	if failed := rt.World().FailedRanks(); len(failed) != 0 {
-		t.Fatalf("link faults marked live processes failed: %v", failed)
+	for r := 0; r < rt.World().Size(); r++ {
+		if rt.World().IsFailed(r) {
+			t.Fatalf("link faults marked live process %d failed", r)
+		}
 	}
 	d := rec.Data()
 	counts := make(map[trace.Kind]int)

@@ -200,8 +200,8 @@ func TestDegradeObserveMapsToMachines(t *testing.T) {
 	if len(pairs) != 1 || pairs[0] != [2]int{0, 1} {
 		t.Fatalf("applied pairs = %v, want [(0,1)]", pairs)
 	}
-	if rt.Cluster().LinkDegradation(0, 1) != DefaultDegradationPolicy().Factor {
-		t.Fatalf("cluster degradation factor = %v, want %v", rt.Cluster().LinkDegradation(0, 1), DefaultDegradationPolicy().Factor)
+	if rt.cfg.Cluster.LinkDegradation(0, 1) != DefaultDegradationPolicy().Factor {
+		t.Fatalf("cluster degradation factor = %v, want %v", rt.cfg.Cluster.LinkDegradation(0, 1), DefaultDegradationPolicy().Factor)
 	}
 	// Re-observation of an applied pair must not re-pend it (termination
 	// of the resilient loop depends on this).

@@ -37,9 +37,6 @@ type GroupHealth struct {
 	Failed []int // world ranks of the failed members, in group-rank order
 }
 
-// Healthy reports whether every member survives.
-func (gh GroupHealth) Healthy() bool { return len(gh.Failed) == 0 }
-
 // Health reports which members of the group are alive and which have
 // failed, per this process's current failure knowledge (HMPI_Group_health,
 // fault-tolerance extension). It is a local operation; for a view all
@@ -55,9 +52,6 @@ func (g *Group) Health() GroupHealth {
 	}
 	return gh
 }
-
-// FailedRanks returns the world ranks of the group's failed members.
-func (g *Group) FailedRanks() []int { return g.Health().Failed }
 
 // IsFailureError reports whether err stems from a process failure or a
 // communicator revocation — the errors recovery handles, as opposed to

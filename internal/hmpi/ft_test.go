@@ -107,7 +107,7 @@ func TestGroupHealthReportsFailures(t *testing.T) {
 			return nil
 		}
 		gh := g.Health()
-		if !gh.Healthy() || len(gh.Alive) != 3 || len(gh.Failed) != 0 {
+		if len(gh.Alive) != 3 || len(gh.Failed) != 0 {
 			return fmt.Errorf("fresh group health = %+v", gh)
 		}
 		// Every member finishes the fresh-health check before the kill —
@@ -121,11 +121,11 @@ func TestGroupHealthReportsFailures(t *testing.T) {
 			left.Wait()
 			once.Do(func() { rt.InjectFailure(victim) })
 			gh = g.Health()
-			if gh.Healthy() {
+			if len(gh.Failed) == 0 {
 				return fmt.Errorf("group healthy after member %d failed", victim)
 			}
 			if len(gh.Failed) != 1 || gh.Failed[0] != victim {
-				return fmt.Errorf("FailedRanks = %v, want [%d]", g.FailedRanks(), victim)
+				return fmt.Errorf("FailedRanks = %v, want [%d]", g.Health().Failed, victim)
 			}
 		}
 		return nil
@@ -167,7 +167,7 @@ func TestGroupRecreateExcludesFailed(t *testing.T) {
 			rt.InjectFailure(v)
 			return nil
 		}
-		for g.Health().Healthy() { // wait until the failure is visible
+		for len(g.Health().Failed) == 0 { // wait until the failure is visible
 			time.Sleep(time.Millisecond)
 		}
 		var ng *Group
@@ -188,7 +188,7 @@ func TestGroupRecreateExcludesFailed(t *testing.T) {
 					return fmt.Errorf("recreated group %v contains failed rank %d", ng.WorldRanks(), v)
 				}
 			}
-			if !ng.Health().Healthy() {
+			if len(ng.Health().Failed) != 0 {
 				return fmt.Errorf("recreated group unhealthy: %+v", ng.Health())
 			}
 			// The new group is fully functional.
@@ -229,7 +229,7 @@ func TestGroupRecreateParentDeathErrors(t *testing.T) {
 			rt.InjectFailure(parent)
 			return nil
 		}
-		for g.Health().Healthy() { // wait until the failure is visible
+		for len(g.Health().Failed) == 0 { // wait until the failure is visible
 			time.Sleep(time.Millisecond)
 		}
 		_, rerr := h.GroupRecreate(g, nil)
@@ -377,7 +377,7 @@ func TestTimeofExcludesFailedMachines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rt.Cluster().IsMachineFailed(3) {
+	if !rt.cfg.Cluster.IsMachineFailed(3) {
 		t.Fatal("machine of failed rank not marked failed")
 	}
 }

@@ -149,23 +149,16 @@ func New(cfg Config) (*Runtime, error) {
 // World exposes the underlying message-passing world.
 func (rt *Runtime) World() *mpi.World { return rt.world }
 
-// Cluster returns the runtime's private view of the network — the clone
-// New made, carrying any failure or degradation state accumulated since.
-func (rt *Runtime) Cluster() *hnoc.Cluster { return rt.cfg.Cluster }
-
 // Finalize releases the runtime, the analogue of HMPI_Finalize. It is
 // idempotent and safe to defer next to New; after it returns, Run
-// refuses to execute. Accessors (Makespan, World, Cluster) stay readable
-// so results can be collected after the runtime is closed. Every
+// refuses to execute. Accessors (Makespan, World) stay readable so
+// results can be collected after the runtime is closed. Every
 // constructed Runtime must reach Finalize (per-job lifecycle discipline
 // for long-running services; the hmpivet runtimeclose analyzer enforces
 // it).
 func (rt *Runtime) Finalize() {
 	rt.finalized.Store(true)
 }
-
-// Finalized reports whether Finalize has been called.
-func (rt *Runtime) Finalized() bool { return rt.finalized.Load() }
 
 // Makespan returns the simulated execution time after Run completes.
 func (rt *Runtime) Makespan() vclock.Time { return rt.world.Makespan() }

@@ -41,7 +41,7 @@ func runRing(t *testing.T, cfg Config) vclock.Time {
 // Run while leaving results readable.
 func TestFinalizeLifecycle(t *testing.T) {
 	rt := newRuntime(t, hnoc.Paper9())
-	if rt.Finalized() {
+	if rt.finalized.Load() {
 		t.Fatal("fresh runtime reports finalized")
 	}
 	if err := rt.Run(func(h *Process) error { return nil }); err != nil {
@@ -50,7 +50,7 @@ func TestFinalizeLifecycle(t *testing.T) {
 	mk := rt.Makespan()
 	rt.Finalize()
 	rt.Finalize() // idempotent
-	if !rt.Finalized() {
+	if !rt.finalized.Load() {
 		t.Fatal("Finalize did not take")
 	}
 	if err := rt.Run(func(h *Process) error { return nil }); err == nil {
@@ -59,7 +59,7 @@ func TestFinalizeLifecycle(t *testing.T) {
 	if rt.Makespan() != mk {
 		t.Fatal("Finalize disturbed the recorded makespan")
 	}
-	if rt.Cluster() == nil || rt.World() == nil {
+	if rt.cfg.Cluster == nil || rt.World() == nil {
 		t.Fatal("accessors unreadable after Finalize")
 	}
 }
@@ -83,14 +83,14 @@ func TestRuntimesDoNotShareClusterState(t *testing.T) {
 	if err := a.Run(func(h *Process) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Cluster().IsMachineFailed(3) {
+	if !a.cfg.Cluster.IsMachineFailed(3) {
 		t.Fatal("runtime A did not record its own failure")
 	}
-	if b.Cluster().IsMachineFailed(3) || c.IsMachineFailed(3) {
+	if b.cfg.Cluster.IsMachineFailed(3) || c.IsMachineFailed(3) {
 		t.Fatal("failure state leaked across runtime boundaries")
 	}
 	c.DegradeLink(0, 1, 8)
-	if a.Cluster().LinkDegradation(0, 1) != 1 || b.Cluster().LinkDegradation(0, 1) != 1 {
+	if a.cfg.Cluster.LinkDegradation(0, 1) != 1 || b.cfg.Cluster.LinkDegradation(0, 1) != 1 {
 		t.Fatal("caller-side degradation leaked into a runtime's private cluster")
 	}
 }

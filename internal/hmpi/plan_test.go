@@ -35,7 +35,7 @@ var planMoves = []struct {
 	moved func(rt *Runtime)
 }{
 	{"kill", func(rt *Runtime) { rt.InjectFailure(planVictim) }},
-	{"degrade", func(rt *Runtime) { rt.Cluster().DegradeLink(0, 1, 4) }},
+	{"degrade", func(rt *Runtime) { rt.cfg.Cluster.DegradeLink(0, 1, 4) }},
 }
 
 func (pr planRun) run(t *testing.T, cache *mapper.SelectionCache) (rt *Runtime, timeofStats, groupStats mapper.SearchStats) {
@@ -85,7 +85,7 @@ func (pr planRun) run(t *testing.T, cache *mapper.SelectionCache) (rt *Runtime, 
 			return err
 		}
 		if h.IsHost() {
-			groupStats = g.SearchStats()
+			groupStats = g.stats
 		}
 		return h.GroupFree(g)
 	})

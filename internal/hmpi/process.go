@@ -473,12 +473,6 @@ func (g *Group) ParentRank() int { return g.parentIdx }
 // the selection HMPI made.
 func (g *Group) WorldRanks() []int { return append([]int(nil), g.ranks...) }
 
-// SearchStats reports the selection-search work (objective evaluations,
-// symmetry-cache hits, pruned assignments, workers, wall time) behind this
-// group's creation. Only the parent ran the search, so only the parent's
-// handle carries non-zero stats; members report zeros.
-func (g *Group) SearchStats() mapper.SearchStats { return g.stats }
-
 // Comm implements HMPI_Get_comm: the MPI communicator whose group is this
 // HMPI group. Applications hand it to standard MPI operations to perform
 // the algorithm's computations and communications. It is a local

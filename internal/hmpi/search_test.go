@@ -55,9 +55,9 @@ func TestGroupCreateSelectDeterministic(t *testing.T) {
 			}
 			if h.IsMember(g) && h.IsHost() {
 				ranks = g.WorldRanks()
-				stats = g.SearchStats()
+				stats = g.stats
 			}
-			if h.IsMember(g) && !h.IsHost() && g.SearchStats().Evaluations != 0 {
+			if h.IsMember(g) && !h.IsHost() && g.stats.Evaluations != 0 {
 				return fmt.Errorf("member rank %d carries search stats", h.Rank())
 			}
 			return nil

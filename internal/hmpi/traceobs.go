@@ -38,9 +38,6 @@ func (rt *Runtime) EnableRecorder(app string, opts trace.Options) *trace.Recorde
 	return rec
 }
 
-// Recorder returns the attached structured event recorder, or nil.
-func (rt *Runtime) Recorder() *trace.Recorder { return rt.world.Recorder() }
-
 // recordGroupEvent emits a group-lifecycle event on this process's shard:
 // kind is KindGroupCreate or KindGroupRecreate, key the group's
 // communicator-derivation key (the Ctx), size the member count (Bytes),

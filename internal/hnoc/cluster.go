@@ -57,19 +57,6 @@ type Machine struct {
 	Failed bool `json:"failed,omitempty"`
 }
 
-// available returns the machine's load fraction at time t.
-func (m *Machine) available(t float64) float64 {
-	if m.Load == nil {
-		return 1
-	}
-	return m.Load.Available(t)
-}
-
-// EffectiveSpeed returns the speed available to the application at time t.
-func (m *Machine) EffectiveSpeed(t float64) float64 {
-	return m.Speed * m.available(t)
-}
-
 // ComputeFinish returns the time at which `units` benchmark units of
 // computation complete on the machine when started at time t, honouring the
 // load profile.
@@ -332,32 +319,6 @@ func Paper9() *Cluster {
 	}
 	for i, s := range speeds {
 		c.Machines = append(c.Machines, Machine{Name: names[i], Speed: s})
-	}
-	return c
-}
-
-// TwoTier returns a cluster of two racks of n machines each: machines
-// within a rack communicate through the fast intra-rack link, machines in
-// different racks through the slower inter-rack uplink. It models the
-// common campus situation the paper's introduction describes — an ad hoc
-// network whose link speeds differ significantly between pairs — and is
-// the standard scenario for exercising link-aware group selection.
-func TwoTier(n int, speed float64, intra, inter LinkSpec) *Cluster {
-	c := &Cluster{
-		Remote: intra,
-		Local:  SharedMemory(),
-	}
-	for i := 0; i < 2*n; i++ {
-		rack := i / n
-		c.Machines = append(c.Machines, Machine{
-			Name:  fmt.Sprintf("rack%d-node%02d", rack, i%n),
-			Speed: speed,
-		})
-	}
-	for a := 0; a < n; a++ {
-		for b := n; b < 2*n; b++ {
-			c.Overrides = append(c.Overrides, LinkOverride{A: a, B: b, Link: inter})
-		}
 	}
 	return c
 }

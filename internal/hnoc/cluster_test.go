@@ -1,6 +1,7 @@
 package hnoc
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"testing"
@@ -98,12 +99,12 @@ func TestValidateCatchesErrors(t *testing.T) {
 
 func TestEffectiveSpeedUnderLoad(t *testing.T) {
 	m := Machine{Name: "x", Speed: 100, Load: ConstantLoad{Fraction: 0.5}}
-	if got := m.EffectiveSpeed(42); got != 50 {
-		t.Fatalf("EffectiveSpeed = %v, want 50", got)
+	if got := m.ComputeFinish(42, 50); got != 43 {
+		t.Fatalf("50 units at half of speed 100 from t=42 finish at %v, want 43", got)
 	}
 	idle := Machine{Name: "y", Speed: 100}
-	if got := idle.EffectiveSpeed(0); got != 100 {
-		t.Fatalf("idle EffectiveSpeed = %v, want 100", got)
+	if got := idle.ComputeFinish(0, 100); got != 1 {
+		t.Fatalf("100 units on an idle machine of speed 100 finish at %v, want 1", got)
 	}
 }
 
@@ -210,8 +211,12 @@ func TestClusterJSONRoundTrip(t *testing.T) {
 	c.Machines[4].Load = SineLoad{Base: 0.5, Amplitude: 0.25, Period: 4}
 	c.Overrides = []LinkOverride{{A: 0, B: 1, Link: LinkSpec{Protocol: ProtoUDP, Latency: 1e-5, Bandwidth: 5e6}}}
 
+	data, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := t.TempDir() + "/cluster.json"
-	if err := c.SaveFile(path); err != nil {
+	if err := writeFile(path, string(data)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadFile(path)
@@ -229,10 +234,8 @@ func TestClusterJSONRoundTrip(t *testing.T) {
 	// Load profiles behave identically.
 	for i := range c.Machines {
 		for _, x := range []float64{0, 0.5, 1, 2, 3, 10} {
-			ma := Machine{Speed: 1, Load: c.Machines[i].Load}
-			mb := Machine{Speed: 1, Load: got.Machines[i].Load}
-			a := ma.EffectiveSpeed(x)
-			b := mb.EffectiveSpeed(x)
+			a := c.Machines[i].ComputeFinish(x, 1)
+			b := got.Machines[i].ComputeFinish(x, 1)
 			if math.Abs(a-b) > 1e-12 {
 				t.Fatalf("machine %d load differs after round trip at t=%v: %v != %v", i, x, a, b)
 			}
@@ -283,36 +286,6 @@ func TestHomogeneousCluster(t *testing.T) {
 
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
-}
-
-func TestTwoTierTopology(t *testing.T) {
-	intra := LinkSpec{Protocol: ProtoTCP, Latency: 1e-4, Bandwidth: 100e6}
-	inter := LinkSpec{Protocol: ProtoTCP, Latency: 1e-3, Bandwidth: 10e6}
-	c := TwoTier(3, 50, intra, inter)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Size() != 6 {
-		t.Fatalf("size = %d", c.Size())
-	}
-	// Intra-rack pairs use the fast link.
-	if got := c.Link(0, 2).Bandwidth; got != 100e6 {
-		t.Errorf("intra-rack bandwidth %v", got)
-	}
-	if got := c.Link(3, 5).Bandwidth; got != 100e6 {
-		t.Errorf("intra-rack bandwidth (rack 1) %v", got)
-	}
-	// Cross-rack pairs use the uplink, both directions.
-	if got := c.Link(1, 4).Bandwidth; got != 10e6 {
-		t.Errorf("cross-rack bandwidth %v", got)
-	}
-	if got := c.Link(4, 1).Bandwidth; got != 10e6 {
-		t.Errorf("cross-rack reverse bandwidth %v", got)
-	}
-	// Same machine uses shared memory.
-	if got := c.Link(2, 2).Protocol; got != ProtoSHM {
-		t.Errorf("same-machine protocol %q", got)
-	}
 }
 
 func TestFatNodeTopology(t *testing.T) {

@@ -122,12 +122,3 @@ func LoadFile(path string) (*Cluster, error) {
 	}
 	return c, nil
 }
-
-// SaveFile writes the cluster configuration to a JSON file.
-func (c *Cluster) SaveFile(path string) error {
-	data, err := json.Marshal(c)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}

@@ -182,17 +182,6 @@ func (c *lru[V]) count() (hits, miss, puts, evict, entries int64) {
 	return
 }
 
-// reset drops every entry and zeroes the counters, keeping the capacity.
-func (c *lru[V]) reset() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.m, sh.first, sh.last = nil, nil, nil
-		sh.hits, sh.miss, sh.puts, sh.evict = 0, 0, 0, 0
-		sh.mu.Unlock()
-	}
-}
-
 // solved is the one way to a solved problem: the assignment stored under
 // key — marked Memoized, its counters those of the search that produced
 // it — or, on a miss, what search returns, which is stored unless it
@@ -294,10 +283,4 @@ func (c *SelectionCache) Stats() CacheStats {
 	out.Hits, out.Misses, out.Puts, out.Evictions, out.Entries = c.values.count()
 	out.SolveHits, out.SolveMisses, _, _, out.SolveEntries = c.solves.count()
 	return out
-}
-
-// Reset drops every entry and zeroes the counters, keeping the capacity.
-func (c *SelectionCache) Reset() {
-	c.values.reset()
-	c.solves.reset()
 }

@@ -20,7 +20,7 @@ func skipUnlessAllocsAreExact(t *testing.T) {
 
 // TestSendRequestStaysOnTheStack pins the user-level floor: a message costs
 // the one copy its receiver is handed (Send, Sendrecv) or nothing at all
-// (SendOwned, a discarded IsendOwned) — the Request of a send nobody
+// (IsendOwned, waited on or discarded) — the Request of a send nobody
 // stores never reaches the heap. One rank sends to itself, so nothing else
 // runs while testing.AllocsPerRun counts.
 func TestSendRequestStaysOnTheStack(t *testing.T) {
@@ -35,7 +35,7 @@ func TestSendRequestStaysOnTheStack(t *testing.T) {
 			want float64
 			f    func()
 		}{
-			{"SendOwned, Recv", 0, func() { comm.SendOwned(0, 1, data); comm.Recv(0, 1) }},
+			{"IsendOwned, Wait, Recv", 0, func() { comm.IsendOwned(0, 1, data).Wait(); comm.Recv(0, 1) }},
 			{"IsendOwned (discarded), Recv", 0, func() { comm.IsendOwned(0, 1, data); comm.Recv(0, 1) }},
 			{"Send, Recv", 1, func() { comm.Send(0, 1, data); comm.Recv(0, 1) }},
 			{"Sendrecv", 1, func() { comm.Sendrecv(0, 1, data, 0, 1) }},

@@ -8,7 +8,7 @@ package mpi
 // the payload in place (a step marked pooled, collsched.go). They never
 // held the copy of a send whose receiver is handed the payload — Recv,
 // Wait, a collective's stRecv: that copy is the receiver's from the start,
-// one allocation and one copy per message (sendCore). The ownership rule:
+// one allocation and one copy per message (sendCommon). The ownership rule:
 //
 //   - A *poolBuf is owned by whoever obtained it from getBuf. Passing the
 //     underlying bytes to another component does NOT transfer ownership;

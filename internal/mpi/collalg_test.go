@@ -361,9 +361,9 @@ func TestTunedCollectivesTCPMatchesInProcessTiming(t *testing.T) {
 		comm.ReduceScatter(parts, SumInt64)
 		// Legacy flat gather exercises the AnySource drain.
 		flat := &CollTuning{}
-		comm.SetCollTuning(flat)
+		comm.tuning = flat
 		comm.Gather(0, bytes.Repeat([]byte{byte(p.Rank())}, 32))
-		comm.SetCollTuning(tuning)
+		comm.tuning = tuning
 		comm.Barrier()
 		return nil
 	}

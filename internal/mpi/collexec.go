@@ -1,9 +1,8 @@
 package mpi
 
-// The blocking executor of collective schedules, and the per-call state
-// both executors share. It issues, for each step, the blocking primitive
-// of p2p.go — so what a schedule costs in simulated time is decided by the
-// step list alone.
+// The executor of collective schedules and its per-call state. It issues,
+// for each step, the blocking primitive of p2p.go — so what a schedule
+// costs in simulated time is decided by the step list alone.
 
 import (
 	"fmt"
@@ -25,9 +24,8 @@ type collRun struct {
 	op     Op
 	what   string  // the collective's name, for length-mismatch panics
 	posted Request // the send a stPost started, until the next stWaitSends completes it
-	// envs[i] is a message taken from the mailbox ahead of receive step i's
-	// execution: by an stDrain here, by the progress engine's claim in
-	// nbcoll.go. Taking reads no clock; the step applies the timing.
+	// envs[i] is a message an stDrain took from the mailbox ahead of receive
+	// step i's execution. Taking reads no clock; the step applies the timing.
 	envs    []*envelope
 	srcs    []int       // scratch of drain: the world ranks still to arrive
 	drained vclock.Time // when the last drain finished: its receives' trace events start here

@@ -3,14 +3,12 @@ package mpi
 // The schedule IR of the collective layer. Every collective algorithm is
 // one builder: a function of (rank, size, root, payload sizes, machine
 // groups) that appends point-to-point steps to a plan. Nothing else
-// describes an algorithm. Three consumers read the step list:
+// describes an algorithm. Two consumers read the step list:
 //
 //   - the blocking executor (collexec.go) issues, per step, the blocking
 //     primitive of p2p.go — Send, SendOwned, Isend…Wait, a failure-aware
 //     receive — so a blocking collective's clocks and trace are those of
 //     the equivalent hand-written loop;
-//   - the cursor executor (nbcoll.go) runs the same list incrementally
-//     behind a Request (Ibcast, Iallreduce);
 //   - the replay (collreplay.go) walks the lists of all ranks with link
 //     costs only — no goroutines, no payloads — which prices a collective
 //     for the estimator and proves the lists match send for receive.
@@ -71,7 +69,7 @@ const (
 )
 
 // span selects a step's payload. n is its size in bytes when the builder
-// knows it; only the replay reads n — the executors send what the slot
+// knows it; only the replay reads n — the executor sends what the slot
 // holds.
 type span struct {
 	slot   slot

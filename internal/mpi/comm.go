@@ -50,17 +50,6 @@ type Comm struct {
 
 	deriveSeq int64 // per-process count of collective comm constructors
 	agreeSeq  int64 // per-process count of AgreeFailed calls (ft.go)
-	nbSeq     int64 // per-process count of nonblocking collectives (nbcoll.go)
-}
-
-// SetCollTuning overrides the collective algorithm policy for this
-// communicator handle and everything later derived from it. Every member
-// of the communicator must install the same policy (collectives must
-// agree on their communication pattern). Passing nil restores the
-// default. Returns the communicator for chaining.
-func (c *Comm) SetCollTuning(t *CollTuning) *Comm {
-	c.tuning = t
-	return c
 }
 
 // Rank returns the calling process's rank in the communicator.
@@ -79,12 +68,6 @@ func (c *Comm) Group() *Group {
 
 // Proc returns the process this communicator handle belongs to.
 func (c *Comm) Proc() *Proc { return c.p }
-
-// WorldRankOf returns the world rank of the given communicator rank.
-func (c *Comm) WorldRankOf(rank int) int {
-	c.checkRank("WorldRankOf", rank)
-	return c.s.members[rank]
-}
 
 // nextContext returns the agreed context id for the next derived
 // communicator. All members call the collective constructors in the same

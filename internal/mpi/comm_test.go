@@ -16,9 +16,6 @@ func TestCommWorldShape(t *testing.T) {
 		if grp.Size() != 4 || grp.WorldRank(2) != 2 {
 			return fmt.Errorf("world group wrong: %v", grp.Ranks())
 		}
-		if comm.WorldRankOf(3) != 3 {
-			return fmt.Errorf("WorldRankOf wrong")
-		}
 		return nil
 	})
 }
@@ -35,14 +32,14 @@ func TestSplitByParity(t *testing.T) {
 		if sub.Size() != wantSize {
 			return fmt.Errorf("rank %d sub size %d, want %d", p.Rank(), sub.Size(), wantSize)
 		}
-		if sub.WorldRankOf(sub.Rank()) != p.Rank() {
+		if sub.s.members[sub.Rank()] != p.Rank() {
 			return fmt.Errorf("rank mapping broken")
 		}
 		// Members are ordered by key (= world rank here).
 		for i := 1; i < sub.Size(); i++ {
-			if sub.WorldRankOf(i) < sub.WorldRankOf(i-1) {
+			if sub.s.members[i] < sub.s.members[i-1] {
 				return fmt.Errorf("sub comm not ordered by key: %d before %d",
-					sub.WorldRankOf(i-1), sub.WorldRankOf(i))
+					sub.s.members[i-1], sub.s.members[i])
 			}
 		}
 		return nil

@@ -92,11 +92,6 @@ func (c *Comm) Revoke() {
 	}
 }
 
-// Revoked reports whether the communicator has been revoked.
-func (c *Comm) Revoked() bool {
-	return c.p.world.ctxRevoked(c.s.id)
-}
-
 // AgreeFailed is a collective over the communicator that returns the world
 // ranks of its failed members, identical on every surviving member
 // (ULFM MPI_Comm_agree specialised to failure acknowledgement). The
@@ -310,20 +305,6 @@ func (w *World) failedAmong(ranks []int) []int {
 	var out []int
 	for _, r := range ranks {
 		if w.IsFailed(r) {
-			out = append(out, r)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// FailedRanks returns the sorted world ranks currently marked failed.
-func (w *World) FailedRanks() []int {
-	w.failedMu.RLock()
-	defer w.failedMu.RUnlock()
-	out := make([]int, 0, len(w.failed))
-	for r, f := range w.failed {
-		if f {
 			out = append(out, r)
 		}
 	}

@@ -219,7 +219,7 @@ func goldenRun(w *World, k goldenCase) (string, error) {
 	w.SetCollTuning(k.tuning)
 	for _, p := range w.procs {
 		p.clock.Set(0)
-		p.nicOut.Reset()
+		p.nicOut = vclock.NIC{}
 		p.commWorld = nil
 	}
 	n := w.Size()

@@ -145,29 +145,6 @@ func (c *Comm) hierViable() bool {
 	return c.hier().viable
 }
 
-// NodeComm returns the communicator's node tier: the members placed on
-// this rank's machine, in communicator-rank order (node rank 0 is the
-// machine's leader). Derived lazily from the placement and cached; the
-// tier is owned by this communicator and released by its Free.
-func (c *Comm) NodeComm() *Comm { return c.hier().node }
-
-// NetComm returns the communicator's net tier — one leader (the lowest
-// communicator rank) per machine — on leaders, and nil on every other
-// rank. The net rank of a leader equals its machine-group index (see
-// NodeLeaders).
-func (c *Comm) NetComm() *Comm { return c.hier().net }
-
-// NodeLeader returns the communicator rank of this rank's machine leader.
-func (c *Comm) NodeLeader() int {
-	h := c.hier()
-	return h.leaders[h.groupOf[c.rank]]
-}
-
-// NodeLeaders returns the communicator rank of every machine's leader,
-// indexed by machine-group (ascending leader rank — the net tier's rank
-// order).
-func (c *Comm) NodeLeaders() []int { return append([]int(nil), c.hier().leaders...) }
-
 // freeHier releases the cached tier communicators (called by Comm.Free:
 // the parent owns its tiers).
 func (c *Comm) freeHier() {

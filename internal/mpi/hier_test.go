@@ -60,25 +60,25 @@ func TestHierTierStructure(t *testing.T) {
 	cl, place := hnoc.FatNode3x8()
 	runPlaced(t, cl, place, false, nil, func(p *Proc) error {
 		c := p.CommWorld()
-		leaders := c.NodeLeaders()
+		leaders := c.hier().leaders
 		if fmt.Sprint(leaders) != "[0 8 16]" {
 			return fmt.Errorf("rank %d: leaders %v, want [0 8 16]", p.Rank(), leaders)
 		}
-		node := c.NodeComm()
+		node := c.hier().node
 		if node.Size() != 8 {
 			return fmt.Errorf("rank %d: node size %d, want 8", p.Rank(), node.Size())
 		}
 		wantLeader := (p.Rank() / 8) * 8
-		if c.NodeLeader() != wantLeader {
-			return fmt.Errorf("rank %d: leader %d, want %d", p.Rank(), c.NodeLeader(), wantLeader)
+		if got := leaders[c.hier().groupOf[c.rank]]; got != wantLeader {
+			return fmt.Errorf("rank %d: leader %d, want %d", p.Rank(), got, wantLeader)
 		}
-		if got := node.WorldRankOf(node.Rank()); got != p.Rank() {
+		if got := node.s.members[node.Rank()]; got != p.Rank() {
 			return fmt.Errorf("rank %d: node tier maps back to world rank %d", p.Rank(), got)
 		}
 		if node.Rank() != p.Rank()%8 {
 			return fmt.Errorf("rank %d: node rank %d, want %d", p.Rank(), node.Rank(), p.Rank()%8)
 		}
-		net := c.NetComm()
+		net := c.hier().net
 		if p.Rank() == wantLeader {
 			if net == nil || net.Size() != 3 || net.Rank() != p.Rank()/8 {
 				return fmt.Errorf("rank %d: bad net tier %v", p.Rank(), net)
@@ -262,7 +262,7 @@ func TestHierAutoSelection(t *testing.T) {
 			{"reducescatter/small", c.coll().resolveReduceScatter(100, twoLevels(c.hierViable())), ReduceScatterPairwise},
 			// Tier communicators are single-machine / one-rank-per-machine:
 			// never hier, so the recursion bottoms out in flat algorithms.
-			{"node/large", c.coll().resolveAllreduce(8, 1<<20, twoLevels(c.NodeComm().hierViable())), AllreduceRing},
+			{"node/large", c.coll().resolveAllreduce(8, 1<<20, twoLevels(c.hier().node.hierViable())), AllreduceRing},
 			// Derived communicators inherit the policy and recompute tiers.
 			{"dup/large", c.coll().resolveAllreduce(24, 1<<20, twoLevels(c.Dup().hierViable())), AllreduceHier},
 		}
@@ -273,8 +273,9 @@ func TestHierAutoSelection(t *testing.T) {
 		}
 		// An explicitly hierarchical policy falls back to the flat
 		// resolution on a communicator without a two-level structure.
-		d := c.Dup().SetCollTuning(&CollTuning{Allreduce: AllreduceHier})
-		if alg := d.coll().resolveAllreduce(8, 64, twoLevels(d.NodeComm().hierViable())); alg != AllreduceRecursiveDoubling {
+		d := c.Dup()
+		d.tuning = &CollTuning{Allreduce: AllreduceHier}
+		if alg := d.coll().resolveAllreduce(8, 64, twoLevels(d.hier().node.hierViable())); alg != AllreduceRecursiveDoubling {
 			return fmt.Errorf("rank %d: explicit hier on node tier resolved %v", p.Rank(), alg)
 		}
 		if alg := d.coll().resolveAllreduce(24, 64, twoLevels(d.hierViable())); alg != AllreduceHier {
@@ -382,11 +383,11 @@ func TestHierRecomputeAfterShrink(t *testing.T) {
 					return nil
 				}
 				comm := p.CommWorld()
-				staleLeaders := fmt.Sprint(comm.NodeLeaders()) // cache the full-world hierarchy
+				staleLeaders := fmt.Sprint(comm.hier().leaders) // cache the full-world hierarchy
 				sc := comm.Shrink()
 				members := make([]int, sc.Size())
 				for i := range members {
-					members[i] = sc.WorldRankOf(i)
+					members[i] = sc.s.members[i]
 				}
 				want := expectGroups(members)
 				wantLeaders := make([]int, len(want))
@@ -398,7 +399,7 @@ func TestHierRecomputeAfterShrink(t *testing.T) {
 					"dup":    sc.Dup(),
 					"split":  sc.Split(0, sc.Rank()),
 				} {
-					if got := fmt.Sprint(d.NodeLeaders()); got != fmt.Sprint(wantLeaders) {
+					if got := fmt.Sprint(d.hier().leaders); got != fmt.Sprint(wantLeaders) {
 						return fmt.Errorf("rank %d: %s leaders %s, want %v", p.Rank(), name, got, wantLeaders)
 					}
 					myG := -1
@@ -409,23 +410,23 @@ func TestHierRecomputeAfterShrink(t *testing.T) {
 							}
 						}
 					}
-					if got := d.NodeComm().Size(); got != len(want[myG]) {
+					if got := d.hier().node.Size(); got != len(want[myG]) {
 						return fmt.Errorf("rank %d: %s node size %d, want %d", p.Rank(), name, got, len(want[myG]))
 					}
 					isLeader := want[myG][0] == d.Rank()
-					if (d.NetComm() != nil) != isLeader {
-						return fmt.Errorf("rank %d: %s net tier presence %v, leader %v", p.Rank(), name, d.NetComm() != nil, isLeader)
+					if (d.hier().net != nil) != isLeader {
+						return fmt.Errorf("rank %d: %s net tier presence %v, leader %v", p.Rank(), name, d.hier().net != nil, isLeader)
 					}
 				}
 				// The parent's own cache is its pre-shrink structure — the
 				// derived communicators must not have mutated it.
-				if got := fmt.Sprint(comm.NodeLeaders()); got != staleLeaders {
+				if got := fmt.Sprint(comm.hier().leaders); got != staleLeaders {
 					return fmt.Errorf("rank %d: parent cache mutated: %s -> %s", p.Rank(), staleLeaders, got)
 				}
 				// A freed communicator refuses to derive a hierarchy.
 				f := sc.Dup()
 				f.Free()
-				if msg := catchPanic(func() { f.NodeComm() }); !strings.Contains(msg, "freed") {
+				if msg := catchPanic(func() { f.hier() }); !strings.Contains(msg, "freed") {
 					return fmt.Errorf("rank %d: freed comm derived a hierarchy (%q)", p.Rank(), msg)
 				}
 				sc.Barrier()
@@ -435,42 +436,5 @@ func TestHierRecomputeAfterShrink(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestIallreduceHierMatchesBlocking: the nonblocking hierarchical
-// schedule returns the same payload as the blocking algorithm and its
-// virtual makespan is deterministic across runs.
-func TestIallreduceHierMatchesBlocking(t *testing.T) {
-	cl, place := fatTestCluster()
-	n := len(place)
-	elems := 1024
-	want := make([]int64, elems)
-	for r := 0; r < n; r++ {
-		for i, v := range contribution(r, elems) {
-			want[i] += v
-		}
-	}
-	makespans := make([]string, 2)
-	for run := 0; run < 2; run++ {
-		w := NewWorld(cl, place)
-		w.SetCollTuning(&CollTuning{Allreduce: AllreduceHier})
-		if err := w.Run(func(p *Proc) error {
-			req := p.CommWorld().Iallreduce(Int64Bytes(contribution(p.Rank(), elems)), SumInt64)
-			buf, _ := req.Wait()
-			got := BytesInt64(buf)
-			for i := range want {
-				if got[i] != want[i] {
-					return fmt.Errorf("rank %d elem %d: got %d, want %d", p.Rank(), i, got[i], want[i])
-				}
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		makespans[run] = fmt.Sprint(w.Makespan())
-	}
-	if makespans[0] != makespans[1] {
-		t.Fatalf("nonblocking hier makespan not deterministic: %s vs %s", makespans[0], makespans[1])
 	}
 }

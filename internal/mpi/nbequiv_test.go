@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/hnoc"
 	"repro/internal/vclock"
 )
 
@@ -48,12 +47,7 @@ var nbTransports = []string{"inprocess", "tcp"}
 func nbWorld(t *testing.T, n int, transport string, filtered bool) *World {
 	t.Helper()
 	c := testCluster(n)
-	return nbWorldOn(t, c, OneProcessPerMachine(c), transport, filtered)
-}
-
-// nbWorldOn is nbWorld on an explicit cluster and placement.
-func nbWorldOn(t *testing.T, c *hnoc.Cluster, place []int, transport string, filtered bool) *World {
-	t.Helper()
+	place := OneProcessPerMachine(c)
 	var w *World
 	switch transport {
 	case "inprocess":
@@ -189,108 +183,5 @@ func TestNonblockingEquivalence(t *testing.T) {
 func TestNonblockingEquivalenceUnderDrop(t *testing.T) {
 	for _, n := range []int{2, 3, 9} {
 		runNBEquiv(t, n, true)
-	}
-}
-
-// nbCollRun runs, for every size of nbCollSizes, an Allreduce and a Bcast
-// from the first and the last rank — blocking, or posted and waited — and
-// returns every rank's results concatenated.
-func nbCollRun(w *World, nonblocking bool) ([][]byte, error) {
-	out := make([][]byte, w.Size())
-	err := w.Run(func(p *Proc) error {
-		c := p.CommWorld()
-		var got bytes.Buffer
-		for _, size := range nbCollSizes {
-			mine := goldenPayload(p.Rank(), 0, size)
-			if nonblocking {
-				res, _ := c.Iallreduce(mine, SumFloat64).Wait()
-				got.Write(res)
-			} else {
-				got.Write(c.Allreduce(mine, SumFloat64))
-			}
-			for _, root := range []int{0, c.Size() - 1} {
-				var data []byte
-				if p.Rank() == root {
-					data = mine
-				}
-				if nonblocking {
-					data, _ = c.Ibcast(root, data).Wait()
-				} else {
-					data = c.Bcast(root, data)
-				}
-				got.Write(data)
-			}
-		}
-		out[p.Rank()] = got.Bytes()
-		return nil
-	})
-	return out, err
-}
-
-// nbCollSizes: empty, one element, a small vector, and a payload above
-// every size threshold (ring, segments, hierarchy).
-var nbCollSizes = []int{0, 8, 1000, 1 << 16}
-
-// TestNonblockingCollectivesEquivalence: Iallreduce;Wait returns what
-// Allreduce returns and Ibcast;Wait what Bcast returns, on every rank, for
-// every algorithm a policy can select — the nonblocking forms run the
-// schedule the blocking forms run — on both transports, on flat worlds and
-// on a fat-node placement (where the two-level algorithms engage), with
-// and without a seeded single-frame drop.
-func TestNonblockingCollectivesEquivalence(t *testing.T) {
-	type shape struct {
-		name    string
-		cluster *hnoc.Cluster
-		place   []int
-	}
-	var shapes []shape
-	for _, n := range []int{1, 2, 3, 6, 9} {
-		c := testCluster(n)
-		shapes = append(shapes, shape{fmt.Sprintf("flat%d", n), c, OneProcessPerMachine(c)})
-	}
-	fat, fatPlace := fatTestCluster()
-	shapes = append(shapes, shape{"fat", fat, fatPlace})
-	tunings := map[string]*CollTuning{"default": nil, "auto": AutoCollTuning()}
-	for name, alg := range map[string]AllreduceAlg{"redbcast": AllreduceRedBcast, "recdbl": AllreduceRecursiveDoubling, "ring": AllreduceRing, "hier": AllreduceHier} {
-		tunings["allreduce-"+name] = &CollTuning{Allreduce: alg}
-	}
-	for name, alg := range map[string]BcastAlg{"segmented": BcastSegmented, "hier": BcastHier} {
-		tunings["bcast-"+name] = &CollTuning{Bcast: alg}
-	}
-	for _, transport := range nbTransports {
-		for _, sh := range shapes {
-			for _, filtered := range []bool{false, true} {
-				if filtered && len(sh.place) < 2 {
-					continue
-				}
-				for name, tuning := range tunings {
-					t.Run(fmt.Sprintf("%s/%s/drop=%v/%s", transport, sh.name, filtered, name), func(t *testing.T) {
-						var results [2][][]byte
-						for i, nonblocking := range []bool{false, true} {
-							w := nbWorldOn(t, sh.cluster, sh.place, transport, filtered)
-							w.SetCollTuning(tuning)
-							var err error
-							if results[i], err = nbCollRun(w, nonblocking); err != nil {
-								t.Fatalf("nonblocking=%v: %v", nonblocking, err)
-							}
-							if filtered {
-								drops := int64(0)
-								for _, st := range w.LinkStatsSnapshot() {
-									drops += st.Drops
-								}
-								if drops != 1 {
-									t.Fatalf("nonblocking=%v: %d frames dropped, want the one seeded drop", nonblocking, drops)
-								}
-							}
-						}
-						for r := range results[0] {
-							if !bytes.Equal(results[0][r], results[1][r]) {
-								t.Errorf("rank %d: nonblocking results differ from blocking", r)
-							}
-						}
-					})
-				}
-			}
-		}
 	}
 }

@@ -162,17 +162,20 @@ func (m *mailbox) pop(k mbKey, i int) *envelope {
 	return e
 }
 
-// get blocks until a message matching the selector is present, removes it
-// from its queue and returns it. Among simultaneously queued matches the
-// earliest queued wins, which preserves per-sender FIFO (non-overtaking).
-// giveUp is re-checked whenever the mailbox wakes (failure and revocation
-// notifications broadcast to all mailboxes); a non-nil return panics with
-// that error.
-func (m *mailbox) get(sel recvSel, giveUp func() error) *envelope {
+// get blocks until a message matching the selector is present and returns
+// it, removed from its queue unless peek is set. Among simultaneously
+// queued matches the earliest queued wins, which preserves per-sender FIFO
+// (non-overtaking). giveUp is re-checked whenever the mailbox wakes (failure
+// and revocation notifications broadcast to all mailboxes); a non-nil return
+// panics with that error.
+func (m *mailbox) get(sel recvSel, giveUp func() error, peek bool) *envelope {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
 		if k, i, ok := m.locate(sel); ok {
+			if peek {
+				return m.q[k][i]
+			}
 			return m.pop(k, i)
 		}
 		if m.closed {
@@ -192,27 +195,6 @@ func (m *mailbox) notify() {
 	m.mu.Lock()
 	m.cond.Broadcast()
 	m.mu.Unlock()
-}
-
-// peek blocks until a matching message is present and returns it without
-// removing it from the queue.
-func (m *mailbox) peek(sel recvSel, giveUp func() error) *envelope {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		if k, i, ok := m.locate(sel); ok {
-			return m.q[k][i]
-		}
-		if m.closed {
-			panic(&ProcessFailedError{Rank: m.owner, Kind: m.kind})
-		}
-		if giveUp != nil {
-			if err := giveUp(); err != nil {
-				panic(err)
-			}
-		}
-		m.cond.Wait()
-	}
 }
 
 // tryGet is the non-blocking variant of get; peek leaves the message queued.
@@ -293,27 +275,15 @@ const (
 	payPooled                    // a pooled copy: the receiver consumes it in place and recycles it
 )
 
-// sendCommon computes the timing of a transfer anchored at the process
-// clock, advances the clock by the sender-side overhead and enqueues the
-// envelope. It returns the virtual time at which the sender's interface
-// finishes the transfer.
+// sendCommon is the one send body: it computes the timing of a transfer
+// anchored at the process clock, advances the clock by the sender-side
+// overhead and enqueues the envelope. It returns the virtual time at which
+// the sender's interface finishes the transfer.
 func (c *Comm) sendCommon(dst, tag int, data []byte, mode payloadMode) vclock.Time {
-	c.p.progress()
-	end, _ := c.sendCore(dst, tag, data, mode, c.p.clock.Now(), &c.p.clock)
-	return end
-}
-
-// sendCore computes the timing of a transfer anchored at start — which
-// need not be the process clock: nonblocking collective schedules anchor
-// steps at their own virtual cursor — and enqueues the envelope. It
-// returns the time the sender's interface finishes the transfer and the
-// time the sender-side CPU is released (start plus the link overhead).
-// When clk is non-nil it is advanced by the overhead exactly where the
-// blocking path always did, so blocking timing is preserved bit for bit;
-// schedule steps pass nil and account on their cursor instead.
-func (c *Comm) sendCore(dst, tag int, data []byte, mode payloadMode, start vclock.Time, clk *vclock.Clock) (end, cpuFree vclock.Time) {
-	c.checkRank("Send", dst)
 	p := c.p
+	p.progress()
+	start := p.clock.Now()
+	c.checkRank("Send", dst)
 	p.opTick()
 	dstW := c.s.members[dst]
 	if p.world.ctxRevoked(c.s.id) {
@@ -323,13 +293,8 @@ func (c *Comm) sendCore(dst, tag int, data []byte, mode payloadMode, start vcloc
 		panic(p.world.failedError(dstW))
 	}
 	link := p.world.cluster.Link(p.machine, p.world.place[dstW])
-	if clk != nil {
-		clk.Advance(vclock.Time(link.Overhead))
-		cpuFree = clk.Now()
-	} else {
-		cpuFree = start + vclock.Time(link.Overhead)
-	}
-	_, end = p.nicOut.Reserve(cpuFree, vclock.Time(link.TransferTime(len(data))))
+	p.clock.Advance(vclock.Time(link.Overhead))
+	_, end := p.nicOut.Reserve(p.clock.Now(), vclock.Time(link.TransferTime(len(data))))
 	buf := data
 	var pb *poolBuf
 	// Buffered send: the sender may reuse data as soon as the call
@@ -371,10 +336,10 @@ func (c *Comm) sendCore(dst, tag int, data []byte, mode payloadMode, start vcloc
 		// Chaos-adjudicated path: the frame may be delayed, duplicated or
 		// dropped (and then retransmitted) before it reaches the wire.
 		p.transmitFiltered(dstW, env, link, end)
-		return end, cpuFree
+		return end
 	}
 	p.world.deliver(dstW, env)
-	return end, cpuFree
+	return end
 }
 
 // Send performs a blocking standard-mode send of data to the process with
@@ -382,11 +347,6 @@ func (c *Comm) sendCore(dst, tag int, data []byte, mode payloadMode, start vcloc
 // for a matching receive; the sender's clock advances by the message
 // overhead plus its interface's serialisation of the transfer.
 func (c *Comm) Send(dst, tag int, data []byte) { c.send(dst, tag, data, payCopy) }
-
-// SendOwned is Send without the defensive copy: the caller cedes ownership
-// of data and must not modify it afterwards. Use it on hot paths that send
-// many freshly built (or immutable) buffers.
-func (c *Comm) SendOwned(dst, tag int, data []byte) { c.send(dst, tag, data, payCeded) }
 
 // send is the blocking send in any payload mode: post, then wait for the
 // interface to finish the transfer.
@@ -547,7 +507,7 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status) {
 // Probe blocks until a matching message is available without receiving it.
 func (c *Comm) Probe(src, tag int) Status {
 	c.p.progress()
-	e := c.p.mbox.peek(c.sel(src, tag), c.failWatch(src))
+	e := c.p.mbox.get(c.sel(src, tag), c.failWatch(src), true)
 	return Status{Source: c.s.rankOf(e.src), Tag: e.tag, Bytes: len(e.data)}
 }
 

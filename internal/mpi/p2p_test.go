@@ -447,9 +447,6 @@ func TestMakespan(t *testing.T) {
 	if math.Abs(float64(w.Makespan())-10) > 1e-9 {
 		t.Fatalf("makespan %v, want 10", w.Makespan())
 	}
-	if got := w.MakespanOf([]int{0, 1}); got != 0 {
-		t.Fatalf("makespan of idle ranks = %v, want 0", got)
-	}
 }
 
 func TestInvalidRankPanics(t *testing.T) {

@@ -24,9 +24,6 @@ import (
 // passing nil detaches. The recorder's shards are indexed by world rank.
 func (w *World) SetRecorder(r *trace.Recorder) { w.rec = r }
 
-// Recorder returns the attached structured event recorder, or nil.
-func (w *World) Recorder() *trace.Recorder { return w.rec }
-
 // Recorder returns the recorder attached to the process's world, or nil.
 // Runtime layers (internal/hmpi) use it to emit their own lifecycle
 // events on this process's shard.
@@ -121,7 +118,7 @@ func (c *Comm) mboxGet(kind string, s recvSel, giveUp func() error) *envelope {
 	p.lastRecvAnySrc = s.src == AnySource
 	r := p.world.rec
 	if r == nil {
-		return p.mbox.get(s, giveUp)
+		return p.mbox.get(s, giveUp, false)
 	}
 	peer := -1
 	if s.src != AnySource {
@@ -134,7 +131,7 @@ func (c *Comm) mboxGet(kind string, s recvSel, giveUp func() error) *envelope {
 	// The pop must run even when the wait aborts by panic (failed peer,
 	// revoked communicator): the rank is no longer waiting on this op.
 	defer r.PendingEnd(p.rank)
-	return p.mbox.get(s, giveUp)
+	return p.mbox.get(s, giveUp, false)
 }
 
 // collStart captures the entry timestamps of a collective-like operation

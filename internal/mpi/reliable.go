@@ -29,30 +29,10 @@ package mpi
 // feed the HMPI DegradationPolicy through the degrade watch.
 
 import (
-	"errors"
-
 	"repro/internal/hnoc"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
-
-// FailureKindOf extracts the failure kind from an error chain containing
-// a *ProcessFailedError. ok is false when the error is unrelated to a
-// process failure.
-func FailureKindOf(err error) (kind FailureKind, ok bool) {
-	var pfe *ProcessFailedError
-	if errors.As(err, &pfe) {
-		return pfe.Kind, true
-	}
-	return 0, false
-}
-
-// IsPartitionError reports whether err is a process-failure error caused
-// by a suspected network partition (as opposed to a crash).
-func IsPartitionError(err error) bool {
-	kind, ok := FailureKindOf(err)
-	return ok && kind == FailurePartition
-}
 
 // LinkOutcome is a filter's verdict on one frame-transmission attempt.
 type LinkOutcome struct {
@@ -145,9 +125,6 @@ func (w *World) SetLinkFilter(f LinkFilter) {
 // SetRetransmit installs the retransmit policy the filtered path applies
 // to dropped frames. Install before Run.
 func (w *World) SetRetransmit(rp RetryPolicy) { w.retry = rp }
-
-// Retransmit returns the installed retransmit policy.
-func (w *World) Retransmit() RetryPolicy { return w.retry }
 
 // SetDegradeWatch installs an observer invoked (outside the stats lock,
 // from the sending goroutine) after every retransmit or injected delay
@@ -279,20 +256,4 @@ func (p *Proc) transmitFiltered(dstW int, env *envelope, link hnoc.LinkSpec, end
 		wireAt = resendEnd
 		env.arrive = resendEnd + vclock.Time(link.Latency)
 	}
-}
-
-// SendResilient sends through the retransmit path and surfaces a delivery
-// failure as an error instead of a panic. The error's failure kind
-// (FailureKindOf / IsPartitionError) distinguishes a crashed peer from a
-// suspected partition; callers must consume it before communicating
-// further — the hmpivet retrycontract analyzer enforces this contract.
-func (c *Comm) SendResilient(dst, tag int, data []byte) error {
-	return Catch(func() { c.Send(dst, tag, data) })
-}
-
-// RecvResilient receives with failures surfaced as an error instead of a
-// panic, under the same kind-consumption contract as SendResilient.
-func (c *Comm) RecvResilient(src, tag int) (data []byte, st Status, err error) {
-	err = Catch(func() { data, st = c.Recv(src, tag) })
-	return data, st, err
 }

@@ -2,25 +2,22 @@ package mpi
 
 // Nonblocking point-to-point operations and the per-rank progress engine.
 //
-// A Request is created by Isend/Irecv (and by the nonblocking collectives
-// of nbcoll.go) and completed by Wait or Test. The engine is the rank's
-// ledger of pending operations; every MPI call — and an explicit
-// Progress() poll — gives it a chance to advance them.
+// A Request is created by Isend/Irecv and completed by Wait or Test. The
+// engine is the rank's ledger of posted receives; every MPI call gives it
+// a chance to match them.
 //
 // The engine splits each operation into two halves with very different
 // rules:
 //
 //   - Claiming is opportunistic and timing-neutral: progress() matches
-//     arrived envelopes to pending receives (in posting order) and to the
-//     receive steps of pending collective schedules. A claim only decides
-//     ownership of a message; it reads and writes no virtual clock, so
-//     the wall-clock moment a message happens to arrive can never change
-//     a simulated time.
+//     arrived envelopes to pending receives, in posting order. A claim
+//     only decides ownership of a message; it reads and writes no virtual
+//     clock, so the wall-clock moment a message happens to arrive can
+//     never change a simulated time.
 //   - Execution is timing-bearing and happens only at deterministic
 //     program points: Isend charges its overhead at the post, a receive
 //     charges arrival + overhead when Wait (or Test, the one documented
-//     wall-sensitive operation) consumes it, and collective schedules
-//     advance a private virtual cursor step by step.
+//     wall-sensitive operation) consumes it.
 //
 // Overlap accounting falls out of the clock algebra: a receive consumed
 // at Wait absorbs the message's arrival time with AbsorbAtLeast — a max,
@@ -39,12 +36,11 @@ type reqKind uint8
 const (
 	reqSend reqKind = iota // local buffer reusable when the NIC finishes
 	reqRecv                // an envelope matched and consumed
-	reqColl                // a collective schedule fully executed
 )
 
-// Request represents an outstanding nonblocking operation. A receive or a
-// collective request is on the heap — the progress engine holds it until it
-// completes. A send request is only a finish time and an id: the one a
+// Request represents an outstanding nonblocking operation. A receive
+// request is on the heap — the progress engine holds it until it is
+// matched. A send request is only a finish time and an id: the one a
 // caller drops (a fire-and-forget IsendOwned) or completes before returning
 // (Sendrecv) stays on the caller's stack.
 type Request struct {
@@ -62,19 +58,15 @@ type Request struct {
 	// Send requests.
 	sendEnd vclock.Time // when the interface finishes the transfer
 
-	// Collective requests.
-	sched *nbSched
-
 	data   []byte
 	status Status
 }
 
-// progressState is the per-rank progress engine: the pending nonblocking
-// operations, in posting order. It is touched only by the rank's own
-// goroutine (a Proc is goroutine-confined), so it needs no locking.
+// progressState is the per-rank progress engine: the posted receives, in
+// posting order. It is touched only by the rank's own goroutine (a Proc is
+// goroutine-confined), so it needs no locking.
 type progressState struct {
 	recvQ  []*Request // posted Irecvs not yet matched to an envelope
-	colls  []*Request // posted nonblocking collectives not yet complete
 	active bool       // re-entrancy guard
 }
 
@@ -99,12 +91,11 @@ func (g *progressState) overlaps(ctx int64, s recvSel) bool {
 }
 
 // progress advances the engine: matches arrived envelopes to pending
-// receives in posting order, then lets pending collective schedules claim
-// what has arrived for their receive steps. Claiming is timing-neutral
-// (see the package comment above), so calling this at arbitrary points is
-// safe for determinism.
+// receives in posting order. Claiming is timing-neutral (see the package
+// comment above), so calling this at arbitrary points is safe for
+// determinism.
 func (p *Proc) progress() {
-	if p.eng.active || (len(p.eng.recvQ) == 0 && len(p.eng.colls) == 0) {
+	if p.eng.active || len(p.eng.recvQ) == 0 {
 		return
 	}
 	p.eng.active = true
@@ -122,17 +113,8 @@ func (p *Proc) progress() {
 		q[i] = nil
 	}
 	p.eng.recvQ = kept
-	for _, r := range p.eng.colls {
-		r.sched.claim()
-	}
 	p.eng.active = false
 }
-
-// Progress gives the progress engine an explicit poll: pending receives
-// are matched against arrived messages and pending collective schedules
-// claim what is already here. Every MPI call polls implicitly; Progress
-// lets a long compute-only stretch drain the network without blocking.
-func (p *Proc) Progress() { p.progress() }
 
 // emitReqPost records the zero-duration posting event of a nonblocking
 // operation (isend/irecv), carrying the request id in A2.
@@ -174,7 +156,9 @@ func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 	return c.isend(&Request{kind: reqSend, c: c}, dst, tag, data, payCopy)
 }
 
-// IsendOwned is Isend without the defensive copy; see SendOwned.
+// IsendOwned is Isend without the defensive copy: the caller cedes ownership
+// of data and must not modify it afterwards. Use it on hot paths that send
+// many freshly built (or immutable) buffers.
 func (c *Comm) IsendOwned(dst, tag int, data []byte) *Request {
 	return c.isend(&Request{kind: reqSend, c: c}, dst, tag, data, payCeded)
 }
@@ -225,14 +209,6 @@ func (c *Comm) recvViaEngine(s recvSel, anySrc bool) ([]byte, Status) {
 	}
 	r := &Request{kind: reqRecv, c: c, src: src, rsel: s}
 	p.eng.recvQ = append(p.eng.recvQ, r)
-	// If the wait aborts (failed sender, revoked context) the internal
-	// request must not linger in the queue claiming messages: resilient
-	// callers recover from such panics and keep receiving.
-	defer func() {
-		if r.env == nil {
-			p.engDropRecv(r)
-		}
-	}()
 	r.waitMatch()
 	p.lastRecvAnySrc = anySrc
 	return c.consume(r.env, t0)
@@ -242,9 +218,16 @@ func (c *Comm) recvViaEngine(s recvSel, anySrc bool) ([]byte, Status) {
 // receive request. Each round snapshots the mailbox's enqueue counter
 // before running progress, so an arrival racing the match attempt wakes
 // the sleep immediately; failure of the awaited sender (or revocation)
-// aborts by panic exactly as a blocking receive does.
+// aborts by panic exactly as a blocking receive does — and then the request
+// must not linger in the queue claiming messages: resilient callers recover
+// from such panics and keep receiving.
 func (r *Request) waitMatch() {
 	p := r.c.p
+	defer func() {
+		if r.env == nil {
+			p.engDropRecv(r)
+		}
+	}()
 	giveUp := r.c.failWatch(r.src)
 	if rec := p.world.rec; rec != nil {
 		peer := -1
@@ -270,8 +253,7 @@ func (r *Request) waitMatch() {
 // Wait blocks until the request completes and returns the received
 // payload and status (both zero for send requests). Completion timing is
 // deterministic: a send absorbs the interface's finish time, a receive
-// consumes its envelope at the Wait entry (absorbing the arrival), and a
-// collective executes its remaining schedule steps in order.
+// consumes its envelope at the Wait entry (absorbing the arrival).
 func (r *Request) Wait() ([]byte, Status) {
 	if r.done {
 		return r.data, r.status
@@ -287,9 +269,6 @@ func (r *Request) Wait() ([]byte, Status) {
 		p.lastRecvAnySrc = r.src == AnySource
 		r.data, r.status = r.c.consume(r.env, t0)
 		r.env = nil
-	case reqColl:
-		r.data = r.sched.wait()
-		p.engDropColl(r)
 	}
 	r.done = true
 	if r.id != 0 {
@@ -324,12 +303,6 @@ func (r *Request) Test() (bool, []byte, Status) {
 		p.lastRecvAnySrc = r.src == AnySource
 		r.data, r.status = r.c.consume(r.env, now)
 		r.env = nil
-	case reqColl:
-		if !r.sched.tryFinish() {
-			return false, nil, Status{}
-		}
-		r.data = r.sched.buf
-		p.engDropColl(r)
 	}
 	r.done = true
 	if r.id != 0 {
@@ -345,16 +318,6 @@ func (p *Proc) engDropRecv(r *Request) {
 	for i, q := range p.eng.recvQ {
 		if q == r {
 			p.eng.recvQ = append(p.eng.recvQ[:i], p.eng.recvQ[i+1:]...)
-			return
-		}
-	}
-}
-
-// engDropColl removes a completed collective request from the engine.
-func (p *Proc) engDropColl(r *Request) {
-	for i, q := range p.eng.colls {
-		if q == r {
-			p.eng.colls = append(p.eng.colls[:i], p.eng.colls[i+1:]...)
 			return
 		}
 	}
@@ -398,8 +361,8 @@ func WaitAny(reqs []*Request) (int, []byte, Status) {
 		}
 		r := reqs[pending]
 		if r.kind != reqRecv {
-			// A send or collective that cannot complete yet only needs its
-			// finish time absorbed; Wait resolves it deterministically.
+			// A send that cannot complete yet only needs its finish time
+			// absorbed; Wait resolves it deterministically.
 			data, st := r.Wait()
 			return pending, data, st
 		}

@@ -145,7 +145,4 @@ func TestTCPMonitorDisambiguatesPartition(t *testing.T) {
 	if kind, ok := w.FailedKind(2); !ok || kind != FailurePartition {
 		t.Fatalf("world records kind %v/%v for rank 2, want FailurePartition", kind, ok)
 	}
-	if !IsPartitionError(pf) {
-		t.Fatal("IsPartitionError = false for a partition-kind failure")
-	}
 }

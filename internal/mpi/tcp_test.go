@@ -213,7 +213,7 @@ func TestTCPLargePayload(t *testing.T) {
 	err = w.Run(func(p *Proc) error {
 		comm := p.CommWorld()
 		if p.Rank() == 0 {
-			comm.SendOwned(1, 0, payload)
+			comm.IsendOwned(1, 0, payload).Wait()
 		} else {
 			data, _ := comm.Recv(0, 0)
 			if len(data) != len(payload) || data[0] != 0x5A || data[len(data)-1] != 0x5A {

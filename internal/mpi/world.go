@@ -6,10 +6,10 @@
 // bandwidth and protocol of the link between the two machines involved).
 //
 // The library provides the MPI features the HMPI runtime is layered on:
-// groups with the full set of constructors (include/exclude/range/set
-// operations), communicators with context-based message isolation,
-// point-to-point operations with tag and source wildcards and non-blocking
-// variants, and the classic collectives.
+// groups (ordered rank sets; Incl is the one constructor), communicators
+// with context-based message isolation, point-to-point operations with tag
+// and source wildcards and nonblocking variants, and the classic
+// collectives, each algorithm one schedule (collsched.go).
 //
 // Timing model (LogGP-flavoured, switched network):
 //
@@ -163,15 +163,6 @@ func (w *World) Size() int { return len(w.procs) }
 // disagree on their communication pattern and deadlock.
 func (w *World) SetCollTuning(t *CollTuning) { w.collTuning = t }
 
-// Cluster returns the cluster the world runs on.
-func (w *World) Cluster() *hnoc.Cluster { return w.cluster }
-
-// MachineOf returns the machine index process rank runs on.
-func (w *World) MachineOf(rank int) int { return w.place[rank] }
-
-// Placement returns a copy of the rank-to-machine map.
-func (w *World) Placement() []int { return append([]int(nil), w.place...) }
-
 // contextStride is the id space reserved per allocation: a Split derives
 // one sub-context per color from its base id, so the base ids of distinct
 // allocations must be at least the maximum color count apart.
@@ -314,7 +305,7 @@ func (k FailureKind) String() string {
 
 // ProcessFailedError reports communication with a failed process. Kind
 // distinguishes a crashed peer from one cut off by a suspected network
-// partition; consume it with FailureKindOf or IsPartitionError.
+// partition; callers read it with errors.As.
 type ProcessFailedError struct {
 	Rank int         // world rank of the failed process
 	Kind FailureKind // why the process is unreachable
@@ -381,17 +372,6 @@ func (w *World) Makespan() vclock.Time {
 	return max
 }
 
-// MakespanOf returns the maximum final clock over the given world ranks.
-func (w *World) MakespanOf(ranks []int) vclock.Time {
-	var max vclock.Time
-	for _, r := range ranks {
-		if t := w.procs[r].clock.Now(); t > max {
-			max = t
-		}
-	}
-	return max
-}
-
 // Stats aggregates the per-process statistics of the run.
 func (w *World) Stats() []Stats {
 	out := make([]Stats, len(w.procs))
@@ -417,9 +397,9 @@ type Proc struct {
 	commWorld *Comm
 	reqSeq    int64
 
-	// eng is the progress engine: the rank's pending nonblocking
-	// operations, advanced opportunistically whenever the rank enters any
-	// MPI call (see request.go).
+	// eng is the progress engine: the rank's posted receives, matched
+	// opportunistically whenever the rank enters any MPI call (see
+	// request.go).
 	eng progressState
 	// reqID numbers the rank's nonblocking requests from 1; trace events
 	// carry it so verifiers can follow a request's lifecycle.
@@ -453,17 +433,8 @@ func newProc(w *World, rank int) *Proc {
 // Rank returns the process's world rank.
 func (p *Proc) Rank() int { return p.rank }
 
-// World returns the world the process belongs to.
-func (p *Proc) World() *World { return p.world }
-
-// Machine returns the index of the machine the process runs on.
-func (p *Proc) Machine() int { return p.machine }
-
 // Now returns the process's current virtual time.
 func (p *Proc) Now() vclock.Time { return p.clock.Now() }
-
-// Stats returns the process's work counters so far.
-func (p *Proc) Stats() Stats { return p.stats }
 
 // Compute advances the process's virtual clock by the time its machine
 // needs to execute `units` benchmark units of computation, honouring the

@@ -54,13 +54,6 @@ func Proportional1D(total int, speeds []float64) ([]int, error) {
 	return shares, nil
 }
 
-// Rect is one processor's rectangle inside a generalised block, in units of
-// r×r matrix blocks.
-type Rect struct {
-	Row, Col      int // top-left corner within the l×l generalised block
-	Height, Width int
-}
-
 // Block2D is the heterogeneous partitioning of an l×l generalised block
 // over an m×m processor grid. Every generalised block of the matrix is
 // partitioned identically.
@@ -249,20 +242,6 @@ func prefix(xs []int) []int {
 	}
 	return out
 }
-
-// Rect returns processor (i,j)'s rectangle within a generalised block.
-func (b *Block2D) Rect(i, j int) Rect {
-	return Rect{
-		Row:    b.RowStart[i][j],
-		Col:    b.ColStart[j],
-		Height: b.H[i][j],
-		Width:  b.W[j],
-	}
-}
-
-// Area returns the number of r×r blocks processor (i,j) owns per
-// generalised block.
-func (b *Block2D) Area(i, j int) int { return b.H[i][j] * b.W[j] }
 
 // OwnerOf returns the grid coordinates of the processor owning the block
 // at position (row, col) within a generalised block (0 ≤ row, col < L).

@@ -126,7 +126,7 @@ func TestGeneralized2DShape(t *testing.T) {
 	area := 0
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			area += b.Area(i, j)
+			area += b.H[i][j] * b.W[j]
 		}
 	}
 	if area != 81 {
@@ -149,7 +149,7 @@ func TestGeneralized2DProportionality(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			got := float64(b.Area(i, j)) / float64(120*120)
+			got := float64(b.H[i][j]*b.W[j]) / float64(120*120)
 			want := speeds[i][j] / totalSpeed
 			if math.Abs(got-want) > 0.02 {
 				t.Errorf("P(%d,%d) area share %.4f, speed share %.4f", i, j, got, want)
@@ -165,8 +165,8 @@ func TestUniform2D(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			if b.Area(i, j) != 1 {
-				t.Fatalf("uniform area (%d,%d) = %d", i, j, b.Area(i, j))
+			if b.H[i][j]*b.W[j] != 1 {
+				t.Fatalf("uniform area (%d,%d) = %d", i, j, b.H[i][j]*b.W[j])
 			}
 		}
 	}
@@ -192,16 +192,16 @@ func TestOwnerOfCoversBlock(t *testing.T) {
 			i, j := b.OwnerOf(r, c)
 			counts[[2]int{i, j}]++
 			// Consistency with the rectangle geometry.
-			rect := b.Rect(i, j)
-			if r < rect.Row || r >= rect.Row+rect.Height || c < rect.Col || c >= rect.Col+rect.Width {
-				t.Fatalf("OwnerOf(%d,%d) = (%d,%d) but rect is %+v", r, c, i, j, rect)
+			row, col := b.RowStart[i][j], b.ColStart[j]
+			if r < row || r >= row+b.H[i][j] || c < col || c >= col+b.W[j] {
+				t.Fatalf("OwnerOf(%d,%d) = (%d,%d), whose rectangle is %dx%d at (%d,%d)", r, c, i, j, b.H[i][j], b.W[j], row, col)
 			}
 		}
 	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			if counts[[2]int{i, j}] != b.Area(i, j) {
-				t.Fatalf("cell count %d != area %d at (%d,%d)", counts[[2]int{i, j}], b.Area(i, j), i, j)
+			if counts[[2]int{i, j}] != b.H[i][j]*b.W[j] {
+				t.Fatalf("cell count %d != area %d at (%d,%d)", counts[[2]int{i, j}], b.H[i][j]*b.W[j], i, j)
 			}
 		}
 	}
@@ -341,8 +341,8 @@ func TestFromPartsRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			if got.Rect(i, j) != b.Rect(i, j) {
-				t.Fatalf("rect (%d,%d) differs: %+v vs %+v", i, j, got.Rect(i, j), b.Rect(i, j))
+			if got.RowStart[i][j] != b.RowStart[i][j] || got.ColStart[j] != b.ColStart[j] || got.H[i][j] != b.H[i][j] || got.W[j] != b.W[j] {
+				t.Fatalf("rectangle (%d,%d) differs", i, j)
 			}
 		}
 	}

@@ -290,26 +290,6 @@ func TestCoordsOfRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFormatValue(t *testing.T) {
-	arr := Value{kind: kindArray, dims: []int{3}, elems: []num{{}, intNum(5), {}}}
-	s := Value{kind: kindStruct, def: &StructDef{Name: "P", Fields: []string{"I"}}, elems: []num{intNum(2)}}
-	one := intNum(1)
-	for _, tc := range []struct {
-		v    Value
-		want string
-	}{
-		{scalarValue(intNum(42)), "42"},
-		{scalarValue(dblNum(2.5)), "2.5"},
-		{arr, "[0 5 0]"},
-		{s, "P{I: 2}"},
-		{Value{ref: true, cell: &one}, "&1"},
-	} {
-		if got := FormatValue(tc.v); got != tc.want {
-			t.Errorf("FormatValue(%v) = %q, want %q", tc.v, got, tc.want)
-		}
-	}
-}
-
 func TestGetProcessorBuiltinErrors(t *testing.T) {
 	// Wrong arity and wrong shapes must produce errors, not panics.
 	if _, err := getProcessorBuiltin(Pos{}, []Value{scalarValue(intNum(1))}); err == nil {

@@ -362,16 +362,6 @@ func (inst *Instance) evalLink(fr *frame) {
 	}
 }
 
-// TotalCompVolume returns the sum of all per-processor computation
-// volumes.
-func (inst *Instance) TotalCompVolume() float64 {
-	var sum float64
-	for _, v := range inst.CompVolume {
-		sum += v
-	}
-	return sum
-}
-
 // TotalCommVolume returns the sum of all pairwise communication volumes in
 // bytes.
 func (inst *Instance) TotalCommVolume() float64 {

@@ -197,8 +197,8 @@ func TestEm3dEstimatedTimeTracksSpeeds(t *testing.T) {
 		}
 	}
 	// Largest subbody (vol 5) on the fastest machine beats the reverse.
-	good := sched.Makespan(dag, 3, res([]float64{1, 2, 10}))
-	bad := sched.Makespan(dag, 3, res([]float64{10, 2, 1}))
+	good := sched.MakespanInto(new(sched.Scratch), dag, 3, res([]float64{1, 2, 10}))
+	bad := sched.MakespanInto(new(sched.Scratch), dag, 3, res([]float64{10, 2, 1}))
 	if good >= bad {
 		t.Fatalf("good mapping %v not faster than bad mapping %v", good, bad)
 	}
@@ -208,7 +208,7 @@ func TestEm3dEstimatedTimeTracksSpeeds(t *testing.T) {
 		Link:         func(src, dst int) sched.Link { return sched.Link{Bandwidth: 1e15} },
 		SerialiseNIC: true,
 	}
-	if sched.Makespan(dag, 3, ideal) > good {
+	if sched.MakespanInto(new(sched.Scratch), dag, 3, ideal) > good {
 		t.Fatalf("ideal network slower than real one")
 	}
 }
@@ -334,7 +334,10 @@ func TestParallelAxBDAG(t *testing.T) {
 		t.Errorf("transfers = %d, want 16", transfers)
 	}
 	// Total executed computation = 100% of all volumes (100/n exact here).
-	wantUnits := inst.TotalCompVolume()
+	var wantUnits float64
+	for _, v := range inst.CompVolume {
+		wantUnits += v
+	}
 	if math.Abs(units-wantUnits) > 1e-9 {
 		t.Errorf("DAG compute units %v, want %v", units, wantUnits)
 	}
@@ -350,7 +353,7 @@ func TestParallelAxBDAG(t *testing.T) {
 		Link:         func(src, dst int) sched.Link { return sched.Link{Latency: 1e-4, Bandwidth: 1e7} },
 		SerialiseNIC: true,
 	}
-	if ms := sched.Makespan(dag, 4, res); ms <= 0 {
+	if ms := sched.MakespanInto(new(sched.Scratch), dag, 4, res); ms <= 0 {
 		t.Errorf("makespan = %v", ms)
 	}
 }
@@ -390,7 +393,7 @@ func TestParallelAxBTimeofMonotoneInN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms := sched.Makespan(dag, 4, res)
+		ms := sched.MakespanInto(new(sched.Scratch), dag, 4, res)
 		if ms <= prev {
 			t.Fatalf("makespan not increasing: n=%d gives %v after %v", n, ms, prev)
 		}

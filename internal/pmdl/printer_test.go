@@ -23,7 +23,7 @@ func TestFormatRoundTripPaperModels(t *testing.T) {
 			if out1 != out2 {
 				t.Fatalf("Format not a fixed point:\n--- first ---\n%s\n--- second ---\n%s", out1, out2)
 			}
-			if err := Check(f2); err != nil {
+			if _, err := compile(f2); err != nil {
 				t.Fatalf("formatted source fails semantic check: %v", err)
 			}
 		})

@@ -31,13 +31,8 @@ import (
 // kinds are known here, but the diagnostic belongs to the evaluation that
 // reaches the expression, after the operands' own errors.
 
-// Check performs the semantic analysis and returns the first error.
-func Check(f *File) error {
-	_, err := compile(f)
-	return err
-}
-
-// compile checks the file and lowers it.
+// compile performs the semantic analysis — it returns the first error —
+// and lowers the file.
 func compile(f *File) (*program, error) {
 	c := &checker{
 		structs: make(map[string]*StructDef),

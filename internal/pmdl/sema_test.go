@@ -13,7 +13,8 @@ func checkSrc(t *testing.T, src string) error {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return Check(f)
+	_, err = compile(f)
+	return err
 }
 
 func TestCheckAcceptsPaperModels(t *testing.T) {
@@ -22,7 +23,7 @@ func TestCheckAcceptsPaperModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Check(f); err != nil {
+		if _, err := compile(f); err != nil {
 			t.Fatalf("semantic checker rejects a published model: %v", err)
 		}
 	}
@@ -118,7 +119,7 @@ func TestCheckRejections(t *testing.T) {
 			if err != nil {
 				return
 			}
-			err = Check(f)
+			_, err = compile(f)
 			if err == nil {
 				t.Fatalf("accepted: %s", tc.src)
 			}

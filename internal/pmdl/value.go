@@ -1,10 +1,5 @@
 package pmdl
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Runtime values of a compiled model. Arithmetic follows C semantics:
 // int/int division truncates, mixed int/double promotes to double,
 // comparisons and logical operators produce int 0/1. A variable's type is
@@ -42,13 +37,6 @@ func (n num) float() float64 {
 		return n.f
 	}
 	return float64(n.i)
-}
-
-func (n num) String() string {
-	if n.dbl {
-		return fmt.Sprintf("%g", n.f)
-	}
-	return fmt.Sprintf("%d", n.i)
 }
 
 // valueKind classifies a Value. Every expression's kind is known when the
@@ -124,42 +112,3 @@ func (v Value) field(name string) *num {
 // GetProcessor this way). Arguments arrive evaluated, & arguments as refs
 // the function can write through; the result must be a scalar.
 type HostFunc func(pos Pos, args []Value) (Value, error)
-
-// FormatValue renders a value for diagnostics.
-func FormatValue(v Value) string {
-	if v.ref {
-		v.ref = false
-		if v.cell != nil {
-			v.num = *v.cell
-		}
-		return "&" + FormatValue(v)
-	}
-	var b strings.Builder
-	switch v.kind {
-	case kindStruct:
-		b.WriteString(v.def.Name + "{")
-		for i, f := range v.def.Fields {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(f + ": " + v.elems[i].String())
-		}
-		b.WriteString("}")
-	case kindArray:
-		b.WriteString("[")
-		for i, e := range v.elems {
-			if i > 0 {
-				b.WriteString(" ")
-			}
-			if i >= 16 {
-				b.WriteString("...")
-				break
-			}
-			b.WriteString(e.String())
-		}
-		b.WriteString("]")
-	default:
-		return v.num.String()
-	}
-	return b.String()
-}

@@ -126,7 +126,7 @@ type Result struct {
 	BytesOut []float64
 }
 
-// Scratch holds the replay state of one Schedule call so that the hot
+// Scratch holds the replay state of one ScheduleInto call so that the hot
 // path of group selection — scoring thousands of candidate arrangements
 // against the same DAG — can run allocation-free. The zero value is ready
 // to use; buffers grow on demand and are reused across calls. A Scratch
@@ -161,18 +161,11 @@ func resizeZero(b []float64, n int) []float64 {
 	return b
 }
 
-// Schedule replays the DAG in insertion order (a topological order) against
-// the resources and returns the timing. numProcs is the number of abstract
-// processors referenced by the tasks. The Result's slices are freshly
-// allocated; use ScheduleInto with a Scratch on hot paths.
-func Schedule(d *DAG, numProcs int, res Resources) Result {
-	return ScheduleInto(new(Scratch), d, numProcs, res)
-}
-
-// ScheduleInto is Schedule with reusable state: the returned Result's
-// slices alias the scratch and are valid only until its next use. The
-// replay itself is identical to Schedule — same operations in the same
-// order — so the two produce bit-identical timings.
+// ScheduleInto replays the DAG in insertion order (a topological order)
+// against the resources and returns the timing. numProcs is the number of
+// abstract processors referenced by the tasks. The replay state lives in the
+// scratch: the returned Result's slices alias it and are valid only until
+// its next use.
 func ScheduleInto(sc *Scratch, d *DAG, numProcs int, res Resources) Result {
 	sc.reset(len(d.Tasks), numProcs)
 	finish := sc.finish
@@ -225,46 +218,8 @@ func ScheduleInto(sc *Scratch, d *DAG, numProcs int, res Resources) Result {
 	return Result{Makespan: makespan, Finish: finish, ProcBusy: busy, BytesOut: bytesOut}
 }
 
-// Makespan is a convenience wrapper returning only the makespan.
-func Makespan(d *DAG, numProcs int, res Resources) float64 {
-	return Schedule(d, numProcs, res).Makespan
-}
-
-// MakespanInto is Makespan with reusable state: the allocation-free inner
-// loop of group selection.
+// MakespanInto returns only the makespan of ScheduleInto: the
+// allocation-free inner loop of group selection.
 func MakespanInto(sc *Scratch, d *DAG, numProcs int, res Resources) float64 {
 	return ScheduleInto(sc, d, numProcs, res).Makespan
-}
-
-// CriticalPath returns the length of the longest dependency chain through
-// the DAG under the given resources, ignoring resource contention: the
-// lower bound no scheduler can beat. Comparing it with the scheduled
-// makespan separates dependency-bound time from contention
-// (makespan == critical path means resources never queued).
-func CriticalPath(d *DAG, res Resources) float64 {
-	finish := make([]float64, len(d.Tasks))
-	longest := 0.0
-	for _, t := range d.Tasks {
-		ready := 0.0
-		for _, dep := range t.Deps {
-			if finish[dep] > ready {
-				ready = finish[dep]
-			}
-		}
-		var dur float64
-		switch t.Kind {
-		case KindCompute:
-			dur = t.Units / res.Speed(t.Proc)
-		case KindTransfer:
-			if t.Src != t.Dst {
-				link := res.Link(t.Src, t.Dst)
-				dur = t.Bytes/link.Bandwidth + link.Overhead + link.Latency
-			}
-		}
-		finish[t.ID] = ready + dur
-		if finish[t.ID] > longest {
-			longest = finish[t.ID]
-		}
-	}
-	return longest
 }

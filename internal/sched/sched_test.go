@@ -19,7 +19,7 @@ func TestSequentialChain(t *testing.T) {
 	a := d.AddCompute(0, 10, nil)
 	b := d.AddCompute(0, 20, []int{a})
 	d.AddCompute(0, 30, []int{b})
-	got := Makespan(&d, 1, uniformRes(10, 0, 1e6, true))
+	got := MakespanInto(new(Scratch), &d, 1, uniformRes(10, 0, 1e6, true))
 	if got != 6 {
 		t.Fatalf("chain makespan = %v, want 6", got)
 	}
@@ -31,7 +31,7 @@ func TestParallelBranchesOnDistinctProcs(t *testing.T) {
 	a := d.AddCompute(0, 10, []int{fork})
 	b := d.AddCompute(1, 40, []int{fork})
 	d.AddNop([]int{a, b})
-	got := Makespan(&d, 2, uniformRes(10, 0, 1e6, true))
+	got := MakespanInto(new(Scratch), &d, 2, uniformRes(10, 0, 1e6, true))
 	if got != 4 {
 		t.Fatalf("parallel makespan = %v, want 4 (max of 1 and 4)", got)
 	}
@@ -44,7 +44,7 @@ func TestSameProcSerialisesParallelBranches(t *testing.T) {
 	a := d.AddCompute(0, 10, []int{fork})
 	b := d.AddCompute(0, 10, []int{fork})
 	d.AddNop([]int{a, b})
-	got := Makespan(&d, 1, uniformRes(10, 0, 1e6, true))
+	got := MakespanInto(new(Scratch), &d, 1, uniformRes(10, 0, 1e6, true))
 	if got != 2 {
 		t.Fatalf("same-proc makespan = %v, want 2", got)
 	}
@@ -53,7 +53,7 @@ func TestSameProcSerialisesParallelBranches(t *testing.T) {
 func TestTransferTiming(t *testing.T) {
 	var d DAG
 	d.AddTransfer(0, 1, 1e6, nil)
-	got := Makespan(&d, 2, uniformRes(1, 0.5, 1e6, true))
+	got := MakespanInto(new(Scratch), &d, 2, uniformRes(1, 0.5, 1e6, true))
 	if math.Abs(got-1.5) > 1e-12 {
 		t.Fatalf("transfer makespan = %v, want 1.5", got)
 	}
@@ -63,7 +63,7 @@ func TestSelfTransferIsFree(t *testing.T) {
 	var d DAG
 	a := d.AddCompute(0, 10, nil)
 	d.AddTransfer(0, 0, 1e9, []int{a})
-	got := Makespan(&d, 1, uniformRes(10, 1, 1, true))
+	got := MakespanInto(new(Scratch), &d, 1, uniformRes(10, 1, 1, true))
 	if got != 1 {
 		t.Fatalf("self transfer cost = %v, want 1", got)
 	}
@@ -79,11 +79,11 @@ func TestNICSerialisation(t *testing.T) {
 		}
 		return &d
 	}
-	serial := Makespan(build(), 4, uniformRes(1, 0.001, 1e6, true))
+	serial := MakespanInto(new(Scratch), build(), 4, uniformRes(1, 0.001, 1e6, true))
 	if math.Abs(serial-3.001) > 1e-9 {
 		t.Fatalf("serialised fan-out = %v, want 3.001", serial)
 	}
-	parallel := Makespan(build(), 4, uniformRes(1, 0.001, 1e6, false))
+	parallel := MakespanInto(new(Scratch), build(), 4, uniformRes(1, 0.001, 1e6, false))
 	if math.Abs(parallel-1.001) > 1e-9 {
 		t.Fatalf("ideal fan-out = %v, want 1.001", parallel)
 	}
@@ -95,7 +95,7 @@ func TestDistinctSendersDontSerialise(t *testing.T) {
 	fork := d.AddNop(nil)
 	d.AddTransfer(0, 2, 1e6, []int{fork})
 	d.AddTransfer(1, 3, 1e6, []int{fork})
-	got := Makespan(&d, 4, uniformRes(1, 0, 1e6, true))
+	got := MakespanInto(new(Scratch), &d, 4, uniformRes(1, 0, 1e6, true))
 	if math.Abs(got-1.0) > 1e-12 {
 		t.Fatalf("cross-pair makespan = %v, want 1.0", got)
 	}
@@ -117,7 +117,7 @@ func TestHeterogeneousSpeeds(t *testing.T) {
 		Link:         func(int, int) Link { return Link{Bandwidth: 1e6} },
 		SerialiseNIC: true,
 	}
-	got := Makespan(&d, 2, res)
+	got := MakespanInto(new(Scratch), &d, 2, res)
 	if got != 10 {
 		t.Fatalf("hetero makespan = %v, want 10 (slow branch)", got)
 	}
@@ -127,7 +127,7 @@ func TestResultAccounting(t *testing.T) {
 	var d DAG
 	a := d.AddCompute(0, 10, nil)
 	d.AddTransfer(0, 1, 500, []int{a})
-	r := Schedule(&d, 2, uniformRes(10, 0, 1e6, true))
+	r := ScheduleInto(new(Scratch), &d, 2, uniformRes(10, 0, 1e6, true))
 	if r.ProcBusy[0] != 1 {
 		t.Errorf("ProcBusy[0] = %v, want 1", r.ProcBusy[0])
 	}
@@ -184,7 +184,7 @@ func TestMakespanLowerBounds(t *testing.T) {
 			return true
 		}
 		res := uniformRes(10, 0.001, 1e6, true)
-		m1 := Makespan(&d, 4, res)
+		m1 := MakespanInto(new(Scratch), &d, 4, res)
 		for _, w := range procWork {
 			if m1 < w/10-1e-9 {
 				return false
@@ -192,73 +192,10 @@ func TestMakespanLowerBounds(t *testing.T) {
 		}
 		// Monotonicity: appending more work cannot shrink the makespan.
 		d.AddCompute(0, 5, nil)
-		if Makespan(&d, 4, res) < m1-1e-9 {
+		if MakespanInto(new(Scratch), &d, 4, res) < m1-1e-9 {
 			return false
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCriticalPathLowerBound(t *testing.T) {
-	var d DAG
-	fork := d.AddNop(nil)
-	a := d.AddCompute(0, 10, []int{fork})
-	b := d.AddCompute(0, 10, []int{fork}) // same processor: contends
-	d.AddNop([]int{a, b})
-	res := uniformRes(10, 0, 1e6, true)
-	cp := CriticalPath(&d, res)
-	ms := Makespan(&d, 1, res)
-	if cp != 1 {
-		t.Fatalf("critical path = %v, want 1 (one compute)", cp)
-	}
-	if ms != 2 {
-		t.Fatalf("makespan = %v, want 2 (serialised)", ms)
-	}
-	if cp > ms {
-		t.Fatal("critical path exceeds makespan")
-	}
-}
-
-func TestCriticalPathEqualsMakespanWithoutContention(t *testing.T) {
-	var d DAG
-	a := d.AddCompute(0, 10, nil)
-	tr := d.AddTransfer(0, 1, 1e6, []int{a})
-	d.AddCompute(1, 20, []int{tr})
-	res := uniformRes(10, 0.5, 1e6, true)
-	cp := CriticalPath(&d, res)
-	ms := Makespan(&d, 2, res)
-	if math.Abs(cp-ms) > 1e-12 {
-		t.Fatalf("chain without contention: cp %v != makespan %v", cp, ms)
-	}
-}
-
-// Property: the critical path never exceeds the scheduled makespan.
-func TestCriticalPathProperty(t *testing.T) {
-	f := func(seed []uint8) bool {
-		var d DAG
-		prev := -1
-		for _, s := range seed {
-			if len(d.Tasks) > 50 {
-				break
-			}
-			var deps []int
-			if s%2 == 0 && prev >= 0 {
-				deps = []int{prev}
-			}
-			if s%5 == 0 {
-				prev = d.AddTransfer(int(s%3), int((s+1)%3), float64(s)*50, deps)
-			} else {
-				prev = d.AddCompute(int(s%3), float64(s%9)+1, deps)
-			}
-		}
-		if len(d.Tasks) == 0 {
-			return true
-		}
-		res := uniformRes(10, 0.001, 1e6, true)
-		return CriticalPath(&d, res) <= Makespan(&d, 3, res)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -45,8 +45,9 @@ func testResources(procs int) Resources {
 	}
 }
 
-// TestScheduleIntoMatchesSchedule pins the allocation-free replay to the
-// allocating one bit for bit, including per-task and per-processor detail.
+// TestScheduleIntoMatchesSchedule pins the replay into a reused scratch to
+// the replay into a fresh one bit for bit, including per-task and
+// per-processor detail.
 func TestScheduleIntoMatchesSchedule(t *testing.T) {
 	sc := new(Scratch)
 	for _, cfg := range []struct {
@@ -61,7 +62,7 @@ func TestScheduleIntoMatchesSchedule(t *testing.T) {
 	} {
 		d := randomDAG(cfg.seed, cfg.tasks, cfg.procs)
 		res := testResources(cfg.procs)
-		want := Schedule(d, cfg.procs, res)
+		want := ScheduleInto(new(Scratch), d, cfg.procs, res)
 		got := ScheduleInto(sc, d, cfg.procs, res)
 		if got.Makespan != want.Makespan {
 			t.Fatalf("seed %d: makespan %v != %v", cfg.seed, got.Makespan, want.Makespan)

@@ -114,18 +114,6 @@ func BuildReport(d *Data) *Report {
 	return rep
 }
 
-// MaxAbsRelError returns the largest |RelError| across phases (zero when
-// the report has no matched phase).
-func (r *Report) MaxAbsRelError() float64 {
-	var max float64
-	for _, p := range r.Phases {
-		if e := math.Abs(p.RelError); e > max {
-			max = e
-		}
-	}
-	return max
-}
-
 // Render prints the report as an aligned table.
 func (r *Report) Render(w io.Writer) error {
 	if r.App != "" {

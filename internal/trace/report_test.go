@@ -48,9 +48,6 @@ func TestBuildReportJoinsByPhase(t *testing.T) {
 	if len(rep.UnmatchedRegions) != 1 || rep.UnmatchedRegions[0] != "setup" {
 		t.Errorf("unmatched regions = %v", rep.UnmatchedRegions)
 	}
-	if got := rep.MaxAbsRelError(); math.Abs(got-wantRel) > 1e-12 {
-		t.Errorf("max abs rel error = %v, want %v", got, wantRel)
-	}
 	var sb strings.Builder
 	if err := rep.Render(&sb); err != nil {
 		t.Fatal(err)
@@ -82,7 +79,7 @@ func TestBuildReportAccumulatesPredictions(t *testing.T) {
 
 func TestBuildReportEmpty(t *testing.T) {
 	rep := BuildReport(&Data{Meta: Meta{NRanks: 1}, PerRank: [][]Event{{}}})
-	if len(rep.Phases) != 0 || rep.MaxAbsRelError() != 0 {
+	if len(rep.Phases) != 0 {
 		t.Fatalf("empty report: %+v", rep)
 	}
 	var sb strings.Builder

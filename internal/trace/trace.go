@@ -228,9 +228,6 @@ func NewRecorder(nranks int, opts Options) *Recorder {
 	return r
 }
 
-// NumRanks returns the number of shards.
-func (r *Recorder) NumRanks() int { return len(r.shards) }
-
 // NowNS returns host nanoseconds since the recorder was created, the
 // wall-clock timeline of WallStart/WallEnd.
 func (r *Recorder) NowNS() int64 { return time.Since(r.start).Nanoseconds() }
@@ -341,10 +338,6 @@ func (r *Recorder) SetMeta(m Meta) {
 	r.meta = m
 }
 
-// Meta returns the recorder's current metadata (without the run counters
-// Data fills in).
-func (r *Recorder) Meta() Meta { return r.meta }
-
 // Dropped returns the number of events lost to ring overwrites so far.
 func (r *Recorder) Dropped() int64 {
 	var d int64
@@ -355,17 +348,6 @@ func (r *Recorder) Dropped() int64 {
 		}
 	}
 	return d
-}
-
-// RankEvents returns a copy of rank's retained events in emission order
-// (oldest retained first). Call after the run.
-func (r *Recorder) RankEvents(rank int) []Event {
-	s := &r.shards[rank]
-	n := s.n.Load()
-	if n <= s.cap {
-		return slices.Clone(s.events[:n])
-	}
-	return s.unwrap(n)
 }
 
 // unwrap copies a wrapped ring out oldest first; the oldest retained

@@ -18,7 +18,7 @@ func TestRecorderRingWrap(t *testing.T) {
 	if got := r.Dropped(); got != 6 {
 		t.Fatalf("Dropped = %d, want 6", got)
 	}
-	evs := r.RankEvents(0)
+	evs := r.Data().PerRank[0]
 	if len(evs) != 4 {
 		t.Fatalf("retained %d events, want 4", len(evs))
 	}
@@ -88,10 +88,6 @@ func TestRecorderMatchesFixedRing(t *testing.T) {
 			}
 			for rank := range refs {
 				want := refs[rank].retained()
-				if got := r.RankEvents(rank); !slices.Equal(got, want) {
-					t.Errorf("cap %d count %d rank %d: RankEvents differ from the reference ring (%d vs %d events)",
-						cap, count, rank, len(got), len(want))
-				}
 				if !slices.Equal(d.PerRank[rank], want) {
 					t.Errorf("cap %d count %d rank %d: Data().PerRank differs from the reference ring", cap, count, rank)
 				}
@@ -135,10 +131,10 @@ func TestRecorderNoWrap(t *testing.T) {
 	if got := r.Dropped(); got != 0 {
 		t.Fatalf("Dropped = %d, want 0", got)
 	}
-	if evs := r.RankEvents(0); len(evs) != 0 {
+	if evs := r.Data().PerRank[0]; len(evs) != 0 {
 		t.Fatalf("rank 0 has %d events, want 0", len(evs))
 	}
-	evs := r.RankEvents(1)
+	evs := r.Data().PerRank[1]
 	if len(evs) != 1 || evs[0].Kind != KindSend {
 		t.Fatalf("rank 1 events = %+v", evs)
 	}
@@ -150,7 +146,7 @@ func TestRegionsNestAndMatchByName(t *testing.T) {
 	r.RegionBegin(0, "inner", 1)
 	r.RegionEnd(0, "inner", 2)
 	r.RegionEnd(0, "outer", 3)
-	evs := r.RankEvents(0)
+	evs := r.Data().PerRank[0]
 	if len(evs) != 2 {
 		t.Fatalf("got %d region events, want 2", len(evs))
 	}
@@ -169,7 +165,7 @@ func TestRegionsNestAndMatchByName(t *testing.T) {
 func TestRegionEndWithoutBeginIgnored(t *testing.T) {
 	r := NewRecorder(1, Options{})
 	r.RegionEnd(0, "ghost", 1)
-	if evs := r.RankEvents(0); len(evs) != 0 {
+	if evs := r.Data().PerRank[0]; len(evs) != 0 {
 		t.Fatalf("bad end emitted %d events", len(evs))
 	}
 	// An unmatched begin is surfaced through the snapshot metadata.
@@ -182,7 +178,7 @@ func TestRegionEndWithoutBeginIgnored(t *testing.T) {
 func TestPredictRoundTrip(t *testing.T) {
 	r := NewRecorder(1, Options{})
 	r.Predict(0, "phase", 0.125, 3)
-	evs := r.RankEvents(0)
+	evs := r.Data().PerRank[0]
 	if len(evs) != 1 {
 		t.Fatalf("got %d events", len(evs))
 	}

@@ -73,9 +73,3 @@ func (n *NIC) Reserve(t Time, duration Time) (start, end Time) {
 	n.freeAt = end
 	return start, end
 }
-
-// FreeAt reports when the interface next becomes idle.
-func (n *NIC) FreeAt() Time { return n.freeAt }
-
-// Reset makes the interface idle at time zero.
-func (n *NIC) Reset() { n.freeAt = 0 }

@@ -70,17 +70,8 @@ func TestNICSerialisesTransfers(t *testing.T) {
 	if s3 != 10 || e3 != 11 {
 		t.Fatalf("third transfer scheduled [%v,%v), want [10,11)", s3, e3)
 	}
-	if n.FreeAt() != 11 {
-		t.Fatalf("FreeAt = %v, want 11", n.FreeAt())
-	}
-}
-
-func TestNICReset(t *testing.T) {
-	var n NIC
-	n.Reserve(0, 5)
-	n.Reset()
-	if n.FreeAt() != 0 {
-		t.Fatalf("after Reset FreeAt = %v", n.FreeAt())
+	if n.freeAt != 11 {
+		t.Fatalf("idle at %v, want 11", n.freeAt)
 	}
 }
 
@@ -95,7 +86,7 @@ func TestNICNegativeDurationPanics(t *testing.T) {
 }
 
 // Property: a NIC never schedules a transfer to start before it was
-// requested, never overlaps transfers, and FreeAt is non-decreasing.
+// requested, never overlaps transfers, and its idle time is non-decreasing.
 func TestNICReservationInvariants(t *testing.T) {
 	f := func(reqs []struct {
 		At  uint16
@@ -113,7 +104,7 @@ func TestNICReservationInvariants(t *testing.T) {
 			if end != start+dur {
 				return false
 			}
-			if n.FreeAt() != end {
+			if n.freeAt != end {
 				return false
 			}
 			prevEnd = end

@@ -192,42 +192,6 @@ func TestE2EOverlapRunVerifies(t *testing.T) {
 	}
 }
 
-// TestE2ENonblockingCollectivesVerify drives Ibcast and Iallreduce with
-// compute between post and wait and checks the trace verifies clean —
-// including the posting-order KindColl entries feeding the collseq check.
-func TestE2ENonblockingCollectivesVerify(t *testing.T) {
-	rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Homogeneous(4, 10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Finalize()
-	rec := rt.EnableRecorder("verify-e2e-nbcoll", trace.Options{})
-	err = runWithTimeout(t, rt, 30*time.Second, func(h *hmpi.Process) error {
-		comm := h.CommWorld()
-		rb := comm.Ibcast(0, []byte{7, 7})
-		h.Proc().Compute(50)
-		if got, _ := rb.Wait(); got[0] != 7 {
-			t.Errorf("ibcast delivered %v", got)
-		}
-		ra := comm.Iallreduce([]byte{1}, func(inout, in []byte) { inout[0] += in[0] })
-		h.Proc().Compute(50)
-		if got, _ := ra.Wait(); got[0] != byte(comm.Size()) {
-			t.Errorf("iallreduce delivered %v, want %d", got, comm.Size())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := verify.Run(rec.Data())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := rep.Violations(); len(v) != 0 {
-		t.Fatalf("nonblocking collectives produced violations:\n%v", v)
-	}
-}
-
 // TestE2EWrappedRingKeepsNewest runs one deterministic job twice, once with
 // room for every event and once with eight slots per rank: the small ring
 // must hold exactly the newest eight of each rank (the simulated fields are

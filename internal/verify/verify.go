@@ -212,9 +212,9 @@ type state struct {
 	// pending is Meta.Pending: the blocking operations still in flight at
 	// snapshot, stack order per rank.
 	pending []trace.PendingOp
-	// reqPosts maps rank -> request id -> the posting event (isend, irecv,
-	// or a nonblocking collective); reqDone marks the ids whose wait (or
-	// successful test) was recorded.
+	// reqPosts maps rank -> request id -> the posting event (isend or
+	// irecv); reqDone marks the ids whose wait (or successful test) was
+	// recorded.
 	reqPosts map[int]map[int64]trace.Event
 	reqDone  map[int]map[int64]bool
 }
@@ -289,12 +289,6 @@ func replay(d *trace.Data) *state {
 				st.colls[e.Ctx] = m
 			}
 			m[rank] = append(m[rank], e.Name)
-			if e.A3 == 1 {
-				// A nonblocking collective posting: a request lifecycle
-				// starts here (the sequencing entry above still counts —
-				// members agree on posting order).
-				post(rank, e)
-			}
 		case trace.KindIsend, trace.KindIrecv:
 			post(rank, e)
 		case trace.KindWait:
@@ -616,8 +610,8 @@ func (st *state) checkRaces(rep *Report) {
 }
 
 // checkRequests verifies nonblocking-request lifecycles: every posted
-// request (isend, irecv, or a nonblocking collective) must reach a wait
-// or a successful test on the posting rank. The check only fires on
+// request (isend or irecv) must reach a wait or a successful test on the
+// posting rank. The check only fires on
 // clean runs — a killed rank or a revoked communicator legitimately
 // abandons its pending requests, and the runtime aborts their waits by
 // design, so traces with failures are exempt.
@@ -641,13 +635,9 @@ func (st *state) checkRequests(rep *Report) {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, id := range ids {
 			e := posts[id]
-			what := e.Kind.String()
-			if e.Kind == trace.KindColl {
-				what = e.Name
-			}
 			rep.add("requests", Violation, r, e.Ctx,
 				"rank %d posted request %d (%s, ctx %d, tag %d) that never completed: no wait or successful test recorded",
-				r, id, what, e.Ctx, e.Tag)
+				r, id, e.Kind, e.Ctx, e.Tag)
 		}
 	}
 }

@@ -389,17 +389,6 @@ func TestLeakedRequestFailedTestDoesNotComplete(t *testing.T) {
 	}
 }
 
-func TestLeakedNonblockingCollective(t *testing.T) {
-	post := coll(0, 1, "ibcast", 1.0)
-	post.A2, post.A3 = 1, 1
-	d := mkData(1, post)
-	rep := mustRun(t, d, "requests")
-	v := rep.Violations()
-	if len(v) != 1 || !strings.Contains(v[0].Message, "ibcast") {
-		t.Fatalf("violations = %v, want the pending ibcast flagged", v)
-	}
-}
-
 func TestLeakedRequestExcusedByKill(t *testing.T) {
 	// A run with a killed rank legitimately abandons pending requests.
 	d := mkData(2,
