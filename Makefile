@@ -63,10 +63,14 @@ loc:
 # entered. A function there is MPI-1 or HMPI call-table substrate, something
 # only outside input selects (a chaos production, a cluster file's load
 # profile, a diagnostic's String), or a failure path only tests can drive —
-# or it goes, with its tests (ROADMAP, deletion round).
+# or it goes, with its tests (ROADMAP, deletion round). reach-blocks.txt
+# looks inside the functions that were entered: every coverage block of at
+# least three statements, outside cmd/, examples/ and bench/, that no run
+# entered, with the function it lies in (the last one `go tool cover
+# -func` starts at or before the block's first line).
 R := out/reach
 reach:
-	rm -rf $(R) reach.txt && mkdir -p $(R)/bin $(R)/cov
+	rm -rf $(R) reach.txt reach-blocks.txt && mkdir -p $(R)/bin $(R)/cov
 	$(GO) build -cover -coverpkg=./... -o $(R)/bin/ ./cmd/... ./examples/... ./bench
 	export GOCOVERDIR=$(R)/cov PATH="$(R)/bin:$$PATH" && set -e && \
 	for e in quickstart em3d matmul jacobi adaptive multiprotocol faulttolerance nestedgroups tcptransport; do $$e >/dev/null; done && \
@@ -97,8 +101,17 @@ reach:
 	hmpid shutdown $$s && wait && \
 	bench -smoke -out $(R)/bench >/dev/null
 	$(GO) tool covdata textfmt -i=$(R)/cov -o $(R)/cover.out
-	$(GO) tool cover -func=$(R)/cover.out | awk '$$3 == "0.0%" && $$1 !~ /^repro\/(cmd|examples|bench)\//' > reach.txt
+	$(GO) tool cover -func=$(R)/cover.out > $(R)/func.txt
+	awk '$$3 == "0.0%" && $$1 !~ /^repro\/(cmd|examples|bench)\//' $(R)/func.txt > reach.txt
+	awk 'NR == FNR { split($$1, a, ":"); f[a[1], ++n[a[1]]] = a[2] + 0; fn[a[1], n[a[1]]] = $$2; z[a[1], n[a[1]]] = $$3 == "0.0%"; next } \
+		FNR > 1 { s[$$1] = $$2; c[$$1] += $$3 } \
+		END { for (b in c) { if (c[b] || s[b] < 3 || b ~ /^repro\/(cmd|examples|bench)\//) continue; \
+			split(b, a, ":"); l = a[2] + 0; k = 0; \
+			for (i = 1; i <= n[a[1]]; i++) if (f[a[1], i] <= l && (!k || f[a[1], i] > f[a[1], k])) k = i; \
+			if (k && !z[a[1], k]) printf "%s\t%s\t%d statements\n", b, fn[a[1], k], s[b] } }' \
+		$(R)/func.txt $(R)/cover.out | sort -t: -k1,1 -k2n > reach-blocks.txt
 	@cat reach.txt; echo "$$(wc -l < reach.txt) functions no binary reaches (reach.txt)"
+	@echo "$$(wc -l < reach-blocks.txt) blocks of 3+ statements no binary enters inside functions it does (reach-blocks.txt)"
 
 # Dynamic verification: record fresh traces — a clean EM3D run on the
 # paper's network and a seeded self-healing chaos run — and replay both
@@ -166,4 +179,4 @@ examples:
 	$(GO) run ./examples/tcptransport
 
 clean:
-	rm -rf out bench/out test_output.txt bench_output.txt cpu.pprof mem.pprof matmul.cpu.pprof matmul.mem.pprof em3d.cpu.pprof em3d.mem.pprof msg.cpu.pprof msg.mem.pprof em3d.trace em3d.metrics.json em3d.chrome.json verify_em3d.trace verify_chaos.trace hmpivet.json reach.txt
+	rm -rf out bench/out test_output.txt bench_output.txt cpu.pprof mem.pprof matmul.cpu.pprof matmul.mem.pprof em3d.cpu.pprof em3d.mem.pprof msg.cpu.pprof msg.mem.pprof em3d.trace em3d.metrics.json em3d.chrome.json verify_em3d.trace verify_chaos.trace hmpivet.json reach.txt reach-blocks.txt

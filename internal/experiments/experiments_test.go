@@ -229,6 +229,7 @@ func TestFigureDeterminism(t *testing.T) {
 		skip int // index of a point left out, or -1
 	}{
 		{"mapper", -1},
+		{"search", -1},
 		// The overlap figure's third case is left out: with two matmul
 		// pipeline steps in flight the overlapped schedule's simulated
 		// time depends on how the host schedules the progress engine (13

@@ -5,13 +5,11 @@ import (
 	"repro/internal/mapper"
 )
 
-// engineProblem wires a selection problem to what the concurrent search
-// engine can exploit: per-worker estimator sessions and, when asked, the
-// compute-only lower bound (the engine then prunes) and the
-// machine-symmetry canonical key (it then memoises).
+// engineProblem wires a selection problem to what the exhaustive search
+// engine can exploit, when asked: the compute-only lower bound (the engine
+// then prunes) and the machine-symmetry canonical key (it then memoises).
 func engineProblem(est *estimator.Estimator, bound, key bool) mapper.Problem {
 	pr := selectionProblem(est, est.Session().Timeof)
-	pr.NewObjective = func() mapper.Objective { return est.Session().Timeof }
 	if bound {
 		pr.LowerBound = est.LowerBound
 	}
@@ -27,14 +25,11 @@ func engineProblem(est *estimator.Estimator, bound, key bool) mapper.Problem {
 var searchConfigs = []struct {
 	Name       string
 	Bound, Key bool
-	Opts       mapper.Options
 }{
-	{"serial", false, false, mapper.Options{Strategy: mapper.StrategyExhaustive}},
-	{"pruned", true, false, mapper.Options{Strategy: mapper.StrategyExhaustive}},
-	{"symmetry", false, true, mapper.Options{Strategy: mapper.StrategyExhaustive}},
-	{"pruned+sym", true, true, mapper.Options{Strategy: mapper.StrategyExhaustive}},
-	{"parallel4+pruned+sym", true, true, mapper.Options{Strategy: mapper.StrategyExhaustive, Parallelism: 4}},
-	{"portfolio", true, true, mapper.Options{Strategy: mapper.StrategyPortfolio, Parallelism: 4}},
+	{"serial", false, false},
+	{"pruned", true, false},
+	{"symmetry", false, true},
+	{"pruned+sym", true, true},
 }
 
 // TableSearch runs the exhaustive group selection for the EM3D instance
@@ -42,7 +37,11 @@ var searchConfigs = []struct {
 // search work as a figure: the prediction, evaluations, cache hits and
 // pruned assignments per configuration. Every configuration must
 // reproduce the serial prediction exactly — the engine's determinism
-// contract. The host time of the same searches is bench/'s
+// contract. The table is serial so that it is a function of its input: a
+// parallel search returns the same selection (mapper's
+// TestEngineParallelismInvariance) but splits its leaves between
+// evaluations and cache hits by which worker misses a key first. The host
+// time of the same searches, parallel included, is bench/'s
 // mapper.solve_ms.* rows.
 func TableSearch() (*Figure, error) {
 	est, err := em3dEstimator(hostileCluster(), 400_000)
@@ -52,13 +51,12 @@ func TableSearch() (*Figure, error) {
 	f := &Figure{
 		ID:     "search",
 		Title:  "Group-selection engine: exhaustive search work per configuration (EM3D, 400k nodes)",
-		XLabel: "config (1=serial 2=pruned 3=symmetry 4=pruned+sym 5=parallel4+pruned+sym 6=portfolio)",
+		XLabel: "config (1=serial 2=pruned 3=symmetry 4=pruned+sym)",
 		YLabel: "count",
 	}
 	var pred, evals, hits, pruned []float64
 	for i, cfg := range searchConfigs {
-		opts := cfg.Opts
-		opts.ExhaustiveLimit = 1_000_000
+		opts := mapper.Options{Strategy: mapper.StrategyExhaustive, ExhaustiveLimit: 1_000_000}
 		a, err := mapper.Solve(engineProblem(est, cfg.Bound, cfg.Key), opts)
 		if err != nil {
 			return nil, err

@@ -65,9 +65,6 @@ type Config struct {
 	// Placement maps world ranks to machine indexes. Nil means one
 	// process per machine, the configuration the paper assumes.
 	Placement []int
-	// Select tunes the group-selection search (default: auto strategy —
-	// exhaustive for small problems, greedy plus local search beyond).
-	Select mapper.Options
 	// Selection is the store every Timeof and group-selection search looks
 	// its problem up in first and memoises into: a problem solved before is
 	// not solved again, and the candidates a search scores are kept under

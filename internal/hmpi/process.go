@@ -113,22 +113,23 @@ func (h *Process) solveSelection(model *pmdl.Model, args []any, parentRank int) 
 // solve is the one path from a model and its arguments to a selection:
 // instantiate, then choose for the model's abstract processors the ranks of
 // avail, the parent pinned to parentRank, that minimise the predicted
-// execution time under cfg.Select. The problem is looked up in
-// cfg.Selection first: its key — instance digest, the cluster's link costs
-// with degradation, placement, speeds, avail, parent, options — needs no
+// execution time — by the mapper's Auto search: exhaustive for small
+// problems, greedy seeding plus local search beyond. The problem is looked
+// up in cfg.Selection first: its key — instance digest, the cluster's link
+// costs with degradation, placement, speeds, avail, parent — needs no
 // estimator, and whatever a Recon, a kill, a group creation or a degraded
 // link changes is in it, so nothing is ever invalidated. A problem solved
 // before, by this process's last Timeof or by another job's admission, is
 // that solve, search statistics included; only a miss builds the task graph
-// and hands the mapper what its engine exploits: per-worker estimator
-// sessions, the compute-only lower bound, the machine-symmetry canonical key.
+// and hands the mapper what its engine exploits: an estimator session, the
+// compute-only lower bound, the machine-symmetry canonical key.
 func (cfg Config) solve(placement []int, speeds []float64, avail []int, parentRank int, model *pmdl.Model, args []any) (*pmdl.Instance, mapper.Assignment, error) {
 	inst, err := model.Instantiate(args...)
 	if err != nil {
 		return nil, mapper.Assignment{}, err
 	}
-	opts := cfg.Select
-	if cfg.Selection != nil && opts.Shared == nil {
+	var opts mapper.Options
+	if cfg.Selection != nil {
 		opts.Shared = cfg.Selection
 		opts.Namespace = estimator.AppendNamespace(nil, inst, cfg.Cluster)
 		opts.MemoKey = estimator.AppendMemoKey(nil, opts.Namespace, speeds, placement)
@@ -146,7 +147,6 @@ func (cfg Config) solve(placement []int, speeds []float64, avail []int, parentRa
 			return err
 		}
 		pr.Objective = est.Session().Timeof
-		pr.NewObjective = func() mapper.Objective { return est.Session().Timeof }
 		pr.LowerBound = est.LowerBound
 		pr.CanonicalKey = est.AppendCanonicalKey
 		return nil

@@ -201,40 +201,26 @@ func (c *SelectionCache) solved(key []byte, search func() (Assignment, error)) (
 	return a, nil
 }
 
-// keyBufPool recycles key buffers for sharedObjective. The wrapper must
-// not carry per-closure scratch: the portfolio hands one Objective to
-// several concurrent sub-searches, so a wrapped objective has to stay as
-// concurrency-safe as the stateless objective it wraps.
-var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// sharedObjective returns pr with its objectives routed through the
-// shared cache: each evaluation first looks its canonical key up under
-// the namespace, and misses store the computed value. This is how the
-// heuristic strategies (greedy, local search, random sampling, the
-// portfolio) reuse the cache — the exhaustive engine instead wires the
-// cache into its leaf loop, where it can also keep exact leaf accounting.
-// Values for equal keys are bit-identical by the CanonicalKey contract,
-// so wrapped and unwrapped searches return identical results.
+// sharedObjective returns pr with its Objective routed through the shared
+// cache: each evaluation first looks its canonical key up under the
+// namespace, and misses store the computed value. This is how the
+// heuristic strategies (greedy, local search, random sampling) reuse the
+// cache — the exhaustive engine instead wires the cache into its leaf
+// loop, where it can also keep exact leaf accounting. Values for equal
+// keys are bit-identical by the CanonicalKey contract, so wrapped and
+// unwrapped searches return identical results. The wrapper owns its key
+// buffer: like the heuristic that calls it, it runs on one goroutine.
 func sharedObjective(pr Problem, shared *SelectionCache, ns []byte) Problem {
-	wrap := func(obj Objective) Objective {
-		return func(cand []int) float64 {
-			bp := keyBufPool.Get().(*[]byte)
-			buf := append((*bp)[:0], ns...)
-			buf = pr.CanonicalKey(buf, cand)
-			v, ok := shared.values.get(buf)
-			if !ok {
-				v = obj(cand)
-				shared.values.put(buf, v)
-			}
-			*bp = buf
-			keyBufPool.Put(bp)
-			return v
+	obj, key := pr.Objective, pr.CanonicalKey
+	var buf []byte
+	pr.Objective = func(cand []int) float64 {
+		buf = key(append(buf[:0], ns...), cand)
+		v, ok := shared.values.get(buf)
+		if !ok {
+			v = obj(cand)
+			shared.values.put(buf, v)
 		}
-	}
-	inner := pr.NewObjective
-	pr.Objective = wrap(pr.Objective)
-	if inner != nil {
-		pr.NewObjective = func() Objective { return wrap(inner()) }
+		return v
 	}
 	return pr
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestSelectionCacheBound: the cache never exceeds its entry budget, and
@@ -195,7 +194,7 @@ func TestSharedCacheConcurrentSearches(t *testing.T) {
 // to uncached runs, and a repeated search runs on hits.
 func TestSharedCacheHeuristicStrategies(t *testing.T) {
 	state := uint64(0xDEADBEEFCAFEF00D)
-	for _, strat := range []Strategy{StrategyGreedyLocal, StrategyRandomBest, StrategyPortfolio} {
+	for _, strat := range []Strategy{StrategyGreedyLocal, StrategyRandomBest} {
 		shared := NewSelectionCache(0)
 		for caseNo := 0; caseNo < 20; caseNo++ {
 			pr := randomProblem(&state)
@@ -307,8 +306,8 @@ func TestNamespaceCollisionRegression(t *testing.T) {
 // TestSolveMemo covers the solve layer: a repeated Solve with the same
 // MemoKey is served without running any search, bit-identical to the
 // search it replaces, counters included; distinct MemoKeys never alias;
-// the memo hands out copies, so callers mutating Ranks cannot corrupt the
-// store; and budgeted (wall-clock-dependent) searches are never memoised.
+// and the memo hands out copies, so callers mutating Ranks cannot corrupt
+// the store.
 func TestSolveMemo(t *testing.T) {
 	w := []float64{5, 3, 2}
 	s := []float64{1, 1, 2, 2, 4}
@@ -395,21 +394,5 @@ func TestSolveMemo(t *testing.T) {
 	}
 	if b.Time != wantShifted.Time {
 		t.Fatalf("cluster B time %v, want %v", b.Time, wantShifted.Time)
-	}
-
-	// Budgeted searches depend on wall-clock and must bypass the memo.
-	budgeted := opts
-	budgeted.Strategy = StrategyPortfolio
-	budgeted.Budget = time.Second
-	before := shared.Stats()
-	if _, err := Solve(base, budgeted); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Solve(base, budgeted); err != nil {
-		t.Fatal(err)
-	}
-	after := shared.Stats()
-	if after.SolveHits != before.SolveHits || after.SolveMisses != before.SolveMisses {
-		t.Fatalf("budgeted solve touched the memo: %+v -> %+v", before, after)
 	}
 }

@@ -1,8 +1,7 @@
 // The concurrent group-selection engine. It parallelises, prunes, and
 // memoises the exhaustive enumeration behind StrategyExhaustive while
 // keeping the returned assignment bit-identical to the serial search for
-// any worker count, and it hosts the multi-start local search and the
-// strategy portfolio.
+// any worker count.
 //
 // Determinism scheme: the permutation tree over the free slots is
 // partitioned into jobs by its first one or two levels, in enumeration
@@ -47,7 +46,8 @@ type SearchStats struct {
 }
 
 // sharedBound is an atomically-updated minimum over the times found so
-// far by any worker of any concurrent search. It only ever decreases.
+// far by any worker of one exhaustive search, its pruning bound. It only
+// ever decreases.
 type sharedBound struct{ bits atomic.Uint64 }
 
 func newSharedBound() *sharedBound {
@@ -95,16 +95,12 @@ type exhaustiveEngine struct {
 	// SelectionCache), a throwaway one otherwise.
 	memo *SelectionCache
 	ns   []byte
-	stop *atomic.Bool // optional cooperative cancel (Portfolio's Budget)
 
 	evals, hits, pruned atomic.Int64
 }
 
-func newEngine(pr Problem, opts Options, bound *sharedBound, stop *atomic.Bool) *exhaustiveEngine {
-	e := &exhaustiveEngine{pr: pr, opts: opts, bound: bound, stop: stop}
-	if e.bound == nil {
-		e.bound = newSharedBound()
-	}
+func newEngine(pr Problem, opts Options) *exhaustiveEngine {
+	e := &exhaustiveEngine{pr: pr, opts: opts, bound: newSharedBound()}
 	e.base = make([]int, pr.P)
 	fixedRank := make(map[int]bool, len(pr.Fixed))
 	for a, r := range pr.Fixed {
@@ -129,8 +125,6 @@ func newEngine(pr Problem, opts Options, bound *sharedBound, stop *atomic.Bool) 
 	}
 	return e
 }
-
-func (e *exhaustiveEngine) stopped() bool { return e.stop != nil && e.stop.Load() }
 
 // prefixDepth picks how many leading free slots form one job: 0 (one job,
 // the whole tree) for a serial search, 1 otherwise, and 2 when the pool
@@ -239,9 +233,6 @@ func (w *engineWorker) runJob(job []int, res *jobResult) {
 
 func (w *engineWorker) rec(depth int) {
 	e := w.e
-	if e.stopped() {
-		return
-	}
 	if depth == len(e.slots) {
 		w.leaf()
 		return
@@ -296,11 +287,13 @@ func (w *engineWorker) leaf() {
 	}
 }
 
-// runExhaustive is the engine entry point shared by StrategyExhaustive,
-// StrategyAuto, and the portfolio: partition, search, reduce.
-func runExhaustive(pr Problem, opts Options, bound *sharedBound, stop *atomic.Bool) (Assignment, error) {
+// runExhaustive enumerates all injective assignments of Avail ranks to the
+// P abstract positions (respecting Fixed) and returns the best: partition,
+// search, reduce. The caller has already checked the cost against
+// ExhaustiveLimit.
+func runExhaustive(pr Problem, opts Options) (Assignment, error) {
 	start := time.Now()
-	e := newEngine(pr, opts, bound, stop)
+	e := newEngine(pr, opts)
 	jobs := e.makeJobs(e.prefixDepth())
 	results := make([]jobResult, len(jobs))
 	workers := opts.Parallelism
@@ -313,9 +306,6 @@ func runExhaustive(pr Problem, opts Options, bound *sharedBound, stop *atomic.Bo
 	if workers == 1 {
 		w := e.newWorker()
 		for i := range jobs {
-			if e.stopped() {
-				break
-			}
 			w.runJob(jobs[i], &results[i])
 		}
 	} else {
@@ -328,7 +318,7 @@ func runExhaustive(pr Problem, opts Options, bound *sharedBound, stop *atomic.Bo
 				w := e.newWorker()
 				for {
 					i := int(next.Add(1) - 1)
-					if i >= len(jobs) || e.stopped() {
+					if i >= len(jobs) {
 						return
 					}
 					w.runJob(jobs[i], &results[i])
@@ -355,343 +345,6 @@ func runExhaustive(pr Problem, opts Options, bound *sharedBound, stop *atomic.Bo
 		return Assignment{Stats: stats}, fmt.Errorf("mapper: exhaustive search evaluated no candidate")
 	}
 	best.Ranks = append([]int(nil), best.Ranks...)
-	best.Evaluations = int(stats.Evaluations)
-	best.Stats = stats
-	return best, nil
-}
-
-// seedCandidate builds the start-s seed for multi-start local search:
-// start 0 is the greedy speed/weight matching, further starts are
-// deterministic pseudo-random permutations (xorshift keyed by s).
-func seedCandidate(pr Problem, s int) []int {
-	if s == 0 {
-		return greedy(pr).Ranks
-	}
-	state := uint64(s)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
-	next := func(n int) int {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		return int(state % uint64(n))
-	}
-	fixedRanks := make(map[int]bool, len(pr.Fixed))
-	for _, r := range pr.Fixed {
-		fixedRanks[r] = true
-	}
-	pool := make([]int, 0, len(pr.Avail))
-	for _, r := range pr.Avail {
-		if !fixedRanks[r] {
-			pool = append(pool, r)
-		}
-	}
-	for i := len(pool) - 1; i > 0; i-- {
-		j := next(i + 1)
-		pool[i], pool[j] = pool[j], pool[i]
-	}
-	cand := make([]int, pr.P)
-	k := 0
-	for a := 0; a < pr.P; a++ {
-		if r, ok := pr.Fixed[a]; ok {
-			cand[a] = r
-			continue
-		}
-		cand[a] = pool[k]
-		k++
-	}
-	return cand
-}
-
-// hillClimb refines cand in place by the serial local search: pairwise
-// swaps and substitutions of unused processes, keeping strict
-// improvements, for at most maxIterations rounds or until no move helps.
-// It returns the best time and the objective calls spent. bound, when
-// non-nil, receives every improvement (for concurrent pruning elsewhere);
-// stop, when non-nil, ends the climb early after the current round.
-func hillClimb(pr Problem, maxIterations int, cand []int, obj Objective, bound *sharedBound, stop *atomic.Bool) (float64, int64) {
-	var evals int64
-	best := obj(cand)
-	evals++
-	if bound != nil {
-		bound.update(best)
-	}
-	fixed := func(slot int) bool {
-		_, ok := pr.Fixed[slot]
-		return ok
-	}
-	for iter := 0; iter < maxIterations; iter++ {
-		if stop != nil && stop.Load() {
-			break
-		}
-		improved := false
-		// Pairwise swaps.
-		for i := 0; i < pr.P; i++ {
-			if fixed(i) {
-				continue
-			}
-			for j := i + 1; j < pr.P; j++ {
-				if fixed(j) {
-					continue
-				}
-				cand[i], cand[j] = cand[j], cand[i]
-				t := obj(cand)
-				evals++
-				if t < best {
-					best = t
-					improved = true
-					if bound != nil {
-						bound.update(best)
-					}
-				} else {
-					cand[i], cand[j] = cand[j], cand[i]
-				}
-			}
-		}
-		// Substitutions with unused processes.
-		used := make(map[int]bool, pr.P)
-		for _, r := range cand {
-			used[r] = true
-		}
-		for i := 0; i < pr.P; i++ {
-			if fixed(i) {
-				continue
-			}
-			for _, r := range pr.Avail {
-				if used[r] {
-					continue
-				}
-				old := cand[i]
-				cand[i] = r
-				t := obj(cand)
-				evals++
-				if t < best {
-					best = t
-					used[r] = true
-					delete(used, old)
-					improved = true
-					if bound != nil {
-						bound.update(best)
-					}
-				} else {
-					cand[i] = old
-				}
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return best, evals
-}
-
-// greedyLocalSearch runs Options.Restarts independent hill climbs and
-// keeps the best result (earlier start wins ties). Starts run on up to
-// Options.Parallelism workers; since each climbs independently and the
-// reduction scans start results in order with a strict comparison, the
-// result is independent of the worker count.
-func greedyLocalSearch(pr Problem, opts Options, bound *sharedBound, stop *atomic.Bool) (Assignment, error) {
-	start := time.Now()
-	type startResult struct {
-		found bool
-		time  float64
-		ranks []int
-		evals int64
-	}
-	results := make([]startResult, opts.Restarts)
-	runStart := func(s int, obj Objective) {
-		// Start 0 always runs, so even an expired Budget yields a result.
-		if s > 0 && stop != nil && stop.Load() {
-			return
-		}
-		cand := seedCandidate(pr, s)
-		t, ev := hillClimb(pr, opts.MaxIterations, cand, obj, bound, stop)
-		results[s] = startResult{found: true, time: t, ranks: cand, evals: ev}
-	}
-	workers := opts.Parallelism
-	if workers > opts.Restarts {
-		workers = opts.Restarts
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers == 1 {
-		obj := pr.Objective
-		if pr.NewObjective != nil {
-			obj = pr.NewObjective()
-		}
-		for s := 0; s < opts.Restarts; s++ {
-			runStart(s, obj)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				obj := pr.Objective
-				if pr.NewObjective != nil {
-					obj = pr.NewObjective()
-				}
-				for {
-					s := int(next.Add(1) - 1)
-					if s >= opts.Restarts {
-						return
-					}
-					runStart(s, obj)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	best := Assignment{Time: math.Inf(1)}
-	var evals int64
-	for s := range results {
-		if !results[s].found {
-			continue
-		}
-		evals += results[s].evals
-		if results[s].time < best.Time {
-			best.Time = results[s].time
-			best.Ranks = results[s].ranks
-		}
-	}
-	best.Evaluations = int(evals)
-	best.Stats = SearchStats{Evaluations: evals, Workers: workers, WallTime: time.Since(start)}
-	return best, nil
-}
-
-// randomSearch scores tries pseudo-random assignments (xorshift, fixed
-// seed: deterministic) and keeps the best; the portfolio's sampling racer
-// and the body of StrategyRandomBest.
-func randomSearch(pr Problem, tries int, obj Objective, bound *sharedBound, stop *atomic.Bool) Assignment {
-	state := uint64(0x9E3779B97F4A7C15)
-	next := func(n int) int {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		return int(state % uint64(n))
-	}
-	best := Assignment{Time: math.Inf(1)}
-	pool := make([]int, 0, len(pr.Avail))
-	fixedRanks := make(map[int]bool, len(pr.Fixed))
-	for _, r := range pr.Fixed {
-		fixedRanks[r] = true
-	}
-	for _, r := range pr.Avail {
-		if !fixedRanks[r] {
-			pool = append(pool, r)
-		}
-	}
-	var evals int64
-	for try := 0; try < tries; try++ {
-		// The first try always runs, so even an expired Budget yields
-		// a scored assignment.
-		if try > 0 && stop != nil && stop.Load() {
-			break
-		}
-		perm := append([]int(nil), pool...)
-		for i := len(perm) - 1; i > 0; i-- {
-			j := next(i + 1)
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		cand := make([]int, pr.P)
-		k := 0
-		for a := 0; a < pr.P; a++ {
-			if r, ok := pr.Fixed[a]; ok {
-				cand[a] = r
-				continue
-			}
-			cand[a] = perm[k]
-			k++
-		}
-		t := obj(cand)
-		evals++
-		if t < best.Time {
-			best.Time = t
-			best.Ranks = cand
-			if bound != nil {
-				bound.update(t)
-			}
-		}
-	}
-	best.Evaluations = int(evals)
-	best.Stats = SearchStats{Evaluations: evals, Workers: 1}
-	return best
-}
-
-// portfolio races exhaustive search (when feasible under
-// ExhaustiveLimit), multi-start local search, and random sampling under a
-// shared best-so-far bound and an optional wall-clock Budget. Without a
-// budget every racer is deterministic and so is the fixed-priority
-// reduction; with one, racers return their best-so-far when time runs
-// out.
-func portfolio(pr Problem, opts Options) (Assignment, error) {
-	start := time.Now()
-	bound := newSharedBound()
-	stop := new(atomic.Bool)
-	if opts.Budget > 0 {
-		t := time.AfterFunc(opts.Budget, func() { stop.Store(true) })
-		defer t.Stop()
-	}
-	type entry struct {
-		a  Assignment
-		ok bool
-	}
-	var ex, gl, rb entry
-	var wg sync.WaitGroup
-	if exhaustiveCost(len(pr.Avail), pr.P, opts.ExhaustiveLimit) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a, err := runExhaustive(pr, opts, bound, stop)
-			ex = entry{a, err == nil}
-		}()
-	}
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		a, err := greedyLocalSearch(pr, opts, bound, stop)
-		gl = entry{a, err == nil && a.Ranks != nil}
-	}()
-	go func() {
-		defer wg.Done()
-		obj := pr.Objective
-		if pr.NewObjective != nil {
-			obj = pr.NewObjective()
-		}
-		a := randomSearch(pr, opts.RandomTries, obj, bound, stop)
-		rb = entry{a, a.Ranks != nil}
-	}()
-	wg.Wait()
-	// Deterministic fixed-priority reduction: exhaustive first (when it
-	// completes it holds the true optimum), then local search, then
-	// sampling; only a strictly lower time displaces an earlier racer.
-	best := Assignment{Time: math.Inf(1)}
-	stats := SearchStats{Workers: opts.Parallelism}
-	for _, e := range []entry{ex, gl, rb} {
-		if !e.ok {
-			continue
-		}
-		stats.Evaluations += e.a.Stats.Evaluations
-		stats.CacheHits += e.a.Stats.CacheHits
-		stats.Pruned += e.a.Stats.Pruned
-		if e.a.Ranks != nil && e.a.Time < best.Time {
-			best.Time = e.a.Time
-			best.Ranks = e.a.Ranks
-		}
-	}
-	if math.IsInf(best.Time, 1) {
-		// Budget too tight for any racer: score the greedy seed so the
-		// caller always receives a valid assignment.
-		a := greedy(pr)
-		a.Time = pr.Objective(a.Ranks)
-		stats.Evaluations++
-		stats.WallTime = time.Since(start)
-		a.Evaluations = int(stats.Evaluations)
-		a.Stats = stats
-		return a, nil
-	}
-	stats.WallTime = time.Since(start)
 	best.Evaluations = int(stats.Evaluations)
 	best.Stats = stats
 	return best, nil

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // loadBalanceBound is a sound lower bound for loadBalanceObjective: an
@@ -252,166 +251,6 @@ func TestEngineParallelismInvariance(t *testing.T) {
 		if got.Stats.Workers < 1 || got.Stats.Workers > workers {
 			t.Fatalf("workers=%d: stats claim %d workers", workers, got.Stats.Workers)
 		}
-	}
-}
-
-// TestMultiStartLocalSearch: restarts are deterministic for any worker
-// count and never worse than the single greedy climb.
-func TestMultiStartLocalSearch(t *testing.T) {
-	w := []float64{3, 9, 27, 5, 11}
-	s := []float64{10, 20, 5, 40, 8, 15, 25, 12}
-	avail := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	pr := Problem{
-		P: 5, Avail: avail, Weights: w,
-		SpeedOf:   func(r int) float64 { return s[r] },
-		Objective: loadBalanceObjective(w, s),
-	}
-	one, err := Solve(pr, Options{Strategy: StrategyGreedyLocal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := Solve(pr, Options{Strategy: StrategyGreedyLocal, Restarts: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi.Time > one.Time {
-		t.Fatalf("6 restarts time %v worse than 1 restart %v", multi.Time, one.Time)
-	}
-	par, err := Solve(pr, Options{Strategy: StrategyGreedyLocal, Restarts: 6, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Time != multi.Time || !sameRanks(par.Ranks, multi.Ranks) {
-		t.Fatalf("parallel restarts (%v, %v) differ from serial (%v, %v)",
-			par.Time, par.Ranks, multi.Time, multi.Ranks)
-	}
-	if multi.Evaluations != par.Evaluations {
-		t.Fatalf("parallel restarts spent %d evaluations, serial %d", par.Evaluations, multi.Evaluations)
-	}
-}
-
-// TestPortfolioDeterministicOptimum: without a budget the portfolio is
-// deterministic and, when exhaustive search is feasible, exact.
-func TestPortfolioDeterministicOptimum(t *testing.T) {
-	w := []float64{9, 4, 7, 2}
-	s := []float64{1, 2, 4, 2, 1, 4, 2}
-	avail := []int{0, 1, 2, 3, 4, 5, 6}
-	pr := Problem{
-		P: 4, Avail: avail, Weights: w,
-		SpeedOf:      func(r int) float64 { return s[r] },
-		Objective:    loadBalanceObjective(w, s),
-		LowerBound:   loadBalanceBound(w, s),
-		CanonicalKey: loadBalanceKey(s),
-	}
-	want, err := Solve(pr, Options{Strategy: StrategyExhaustive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prev Assignment
-	for run := 0; run < 3; run++ {
-		got, err := Solve(pr, Options{Strategy: StrategyPortfolio, Parallelism: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Time != want.Time || !sameRanks(got.Ranks, want.Ranks) {
-			t.Fatalf("run %d: portfolio (%v, %v), exhaustive optimum (%v, %v)",
-				run, got.Time, got.Ranks, want.Time, want.Ranks)
-		}
-		if run > 0 && !sameRanks(got.Ranks, prev.Ranks) {
-			t.Fatalf("portfolio not deterministic: %v then %v", prev.Ranks, got.Ranks)
-		}
-		prev = got
-	}
-}
-
-// TestPortfolioBudget: a near-zero budget still returns a valid
-// assignment promptly instead of hanging or erroring.
-func TestPortfolioBudget(t *testing.T) {
-	n := 10
-	s := make([]float64, n)
-	avail := make([]int, n)
-	for i := range s {
-		s[i] = float64(i%4 + 1)
-		avail[i] = i
-	}
-	w := []float64{8, 6, 5, 3, 2, 1}
-	slowObj := func(cand []int) float64 {
-		time.Sleep(20 * time.Microsecond)
-		return loadBalanceObjective(w, s)(cand)
-	}
-	pr := Problem{
-		P: 6, Avail: avail, Weights: w,
-		SpeedOf:   func(r int) float64 { return s[r] },
-		Objective: slowObj,
-	}
-	start := time.Now()
-	a, err := Solve(pr, Options{Strategy: StrategyPortfolio, Budget: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("budgeted portfolio took %v", elapsed)
-	}
-	seen := map[int]bool{}
-	for _, r := range a.Ranks {
-		if r < 0 || r >= n || seen[r] {
-			t.Fatalf("budgeted portfolio returned invalid ranks %v", a.Ranks)
-		}
-		seen[r] = true
-	}
-	// 10*9*8*7*6*5 = 151200 slow evaluations would take ~3s; the budget
-	// must have cut the search far short of that.
-	if a.Stats.Evaluations >= 151_200 {
-		t.Fatalf("budget did not stop the search (%d evaluations)", a.Stats.Evaluations)
-	}
-}
-
-// TestOptionsSentinels pins the unset-versus-explicit-zero semantics of
-// MaxIterations and RandomTries.
-func TestOptionsSentinels(t *testing.T) {
-	w := []float64{3, 9, 27, 5}
-	s := []float64{10, 20, 5, 40, 8, 15}
-	pr := Problem{
-		P: 4, Avail: []int{0, 1, 2, 3, 4, 5}, Weights: w,
-		SpeedOf:   func(r int) float64 { return s[r] },
-		Objective: loadBalanceObjective(w, s),
-	}
-	// Negative MaxIterations: score the greedy seed and stop.
-	seedOnly, err := Solve(pr, Options{Strategy: StrategyGreedyLocal, MaxIterations: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seedOnly.Evaluations != 1 {
-		t.Fatalf("MaxIterations=-1 spent %d evaluations, want 1 (the seed)", seedOnly.Evaluations)
-	}
-	g, err := Solve(pr, Options{Strategy: StrategyGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seedOnly.Time != g.Time {
-		t.Fatalf("MaxIterations=-1 time %v != greedy seed time %v", seedOnly.Time, g.Time)
-	}
-	// Zero MaxIterations still means the default: the climb must improve
-	// on problems where the default did before.
-	def, err := Solve(pr, Options{Strategy: StrategyGreedyLocal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Evaluations <= 1 {
-		t.Fatalf("default MaxIterations did not climb (%d evaluations)", def.Evaluations)
-	}
-	// Negative RandomTries: an explicit request for zero samples is an
-	// error, not a silent empty answer.
-	if _, err := Solve(pr, Options{Strategy: StrategyRandomBest, RandomTries: -1}); err == nil {
-		t.Fatal("RandomTries=-1 accepted for StrategyRandomBest")
-	}
-	// Zero RandomTries still means the default sample size.
-	rb, err := Solve(pr, Options{Strategy: StrategyRandomBest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.Evaluations != 100 {
-		t.Fatalf("default RandomTries spent %d evaluations, want 100", rb.Evaluations)
 	}
 }
 

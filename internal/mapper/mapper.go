@@ -43,10 +43,10 @@ type Problem struct {
 	Objective Objective
 
 	// NewObjective, when set, returns a fresh independently-usable
-	// objective for one search worker (typically binding a new
-	// estimator.Session). Parallel search gives every worker its own;
-	// when nil, workers share Objective, which must then be safe for
-	// concurrent use.
+	// objective for one exhaustive-search worker (typically binding a new
+	// estimator.Session); the engine gives every worker its own. When nil,
+	// workers share Objective, which must then be safe for concurrent use.
+	// The heuristic strategies run on one goroutine and use Objective.
 	NewObjective func() Objective
 	// LowerBound, when set, returns a lower bound on Objective over
 	// every completion of a partial candidate: cand[i] is meaningful
@@ -78,15 +78,15 @@ const (
 	StrategyGreedy
 	// StrategyGreedyLocal refines the greedy seed by local search.
 	StrategyGreedyLocal
-	// StrategyRandomBest scores RandomTries random assignments and keeps
-	// the best; a baseline for the ablation study.
+	// StrategyRandomBest scores randomTries pseudo-random assignments and
+	// keeps the best; a baseline for the ablation study.
 	StrategyRandomBest
-	// StrategyPortfolio races exhaustive search (when the problem fits
-	// ExhaustiveLimit), multi-start local search, and random sampling
-	// concurrently under a shared best-so-far and an optional Budget.
-	// Without a budget the result is deterministic; with one, the best
-	// assignment found when time runs out is returned.
-	StrategyPortfolio
+)
+
+// Search constants of the heuristic strategies.
+const (
+	maxIterations = 100 // local-search improvement rounds
+	randomTries   = 100 // StrategyRandomBest's sample size
 )
 
 // Options tune the search.
@@ -95,19 +95,11 @@ type Options struct {
 	// ExhaustiveLimit caps the number of exhaustive evaluations
 	// (default 200000).
 	ExhaustiveLimit int
-	// MaxIterations caps local-search improvement rounds per start.
-	// Zero means the default (100); a negative value means literally no
-	// improvement rounds — the seed is scored and returned as-is.
-	MaxIterations int
-	// RandomTries is the sample size for StrategyRandomBest. Zero means
-	// the default (100); a negative value means no tries, which is an
-	// error for StrategyRandomBest.
-	RandomTries int
-	// Parallelism is the number of search workers for exhaustive search
-	// and multi-start local search (0 or 1: serial). The assignment
-	// returned is independent of the worker count: the permutation tree
-	// is partitioned deterministically and reduced with the serial
-	// tie-break (lower time wins, earlier enumeration order on ties).
+	// Parallelism is the number of exhaustive-search workers (0 or 1:
+	// serial). The assignment returned is independent of the worker count:
+	// the permutation tree is partitioned deterministically and reduced
+	// with the serial tie-break (lower time wins, earlier enumeration order
+	// on ties).
 	Parallelism int
 	// Deprecated: Prune and Cache are ignored. Branch-and-bound and the
 	// symmetry memo never change the result, so they are on whenever the
@@ -139,41 +131,16 @@ type Options struct {
 	// that the problem's own fields do not — for Timeof objectives,
 	// estimator.AppendMemoKey (cost model + placement + speeds). Every
 	// strategy is deterministic given those inputs, so a stored assignment
-	// is bit-identical to the search it replaces; searches under a
-	// wall-clock Budget are the one exception and are never stored.
+	// is bit-identical to the search it replaces.
 	MemoKey []byte
-	// Restarts is the number of local-search starts for
-	// StrategyGreedyLocal (default 1): start 0 climbs from the greedy
-	// seed, further starts climb from deterministic pseudo-random
-	// seeds, and the best result wins (earlier start on ties).
-	Restarts int
-	// Budget caps the wall-clock time of StrategyPortfolio; zero means
-	// no budget. Other strategies ignore it (they are deterministic and
-	// must stay so).
-	Budget time.Duration
 }
 
 func (o *Options) fill() {
 	if o.ExhaustiveLimit == 0 {
 		o.ExhaustiveLimit = 200_000
 	}
-	switch {
-	case o.MaxIterations == 0:
-		o.MaxIterations = 100
-	case o.MaxIterations < 0:
-		o.MaxIterations = 0
-	}
-	switch {
-	case o.RandomTries == 0:
-		o.RandomTries = 100
-	case o.RandomTries < 0:
-		o.RandomTries = 0
-	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = 1
-	}
-	if o.Restarts <= 0 {
-		o.Restarts = 1
 	}
 }
 
@@ -219,9 +186,7 @@ func SolveLazy(pr Problem, opts Options, bind func(*Problem) error) (Assignment,
 		}
 		return solve(pr, opts)
 	}
-	// Budgeted searches are wall-clock-dependent, so they are neither
-	// served from nor stored into the solve layer.
-	if opts.Shared == nil || len(opts.MemoKey) == 0 || opts.Budget != 0 {
+	if opts.Shared == nil || len(opts.MemoKey) == 0 {
 		return search()
 	}
 	key := append(make([]byte, 0, 1024), opts.MemoKey...) // on the stack
@@ -241,9 +206,6 @@ func appendSolveDigest(dst []byte, pr Problem, opts Options) []byte {
 	f64 := func(v float64) { u64(math.Float64bits(v)) }
 	u64(uint64(opts.Strategy))
 	u64(uint64(opts.ExhaustiveLimit))
-	u64(uint64(opts.MaxIterations))
-	u64(uint64(opts.RandomTries))
-	u64(uint64(opts.Restarts))
 	u64(uint64(pr.P))
 	u64(uint64(len(pr.Avail)))
 	for _, r := range pr.Avail {
@@ -269,52 +231,42 @@ func appendSolveDigest(dst []byte, pr Problem, opts Options) []byte {
 	return dst
 }
 
-// solve dispatches to the search strategy.
+// solve resolves StrategyAuto and runs the search. The exhaustive engine
+// reads the shared cache at its leaves (see newEngine); the heuristic
+// strategies reach it through a wrapped objective.
 func solve(pr Problem, opts Options) (Assignment, error) {
-	// Route the heuristic strategies' evaluations through the shared
-	// cache by wrapping the objective; the exhaustive engine integrates
-	// the cache at its leaves instead (see newEngine), so it keeps the
-	// untouched problem. Shared is cleared once wrapped so the portfolio's
-	// internal exhaustive runs don't double-count lookups.
-	if opts.Shared != nil && pr.CanonicalKey != nil {
-		exhaustiveDispatch := opts.Strategy == StrategyExhaustive ||
-			(opts.Strategy != StrategyGreedy && opts.Strategy != StrategyGreedyLocal &&
-				opts.Strategy != StrategyRandomBest && opts.Strategy != StrategyPortfolio &&
-				exhaustiveCost(len(pr.Avail), pr.P, opts.ExhaustiveLimit) > 0)
-		if !exhaustiveDispatch {
-			pr = sharedObjective(pr, opts.Shared, opts.Namespace)
-			opts.Shared, opts.Namespace = nil, nil
+	strategy := opts.Strategy
+	if strategy == StrategyAuto {
+		strategy = StrategyGreedyLocal
+		if exhaustiveCost(len(pr.Avail), pr.P, opts.ExhaustiveLimit) > 0 {
+			strategy = StrategyExhaustive
 		}
 	}
-	switch opts.Strategy {
+	if strategy != StrategyExhaustive && opts.Shared != nil && pr.CanonicalKey != nil {
+		pr = sharedObjective(pr, opts.Shared, opts.Namespace)
+	}
+	start := time.Now()
+	var a Assignment
+	switch strategy {
 	case StrategyExhaustive:
 		if exhaustiveCost(len(pr.Avail), pr.P, opts.ExhaustiveLimit) < 0 {
 			return Assignment{}, fmt.Errorf("mapper: exhaustive search over %d processes in %d slots exceeds limit %d",
 				len(pr.Avail), pr.P, opts.ExhaustiveLimit)
 		}
-		return exhaustive(pr, opts)
+		return runExhaustive(pr, opts)
 	case StrategyGreedy:
-		start := time.Now()
-		a := greedy(pr)
-		a.Time = pr.Objective(a.Ranks)
-		a.Evaluations = 1
-		a.Stats = SearchStats{Evaluations: 1, Workers: 1, WallTime: time.Since(start)}
-		return a, nil
+		a = greedy(pr)
+		a.Time, a.Evaluations = pr.Objective(a.Ranks), 1
 	case StrategyGreedyLocal:
-		return greedyLocal(pr, opts)
+		a = greedy(pr)
+		a.Time, a.Evaluations = hillClimb(pr, a.Ranks)
 	case StrategyRandomBest:
-		return randomBest(pr, opts)
-	case StrategyPortfolio:
-		return portfolio(pr, opts)
-	default: // StrategyAuto
-		// The feasibility cost is computed here, once, for both the
-		// dispatch and the search itself (it used to be recomputed
-		// inside the exhaustive path).
-		if exhaustiveCost(len(pr.Avail), pr.P, opts.ExhaustiveLimit) > 0 {
-			return exhaustive(pr, opts)
-		}
-		return greedyLocal(pr, opts)
+		a = randomBest(pr)
+	default:
+		return Assignment{}, fmt.Errorf("mapper: unknown strategy %d", opts.Strategy)
 	}
+	a.Stats = SearchStats{Evaluations: int64(a.Evaluations), Workers: 1, WallTime: time.Since(start)}
+	return a, nil
 }
 
 func validate(pr Problem) error {
@@ -333,8 +285,9 @@ func validate(pr Problem) error {
 			return fmt.Errorf("mapper: fixed abstract index %d out of range", a)
 		}
 		if !seen[r] {
-			return fmt.Errorf("mapper: fixed rank %d not in Avail", r)
+			return fmt.Errorf("mapper: fixed rank %d not in Avail, or pinned twice", r)
 		}
+		seen[r] = false // a second pin of r fails the check above
 	}
 	if len(pr.Avail) < pr.P {
 		return fmt.Errorf("mapper: %d processes available for %d abstract processors", len(pr.Avail), pr.P)
@@ -356,15 +309,6 @@ func exhaustiveCost(n, p, limit int) int {
 		}
 	}
 	return cost
-}
-
-// exhaustive enumerates all injective assignments of Avail ranks to the P
-// abstract positions (respecting Fixed) and returns the best. The caller
-// (Solve) has already verified the cost against ExhaustiveLimit; the
-// engine in engine.go parallelises, prunes and memoises without changing
-// the result.
-func exhaustive(pr Problem, opts Options) (Assignment, error) {
-	return runExhaustive(pr, opts, nil, nil)
 }
 
 // greedy assigns the heaviest abstract processors to the fastest available
@@ -406,23 +350,115 @@ func greedy(pr Problem) Assignment {
 	return Assignment{Ranks: cand}
 }
 
-// greedyLocal refines the greedy seed with hill-climbing local search:
-// swap the processes of two abstract positions, or substitute an unused
-// available process, keeping any move that lowers the objective. With
-// Options.Restarts > 1 further climbs start from deterministic
-// pseudo-random seeds (see greedyLocalSearch in engine.go).
-func greedyLocal(pr Problem, opts Options) (Assignment, error) {
-	return greedyLocalSearch(pr, opts, nil, nil)
+// hillClimb refines cand in place by local search: swap the processes of
+// two abstract positions, or substitute an unused available process,
+// keeping any move that strictly lowers the objective, for at most
+// maxIterations rounds or until no move helps. It returns the best time
+// and the objective calls spent.
+func hillClimb(pr Problem, cand []int) (float64, int) {
+	best := pr.Objective(cand)
+	evals := 1
+	fixed := func(slot int) bool {
+		_, ok := pr.Fixed[slot]
+		return ok
+	}
+	for iter := 0; iter < maxIterations; iter++ {
+		improved := false
+		// Pairwise swaps.
+		for i := 0; i < pr.P; i++ {
+			if fixed(i) {
+				continue
+			}
+			for j := i + 1; j < pr.P; j++ {
+				if fixed(j) {
+					continue
+				}
+				cand[i], cand[j] = cand[j], cand[i]
+				t := pr.Objective(cand)
+				evals++
+				if t < best {
+					best = t
+					improved = true
+				} else {
+					cand[i], cand[j] = cand[j], cand[i]
+				}
+			}
+		}
+		// Substitutions with unused processes.
+		used := make(map[int]bool, pr.P)
+		for _, r := range cand {
+			used[r] = true
+		}
+		for i := 0; i < pr.P; i++ {
+			if fixed(i) {
+				continue
+			}
+			for _, r := range pr.Avail {
+				if used[r] {
+					continue
+				}
+				old := cand[i]
+				cand[i] = r
+				t := pr.Objective(cand)
+				evals++
+				if t < best {
+					best = t
+					used[r] = true
+					delete(used, old)
+					improved = true
+				} else {
+					cand[i] = old
+				}
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return best, evals
 }
 
-// randomBest scores opts.RandomTries pseudo-random assignments (xorshift,
-// fixed seed: deterministic) and keeps the best.
-func randomBest(pr Problem, opts Options) (Assignment, error) {
-	if opts.RandomTries <= 0 {
-		return Assignment{}, fmt.Errorf("mapper: StrategyRandomBest with no tries (RandomTries < 0)")
+// randomBest scores randomTries pseudo-random assignments (xorshift, fixed
+// seed: deterministic) and keeps the best.
+func randomBest(pr Problem) Assignment {
+	state := uint64(0x9E3779B97F4A7C15)
+	next := func(n int) int {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		return int(state % uint64(n))
 	}
-	start := time.Now()
-	a := randomSearch(pr, opts.RandomTries, pr.Objective, nil, nil)
-	a.Stats.WallTime = time.Since(start)
-	return a, nil
+	best := Assignment{Time: math.Inf(1), Evaluations: randomTries}
+	pool := make([]int, 0, len(pr.Avail))
+	fixedRanks := make(map[int]bool, len(pr.Fixed))
+	for _, r := range pr.Fixed {
+		fixedRanks[r] = true
+	}
+	for _, r := range pr.Avail {
+		if !fixedRanks[r] {
+			pool = append(pool, r)
+		}
+	}
+	for try := 0; try < randomTries; try++ {
+		perm := append([]int(nil), pool...)
+		for i := len(perm) - 1; i > 0; i-- {
+			j := next(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		cand := make([]int, pr.P)
+		k := 0
+		for a := 0; a < pr.P; a++ {
+			if r, ok := pr.Fixed[a]; ok {
+				cand[a] = r
+				continue
+			}
+			cand[a] = perm[k]
+			k++
+		}
+		if t := pr.Objective(cand); t < best.Time {
+			best.Time = t
+			best.Ranks = cand
+		}
+	}
+	return best
 }

@@ -188,6 +188,10 @@ func TestValidation(t *testing.T) {
 		{"dup avail", func(p Problem) Problem { p.Avail = []int{0, 0}; return p }},
 		{"fixed outside avail", func(p Problem) Problem { p.Fixed = map[int]int{0: 9}; return p }},
 		{"fixed index out of range", func(p Problem) Problem { p.Fixed = map[int]int{5: 0}; return p }},
+		{"rank pinned twice", func(p Problem) Problem {
+			p.P, p.Avail, p.Fixed = 3, []int{0, 1, 2, 3}, map[int]int{0: 2, 1: 2}
+			return p
+		}},
 		{"bad weights len", func(p Problem) Problem { p.Weights = []float64{1, 2}; return p }},
 	}
 	for _, tc := range cases {
