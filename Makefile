@@ -55,19 +55,24 @@ loc:
 # examples/, bench) built with coverage of the whole module, then driven
 # through everything the other targets and ci.yml's e2e job drive —
 # examples, figures, verify, trace, lint, kill chaos, link chaos with
-# -degrade, the infeasible spec (must fail), the daemon from serve to
-# shutdown, bench -smoke — and each CLI's remaining modes (hmpirun -trace,
-# hmpitrace links|metrics, pmc describe|-args|-dag|-fmt|-gen|-lint=warn,
-# hmpid status|result|watch|cancel), all under one GOCOVERDIR. reach.txt
-# lists every function outside cmd/, examples/ and bench/ that none of it
-# entered. A function there is MPI-1 or HMPI call-table substrate, something
-# only outside input selects (a chaos production, a cluster file's load
-# profile, a diagnostic's String), or a failure path only tests can drive —
-# or it goes, with its tests (ROADMAP, deletion round). reach-blocks.txt
-# looks inside the functions that were entered: every coverage block of at
-# least three statements, outside cmd/, examples/ and bench/, that no run
-# entered, with the function it lies in (the last one `go tool cover
-# -func` starts at or before the block's first line).
+# -degrade (drops and a partition; duplicates and delay), the infeasible
+# spec (must fail), the daemon from serve to shutdown, bench -smoke — and
+# each CLI's remaining modes (hmpirun -trace, hmpitrace links|metrics, pmc
+# describe|-args|-dag|-fmt|-gen|-lint=warn, hmpid
+# status|result|watch|cancel), all under one GOCOVERDIR. Kill chaos makes
+# a few paths host-timing races (a message reaching the mailbox its
+# owner's death has just closed: ~40% of `-fig degradation` runs), so that
+# figure runs twenty more times and the lists come out the same on every
+# run. reach.txt lists every function outside cmd/, examples/ and bench/
+# that none of it entered. A function there is MPI-1 or HMPI call-table
+# substrate, something only outside input selects (a chaos production, a
+# cluster file's load profile, a diagnostic's String), or a failure path
+# only tests can drive — or it goes, with its tests (ROADMAP, deletion
+# round). reach-blocks.txt looks inside the functions that were entered:
+# every coverage block of at least three statements, outside cmd/,
+# examples/ and bench/, that no run entered, with the function it lies in
+# (the last one `go tool cover -func` starts at or before the block's
+# first line).
 R := out/reach
 reach:
 	rm -rf $(R) reach.txt reach-blocks.txt && mkdir -p $(R)/bin $(R)/cov
@@ -75,13 +80,16 @@ reach:
 	export GOCOVERDIR=$(R)/cov PATH="$(R)/bin:$$PATH" && set -e && \
 	for e in quickstart em3d matmul jacobi adaptive multiprotocol faulttolerance nestedgroups tcptransport; do $$e >/dev/null; done && \
 	hmpibench -fig all -o $(R)/figures >/dev/null && \
+	for i in $$(seq 20); do hmpibench -fig degradation >/dev/null; done && \
 	hmpirun -app em3d -mode hmpi -tracefile $(R)/em3d.trace -metrics $(R)/em3d.metrics.json && \
 	hmpirun -app em3d -p 6 -chaos "2@0.004;4@0.008" -tracefile $(R)/chaos.trace -metrics $(R)/chaos.metrics.json && \
 	hmpirun -app em3d -p 6 -nodes 60000 -iters 5 -chaos "link:1-2@0:drop=0.4;part:{1}|{2}@0.002+0.001" -chaos-seed 7 -degrade \
 		-tracefile $(R)/netchaos.trace -metrics $(R)/netchaos.metrics.json && \
+	hmpirun -app em3d -p 6 -nodes 60000 -iters 5 -chaos "link:2-3@0:dup=0.3,delay=0.001,jitter=0.0005" -chaos-seed 7 -degrade \
+		-tracefile $(R)/dupchaos.trace && \
 	hmpirun -app matmul -mode hmpi -trace >/dev/null && \
 	! timeout 60 hmpirun -app em3d -p 12 && \
-	hmpiverify $(R)/em3d.trace $(R)/chaos.trace $(R)/netchaos.trace && \
+	hmpiverify $(R)/em3d.trace $(R)/chaos.trace $(R)/netchaos.trace $(R)/dupchaos.trace && \
 	for t in em3d chaos netchaos; do \
 		for c in info report critical breakdown links metrics; do hmpitrace $$c $(R)/$$t.trace >/dev/null; done; \
 		hmpitrace export -o $(R)/$$t.chrome.json $(R)/$$t.trace; \

@@ -107,8 +107,8 @@ func main() {
 			return nil //hmpivet:ignore groupfree -- the victim just failed itself: a corpse cannot free its group, the survivors dissolve it via GroupRecreate
 		}
 		// The work phase aborts on the failure; Catch it, revoke so no
-		// member stays blocked on a live peer, and agree on who died —
-		// every survivor gets the same failed set.
+		// member stays blocked on a live peer (the communicator refuses any
+		// further use), and agree on who died — the same set on every survivor.
 		werr := mpi.Catch(func() {
 			for {
 				g.Comm().Barrier()
@@ -116,8 +116,10 @@ func main() {
 		})
 		g.Comm().Revoke()
 		failed := g.Comm().AgreeFailed()
+		rerr := mpi.Catch(func() { g.Comm().Barrier() })
 		if h.IsHost() {
 			fmt.Printf("work aborted (%v); members agree ranks %v failed\n", werr, failed)
+			fmt.Printf("the revoked communicator refuses further use: %v\n", rerr)
 		}
 		var ng *hmpi.Group
 		if g.Rank() == g.ParentRank() {
@@ -158,13 +160,11 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	attempts := 0
 	var selections [][]int
 	err = rt3.Run(func(h *hmpi.Process) error {
 		return h.RunResilient(hmpi.FixedPlan(model, len(workload), workload),
 			func(g *hmpi.Group) error {
 				if h.IsHost() {
-					attempts++
 					selections = append(selections, g.WorldRanks())
 				}
 				h.Proc().Compute(float64(workload[g.Rank()]))
@@ -176,7 +176,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("self-healing run finished after %d attempt(s): selections %v\n",
-		attempts, selections)
+		len(selections), selections)
 	fmt.Println("\nDetection, agreement, and model-driven re-selection completed the")
 	fmt.Println("work around the failure — the recovery pattern FT-MPI pioneered,")
 	fmt.Println("driven by HMPI's performance-model group selection.")

@@ -497,11 +497,10 @@ func (s *Schedule) LinkFilter(seed int64) mpi.LinkFilter {
 	}
 }
 
-// Arm installs the whole schedule on a world: kill events via Attach,
-// and — when the schedule has link faults — the link filter plus the
-// default retransmit policy, so faulted runs survive drops out of the
-// box. seed drives the filter's probabilistic decisions; onKill observes
-// kill events as in Attach. Install before Run.
+// Arm installs the whole schedule on a world: kill events via Attach and,
+// when the schedule has link faults, the link filter (which arms the
+// retransmit path). seed drives the filter's probabilistic decisions;
+// onKill observes kill events as in Attach. Install before Run.
 func (s *Schedule) Arm(w *mpi.World, seed int64, onKill func(Event)) error {
 	for _, l := range s.Links {
 		for _, r := range [2]int{l.A, l.B} {
@@ -522,7 +521,6 @@ func (s *Schedule) Arm(w *mpi.World, seed int64, onKill func(Event)) error {
 	}
 	if f := s.LinkFilter(seed); f != nil {
 		w.SetLinkFilter(f)
-		w.SetRetransmit(mpi.DefaultRetryPolicy())
 	}
 	return nil
 }

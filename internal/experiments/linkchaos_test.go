@@ -44,7 +44,7 @@ func runLinkChaosEM3D(t *testing.T, pr *em3d.Problem, spec string, seed int64) c
 	}
 	defer rt.Finalize()
 	rec := rt.EnableRecorder("em3d-linkchaos", trace.Options{})
-	rt.EnableDegradation(hmpi.DefaultDegradationPolicy())
+	rt.EnableDegradation()
 	if err := sched.Arm(rt.World(), seed, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TableNetDegrade() (*Figure, error) {
 			}
 		}
 		if degrade {
-			rt.EnableDegradation(hmpi.DefaultDegradationPolicy())
+			rt.EnableDegradation()
 		}
 		res, err := apps.Run(rt, &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: em3dIters}}, apps.SelfHealing)
 		if err != nil {

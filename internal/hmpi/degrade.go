@@ -1,11 +1,10 @@
 package hmpi
 
 // Graceful degradation: route around chronically degraded links instead
-// of suffering them. The mpi layer's retransmit path reports per-link
-// fault statistics through the degrade watch; the policy here watches
-// them, and when a link between two machines accumulates enough
-// retransmissions it marks the pair degraded. The resilient loop
-// (RunResilient) then — by the same agreement-synchronised protocol it
+// of suffering them. The mpi layer's retransmit path counts per-link
+// retransmissions; when a link between two machines has needed
+// degradeRetransmits of them, the pair counts as degraded. The resilient
+// loop (RunResilient) then — by the same agreement-synchronised protocol it
 // uses for member failures — worsens the pair in the cost model
 // (hnoc.Cluster.DegradeLink: the model's belief, not the simulation's
 // physics) and recreates the group, so the performance-model-driven
@@ -18,124 +17,85 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 )
 
-// DegradationPolicy tunes the runtime's reaction to degraded links.
-type DegradationPolicy struct {
-	// RetransmitThreshold is the retransmission count on one machine-pair
-	// link beyond which the pair counts as chronically degraded. Zero
-	// means the default (3).
-	RetransmitThreshold int64
-	// DelayThreshold is the accumulated observed-beyond-modeled latency
-	// (injected delay plus retransmit timeouts, the link's ExtraDelay
-	// statistic) beyond which the pair counts as degraded even without
-	// crossing the retransmission count — a link that is merely slow, not
-	// lossy. Zero disables the latency trigger.
-	DelayThreshold vclock.Time
-	// Factor is the slowdown folded into the cost model for a degraded
-	// pair (latency multiplied, bandwidth divided by it). Zero means the
-	// default (8): pessimistic enough that selection avoids the pair
-	// whenever the network offers any alternative.
-	Factor float64
-}
-
-// DefaultDegradationPolicy returns the policy -degrade arms: three
-// retransmissions flag a pair, an 8x model slowdown steers selection off
-// it.
-func DefaultDegradationPolicy() DegradationPolicy {
-	return DegradationPolicy{RetransmitThreshold: 3, Factor: 8}
-}
+const (
+	// degradeRetransmits is the retransmission count on one directed link
+	// at which its machine pair counts as chronically degraded.
+	degradeRetransmits = 3
+	// degradeFactor is the slowdown folded into the cost model for a
+	// degraded pair (latency multiplied, bandwidth divided by it):
+	// pessimistic enough that selection avoids the pair whenever the
+	// network offers any alternative.
+	degradeFactor = 8
+)
 
 // degradeState is the runtime's live degradation tracker, shared by every
 // process of the run (the simulated analogue of gossiped link-quality
 // state).
 type degradeState struct {
-	policy DegradationPolicy
-	rt     *Runtime
+	rt *Runtime
 
 	mu      sync.Mutex
-	pending map[[2]int]bool // machine pairs flagged, model not yet updated
 	applied map[[2]int]bool // machine pairs already folded into the model
 }
 
-// EnableDegradation installs the policy: link statistics from the
-// retransmit path feed it, and RunResilient consults it to trigger
-// degrade-reselects. Call before Run (and after the chaos engine installs
-// its link filter; without a filter there are no retransmissions and the
-// policy stays silent).
-func (rt *Runtime) EnableDegradation(p DegradationPolicy) {
-	if p.RetransmitThreshold <= 0 {
-		p.RetransmitThreshold = DefaultDegradationPolicy().RetransmitThreshold
-	}
-	if p.Factor <= 1 {
-		p.Factor = DefaultDegradationPolicy().Factor
-	}
-	d := &degradeState{
-		policy:  p,
-		rt:      rt,
-		pending: make(map[[2]int]bool),
-		applied: make(map[[2]int]bool),
-	}
-	rt.degrade = d
-	rt.world.SetDegradeWatch(d.observe)
+// EnableDegradation arms the reaction: RunResilient reads the retransmit
+// path's link statistics at the end of every attempt and triggers a
+// degrade-reselect for pairs past the threshold. Call before Run; without
+// a link filter there are no retransmissions and nothing is degraded.
+func (rt *Runtime) EnableDegradation() {
+	rt.degrade = &degradeState{rt: rt, applied: make(map[[2]int]bool)}
 }
 
-// observe is the degrade watch: called from sending goroutines after
-// every retransmission or injected delay with the link's accumulated
-// statistics. Either trigger — chronic loss or accumulated
-// observed-beyond-modeled latency — flags the machine pair.
-func (d *degradeState) observe(src, dst int, st mpi.LinkStats) {
-	lossy := st.Retransmits >= d.policy.RetransmitThreshold
-	slow := d.policy.DelayThreshold > 0 && st.ExtraDelay >= d.policy.DelayThreshold
-	if !lossy && !slow {
-		return
-	}
-	ma, mb := d.rt.placement[src], d.rt.placement[dst]
-	if ma == mb {
-		return // same machine: no link to route around
-	}
-	if ma > mb {
-		ma, mb = mb, ma
-	}
-	pair := [2]int{ma, mb}
+// pending returns the machine pairs whose links crossed the retransmission
+// threshold in stats (World.LinkStatsSnapshot) and are not yet folded into
+// the model, sorted (deterministic traces). Same-machine pairs have no
+// link to route around. The counters only grow, so a pair once pending
+// stays pending until applied.
+func (d *degradeState) pending(stats map[[2]int]mpi.LinkStats) [][2]int {
+	seen := map[[2]int]bool{}
+	var pairs [][2]int
 	d.mu.Lock()
-	if !d.applied[pair] {
-		d.pending[pair] = true
+	for link, st := range stats {
+		ma, mb := d.rt.placement[link[0]], d.rt.placement[link[1]]
+		if ma > mb {
+			ma, mb = mb, ma
+		}
+		pair := [2]int{ma, mb}
+		if st.Retransmits >= degradeRetransmits && ma != mb && !d.applied[pair] && !seen[pair] {
+			seen[pair] = true
+			pairs = append(pairs, pair)
+		}
 	}
 	d.mu.Unlock()
-}
-
-// hasPending reports whether any flagged pair awaits a model update — the
-// local input to the degrade-reselect agreement vote.
-func (d *degradeState) hasPending() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.pending) > 0
+	sortPairs(pairs)
+	return pairs
 }
 
 // apply folds every pending pair into the cost model and returns the
-// pairs applied (sorted, for deterministic traces). Idempotent per pair:
-// once applied, further retransmissions on it do not re-trigger.
-func (d *degradeState) apply() [][2]int {
+// pairs applied. Idempotent per pair: once applied, further
+// retransmissions on it do not re-trigger.
+func (d *degradeState) apply(stats map[[2]int]mpi.LinkStats) [][2]int {
+	pairs := d.pending(stats)
 	d.mu.Lock()
-	pairs := make([][2]int, 0, len(d.pending))
-	for pair := range d.pending {
-		pairs = append(pairs, pair)
+	for _, pair := range pairs {
 		d.applied[pair] = true
-		delete(d.pending, pair)
 	}
 	d.mu.Unlock()
+	for _, pair := range pairs {
+		d.rt.cfg.Cluster.DegradeLink(pair[0], pair[1], degradeFactor)
+	}
+	return pairs
+}
+
+func sortPairs(pairs [][2]int) {
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i][0] != pairs[j][0] {
 			return pairs[i][0] < pairs[j][0]
 		}
 		return pairs[i][1] < pairs[j][1]
 	})
-	for _, pair := range pairs {
-		d.rt.cfg.Cluster.DegradeLink(pair[0], pair[1], d.policy.Factor)
-	}
-	return pairs
 }
 
 // DegradedPairs returns the machine pairs currently folded into the cost
@@ -151,27 +111,21 @@ func (rt *Runtime) DegradedPairs() [][2]int {
 	for pair := range d.applied {
 		pairs = append(pairs, pair)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
+	sortPairs(pairs)
 	return pairs
 }
 
 // shouldReselect is the local vote input for the degrade-reselect
-// agreement: true when this run has flagged degraded pairs awaiting a
-// model update. (The state is shared across the run's processes, but each
-// rank still reads it at a different moment — the agreement vote, not the
-// read, makes the decision uniform.)
+// agreement: true when degraded pairs await a model update. (Each rank
+// reads the shared statistics at a different moment — the agreement vote,
+// not the read, makes the decision uniform.)
 func (d *degradeState) shouldReselect() bool {
-	return d != nil && d.hasPending()
+	return d != nil && len(d.pending(d.rt.world.LinkStatsSnapshot())) > 0
 }
 
 // recordDegrade emits the degrade_reselect event: one per applied machine
 // pair, Peer/A1 carrying the pair, A0 the model slowdown factor.
-func (h *Process) recordDegrade(pairs [][2]int, factor float64) {
+func (h *Process) recordDegrade(pairs [][2]int) {
 	rec := h.proc.Recorder()
 	if rec == nil {
 		return
@@ -181,7 +135,7 @@ func (h *Process) recordDegrade(pairs [][2]int, factor float64) {
 		rec.Emit(h.Rank(), trace.Event{
 			Rank: int32(h.Rank()), Kind: trace.KindDegrade,
 			Peer: int32(pair[0]), A1: int64(pair[1]),
-			A0:    trace.FloatBits(factor),
+			A0:    trace.FloatBits(degradeFactor),
 			Start: now, End: now, WallStart: wall, WallEnd: wall,
 		})
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // TestRunResilientDegradeReselect: a chronically lossy link between two
-// group members accumulates retransmissions past the policy threshold; the
+// group members accumulates retransmissions past the threshold; the
 // resilient loop must then agree on a degrade-reselect, fold the pair into
 // the cost model, and recreate the group so the new selection no longer
 // places both endpoints together. The run completes correctly throughout —
@@ -37,8 +37,7 @@ func TestRunResilientDegradeReselect(t *testing.T) {
 		}
 		return mpi.LinkOutcome{}
 	})
-	rt.World().SetRetransmit(mpi.DefaultRetryPolicy())
-	rt.EnableDegradation(DegradationPolicy{RetransmitThreshold: 3, Factor: 8})
+	rt.EnableDegradation()
 	rec := rt.EnableRecorder("degrade-test", trace.Options{})
 
 	var mu sync.Mutex
@@ -157,95 +156,42 @@ func TestRunResilientDegradeReselect(t *testing.T) {
 	}
 }
 
-// TestDegradationPolicyDefaults: zero-valued policy fields fall back to
-// the documented defaults.
-func TestDegradationPolicyDefaults(t *testing.T) {
-	rt := newRuntime(t, hnoc.Homogeneous(3, 10))
-	rt.EnableDegradation(DegradationPolicy{})
-	d := rt.degrade
-	if d.policy.RetransmitThreshold != 3 || d.policy.Factor != 8 {
-		t.Fatalf("defaulted policy = %+v, want threshold 3, factor 8", d.policy)
-	}
-	if rt.DegradedPairs() != nil && len(rt.DegradedPairs()) != 0 {
-		t.Fatal("fresh policy already reports degraded pairs")
-	}
-}
-
-// TestDegradeObserveMapsToMachines: the watch maps world ranks through the
-// placement and ignores same-machine pairs and already-applied pairs.
+// TestDegradeObserveMapsToMachines: the tracker maps world-rank links
+// through the placement and ignores below-threshold links, same-machine
+// pairs and already-applied pairs.
 func TestDegradeObserveMapsToMachines(t *testing.T) {
 	c := hnoc.Homogeneous(3, 10)
 	rt, err := New(Config{Cluster: c, Placement: []int{0, 0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.EnableDegradation(DefaultDegradationPolicy())
+	defer rt.Finalize()
+	rt.EnableDegradation()
 	d := rt.degrade
 
 	below := mpi.LinkStats{Retransmits: 2}
 	at := mpi.LinkStats{Retransmits: 3}
-	d.observe(0, 2, below)
-	if d.hasPending() {
-		t.Fatal("below-threshold stats flagged a pair")
+	if p := d.pending(map[[2]int]mpi.LinkStats{{0, 2}: below}); len(p) != 0 {
+		t.Fatalf("below-threshold stats flagged %v", p)
 	}
-	d.observe(0, 1, at) // ranks 0 and 1 share machine 0
-	if d.hasPending() {
-		t.Fatal("same-machine pair flagged")
+	if p := d.pending(map[[2]int]mpi.LinkStats{{0, 1}: at}); len(p) != 0 {
+		t.Fatalf("same-machine pair flagged: %v", p) // ranks 0 and 1 share machine 0
 	}
-	d.observe(2, 0, at) // machines 1 and 0, normalised to (0,1)
-	if !d.hasPending() {
-		t.Fatal("cross-machine pair above threshold not flagged")
-	}
-	pairs := d.apply()
+	// Machines 1 and 0, normalised to (0,1); both directions are one pair.
+	stats := map[[2]int]mpi.LinkStats{{2, 0}: at, {0, 2}: at, {1, 3}: below}
+	pairs := d.apply(stats)
 	if len(pairs) != 1 || pairs[0] != [2]int{0, 1} {
 		t.Fatalf("applied pairs = %v, want [(0,1)]", pairs)
 	}
-	if rt.cfg.Cluster.LinkDegradation(0, 1) != DefaultDegradationPolicy().Factor {
-		t.Fatalf("cluster degradation factor = %v, want %v", rt.cfg.Cluster.LinkDegradation(0, 1), DefaultDegradationPolicy().Factor)
+	if rt.cfg.Cluster.LinkDegradation(0, 1) != degradeFactor {
+		t.Fatalf("cluster degradation factor = %v, want %v", rt.cfg.Cluster.LinkDegradation(0, 1), degradeFactor)
 	}
-	// Re-observation of an applied pair must not re-pend it (termination
+	// Counters only grow: an applied pair must not pend again (termination
 	// of the resilient loop depends on this).
-	d.observe(2, 0, mpi.LinkStats{Retransmits: 99})
-	if d.hasPending() {
-		t.Fatal("applied pair re-flagged")
+	if p := d.pending(map[[2]int]mpi.LinkStats{{2, 0}: {Retransmits: 99}}); len(p) != 0 {
+		t.Fatalf("applied pair re-flagged: %v", p)
 	}
-}
-
-// TestDegradeDelayThreshold: a link that is merely slow — accumulated
-// ExtraDelay past the policy's DelayThreshold, zero retransmits — flags
-// its machine pair, and a zero threshold disables the latency trigger.
-func TestDegradeDelayThreshold(t *testing.T) {
-	c := hnoc.Homogeneous(3, 10)
-	rt, err := New(Config{Cluster: c, Placement: []int{0, 0, 1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.EnableDegradation(DegradationPolicy{DelayThreshold: 0.5})
-	d := rt.degrade
-
-	slowish := mpi.LinkStats{ExtraDelay: 0.4}
-	slow := mpi.LinkStats{ExtraDelay: 0.5}
-	d.observe(0, 2, slowish)
-	if d.hasPending() {
-		t.Fatal("below-threshold delay flagged a pair")
-	}
-	d.observe(0, 2, slow)
-	if !d.hasPending() {
-		t.Fatal("slow link with zero retransmits not flagged")
-	}
-	if pairs := d.apply(); len(pairs) != 1 || pairs[0] != [2]int{0, 1} {
-		t.Fatalf("applied pairs = %v, want [(0,1)]", pairs)
-	}
-
-	// With the trigger disabled (zero threshold), arbitrary delay alone
-	// never flags.
-	rt2, err := New(Config{Cluster: hnoc.Homogeneous(3, 10), Placement: []int{0, 0, 1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt2.EnableDegradation(DefaultDegradationPolicy())
-	rt2.degrade.observe(0, 2, mpi.LinkStats{ExtraDelay: 1e9})
-	if rt2.degrade.hasPending() {
-		t.Fatal("delay flagged a pair with the latency trigger disabled")
+	if got := rt.DegradedPairs(); len(got) != 1 || got[0] != [2]int{0, 1} {
+		t.Fatalf("DegradedPairs = %v, want [(0,1)]", got)
 	}
 }

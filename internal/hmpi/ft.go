@@ -149,11 +149,12 @@ func FixedPlan(model *pmdl.Model, args ...any) ResilientPlan {
 // transparently recovers from process failures: when a member of the group
 // fails, the survivors agree on the failure, the group is recreated over
 // the surviving processors (GroupRecreate), and work is re-executed on the
-// new group. With a degradation policy enabled (EnableDegradation), the
-// same protocol also reacts to chronically degraded links: when the
-// retransmit path has flagged a machine pair, the members agree
+// new group. With degradation enabled (EnableDegradation), the same
+// protocol also reacts to chronically degraded links: when a machine
+// pair's link has crossed the retransmission threshold, the members agree
 // (AgreeVote) to fold the degradation into the cost model and recreate,
-// so the next selection routes around the bad links. Every process of the HMPI program must call it; processes not
+// so the next selection routes around the bad links. Every process of the
+// HMPI program must call it; processes not
 // selected into the current group park until the host either reassigns or
 // dismisses them. work may therefore run more than once — it must be
 // restartable (idempotent or starting from replicated input).
@@ -251,8 +252,8 @@ func (h *Process) resilientHost(plan ResilientPlan, work func(g *Group) error) e
 				// agreement vote puts every member into the recreation
 				// protocol together; a lone decision would desynchronise
 				// the group.
-				pairs := d.apply()
-				h.recordDegrade(pairs, d.policy.Factor)
+				pairs := d.apply(h.rt.world.LinkStatsSnapshot())
+				h.recordDegrade(pairs)
 				continue
 			}
 			// No member failed: the region is complete (modulo an

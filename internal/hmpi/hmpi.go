@@ -93,9 +93,9 @@ type Runtime struct {
 	nextKey int64
 
 	// degrade is the graceful-degradation tracker, nil until
-	// EnableDegradation installs a policy. Set before Run, so every
-	// process sees the same (possibly nil) policy — the resilient
-	// protocol relies on that uniformity.
+	// EnableDegradation. Set before Run, so every process sees the same
+	// (possibly nil) tracker — the resilient protocol relies on that
+	// uniformity.
 	degrade *degradeState
 
 	// finalized flips once in Finalize; Run refuses afterwards.

@@ -81,7 +81,7 @@ func Execute(s Spec, opts ExecOptions) (*Result, error) {
 			return nil, err
 		}
 		if s.Degrade {
-			rt.EnableDegradation(hmpi.DefaultDegradationPolicy())
+			rt.EnableDegradation()
 		}
 	}
 	mode := apps.HMPI

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/apps"
+	"repro/internal/chaos"
 	"repro/internal/hmpi"
 	"repro/internal/hnoc"
 	"repro/internal/mapper"
@@ -74,7 +75,8 @@ func Default() Spec {
 }
 
 // Normalize fills defaulted fields from Default() and validates the
-// combination. It is idempotent; Execute and Predict call it themselves.
+// combination, the chaos schedule included. It is idempotent; Execute and
+// Predict call it themselves.
 func (s *Spec) Normalize() error {
 	d := Default()
 	for _, size := range []struct {
@@ -123,13 +125,21 @@ func (s *Spec) Normalize() error {
 			return fmt.Errorf("jobspec: chaos needs a fixed matmul block size l: the resilient driver does not search")
 		}
 	}
-	if s.Degrade && s.Chaos == "" {
-		return fmt.Errorf("jobspec: degrade reacts to link faults; give it some with a chaos schedule")
-	}
 	if s.Cluster != nil {
 		if err := s.Cluster.Validate(); err != nil {
 			return err
 		}
+	}
+	hasLinkFaults := false
+	if s.Chaos != "" {
+		sched, err := chaos.Parse(s.Chaos, s.ClusterOrDefault().Size())
+		if err != nil {
+			return err
+		}
+		hasLinkFaults = sched.HasLinkFaults()
+	}
+	if s.Degrade && !hasLinkFaults {
+		return fmt.Errorf("jobspec: degrade reacts to link faults; give it some with a chaos schedule")
 	}
 	return nil
 }

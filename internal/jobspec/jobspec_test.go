@@ -33,6 +33,10 @@ func TestNormalizeValidation(t *testing.T) {
 		{"chaos matmul without l", func(s *Spec) { s.App = "matmul"; s.L = -1; s.Chaos = "2@0.5" }, false},
 		{"chaos matmul with l", func(s *Spec) { s.App = "matmul"; s.Chaos = "2@0.5" }, true},
 		{"degrade without chaos", func(s *Spec) { s.Degrade = true }, false},
+		{"degrade with kills only", func(s *Spec) { s.Chaos = "2@0.004"; s.Degrade = true }, false},
+		{"degrade with link faults", func(s *Spec) { s.Chaos = "link:1-2@0:drop=0.4"; s.Degrade = true }, true},
+		{"malformed chaos", func(s *Spec) { s.Chaos = "2@" }, false},
+		{"chaos rank outside the cluster", func(s *Spec) { s.Chaos = "9@0.004" }, false},
 		{"negative nodes", func(s *Spec) { s.Nodes = -1 }, false},
 		{"negative p", func(s *Spec) { s.P = -1 }, false},
 		{"negative iters", func(s *Spec) { s.Iters = -1 }, false},

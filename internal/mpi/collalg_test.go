@@ -15,7 +15,7 @@ func runTuned(t *testing.T, n int, tcp bool, tuning *CollTuning, main func(p *Pr
 	t.Helper()
 	c := testCluster(n)
 	if tcp {
-		w, closeT, err := NewWorldTCPOpts(c, OneProcessPerMachine(c), TCPOptions{})
+		w, closeT, err := newWorldTCPOpts(c, OneProcessPerMachine(c), tcpOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestAllreduceAlgorithmsMatchLegacy(t *testing.T) {
 }
 
 // TestAllreduceRingUnalignedPanics: the explicit ring requires an
-// ElemSize-aligned payload and says so.
+// element-aligned payload and says so.
 func TestAllreduceRingUnalignedPanics(t *testing.T) {
 	c := testCluster(3)
 	w := NewWorld(c, OneProcessPerMachine(c))
@@ -235,35 +235,30 @@ func TestGatherScatterAlgorithmsMatchLegacy(t *testing.T) {
 			}
 		}
 	}
-	// Auto selection end-to-end (agreed sizes: small payload on a larger
-	// communicator picks the tree, the result must be unchanged).
-	for _, tuning := range []*CollTuning{
-		{Gather: GatherAuto, Scatter: ScatterAuto},
-		{Gather: GatherAuto, Scatter: ScatterAuto, TreeMinRanks: 2},
-	} {
-		runTuned(t, 9, false, tuning, func(p *Proc) error {
-			comm := p.CommWorld()
-			got := comm.Gather(3, rankData(p.Rank(), 9))
-			if p.Rank() == 3 {
-				for r := 0; r < 9; r++ {
-					if !bytes.Equal(got[r], rankData(r, 9)) {
-						return fmt.Errorf("auto gather: out[%d] mismatch", r)
-					}
+	// Auto selection end-to-end (agreed sizes: a small payload on 9 ranks
+	// picks the tree, the result must be unchanged).
+	runTuned(t, 9, false, &CollTuning{Gather: GatherAuto, Scatter: ScatterAuto}, func(p *Proc) error {
+		comm := p.CommWorld()
+		got := comm.Gather(3, rankData(p.Rank(), 9))
+		if p.Rank() == 3 {
+			for r := 0; r < 9; r++ {
+				if !bytes.Equal(got[r], rankData(r, 9)) {
+					return fmt.Errorf("auto gather: out[%d] mismatch", r)
 				}
 			}
-			var parts [][]byte
-			if p.Rank() == 3 {
-				parts = make([][]byte, 9)
-				for r := range parts {
-					parts[r] = rankData(r, 9)
-				}
+		}
+		var parts [][]byte
+		if p.Rank() == 3 {
+			parts = make([][]byte, 9)
+			for r := range parts {
+				parts[r] = rankData(r, 9)
 			}
-			if !bytes.Equal(comm.Scatter(3, parts), rankData(p.Rank(), 9)) {
-				return fmt.Errorf("auto scatter: part mismatch on rank %d", p.Rank())
-			}
-			return nil
-		})
-	}
+		}
+		if !bytes.Equal(comm.Scatter(3, parts), rankData(p.Rank(), 9)) {
+			return fmt.Errorf("auto scatter: part mismatch on rank %d", p.Rank())
+		}
+		return nil
+	})
 }
 
 // TestReduceScatterPairwiseMatchesLegacy: the pairwise algorithm returns
@@ -342,7 +337,6 @@ func TestTunedCollectivesTCPMatchesInProcessTiming(t *testing.T) {
 		Bcast:         BcastSegmented,
 		Gather:        GatherBinomial,
 		Scatter:       ScatterBinomial,
-		SegSize:       1 << 10,
 	}
 	program := func(p *Proc) error {
 		comm := p.CommWorld()
@@ -350,7 +344,7 @@ func TestTunedCollectivesTCPMatchesInProcessTiming(t *testing.T) {
 		comm.Allreduce(Int64Bytes(contribution(p.Rank(), 512)), SumInt64)
 		var data []byte
 		if p.Rank() == 2 {
-			data = bytes.Repeat([]byte{0xC7}, 5000)
+			data = bytes.Repeat([]byte{0xC7}, 40000) // three 16 KiB segments
 		}
 		comm.Bcast(2, data)
 		comm.Gather(1, bytes.Repeat([]byte{byte(p.Rank())}, 64))
@@ -374,7 +368,7 @@ func TestTunedCollectivesTCPMatchesInProcessTiming(t *testing.T) {
 	if err := inproc.Run(program); err != nil {
 		t.Fatal(err)
 	}
-	wire, closeT, err := NewWorldTCPOpts(c, OneProcessPerMachine(c), TCPOptions{})
+	wire, closeT, err := newWorldTCPOpts(c, OneProcessPerMachine(c), tcpOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func runTunedChaos(t *testing.T, n int, tcp bool, tuning *CollTuning, f LinkFilt
 	var w *World
 	if tcp {
 		c := testCluster(n)
-		tw, closeT, err := NewWorldTCPOpts(c, OneProcessPerMachine(c), TCPOptions{})
+		tw, closeT, err := newWorldTCPOpts(c, OneProcessPerMachine(c), tcpOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,6 @@ func runTunedChaos(t *testing.T, n int, tcp bool, tuning *CollTuning, f LinkFilt
 	}
 	w.SetCollTuning(tuning)
 	w.SetLinkFilter(f)
-	w.SetRetransmit(DefaultRetryPolicy())
 	if err := w.Run(main); err != nil {
 		t.Fatal(err)
 	}

@@ -351,9 +351,8 @@ func (p *plan) bcastBody(ev int, v view, root int, alg BcastAlg, length int) {
 		if parent >= 0 {
 			p.local(func(x *collRun) { x.buf = make([]byte, length) })
 		}
-		seg := p.t.segSize()
-		for lo := 0; lo < length; lo += seg {
-			hi := min(lo+seg, length)
+		for lo := 0; lo < length; lo += segSize {
+			hi := min(lo+segSize, length)
 			if parent >= 0 {
 				p.msg(stRecvInto, v, tagBcast, parent, part(lo, hi))
 			}
@@ -468,7 +467,7 @@ func (p *plan) allreduceRecDbl(v view, nbytes int) {
 // ringChunk returns the byte bounds of ring chunk i (mod n): the vector
 // is cut into n near-equal runs of whole elements, so reduction operators
 // never see a partial element.
-func ringChunk(i, n, nbytes, elemSize int) span {
+func ringChunk(i, n, nbytes int) span {
 	i = ((i % n) + n) % n
 	elems := nbytes / elemSize
 	return part(i*elems/n*elemSize, (i+1)*elems/n*elemSize)
@@ -481,16 +480,15 @@ func ringChunk(i, n, nbytes, elemSize int) span {
 // — bandwidth-optimal — at the price of 2(n-1) message latencies.
 func (p *plan) allreduceRing(v view, nbytes int) {
 	n, me := v.size, v.me
-	es := p.t.elemSize()
-	if nbytes%es != 0 {
-		panic(fmt.Sprintf("mpi: ring Allreduce needs a payload divisible by the %d-byte element size, got %d bytes", es, nbytes))
+	if nbytes%elemSize != 0 {
+		panic(fmt.Sprintf("mpi: ring Allreduce needs a payload divisible by the %d-byte element size, got %d bytes", elemSize, nbytes))
 	}
 	right, left := (me+1)%n, (me-1+n)%n
 	for s := 0; s < n-1; s++ {
-		p.sendrecv(v, tagAllreduce, right, ringChunk(me-s, n, nbytes, es), stRecvReduce, left, ringChunk(me-s-1, n, nbytes, es))
+		p.sendrecv(v, tagAllreduce, right, ringChunk(me-s, n, nbytes), stRecvReduce, left, ringChunk(me-s-1, n, nbytes))
 	}
 	for s := 0; s < n-1; s++ {
-		p.sendrecv(v, tagAllreduce, right, ringChunk(me+1-s, n, nbytes, es), stRecvInto, left, ringChunk(me-s, n, nbytes, es))
+		p.sendrecv(v, tagAllreduce, right, ringChunk(me+1-s, n, nbytes), stRecvInto, left, ringChunk(me-s, n, nbytes))
 	}
 }
 

@@ -36,12 +36,13 @@ const (
 	// AllreduceRing is the Rabenseifner-style ring: a reduce-scatter ring
 	// followed by an allgather ring. Each rank moves 2(n-1)/n of the
 	// vector instead of the full vector log(n) times: bandwidth-optimal
-	// for large messages. Requires len(data) divisible by ElemSize.
+	// for large messages. Requires len(data) divisible by the 8-byte
+	// element width.
 	AllreduceRing
-	// AllreduceAuto picks recursive doubling below AllreduceRingMinBytes
-	// and the ring at or above it (falling back when the length is not
-	// ElemSize-aligned); on a communicator with a two-level structure it
-	// picks the hierarchical algorithm at or above AllreduceHierMinBytes.
+	// AllreduceAuto picks recursive doubling below 32 KiB and the ring at
+	// or above it (falling back when the length is not element-aligned);
+	// on a communicator with a two-level structure it picks the
+	// hierarchical algorithm at or above AllreduceHierMinBytes.
 	AllreduceAuto
 	// AllreduceHier is the two-level algorithm: binomial reduce to each
 	// machine's leader over the node tier, Allreduce among leaders over
@@ -81,14 +82,14 @@ const (
 	// binomial tree.
 	BcastBinomial BcastAlg = iota
 	// BcastSegmented pipelines the payload through the binomial tree in
-	// SegSize segments, so an interior rank forwards segment k while
+	// 16 KiB segments, so an interior rank forwards segment k while
 	// segment k+1 is still in flight to it.
 	BcastSegmented
 	// BcastAuto lets the root pick by payload size (segmented at or above
-	// BcastSegMinBytes, hierarchical within the [BcastHierMinBytes,
-	// BcastHierMaxBytes] band on a two-level communicator) and
-	// distribute the choice in a small header
-	// down the tree, since only the root knows the payload length.
+	// 64 KiB, hierarchical within the [BcastHierMinBytes,
+	// BcastHierMaxBytes] band on a two-level communicator) and distribute
+	// the choice in a small header down the tree, since only the root
+	// knows the payload length.
 	BcastAuto
 	// BcastHier is the two-level algorithm: the root hands its payload to
 	// its machine leader, the leaders broadcast over the net tier, each
@@ -109,9 +110,9 @@ const (
 	// per-message overhead dominates (small payloads, larger groups).
 	GatherBinomial
 	// GatherAuto picks the binomial tree when the communicator has at
-	// least TreeMinRanks members and the local payload is at most
-	// TreeMaxBytes; the flat tree otherwise. On a two-level communicator
-	// it picks the hierarchical gather when the local payload is at most
+	// least 8 members and the local payload is at most 1 KiB; the flat
+	// tree otherwise. On a two-level communicator it picks the
+	// hierarchical gather when the local payload is at most
 	// GatherHierMaxBytes.
 	GatherAuto
 	// GatherHier is the two-level algorithm: node-tier gather onto each
@@ -137,39 +138,16 @@ const (
 	ScatterAuto
 )
 
-// CollTuning is the per-communicator collective algorithm policy. The
-// zero value selects the default algorithm everywhere with the default
-// thresholds.
+// CollTuning is the per-communicator collective algorithm policy: five
+// selectors and the five thresholds of the hierarchical bands (what
+// estimator.AutoCollTuningFor derives per placement). The zero value
+// selects the default algorithm everywhere with the default thresholds.
 type CollTuning struct {
 	Allreduce     AllreduceAlg
 	ReduceScatter ReduceScatterAlg
 	Bcast         BcastAlg
 	Gather        GatherAlg
 	Scatter       ScatterAlg
-
-	// AllreduceRingMinBytes is the payload size at which AllreduceAuto
-	// switches from recursive doubling to the ring. Zero means the
-	// default (32 KiB).
-	AllreduceRingMinBytes int
-	// BcastSegMinBytes is the payload size at which BcastAuto switches
-	// from plain binomial to the segmented pipeline. Zero means the
-	// default (64 KiB).
-	BcastSegMinBytes int
-	// SegSize is the segment size of the pipelined broadcast. Zero means
-	// the default (16 KiB).
-	SegSize int
-	// TreeMinRanks is the smallest communicator for which GatherAuto and
-	// ScatterAuto pick the binomial tree. Zero means the default (8).
-	TreeMinRanks int
-	// TreeMaxBytes is the largest per-member payload for which
-	// GatherAuto and ScatterAuto pick the binomial tree (above it the
-	// tree moves asymptotically more bytes than the flat fan). Zero
-	// means the default (1 KiB).
-	TreeMaxBytes int
-	// ElemSize is the reduction element width in bytes: splitting
-	// algorithms (the ring) cut the vector only on multiples of it. Zero
-	// means the default (8, the width of every Op in this library).
-	ElemSize int
 
 	// AllreduceHierMinBytes is the payload size at which AllreduceAuto
 	// switches to the hierarchical algorithm on a two-level communicator.
@@ -198,14 +176,29 @@ type CollTuning struct {
 	ReduceScatterHierMinBytes int
 }
 
-// Default thresholds; see the CollTuning field docs.
+// The flat Auto rules and the splitting granularities: fixed, because no
+// placement moves them.
 const (
-	defaultAllreduceRingMinBytes     = 32 << 10
-	defaultBcastSegMinBytes          = 64 << 10
-	defaultSegSize                   = 16 << 10
-	defaultTreeMinRanks              = 8
-	defaultTreeMaxBytes              = 1 << 10
-	defaultElemSize                  = 8
+	// ringMinBytes: AllreduceAuto picks the ring at or above it.
+	ringMinBytes = 32 << 10
+	// segMinBytes: BcastAuto picks the segmented pipeline at or above it.
+	segMinBytes = 64 << 10
+	// segSize is the segment of the pipelined broadcast.
+	segSize = 16 << 10
+	// treeMinRanks and treeMaxBytes: GatherAuto and ScatterAuto pick the
+	// binomial tree on at least treeMinRanks members with per-member
+	// payloads of at most treeMaxBytes (above it the tree moves
+	// asymptotically more bytes than the flat fan).
+	treeMinRanks = 8
+	treeMaxBytes = 1 << 10
+	// elemSize is the reduction element width (every Op's): the ring cuts
+	// the vector only on multiples of it.
+	elemSize = 8
+)
+
+// Default thresholds of the hierarchical bands; see the CollTuning field
+// docs.
+const (
 	defaultAllreduceHierMinBytes     = 64 << 10
 	defaultBcastHierMinBytes         = 64 << 10
 	defaultBcastHierMaxBytes         = math.MaxInt
@@ -218,8 +211,7 @@ const (
 // "defaults everywhere" policy, so an unset field cannot be told apart
 // from an explicit zero — explicit zero IS "use the default"). A negative
 // value can only be an explicit override, and no threshold has a
-// meaningful negative interpretation, so it fails loudly instead of
-// silently falling back to the default as it used to.
+// meaningful negative interpretation, so it fails loudly.
 func threshold(v, def int, name string) int {
 	if v < 0 {
 		panic(fmt.Sprintf("mpi: CollTuning.%s must not be negative (got %d); zero selects the default", name, v))
@@ -291,7 +283,7 @@ func (t *CollTuning) resolveAllreduce(n, nbytes int, on structure) AllreduceAlg 
 	if alg, done := hierOr(t.Allreduce, AllreduceHier, AllreduceAuto, inBand, on); done {
 		return alg
 	}
-	if nbytes >= threshold(t.AllreduceRingMinBytes, defaultAllreduceRingMinBytes, "AllreduceRingMinBytes") && nbytes%t.elemSize() == 0 && n > 2 {
+	if nbytes >= ringMinBytes && nbytes%elemSize == 0 && n > 2 {
 		return AllreduceRing
 	}
 	return AllreduceRecursiveDoubling
@@ -305,7 +297,7 @@ func (t *CollTuning) resolveBcast(nbytes int, on structure) BcastAlg {
 	if alg, done := hierOr(t.Bcast, BcastHier, BcastAuto, inBand, on); done {
 		return alg
 	}
-	if nbytes >= threshold(t.BcastSegMinBytes, defaultBcastSegMinBytes, "BcastSegMinBytes") {
+	if nbytes >= segMinBytes {
 		return BcastSegmented
 	}
 	return BcastBinomial
@@ -318,7 +310,7 @@ func (t *CollTuning) resolveGather(n, nbytes int, on structure) GatherAlg {
 	if alg, done := hierOr(t.Gather, GatherHier, GatherAuto, inBand, on); done {
 		return alg
 	}
-	if t.treeWins(n, nbytes) {
+	if treeWins(n, nbytes) {
 		return GatherBinomial
 	}
 	return GatherFlat
@@ -336,17 +328,8 @@ func (t *CollTuning) resolveReduceScatter(totalBytes int, on structure) ReduceSc
 
 // treeWins is the Auto rule gather and scatter share: a binomial tree of
 // bundles beats the flat fan when per-message overhead dominates — enough
-// ranks, small enough payloads (above TreeMaxBytes the tree moves
-// asymptotically more bytes than the fan).
-func (t *CollTuning) treeWins(n, nbytes int) bool {
-	return n >= threshold(t.TreeMinRanks, defaultTreeMinRanks, "TreeMinRanks") && nbytes <= threshold(t.TreeMaxBytes, defaultTreeMaxBytes, "TreeMaxBytes")
-}
-
-// segSize is the segment size of the pipelined broadcast.
-func (t *CollTuning) segSize() int { return threshold(t.SegSize, defaultSegSize, "SegSize") }
-
-// elemSize is the reduction element width splitting algorithms cut on.
-func (t *CollTuning) elemSize() int { return threshold(t.ElemSize, defaultElemSize, "ElemSize") }
+// ranks, small enough payloads.
+func treeWins(n, nbytes int) bool { return n >= treeMinRanks && nbytes <= treeMaxBytes }
 
 // resolveScatter resolves Auto at the root, the only rank that sees the
 // part sizes (they may be irregular).
@@ -354,7 +337,7 @@ func (t *CollTuning) resolveScatter(n, maxPart int) ScatterAlg {
 	if t.Scatter != ScatterAuto {
 		return t.Scatter
 	}
-	if t.treeWins(n, maxPart) {
+	if treeWins(n, maxPart) {
 		return ScatterBinomial
 	}
 	return ScatterFlat

@@ -130,7 +130,7 @@ func (c *Comm) AgreeFailed() []int {
 // communicator: it returns true on every surviving member iff any
 // surviving member contributed true. Like AgreeFailed it works on revoked
 // communicators and treats failed members as participating trivially
-// (with false). The HMPI degradation policy uses it to decide uniformly
+// (with false). The HMPI degradation uses it to decide uniformly
 // whether to rebuild the group around degraded links — a decision no
 // single member can take alone without desynchronising the recovery
 // protocol.

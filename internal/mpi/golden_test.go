@@ -319,7 +319,7 @@ func TestGoldenClocks(t *testing.T) {
 				cases := goldenCases(len(cfg.place))
 				var shared *World
 				if transport == "tcp" {
-					w, closeT, err := NewWorldTCPOpts(cfg.cluster, cfg.place, TCPOptions{})
+					w, closeT, err := newWorldTCPOpts(cfg.cluster, cfg.place, tcpOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}

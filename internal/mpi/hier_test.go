@@ -35,7 +35,7 @@ func runPlaced(t *testing.T, cl *hnoc.Cluster, place []int, tcp bool, tuning *Co
 		t.Fatal(err)
 	}
 	if tcp {
-		w, closeT, err := NewWorldTCPOpts(cl, place, TCPOptions{})
+		w, closeT, err := newWorldTCPOpts(cl, place, tcpOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func catchPanic(f func()) (msg string) {
 func TestCollTuningThresholdSemantics(t *testing.T) {
 	zero := CollTuning{Allreduce: AllreduceAuto}
 	if zero.resolveAllreduce(9, 32<<10-8, flat{}) != AllreduceRecursiveDoubling || zero.resolveAllreduce(9, 32<<10, flat{}) != AllreduceRing {
-		t.Fatal("zero ring threshold did not resolve to the 32 KiB default")
+		t.Fatal("Auto did not switch to the ring at 32 KiB")
 	}
 	two := twoLevels(true)
 	if zero.resolveAllreduce(9, 64<<10-8, two) != AllreduceRing || zero.resolveAllreduce(9, 64<<10, two) != AllreduceHier {
@@ -323,12 +323,12 @@ func TestCollTuningThresholdSemantics(t *testing.T) {
 	// On the collective path the panic surfaces as a Run error.
 	c := testCluster(3)
 	w := NewWorld(c, OneProcessPerMachine(c))
-	w.SetCollTuning(&CollTuning{Allreduce: AllreduceAuto, AllreduceRingMinBytes: -5})
+	w.SetCollTuning(&CollTuning{Allreduce: AllreduceAuto, AllreduceHierMinBytes: -5})
 	err := w.Run(func(p *Proc) error {
 		p.CommWorld().Allreduce(make([]byte, 8), SumInt64)
 		return nil
 	})
-	if err == nil || !strings.Contains(err.Error(), "AllreduceRingMinBytes must not be negative") {
+	if err == nil || !strings.Contains(err.Error(), "AllreduceHierMinBytes must not be negative") {
 		t.Fatalf("Run with negative threshold returned %v, want a loud panic", err)
 	}
 }

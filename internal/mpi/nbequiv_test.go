@@ -53,7 +53,7 @@ func nbWorld(t *testing.T, n int, transport string, filtered bool) *World {
 	case "inprocess":
 		w = NewWorld(c, place)
 	case "tcp":
-		tw, closeT, err := NewWorldTCPOpts(c, place, TCPOptions{})
+		tw, closeT, err := newWorldTCPOpts(c, place, tcpOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,6 @@ func nbWorld(t *testing.T, n int, transport string, filtered bool) *World {
 		w.SetLinkFilter(func(src, dst int, at vclock.Time, seq int64, attempt int) LinkOutcome {
 			return LinkOutcome{Drop: src == 0 && seq == 1 && attempt == 0}
 		})
-		w.SetRetransmit(DefaultRetryPolicy())
 	}
 	return w
 }

@@ -90,7 +90,7 @@ func TestIrecvPooledOwnershipInProcess(t *testing.T) {
 
 func TestIrecvPooledOwnershipTCP(t *testing.T) {
 	c := testCluster(2)
-	w, closeT, err := NewWorldTCPOpts(c, OneProcessPerMachine(c), TCPOptions{})
+	w, closeT, err := newWorldTCPOpts(c, OneProcessPerMachine(c), tcpOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

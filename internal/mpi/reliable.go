@@ -19,14 +19,14 @@ package mpi
 //     the sender's interface, so retransmissions consume bandwidth);
 //   - duplicated frames are suppressed in the destination mailbox by the
 //     sequence high-mark (see mailbox.maxSeq);
-//   - a frame still undeliverable after MaxRetries resends declares the
-//     destination unreachable: a *ProcessFailedError whose Kind is
+//   - a frame still undeliverable after maxRetransmits resends declares
+//     the destination unreachable: a *ProcessFailedError whose Kind is
 //     FailurePartition when the peer is not known dead — the caller (or
-//     the HMPI degradation policy above) decides whether to rebuild
-//     around the link or give up.
+//     the HMPI degradation above) decides whether to rebuild around the
+//     link or give up.
 //
-// Per-link statistics (drops, duplicates, retransmits, injected delay)
-// feed the HMPI DegradationPolicy through the degrade watch.
+// Per-link statistics (drops, duplicates, retransmits) are what the HMPI
+// degradation reads (LinkStatsSnapshot).
 
 import (
 	"repro/internal/hnoc"
@@ -36,9 +36,8 @@ import (
 
 // LinkOutcome is a filter's verdict on one frame-transmission attempt.
 type LinkOutcome struct {
-	// Drop discards the frame on the wire. With a retransmit policy
-	// enabled the sender resends after an ack timeout; without one the
-	// message is silently lost.
+	// Drop discards the frame on the wire; the sender resends after an
+	// ack timeout.
 	Drop bool
 	// Dup delivers a second, identical copy of the frame immediately
 	// after the first (suppressed by the receiver's dedupe window).
@@ -56,38 +55,20 @@ type LinkOutcome struct {
 // concurrently.
 type LinkFilter func(src, dst int, at vclock.Time, seq int64, attempt int) LinkOutcome
 
-// RetryPolicy configures the retransmit path.
-type RetryPolicy struct {
-	// Enabled turns retransmission on. Off, a dropped frame is lost — the
-	// pre-chaos behaviour, in which only process death loses messages.
-	Enabled bool
-	// RTO is the virtual-time ack timeout before the first resend; it
-	// doubles after every further loss (capped at 32x).
-	RTO vclock.Time
-	// MaxRetries bounds the resends of one frame. Beyond it the
-	// destination is declared unreachable with a partition-kind failure.
-	MaxRetries int
-}
+// The retransmit path: a 20 ms virtual-time ack timeout before the first
+// resend, doubling per further loss up to 32x, and six resends of one
+// frame (cumulative ~1.26 s of virtual patience, so transient partitions
+// shorter than that are ridden out rather than escalated) before the
+// destination is declared unreachable with a partition-kind failure.
+const (
+	retransmitRTO  vclock.Time = 0.02
+	maxRTOShift                = 5 // 2^5 = 32x
+	maxRetransmits             = 6
+)
 
-// DefaultRetryPolicy returns the retransmit configuration the chaos
-// harness arms: a 20 ms initial timeout doubling per loss, six resends
-// (cumulative ~1.26 s of virtual patience, so transient partitions
-// shorter than that are ridden out rather than escalated).
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Enabled: true, RTO: 0.02, MaxRetries: 6}
-}
-
-// rtoFor returns the backoff before resend attempt (0-based), doubling
-// per attempt and capped at 32x the base.
-func (rp RetryPolicy) rtoFor(attempt int) vclock.Time {
-	rto := rp.RTO
-	if rto <= 0 {
-		rto = 0.02
-	}
-	if attempt > 5 {
-		attempt = 5
-	}
-	return rto * vclock.Time(int64(1)<<attempt)
+// rtoFor returns the backoff before resend attempt (0-based).
+func rtoFor(attempt int) vclock.Time {
+	return retransmitRTO * vclock.Time(int64(1)<<min(attempt, maxRTOShift))
 }
 
 // linkPair keys per-link statistics by (source, destination) world rank.
@@ -99,14 +80,14 @@ type linkPair struct {
 // a link filter: what the chaos engine injected and what the retransmit
 // path paid to absorb it.
 type LinkStats struct {
-	Drops       int64       // frames the filter discarded
-	Dups        int64       // duplicate frames injected
-	Retransmits int64       // resends performed
-	ExtraDelay  vclock.Time // injected delay plus retransmit timeouts
+	Drops       int64 // frames the filter discarded
+	Dups        int64 // duplicate frames injected
+	Retransmits int64 // resends performed
 }
 
-// SetLinkFilter installs the frame adjudicator (nil removes it) and arms
-// the duplicate-suppression window in every mailbox. Install before Run.
+// SetLinkFilter installs the frame adjudicator (nil removes it), which
+// arms the retransmit path and the duplicate-suppression window in every
+// mailbox. Install before Run.
 func (w *World) SetLinkFilter(f LinkFilter) {
 	w.linkFilter = f
 	if f == nil {
@@ -122,21 +103,6 @@ func (w *World) SetLinkFilter(f LinkFilter) {
 	}
 }
 
-// SetRetransmit installs the retransmit policy the filtered path applies
-// to dropped frames. Install before Run.
-func (w *World) SetRetransmit(rp RetryPolicy) { w.retry = rp }
-
-// SetDegradeWatch installs an observer invoked (outside the stats lock,
-// from the sending goroutine) after every retransmit or injected delay
-// with the link's accumulated statistics. The HMPI degradation policy
-// uses it to notice chronically degraded links — lossy or merely slow —
-// while the run is in flight.
-func (w *World) SetDegradeWatch(watch func(src, dst int, st LinkStats)) {
-	w.linkMu.Lock()
-	w.degradeWatch = watch
-	w.linkMu.Unlock()
-}
-
 // LinkStatsSnapshot returns a copy of the per-link fault statistics
 // accumulated so far.
 func (w *World) LinkStatsSnapshot() map[[2]int]LinkStats {
@@ -149,9 +115,8 @@ func (w *World) LinkStatsSnapshot() map[[2]int]LinkStats {
 	return out
 }
 
-// noteLink updates one link's statistics and returns the post-update
-// snapshot together with the degrade watch to notify (nil when none).
-func (w *World) noteLink(src, dst int, f func(*LinkStats)) (LinkStats, func(src, dst int, st LinkStats)) {
+// noteLink updates one link's statistics.
+func (w *World) noteLink(src, dst int, f func(*LinkStats)) {
 	w.linkMu.Lock()
 	st := w.linkStats[linkPair{src, dst}]
 	if st == nil {
@@ -159,9 +124,7 @@ func (w *World) noteLink(src, dst int, f func(*LinkStats)) (LinkStats, func(src,
 		w.linkStats[linkPair{src, dst}] = st
 	}
 	f(st)
-	snap, watch := *st, w.degradeWatch
 	w.linkMu.Unlock()
-	return snap, watch
 }
 
 // recordLinkEvent emits a link-layer trace event on the sender's shard
@@ -205,7 +168,6 @@ func cloneEnvelope(e *envelope) *envelope {
 func (p *Proc) transmitFiltered(dstW int, env *envelope, link hnoc.LinkSpec, end vclock.Time) {
 	w := p.world
 	f := w.linkFilter
-	rp := w.retry
 	xfer := vclock.Time(link.TransferTime(len(env.data)))
 	wireAt := end // when the current copy finished serialising
 	for attempt := 0; ; attempt++ {
@@ -214,10 +176,6 @@ func (p *Proc) transmitFiltered(dstW int, env *envelope, link hnoc.LinkSpec, end
 			if out.Delay > 0 {
 				env.arrive += out.Delay
 				p.recordLinkEvent(trace.KindLinkFault, dstW, "delay", wireAt, wireAt+out.Delay, env.seq, int64(attempt))
-				snap, watch := w.noteLink(env.src, dstW, func(st *LinkStats) { st.ExtraDelay += out.Delay })
-				if watch != nil {
-					watch(env.src, dstW, snap)
-				}
 			}
 			if out.Dup {
 				p.recordLinkEvent(trace.KindLinkFault, dstW, "dup", wireAt, wireAt, env.seq, int64(attempt))
@@ -229,11 +187,7 @@ func (p *Proc) transmitFiltered(dstW int, env *envelope, link hnoc.LinkSpec, end
 		}
 		p.recordLinkEvent(trace.KindLinkFault, dstW, "drop", wireAt, wireAt, env.seq, int64(attempt))
 		w.noteLink(env.src, dstW, func(st *LinkStats) { st.Drops++ })
-		if !rp.Enabled {
-			releaseEnvelope(env)
-			return // lost: without the retransmit path a dropped frame is gone
-		}
-		if attempt >= rp.MaxRetries {
+		if attempt >= maxRetransmits {
 			releaseEnvelope(env)
 			kind := FailurePartition
 			if w.IsFailed(dstW) {
@@ -243,16 +197,9 @@ func (p *Proc) transmitFiltered(dstW int, env *envelope, link hnoc.LinkSpec, end
 		}
 		// Ack timeout: the loss is noticed rtoFor(attempt) after the copy
 		// left the wire; the resend then re-occupies the interface.
-		rto := rp.rtoFor(attempt)
-		_, resendEnd := p.nicOut.Reserve(wireAt+rto, xfer)
+		_, resendEnd := p.nicOut.Reserve(wireAt+rtoFor(attempt), xfer)
 		p.recordLinkEvent(trace.KindRetransmit, dstW, "", wireAt, resendEnd, env.seq, int64(attempt+1))
-		snap, watch := w.noteLink(env.src, dstW, func(st *LinkStats) {
-			st.Retransmits++
-			st.ExtraDelay += resendEnd - wireAt
-		})
-		if watch != nil {
-			watch(env.src, dstW, snap)
-		}
+		w.noteLink(env.src, dstW, func(st *LinkStats) { st.Retransmits++ })
 		wireAt = resendEnd
 		env.arrive = resendEnd + vclock.Time(link.Latency)
 	}

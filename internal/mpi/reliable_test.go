@@ -18,7 +18,6 @@ func dropFirstAttempt(src, dst int, at vclock.Time, seq int64, attempt int) Link
 func TestRetransmitDeliversUnderDrop(t *testing.T) {
 	w := newTestWorld(t, 2)
 	w.SetLinkFilter(dropFirstAttempt)
-	w.SetRetransmit(DefaultRetryPolicy())
 	const n = 5
 	runWorld(t, w, func(p *Proc) error {
 		comm := p.CommWorld()
@@ -41,8 +40,8 @@ func TestRetransmitDeliversUnderDrop(t *testing.T) {
 	if st.Drops != n || st.Retransmits != n {
 		t.Fatalf("link 0->1 stats = %+v, want %d drops and %d retransmits", st, n, n)
 	}
-	if st.ExtraDelay <= 0 {
-		t.Fatalf("retransmissions charged no virtual time: %+v", st)
+	if w.Makespan() < retransmitRTO {
+		t.Fatalf("retransmissions charged no virtual time: makespan %v", w.Makespan())
 	}
 }
 
@@ -52,7 +51,6 @@ func TestRetransmitBacksOffExponentially(t *testing.T) {
 	filter := func(src, dst int, at vclock.Time, seq int64, attempt int) LinkOutcome {
 		return LinkOutcome{Drop: attempt < 3}
 	}
-	rp := RetryPolicy{Enabled: true, RTO: 0.01, MaxRetries: 6}
 
 	elapsed := func(drops bool) vclock.Time {
 		w := newTestWorld(t, 2)
@@ -61,7 +59,6 @@ func TestRetransmitBacksOffExponentially(t *testing.T) {
 		} else {
 			w.SetLinkFilter(func(int, int, vclock.Time, int64, int) LinkOutcome { return LinkOutcome{} })
 		}
-		w.SetRetransmit(rp)
 		runWorld(t, w, func(p *Proc) error {
 			comm := p.CommWorld()
 			switch p.Rank() {
@@ -77,7 +74,7 @@ func TestRetransmitBacksOffExponentially(t *testing.T) {
 
 	clean, faulty := elapsed(false), elapsed(true)
 	// The backoff sum 1+2+4 = 7 RTOs, plus three extra serialisations.
-	if faulty <= clean+7*rp.RTO {
+	if faulty <= clean+7*retransmitRTO {
 		t.Fatalf("faulty run %v not slower than clean %v by the 7x-RTO backoff", faulty, clean)
 	}
 }
@@ -128,7 +125,6 @@ func TestRetryExhaustionDeclaresPartitionNotFailure(t *testing.T) {
 	w.SetLinkFilter(func(src, dst int, at vclock.Time, seq int64, attempt int) LinkOutcome {
 		return LinkOutcome{Drop: src == 0 && dst == 1}
 	})
-	w.SetRetransmit(RetryPolicy{Enabled: true, RTO: 0.001, MaxRetries: 2})
 	var mu sync.Mutex
 	var sendErr error
 	runWorld(t, w, func(p *Proc) error {
@@ -159,16 +155,19 @@ func TestRetryExhaustionDeclaresPartitionNotFailure(t *testing.T) {
 	}
 }
 
-func TestRetryPolicyAccessors(t *testing.T) {
-	rp := DefaultRetryPolicy()
-	if got := rp.rtoFor(0); got != rp.RTO {
-		t.Fatalf("rtoFor(0) = %v, want %v", got, rp.RTO)
+// TestRetransmitBackoffConstants pins the documented backoff: 20 ms,
+// doubling per loss, capped at 32x, six resends.
+func TestRetransmitBackoffConstants(t *testing.T) {
+	if retransmitRTO != 0.02 || maxRetransmits != 6 {
+		t.Fatalf("RTO %v, %d resends; want 20 ms and 6", retransmitRTO, maxRetransmits)
 	}
-	if got := rp.rtoFor(3); got != 8*rp.RTO {
-		t.Fatalf("rtoFor(3) = %v, want %v", got, 8*rp.RTO)
-	}
-	if got := rp.rtoFor(9); got != 32*rp.RTO {
-		t.Fatalf("rtoFor(9) = %v, want 32x cap %v", got, 32*rp.RTO)
+	for _, c := range []struct {
+		attempt int
+		want    vclock.Time
+	}{{0, 0.02}, {3, 8 * 0.02}, {5, 32 * 0.02}, {9, 32 * 0.02}} {
+		if got := rtoFor(c.attempt); got != c.want {
+			t.Fatalf("rtoFor(%d) = %v, want %v", c.attempt, got, c.want)
+		}
 	}
 }
 
@@ -184,7 +183,6 @@ func TestEmptyScheduleBitIdentity(t *testing.T) {
 			// the filtered path must be timing-transparent when the
 			// adjudication is all-pass.
 			w.SetLinkFilter(func(int, int, vclock.Time, int64, int) LinkOutcome { return LinkOutcome{} })
-			w.SetRetransmit(DefaultRetryPolicy())
 		}
 		runWorld(t, w, func(p *Proc) error {
 			comm := p.CommWorld()

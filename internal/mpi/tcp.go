@@ -17,7 +17,7 @@ package mpi
 // rank silent beyond an adaptive threshold — the configured timeout floor,
 // raised by the observed interarrival average and deviation of that pair,
 // so slow or jittery links do not read as dead (see
-// TCPOptions.HeartbeatTimeout for the documented no-false-positive bound)
+// tcpOptions.HeartbeatTimeout for the documented no-false-positive bound)
 // — is declared failed even if its sockets are still open (a hung
 // process). The verdict is disambiguated: silence towards every live peer
 // is a crash, silence towards only some peers while others still hear the
@@ -50,10 +50,10 @@ const frameHeaderLen = 8*5 + 4
 // non-negative ids only).
 const heartbeatCtx = math.MinInt64
 
-// TCPOptions tune the TCP transport's failure-detection machinery. The
+// tcpOptions tune the TCP transport's failure-detection machinery. The
 // zero value disables heartbeats and reconnection: a closed socket then
 // marks the peer failed immediately.
-type TCPOptions struct {
+type tcpOptions struct {
 	// HeartbeatInterval is the period of heartbeat frames on every
 	// connection. Zero disables heartbeats.
 	HeartbeatInterval time.Duration
@@ -82,11 +82,11 @@ type TCPOptions struct {
 	WriteTimeout time.Duration
 }
 
-// DefaultTCPOptions returns the failure-detection configuration used by
+// defaultTCPOptions returns the failure-detection configuration used by
 // NewWorldTCP: heartbeats every 50 ms with a 2 s silence threshold, three
 // re-dial attempts starting at 10 ms backoff, and a 5 s write deadline.
-func DefaultTCPOptions() TCPOptions {
-	return TCPOptions{
+func defaultTCPOptions() tcpOptions {
+	return tcpOptions{
 		HeartbeatInterval: 50 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		DialRetries:       3,
@@ -98,7 +98,7 @@ func DefaultTCPOptions() TCPOptions {
 // tcpTransport carries envelopes over a loopback TCP mesh.
 type tcpTransport struct {
 	world *World
-	opts  TCPOptions
+	opts  tcpOptions
 
 	listeners []net.Listener
 	connMu    []sync.Mutex // per (src,dst) pair: serialises writers and conn swaps
@@ -134,11 +134,12 @@ type tcpTransport struct {
 // options. The returned close function must be called after Run to release
 // the sockets.
 func NewWorldTCP(cluster *hnoc.Cluster, placement []int) (*World, func() error, error) {
-	return NewWorldTCPOpts(cluster, placement, DefaultTCPOptions())
+	return newWorldTCPOpts(cluster, placement, defaultTCPOptions())
 }
 
-// NewWorldTCPOpts is NewWorldTCP with explicit failure-detection options.
-func NewWorldTCPOpts(cluster *hnoc.Cluster, placement []int, opts TCPOptions) (*World, func() error, error) {
+// newWorldTCPOpts is NewWorldTCP with explicit failure-detection options:
+// the tests' seam (heartbeats off, sub-second timeouts).
+func newWorldTCPOpts(cluster *hnoc.Cluster, placement []int, opts tcpOptions) (*World, func() error, error) {
 	w := NewWorld(cluster, placement)
 	t, err := newTCPTransport(w, opts)
 	if err != nil {
@@ -147,7 +148,7 @@ func NewWorldTCPOpts(cluster *hnoc.Cluster, placement []int, opts TCPOptions) (*
 	return w, t.Close, nil
 }
 
-func newTCPTransport(w *World, opts TCPOptions) (*tcpTransport, error) {
+func newTCPTransport(w *World, opts tcpOptions) (*tcpTransport, error) {
 	t := &tcpTransport{world: w, opts: opts, closed: make(chan struct{})}
 	n := w.Size()
 

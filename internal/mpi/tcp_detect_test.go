@@ -6,12 +6,12 @@ import (
 )
 
 // TestDefaultTCPOptionsPinned pins the documented defaults: the doc
-// comment on DefaultTCPOptions promises 50 ms heartbeats, a 2 s silence
+// comment on defaultTCPOptions promises 50 ms heartbeats, a 2 s silence
 // floor, three re-dials from 10 ms backoff, and a 5 s write deadline. A
 // drift here is a doc bug or a silent behaviour change — fail either way.
 func TestDefaultTCPOptionsPinned(t *testing.T) {
-	got := DefaultTCPOptions()
-	want := TCPOptions{
+	got := defaultTCPOptions()
+	want := tcpOptions{
 		HeartbeatInterval: 50 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		DialRetries:       3,
@@ -19,7 +19,7 @@ func TestDefaultTCPOptionsPinned(t *testing.T) {
 		WriteTimeout:      5 * time.Second,
 	}
 	if got != want {
-		t.Fatalf("DefaultTCPOptions() = %+v, want the documented %+v", got, want)
+		t.Fatalf("defaultTCPOptions() = %+v, want the documented %+v", got, want)
 	}
 }
 
@@ -27,7 +27,7 @@ func TestDefaultTCPOptionsPinned(t *testing.T) {
 // than the documented bound (HeartbeatTimeout - HeartbeatInterval) must
 // never produce a failure declaration, and traffic still flows.
 func TestTCPNoFalsePositiveUnderHeartbeatDelay(t *testing.T) {
-	opts := TCPOptions{
+	opts := tcpOptions{
 		HeartbeatInterval: 10 * time.Millisecond,
 		HeartbeatTimeout:  400 * time.Millisecond,
 		DialRetries:       2,
@@ -71,7 +71,7 @@ func TestTCPNoFalsePositiveUnderHeartbeatDelay(t *testing.T) {
 // the configured floor) raises its own limit above the longest observed
 // gap, while a steady fast link stays pinned at the floor.
 func TestSilenceLimitAdaptsToObservedJitter(t *testing.T) {
-	opts := TCPOptions{
+	opts := tcpOptions{
 		HeartbeatInterval: 5 * time.Millisecond,
 		HeartbeatTimeout:  100 * time.Millisecond,
 	}
@@ -114,7 +114,7 @@ func TestSilenceLimitAdaptsToObservedJitter(t *testing.T) {
 // but demonstrably alive for the others is a partition, not a crash —
 // the surfaced error must carry FailurePartition.
 func TestTCPMonitorDisambiguatesPartition(t *testing.T) {
-	opts := TCPOptions{
+	opts := tcpOptions{
 		HeartbeatInterval: 10 * time.Millisecond,
 		HeartbeatTimeout:  200 * time.Millisecond,
 		DialRetries:       2,

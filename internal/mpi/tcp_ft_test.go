@@ -7,7 +7,7 @@ import (
 
 // newTestTCP builds a TCP world with explicit failure-detection options
 // and registers cleanup.
-func newTestTCP(t *testing.T, n int, opts TCPOptions) (*World, *tcpTransport) {
+func newTestTCP(t *testing.T, n int, opts tcpOptions) (*World, *tcpTransport) {
 	t.Helper()
 	c := testCluster(n)
 	if err := c.Validate(); err != nil {
@@ -26,7 +26,7 @@ func newTestTCP(t *testing.T, n int, opts TCPOptions) (*World, *tcpTransport) {
 // socket closes unexpectedly is marked failed, and a receiver blocked on
 // it aborts instead of hanging — the wire-level analogue of World.Fail.
 func TestTCPDisconnectMarksPeerFailed(t *testing.T) {
-	w, tr := newTestTCP(t, 3, TCPOptions{}) // zero options: EOF is death
+	w, tr := newTestTCP(t, 3, tcpOptions{}) // zero options: EOF is death
 	err := runWithTimeout(t, w, 30*time.Second, func(p *Proc) error {
 		switch p.Rank() {
 		case 0:
@@ -55,7 +55,7 @@ func TestTCPDisconnectMarksPeerFailed(t *testing.T) {
 // stops heartbeating (a hung process — sockets stay open) is declared dead
 // after the timeout, and blocked receivers abort.
 func TestTCPHeartbeatDetectsSilentPeer(t *testing.T) {
-	opts := TCPOptions{
+	opts := tcpOptions{
 		HeartbeatInterval: 10 * time.Millisecond,
 		HeartbeatTimeout:  300 * time.Millisecond,
 		DialRetries:       2,
@@ -85,7 +85,7 @@ func TestTCPHeartbeatDetectsSilentPeer(t *testing.T) {
 // transiently broken connection is re-dialled (bounded, with backoff) and
 // the message still arrives; nobody is marked failed.
 func TestTCPReconnectAfterTransientDisconnect(t *testing.T) {
-	opts := TCPOptions{
+	opts := tcpOptions{
 		HeartbeatInterval: 20 * time.Millisecond,
 		HeartbeatTimeout:  10 * time.Second, // generous: EOF must not kill
 		DialRetries:       5,
@@ -123,7 +123,7 @@ func TestTCPReconnectAfterTransientDisconnect(t *testing.T) {
 // sockets, and survivors' operations abort with *ProcessFailedError over
 // the TCP transport exactly as in-process.
 func TestTCPFailInjection(t *testing.T) {
-	w, _ := newTestTCP(t, 3, DefaultTCPOptions())
+	w, _ := newTestTCP(t, 3, defaultTCPOptions())
 	err := runWithTimeout(t, w, 30*time.Second, func(p *Proc) error {
 		switch p.Rank() {
 		case 0:
@@ -146,7 +146,7 @@ func TestTCPFailInjection(t *testing.T) {
 // TestTCPDeliverToFailedRankDrops: sends to a failed rank from inside the
 // transport are dropped, not retried into a reconnect storm.
 func TestTCPDeliverToFailedRank(t *testing.T) {
-	w, _ := newTestTCP(t, 2, DefaultTCPOptions())
+	w, _ := newTestTCP(t, 2, defaultTCPOptions())
 	w.Fail(1)
 	err := runWithTimeout(t, w, 30*time.Second, func(p *Proc) error {
 		if p.Rank() == 0 {

@@ -97,13 +97,9 @@ type World struct {
 	// the chaos engine's injection point for drops, duplicates, delays and
 	// partitions (see reliable.go). Installed before Run.
 	linkFilter LinkFilter
-	// retry is the retransmit policy the reliable-delivery path applies
-	// when the filter drops a frame.
-	retry RetryPolicy
-	// linkMu guards linkStats and degradeWatch.
-	linkMu       sync.Mutex
-	linkStats    map[linkPair]*LinkStats
-	degradeWatch func(src, dst int, st LinkStats)
+	// linkMu guards linkStats.
+	linkMu    sync.Mutex
+	linkStats map[linkPair]*LinkStats
 }
 
 type ctxKey struct {

@@ -153,6 +153,20 @@ func TestUnpriceableRejected(t *testing.T) {
 	}
 }
 
+// TestMalformedChaosIsASubmitError: a schedule that does not parse is
+// refused at submission, not queued for a worker to fail.
+func TestMalformedChaosIsASubmitError(t *testing.T) {
+	s := newServer(Config{})
+	spec := quickSpec(40_000)
+	spec.Chaos = "link:1-2@0:drop="
+	if info, err := s.Submit(spec); err == nil || info.ID != "" {
+		t.Fatalf("malformed chaos schedule admitted: %+v, %v", info, err)
+	}
+	if len(s.jobs) != 0 {
+		t.Fatalf("malformed job recorded: %d jobs", len(s.jobs))
+	}
+}
+
 // TestFairScheduling: the deficit scheduler round-robins tenants no
 // matter how unbalanced the queues are, deterministically.
 func TestFairScheduling(t *testing.T) {
