@@ -167,10 +167,9 @@ func AutoCollTuningFor(cluster *hnoc.Cluster, placement []int) (*mpi.CollTuning,
 	hier := auto
 	hier.Allreduce = mpi.AllreduceHier
 	t.AllreduceHierMinBytes = minStableWinBytes(hierWins("allreduce", hier))
-	// The broadcast's win region is a band: the hierarchy wins on tree
+	// The broadcast's win region can be a band: the hierarchy wins on tree
 	// depth until the payload is so large that its extra root-to-leader
-	// full-vector hop outweighs the depth saved (a pipelined segmented
-	// broadcast already runs at link bandwidth).
+	// full-vector hop outweighs the depth saved.
 	hier = auto
 	hier.Bcast = mpi.BcastHier
 	t.BcastHierMinBytes, t.BcastHierMaxBytes = winBandBytes(hierWins("bcast", hier))

@@ -62,11 +62,11 @@ func TestAutoCollTuningThresholds(t *testing.T) {
 		place                              []int
 		allreduce, bcastLo, bcastHi, g, rs int
 	}{
-		{"fat3x8/blocked", fat, blocked, 32761, never, never, 1024, 1},
-		{"fat3x8/interleaved", fat, interleaved3x8(), 1, 1, never, 1024, never},
+		{"fat3x8/blocked", fat, blocked, 32761, never, never, 398, 1},
+		{"fat3x8/interleaved", fat, interleaved3x8(), 1, 12, never, 409, never},
 		// A win region that closes again (or never opens) is inexpressible
 		// as a MinBytes threshold, so the policy stays flat.
-		{"slowbus/blocked", slow, slowPlace, never, never, never, 1024, never},
+		{"slowbus/blocked", slow, slowPlace, never, never, never, 397, never},
 	} {
 		got, err := AutoCollTuningFor(k.cluster, k.place)
 		if err != nil {
@@ -98,6 +98,13 @@ func TestRingCrossoverOnPaper9(t *testing.T) {
 // returns the simulated makespan in virtual seconds.
 func sim(t *testing.T, cl *hnoc.Cluster, place []int, tuning *mpi.CollTuning, coll string, nbytes int) float64 {
 	t.Helper()
+	return float64(run(t, cl, place, tuning, coll, nbytes).Makespan())
+}
+
+// run runs one collective of nbytes (rooted at rank 0) under the tuning in
+// a real World and returns the world.
+func run(t *testing.T, cl *hnoc.Cluster, place []int, tuning *mpi.CollTuning, coll string, nbytes int) *mpi.World {
+	t.Helper()
 	w := mpi.NewWorld(cl, place)
 	w.SetCollTuning(tuning)
 	if err := w.Run(func(p *mpi.Proc) error {
@@ -115,7 +122,47 @@ func sim(t *testing.T, cl *hnoc.Cluster, place []int, tuning *mpi.CollTuning, co
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return float64(w.Makespan())
+	return w
+}
+
+// TestBcastSendsAHeaderOnlyWhenNeeded: a broadcast whose members all
+// resolve the binomial tree without the payload length sends the payload
+// and nothing else — n-1 messages — under Auto on Paper9 (one level) and
+// under the policy derived for FatNode3x8 blocked (its hierarchical band
+// is empty); a forced segmented broadcast still sends its header, one
+// more message per tree edge.
+func TestBcastSendsAHeaderOnlyWhenNeeded(t *testing.T) {
+	messages := func(w *mpi.World) (n int64) {
+		for _, s := range w.Stats() {
+			n += s.MsgsSent
+		}
+		return n
+	}
+	paper := hnoc.Paper9()
+	fat, blocked := hnoc.FatNode3x8()
+	derived, err := AutoCollTuningFor(fat, blocked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []struct {
+		name    string
+		cluster *hnoc.Cluster
+		place   []int
+		tuning  *mpi.CollTuning
+	}{
+		{"paper9/auto", paper, mpi.OneProcessPerMachine(paper), mpi.AutoCollTuning()},
+		{"fat3x8/blocked/derived", fat, blocked, derived},
+	} {
+		for _, nbytes := range []int{8, 1 << 10, 32 << 10, 512 << 10} {
+			if got, want := messages(run(t, k.cluster, k.place, k.tuning, "bcast", nbytes)), int64(len(k.place)-1); got != want {
+				t.Errorf("%s, %d bytes: %d messages, want %d", k.name, nbytes, got, want)
+			}
+		}
+	}
+	seg := &mpi.CollTuning{Bcast: mpi.BcastSegmented}
+	if got := messages(run(t, paper, mpi.OneProcessPerMachine(paper), seg, "bcast", 1<<10)); got != 2*8 {
+		t.Errorf("forced segmented, one segment: %d messages, want 16 (header and segment per edge)", got)
+	}
 }
 
 // TestAutoMatchesSimulation: the algorithm the derived Auto policy picks

@@ -4,11 +4,35 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/hnoc"
+	"repro/internal/mpi"
 )
 
-// TestCollGate enforces the flat-engine sweep's acceptance gate: the ring
+// autoIsBest fails t for every auto row that is not exactly the minimum of
+// the forced rows of its (collective, size, placement) group: the dispatch
+// picks one of the compared algorithms, so its time is one of theirs.
+func autoIsBest(t *testing.T, rows []collRow) {
+	t.Helper()
+	key := func(r collRow) string { return fmt.Sprintf("%s:%d:%s", r.collective, r.bytes, r.placement) }
+	best := map[string]float64{}
+	for _, r := range rows {
+		if b, ok := best[key(r)]; r.algorithm != "auto" && (!ok || r.sim < b) {
+			best[key(r)] = r.sim
+		}
+	}
+	for _, r := range rows {
+		if r.algorithm == "auto" && r.sim != best[key(r)] {
+			t.Errorf("%s: auto %.9g, the best forced algorithm %.9g", key(r), r.sim, best[key(r)])
+		}
+	}
+}
+
+// TestCollGate enforces the flat-engine sweep's acceptance gates: the ring
 // Allreduce must beat the legacy reduce+bcast by at least 2x at 1 MiB on
-// Paper9.
+// Paper9, and Auto must equal the best forced algorithm of every group —
+// the sweep's Allreduce rows, and Auto run here at each Bcast and Gather
+// size (the figure holds no auto row for them).
 func TestCollGate(t *testing.T) {
 	rows, err := collRows()
 	if err != nil {
@@ -17,25 +41,30 @@ func TestCollGate(t *testing.T) {
 	if s := collLargeSpeedup(rows); !(s >= 2) {
 		t.Errorf("1 MiB Allreduce ring speedup %.3fx below the 2x gate", s)
 	}
-	// The flat Bcast rule's open decision (TestHierGate) on Paper9: Auto
-	// picks the segmented pipeline at >= 64 KiB, and the binomial tree is
-	// lower (rows 13-16: 0.02442 vs 0.02474, 0.3819 vs 0.387).
-	for _, n := range []int{64 << 10, 1 << 20} {
-		b, seg := simOf(rows, "bcast", "binomial", n, "blocked"), simOf(rows, "bcast", "segmented", n, "blocked")
-		if gap := seg/b - 1; !(gap > 0 && gap < 0.02) {
-			t.Errorf("bcast at %d bytes: binomial %.9g vs segmented %.9g (gap %.2f%%), want binomial lower by under 2%%",
-				n, b, seg, gap*100)
+	var cases []collCase
+	for _, r := range rows {
+		if (r.collective == "bcast" || r.collective == "gather") && r.algorithm == "binomial" {
+			cases = append(cases, collCase{r.collective, "auto", r.bytes, mpi.AutoCollTuning()})
 		}
 	}
+	cluster := hnoc.Paper9()
+	auto, err := simCases(cluster, mpi.OneProcessPerMachine(cluster), "blocked", cases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(auto) != 4 {
+		t.Fatalf("%d bcast and gather sizes in the sweep, want 4", len(auto))
+	}
+	autoIsBest(t, append(rows, auto...))
 }
 
 // TestHierGate enforces the fat-node sweep's acceptance gates: the
 // hierarchical Allreduce must beat the flat ring by at least 1.2x at
 // 1 MiB, the hierarchical broadcast must win big on the interleaved
-// placement, the Auto rows must equal the best forced algorithm, and the
-// losing rows the sweep keeps for honesty must actually be losing. (The
-// thresholds the replay derives on this topology are pinned by
-// estimator.TestAutoCollTuningThresholds.)
+// placement, every Auto row must equal the best forced algorithm of its
+// group, and the losing rows the sweep keeps for honesty must actually be
+// losing. (The thresholds the replay derives on this topology are pinned
+// by estimator.TestAutoCollTuningThresholds.)
 func TestHierGate(t *testing.T) {
 	rows, _, _, err := hierRows()
 	if err != nil {
@@ -47,47 +76,7 @@ func TestHierGate(t *testing.T) {
 	if s := hierInterleavedBcastSpeedup(rows); !(s >= 1.2) {
 		t.Errorf("256 KiB interleaved Bcast hier speedup %.3fx below the 1.2x gate", s)
 	}
-	// Auto must equal the best forced row of its (collective, size,
-	// placement) group exactly: the dispatch picks one of the compared
-	// algorithms, so its time is one of theirs. One recorded exception,
-	// the open decision on the flat Bcast rule: on the blocked placement
-	// the replayed band rules the hierarchy out and the flat size rule
-	// picks the segmented pipeline at >= 64 KiB, so Auto equals
-	// min(segmented, hier) while the forced binomial tree — its subtrees
-	// align with the machines, two-level in disguise — is lower by
-	// 0.7-0.9% (rows 13-24: 0.01248 vs 0.01259, 0.1961 vs 0.1976, 3.135
-	// vs 3.158). Changing that rule moves the msg-* benchmark's simulated
-	// time and coll_clocks.golden, so it is a change of its own.
-	best := map[string]float64{}
-	auto := map[string]float64{}
-	binomial := map[string]float64{}
-	for _, r := range rows {
-		k := fmt.Sprintf("%s:%d:%s", r.collective, r.bytes, r.placement)
-		switch {
-		case r.algorithm == "auto":
-			auto[k] = r.sim
-		case r.collective == "bcast" && r.placement == "blocked" && r.algorithm == "binomial":
-			binomial[k] = r.sim
-		default:
-			if b, ok := best[k]; !ok || r.sim < b {
-				best[k] = r.sim
-			}
-		}
-	}
-	for k, a := range auto {
-		if a != best[k] {
-			t.Errorf("%s: auto %.9g, the best forced algorithm %.9g", k, a, best[k])
-		}
-	}
-	if len(binomial) != 3 {
-		t.Fatalf("blocked bcast binomial rows = %d, want 3", len(binomial))
-	}
-	for k, b := range binomial {
-		if gap := auto[k]/b - 1; !(gap > 0 && gap < 0.01) {
-			t.Errorf("%s: forced binomial %.9g vs auto %.9g (gap %.2f%%), want binomial lower by under 1%%",
-				k, b, auto[k], gap*100)
-		}
-	}
+	autoIsBest(t, rows)
 	// Honest losing rows: at the largest blocked-placement broadcast and
 	// gather payloads the hierarchy must lose to the best flat algorithm
 	// (its win region is a band), proving the sweep is not cherry-picked.

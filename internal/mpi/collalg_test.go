@@ -236,7 +236,8 @@ func TestGatherScatterAlgorithmsMatchLegacy(t *testing.T) {
 		}
 	}
 	// Auto selection end-to-end (agreed sizes: a small payload on 9 ranks
-	// picks the tree, the result must be unchanged).
+	// gathers flat and scatters down the tree, the result must be
+	// unchanged).
 	runTuned(t, 9, false, &CollTuning{Gather: GatherAuto, Scatter: ScatterAuto}, func(p *Proc) error {
 		comm := p.CommWorld()
 		got := comm.Gather(3, rankData(p.Rank(), 9))
@@ -481,27 +482,27 @@ func TestCollTuningResolution(t *testing.T) {
 	if got := tun.resolveBcast(1<<10, flat{}); got != BcastBinomial {
 		t.Fatalf("small bcast resolved to %v", got)
 	}
-	if got := tun.resolveBcast(1<<20, flat{}); got != BcastSegmented {
+	if got := tun.resolveBcast(1<<20, flat{}); got != BcastBinomial {
 		t.Fatalf("large bcast resolved to %v", got)
 	}
-	if got := tun.resolveGather(9, 64, flat{}); got != GatherBinomial {
-		t.Fatalf("small gather on 9 ranks resolved to %v", got)
+	if got := tun.resolveGather(64, flat{}); got != GatherFlat {
+		t.Fatalf("small gather resolved to %v", got)
 	}
-	if got := tun.resolveGather(4, 64, flat{}); got != GatherFlat {
-		t.Fatalf("small gather on 4 ranks resolved to %v", got)
-	}
-	if got := tun.resolveGather(9, 1<<20, flat{}); got != GatherFlat {
+	if got := tun.resolveGather(1<<20, flat{}); got != GatherFlat {
 		t.Fatalf("large gather resolved to %v", got)
 	}
 	if got := tun.resolveScatter(9, 64); got != ScatterBinomial {
-		t.Fatalf("small scatter resolved to %v", got)
+		t.Fatalf("small scatter on 9 ranks resolved to %v", got)
+	}
+	if got := tun.resolveScatter(4, 64); got != ScatterFlat {
+		t.Fatalf("small scatter on 4 ranks resolved to %v", got)
 	}
 	if got := tun.resolveScatter(9, 1<<20); got != ScatterFlat {
 		t.Fatalf("large scatter resolved to %v", got)
 	}
 	legacy := &CollTuning{}
 	if legacy.resolveAllreduce(9, 1<<20, flat{}) != AllreduceRedBcast || legacy.resolveBcast(1<<20, flat{}) != BcastBinomial ||
-		legacy.resolveGather(9, 64, flat{}) != GatherFlat || legacy.resolveScatter(9, 64) != ScatterFlat ||
+		legacy.resolveGather(64, flat{}) != GatherFlat || legacy.resolveScatter(9, 64) != ScatterFlat ||
 		legacy.resolveReduceScatter(1<<20, flat{}) != ReduceScatterViaRoot {
 		t.Fatal("zero tuning must resolve to the legacy algorithm everywhere")
 	}

@@ -148,7 +148,9 @@ func (x *collRun) deliver(s *step, e *envelope) {
 
 // run executes the plan's steps in order with blocking primitives. The
 // list may grow while it runs (a local step that appends the steps a
-// header unlocked), so every iteration re-reads it.
+// header unlocked), so every iteration re-reads it. A receive on any tier
+// gives up when any member of the calling communicator fails: a node tier
+// cannot see the failure that made its leader leave.
 func (x *collRun) run() {
 	for i := 0; i < len(x.steps); i++ {
 		s := &x.steps[i]
@@ -180,7 +182,7 @@ func (x *collRun) run() {
 			if i < len(x.envs) && x.envs[i] != nil {
 				e, x.envs[i], t0 = x.envs[i], nil, x.drained
 			} else {
-				e = c.mboxGet("coll", c.sel(peer, s.tag), c.collWatch())
+				e = c.mboxGet("coll", c.sel(peer, s.tag), x.comm.collWatch())
 			}
 			c.finishRecvTiming(e, t0)
 			x.deliver(s, e)
@@ -202,7 +204,7 @@ func (x *collRun) drain(c *Comm, tag, first, end int) {
 		x.srcs = append(x.srcs, world(k))
 	}
 	for len(x.srcs) > 0 {
-		e := c.mboxGet("coll", recvSel{ctx: c.s.id, src: AnySource, tag: tag, srcs: x.srcs}, c.collWatch())
+		e := c.mboxGet("coll", recvSel{ctx: c.s.id, src: AnySource, tag: tag, srcs: x.srcs}, x.comm.collWatch())
 		k := first
 		for x.envs[k] != nil || world(k) != e.src {
 			k++

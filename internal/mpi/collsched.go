@@ -296,16 +296,15 @@ func (p *plan) header(v view, root, tag int, hdr []byte, n int) {
 }
 
 // bcast broadcasts length bytes from index root over the view. length < 0
-// means this (non-root) rank does not know it: when the policy is
-// size-aware the rest of the list is then built from the header.
+// means this (non-root) rank does not know it: when the lists depend on it
+// (bcastSized) the rest of the list is then built from the header.
 func (p *plan) bcast(v view, root, length int) {
 	if v.size == 1 || v.me < 0 {
 		return
 	}
 	ev := p.begin(v)
-	alg := p.t.Bcast
-	if alg == BcastBinomial {
-		p.bcastBody(ev, v, root, alg, length)
+	if !p.t.bcastSized(p.viable(v)) {
+		p.bcastBody(ev, v, root, BcastBinomial, length)
 		return
 	}
 	if length < 0 {
@@ -315,7 +314,7 @@ func (p *plan) bcast(v view, root, length int) {
 		})
 		return
 	}
-	alg = p.t.resolveBcast(length, p.viable(v))
+	alg := p.t.resolveBcast(length, p.viable(v))
 	hdr := make([]byte, 9)
 	hdr[0] = byte(alg)
 	binary.LittleEndian.PutUint64(hdr[1:], uint64(length))
@@ -570,7 +569,7 @@ func (p *plan) gather(v view, root int) {
 	mine := p.size(p.rank)
 	alg := GatherFlat
 	if v.size > 1 {
-		alg = p.t.resolveGather(v.size, mine, p.viable(v))
+		alg = p.t.resolveGather(mine, p.viable(v))
 	}
 	switch alg {
 	case GatherHier:
@@ -661,13 +660,13 @@ func (p *plan) gatherHier(v view, root int) {
 // --- Scatter --------------------------------------------------------------
 
 // scatter distributes in[r] (sizes p.sizes, known at the root only) from
-// index root; every rank's part ends up in buf. Under ScatterAuto only the
-// root can resolve the algorithm, so its choice travels down a header tree
-// and the other ranks build the rest of their list from it.
+// index root; every rank's part ends up in buf. ScatterAuto on at least
+// treeMinRanks members reads the largest part, so only the root resolves
+// it and the others build the rest of their list from its header.
 func (p *plan) scatter(v view, root int) {
 	ev := p.begin(v)
 	alg := p.t.Scatter
-	if alg == ScatterAuto && v.size > 1 {
+	if alg == ScatterAuto && v.size >= treeMinRanks {
 		if p.sizes == nil {
 			p.header(v, root, tagScatterHdr, nil, 1)
 			p.local(func(x *collRun) { p.scatterBody(ev, v, root, ScatterAlg(x.aux[0])) })

@@ -90,25 +90,38 @@ func TestSchedulesSoundByEnumeration(t *testing.T) {
 }
 
 // TestLiveListsPassTheReplay covers the one path the enumeration cannot:
-// on a live world only the root of a size-aware Bcast or Scatter knows the
-// sizes, so every other rank ends its list with a continuation (stLocal)
-// that appends the tail once the header has arrived. Each rank keeps the
-// list it actually executed, and the lists of the world go through the
-// same replay — sizes, payload marks, nothing unreceived.
+// on a live world only the root of a Bcast or Scatter whose lists depend
+// on the sizes knows them, so every other rank ends its list with a
+// continuation (stLocal) that appends the tail once the header has
+// arrived. Each rank keeps the list it actually executed, and the lists of
+// the world go through the same replay — sizes, payload marks, nothing
+// unreceived. Every policy that sends a header is run; a world where no
+// list grew (a broadcast every member resolves to the binomial tree alone)
+// ran the lists the enumeration proves.
 func TestLiveListsPassTheReplay(t *testing.T) {
 	cfgs := goldenConfigs()
 	var continued atomic.Int64 // lists that grew while they ran, over all ranks
 	pooled := 0
 	for _, cfg := range cfgs[8:] { // paper9/n9 and both 24-rank fat-node placements
 		n := len(cfg.place)
-		for _, coll := range []string{"bcast", "scatter"} {
+		for _, k := range []struct {
+			coll   string
+			tuning *CollTuning
+		}{
+			{"bcast", AutoCollTuning()},
+			{"bcast", &CollTuning{Bcast: BcastSegmented}},
+			{"bcast", &CollTuning{Bcast: BcastHier}},
+			{"scatter", AutoCollTuning()},
+		} {
+			coll := k.coll
 			for _, size := range goldenSizes {
 				if coll == "scatter" && size > 64<<10 {
 					continue
 				}
 				for _, root := range []int{0, n - 1} {
 					w := NewWorld(cfg.cluster, cfg.place)
-					w.SetCollTuning(AutoCollTuning())
+					w.SetCollTuning(k.tuning)
+					var grew atomic.Int64
 					plans := make([]plan, n)
 					err := w.Run(func(p *Proc) error {
 						c := p.CommWorld()
@@ -135,12 +148,16 @@ func TestLiveListsPassTheReplay(t *testing.T) {
 							return fmt.Errorf("rank %d got %d bytes, want %d", c.rank, len(x.buf), size)
 						}
 						if len(x.steps) > built {
-							continued.Add(1)
+							grew.Add(1)
 						}
 						plans[c.rank] = plan{steps: slices.Clone(x.steps)}
 						x.release()
 						return nil
 					})
+					if err == nil && grew.Load() == 0 {
+						continue
+					}
+					continued.Add(grew.Load())
 					if err == nil {
 						_, err = replayPlans(cfg.cluster.Link, cfg.place, coll, plans)
 					}

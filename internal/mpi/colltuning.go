@@ -8,14 +8,13 @@ import (
 // Collective algorithm selection. Every collective with more than one
 // implementation consults its communicator's CollTuning to pick one; the
 // zero value of every algorithm field is the default algorithm — the
-// classic one of early-2000s MPI libraries, and measurably the right
-// default here: on the paper's applications the size-aware policy costs
-// simulated time (one header message per tree edge on small broadcasts, a
-// binomial gather at n >= 8), so a nil or zero tuning keeps them. The
+// classic one of early-2000s MPI libraries, and still the default here:
+// Auto's hierarchical bands are right where estimator.AutoCollTuningFor
+// derived them for a placement, not at their defaults everywhere. The
 // Auto constants enable size- and communicator-aware selection in the
 // style of MPICH-G2's topology/size-tiered collectives: small messages
 // keep latency-optimal trees, large messages switch to bandwidth-optimal
-// rings and pipelines.
+// rings, and a flat rule is kept only where a measured row supports it.
 //
 // Selection is policy, not negotiation: every member of a communicator
 // must run the same CollTuning (collectives must agree on the
@@ -85,11 +84,11 @@ const (
 	// 16 KiB segments, so an interior rank forwards segment k while
 	// segment k+1 is still in flight to it.
 	BcastSegmented
-	// BcastAuto lets the root pick by payload size (segmented at or above
-	// 64 KiB, hierarchical within the [BcastHierMinBytes,
-	// BcastHierMaxBytes] band on a two-level communicator) and distribute
-	// the choice in a small header down the tree, since only the root
-	// knows the payload length.
+	// BcastAuto keeps the binomial tree, except within the
+	// [BcastHierMinBytes, BcastHierMaxBytes] band on a two-level
+	// communicator, where it picks the hierarchical broadcast. Only the
+	// root knows the payload length, so only there does the root send its
+	// choice down a small header tree first.
 	BcastAuto
 	// BcastHier is the two-level algorithm: the root hands its payload to
 	// its machine leader, the leaders broadcast over the net tier, each
@@ -106,14 +105,11 @@ const (
 	// the root.
 	GatherFlat GatherAlg = iota
 	// GatherBinomial combines contributions up a binomial tree, so the
-	// root absorbs log2(n) messages instead of n-1 — a win when
-	// per-message overhead dominates (small payloads, larger groups).
+	// root absorbs log2(n) messages instead of n-1.
 	GatherBinomial
-	// GatherAuto picks the binomial tree when the communicator has at
-	// least 8 members and the local payload is at most 1 KiB; the flat
-	// tree otherwise. On a two-level communicator it picks the
-	// hierarchical gather when the local payload is at most
-	// GatherHierMaxBytes.
+	// GatherAuto picks the hierarchical gather on a two-level
+	// communicator when the local payload is at most GatherHierMaxBytes,
+	// and the flat fan otherwise.
 	GatherAuto
 	// GatherHier is the two-level algorithm: node-tier gather onto each
 	// machine's leader, net-tier gather of per-machine bundles onto the
@@ -133,8 +129,8 @@ const (
 	// ScatterBinomial sends bundles of parts down a binomial tree;
 	// interior ranks split their bundle onward.
 	ScatterBinomial
-	// ScatterAuto mirrors GatherAuto: binomial for small parts on larger
-	// communicators, flat otherwise.
+	// ScatterAuto picks the binomial tree for parts of at most 1 KiB on at
+	// least 8 members, the flat fan otherwise.
 	ScatterAuto
 )
 
@@ -155,12 +151,11 @@ type CollTuning struct {
 	AllreduceHierMinBytes int
 	// BcastHierMinBytes is the payload size at which BcastAuto switches
 	// to the hierarchical broadcast on a two-level communicator. Zero
-	// means the default (64 KiB).
+	// means the default (64 KiB); math.MaxInt empties the band (no header).
 	BcastHierMinBytes int
 	// BcastHierMaxBytes is the largest payload for which BcastAuto keeps
-	// the hierarchical broadcast: a pipelined segmented broadcast already
-	// runs at link bandwidth, so at very large payloads the hierarchy's
-	// extra root-to-leader copy of the full vector outweighs the tree
+	// the hierarchical broadcast: at very large payloads the hierarchy's
+	// extra root-to-leader copy of the full vector can outweigh the tree
 	// depth it saves — its win region is a band, not a half-line. Zero
 	// means the default (no upper bound).
 	BcastHierMaxBytes int
@@ -181,14 +176,12 @@ type CollTuning struct {
 const (
 	// ringMinBytes: AllreduceAuto picks the ring at or above it.
 	ringMinBytes = 32 << 10
-	// segMinBytes: BcastAuto picks the segmented pipeline at or above it.
-	segMinBytes = 64 << 10
 	// segSize is the segment of the pipelined broadcast.
 	segSize = 16 << 10
-	// treeMinRanks and treeMaxBytes: GatherAuto and ScatterAuto pick the
-	// binomial tree on at least treeMinRanks members with per-member
-	// payloads of at most treeMaxBytes (above it the tree moves
-	// asymptotically more bytes than the flat fan).
+	// treeMinRanks and treeMaxBytes: ScatterAuto picks the binomial tree
+	// on at least treeMinRanks members with parts of at most treeMaxBytes
+	// (above it the tree moves asymptotically more bytes than the flat
+	// fan).
 	treeMinRanks = 8
 	treeMaxBytes = 1 << 10
 	// elemSize is the reduction element width (every Op's): the ring cuts
@@ -291,27 +284,34 @@ func (t *CollTuning) resolveAllreduce(n, nbytes int, on structure) AllreduceAlg 
 
 // resolveBcast is the root-side resolution (only the root knows the
 // payload size); the choice travels down the tree in the bcast header.
+// Auto's flat choice is the binomial tree: segmenting loses on every
+// measured row (a sender injects the payload once per child either way).
 func (t *CollTuning) resolveBcast(nbytes int, on structure) BcastAlg {
 	inBand := nbytes >= threshold(t.BcastHierMinBytes, defaultBcastHierMinBytes, "BcastHierMinBytes") &&
 		nbytes <= threshold(t.BcastHierMaxBytes, defaultBcastHierMaxBytes, "BcastHierMaxBytes")
 	if alg, done := hierOr(t.Bcast, BcastHier, BcastAuto, inBand, on); done {
 		return alg
 	}
-	if nbytes >= segMinBytes {
-		return BcastSegmented
-	}
 	return BcastBinomial
 }
 
+// bcastSized reports whether a broadcast's lists need the payload length,
+// which only the root knows and then sends down a header tree: the forced
+// pipeline cuts by it, and on two levels Auto (unless its band is empty)
+// resolves by it and forced hier keeps the header. Every other policy is
+// the binomial tree on every member, decided without a message.
+func (t *CollTuning) bcastSized(on structure) bool {
+	auto := t.Bcast == BcastAuto && threshold(t.BcastHierMinBytes, defaultBcastHierMinBytes, "BcastHierMinBytes") != math.MaxInt
+	return t.Bcast == BcastSegmented || (auto || t.Bcast == BcastHier) && on.twoLevel()
+}
+
 // resolveGather keys on the local payload size, so Auto requires agreed
-// sizes — pick the algorithm explicitly for irregular gathers.
-func (t *CollTuning) resolveGather(n, nbytes int, on structure) GatherAlg {
+// sizes — pick the algorithm explicitly for irregular gathers. Auto's flat
+// choice is the flat fan, the fastest on every measured row.
+func (t *CollTuning) resolveGather(nbytes int, on structure) GatherAlg {
 	inBand := nbytes <= threshold(t.GatherHierMaxBytes, defaultGatherHierMaxBytes, "GatherHierMaxBytes")
 	if alg, done := hierOr(t.Gather, GatherHier, GatherAuto, inBand, on); done {
 		return alg
-	}
-	if treeWins(n, nbytes) {
-		return GatherBinomial
 	}
 	return GatherFlat
 }
@@ -326,18 +326,15 @@ func (t *CollTuning) resolveReduceScatter(totalBytes int, on structure) ReduceSc
 	return ReduceScatterPairwise
 }
 
-// treeWins is the Auto rule gather and scatter share: a binomial tree of
-// bundles beats the flat fan when per-message overhead dominates — enough
-// ranks, small enough payloads.
-func treeWins(n, nbytes int) bool { return n >= treeMinRanks && nbytes <= treeMaxBytes }
-
 // resolveScatter resolves Auto at the root, the only rank that sees the
-// part sizes (they may be irregular).
+// part sizes (they may be irregular): a binomial tree of bundles beats the
+// flat fan when per-message overhead dominates — enough ranks, small
+// enough parts.
 func (t *CollTuning) resolveScatter(n, maxPart int) ScatterAlg {
 	if t.Scatter != ScatterAuto {
 		return t.Scatter
 	}
-	if treeWins(n, maxPart) {
+	if n >= treeMinRanks && maxPart <= treeMaxBytes {
 		return ScatterBinomial
 	}
 	return ScatterFlat

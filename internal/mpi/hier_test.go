@@ -2,12 +2,14 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/hnoc"
+	"repro/internal/vclock"
 )
 
 // fatTestCluster is a small fat-node topology for the hierarchy tests:
@@ -239,6 +241,51 @@ func TestHierReduceScatterMatchesFlat(t *testing.T) {
 	}
 }
 
+// TestHierFailureEndsRun: a member dying inside a two-level collective
+// ends World.Run with its failure. The machine leader it shares a tier
+// with leaves with the error, and the other leaders' node-tier members,
+// still waiting on theirs, must see the failure through the communicator
+// the collective was called on — the node tier does not hold the victim.
+func TestHierFailureEndsRun(t *testing.T) {
+	const victim = 8 // machine 1's leader
+	for _, k := range []struct {
+		name   string
+		tuning *CollTuning
+		call   func(c *Comm, data []byte)
+	}{
+		{"allreduce", &CollTuning{Allreduce: AllreduceHier}, func(c *Comm, d []byte) { c.Allreduce(d, SumFloat64) }},
+		{"bcast", &CollTuning{Bcast: BcastHier}, func(c *Comm, d []byte) { c.Bcast(0, d) }},
+		{"gather", &CollTuning{Gather: GatherHier}, func(c *Comm, d []byte) { c.Gather(0, d) }},
+		{"reducescatter", &CollTuning{ReduceScatter: ReduceScatterHier}, func(c *Comm, d []byte) {
+			parts := make([][]byte, c.Size())
+			for i := range parts {
+				parts[i] = d[:len(d)/c.Size()/8*8]
+			}
+			c.ReduceScatter(parts, SumFloat64)
+		}},
+	} {
+		t.Run(k.name, func(t *testing.T) {
+			cl, place := hnoc.FatNode3x8()
+			w := NewWorld(cl, place)
+			w.SetCollTuning(k.tuning)
+			w.SetFaultHook(func(rank int, now vclock.Time) {
+				if rank == victim && now > 0 {
+					w.Fail(rank)
+					panic(&KilledError{Rank: rank})
+				}
+			})
+			err := runWithTimeout(t, w, 5*time.Second, func(p *Proc) error {
+				k.call(p.CommWorld(), make([]byte, 64<<10))
+				return nil
+			})
+			var pf *ProcessFailedError
+			if !errors.As(err, &pf) || pf.Rank != victim {
+				t.Fatalf("Run returned %v, want rank %d's failure", err, victim)
+			}
+		})
+	}
+}
+
 // TestHierAutoSelection pins the Auto dispatch on a two-level
 // communicator: hierarchical above the Hier thresholds, flat below; tier
 // communicators and explicit-Hier fallbacks resolve flat; derived
@@ -256,8 +303,8 @@ func TestHierAutoSelection(t *testing.T) {
 			{"allreduce/small", c.coll().resolveAllreduce(24, 1024, twoLevels(c.hierViable())), AllreduceRecursiveDoubling},
 			{"bcast/large", c.coll().resolveBcast(1<<20, twoLevels(c.hierViable())), BcastHier},
 			{"bcast/small", c.coll().resolveBcast(1024, twoLevels(c.hierViable())), BcastBinomial},
-			{"gather/small", c.coll().resolveGather(24, 512, twoLevels(c.hierViable())), GatherHier},
-			{"gather/large", c.coll().resolveGather(24, 1<<20, twoLevels(c.hierViable())), GatherFlat},
+			{"gather/small", c.coll().resolveGather(512, twoLevels(c.hierViable())), GatherHier},
+			{"gather/large", c.coll().resolveGather(1<<20, twoLevels(c.hierViable())), GatherFlat},
 			{"reducescatter/large", c.coll().resolveReduceScatter(1<<20, twoLevels(c.hierViable())), ReduceScatterHier},
 			{"reducescatter/small", c.coll().resolveReduceScatter(100, twoLevels(c.hierViable())), ReduceScatterPairwise},
 			// Tier communicators are single-machine / one-rank-per-machine:
