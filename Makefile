@@ -14,12 +14,14 @@ build:
 # -short trims the golden collective matrix to the payloads the race
 # detector gets through in seconds (internal/mpi/golden_test.go); the only
 # other test it skips, the benchmark's smoke run, is run after it. The
-# pmdl concurrency tests (one Model, one Instance, many goroutines) repeat:
-# a race needs the schedule that shows it.
+# pmdl concurrency tests (one Model, one Instance, many goroutines) and
+# mpi's Auto agreement test (24 ranks racing to one World's priced
+# choices) repeat: a race needs the schedule that shows it.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 -run 'Concurrent|SharedAcrossGoroutines' ./internal/pmdl
+	$(GO) test -race -count=5 -run TestAutoConcurrentAgreement ./internal/mpi
 	$(GO) test -race -run TestSmoke ./bench
 
 # Static analysis: gofmt with nothing left to rewrite, go vet, the HMPI

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/estimator"
 	"repro/internal/hnoc"
 	"repro/internal/mpi"
 )
@@ -159,15 +158,8 @@ func TableColl() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster := hnoc.Paper9()
-	crossover, err := estimator.CrossoverBytes(cluster, mpi.OneProcessPerMachine(cluster), "allreduce",
-		&mpi.CollTuning{Allreduce: mpi.AllreduceRing}, &mpi.CollTuning{Allreduce: mpi.AllreduceRedBcast})
-	if err != nil {
-		return nil, err
-	}
 	f := collFigure("coll", "Collective engine: simulated time per algorithm on Paper9", rows)
 	f.Notes = append(f.Notes,
-		fmt.Sprintf("large-message Allreduce speedup ring vs legacy: %.2fx (acceptance bar 2x);", collLargeSpeedup(rows)),
-		fmt.Sprintf("replayed ring-vs-legacy crossover: %d bytes.", crossover))
+		fmt.Sprintf("large-message Allreduce speedup ring vs legacy: %.2fx (acceptance bar 2x).", collLargeSpeedup(rows)))
 	return f, nil
 }

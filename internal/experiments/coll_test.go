@@ -63,10 +63,9 @@ func TestCollGate(t *testing.T) {
 // 1 MiB, the hierarchical broadcast must win big on the interleaved
 // placement, every Auto row must equal the best forced algorithm of its
 // group, and the losing rows the sweep keeps for honesty must actually be
-// losing. (The thresholds the replay derives on this topology are pinned
-// by estimator.TestAutoCollTuningThresholds.)
+// losing.
 func TestHierGate(t *testing.T) {
-	rows, _, _, err := hierRows()
+	rows, err := hierRows()
 	if err != nil {
 		t.Fatal(err)
 	}

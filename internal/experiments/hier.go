@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/estimator"
 	"repro/internal/hnoc"
 	"repro/internal/mpi"
 )
@@ -14,7 +12,7 @@ import (
 // machines with fast internal buses joined by the paper's 100 Mbit
 // Ethernet, 8 processes each. Rows with the same (collective, bytes,
 // placement) compare the flat algorithms, the two-level algorithm, and
-// the replay-derived Auto policy; the sweep keeps the rows where the
+// the Auto policy; the sweep keeps the rows where the
 // hierarchy loses (large broadcasts, large gathers) on purpose — the
 // two-level algorithms are a regime, not a universal win, and the Auto
 // policy's job is to know the difference.
@@ -45,15 +43,15 @@ func interleave(place []int) []int {
 }
 
 // hierCases enumerates the algorithm comparisons of one collective set.
-// Every forced algorithm rides a copy of the replay-derived Auto tuning
-// with only its selector overridden, so nested phases (the node-tier
-// broadcast inside the hierarchical Allreduce, the net tier's own
-// resolution) follow one policy across all rows.
-func hierCases(derived *mpi.CollTuning) []collCase {
+// Every forced algorithm rides a copy of the Auto tuning with only its
+// selector overridden, so nested phases (the node-tier broadcast inside
+// the hierarchical Allreduce, the net tier's own resolution) follow one
+// policy across all rows.
+func hierCases() []collCase {
 	with := func(set func(t *mpi.CollTuning)) *mpi.CollTuning {
-		t := *derived
-		set(&t)
-		return &t
+		t := mpi.AutoCollTuning()
+		set(t)
+		return t
 	}
 	var cases []collCase
 	for _, n := range []int{64 << 10, 1 << 20, 4 << 20} {
@@ -61,42 +59,42 @@ func hierCases(derived *mpi.CollTuning) []collCase {
 			collCase{"allreduce", "recdbl", n, with(func(t *mpi.CollTuning) { t.Allreduce = mpi.AllreduceRecursiveDoubling })},
 			collCase{"allreduce", "ring", n, with(func(t *mpi.CollTuning) { t.Allreduce = mpi.AllreduceRing })},
 			collCase{"allreduce", "hier", n, with(func(t *mpi.CollTuning) { t.Allreduce = mpi.AllreduceHier })},
-			collCase{"allreduce", "auto", n, derived},
+			collCase{"allreduce", "auto", n, mpi.AutoCollTuning()},
 		)
 	}
 	for _, n := range []int{64 << 10, 1 << 20, 16 << 20} {
-		cases = append(cases, hierBcastCases(derived, n)...)
+		cases = append(cases, hierBcastCases(n)...)
 	}
 	for _, n := range []int{256, 4 << 10, 256 << 10} {
 		cases = append(cases,
 			collCase{"gather", "flat", n, with(func(t *mpi.CollTuning) { t.Gather = mpi.GatherFlat })},
 			collCase{"gather", "binomial", n, with(func(t *mpi.CollTuning) { t.Gather = mpi.GatherBinomial })},
 			collCase{"gather", "hier", n, with(func(t *mpi.CollTuning) { t.Gather = mpi.GatherHier })},
-			collCase{"gather", "auto", n, derived},
+			collCase{"gather", "auto", n, mpi.AutoCollTuning()},
 		)
 	}
 	for _, n := range []int{24 * (4 << 10), 24 * (128 << 10)} {
 		cases = append(cases,
 			collCase{"reducescatter", "pairwise", n, with(func(t *mpi.CollTuning) { t.ReduceScatter = mpi.ReduceScatterPairwise })},
 			collCase{"reducescatter", "hier", n, with(func(t *mpi.CollTuning) { t.ReduceScatter = mpi.ReduceScatterHier })},
-			collCase{"reducescatter", "auto", n, derived},
+			collCase{"reducescatter", "auto", n, mpi.AutoCollTuning()},
 		)
 	}
 	return cases
 }
 
 // hierBcastCases is the four-way broadcast comparison at one size.
-func hierBcastCases(derived *mpi.CollTuning, n int) []collCase {
+func hierBcastCases(n int) []collCase {
 	with := func(alg mpi.BcastAlg) *mpi.CollTuning {
-		t := *derived
+		t := mpi.AutoCollTuning()
 		t.Bcast = alg
-		return &t
+		return t
 	}
 	return []collCase{
 		{"bcast", "binomial", n, with(mpi.BcastBinomial)},
 		{"bcast", "segmented", n, with(mpi.BcastSegmented)},
 		{"bcast", "hier", n, with(mpi.BcastHier)},
-		{"bcast", "auto", n, derived},
+		{"bcast", "auto", n, mpi.AutoCollTuning()},
 	}
 }
 
@@ -105,20 +103,14 @@ func hierBcastCases(derived *mpi.CollTuning, n int) []collCase {
 // broadcast on the interleaved placement, where the flat tree's
 // rank-order edges cross the Ethernet over and over while the hierarchy
 // regroups by machine.
-func hierRows() (rows []collRow, derived, iderived *mpi.CollTuning, err error) {
+func hierRows() ([]collRow, error) {
 	cluster, place := hnoc.FatNode3x8()
-	iplace := interleave(place)
-	if derived, err = estimator.AutoCollTuningFor(cluster, place); err != nil {
-		return nil, nil, nil, err
+	rows, err := simCases(cluster, place, "blocked", hierCases())
+	if err != nil {
+		return nil, err
 	}
-	if iderived, err = estimator.AutoCollTuningFor(cluster, iplace); err != nil {
-		return nil, nil, nil, err
-	}
-	if rows, err = simCases(cluster, place, "blocked", hierCases(derived)); err != nil {
-		return nil, nil, nil, err
-	}
-	irows, err := simCases(cluster, iplace, "interleaved", hierBcastCases(iderived, 256<<10))
-	return append(rows, irows...), derived, iderived, err
+	irows, err := simCases(cluster, interleave(place), "interleaved", hierBcastCases(256<<10))
+	return append(rows, irows...), err
 }
 
 // hierAllreduceSpeedup is simulated flat-ring/hierarchical Allreduce time
@@ -137,29 +129,16 @@ func hierInterleavedBcastSpeedup(rows []collRow) float64 {
 	return simOf(rows, "bcast", "binomial", 256<<10, "interleaved") / simOf(rows, "bcast", "hier", 256<<10, "interleaved")
 }
 
-// band renders a derived hierarchical-broadcast band for a note.
-func band(t *mpi.CollTuning) string {
-	switch {
-	case t.BcastHierMinBytes == math.MaxInt:
-		return "never"
-	case t.BcastHierMaxBytes == math.MaxInt:
-		return fmt.Sprintf("[%d, inf)", t.BcastHierMinBytes)
-	}
-	return fmt.Sprintf("[%d, %d]", t.BcastHierMinBytes, t.BcastHierMaxBytes)
-}
-
 // TableHier renders the hierarchy sweep as a figure: simulated seconds
 // per algorithm over the swept payload sizes on the fat-node topology.
 func TableHier() (*Figure, error) {
-	rows, derived, iderived, err := hierRows()
+	rows, err := hierRows()
 	if err != nil {
 		return nil, err
 	}
 	f := collFigure("hier", "Two-level collectives: simulated time per algorithm on 3x8 fat nodes", rows)
 	f.Notes = append(f.Notes,
 		fmt.Sprintf("1 MiB Allreduce speedup hier vs flat ring: %.2fx (acceptance bar 1.2x);", hierAllreduceSpeedup(rows)),
-		fmt.Sprintf("replayed win range for the hierarchical Allreduce: [%d, inf) bytes;", derived.AllreduceHierMinBytes),
-		fmt.Sprintf("replayed hierarchical broadcast band: blocked %s, interleaved %s;", band(derived), band(iderived)),
 		fmt.Sprintf("256 KiB interleaved-placement Bcast speedup hier vs binomial: %.2fx.", hierInterleavedBcastSpeedup(rows)))
 	return f, nil
 }

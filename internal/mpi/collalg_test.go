@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/hnoc"
 	"repro/internal/trace"
 )
 
@@ -466,44 +467,60 @@ func TestCollTuningInheritance(t *testing.T) {
 	})
 }
 
-// TestCollTuningResolution: the pure selection functions respect their
-// thresholds.
+// TestCollTuningResolution: on one level, Auto is recursive doubling for
+// a small Allreduce and the ring for a large one (recursive doubling when
+// the length is not element-aligned), the binomial tree with no header for
+// a broadcast and the flat fan for a gather; Scatter keeps its size rule;
+// the zero tuning resolves to the legacy algorithms everywhere.
 func TestCollTuningResolution(t *testing.T) {
-	tun := &CollTuning{Allreduce: AllreduceAuto, Bcast: BcastAuto, Gather: GatherAuto, Scatter: ScatterAuto}
-	if got := tun.resolveAllreduce(9, 64, flat{}); got != AllreduceRecursiveDoubling {
+	cl := hnoc.Paper9()
+	place := OneProcessPerMachine(cl)
+	rank0 := func(tun *CollTuning) *plan {
+		plans, err := CollCall{Coll: "barrier", Tuning: tun, memo: &autoMemo{link: cl.Link}}.plans(place)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &plans[0]
+	}
+	p := rank0(&CollTuning{Allreduce: AllreduceAuto, Bcast: BcastAuto, Gather: GatherAuto, Scatter: ScatterAuto})
+	v := p.self()
+	if got := AllreduceAlg(p.resolve(v, "allreduce", 64, 0)); got != AllreduceRecursiveDoubling {
 		t.Fatalf("small allreduce resolved to %v", got)
 	}
-	if got := tun.resolveAllreduce(9, 1<<20, flat{}); got != AllreduceRing {
+	if got := AllreduceAlg(p.resolve(v, "allreduce", 1<<20, 0)); got != AllreduceRing {
 		t.Fatalf("large allreduce resolved to %v", got)
 	}
-	if got := tun.resolveAllreduce(9, 1<<20|1, flat{}); got != AllreduceRecursiveDoubling {
+	if got := AllreduceAlg(p.resolve(v, "allreduce", 1<<20|1, 0)); got != AllreduceRecursiveDoubling {
 		t.Fatalf("unaligned large allreduce resolved to %v, want recursive doubling fallback", got)
 	}
-	if got := tun.resolveBcast(1<<10, flat{}); got != BcastBinomial {
-		t.Fatalf("small bcast resolved to %v", got)
+	if p.bcastSized(v, 0) {
+		t.Fatal("a one-level Auto broadcast sends a header")
 	}
-	if got := tun.resolveBcast(1<<20, flat{}); got != BcastBinomial {
+	if got := BcastAlg(p.resolve(v, "bcast", 1<<20, 0)); got != BcastBinomial {
 		t.Fatalf("large bcast resolved to %v", got)
 	}
-	if got := tun.resolveGather(64, flat{}); got != GatherFlat {
+	if got := GatherAlg(p.resolve(v, "gather", 64, 0)); got != GatherFlat {
 		t.Fatalf("small gather resolved to %v", got)
 	}
-	if got := tun.resolveGather(1<<20, flat{}); got != GatherFlat {
+	if got := GatherAlg(p.resolve(v, "gather", 1<<20, 0)); got != GatherFlat {
 		t.Fatalf("large gather resolved to %v", got)
 	}
-	if got := tun.resolveScatter(9, 64); got != ScatterBinomial {
+	if got := p.t.resolveScatter(9, 64); got != ScatterBinomial {
 		t.Fatalf("small scatter on 9 ranks resolved to %v", got)
 	}
-	if got := tun.resolveScatter(4, 64); got != ScatterFlat {
+	if got := p.t.resolveScatter(4, 64); got != ScatterFlat {
 		t.Fatalf("small scatter on 4 ranks resolved to %v", got)
 	}
-	if got := tun.resolveScatter(9, 1<<20); got != ScatterFlat {
+	if got := p.t.resolveScatter(9, 1<<20); got != ScatterFlat {
 		t.Fatalf("large scatter resolved to %v", got)
 	}
-	legacy := &CollTuning{}
-	if legacy.resolveAllreduce(9, 1<<20, flat{}) != AllreduceRedBcast || legacy.resolveBcast(1<<20, flat{}) != BcastBinomial ||
-		legacy.resolveGather(64, flat{}) != GatherFlat || legacy.resolveScatter(9, 64) != ScatterFlat ||
-		legacy.resolveReduceScatter(1<<20, flat{}) != ReduceScatterViaRoot {
+	if n := len(p.memo.m); n != 2 {
+		t.Fatalf("%d choices priced, want 2 (the aligned Allreduces; one candidate needs no replay)", n)
+	}
+	legacy := rank0(&CollTuning{})
+	if AllreduceAlg(legacy.resolve(v, "allreduce", 1<<20, 0)) != AllreduceRedBcast || BcastAlg(legacy.resolve(v, "bcast", 1<<20, 0)) != BcastBinomial ||
+		GatherAlg(legacy.resolve(v, "gather", 64, 0)) != GatherFlat || legacy.t.resolveScatter(9, 64) != ScatterFlat ||
+		ReduceScatterAlg(legacy.resolve(v, "reducescatter", 1<<20, 0)) != ReduceScatterViaRoot {
 		t.Fatal("zero tuning must resolve to the legacy algorithm everywhere")
 	}
 }

@@ -72,7 +72,7 @@ func (x *collRun) start(c *Comm, what string, mine int) {
 		c.collCheck()
 	}
 	x.what = what
-	x.plan = plan{steps: x.steps, events: x.events, t: c.coll(), rank: c.rank, n: c.Size(), mine: mine, comm: c}
+	x.plan = plan{steps: x.steps, events: x.events, t: c.coll(), rank: c.rank, n: c.Size(), mine: mine, comm: c, memo: &c.p.world.auto}
 }
 
 // reduceLenCheck panics with the collective's name when a received

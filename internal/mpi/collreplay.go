@@ -6,15 +6,16 @@ package mpi
 // per rank, one FIFO per ordered rank pair, no goroutines, no mailboxes, no
 // payloads — charging each step what the blocking executor's primitive
 // charges. The result is the call's makespan on that network and
-// placement, bit for bit what a World running it would report; the
-// estimator prices collectives with it. Along the way the replay proves
-// the lists consistent: every receive finds a send of the same size at the
-// head of its pair's FIFO, a send's payload comes from the buffer pool
-// exactly when that receive consumes it in place, nothing stays unreceived,
-// and no rank waits forever.
+// placement, bit for bit what a World running it would report; Auto
+// prices its candidates with it (colltuning.go). Along the way the replay
+// proves the lists consistent: every receive finds a send of the same size
+// at the head of its pair's FIFO, a send's payload comes from the buffer
+// pool exactly when that receive consumes it in place, nothing stays
+// unreceived, and no rank waits forever.
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hnoc"
 	"repro/internal/vclock"
@@ -24,15 +25,13 @@ import (
 // name ("bcast", "reducescatter", ...), Bytes the payload every rank
 // passes (per part for scatter, reducescatter and alltoall), Root the
 // root of the rooted collectives, Tuning the policy (nil: the default).
-// Flat prices the call as the policy would resolve it on a communicator
-// without a two-level structure — the flat side of a flat-versus-
-// hierarchical comparison on one placement.
 type CollCall struct {
 	Coll   string
 	Bytes  int
 	Root   int
 	Tuning *CollTuning
-	Flat   bool
+	memo   *autoMemo // prices Auto's choices inside the call; nil: one of its own
+	hdr    bool      // the called broadcast sends its header whatever the policy (Auto's root pricing its choice)
 }
 
 // plans builds every rank's schedule of the call on the placement (rank
@@ -46,8 +45,8 @@ func (call CollCall) plans(place []int) ([]plan, error) {
 	if t == nil {
 		t = &defaultCollTuning
 	}
-	var m *tiers // the placement's two-level structure, if it has one and the call wants it
-	if !call.Flat && n >= 3 {
+	var m *tiers // the placement's two-level structure, if it has one
+	if n >= 3 {
 		if m = machineTiers(n, func(r int) int { return place[r] }); !m.viable {
 			m = nil
 		}
@@ -59,7 +58,7 @@ func (call CollCall) plans(place []int) ([]plan, error) {
 	plans := make([]plan, n)
 	for r := range plans {
 		p := &plans[r]
-		*p = plan{t: t, rank: r, n: n, mine: call.Bytes, tiers: m}
+		*p = plan{t: t, rank: r, n: n, mine: call.Bytes, tiers: m, place: place, memo: call.memo, hdr: call.hdr}
 		v := p.self()
 		switch call.Coll {
 		case "barrier":
@@ -94,19 +93,22 @@ func (call CollCall) plans(place []int) ([]plan, error) {
 // Replay returns the simulated completion time of the call when rank r
 // runs on machine place[r] and link(a, b) joins machines a and b — pass a
 // cluster's Link for what a World on it would measure, its ModelLink for
-// the cost model's view of a degraded network. An error means the
-// schedules of the ranks do not fit together, which is a bug in a builder.
+// the cost model's view of a degraded network; Auto's choices inside the
+// call are priced with the same links. An error means the schedules of the
+// ranks do not fit together, which is a bug in a builder.
 func Replay(link func(a, b int) hnoc.LinkSpec, place []int, call CollCall) (vclock.Time, error) {
 	clocks, err := replayClocks(link, place, call)
-	var makespan vclock.Time
-	for _, t := range clocks {
-		makespan = max(makespan, t)
+	if err != nil {
+		return 0, err
 	}
-	return makespan, err
+	return slices.Max(clocks), nil
 }
 
 // replayClocks is Replay returning every rank's final clock.
 func replayClocks(link func(a, b int) hnoc.LinkSpec, place []int, call CollCall) ([]vclock.Time, error) {
+	if call.memo == nil {
+		call.memo = &autoMemo{link: link}
+	}
 	plans, err := call.plans(place)
 	if err != nil {
 		return nil, err

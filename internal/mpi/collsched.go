@@ -10,8 +10,8 @@ package mpi
 //     receive — so a blocking collective's clocks and trace are those of
 //     the equivalent hand-written loop;
 //   - the replay (collreplay.go) walks the lists of all ranks with link
-//     costs only — no goroutines, no payloads — which prices a collective
-//     for the estimator and proves the lists match send for receive.
+//     costs only — no goroutines, no payloads — which prices the
+//     candidates of Auto and proves the lists match send for receive.
 //
 // A builder is pure when the payload sizes are known. On a live non-root
 // rank they sometimes are not (only a broadcast's root knows the length);
@@ -195,8 +195,11 @@ type plan struct {
 	// algorithm pays nothing for them), given up front to the replay.
 	comm  *Comm
 	tiers *tiers
-	mine  int   // the calling rank's payload size
-	sizes []int // every rank's payload size, for the collectives whose sizes may differ; nil when this rank does not know them
+	place []int     // rank -> machine, given to the replay (a live rank reads its world's)
+	memo  *autoMemo // Auto's priced choices (colltuning.go)
+	hdr   bool      // as in CollCall
+	mine  int       // the calling rank's payload size
+	sizes []int     // every rank's payload size, for the collectives whose sizes may differ; nil when this rank does not know them
 }
 
 func (p *plan) self() view { return view{size: p.n, me: p.rank} }
@@ -213,17 +216,17 @@ func (p *plan) machines() *tiers {
 	return p.comm.hier().tiers
 }
 
-// twoLevel implements structure for the whole communicator.
-func (p *plan) twoLevel() bool { return p.machines() != nil }
+// twoLevel reports whether view v has two levels. Only the whole
+// communicator can: a node tier sits on one machine and a net tier has
+// one member per machine, which ends the recursion.
+func (p *plan) twoLevel(v view) bool { return v.tier == tierSelf && p.machines() != nil }
 
-// viable is the structure of view v, for the resolutions. Only the whole
-// communicator can have two levels: a node tier sits on one machine and a
-// net tier has one member per machine, which ends the recursion.
-func (p *plan) viable(v view) structure {
-	if v.tier == tierSelf {
-		return p
+// machine is the machine communicator rank r runs on.
+func (p *plan) machine(r int) int {
+	if p.comm == nil {
+		return p.place[r]
 	}
-	return flat{}
+	return p.comm.p.world.place[p.comm.s.members[r]]
 }
 
 func (p *plan) msg(kind stepKind, v view, tag, peer int, sp span) *step {
@@ -303,7 +306,7 @@ func (p *plan) bcast(v view, root, length int) {
 		return
 	}
 	ev := p.begin(v)
-	if !p.t.bcastSized(p.viable(v)) {
+	if !(p.hdr && v.tier == tierSelf) && !p.bcastSized(v, root) {
 		p.bcastBody(ev, v, root, BcastBinomial, length)
 		return
 	}
@@ -314,7 +317,7 @@ func (p *plan) bcast(v view, root, length int) {
 		})
 		return
 	}
-	alg := p.t.resolveBcast(length, p.viable(v))
+	alg := BcastAlg(p.resolve(v, "bcast", length, root))
 	hdr := make([]byte, 9)
 	hdr[0] = byte(alg)
 	binary.LittleEndian.PutUint64(hdr[1:], uint64(length))
@@ -392,7 +395,7 @@ func (p *plan) allreduce(v view, nbytes int) {
 		return
 	}
 	ev := p.begin(v)
-	alg := p.t.resolveAllreduce(v.size, nbytes, p.viable(v))
+	alg := AllreduceAlg(p.resolve(v, "allreduce", nbytes, 0))
 	if alg != AllreduceRecursiveDoubling && alg != AllreduceRing && alg != AllreduceHier {
 		alg = AllreduceRedBcast
 	}
@@ -569,7 +572,7 @@ func (p *plan) gather(v view, root int) {
 	mine := p.size(p.rank)
 	alg := GatherFlat
 	if v.size > 1 {
-		alg = p.t.resolveGather(mine, p.viable(v))
+		alg = GatherAlg(p.resolve(v, "gather", mine, root))
 	}
 	switch alg {
 	case GatherHier:
@@ -766,7 +769,7 @@ func (p *plan) reduceScatter(v view) {
 				}
 			}
 		})
-		alg = p.t.resolveReduceScatter(offs[n], p.viable(v))
+		alg = ReduceScatterAlg(p.resolve(v, "reducescatter", offs[n]/n, 0))
 	}
 	switch alg {
 	case ReduceScatterHier:

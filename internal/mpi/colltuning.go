@@ -1,20 +1,20 @@
 package mpi
 
 import (
-	"fmt"
-	"math"
+	"encoding/binary"
+	"math/bits"
+	"sync"
+
+	"repro/internal/hnoc"
+	"repro/internal/vclock"
 )
 
 // Collective algorithm selection. Every collective with more than one
 // implementation consults its communicator's CollTuning to pick one; the
-// zero value of every algorithm field is the default algorithm — the
-// classic one of early-2000s MPI libraries, and still the default here:
-// Auto's hierarchical bands are right where estimator.AutoCollTuningFor
-// derived them for a placement, not at their defaults everywhere. The
-// Auto constants enable size- and communicator-aware selection in the
-// style of MPICH-G2's topology/size-tiered collectives: small messages
-// keep latency-optimal trees, large messages switch to bandwidth-optimal
-// rings, and a flat rule is kept only where a measured row supports it.
+// zero value of every algorithm field is the classic algorithm of
+// early-2000s MPI libraries. The Auto constants run the algorithm the
+// replay prices cheapest on the calling communicator (see resolve) where
+// MPICH-G2 tiers its collectives by size and topology.
 //
 // Selection is policy, not negotiation: every member of a communicator
 // must run the same CollTuning (collectives must agree on the
@@ -38,10 +38,8 @@ const (
 	// for large messages. Requires len(data) divisible by the 8-byte
 	// element width.
 	AllreduceRing
-	// AllreduceAuto picks recursive doubling below 32 KiB and the ring at
-	// or above it (falling back when the length is not element-aligned);
-	// on a communicator with a two-level structure it picks the
-	// hierarchical algorithm at or above AllreduceHierMinBytes.
+	// AllreduceAuto picks the cheapest by replay of recursive doubling,
+	// the ring and, on two levels, the hierarchical algorithm.
 	AllreduceAuto
 	// AllreduceHier is the two-level algorithm: binomial reduce to each
 	// machine's leader over the node tier, Allreduce among leaders over
@@ -62,9 +60,8 @@ const (
 	// is concatenated through rank 0.
 	ReduceScatterPairwise
 	// ReduceScatterAuto picks pairwise (it dominates the via-root
-	// algorithm at every size on a switched network), switching to the
-	// hierarchical algorithm on two-level communicators at or above
-	// ReduceScatterHierMinBytes total payload.
+	// algorithm at every size on a switched network), or on a two-level
+	// communicator the hierarchical algorithm when it replays cheaper.
 	ReduceScatterAuto
 	// ReduceScatterHier is the two-level algorithm: node-tier reduce to
 	// the machine leader, pairwise exchange of machine blocks over the
@@ -84,11 +81,10 @@ const (
 	// 16 KiB segments, so an interior rank forwards segment k while
 	// segment k+1 is still in flight to it.
 	BcastSegmented
-	// BcastAuto keeps the binomial tree, except within the
-	// [BcastHierMinBytes, BcastHierMaxBytes] band on a two-level
-	// communicator, where it picks the hierarchical broadcast. Only the
-	// root knows the payload length, so only there does the root send its
-	// choice down a small header tree first.
+	// BcastAuto keeps the binomial tree, except on a two-level
+	// communicator where the hierarchical broadcast replays cheaper. Only
+	// the root knows the payload length, so where hier can win at all the
+	// root sends its choice down a small header tree first.
 	BcastAuto
 	// BcastHier is the two-level algorithm: the root hands its payload to
 	// its machine leader, the leaders broadcast over the net tier, each
@@ -107,9 +103,8 @@ const (
 	// GatherBinomial combines contributions up a binomial tree, so the
 	// root absorbs log2(n) messages instead of n-1.
 	GatherBinomial
-	// GatherAuto picks the hierarchical gather on a two-level
-	// communicator when the local payload is at most GatherHierMaxBytes,
-	// and the flat fan otherwise.
+	// GatherAuto picks the flat fan, or on a two-level communicator the
+	// hierarchical gather when it replays cheaper.
 	GatherAuto
 	// GatherHier is the two-level algorithm: node-tier gather onto each
 	// machine's leader, net-tier gather of per-machine bundles onto the
@@ -134,48 +129,20 @@ const (
 	ScatterAuto
 )
 
-// CollTuning is the per-communicator collective algorithm policy: five
-// selectors and the five thresholds of the hierarchical bands (what
-// estimator.AutoCollTuningFor derives per placement). The zero value
-// selects the default algorithm everywhere with the default thresholds.
+// CollTuning is the per-communicator collective algorithm policy: one
+// selector per collective with more than one algorithm. The zero value
+// selects the default algorithm everywhere.
 type CollTuning struct {
 	Allreduce     AllreduceAlg
 	ReduceScatter ReduceScatterAlg
 	Bcast         BcastAlg
 	Gather        GatherAlg
 	Scatter       ScatterAlg
-
-	// AllreduceHierMinBytes is the payload size at which AllreduceAuto
-	// switches to the hierarchical algorithm on a two-level communicator.
-	// Zero means the default (64 KiB).
-	AllreduceHierMinBytes int
-	// BcastHierMinBytes is the payload size at which BcastAuto switches
-	// to the hierarchical broadcast on a two-level communicator. Zero
-	// means the default (64 KiB); math.MaxInt empties the band (no header).
-	BcastHierMinBytes int
-	// BcastHierMaxBytes is the largest payload for which BcastAuto keeps
-	// the hierarchical broadcast: at very large payloads the hierarchy's
-	// extra root-to-leader copy of the full vector can outweigh the tree
-	// depth it saves — its win region is a band, not a half-line. Zero
-	// means the default (no upper bound).
-	BcastHierMaxBytes int
-	// GatherHierMaxBytes is the largest per-member payload for which
-	// GatherAuto picks the hierarchical gather on a two-level
-	// communicator (above it the leaders' store-and-forward staging
-	// costs more than the flat fan saves in per-message overhead). Zero
-	// means the default (64 KiB).
-	GatherHierMaxBytes int
-	// ReduceScatterHierMinBytes is the total payload size at which
-	// ReduceScatterAuto switches to the hierarchical algorithm on a
-	// two-level communicator. Zero means the default (64 KiB).
-	ReduceScatterHierMinBytes int
 }
 
-// The flat Auto rules and the splitting granularities: fixed, because no
+// The splitting granularities and Scatter's Auto rule: fixed, because no
 // placement moves them.
 const (
-	// ringMinBytes: AllreduceAuto picks the ring at or above it.
-	ringMinBytes = 32 << 10
 	// segSize is the segment of the pipelined broadcast.
 	segSize = 16 << 10
 	// treeMinRanks and treeMaxBytes: ScatterAuto picks the binomial tree
@@ -189,45 +156,13 @@ const (
 	elemSize = 8
 )
 
-// Default thresholds of the hierarchical bands; see the CollTuning field
-// docs.
-const (
-	defaultAllreduceHierMinBytes     = 64 << 10
-	defaultBcastHierMinBytes         = 64 << 10
-	defaultBcastHierMaxBytes         = math.MaxInt
-	defaultGatherHierMaxBytes        = 64 << 10
-	defaultReduceScatterHierMinBytes = 64 << 10
-)
-
-// threshold resolves one CollTuning threshold field: zero selects the
-// library default (the zero value of CollTuning is the documented
-// "defaults everywhere" policy, so an unset field cannot be told apart
-// from an explicit zero — explicit zero IS "use the default"). A negative
-// value can only be an explicit override, and no threshold has a
-// meaningful negative interpretation, so it fails loudly.
-func threshold(v, def int, name string) int {
-	if v < 0 {
-		panic(fmt.Sprintf("mpi: CollTuning.%s must not be negative (got %d); zero selects the default", name, v))
-	}
-	if v > 0 {
-		return v
-	}
-	return def
-}
-
 // defaultCollTuning is the policy of communicators with no explicit one.
 var defaultCollTuning = CollTuning{}
 
 // AutoCollTuning returns a policy with size-aware selection enabled for
-// every collective, at the default thresholds.
+// every collective.
 func AutoCollTuning() *CollTuning {
-	return &CollTuning{
-		Allreduce:     AllreduceAuto,
-		ReduceScatter: ReduceScatterAuto,
-		Bcast:         BcastAuto,
-		Gather:        GatherAuto,
-		Scatter:       ScatterAuto,
-	}
+	return &CollTuning{AllreduceAuto, ReduceScatterAuto, BcastAuto, GatherAuto, ScatterAuto}
 }
 
 // coll returns the tuning in effect for this communicator.
@@ -238,92 +173,51 @@ func (c *Comm) coll() *CollTuning {
 	return &defaultCollTuning
 }
 
-// The resolve methods turn the policy into the algorithm one call runs,
-// from what every member agrees on: the member count, the payload size and
-// whether the communicator has a two-level structure (a structure — asked
-// only when the policy could pick a hierarchical algorithm, and never two
-// levels on a tier communicator).
-
-// structure answers whether a communicator has two levels.
-type structure interface{ twoLevel() bool }
-
-// flat is the structure of a communicator that has one level.
-type flat struct{}
-
-func (flat) twoLevel() bool { return false }
-
-// hierOr is the part of a resolution four collectives share. A forced
-// algorithm stands — except the hierarchical one on a communicator
-// without two levels, which falls back to Auto (the viability answer is
-// agreed, so the fallback is too) — and Auto picks the hierarchy when the
-// payload is in its band and the communicator has two levels. done is
-// false when the flat size rule is left to decide.
-func hierOr[A comparable](alg, hier, auto A, inBand bool, on structure) (resolved A, done bool) {
-	if alg == hier {
-		if on.twoLevel() {
-			return hier, true
-		}
-		alg = auto
+// resolve returns the algorithm collective c (CollCall.Coll) runs on view
+// v. A forced algorithm stands, except a hierarchical one on a view
+// without two levels, which falls back to Auto. Auto runs the candidate
+// the replay prices cheapest (see cheapest): the flat algorithm, the ring for
+// an Allreduce on more than two members of an element-aligned length, the
+// hierarchical algorithm on two levels. bytes is the payload priced: the
+// own payload, a reducescatter's mean part (the parts are agreed), a
+// broadcast root's payload. No threshold: right on every communicator.
+func (p *plan) resolve(v view, c string, bytes, root int) int {
+	alg, auto, hier, flat := p.t.rules(c)
+	if alg != auto && alg != hier {
+		return alg // the structure is asked only when hier could be picked
 	}
-	if alg != auto {
-		return alg, true
+	two := p.twoLevel(v)
+	cands := append(make([]int, 0, 3), flat)
+	if c == "allreduce" && bytes%elemSize == 0 && v.size > 2 {
+		cands = append(cands, int(AllreduceRing))
 	}
-	return hier, inBand && on.twoLevel()
-}
-
-func (t *CollTuning) resolveAllreduce(n, nbytes int, on structure) AllreduceAlg {
-	inBand := nbytes >= threshold(t.AllreduceHierMinBytes, defaultAllreduceHierMinBytes, "AllreduceHierMinBytes")
-	if alg, done := hierOr(t.Allreduce, AllreduceHier, AllreduceAuto, inBand, on); done {
+	switch {
+	case alg == hier && two:
 		return alg
+	case two:
+		cands = append(cands, hier)
+	case len(cands) == 1:
+		return flat
 	}
-	if nbytes >= ringMinBytes && nbytes%elemSize == 0 && n > 2 {
-		return AllreduceRing
-	}
-	return AllreduceRecursiveDoubling
-}
-
-// resolveBcast is the root-side resolution (only the root knows the
-// payload size); the choice travels down the tree in the bcast header.
-// Auto's flat choice is the binomial tree: segmenting loses on every
-// measured row (a sender injects the payload once per child either way).
-func (t *CollTuning) resolveBcast(nbytes int, on structure) BcastAlg {
-	inBand := nbytes >= threshold(t.BcastHierMinBytes, defaultBcastHierMinBytes, "BcastHierMinBytes") &&
-		nbytes <= threshold(t.BcastHierMaxBytes, defaultBcastHierMaxBytes, "BcastHierMaxBytes")
-	if alg, done := hierOr(t.Bcast, BcastHier, BcastAuto, inBand, on); done {
-		return alg
-	}
-	return BcastBinomial
+	return p.cheapest(v, c, bytes, root, cands)
 }
 
 // bcastSized reports whether a broadcast's lists need the payload length,
 // which only the root knows and then sends down a header tree: the forced
-// pipeline cuts by it, and on two levels Auto (unless its band is empty)
-// resolves by it and forced hier keeps the header. Every other policy is
-// the binomial tree on every member, decided without a message.
-func (t *CollTuning) bcastSized(on structure) bool {
-	auto := t.Bcast == BcastAuto && threshold(t.BcastHierMinBytes, defaultBcastHierMinBytes, "BcastHierMinBytes") != math.MaxInt
-	return t.Bcast == BcastSegmented || (auto || t.Bcast == BcastHier) && on.twoLevel()
-}
-
-// resolveGather keys on the local payload size, so Auto requires agreed
-// sizes — pick the algorithm explicitly for irregular gathers. Auto's flat
-// choice is the flat fan, the fastest on every measured row.
-func (t *CollTuning) resolveGather(nbytes int, on structure) GatherAlg {
-	inBand := nbytes <= threshold(t.GatherHierMaxBytes, defaultGatherHierMaxBytes, "GatherHierMaxBytes")
-	if alg, done := hierOr(t.Gather, GatherHier, GatherAuto, inBand, on); done {
-		return alg
+// pipeline cuts by it, forced hier on two levels keeps the header, and
+// Auto on two levels needs it when hier replays cheaper than the binomial
+// tree at some size of a fixed grid. Every other broadcast is the binomial
+// tree on every member, decided without a message.
+func (p *plan) bcastSized(v view, root int) bool {
+	switch p.t.Bcast {
+	case BcastSegmented:
+		return true
+	case BcastHier:
+		return p.twoLevel(v)
+	case BcastAuto:
+		return p.twoLevel(v) && p.cheapest(v, "header", 0, root, []int{int(BcastBinomial), int(BcastHier)}) == int(BcastHier)
 	}
-	return GatherFlat
-}
-
-// resolveReduceScatter: the flat Auto choice is always pairwise (it
-// dominates the via-root algorithm at every size on a switched network).
-func (t *CollTuning) resolveReduceScatter(totalBytes int, on structure) ReduceScatterAlg {
-	inBand := totalBytes >= threshold(t.ReduceScatterHierMinBytes, defaultReduceScatterHierMinBytes, "ReduceScatterHierMinBytes")
-	if alg, done := hierOr(t.ReduceScatter, ReduceScatterHier, ReduceScatterAuto, inBand, on); done {
-		return alg
-	}
-	return ReduceScatterPairwise
+	return false
 }
 
 // resolveScatter resolves Auto at the root, the only rank that sees the
@@ -338,4 +232,109 @@ func (t *CollTuning) resolveScatter(n, maxPart int) ScatterAlg {
 		return ScatterBinomial
 	}
 	return ScatterFlat
+}
+
+// rules returns t's selector of collective c, its Auto value, its
+// hierarchical algorithm and the flat algorithm every view can run.
+func (t *CollTuning) rules(c string) (alg, auto, hier, flat int) {
+	switch c {
+	case "allreduce":
+		return int(t.Allreduce), int(AllreduceAuto), int(AllreduceHier), int(AllreduceRecursiveDoubling)
+	case "reducescatter":
+		return int(t.ReduceScatter), int(ReduceScatterAuto), int(ReduceScatterHier), int(ReduceScatterPairwise)
+	case "gather":
+		return int(t.Gather), int(GatherAuto), int(GatherHier), int(GatherFlat)
+	}
+	return int(t.Bcast), int(BcastAuto), int(BcastHier), int(BcastBinomial)
+}
+
+// with returns a copy of t with collective c's selector forced to alg.
+func (t CollTuning) with(c string, alg int) *CollTuning {
+	switch c {
+	case "allreduce":
+		t.Allreduce = AllreduceAlg(alg)
+	case "reducescatter":
+		t.ReduceScatter = ReduceScatterAlg(alg)
+	case "gather":
+		t.Gather = GatherAlg(alg)
+	default:
+		t.Bcast = BcastAlg(alg)
+	}
+	return &t
+}
+
+// autoMemo holds every choice Auto has priced: one per World, and one per
+// call of Replay outside a World. An entry is keyed by what its replay
+// reads — the collective ("header": does a broadcast need one), the
+// policy, the size, the root and the machines of the view's members — and
+// filled once, so every member of a view reads the same choice even if the
+// links change during a run.
+type autoMemo struct {
+	link func(a, b int) hnoc.LinkSpec
+	mu   sync.Mutex
+	m    map[string]*autoChoice
+}
+
+type autoChoice struct {
+	once sync.Once // the first member prices the choice, the others wait for it
+	alg  int
+}
+
+// cheapest returns the candidate whose forced run of c on view v replays
+// cheapest, the earliest on a tie. Pricing a hierarchical candidate
+// resolves its tiers' own Auto choices through the same memo: entries of
+// smaller views, so no entry waits for itself.
+func (p *plan) cheapest(v view, c string, bytes, root int, cands []int) int {
+	var kb [128]byte
+	k := append(append(kb[:0], c...), 0, byte(p.t.Allreduce), byte(p.t.ReduceScatter), byte(p.t.Bcast), byte(p.t.Gather), byte(p.t.Scatter))
+	k = binary.AppendUvarint(binary.AppendUvarint(k, uint64(bytes)), uint64(root))
+	for i := 0; i < v.size; i++ {
+		k = binary.AppendUvarint(k, uint64(p.machine(v.rank(i))))
+	}
+	m := p.memo
+	m.mu.Lock()
+	e := m.m[string(k)]
+	if e == nil {
+		if m.m == nil {
+			m.m = make(map[string]*autoChoice)
+		}
+		e = &autoChoice{}
+		m.m[string(k)] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() {
+		place := make([]int, v.size)
+		for i := range place {
+			place[i] = p.machine(v.rank(i))
+		}
+		if c != "header" {
+			e.alg = m.argmin(place, c, bytes, root, *p.t, cands, c == "bcast")
+			return
+		}
+		// A broadcast needs a header when hier, header included, replays
+		// cheaper than the binomial tree without one at some size of a fixed
+		// grid: four sizes per octave from 1 B to 64 MiB.
+		for x := 1; x <= 1<<26 && e.alg != int(BcastHier); x += max(1, 1<<bits.Len(uint(x))>>3) {
+			e.alg = m.argmin(place, "bcast", x, root, *p.t, cands, false)
+		}
+	})
+	return e.alg
+}
+
+// argmin replays c on the machines place with each candidate forced and
+// returns the cheapest, the earliest on a tie. With hdr the broadcast's
+// root sends its header ahead of every candidate, as it does ahead of the
+// one it picks.
+func (m *autoMemo) argmin(place []int, c string, bytes, root int, t CollTuning, cands []int, hdr bool) int {
+	best, bestTime := -1, vclock.Time(0)
+	for _, alg := range cands {
+		d, err := Replay(m.link, place, CollCall{Coll: c, Bytes: bytes, Root: root, Tuning: t.with(c, alg), memo: m, hdr: hdr})
+		if err != nil {
+			panic(err) // the candidates' lists do not fit together: a builder bug
+		}
+		if best < 0 || d < bestTime {
+			best, bestTime = alg, d
+		}
+	}
+	return best
 }

@@ -287,9 +287,10 @@ func TestHierFailureEndsRun(t *testing.T) {
 }
 
 // TestHierAutoSelection pins the Auto dispatch on a two-level
-// communicator: hierarchical above the Hier thresholds, flat below; tier
-// communicators and explicit-Hier fallbacks resolve flat; derived
-// communicators inherit the policy.
+// communicator: the hierarchy for the large Allreduce and ReduceScatter,
+// the flat fan for the large gather, the binomial tree for every blocked
+// broadcast; tier communicators and explicit-Hier fallbacks resolve flat;
+// derived communicators inherit the policy.
 func TestHierAutoSelection(t *testing.T) {
 	cl, place := hnoc.FatNode3x8()
 	runPlaced(t, cl, place, false, AutoCollTuning(), func(p *Proc) error {
@@ -299,43 +300,42 @@ func TestHierAutoSelection(t *testing.T) {
 			got  any
 			want any
 		}{
-			{"allreduce/large", c.coll().resolveAllreduce(24, 1<<20, twoLevels(c.hierViable())), AllreduceHier},
-			{"allreduce/small", c.coll().resolveAllreduce(24, 1024, twoLevels(c.hierViable())), AllreduceRecursiveDoubling},
-			{"bcast/large", c.coll().resolveBcast(1<<20, twoLevels(c.hierViable())), BcastHier},
-			{"bcast/small", c.coll().resolveBcast(1024, twoLevels(c.hierViable())), BcastBinomial},
-			{"gather/small", c.coll().resolveGather(512, twoLevels(c.hierViable())), GatherHier},
-			{"gather/large", c.coll().resolveGather(1<<20, twoLevels(c.hierViable())), GatherFlat},
-			{"reducescatter/large", c.coll().resolveReduceScatter(1<<20, twoLevels(c.hierViable())), ReduceScatterHier},
-			{"reducescatter/small", c.coll().resolveReduceScatter(100, twoLevels(c.hierViable())), ReduceScatterPairwise},
+			{"allreduce/large", onPlan(c, func(x *plan) any { return AllreduceAlg(x.resolve(x.self(), "allreduce", 1<<20, 0)) }), AllreduceHier},
+			{"bcast/large", onPlan(c, func(x *plan) any { return BcastAlg(x.resolve(x.self(), "bcast", 1<<20, 0)) }), BcastBinomial},
+			{"bcast/header", onPlan(c, func(x *plan) any { return x.bcastSized(x.self(), 0) }), false},
+			{"gather/large", onPlan(c, func(x *plan) any { return GatherAlg(x.resolve(x.self(), "gather", 1<<20, 0)) }), GatherFlat},
+			{"reducescatter/large", onPlan(c, func(x *plan) any { return ReduceScatterAlg(x.resolve(x.self(), "reducescatter", 1<<16, 0)) }), ReduceScatterHier},
 			// Tier communicators are single-machine / one-rank-per-machine:
 			// never hier, so the recursion bottoms out in flat algorithms.
-			{"node/large", c.coll().resolveAllreduce(8, 1<<20, twoLevels(c.hier().node.hierViable())), AllreduceRing},
+			{"node/large", onPlan(c, func(x *plan) any { return AllreduceAlg(x.resolve(x.machines().node(c.rank), "allreduce", 1<<20, 0)) }), AllreduceRing},
 			// Derived communicators inherit the policy and recompute tiers.
-			{"dup/large", c.coll().resolveAllreduce(24, 1<<20, twoLevels(c.Dup().hierViable())), AllreduceHier},
+			{"dup/large", onPlan(c.Dup(), func(x *plan) any { return AllreduceAlg(x.resolve(x.self(), "allreduce", 1<<20, 0)) }), AllreduceHier},
 		}
 		for _, ck := range checks {
 			if ck.got != ck.want {
 				return fmt.Errorf("rank %d: %s resolved %v, want %v", p.Rank(), ck.name, ck.got, ck.want)
 			}
 		}
-		// An explicitly hierarchical policy falls back to the flat
+		// An explicitly hierarchical policy falls back to the Auto
 		// resolution on a communicator without a two-level structure.
 		d := c.Dup()
 		d.tuning = &CollTuning{Allreduce: AllreduceHier}
-		if alg := d.coll().resolveAllreduce(8, 64, twoLevels(d.hier().node.hierViable())); alg != AllreduceRecursiveDoubling {
+		if alg := onPlan(d, func(x *plan) any { return AllreduceAlg(x.resolve(x.machines().node(d.rank), "allreduce", 64, 0)) }); alg != AllreduceRecursiveDoubling {
 			return fmt.Errorf("rank %d: explicit hier on node tier resolved %v", p.Rank(), alg)
 		}
-		if alg := d.coll().resolveAllreduce(24, 64, twoLevels(d.hierViable())); alg != AllreduceHier {
+		if alg := onPlan(d, func(x *plan) any { return AllreduceAlg(x.resolve(x.self(), "allreduce", 64, 0)) }); alg != AllreduceHier {
 			return fmt.Errorf("rank %d: explicit hier on world resolved %v", p.Rank(), alg)
 		}
 		return nil
 	})
 }
 
-// twoLevels is a structure with a fixed answer.
-type twoLevels bool
-
-func (b twoLevels) twoLevel() bool { return bool(b) }
+// onPlan runs f on the plan a collective on c starts with.
+func onPlan(c *Comm, f func(x *plan) any) any {
+	x := c.newRun("probe", 0)
+	defer x.release()
+	return f(&x.plan)
+}
 
 // catchPanic runs f and returns the panic message, or "" if f returned
 // normally.
@@ -347,37 +347,6 @@ func catchPanic(f func()) (msg string) {
 	}()
 	f()
 	return ""
-}
-
-// TestCollTuningThresholdSemantics pins the satellite fix: zero keeps
-// selecting the library default (the zero value of CollTuning is the
-// documented default policy), while a negative override — which used to
-// silently fall back to the default — now fails loudly, in the resolution
-// and therefore on the collective path.
-func TestCollTuningThresholdSemantics(t *testing.T) {
-	zero := CollTuning{Allreduce: AllreduceAuto}
-	if zero.resolveAllreduce(9, 32<<10-8, flat{}) != AllreduceRecursiveDoubling || zero.resolveAllreduce(9, 32<<10, flat{}) != AllreduceRing {
-		t.Fatal("Auto did not switch to the ring at 32 KiB")
-	}
-	two := twoLevels(true)
-	if zero.resolveAllreduce(9, 64<<10-8, two) != AllreduceRing || zero.resolveAllreduce(9, 64<<10, two) != AllreduceHier {
-		t.Fatal("zero hier threshold did not resolve to the 64 KiB default")
-	}
-	neg := &CollTuning{Allreduce: AllreduceAuto, AllreduceHierMinBytes: -1}
-	if msg := catchPanic(func() { neg.resolveAllreduce(9, 8, two) }); !strings.Contains(msg, "must not be negative") {
-		t.Fatalf("negative threshold: got %q, want a loud panic", msg)
-	}
-	// On the collective path the panic surfaces as a Run error.
-	c := testCluster(3)
-	w := NewWorld(c, OneProcessPerMachine(c))
-	w.SetCollTuning(&CollTuning{Allreduce: AllreduceAuto, AllreduceHierMinBytes: -5})
-	err := w.Run(func(p *Proc) error {
-		p.CommWorld().Allreduce(make([]byte, 8), SumInt64)
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "AllreduceHierMinBytes must not be negative") {
-		t.Fatalf("Run with negative threshold returned %v, want a loud panic", err)
-	}
 }
 
 // TestHierRecomputeAfterShrink is the satellite property test: after

@@ -89,6 +89,10 @@ type World struct {
 	// SetCollTuning.
 	collTuning *CollTuning
 
+	// auto holds the choices Auto collectives priced on this world's
+	// placements (colltuning.go), with the cost model's links.
+	auto autoMemo
+
 	// rec, when non-nil, is the structured event recorder of the
 	// observability subsystem (internal/trace); see recorder.go.
 	rec *trace.Recorder
@@ -132,6 +136,7 @@ func NewWorld(cluster *hnoc.Cluster, placement []int) *World {
 		agreeTab: make(map[ctxKey]*agreeState),
 	}
 	w.agreeCond = sync.NewCond(&w.agreeMu)
+	w.auto.link = cluster.ModelLink
 	for r := range placement {
 		w.procs = append(w.procs, newProc(w, r))
 	}
