@@ -21,6 +21,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/analysis/modelcheck"
 	"repro/internal/apps"
 	"repro/internal/apps/em3d"
 	"repro/internal/apps/jacobi"
@@ -31,7 +32,7 @@ import (
 	"repro/internal/sched"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/instances.golden and testdata/evalerrors.golden")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/instances.golden, testdata/evalerrors.golden and testdata/lint.golden")
 
 // checkGolden compares got with the named file under testdata, or rewrites
 // the file under -update.
@@ -394,6 +395,35 @@ func TestEvalErrorsGolden(t *testing.T) {
 		fmt.Fprintf(&b, "%s: %s\n", c.name, firstError(c.src, c.args))
 	}
 	checkGolden(t, "evalerrors.golden", []byte(b.String()))
+}
+
+// TestLintGolden pins every lint finding on every model in the tree — the
+// shipped models, then the lint fixtures — one line each as pmc -lint
+// prints it, path relative to the repository root.
+func TestLintGolden(t *testing.T) {
+	const root = "../.."
+	var b strings.Builder
+	for _, pat := range []string{"models/*.mpc", "internal/pmdl/testdata/lint/*.mpc"} {
+		files, err := filepath.Glob(filepath.Join(root, pat))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no models under %s (%v)", pat, err)
+		}
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := pmdl.ParseModel(string(src))
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			rel, _ := filepath.Rel(root, f)
+			for _, d := range modelcheck.Lint(m) {
+				fmt.Fprintf(&b, "%s:%s\n", filepath.ToSlash(rel), d)
+			}
+		}
+	}
+	checkGolden(t, "lint.golden", []byte(b.String()))
 }
 
 // TestLoopLimitError is the one row of the error table that takes ten
