@@ -40,7 +40,6 @@ import (
 	"repro/internal/analysis/deadlock"
 	"repro/internal/analysis/ftcontract"
 	"repro/internal/analysis/groupfree"
-	"repro/internal/analysis/modelcheck"
 	"repro/internal/analysis/reconpure"
 	"repro/internal/analysis/reqwait"
 	"repro/internal/analysis/runtimeclose"
@@ -231,7 +230,7 @@ func lintModel(path string) []finding {
 		return []finding{{File: path, Analyzer: "model", Message: err.Error()}}
 	}
 	var out []finding
-	for _, d := range modelcheck.Lint(m) {
+	for _, d := range pmdl.Lint(m) {
 		out = append(out, finding{
 			File: path, Line: d.Pos.Line, Col: d.Pos.Col,
 			Analyzer: "model:" + d.Code,

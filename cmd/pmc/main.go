@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/analysis/modelcheck"
 	"repro/internal/pmdl"
 )
 
@@ -151,7 +150,7 @@ func runLint(model *pmdl.Model, path, argsJSON string, advisory bool) int {
 			args[i] = convertArg(v)
 		}
 	}
-	diags := modelcheck.Lint(model, args...)
+	diags := pmdl.Lint(model, args...)
 	hasErr := false
 	for _, d := range diags {
 		if d.Severity == pmdl.SevError {

@@ -28,6 +28,8 @@ type program struct {
 	// evaluation then works on its own copy, so an Instance stays
 	// read-only.
 	writes bool
+	// lints are the structural findings the checker recorded (lint.go).
+	lints []Diag
 }
 
 // cparam is one formal parameter: slot is its frame slot, or its index in
@@ -55,7 +57,7 @@ type array struct {
 }
 
 // frame is the state of one evaluation: Instantiate runs the node, link
-// and parent sections on one, and every BuildDAG or UnrollScheme runs the
+// and parent sections on one, and every BuildDAG or unrollScheme runs the
 // scheme on a fresh one.
 type frame struct {
 	slots  []num

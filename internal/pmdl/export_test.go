@@ -1,0 +1,10 @@
+package pmdl
+
+// What the external tests (package pmdl_test) reach of the lints' hooks,
+// which the package keeps unexported.
+
+type TraceNode = traceNode
+
+func (m *Model) AutoInstantiate() (*Instance, error) { return m.autoInstantiate() }
+
+func (inst *Instance) UnrollScheme() (*TraceNode, error) { return inst.unrollScheme() }

@@ -34,6 +34,8 @@ func FuzzParseModel(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// Every lint, the communication-graph pass included: it
+		// instantiates and unrolls whatever parsed.
 		Lint(m)
 		// What the printer emits is the model again.
 		if _, err := ParseModel(Format(m.File)); err != nil {
@@ -63,7 +65,7 @@ func FuzzInstantiate(f *testing.F) {
 		if err != nil {
 			return
 		}
-		tr, err := inst.UnrollScheme()
+		tr, err := inst.unrollScheme()
 		if err != nil {
 			return
 		}

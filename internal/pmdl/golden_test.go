@@ -21,7 +21,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/analysis/modelcheck"
 	"repro/internal/apps"
 	"repro/internal/apps/em3d"
 	"repro/internal/apps/jacobi"
@@ -418,7 +417,7 @@ func TestLintGolden(t *testing.T) {
 				t.Fatalf("%s: %v", f, err)
 			}
 			rel, _ := filepath.Rel(root, f)
-			for _, d := range modelcheck.Lint(m) {
+			for _, d := range pmdl.Lint(m) {
 				fmt.Fprintf(&b, "%s:%s\n", filepath.ToSlash(rel), d)
 			}
 		}

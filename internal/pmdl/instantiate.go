@@ -56,7 +56,7 @@ func (m *Model) Name() string { return m.File.Algorithm.Name }
 // number of abstract processors, the computation volume of each, the
 // communication volume between each pair, and the parent — everything
 // HMPI_Group_create and HMPI_Timeof consume. Nothing writes to an Instance
-// once Instantiate has returned it: BuildDAG and UnrollScheme each run the
+// once Instantiate has returned it: BuildDAG and unrollScheme each run the
 // scheme on a frame of their own, so they may be called from any number of
 // goroutines at once.
 type Instance struct {
@@ -119,7 +119,7 @@ func (m *Model) Instantiate(args ...any) (*Instance, error) {
 
 // instantiate is Instantiate with parameter i's argument supplied by
 // argOf, which is handed the parameter's evaluated dimensions. A non-zero
-// maxDim bounds them (AutoInstantiate's guard against huge guesses).
+// maxDim bounds them (autoInstantiate's guard against huge guesses).
 func (m *Model) instantiate(argOf func(i int, dims []int) (any, error), maxDim int64) (*Instance, error) {
 	alg, p := m.File.Algorithm, m.prog
 	fr := p.newFrame(m.hosts, nil)

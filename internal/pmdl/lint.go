@@ -1,18 +1,33 @@
 package pmdl
 
-// Static lints for performance models, beyond the hard semantic rules of
-// Check. The paper's toolchain compiles a model ahead of time so the
-// runtime can reason about the algorithm before running it (HMPI_Timeof,
-// HMPI_Group_create); the lints extend that static reasoning from
-// performance to correctness. This file holds the structural lints —
-// rules decidable from the AST alone — plus the two hooks the
-// communication-graph lints of package modelcheck are built on:
-// AutoInstantiate (bind heuristic small actual parameters) and
-// UnrollScheme (symbolically unroll the scheme into a series-parallel
-// trace of computations and transfers).
+// Static lints for performance models, beyond the hard semantic rules the
+// checker enforces. The paper's toolchain compiles a model ahead of time so
+// the runtime can reason about the algorithm before running it
+// (HMPI_Timeof, HMPI_Group_create); the lints extend that static reasoning
+// from performance to correctness. Lint is the one entry point, and it has
+// two passes:
+//
+//   - the structural lints — unusedcoord, constindex and the syntactic
+//     selfcomm — are recorded by the checker (sema.go) while it compiles
+//     the node, link, parent and scheme sections, so every name resolves
+//     the way compilation resolves it;
+//   - the communication-graph lints instantiate the model with heuristic
+//     small arguments (autoInstantiate) unless explicit ones are given,
+//     unroll the scheme into a series-parallel trace (unrollScheme), and
+//     check it: selfcomm on an evaluated self transfer; seqcycle when
+//     consecutive transfers of one sequential segment form a directed
+//     cycle (the scheme's global order is consistent, but an SPMD
+//     lowering in which each process issues the segment's sends before
+//     its receives deadlocks under rendezvous semantics); linkunused when
+//     a pair has declared link volume the scheme never transfers (the
+//     model charges HMPI_Timeof for traffic the algorithm never
+//     performs); nolink when the scheme transfers between a pair with no
+//     declared volume (the transfer costs nothing in the model, hiding
+//     real traffic from group selection).
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -71,26 +86,55 @@ func (d Diag) String() string {
 	return fmt.Sprintf("%s: %s %s: %s", d.Pos, d.Severity, d.Code, d.Message)
 }
 
-// diagf appends a finding.
-func diagf(diags []Diag, pos Pos, code string, sev Severity, format string, args ...any) []Diag {
-	return append(diags, Diag{Pos: pos, Code: code, Severity: sev, Message: fmt.Sprintf(format, args...)})
-}
-
-// Lint runs the structural lints on a checked model file. The
-// instantiation-dependent lints live in internal/analysis/modelcheck,
-// which calls this first.
-func Lint(m *Model) []Diag {
-	var diags []Diag
-	alg := m.File.Algorithm
-	diags = append(diags, lintUnusedCoords(alg)...)
-	diags = append(diags, lintStructuralSelfComm(alg)...)
-	diags = append(diags, lintConstIndices(alg)...)
-	SortDiags(diags)
+// Lint runs every model lint: the structural findings the checker recorded
+// plus the communication-graph pass over a small instantiation. Explicit
+// instantiation arguments override the automatic ones; when instantiation
+// or unrolling fails, the graph lints are skipped and a single advisory
+// noinstance diagnostic explains why.
+func Lint(m *Model, args ...any) []Diag {
+	diags := slices.Clone(m.prog.lints)
+	var inst *Instance
+	var err error
+	if len(args) > 0 {
+		inst, err = m.Instantiate(args...)
+	} else {
+		inst, err = m.autoInstantiate()
+	}
+	var trace *traceNode
+	if err != nil {
+		err = fmt.Errorf("%w (pass explicit -args)", err)
+	} else if trace, err = inst.unrollScheme(); err != nil {
+		err = fmt.Errorf("scheme unrolling failed: %w", err)
+	}
+	if err != nil {
+		diags = append(diags, Diag{
+			Code: LintNoInstance, Severity: SevWarn,
+			Message: "communication-graph lints skipped: " + err.Error(),
+		})
+		sortDiags(diags)
+		return diags
+	}
+	// The structural pass may already have flagged an action as a self
+	// transfer; drop the dynamic duplicate at the same position.
+	structSelf := make(map[Pos]bool)
+	for _, d := range diags {
+		if d.Code == LintSelfComm {
+			structSelf[d.Pos] = true
+		}
+	}
+	for _, d := range lintGraph(inst, trace) {
+		if d.Code == LintSelfComm && structSelf[d.Pos] {
+			continue
+		}
+		diags = append(diags, d)
+	}
+	diags = dedupe(diags)
+	sortDiags(diags)
 	return diags
 }
 
-// SortDiags orders diagnostics by source position, then code.
-func SortDiags(diags []Diag) {
+// sortDiags orders diagnostics by source position, then code.
+func sortDiags(diags []Diag) {
 	sort.SliceStable(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Line != b.Pos.Line {
@@ -103,185 +147,47 @@ func SortDiags(diags []Diag) {
 	})
 }
 
-// lintUnusedCoords reports coordinates never referenced outside their own
-// declaration.
-func lintUnusedCoords(alg *Algorithm) []Diag {
-	used := make(map[string]bool)
-	mark := func(e Expr) {
-		walkExpr(e, func(x Expr) {
-			if id, ok := x.(*Ident); ok {
-				used[id.Name] = true
-			}
-		})
-	}
-	for _, cl := range alg.Nodes {
-		mark(cl.Guard)
-		mark(cl.Volume)
-	}
-	if alg.Link != nil {
-		for _, lv := range alg.Link.Vars {
-			mark(lv.Size)
-		}
-		for _, cl := range alg.Link.Clauses {
-			mark(cl.Guard)
-			mark(cl.Volume)
-			for _, e := range cl.Src {
-				mark(e)
-			}
-			for _, e := range cl.Dst {
-				mark(e)
-			}
-		}
-	}
-	for _, e := range alg.Parent {
-		mark(e)
-	}
-	walkStmt(alg.Scheme, func(s Stmt) {
-		forEachStmtExpr(s, mark)
-	})
-	var diags []Diag
-	for _, cv := range alg.Coords {
-		if !used[cv.Name] {
-			diags = diagf(diags, cv.Pos, LintUnusedCoord, SevWarn,
-				"coordinate %s is declared but never used in node, link, parent or scheme", cv.Name)
-		}
-	}
-	return diags
+// --- Structural lints, recorded by the checker ---------------------------
+
+func (c *checker) lintf(pos Pos, code string, sev Severity, format string, args ...any) {
+	c.lints = append(c.lints, Diag{Pos: pos, Code: code, Severity: sev, Message: fmt.Sprintf(format, args...)})
 }
 
-// lintStructuralSelfComm reports transfers whose source and destination
-// coordinate lists are syntactically identical: [i]->[i] cannot describe a
-// real communication, and the runtime silently drops the volume.
-func lintStructuralSelfComm(alg *Algorithm) []Diag {
-	var diags []Diag
-	if alg.Link != nil {
-		for _, cl := range alg.Link.Clauses {
-			if exprListEqual(cl.Src, cl.Dst) {
-				diags = diagf(diags, cl.Pos, LintSelfComm, SevError,
-					"link clause transfers from a processor to itself; self transfers carry no cost and are dropped")
-			}
+// lintTargets reports constant coordinate targets outside a constant
+// coordinate size.
+func (c *checker) lintTargets(pos Pos, side []Expr) {
+	for i, e := range side {
+		if v, why := outOfRange(e, c.coords[i].Size); why != "" {
+			c.lintf(pos, LintConstIndex, SevError, "coordinate target %d %s", v, why)
 		}
 	}
-	walkStmt(alg.Scheme, func(s Stmt) {
-		a, ok := s.(*ActionStmt)
-		if !ok || a.B == nil {
-			return
-		}
-		if exprListEqual(a.A, a.B) {
-			diags = diagf(diags, a.Pos, LintSelfComm, SevError,
-				"communication action sends from a processor to itself")
-		}
-	})
-	return diags
 }
 
-// lintConstIndices reports constant subscripts and coordinate targets that
-// are provably out of range: negative anywhere, or >= a bound that is
-// itself a literal (coordinate ranges like coord I=4, parameter dimensions
-// like int v[3]).
-func lintConstIndices(alg *Algorithm) []Diag {
-	var diags []Diag
-	params := make(map[string]Param, len(alg.Params))
-	for _, p := range alg.Params {
-		params[p.Name] = p
-	}
-	coordBound := func(i int) (int64, bool) {
-		if i >= len(alg.Coords) {
-			return 0, false
+// lintIndex reports the constant subscripts of the index chain x, on an
+// array parameter with the given extents, that lie outside a constant
+// extent.
+func (c *checker) lintIndex(x *IndexExpr, name string, extent []Expr) {
+	for i := len(extent) - 1; i >= 0; i-- {
+		if v, why := outOfRange(x.Idx, extent[i]); why != "" {
+			c.lintf(exprPos(x.Idx), LintConstIndex, SevError, "index %d of %s %s", v, name, why)
 		}
-		return constValue(alg.Coords[i].Size)
+		x, _ = x.X.(*IndexExpr)
 	}
+}
 
-	checkTargets := func(pos Pos, exprs []Expr) {
-		for i, e := range exprs {
-			c, ok := constValue(e)
-			if !ok {
-				continue
-			}
-			if c < 0 {
-				diags = diagf(diags, pos, LintConstIndex, SevError,
-					"coordinate target %d is negative", c)
-				continue
-			}
-			if bound, ok := coordBound(i); ok && c >= bound {
-				diags = diagf(diags, pos, LintConstIndex, SevError,
-					"coordinate target %d is out of range [0,%d)", c, bound)
-			}
-		}
+// outOfRange says why the constant e lies outside [0,bound): "" when it
+// does not, or when e is not a constant (a bound that is not a constant
+// only rules out negative values).
+func outOfRange(e, bound Expr) (int64, string) {
+	v, ok := constValue(e)
+	switch b, bok := constValue(bound); {
+	case !ok:
+	case v < 0:
+		return v, "is negative"
+	case bok && v >= b:
+		return v, fmt.Sprintf("is out of range [0,%d)", b)
 	}
-	checkIndexChain := func(e Expr) {
-		// Unwind x[i][j]... into base identifier plus subscripts in
-		// declaration order.
-		var subs []Expr
-		base := e
-		for {
-			ix, ok := base.(*IndexExpr)
-			if !ok {
-				break
-			}
-			subs = append([]Expr{ix.Idx}, subs...)
-			base = ix.X
-		}
-		id, ok := base.(*Ident)
-		if !ok {
-			return
-		}
-		prm, ok := params[id.Name]
-		if !ok {
-			return
-		}
-		for i, sub := range subs {
-			c, ok := constValue(sub)
-			if !ok || i >= len(prm.Dims) {
-				continue
-			}
-			if c < 0 {
-				diags = diagf(diags, exprPos(sub), LintConstIndex, SevError,
-					"index %d of %s is negative", c, id.Name)
-				continue
-			}
-			if bound, ok := constValue(prm.Dims[i]); ok && c >= bound {
-				diags = diagf(diags, exprPos(sub), LintConstIndex, SevError,
-					"index %d of %s is out of range [0,%d)", c, id.Name, bound)
-			}
-		}
-	}
-	checkExpr := func(e Expr) {
-		walkExpr(e, func(x Expr) {
-			if _, ok := x.(*IndexExpr); ok {
-				checkIndexChain(x)
-			}
-		})
-	}
-
-	for _, cl := range alg.Nodes {
-		checkExpr(cl.Guard)
-		checkExpr(cl.Volume)
-	}
-	if alg.Link != nil {
-		for _, cl := range alg.Link.Clauses {
-			checkExpr(cl.Guard)
-			checkExpr(cl.Volume)
-			checkTargets(cl.Pos, cl.Src)
-			checkTargets(cl.Pos, cl.Dst)
-		}
-	}
-	if alg.Parent != nil {
-		checkTargets(alg.Pos, alg.Parent)
-	}
-	walkStmt(alg.Scheme, func(s Stmt) {
-		switch x := s.(type) {
-		case *ActionStmt:
-			checkExpr(x.Percent)
-			checkTargets(x.Pos, x.A)
-			if x.B != nil {
-				checkTargets(x.Pos, x.B)
-			}
-		default:
-			forEachStmtExpr(s, checkExpr)
-		}
-	})
-	return diags
+	return v, ""
 }
 
 // constValue evaluates literal-only integer expressions: IntLit, unary
@@ -319,87 +225,6 @@ func constValue(e Expr) (int64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// --- AST walking helpers -------------------------------------------------
-
-// walkExpr calls fn on e and every sub-expression.
-func walkExpr(e Expr, fn func(Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch x := e.(type) {
-	case *MemberExpr:
-		walkExpr(x.X, fn)
-	case *IndexExpr:
-		walkExpr(x.X, fn)
-		walkExpr(x.Idx, fn)
-	case *CallExpr:
-		for _, a := range x.Args {
-			walkExpr(a, fn)
-		}
-	case *UnaryExpr:
-		walkExpr(x.X, fn)
-	case *BinaryExpr:
-		walkExpr(x.X, fn)
-		walkExpr(x.Y, fn)
-	case *AssignExpr:
-		walkExpr(x.LHS, fn)
-		walkExpr(x.RHS, fn)
-	case *IncDecExpr:
-		walkExpr(x.X, fn)
-	}
-}
-
-// walkStmt calls fn on s and every nested statement.
-func walkStmt(s Stmt, fn func(Stmt)) {
-	if s == nil {
-		return
-	}
-	fn(s)
-	switch x := s.(type) {
-	case *BlockStmt:
-		for _, st := range x.Stmts {
-			walkStmt(st, fn)
-		}
-	case *LoopStmt:
-		walkStmt(x.Init, fn)
-		walkStmt(x.Post, fn)
-		walkStmt(x.Body, fn)
-	case *IfStmt:
-		walkStmt(x.Then, fn)
-		walkStmt(x.Else, fn)
-	}
-}
-
-// forEachStmtExpr calls fn on the expressions directly held by s (not those
-// of nested statements).
-func forEachStmtExpr(s Stmt, fn func(Expr)) {
-	switch x := s.(type) {
-	case *DeclStmt:
-		for _, init := range x.Inits {
-			if init != nil {
-				fn(init)
-			}
-		}
-	case *LoopStmt:
-		if x.Cond != nil {
-			fn(x.Cond)
-		}
-	case *IfStmt:
-		fn(x.Cond)
-	case *ExprStmt:
-		fn(x.X)
-	case *ActionStmt:
-		fn(x.Percent)
-		for _, e := range x.A {
-			fn(e)
-		}
-		for _, e := range x.B {
-			fn(e)
-		}
-	}
 }
 
 // exprListEqual reports syntactic equality of two expression lists.
@@ -455,14 +280,14 @@ func exprEqual(a, b Expr) bool {
 
 // --- Auto-instantiation --------------------------------------------------
 
-// AutoInstantiate binds heuristic small actual parameters — scalar ints
+// autoInstantiate binds heuristic small actual parameters — scalar ints
 // become 2, doubles 1.0, integer arrays are filled with ones — and
 // evaluates the model. The communication-graph lints use the resulting
 // tiny instance to unroll the scheme; models whose parameters carry
 // non-trivial invariants (block sizes that must divide, distributions that
 // must tile) may fail to auto-instantiate, in which case callers fall back
 // to explicit arguments.
-func (m *Model) AutoInstantiate() (*Instance, error) {
+func (m *Model) autoInstantiate() (*Instance, error) {
 	return m.instantiate(func(i int, dims []int) (any, error) {
 		prm := m.File.Algorithm.Params[i]
 		switch {
@@ -518,28 +343,28 @@ func nest[T any](prm Param, dims []int, v int) []T {
 
 // --- Symbolic scheme unrolling -------------------------------------------
 
-// TraceOp is one activity of the unrolled scheme: a computation on Src
+// traceOp is one activity of the unrolled scheme: a computation on Src
 // (Dst == -1) or a transfer Src -> Dst, in abstract processor indices.
-type TraceOp struct {
+type traceOp struct {
 	Src, Dst int
 	Pos      Pos
 }
 
 // Comm reports whether the op is a transfer.
-func (op *TraceOp) Comm() bool { return op.Dst >= 0 }
+func (op *traceOp) Comm() bool { return op.Dst >= 0 }
 
-// TraceNode is a series-parallel trace of the scheme: either a leaf
+// traceNode is a series-parallel trace of the scheme: either a leaf
 // activity (Op non-nil) or a composition of children — sequential when Par
 // is false, concurrent when true. It is the communication structure the
-// modelcheck lints analyse, mirroring how BuildDAG threads dependencies.
-type TraceNode struct {
+// graph lints analyse, mirroring how BuildDAG threads dependencies.
+type traceNode struct {
 	Par  bool
-	Op   *TraceOp
-	Kids []*TraceNode
+	Op   *traceOp
+	Kids []*traceNode
 }
 
 // Ops appends every leaf activity under n to out, in scheme order.
-func (n *TraceNode) Ops(out []*TraceOp) []*TraceOp {
+func (n *traceNode) Ops(out []*traceOp) []*traceOp {
 	if n == nil {
 		return out
 	}
@@ -552,23 +377,23 @@ func (n *TraceNode) Ops(out []*TraceOp) []*TraceOp {
 	return out
 }
 
-// UnrollScheme symbolically executes the scheme declaration with the
+// unrollScheme symbolically executes the scheme declaration with the
 // interpreter BuildDAG uses (walkScheme) — so control flow, and the checks
 // on an activity's percentage (evaluation errors, negative values), are
 // BuildDAG's — but records the series-parallel structure of the generated
 // activities instead of a dependency DAG. Sequential composition is
 // associative and comes out flat: a block or seq loop nested in a sequence
 // contributes its activities to that sequence.
-func (inst *Instance) UnrollScheme() (*TraceNode, error) {
+func (inst *Instance) unrollScheme() (*traceNode, error) {
 	u := &unroller{}
-	kids, err := walkScheme[[]*TraceNode](inst.schemeFrame(), u, inst.Model.prog.scheme, nil)
+	kids, err := walkScheme[[]*traceNode](inst.schemeFrame(), u, inst.Model.prog.scheme, nil)
 	if err != nil {
 		return nil, err
 	}
 	if n := seqNode(kids); n != nil {
 		return n, nil
 	}
-	return &TraceNode{}, nil
+	return &traceNode{}, nil
 }
 
 // unroller is the scheme sink that builds the trace: the state is the
@@ -583,42 +408,211 @@ const maxUnrollOps = 1 << 20
 
 // seqNode wraps children in a sequential composition, collapsing the
 // trivial cases.
-func seqNode(kids []*TraceNode) *TraceNode {
+func seqNode(kids []*traceNode) *traceNode {
 	switch len(kids) {
 	case 0:
 		return nil
 	case 1:
 		return kids[0]
 	}
-	return &TraceNode{Kids: kids}
+	return &traceNode{Kids: kids}
 }
 
-func (u *unroller) action(pos Pos, src, dst int, _ float64, in []*TraceNode) ([]*TraceNode, error) {
+func (u *unroller) action(pos Pos, src, dst int, _ float64, in []*traceNode) ([]*traceNode, error) {
 	u.ops++
 	if u.ops > maxUnrollOps {
 		return nil, errf(pos, "scheme unrolls to more than %d activities", maxUnrollOps)
 	}
-	return append(in, &TraceNode{Op: &TraceOp{Src: src, Dst: dst, Pos: pos}}), nil
+	return append(in, &traceNode{Op: &traceOp{Src: src, Dst: dst, Pos: pos}}), nil
 }
 
 // fork: a par iteration is its own sequence.
-func (u *unroller) fork([]*TraceNode) []*TraceNode { return nil }
+func (u *unroller) fork([]*traceNode) []*traceNode { return nil }
 
 // join collects the par branches, dropping iterations that generated
 // nothing.
-func (u *unroller) join(acc, out []*TraceNode) []*TraceNode {
+func (u *unroller) join(acc, out []*traceNode) []*traceNode {
 	if n := seqNode(out); n != nil {
 		acc = append(acc, n)
 	}
 	return acc
 }
 
-func (u *unroller) merge(in, acc []*TraceNode) []*TraceNode {
+func (u *unroller) merge(in, acc []*traceNode) []*traceNode {
 	switch len(acc) {
 	case 0:
 		return in
 	case 1:
 		return append(in, acc[0])
 	}
-	return append(in, &TraceNode{Par: true, Kids: acc})
+	return append(in, &traceNode{Par: true, Kids: acc})
+}
+
+// --- Communication-graph lints -------------------------------------------
+
+// lintGraph runs the communication-graph lints over an unrolled instance.
+func lintGraph(inst *Instance, trace *traceNode) []Diag {
+	var diags []Diag
+
+	ops := trace.Ops(nil)
+	exercised := make(map[[2]int]bool)
+	selfAt := make(map[Pos]bool)
+	nolinkAt := make(map[Pos]bool)
+	for _, op := range ops {
+		if !op.Comm() {
+			continue
+		}
+		if op.Src == op.Dst {
+			if !selfAt[op.Pos] {
+				selfAt[op.Pos] = true
+				diags = append(diags, Diag{
+					Pos: op.Pos, Code: LintSelfComm, Severity: SevError,
+					Message: sprintfCoords(inst, "communication action evaluates to a self transfer on processor %v", op.Src),
+				})
+			}
+			continue
+		}
+		exercised[[2]int{op.Src, op.Dst}] = true
+		if inst.CommVolume[op.Src][op.Dst] == 0 && !nolinkAt[op.Pos] {
+			nolinkAt[op.Pos] = true
+			diags = append(diags, Diag{
+				Pos: op.Pos, Code: LintNoLink, Severity: SevWarn,
+				Message: sprintfPair(inst, "scheme transfers %v -> %v but the link section declares no volume for the pair", op.Src, op.Dst),
+			})
+		}
+	}
+
+	linkPos := Pos{}
+	if l := inst.Model.File.Algorithm.Link; l != nil {
+		linkPos = l.Pos
+	}
+	for src := 0; src < inst.NumProcs; src++ {
+		for dst := 0; dst < inst.NumProcs; dst++ {
+			if inst.CommVolume[src][dst] > 0 && !exercised[[2]int{src, dst}] {
+				diags = append(diags, Diag{
+					Pos: linkPos, Code: LintLinkUnused, Severity: SevWarn,
+					Message: sprintfPair(inst, "link declares volume for %v -> %v but the scheme never transfers between the pair", src, dst),
+				})
+			}
+		}
+	}
+
+	diags = append(diags, checkSeqCycles(inst, trace)...)
+	return diags
+}
+
+// checkSeqCycles finds directed cycles among maximal runs of consecutive
+// transfer leaves in sequential compositions.
+func checkSeqCycles(inst *Instance, n *traceNode) []Diag {
+	var diags []Diag
+	var visit func(*traceNode)
+	visit = func(n *traceNode) {
+		if n == nil || n.Op != nil {
+			return
+		}
+		if !n.Par {
+			var run []*traceOp
+			flush := func() {
+				if len(run) > 1 {
+					if d, ok := cycleDiag(inst, run); ok {
+						diags = append(diags, d)
+					}
+				}
+				run = nil
+			}
+			for _, k := range n.Kids {
+				if k.Op != nil && k.Op.Comm() && k.Op.Src != k.Op.Dst {
+					run = append(run, k.Op)
+					continue
+				}
+				flush()
+			}
+			flush()
+		}
+		for _, k := range n.Kids {
+			visit(k)
+		}
+	}
+	visit(n)
+	return diags
+}
+
+// cycleDiag reports whether the run's transfer edges contain a directed
+// cycle, and if so builds the diagnostic.
+func cycleDiag(inst *Instance, run []*traceOp) (Diag, bool) {
+	adj := make(map[int][]int)
+	for _, op := range run {
+		adj[op.Src] = append(adj[op.Src], op.Dst)
+	}
+	const (
+		white = 0
+		grey  = 1
+		black = 2
+	)
+	color := make(map[int]int)
+	var cycleNode = -1
+	var dfs func(v int) bool
+	dfs = func(v int) bool {
+		color[v] = grey
+		for _, w := range adj[v] {
+			if color[w] == grey {
+				cycleNode = w
+				return true
+			}
+			if color[w] == white && dfs(w) {
+				return true
+			}
+		}
+		color[v] = black
+		return false
+	}
+	// Sorted starts: which processor of a cycle the message names must not
+	// depend on map iteration order.
+	starts := make([]int, 0, len(adj))
+	for v := range adj {
+		starts = append(starts, v)
+	}
+	sort.Ints(starts)
+	for _, v := range starts {
+		if color[v] == white && dfs(v) {
+			break
+		}
+	}
+	if cycleNode < 0 {
+		return Diag{}, false
+	}
+	return Diag{
+		Pos: run[0].Pos, Code: LintSeqCycle, Severity: SevError,
+		Message: sprintfCoords(inst,
+			"consecutive transfers in a sequential scheme segment form a cycle through processor %v; "+
+				"a rendezvous send-first lowering of this segment deadlocks", cycleNode),
+	}, true
+}
+
+func sprintfCoords(inst *Instance, format string, proc int) string {
+	return fmt.Sprintf(format, inst.CoordsOf(proc))
+}
+
+func sprintfPair(inst *Instance, format string, src, dst int) string {
+	return fmt.Sprintf(format, inst.CoordsOf(src), inst.CoordsOf(dst))
+}
+
+// dedupe removes exact duplicate findings.
+func dedupe(diags []Diag) []Diag {
+	type key struct {
+		code string
+		pos  Pos
+		msg  string
+	}
+	seen := make(map[key]bool, len(diags))
+	out := diags[:0]
+	for _, d := range diags {
+		k := key{d.Code, d.Pos, d.Message}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		out = append(out, d)
+	}
+	return out
 }

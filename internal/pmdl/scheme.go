@@ -9,7 +9,7 @@ import "fmt"
 // executes the control flow once on one frame; what the
 // activities and the par structure turn into is the sink's business: a
 // dependency DAG for pricing (BuildDAG) or a series-parallel trace for the
-// lints (UnrollScheme).
+// lints (unrollScheme).
 
 // schemeSink receives what interpreting a scheme generates. T is the
 // state threaded through sequential composition: the exit state of one

@@ -10,7 +10,11 @@ import (
 // walk, its compilation: every name the walk resolves becomes a frame slot
 // and every expression it checks is lowered (compile.go) with its slots
 // bound. The paper's toolchain compiles model descriptions ahead of time
-// (Figure 1); this is that compiler. ParseModel runs it.
+// (Figure 1); this is that compiler. ParseModel runs it. The same walk
+// records the structural lints (lint.go) of the node, link, parent and
+// scheme sections: a name it resolves to a coordinate is a use of that
+// coordinate, a constant subscript it compiles is checked against the
+// array's constant extent.
 //
 // Checked rules:
 //
@@ -36,7 +40,8 @@ import (
 func compile(f *File) (*program, error) {
 	c := &checker{
 		structs: make(map[string]*StructDef),
-		coords:  len(f.Algorithm.Coords),
+		coords:  f.Algorithm.Coords,
+		used:    make([]bool, len(f.Algorithm.Coords)),
 	}
 	for _, td := range f.Typedefs {
 		if _, dup := c.structs[td.Name]; dup {
@@ -73,7 +78,7 @@ func compile(f *File) (*program, error) {
 		} else {
 			c.nslots++
 		}
-		if err := global.declare(prm.Pos, prm.Name, symbol{dims: len(prm.Dims), typ: prm.Type, slot: cp.slot}); err != nil {
+		if err := global.declare(prm.Pos, prm.Name, symbol{dims: len(prm.Dims), extent: prm.Dims, typ: prm.Type, slot: cp.slot}); err != nil {
 			return nil, err
 		}
 		p.params = append(p.params, cp)
@@ -81,7 +86,7 @@ func compile(f *File) (*program, error) {
 
 	// Coordinates: sizes reference parameters; names join the scope, but
 	// only the node and link clauses are evaluated with them bound.
-	p.coordSlot = c.nslots
+	p.coordSlot, c.coordSlot = c.nslots, c.nslots
 	for _, cv := range alg.Coords {
 		size, err := c.scalar(cv.Size, global, cv.Pos)
 		if err != nil {
@@ -95,6 +100,7 @@ func compile(f *File) (*program, error) {
 	}
 
 	// Node clauses.
+	c.lint = true
 	c.inClause = true
 	for _, cl := range alg.Nodes {
 		n := cnode{pos: cl.Pos}
@@ -133,8 +139,8 @@ func compile(f *File) (*program, error) {
 				return nil, err
 			}
 			for _, side := range [][]Expr{cl.Src, cl.Dst} {
-				if len(side) != c.coords {
-					return nil, errf(cl.Pos, "link target names %d coordinates, algorithm has %d", len(side), c.coords)
+				if len(side) != len(c.coords) {
+					return nil, errf(cl.Pos, "link target names %d coordinates, algorithm has %d", len(side), len(c.coords))
 				}
 			}
 			if l.src, err = c.scalars(cl.Src, linkScope, cl.Pos); err != nil {
@@ -143,6 +149,12 @@ func compile(f *File) (*program, error) {
 			if l.dst, err = c.scalars(cl.Dst, linkScope, cl.Pos); err != nil {
 				return nil, err
 			}
+			c.lintTargets(cl.Pos, cl.Src)
+			c.lintTargets(cl.Pos, cl.Dst)
+			if exprListEqual(cl.Src, cl.Dst) {
+				c.lintf(cl.Pos, LintSelfComm, SevError,
+					"link clause transfers from a processor to itself; self transfers carry no cost and are dropped")
+			}
 			p.links = append(p.links, l)
 		}
 		c.inClause = false
@@ -150,30 +162,38 @@ func compile(f *File) (*program, error) {
 
 	// Parent.
 	if alg.Parent != nil {
-		if len(alg.Parent) != c.coords {
-			return nil, errf(alg.Pos, "parent names %d coordinates, algorithm has %d", len(alg.Parent), c.coords)
+		if len(alg.Parent) != len(c.coords) {
+			return nil, errf(alg.Pos, "parent names %d coordinates, algorithm has %d", len(alg.Parent), len(c.coords))
 		}
 		if p.parent, err = c.scalars(alg.Parent, global, alg.Pos); err != nil {
 			return nil, err
 		}
+		c.lintTargets(alg.Pos, alg.Parent)
 	}
 
 	// Scheme.
 	if p.scheme, err = c.stmt(alg.Scheme, newScope(global)); err != nil {
 		return nil, err
 	}
-	p.nslots, p.nargs, p.writes = c.nslots, c.nargs, c.writes
+	for i, cv := range alg.Coords {
+		if !c.used[i] {
+			c.lintf(cv.Pos, LintUnusedCoord, SevWarn,
+				"coordinate %s is declared but never used in node, link, parent or scheme", cv.Name)
+		}
+	}
+	p.nslots, p.nargs, p.writes, p.lints = c.nslots, c.nargs, c.writes, c.lints
 	return p, nil
 }
 
 // symbol is a declared name. slot is the frame slot of a scalar, the first
 // field's slot of a struct local, or the index of an array parameter.
 type symbol struct {
-	dims  int // >0 for arrays
-	typ   TypeRef
-	slot  int
-	def   *StructDef // struct locals
-	coord bool
+	dims   int    // >0 for arrays
+	extent []Expr // an array parameter's declared dimensions
+	typ    TypeRef
+	slot   int
+	def    *StructDef // struct locals
+	coord  bool
 }
 
 func (sym symbol) operand() operand {
@@ -215,7 +235,7 @@ func (s *scope) lookup(name string) (symbol, bool) {
 
 type checker struct {
 	structs map[string]*StructDef
-	coords  int
+	coords  []CoordVar
 	nslots  int  // frame slots assigned so far
 	nargs   int  // host-call argument scratch assigned so far
 	writes  bool // see program.writes
@@ -224,6 +244,13 @@ type checker struct {
 	inClause bool
 	// realDiv is set while the percentage of a %% action is compiled.
 	realDiv bool
+	// lint is set from the node section on: the structural lints look at
+	// node, link, parent and scheme, not at parameter extents or
+	// coordinate sizes.
+	lint      bool
+	coordSlot int    // frame slot of the first coordinate
+	used      []bool // per coordinate: an identifier resolved to it
+	lints     []Diag
 }
 
 func (c *checker) stmt(s Stmt, sc *scope) (cstmt, error) {
@@ -322,8 +349,8 @@ func (c *checker) stmt(s Stmt, sc *scope) (cstmt, error) {
 			return nil, err
 		}
 		for _, side := range [][]Expr{x.A, x.B} {
-			if side != nil && len(side) != c.coords {
-				return nil, errf(x.Pos, "action target names %d coordinates, algorithm has %d", len(side), c.coords)
+			if side != nil && len(side) != len(c.coords) {
+				return nil, errf(x.Pos, "action target names %d coordinates, algorithm has %d", len(side), len(c.coords))
 			}
 		}
 		if out.a, err = c.scalars(x.A, sc, x.Pos); err != nil {
@@ -331,6 +358,11 @@ func (c *checker) stmt(s Stmt, sc *scope) (cstmt, error) {
 		}
 		if out.b, err = c.scalars(x.B, sc, x.Pos); err != nil {
 			return nil, err
+		}
+		c.lintTargets(x.Pos, x.A)
+		c.lintTargets(x.Pos, x.B)
+		if x.B != nil && exprListEqual(x.A, x.B) {
+			c.lintf(x.Pos, LintSelfComm, SevError, "communication action sends from a processor to itself")
 		}
 		return out, nil
 	}
@@ -376,10 +408,13 @@ func (c *checker) expr(e Expr, sc *scope) (operand, error) {
 		return constOperand(intNum(4)), nil
 	case *Ident:
 		sym, ok := sc.lookup(x.Name)
-		switch {
-		case !ok:
+		if !ok {
 			return operand{}, errf(x.Pos, "undefined name %q", x.Name)
-		case sym.coord && !c.inClause:
+		}
+		if sym.coord && c.lint {
+			c.used[sym.slot-c.coordSlot] = true
+		}
+		if sym.coord && !c.inClause {
 			return failOperand(x.Pos, fmt.Sprintf("undefined name %q", x.Name)), nil
 		}
 		return sym.operand(), nil
@@ -444,6 +479,9 @@ func (c *checker) expr(e Expr, sc *scope) (operand, error) {
 		}
 		if len(subs) > sym.dims {
 			return operand{}, errf(x.Pos, "%q has %d dimensions, %d subscripts given", id.Name, sym.dims, len(subs))
+		}
+		if c.lint {
+			c.lintIndex(x, id.Name, sym.extent[:len(subs)])
 		}
 		return indexOperand(sym.slot, sym.dims, subs), nil
 	case *CallExpr:
