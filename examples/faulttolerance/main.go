@@ -13,6 +13,10 @@
 //     recreated group until it completes, while a deterministic chaos
 //     schedule kills processes at fixed virtual times.
 //
+// Above the three layers is one rule: a bug is not a failure. A rank that
+// panics with anything else aborts the run — its blocked peers unwind,
+// and Run returns the panic as an error.
+//
 // Run: go run ./examples/faulttolerance
 package main
 
@@ -177,6 +181,22 @@ func main() {
 	}
 	fmt.Printf("self-healing run finished after %d attempt(s): selections %v\n",
 		len(selections), selections)
+
+	// --- The abort rule: a panicking rank ends the run. ---
+	rt4, err := hmpi.New(hmpi.Config{Cluster: hnoc.Paper9()})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rt4.Finalize()
+	err = rt4.Run(func(h *hmpi.Process) error {
+		if h.Rank() == 1 {
+			panic("bug in rank 1")
+		}
+		// Catch does not intercept the abort: no recovery runs for a bug.
+		_ = mpi.Catch(func() { h.CommWorld().Barrier() })
+		return nil
+	})
+	fmt.Printf("a panicking rank aborts the run instead of hanging it: %v\n", err)
 	fmt.Println("\nDetection, agreement, and model-driven re-selection completed the")
 	fmt.Println("work around the failure — the recovery pattern FT-MPI pioneered,")
 	fmt.Println("driven by HMPI's performance-model group selection.")

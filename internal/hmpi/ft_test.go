@@ -308,6 +308,30 @@ func TestRunResilientRecoversFromFailure(t *testing.T) {
 	}
 }
 
+// TestRunResilientPanicAbortsWorld: a member's panic is no process
+// failure, so no recovery runs. The world aborts instead — the members
+// blocked in the collective, the host and the parked processes all unwind
+// — and Run returns the panic as the member's error.
+func TestRunResilientPanicAbortsWorld(t *testing.T) {
+	rt := newRuntime(t, hnoc.Homogeneous(5, 10))
+	model := testModel(t)
+	var panicked atomic.Bool
+	var victim atomic.Int64
+	err := runRuntimeWithTimeout(t, rt, 10*time.Second, func(h *Process) error {
+		return h.RunResilient(FixedPlan(model, 3, []int{1, 1, 1}, 1), func(g *Group) error {
+			if h.Rank() != HostRank && panicked.CompareAndSwap(false, true) {
+				victim.Store(int64(h.Rank()))
+				panic("bug")
+			}
+			g.Comm().Allreduce([]byte{1}, func(inout, in []byte) { inout[0] += in[0] })
+			return nil
+		})
+	})
+	if want := fmt.Sprintf("mpi: process %d panicked: bug", victim.Load()); err == nil || err.Error() != want {
+		t.Fatalf("Run = %v, want %q", err, want)
+	}
+}
+
 func TestRunResilientPropagatesAppError(t *testing.T) {
 	rt := newRuntime(t, hnoc.Homogeneous(4, 10))
 	model := testModel(t)

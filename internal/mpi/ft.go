@@ -256,6 +256,9 @@ func (w *World) agree(key ctxKey, members []int, me int, now vclock.Time) ([]int
 			w.agreeCond.Broadcast()
 			break
 		}
+		if w.aborted {
+			panic(errAborted)
+		}
 		w.agreeCond.Wait()
 	}
 	return append([]int(nil), st.value...), st.maxT
@@ -283,6 +286,9 @@ func (w *World) agreeVote(key ctxKey, members []int, me int, now vclock.Time, lo
 			st.decided = true
 			w.agreeCond.Broadcast()
 			break
+		}
+		if w.aborted {
+			panic(errAborted)
 		}
 		w.agreeCond.Wait()
 	}

@@ -59,13 +59,14 @@ func (s recvSel) matchesTag(tag int) bool {
 // inspects one short per-pair FIFO instead of scanning the whole backlog.
 // put/get form the only cross-goroutine interaction in the simulation.
 type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      map[mbKey][]*envelope
-	closed bool
-	kind   FailureKind // why the owner failed, for error reporting
-	owner  int         // world rank, for failure reporting
-	enq    int64       // monotone enqueue counter; stamps envelope.order
+	mu      sync.Mutex
+	cond    *sync.Cond
+	q       map[mbKey][]*envelope
+	closed  bool
+	aborted bool        // closed by World.abort rather than a failure
+	kind    FailureKind // why the owner failed, for error reporting
+	owner   int         // world rank, for failure reporting
+	enq     int64       // monotone enqueue counter; stamps envelope.order
 
 	// maxSeq, when non-nil, records the highest sender sequence consumed
 	// per source: the duplicate-suppression window of the reliable
@@ -179,7 +180,7 @@ func (m *mailbox) get(sel recvSel, giveUp func() error, peek bool) *envelope {
 			return m.pop(k, i)
 		}
 		if m.closed {
-			panic(&ProcessFailedError{Rank: m.owner, Kind: m.kind})
+			panic(m.closedErr())
 		}
 		if giveUp != nil {
 			if err := giveUp(); err != nil {
@@ -232,7 +233,7 @@ func (m *mailbox) awaitArrival(seen int64, giveUp func() error) {
 	defer m.mu.Unlock()
 	for m.enq == seen {
 		if m.closed {
-			panic(&ProcessFailedError{Rank: m.owner, Kind: m.kind})
+			panic(m.closedErr())
 		}
 		if giveUp != nil {
 			if err := giveUp(); err != nil {
@@ -249,6 +250,23 @@ func (m *mailbox) close(kind FailureKind) {
 	m.kind = kind
 	m.cond.Broadcast()
 	m.mu.Unlock()
+}
+
+// abort closes the mailbox for World.abort.
+func (m *mailbox) abort() {
+	m.mu.Lock()
+	m.closed, m.aborted = true, true
+	m.cond.Broadcast()
+	m.mu.Unlock()
+}
+
+// closedErr is what a wait on the closed mailbox panics with: the owner's
+// failure, or errAborted once the world is aborted.
+func (m *mailbox) closedErr() any {
+	if m.aborted {
+		return errAborted
+	}
+	return &ProcessFailedError{Rank: m.owner, Kind: m.kind}
 }
 
 // Status describes a received or probed message.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/hnoc"
 	"repro/internal/vclock"
@@ -412,6 +413,42 @@ func TestRunRecoversPanics(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("panic was not converted to an error")
+	}
+}
+
+// TestPanicAbortsWorld: a rank that panics outside the fault-tolerance
+// protocol aborts the world. Its peers, blocked on it in a receive or a
+// collective, unwind instead of waiting forever, and Run returns the
+// panicking rank's error.
+func TestPanicAbortsWorld(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		block func(c *Comm)
+	}{
+		{"Recv", func(c *Comm) { c.Recv(1, 0) }},
+		{"Barrier", func(c *Comm) { c.Barrier() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWorld(hnoc.Paper9(), OneProcessPerMachine(hnoc.Paper9()))
+			done := make(chan error, 1)
+			go func() {
+				done <- w.Run(func(p *Proc) error {
+					if p.Rank() == 1 {
+						panic("bug")
+					}
+					tc.block(p.CommWorld())
+					return nil
+				})
+			}()
+			select {
+			case err := <-done:
+				if want := "mpi: process 1 panicked: bug"; err == nil || err.Error() != want {
+					t.Fatalf("Run = %v, want %q", err, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run still blocked 10s after rank 1 panicked")
+			}
+		})
 	}
 }
 

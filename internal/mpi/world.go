@@ -30,6 +30,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -68,6 +69,7 @@ type World struct {
 	agreeMu   sync.Mutex
 	agreeCond *sync.Cond
 	agreeTab  map[ctxKey]*agreeState
+	aborted   bool // set by abort, under agreeMu
 
 	// tick, when non-nil, observes every operation boundary of every
 	// process: the hook through which a chaos schedule kills a process
@@ -322,7 +324,11 @@ func (e *ProcessFailedError) Error() string {
 // Run executes main on every process of the world concurrently and waits
 // for all of them. It returns the first error returned by any process
 // (panics inside a process, including communication with failed processes,
-// are recovered and reported as errors). Run may be called once per World.
+// are recovered and reported as errors). A panic outside the
+// fault-tolerance protocol — anything but a process failure, a
+// revocation or an injected kill — aborts the world: every rank still
+// blocked unwinds, past any Catch, and Run returns the panicking rank's
+// error. Run may be called once per World.
 func (w *World) Run(main func(p *Proc) error) error {
 	errs := make([]error, len(w.procs))
 	var wg sync.WaitGroup
@@ -345,7 +351,11 @@ func (w *World) Run(main func(p *Proc) error) error {
 					case *RevokedError:
 						errs[p.rank] = e
 					default:
+						if r == errAborted {
+							return // unwound by another rank's panic
+						}
 						errs[p.rank] = fmt.Errorf("mpi: process %d panicked: %v", p.rank, r)
+						w.abort()
 					}
 				}
 			}()
@@ -359,6 +369,23 @@ func (w *World) Run(main func(p *Proc) error) error {
 		}
 	}
 	return nil
+}
+
+// errAborted is the panic that unwinds a rank blocked when the world is
+// aborted. Catch passes it on, so no recovery protocol intercepts it.
+var errAborted = errors.New("mpi: world aborted")
+
+// abort closes every mailbox and wakes every agreement, so each rank still
+// waiting — on the panicked rank or on anyone else — panics with
+// errAborted.
+func (w *World) abort() {
+	for _, p := range w.procs {
+		p.mbox.abort()
+	}
+	w.agreeMu.Lock()
+	w.aborted = true
+	w.agreeCond.Broadcast()
+	w.agreeMu.Unlock()
 }
 
 // Makespan returns the maximum final virtual clock across processes: the
