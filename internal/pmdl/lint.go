@@ -4,26 +4,14 @@ package pmdl
 // checker enforces. The paper's toolchain compiles a model ahead of time so
 // the runtime can reason about the algorithm before running it
 // (HMPI_Timeof, HMPI_Group_create); the lints extend that static reasoning
-// from performance to correctness. Lint is the one entry point, and it has
-// two passes:
-//
-//   - the structural lints — unusedcoord, constindex and the syntactic
-//     selfcomm — are recorded by the checker (sema.go) while it compiles
-//     the node, link, parent and scheme sections, so every name resolves
-//     the way compilation resolves it;
-//   - the communication-graph lints instantiate the model with heuristic
-//     small arguments (autoInstantiate) unless explicit ones are given,
-//     unroll the scheme into a series-parallel trace (unrollScheme), and
-//     check it: selfcomm on an evaluated self transfer; seqcycle when
-//     consecutive transfers of one sequential segment form a directed
-//     cycle (the scheme's global order is consistent, but an SPMD
-//     lowering in which each process issues the segment's sends before
-//     its receives deadlocks under rendezvous semantics); linkunused when
-//     a pair has declared link volume the scheme never transfers (the
-//     model charges HMPI_Timeof for traffic the algorithm never
-//     performs); nolink when the scheme transfers between a pair with no
-//     declared volume (the transfer costs nothing in the model, hiding
-//     real traffic from group selection).
+// from performance to correctness. Lint is the one entry point, with two
+// passes. The structural lints (unusedcoord, constindex, the syntactic
+// selfcomm) are recorded by the checker (sema.go) while it compiles the
+// node, link, parent and scheme sections, so every name resolves the way
+// compilation resolves it. The communication-graph lints bind heuristic
+// small arguments (autoInstantiate) unless explicit ones are given, unroll
+// the scheme into a series-parallel trace (unrollScheme) and check its
+// transfers against the link section and against each other.
 
 import (
 	"fmt"
@@ -61,10 +49,11 @@ const (
 	// nowhere in node, link, parent or scheme.
 	LintUnusedCoord = "unusedcoord"
 	// LintLinkUnused: a pair with declared link volume that the scheme
-	// never transfers between.
+	// never transfers between (HMPI_Timeof charges traffic the algorithm
+	// never performs).
 	LintLinkUnused = "linkunused"
 	// LintNoLink: a scheme transfer between a pair with no declared link
-	// volume.
+	// volume (real traffic the model hides from group selection).
 	LintNoLink = "nolink"
 	// LintConstIndex: a constant array subscript or coordinate target
 	// that is negative or exceeds a constant declared bound.
@@ -149,6 +138,7 @@ func sortDiags(diags []Diag) {
 
 // --- Structural lints, recorded by the checker ---------------------------
 
+// lintf records a structural finding.
 func (c *checker) lintf(pos Pos, code string, sev Severity, format string, args ...any) {
 	c.lints = append(c.lints, Diag{Pos: pos, Code: code, Severity: sev, Message: fmt.Sprintf(format, args...)})
 }
