@@ -16,14 +16,16 @@ build:
 # other test it skips, the benchmark's smoke run, is run after it. The
 # pmdl concurrency tests (one Model, one Instance, many goroutines),
 # mpi's Auto agreement test (24 ranks racing to one World's priced
-# choices) and the abort tests (a rank's panic unwinding peers blocked in
-# a receive, a collective or RunResilient) repeat: a race needs the
-# schedule that shows it.
+# choices), the receive tests (the pinned receive paths on both
+# transports, and Probe leaving a posted Irecv its message) and the abort
+# tests (a rank's panic unwinding peers blocked in a receive, a collective
+# or RunResilient) repeat: a race needs the schedule that shows it.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 -run 'Concurrent|SharedAcrossGoroutines' ./internal/pmdl
 	$(GO) test -race -count=5 -run TestAutoConcurrentAgreement ./internal/mpi
+	$(GO) test -race -count=5 -run 'TestReceiveGolden|TestProbe' ./internal/mpi
 	$(GO) test -race -count=5 -run PanicAbortsWorld ./internal/mpi ./internal/hmpi
 	$(GO) test -race -run TestSmoke ./bench
 

@@ -177,14 +177,15 @@ func (x *collRun) run() {
 		case stDrain:
 			x.drain(c, s.tag, i+1, i+1+s.idx)
 		default:
-			t0 := c.p.clock.Now()
+			t0, drained := c.p.clock.Now(), false
 			var e *envelope
 			if i < len(x.envs) && x.envs[i] != nil {
-				e, x.envs[i], t0 = x.envs[i], nil, x.drained
+				e, x.envs[i], t0, drained = x.envs[i], nil, x.drained, true
 			} else {
-				e = c.mboxGet("coll", c.sel(peer, s.tag), x.comm.collWatch())
+				sel := c.sel(peer, s.tag)
+				e = c.p.await("coll", sel, x.comm.collWatch(), func(before int64) *envelope { return c.p.mbox.tryGet(sel, before, false) })
 			}
-			c.finishRecvTiming(e, t0)
+			c.finishRecvTiming(e, t0, drained) // a drained message was an any-source receive
 			x.deliver(s, e)
 		}
 	}
@@ -204,7 +205,8 @@ func (x *collRun) drain(c *Comm, tag, first, end int) {
 		x.srcs = append(x.srcs, world(k))
 	}
 	for len(x.srcs) > 0 {
-		e := c.mboxGet("coll", recvSel{ctx: c.s.id, src: AnySource, tag: tag, srcs: x.srcs}, x.comm.collWatch())
+		sel := recvSel{ctx: c.s.id, src: AnySource, tag: tag, srcs: x.srcs}
+		e := c.p.await("coll", sel, x.comm.collWatch(), func(before int64) *envelope { return c.p.mbox.tryGet(sel, before, false) })
 		k := first
 		for x.envs[k] != nil || world(k) != e.src {
 			k++

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -57,7 +58,8 @@ func (s recvSel) matchesTag(tag int) bool {
 // mailbox holds the messages addressed to one process that no receive has
 // consumed yet, indexed by (context, sender) so a directed receive
 // inspects one short per-pair FIFO instead of scanning the whole backlog.
-// put/get form the only cross-goroutine interaction in the simulation.
+// put and awaitArrival form the only cross-goroutine interaction in the
+// simulation.
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -66,7 +68,9 @@ type mailbox struct {
 	aborted bool        // closed by World.abort rather than a failure
 	kind    FailureKind // why the owner failed, for error reporting
 	owner   int         // world rank, for failure reporting
-	enq     int64       // monotone enqueue counter; stamps envelope.order
+	// enq is the monotone enqueue counter; it stamps envelope.order. It
+	// is written under mu and read without it by Proc.await's snapshot.
+	enq atomic.Int64
 
 	// maxSeq, when non-nil, records the highest sender sequence consumed
 	// per source: the duplicate-suppression window of the reliable
@@ -109,8 +113,7 @@ func (m *mailbox) put(e *envelope) {
 		}
 		m.maxSeq[e.src] = e.seq
 	}
-	e.order = m.enq
-	m.enq++
+	e.order = m.enq.Add(1) - 1
 	k := mbKey{ctx: e.ctx, src: e.src}
 	m.q[k] = append(m.q[k], e)
 	m.cond.Broadcast()
@@ -163,34 +166,6 @@ func (m *mailbox) pop(k mbKey, i int) *envelope {
 	return e
 }
 
-// get blocks until a message matching the selector is present and returns
-// it, removed from its queue unless peek is set. Among simultaneously
-// queued matches the earliest queued wins, which preserves per-sender FIFO
-// (non-overtaking). giveUp is re-checked whenever the mailbox wakes (failure
-// and revocation notifications broadcast to all mailboxes); a non-nil return
-// panics with that error.
-func (m *mailbox) get(sel recvSel, giveUp func() error, peek bool) *envelope {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		if k, i, ok := m.locate(sel); ok {
-			if peek {
-				return m.q[k][i]
-			}
-			return m.pop(k, i)
-		}
-		if m.closed {
-			panic(m.closedErr())
-		}
-		if giveUp != nil {
-			if err := giveUp(); err != nil {
-				panic(err)
-			}
-		}
-		m.cond.Wait()
-	}
-}
-
 // notify wakes all waiters so they can re-evaluate giveUp conditions.
 func (m *mailbox) notify() {
 	m.mu.Lock()
@@ -198,12 +173,17 @@ func (m *mailbox) notify() {
 	m.mu.Unlock()
 }
 
-// tryGet is the non-blocking variant of get; peek leaves the message queued.
-func (m *mailbox) tryGet(sel recvSel, peek bool) *envelope {
+// tryGet returns the earliest-queued envelope the selector accepts, if it
+// was enqueued before the count before, removed from its queue unless peek
+// is set; otherwise nil. Among queued matches the earliest queued wins,
+// which preserves per-sender FIFO (non-overtaking). The bound is a
+// snapshot taken before the last progress (see Proc.await): a message
+// queued after it may belong to a posted receive that has not seen it.
+func (m *mailbox) tryGet(sel recvSel, before int64, peek bool) *envelope {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	k, i, ok := m.locate(sel)
-	if !ok {
+	if !ok || m.q[k][i].order >= before {
 		return nil
 	}
 	if peek {
@@ -212,26 +192,16 @@ func (m *mailbox) tryGet(sel recvSel, peek bool) *envelope {
 	return m.pop(k, i)
 }
 
-// seqSnapshot returns the current enqueue count: the wait loops of the
-// progress engine snapshot it before a matching attempt, so an arrival
-// racing the attempt is never slept through (see awaitArrival).
-func (m *mailbox) seqSnapshot() int64 {
-	m.mu.Lock()
-	n := m.enq
-	m.mu.Unlock()
-	return n
-}
-
 // awaitArrival blocks until the enqueue counter moves past seen — some
 // message, not necessarily a matching one, arrived after the snapshot was
-// taken — or the owner fails, or giveUp reports an error. Like get,
-// failure surfaces by panic; the caller re-runs its matching attempt on
-// return. Wakeups without an enqueue (failure notifications broadcast to
-// all mailboxes) re-check the abort conditions and sleep again.
+// taken — or the owner fails, or giveUp reports an error. Failure
+// surfaces by panic; the caller re-runs its matching attempt on return.
+// Wakeups without an enqueue (failure notifications broadcast to all
+// mailboxes) re-check the abort conditions and sleep again.
 func (m *mailbox) awaitArrival(seen int64, giveUp func() error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.enq == seen {
+	for m.enq.Load() == seen {
 		if m.closed {
 			panic(m.closedErr())
 		}
@@ -461,14 +431,14 @@ func (c *Comm) collCheck() {
 
 // finishRecvTiming applies timing and statistics for a consumed envelope.
 // t0 is the virtual time the receive was posted, used for tracing the
-// waiting interval.
-func (c *Comm) finishRecvTiming(e *envelope, t0 vclock.Time) Status {
+// waiting interval; anySrc marks a wildcard receive in the trace.
+func (c *Comm) finishRecvTiming(e *envelope, t0 vclock.Time, anySrc bool) Status {
 	p := c.p
 	p.opTick()
 	link := p.world.cluster.Link(p.world.place[e.src], p.machine)
 	p.clock.AbsorbAtLeast(e.arrive)
 	p.clock.Advance(vclock.Time(link.Overhead))
-	p.noteRecv(e, t0, p.clock.Now(), p.lastRecvAnySrc)
+	p.noteRecv(e, t0, p.clock.Now(), anySrc)
 	return Status{Source: c.s.rankOf(e.src), Tag: e.tag, Bytes: len(e.data)}
 }
 
@@ -496,8 +466,8 @@ func (p *Proc) noteRecv(e *envelope, start, end vclock.Time, anySrc bool) {
 // caller. Pool-backed payloads are copied out and recycled
 // (copy-on-retain); everything else is handed over as-is. The envelope is
 // recycled and must not be touched afterwards.
-func (c *Comm) consume(e *envelope, t0 vclock.Time) ([]byte, Status) {
-	st := c.finishRecvTiming(e, t0)
+func (c *Comm) consume(e *envelope, t0 vclock.Time, anySrc bool) ([]byte, Status) {
+	st := c.finishRecvTiming(e, t0, anySrc)
 	data := e.retained()
 	e.data = nil
 	releaseEnvelope(e)
@@ -506,33 +476,30 @@ func (c *Comm) consume(e *envelope, t0 vclock.Time) ([]byte, Status) {
 
 // Recv blocks until a message from src with the given tag arrives (src may
 // be AnySource and tag AnyTag) and returns its payload. Messages between
-// one sender/receiver pair are non-overtaking. When an earlier-posted
-// Irecv could match the same envelopes the receive routes through the
-// progress engine, so posting order — not wakeup order — decides which
-// operation gets which message.
+// one sender/receiver pair are non-overtaking, and an earlier-posted Irecv
+// claims a message first (Proc.await).
 func (c *Comm) Recv(src, tag int) ([]byte, Status) {
 	p := c.p
 	s := c.sel(src, tag)
-	if p.eng.overlaps(c.s.id, s) {
-		return c.recvViaEngine(s, src == AnySource)
-	}
 	t0 := p.clock.Now()
-	p.progress()
-	e := c.mboxGet("recv", s, c.failWatch(src))
-	return c.consume(e, t0)
+	e := p.await("recv", s, c.failWatch(src), func(before int64) *envelope { return p.mbox.tryGet(s, before, false) })
+	return c.consume(e, t0, src == AnySource)
 }
 
-// Probe blocks until a matching message is available without receiving it.
+// Probe blocks until a matching message is available without receiving
+// it. A message an earlier-posted Irecv claims is not reported.
 func (c *Comm) Probe(src, tag int) Status {
-	c.p.progress()
-	e := c.p.mbox.get(c.sel(src, tag), c.failWatch(src), true)
+	p := c.p
+	s := c.sel(src, tag)
+	e := p.await("probe", s, c.failWatch(src), func(before int64) *envelope { return p.mbox.tryGet(s, before, true) })
 	return Status{Source: c.s.rankOf(e.src), Tag: e.tag, Bytes: len(e.data)}
 }
 
 // Iprobe reports whether a matching message is available.
 func (c *Comm) Iprobe(src, tag int) (bool, Status) {
+	seen := c.p.mbox.enq.Load()
 	c.p.progress()
-	e := c.p.mbox.tryGet(c.sel(src, tag), true)
+	e := c.p.mbox.tryGet(c.sel(src, tag), seen, true)
 	if e == nil {
 		return false, Status{}
 	}

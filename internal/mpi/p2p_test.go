@@ -230,6 +230,39 @@ func TestProbeAndIprobe(t *testing.T) {
 	})
 }
 
+// TestProbeLeavesAPostedIrecvItsMessage: a message that arrives while Probe
+// blocks, and that an earlier-posted Irecv matches, belongs to the Irecv;
+// Probe reports the next one, which the following Recv then gets.
+func TestProbeLeavesAPostedIrecvItsMessage(t *testing.T) {
+	w := newTestWorld(t, 2)
+	probing := make(chan struct{})
+	err := runWithTimeout(t, w, 10*time.Second, func(p *Proc) error {
+		comm := p.CommWorld()
+		if p.Rank() == 0 {
+			<-probing
+			time.Sleep(20 * time.Millisecond) // let rank 1 block in Probe
+			comm.Send(1, 4, []byte("A"))
+			comm.Send(1, 4, []byte("BB"))
+			return nil
+		}
+		r := comm.Irecv(0, 4)
+		close(probing)
+		if st := comm.Probe(0, 4); st.Bytes != 2 {
+			return fmt.Errorf("Probe reported %d bytes, want 2: the 1-byte message is the Irecv's", st.Bytes)
+		}
+		if data, _ := comm.Recv(0, 4); string(data) != "BB" {
+			return fmt.Errorf("Recv after Probe got %q, want \"BB\"", data)
+		}
+		if data, _ := r.Wait(); string(data) != "A" {
+			return fmt.Errorf("the Irecv got %q, want \"A\"", data)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSendrecvExchange(t *testing.T) {
 	w := newTestWorld(t, 4)
 	runWorld(t, w, func(p *Proc) error {

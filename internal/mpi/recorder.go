@@ -105,35 +105,6 @@ var (
 	}
 )
 
-// mboxGet is the instrumented blocking mailbox receive. kind labels the
-// wait ("recv" for application point-to-point, "coll" inside collective
-// algorithms). When a recorder is attached, the wait is published as a
-// pending operation for the lifetime of the blocking call, so a trace
-// snapshotted mid-run — after a deadlock or a hang — shows exactly what
-// every rank was waiting for; hmpiverify builds its wait-for graph from
-// these entries. Without a recorder the only cost over a direct
-// mbox.get is one nil check and a bool store.
-func (c *Comm) mboxGet(kind string, s recvSel, giveUp func() error) *envelope {
-	p := c.p
-	p.lastRecvAnySrc = s.src == AnySource
-	r := p.world.rec
-	if r == nil {
-		return p.mbox.get(s, giveUp, false)
-	}
-	peer := -1
-	if s.src != AnySource {
-		peer = s.src
-	}
-	r.PendingBegin(p.rank, trace.PendingOp{
-		Kind: kind, Peer: peer, Tag: s.tag, Ctx: s.ctx,
-		AnySrc: s.src == AnySource, Since: float64(p.clock.Now()),
-	})
-	// The pop must run even when the wait aborts by panic (failed peer,
-	// revoked communicator): the rank is no longer waiting on this op.
-	defer r.PendingEnd(p.rank)
-	return p.mbox.get(s, giveUp, false)
-}
-
 // collStart captures the entry timestamps of a collective-like operation
 // (the agreements and Shrink of ft.go) when a recorder is attached, keeping
 // the disabled path to one nil check. The collectives proper carry their

@@ -66,54 +66,75 @@ type Request struct {
 // posting order. It is touched only by the rank's own goroutine (a Proc is
 // goroutine-confined), so it needs no locking.
 type progressState struct {
-	recvQ  []*Request // posted Irecvs not yet matched to an envelope
-	active bool       // re-entrancy guard
+	recvQ []*Request // posted Irecvs not yet matched to an envelope
 }
 
-// overlaps reports whether any pending unmatched receive could match a
-// message the given selector also matches. Blocking Recv uses it to
-// decide whether it must route through the engine so posting order — not
-// wakeup order — assigns messages. AnySource is treated conservatively:
-// any two wildcards on one context overlap.
-func (g *progressState) overlaps(ctx int64, s recvSel) bool {
-	for _, r := range g.recvQ {
-		if r.rsel.ctx != ctx {
-			continue
-		}
-		if r.rsel.tag != AnyTag && s.tag != AnyTag && r.rsel.tag != s.tag {
-			continue
-		}
-		if r.rsel.src == AnySource || s.src == AnySource || r.rsel.src == s.src {
-			return true
-		}
-	}
-	return false
-}
-
-// progress advances the engine: matches arrived envelopes to pending
-// receives in posting order. Claiming is timing-neutral (see the package
-// comment above), so calling this at arbitrary points is safe for
-// determinism.
+// progress advances the engine: under one mailbox lock it matches queued
+// envelopes to pending receives in posting order. Claiming is
+// timing-neutral (see the package comment above), so calling this at
+// arbitrary points is safe for determinism.
 func (p *Proc) progress() {
-	if p.eng.active || len(p.eng.recvQ) == 0 {
+	q := p.eng.recvQ
+	if len(q) == 0 {
 		return
 	}
-	p.eng.active = true
-	q := p.eng.recvQ
+	m := &p.mbox
+	m.mu.Lock()
 	kept := q[:0]
 	for _, r := range q {
-		if r.env == nil {
-			r.env = p.mbox.tryGet(r.rsel, false)
-		}
-		if r.env == nil {
+		if k, i, ok := m.locate(r.rsel); ok {
+			r.env = m.pop(k, i)
+		} else {
 			kept = append(kept, r)
 		}
 	}
-	for i := len(kept); i < len(q); i++ {
-		q[i] = nil
-	}
+	m.mu.Unlock()
+	clear(q[len(kept):])
 	p.eng.recvQ = kept
-	p.eng.active = false
+}
+
+// await is the one blocking wait of the package: Recv, Probe, Wait,
+// WaitAny and every collective receive end here. Each round snapshots the
+// mailbox's enqueue count, runs progress, so posted receives claim first,
+// then calls take, which returns the awaited message or nil. take may only
+// take a message queued before the snapshot: progress has seen every such
+// message and claimed those a posted receive accepts, so posting order
+// holds by construction. With nothing taken the rank sleeps until an
+// enqueue moves the count past the snapshot, so an arrival racing the
+// round is never slept through; giveUp and the mailbox's closing abort
+// the sleep by panic. The first round runs before anything is published,
+// so a message already queued costs one lock. A non-empty kind publishes
+// the wait on sel as a pending operation for as long as it blocks, so a
+// trace snapshotted mid-run — after a deadlock or a hang — shows what
+// every rank was waiting for; hmpiverify builds its wait-for graph from
+// these entries.
+func (p *Proc) await(kind string, sel recvSel, giveUp func() error, take func(before int64) *envelope) *envelope {
+	seen := p.mbox.enq.Load()
+	p.progress()
+	if e := take(seen); e != nil {
+		return e
+	}
+	if rec := p.world.rec; rec != nil && kind != "" {
+		peer := -1
+		if sel.src != AnySource {
+			peer = sel.src
+		}
+		rec.PendingBegin(p.rank, trace.PendingOp{
+			Kind: kind, Peer: peer, Tag: sel.tag, Ctx: sel.ctx,
+			AnySrc: sel.src == AnySource, Since: float64(p.clock.Now()),
+		})
+		// The pop must run even when the wait aborts by panic (failed peer,
+		// revoked communicator): the rank is no longer waiting on this op.
+		defer rec.PendingEnd(p.rank)
+	}
+	for {
+		p.mbox.awaitArrival(seen, giveUp)
+		seen = p.mbox.enq.Load()
+		p.progress()
+		if e := take(seen); e != nil {
+			return e
+		}
+	}
 }
 
 // emitReqPost records the zero-duration posting event of a nonblocking
@@ -196,60 +217,6 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	return r
 }
 
-// recvViaEngine is the blocking receive for the case where a pending
-// Irecv overlaps the selector: an unnumbered request joins the back of
-// the posting-order queue so the earlier Irecv keeps its priority, then
-// waits like any other receive. The trace sees a plain recv event.
-func (c *Comm) recvViaEngine(s recvSel, anySrc bool) ([]byte, Status) {
-	p := c.p
-	t0 := p.clock.Now()
-	src := AnySource
-	if !anySrc {
-		src = c.s.rankOf(s.src)
-	}
-	r := &Request{kind: reqRecv, c: c, src: src, rsel: s}
-	p.eng.recvQ = append(p.eng.recvQ, r)
-	r.waitMatch()
-	p.lastRecvAnySrc = anySrc
-	return c.consume(r.env, t0)
-}
-
-// waitMatch blocks until the engine has matched an envelope to this
-// receive request. Each round snapshots the mailbox's enqueue counter
-// before running progress, so an arrival racing the match attempt wakes
-// the sleep immediately; failure of the awaited sender (or revocation)
-// aborts by panic exactly as a blocking receive does — and then the request
-// must not linger in the queue claiming messages: resilient callers recover
-// from such panics and keep receiving.
-func (r *Request) waitMatch() {
-	p := r.c.p
-	defer func() {
-		if r.env == nil {
-			p.engDropRecv(r)
-		}
-	}()
-	giveUp := r.c.failWatch(r.src)
-	if rec := p.world.rec; rec != nil {
-		peer := -1
-		if r.rsel.src != AnySource {
-			peer = r.rsel.src
-		}
-		rec.PendingBegin(p.rank, trace.PendingOp{
-			Kind: "recv", Peer: peer, Tag: r.rsel.tag, Ctx: r.rsel.ctx,
-			AnySrc: r.rsel.src == AnySource, Since: float64(p.clock.Now()),
-		})
-		defer rec.PendingEnd(p.rank)
-	}
-	for r.env == nil {
-		seen := p.mbox.seqSnapshot()
-		p.progress()
-		if r.env != nil {
-			return
-		}
-		p.mbox.awaitArrival(seen, giveUp)
-	}
-}
-
 // Wait blocks until the request completes and returns the received
 // payload and status (both zero for send requests). Completion timing is
 // deterministic: a send absorbs the interface's finish time, a receive
@@ -265,9 +232,16 @@ func (r *Request) Wait() ([]byte, Status) {
 		p.progress()
 		p.clock.AbsorbAtLeast(r.sendEnd)
 	case reqRecv:
-		r.waitMatch()
-		p.lastRecvAnySrc = r.src == AnySource
-		r.data, r.status = r.c.consume(r.env, t0)
+		// An aborted wait takes r out of the queue: resilient callers
+		// recover from the panic and keep receiving, and r would claim
+		// their messages.
+		defer func() {
+			if !r.done {
+				p.engDropRecv(r)
+			}
+		}()
+		p.await("recv", r.rsel, r.c.failWatch(r.src), func(int64) *envelope { return r.env })
+		r.data, r.status = r.c.consume(r.env, t0, r.src == AnySource)
 		r.env = nil
 	}
 	r.done = true
@@ -300,8 +274,7 @@ func (r *Request) Test() (bool, []byte, Status) {
 			return false, nil, Status{}
 		}
 		p.engDropRecv(r)
-		p.lastRecvAnySrc = r.src == AnySource
-		r.data, r.status = r.c.consume(r.env, now)
+		r.data, r.status = r.c.consume(r.env, now, r.src == AnySource)
 		r.env = nil
 	}
 	r.done = true
@@ -335,46 +308,49 @@ func WaitAll(reqs []*Request) [][]byte {
 
 // WaitAny completes one of the requests — preferring one that is already
 // completable without blocking — and returns its index, payload and
-// status (MPI_Waitany). With no completable request it blocks until some
-// message arrives and polls again. Panics on an empty or fully-completed
+// status (MPI_Waitany). With no completable request it waits the first
+// pending request if that is a send, and otherwise blocks until the engine
+// matches any pending receive. Panics on an empty or fully-completed
 // slice. Like Test, which request WaitAny picks can depend on real
 // arrival order.
 func WaitAny(reqs []*Request) (int, []byte, Status) {
 	if len(reqs) == 0 {
 		panic("mpi: WaitAny with no requests")
 	}
-	for {
-		pending := -1
-		for i, r := range reqs {
-			if r.done {
-				continue
-			}
-			if pending < 0 {
-				pending = i
-			}
-			if ok, data, st := r.Test(); ok {
-				return i, data, st
-			}
+	pending := -1
+	for i, r := range reqs {
+		if r.done {
+			continue
 		}
 		if pending < 0 {
-			panic("mpi: WaitAny with all requests already completed")
+			pending = i
 		}
-		r := reqs[pending]
-		if r.kind != reqRecv {
-			// A send that cannot complete yet only needs its finish time
-			// absorbed; Wait resolves it deterministically.
-			data, st := r.Wait()
-			return pending, data, st
-		}
-		// Block until something arrives anywhere, then re-test everything:
-		// the arrival may complete any of the pending receives.
-		p := r.c.p
-		seen := p.mbox.seqSnapshot()
-		p.progress()
-		if r.env == nil {
-			p.mbox.awaitArrival(seen, waitAnyGiveUp(reqs))
+		if ok, data, st := r.Test(); ok {
+			return i, data, st
 		}
 	}
+	if pending < 0 {
+		panic("mpi: WaitAny with all requests already completed")
+	}
+	r := reqs[pending]
+	if r.kind != reqRecv {
+		// A send that cannot complete yet only needs its finish time
+		// absorbed; Wait resolves it deterministically.
+		data, st := r.Wait()
+		return pending, data, st
+	}
+	// No selector covers the set, so the wait publishes nothing.
+	i := 0
+	r.c.p.await("", recvSel{}, waitAnyGiveUp(reqs), func(int64) *envelope {
+		for i = range reqs {
+			if q := reqs[i]; !q.done && q.kind == reqRecv && q.env != nil {
+				return q.env
+			}
+		}
+		return nil
+	})
+	_, data, st := reqs[i].Test()
+	return i, data, st
 }
 
 // waitAnyGiveUp aggregates the failure watches of every pending receive:

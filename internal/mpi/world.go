@@ -432,13 +432,6 @@ type Proc struct {
 	// reqID numbers the rank's nonblocking requests from 1; trace events
 	// carry it so verifiers can follow a request's lifecycle.
 	reqID int64
-
-	// lastRecvAnySrc records whether the most recently matched receive on
-	// this rank was posted with AnySource. Written and read only by the
-	// rank's own goroutine, between matching an envelope and applying its
-	// receive timing; finishRecvTiming folds it into the recv event's A1
-	// so trace analyses can tell wildcard matches from directed ones.
-	lastRecvAnySrc bool
 }
 
 // Stats counts the work a process performed.
