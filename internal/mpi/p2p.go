@@ -58,8 +58,8 @@ func (s recvSel) matchesTag(tag int) bool {
 // mailbox holds the messages addressed to one process that no receive has
 // consumed yet, indexed by (context, sender) so a directed receive
 // inspects one short per-pair FIFO instead of scanning the whole backlog.
-// put and awaitArrival form the only cross-goroutine interaction in the
-// simulation.
+// put, awaitArrival and the snapshot of enq form the only cross-goroutine
+// interaction in the simulation.
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -69,7 +69,7 @@ type mailbox struct {
 	kind    FailureKind // why the owner failed, for error reporting
 	owner   int         // world rank, for failure reporting
 	// enq is the monotone enqueue counter; it stamps envelope.order. It
-	// is written under mu and read without it by Proc.await's snapshot.
+	// is written under mu and snapshotted without it (Proc.await, Iprobe).
 	enq atomic.Int64
 
 	// maxSeq, when non-nil, records the highest sender sequence consumed
