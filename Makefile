@@ -17,9 +17,12 @@ build:
 # pmdl concurrency tests (one Model, one Instance, many goroutines),
 # mpi's Auto agreement test (24 ranks racing to one World's priced
 # choices), the receive tests (the pinned receive paths on both
-# transports, and Probe leaving a posted Irecv its message) and the abort
+# transports, and Probe leaving a posted Irecv its message), the abort
 # tests (a rank's panic unwinding peers blocked in a receive, a collective
-# or RunResilient) repeat: a race needs the schedule that shows it.
+# or RunResilient) and the group-lifecycle tests (creation, recreation,
+# GroupFree, resilient regions, and the self-healing runs pinned in
+# internal/apps/testdata/selfheal.golden) repeat: a race needs the
+# schedule that shows it.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race -short ./...
@@ -27,6 +30,7 @@ check: lint
 	$(GO) test -race -count=5 -run TestAutoConcurrentAgreement ./internal/mpi
 	$(GO) test -race -count=5 -run 'TestReceiveGolden|TestProbe' ./internal/mpi
 	$(GO) test -race -count=5 -run PanicAbortsWorld ./internal/mpi ./internal/hmpi
+	$(GO) test -race -count=5 -run 'Resilient|Recreate|GroupFree|SelfHealingGolden' ./internal/hmpi ./internal/apps
 	$(GO) test -race -run TestSmoke ./bench
 
 # Static analysis: gofmt with nothing left to rewrite, go vet, the HMPI

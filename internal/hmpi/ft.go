@@ -15,20 +15,9 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/mapper"
 	"repro/internal/mpi"
 	"repro/internal/pmdl"
 	"repro/internal/trace"
-)
-
-// tagFTCtrl carries RunResilient's host-to-worker control protocol.
-const tagFTCtrl = -204
-
-// Control codes sent on tagFTCtrl.
-const (
-	ctrlCreate int64 = iota + 1 // enter the group-creation protocol
-	ctrlDone                    // the resilient region completed; return
-	ctrlAbort                   // recovery is impossible; return an error
 )
 
 // GroupHealth describes the liveness of a group's members.
@@ -85,51 +74,30 @@ func (h *Process) GroupRecreate(g *Group, model *pmdl.Model, args ...any) (*Grou
 	if !h.IsMember(g) {
 		return nil, fmt.Errorf("hmpi: process %d is not a member of the group", h.Rank())
 	}
-	me := h.Rank()
-	isParent := g.ranks[g.parentIdx] == me
-	// Abort survivors still blocked inside the old group's operations.
-	g.comm.Revoke()
-	// Survivors return to the pool before the agreement below, so the
-	// parent's free-set snapshot (taken after it) includes them. The
-	// parent stays busy: it is pinned into the new group anyway.
-	if !isParent && me != HostRank {
-		h.rt.setFree(me, true)
-	}
-	// Failure-tolerant barrier over the surviving members: agreement
-	// completes despite failed members (and despite the revocation), and
-	// once it does, every survivor's free flag is visible.
-	g.comm.AgreeFailed()
-	g.freed = true
-	g.rank = -1
-	// The old group is dissolved from this survivor's point of view; the
-	// trace must say so, or the lifecycle accounting would report the
-	// recreated-away group as leaked.
-	h.recordGroupFree(g.key)
+	parent := g.ranks[g.parentIdx]
+	isParent := parent == h.Rank()
+	h.dissolve(g)
 	if !isParent {
 		// The parent coordinates the recreation; if it died, nobody will
 		// re-run the selection, and waiting for its message would hang.
-		if h.rt.world.IsFailed(g.ranks[g.parentIdx]) {
-			return nil, fmt.Errorf("hmpi: group parent (rank %d) has failed; cannot recreate", g.ranks[g.parentIdx])
+		if h.rt.world.IsFailed(parent) {
+			return nil, fmt.Errorf("hmpi: group parent (rank %d) has failed; cannot recreate", parent)
 		}
-		return h.receiveGroup()
+		return h.receiveGroup(parent)
 	}
-	if model == nil {
-		return nil, fmt.Errorf("hmpi: the parent must supply a model to GroupRecreate")
-	}
-	t0, w0 := h.traceStart()
-	inst, asg, err := h.solveSelection(model, args, me)
-	if err != nil {
-		// Too few survivors for the model (or the like): release the
-		// processes waiting in receiveGroup before reporting.
-		h.AbortGroupCreate()
-		return nil, err
-	}
-	ng, err := h.distributeGroup(asg.Ranks, inst.Parent)
-	if ng != nil {
-		ng.stats = asg.Stats
-		h.recordGroupEvent(trace.KindGroupRecreate, ng.key, ng.Size(), asg, t0, w0)
-	}
-	return ng, err
+	return h.selectGroup(trace.KindGroupRecreate, model, args)
+}
+
+// dissolve ends a broken group on one member: revocation aborts survivors
+// still blocked inside the group's operations, the member returns to the
+// free pool, and the failure-tolerant agreement — complete despite failed
+// members and the revocation — ends the group, after which the parent's
+// free-set snapshot holds every survivor.
+func (h *Process) dissolve(g *Group) {
+	g.comm.Revoke()
+	h.release(g)
+	g.comm.AgreeFailed()
+	h.leave(g)
 }
 
 // ResilientPlan produces the performance model for one attempt of a
@@ -154,10 +122,12 @@ func FixedPlan(model *pmdl.Model, args ...any) ResilientPlan {
 // pair's link has crossed the retransmission threshold, the members agree
 // (AgreeVote) to fold the degradation into the cost model and recreate,
 // so the next selection routes around the bad links. Every process of the
-// HMPI program must call it; processes not
-// selected into the current group park until the host either reassigns or
-// dismisses them. work may therefore run more than once — it must be
-// restartable (idempotent or starting from replicated input).
+// HMPI program must call it; processes not selected into the current group
+// stay free, waiting in the creation protocol like any free process in
+// GroupCreate, until the host either selects them or, once the region
+// ends, dismisses them. work may therefore run more than once — it must be
+// restartable (idempotent or starting from replicated input). When
+// RunResilient returns, every process but the host is free again.
 //
 // The host must survive: it coordinates creation and recovery, as in the
 // paper, where the host is the process the user's terminal is attached to.
@@ -168,7 +138,7 @@ func (h *Process) RunResilient(plan ResilientPlan, work func(g *Group) error) er
 	}
 	// A process already failed, or placed on a machine marked failed, is
 	// invisible to the host (freeRanks excludes it) and would never receive
-	// a control message: it must not park, or the world would never drain.
+	// a creation message: it must not wait, or the world would never drain.
 	me := h.Rank()
 	if h.rt.world.IsFailed(me) || h.rt.cfg.Cluster.IsMachineFailed(h.rt.placement[me]) {
 		return nil
@@ -176,137 +146,65 @@ func (h *Process) RunResilient(plan ResilientPlan, work func(g *Group) error) er
 	return h.resilientWorker(work)
 }
 
-// resilientHost drives creation, failure agreement, and recovery.
+// resilientHost plans and selects each attempt's group — the first by
+// creation, every later one by recreation over what the last left — and
+// dismisses the processes the final group did not take.
 func (h *Process) resilientHost(plan ResilientPlan, work func(g *Group) error) error {
-	me := h.Rank()
 	var g *Group
 	for {
-		t0, w0 := h.traceStart()
-		// Who is parked (free, alive, and not a member of the failed
-		// group)? They receive control messages; survivors of the old
-		// group instead synchronise through the recreation barrier.
-		var parked []int
-		var avail int
-		if g == nil {
-			parked = excludeRanks(h.rt.freeRanks(), nil)
-			avail = len(parked) + 1 // plus the host
-		} else {
-			parked = excludeRanks(h.rt.freeRanks(), g.ranks)
-			avail = len(parked) + len(g.Health().Alive)
-			// Dissolve the broken group: abort stragglers, then the
-			// failure-tolerant barrier after which the surviving
-			// members are back in the free pool.
-			g.comm.Revoke()
-			g.comm.AgreeFailed()
-			g.freed = true
-			g.rank = -1
-			h.recordGroupFree(g.key)
+		// The plan sees the free processes outside the last group plus
+		// its live members, the host among them.
+		avail := len(h.rt.freeRanks()) + 1
+		if g != nil {
+			avail = len(excludeRanks(h.rt.freeRanks(), g.ranks)) + len(g.Health().Alive)
 		}
 		model, args, err := plan(avail)
-		var inst *pmdl.Instance
-		var asg mapper.Assignment
-		if err == nil {
-			if model == nil {
-				err = fmt.Errorf("hmpi: resilient plan returned no model")
-			} else {
-				inst, asg, err = h.solveSelection(model, args, me)
-			}
-		}
 		if err != nil {
 			if g != nil {
-				h.AbortGroupCreate() // wakes survivors in receiveGroup
+				h.dissolve(g)
 			}
-			h.ctrlTo(parked, ctrlAbort)
+			h.AbortGroupCreate()
 			return err
 		}
-		h.ctrlTo(parked, ctrlCreate)
-		recreating := g != nil
-		g, err = h.distributeGroup(asg.Ranks, inst.Parent)
+		var ng *Group
+		if g == nil {
+			ng, err = h.selectGroup(trace.KindGroupCreate, model, args)
+		} else {
+			ng, err = h.GroupRecreate(g, model, args...)
+		}
 		if err != nil {
-			h.ctrlTo(parked, ctrlAbort)
 			return err
 		}
-		g.stats = asg.Stats
-		// The resilient loop selects groups without going through
-		// createGroup/GroupRecreate, so it records the lifecycle events
-		// itself: the first pass is a creation, every later one a
-		// post-failure recreation.
-		kind := trace.KindGroupCreate
-		if recreating {
-			kind = trace.KindGroupRecreate
-		}
-		h.recordGroupEvent(kind, g.key, g.Size(), asg, t0, w0)
-		werr := catchWork(func() error { return work(g) })
-		if IsFailureError(werr) {
-			// Members blocked on live peers would otherwise wait
-			// forever; revocation aborts them into their own agreement.
-			g.comm.Revoke()
-		}
-		if len(g.comm.AgreeFailed()) == 0 {
-			if d := h.rt.degrade; d != nil && g.comm.AgreeVote(d.shouldReselect()) {
-				// Nobody died, but chronically degraded links were
-				// observed (retransmit exhaustion surfaces here too: the
-				// exhausted link crossed the retransmission threshold on
-				// the way down). Fold them into the cost model and loop —
-				// the next selection routes around the degraded pairs. The
-				// agreement vote puts every member into the recreation
-				// protocol together; a lone decision would desynchronise
-				// the group.
-				pairs := d.apply(h.rt.world.LinkStatsSnapshot())
-				h.recordDegrade(pairs)
-				continue
-			}
-			// No member failed: the region is complete (modulo an
-			// application error, which is not retried). Dismiss the
-			// parked processes.
-			h.ctrlTo(excludeRanks(h.rt.freeRanks(), g.ranks), ctrlDone)
-			h.recordGroupFree(g.key)
+		g = ng
+		again, werr := h.attempt(g, work)
+		if !again {
+			h.sendMarker(doneMarker, g.ranks)
 			return werr
 		}
-		// A member failed; loop to recreate over the survivors.
 	}
 }
 
-// resilientWorker alternates between parking (awaiting host control) and
-// working as a group member.
+// resilientWorker waits in the creation protocol until selected, works as
+// a group member, and rejoins through the recreation after every attempt
+// that does not end the region.
 func (h *Process) resilientWorker(work func(g *Group) error) error {
-	comm := h.CommWorld()
 	var g *Group
 	for {
 		if g == nil {
-			payload, _ := comm.Recv(HostRank, tagFTCtrl)
-			switch mpi.BytesInt64(payload)[0] {
-			case ctrlDone:
+			ng, err := h.receiveGroup(HostRank)
+			if err == errRegionDone {
 				return nil
-			case ctrlAbort:
-				return fmt.Errorf("hmpi: resilient run aborted (recovery impossible)")
-			case ctrlCreate:
-				ng, err := h.receiveGroup()
-				if err != nil {
-					return err
-				}
-				g = ng // nil when not selected: park again
-				continue
-			default:
-				return fmt.Errorf("hmpi: unknown resilient control message")
 			}
-		}
-		werr := catchWork(func() error { return work(g) })
-		if IsFailureError(werr) {
-			g.comm.Revoke()
-		}
-		if len(g.comm.AgreeFailed()) == 0 {
-			d := h.rt.degrade
-			if d == nil || !g.comm.AgreeVote(d.shouldReselect()) {
-				h.recordGroupFree(g.key)
-				return werr
+			if err != nil {
+				return err
 			}
-			// Degrade-reselect, agreed with the host: rejoin through the
-			// recreation protocol exactly as after a member failure.
+			g = ng // nil when not selected: wait for the next creation
+			continue
 		}
-		// A member failed (or the group is rebuilding around degraded
-		// links): rejoin the pool through the recreation protocol; the
-		// host supplies the model.
+		again, werr := h.attempt(g, work)
+		if !again {
+			return werr
+		}
 		ng, err := h.GroupRecreate(g, nil)
 		if err != nil {
 			return err
@@ -315,17 +213,37 @@ func (h *Process) resilientWorker(work func(g *Group) error) error {
 	}
 }
 
-// ctrlTo sends a control code to each rank, skipping corpses.
-func (h *Process) ctrlTo(ranks []int, code int64) {
-	comm := h.CommWorld()
-	payload := mpi.Int64Bytes([]int64{code})
-	for _, r := range ranks {
-		if r == h.Rank() {
-			continue
-		}
-		r := r
-		_ = mpi.Catch(func() { comm.Send(r, tagFTCtrl, payload) })
+// attempt runs work on a member of g and closes the attempt with the
+// agreement every member takes part in. It reports whether the group must
+// be recreated: a member failed or, with degradation enabled, the members
+// agreed that chronically degraded links were observed. Otherwise the
+// region is over and the member has left the group.
+func (h *Process) attempt(g *Group, work func(g *Group) error) (again bool, werr error) {
+	werr = catchWork(func() error { return work(g) })
+	if IsFailureError(werr) {
+		// Members blocked on live peers would otherwise wait forever;
+		// revocation aborts them into the agreement.
+		g.comm.Revoke()
 	}
+	h.release(g)
+	if len(g.comm.AgreeFailed()) > 0 {
+		return true, werr
+	}
+	if d := h.rt.degrade; d != nil && g.comm.AgreeVote(d.shouldReselect()) {
+		// Nobody died, but chronically degraded links were observed
+		// (retransmit exhaustion surfaces here too: the exhausted link
+		// crossed the retransmission threshold on the way down). The host
+		// folds them into the cost model, so the next selection routes
+		// around the degraded pairs. The agreement vote puts every member
+		// into the recreation together; a lone decision would
+		// desynchronise the group.
+		if h.IsHost() {
+			h.recordDegrade(d.apply(h.rt.world.LinkStatsSnapshot()))
+		}
+		return true, werr
+	}
+	h.leave(g)
+	return false, werr
 }
 
 // excludeRanks returns ranks minus the exclusion set.

@@ -405,3 +405,85 @@ func TestTimeofExcludesFailedMachines(t *testing.T) {
 		t.Fatal("machine of failed rank not marked failed")
 	}
 }
+
+// TestRunResilientTwice: the members of a resilient region's final group
+// return to the free pool when it ends, so a second region, and after it
+// an ordinary GroupCreate in which every non-host process takes part as a
+// free process, select from the whole world.
+func TestRunResilientTwice(t *testing.T) {
+	rt := newRuntime(t, hnoc.Homogeneous(5, 10))
+	model := testModel(t)
+	var runs atomic.Int32
+	err := runRuntimeWithTimeout(t, rt, 10*time.Second, func(h *Process) error {
+		for region := 0; region < 2; region++ {
+			err := h.RunResilient(FixedPlan(model, 3, []int{1, 1, 1}, 1), func(g *Group) error {
+				runs.Add(1)
+				g.Comm().Barrier()
+				return nil
+			})
+			if err != nil {
+				return fmt.Errorf("region %d: %w", region, err)
+			}
+		}
+		if !h.IsHost() && !h.IsFree() {
+			return fmt.Errorf("process %d is not free after both regions", h.Rank())
+		}
+		g, err := h.GroupCreate(model, 5, []int{1, 1, 1, 1, 1}, 1)
+		if err != nil {
+			return err
+		}
+		if !h.IsMember(g) {
+			return fmt.Errorf("process %d not selected into a group of the whole world", h.Rank())
+		}
+		g.Comm().Barrier()
+		return h.GroupFree(g)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runs.Load(); got != 6 {
+		t.Fatalf("work ran %d times, want 6 (three members, two regions)", got)
+	}
+}
+
+// TestGroupRecreateNilModelAborts: a parent that calls GroupRecreate
+// without a model cannot select, so the survivors and the free processes
+// waiting in the creation protocol must be released with an error, not
+// left waiting for a selection that never comes.
+func TestGroupRecreateNilModelAborts(t *testing.T) {
+	rt := newRuntime(t, hnoc.Homogeneous(5, 10))
+	model := testModel(t)
+	var errs atomic.Int32
+	err := runRuntimeWithTimeout(t, rt, 10*time.Second, func(h *Process) error {
+		g, err := h.GroupCreate(model, 3, []int{1, 1, 1}, 1)
+		if err != nil {
+			return err
+		}
+		if !h.IsMember(g) {
+			if _, err := h.GroupCreate(nil); err == nil {
+				return fmt.Errorf("free process %d: creation after a model-less recreate succeeded", h.Rank())
+			}
+			errs.Add(1)
+			return nil
+		}
+		v := g.WorldRanks()[g.Size()-1]
+		if h.Rank() == v {
+			rt.InjectFailure(v)
+			return nil
+		}
+		for len(g.Health().Failed) == 0 { // wait until the failure is visible
+			time.Sleep(time.Millisecond)
+		}
+		if _, err := h.GroupRecreate(g, nil); err == nil {
+			return fmt.Errorf("survivor %d: GroupRecreate without a parent model succeeded", h.Rank())
+		}
+		errs.Add(1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := errs.Load(); got != 4 {
+		t.Fatalf("%d processes got an error, want 4 (two survivors, two free)", got)
+	}
+}

@@ -1,6 +1,7 @@
 package hmpi
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -245,7 +246,10 @@ func (h *Process) GroupCreate(model *pmdl.Model, args ...any) (*Group, error) {
 	if !h.IsHost() && !h.IsFree() {
 		return nil, fmt.Errorf("hmpi: process %d is neither host nor free; it must not call GroupCreate", h.Rank())
 	}
-	return h.createGroup(h.IsHost(), model, args)
+	if !h.IsHost() {
+		return h.receiveGroup(mpi.AnySource)
+	}
+	return h.selectGroup(trace.KindGroupCreate, model, args)
 }
 
 // GroupCreateChild creates a group whose parent is this process — which
@@ -259,35 +263,32 @@ func (h *Process) GroupCreateChild(model *pmdl.Model, args ...any) (*Group, erro
 	if h.IsFree() {
 		return nil, fmt.Errorf("hmpi: process %d is free; a child group's parent must belong to an existing group", h.Rank())
 	}
-	if model == nil {
-		return nil, fmt.Errorf("hmpi: the parent must supply a model to GroupCreateChild")
-	}
-	return h.createGroup(true, model, args)
+	return h.selectGroup(trace.KindGroupCreate, model, args)
 }
 
-// createGroup is the shared implementation: the parent (isParent) solves
-// the selection and distributes it; free processes receive it.
-func (h *Process) createGroup(isParent bool, model *pmdl.Model, args []any) (*Group, error) {
-	if isParent {
-		if model == nil {
-			return nil, fmt.Errorf("hmpi: the parent must supply a model to GroupCreate")
-		}
-		t0, w0 := h.traceStart()
-		inst, asg, err := h.solveSelection(model, args, h.Rank())
-		if err != nil {
-			// No group satisfies the model (too few processes, typically):
-			// release the free processes waiting in receiveGroup.
-			h.AbortGroupCreate()
-			return nil, err
-		}
-		g, err := h.distributeGroup(asg.Ranks, inst.Parent)
-		if g != nil {
-			g.stats = asg.Stats
-			h.recordGroupEvent(trace.KindGroupCreate, g.key, g.Size(), asg, t0, w0)
-		}
-		return g, err
+// selectGroup is the parent side of every group creation — GroupCreate,
+// GroupCreateChild, GroupRecreate and each attempt of RunResilient: it
+// solves the selection over the free processes with this process pinned
+// as the parent, distributes it, and records the lifecycle event of the
+// given kind. When no group can be selected (no model, too few processes)
+// every free process waiting in receiveGroup is released with an error.
+func (h *Process) selectGroup(kind trace.Kind, model *pmdl.Model, args []any) (*Group, error) {
+	if model == nil {
+		h.AbortGroupCreate()
+		return nil, fmt.Errorf("hmpi: the parent must supply a model to create a group")
 	}
-	return h.receiveGroup()
+	t0, w0 := h.traceStart()
+	inst, asg, err := h.solveSelection(model, args, h.Rank())
+	if err != nil {
+		h.AbortGroupCreate()
+		return nil, err
+	}
+	g, err := h.distributeGroup(asg.Ranks, inst.Parent)
+	if g != nil {
+		g.stats = asg.Stats
+		h.recordGroupEvent(kind, g.key, g.Size(), asg, t0, w0)
+	}
+	return g, err
 }
 
 // distributeGroup runs the parent side of the two-phase creation protocol
@@ -308,9 +309,6 @@ func (h *Process) distributeGroup(ranks []int, parentIdx int) (*Group, error) {
 	}
 	payload := mpi.Int64Bytes(msg)
 	recipients := h.rt.freeRanks()
-	if debugGroups {
-		fmt.Printf("[dbg] parent %d sending to %v ranks=%v\n", me, recipients, ranks)
-	}
 	for _, r := range recipients {
 		if r == me {
 			continue
@@ -326,9 +324,6 @@ func (h *Process) distributeGroup(ranks []int, parentIdx int) (*Group, error) {
 		if r == me {
 			continue
 		}
-		if debugGroups {
-			fmt.Printf("[dbg] parent %d awaiting ack from %d\n", me, r)
-		}
 		r := r
 		_ = mpi.Catch(func() { comm.Recv(r, tagGroupAck) })
 	}
@@ -342,16 +337,30 @@ func (h *Process) distributeGroup(ranks []int, parentIdx int) (*Group, error) {
 	return h.buildGroup(ranks, parentIdx, key)
 }
 
+// The markers a creation message carries in place of the parent's rank:
+// the pending creation is off (AbortGroupCreate), or the resilient region
+// ended without the recipient (RunResilient).
+const (
+	abortMarker int64 = -1
+	doneMarker  int64 = -2
+)
+
+// errRegionDone is receiveGroup's report of the done marker.
+var errRegionDone = errors.New("hmpi: the resilient region completed")
+
 // AbortGroupCreate tells every free process waiting in GroupCreate that the
 // pending creation is off: their call returns an error. GroupCreate does it
 // itself when the parent's selection fails (typically too few processes for
 // the model); a parent whose own planning fails before it can call
 // GroupCreate calls this in its place, so no free process is left waiting.
-// The negative parent rank is the abort marker.
-func (h *Process) AbortGroupCreate() {
+func (h *Process) AbortGroupCreate() { h.sendMarker(abortMarker, nil) }
+
+// sendMarker sends a marker in place of a selection to every free process
+// outside except.
+func (h *Process) sendMarker(marker int64, except []int) {
 	comm := h.CommWorld()
-	payload := mpi.Int64Bytes([]int64{-1})
-	for _, r := range h.rt.freeRanks() {
+	payload := mpi.Int64Bytes([]int64{marker})
+	for _, r := range excludeRanks(h.rt.freeRanks(), except) {
 		if r == h.Rank() {
 			continue
 		}
@@ -360,19 +369,21 @@ func (h *Process) AbortGroupCreate() {
 	}
 }
 
-// receiveGroup runs the free-process side of the creation protocol.
-func (h *Process) receiveGroup() (*Group, error) {
+// receiveGroup runs the free-process side of the creation protocol for a
+// creation by parent: the known parent in GroupRecreate and RunResilient,
+// mpi.AnySource in GroupCreate, since any busy process may be spawning a
+// child group. Waiting on a known parent fails, rather than hangs, when
+// that parent dies.
+func (h *Process) receiveGroup(parent int) (*Group, error) {
 	me := h.Rank()
 	comm := h.CommWorld()
-	// The parent may be the host or any busy process spawning a
-	// child group; receive from whoever initiates.
-	if debugGroups {
-		fmt.Printf("[dbg] free %d awaiting decision\n", me)
-	}
-	payload, _ := comm.Recv(mpi.AnySource, tagGroupCreate) //hmpivet:ignore tagconst -- asymmetric protocol: the parent side sends these tags from selectAndNotify
+	payload, _ := comm.Recv(parent, tagGroupCreate) //hmpivet:ignore tagconst -- asymmetric protocol: the parent side sends these tags from distributeGroup and sendMarker
 	msg := mpi.BytesInt64(payload)
-	if msg[0] < 0 {
+	switch msg[0] {
+	case abortMarker:
 		return nil, fmt.Errorf("hmpi: group creation aborted by the parent")
+	case doneMarker:
+		return nil, errRegionDone
 	}
 	parentRank := int(msg[0])
 	key := msg[1]
@@ -417,31 +428,41 @@ func (h *Process) buildGroup(ranks []int, parentIdx int, key int64) (*Group, err
 // a no-op — and safe when members have failed mid-group: the dissolution
 // barrier aborts instead of hanging, and the survivors are freed anyway.
 func (h *Process) GroupFree(g *Group) error {
-	if g == nil || g.freed || g.rank < 0 {
+	if !h.IsMember(g) {
 		return nil
 	}
-	g.freed = true
-	// Mark ourselves free before the barrier: a dissemination barrier
-	// completes only after every member has entered it, so once any
-	// member (in particular the parent, which snapshots the free set in
-	// the next GroupCreate) leaves the barrier, every member's flag is
-	// already visible. The host never becomes free, and the parent of a
-	// child group stays busy in its original group.
-	if h.Rank() != HostRank && h.Rank() != g.ranks[g.parentIdx] {
-		h.rt.setFree(h.Rank(), true)
-	}
+	h.release(g)
 	// A failed member must not wedge the survivors in the barrier; the
 	// failure (or a concurrent revocation) is tolerated, not propagated —
 	// the group is gone either way.
 	_ = mpi.Catch(func() { g.comm.Barrier() })
-	g.comm.Free()
-	g.rank = -1
-	h.recordGroupFree(g.key)
+	h.leave(g)
 	return nil
 }
 
-// debugGroups prints the group-creation protocol steps.
-var debugGroups = false
+// release returns this member of g to the free pool. Every way out of a
+// group calls it before the barrier or agreement that ends the group —
+// GroupFree's barrier, dissolve's agreement, the agreement closing a
+// resilient attempt — and that operation completes only after every
+// member has entered it, so once any member (in particular the parent,
+// which snapshots the free set in the next creation) leaves it, every
+// member's flag is visible. The host never becomes free, and the parent
+// stays busy: a child group's parent in its own group, a recreation's
+// parent pinned into the next selection.
+func (h *Process) release(g *Group) {
+	if me := h.Rank(); me != HostRank && me != g.ranks[g.parentIdx] {
+		h.rt.setFree(me, true)
+	}
+}
+
+// leave is the one tail of every way out of a group (GroupFree, dissolve,
+// the end of a resilient region): the handle stops being a member's, its
+// communicator is released, and the trace records the dissolution.
+func (h *Process) leave(g *Group) {
+	g.rank = -1
+	g.comm.Free()
+	h.recordGroupFree(g.key)
+}
 
 // Group is an HMPI group handle (HMPI_Group): the result of the
 // performance-model-driven group creation. Each member holds its own
@@ -452,9 +473,8 @@ type Group struct {
 	ranks     []int // group rank -> world rank
 	key       int64
 	parentIdx int
-	rank      int // this process's group rank, -1 if not a member
+	rank      int // this process's group rank, -1 once it left the group
 	comm      *mpi.Comm
-	freed     bool // set by GroupFree/GroupRecreate; makes freeing idempotent
 	// stats is the selection-search work behind this group, recorded on
 	// the parent (the process that ran the search); members hold zeros.
 	stats mapper.SearchStats
