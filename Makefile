@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke profile check lint loc reach verify figures examples trace clean
+.PHONY: all build test race bench bench-smoke profile check lint loc reach mutants verify figures examples trace clean
 
 all: build test
 
@@ -131,6 +131,51 @@ reach:
 		$(R)/func.txt $(R)/cover.out | sort -t: -k1,1 -k2n > reach-blocks.txt
 	@cat reach.txt; echo "$$(wc -l < reach.txt) functions no binary reaches (reach.txt)"
 	@echo "$$(wc -l < reach-blocks.txt) blocks of 3+ statements no binary enters inside functions it does (reach-blocks.txt)"
+
+# The mutant matrix: each patch in testdata/mutants/ breaks one contract
+# of an example or an application (a head-to-head receive, a wrong tag, a
+# rank-guarded collective, a dropped GroupFree, Wait, Finalize or region
+# end, a communicating Recon benchmark). Every patch is applied to a copy
+# of the working tree under out/mutants/, never to the checkout, and the
+# copy is measured the way a user meets the bug: `hmpivet .`, then a run
+# bounded at 60 s — the example binary, or, for a patch whose `run:` line
+# names an app, `hmpirun -app A -mode hmpi -tracefile` followed by
+# hmpiverify on the trace. testdata/mutants.golden gets one row per patch:
+# the analyzers that fired, the run's outcome (ok, hang, or its first error
+# line) and the hmpiverify checks that found a violation. A copy is removed
+# as soon as its row is written, so no other target walks it.
+M := out/mutants
+mutants:
+	rm -rf $(M) && mkdir -p $(M)
+	set -e; printf '# mutant\thmpivet\trun\thmpiverify\n' > $(M)/golden; \
+	for p in testdata/mutants/*.patch; do \
+		n=$$(basename $$p .patch); d=$(M)/$$n; run=$$(sed -n 's/^run: //p' $$p); \
+		mkdir -p $$d && tar --exclude=./.git --exclude=./out -cf - . | tar -xf - -C $$d; \
+		patch -s -d $$d -p1 < $$p; \
+		case $$run in \
+		app\ *) cmd="bin/hmpirun -app $${run#app } -mode hmpi -tracefile run.trace"; bins=./cmd/hmpirun;; \
+		*) cmd=bin/$$(basename $$run); bins=./$$run;; \
+		esac; \
+		(cd $$d && $(GO) build -o bin/ ./cmd/hmpivet ./cmd/hmpiverify $$bins); \
+		vet=$$(cd $$d && bin/hmpivet . 2>/dev/null | sed -n 's/^[^ ]*: \([a-z]*\): .*/\1/p' | sort -u | paste -sd, -); \
+		st=0; (cd $$d && timeout 60 $$cmd >/dev/null 2>err) || st=$$?; \
+		case $$st in \
+		0) out=ok;; \
+		124) out=hang;; \
+		*) out=$$(sed -E 's,^[0-9]{4}/[0-9]{2}/[0-9]{2} [0-9:]{8} ,,;q' $$d/err);; \
+		esac; \
+		ver=n/a; \
+		case $$run in app\ *) \
+			ver="no trace"; \
+			if [ -f $$d/run.trace ]; then \
+				ver=$$($$d/bin/hmpiverify $$d/run.trace | sed -n 's/.*\[violation\] \([a-z]*\): .*/\1/p' | sort -u | paste -sd, -); \
+			fi;; \
+		esac; \
+		printf '%s\t%s\t%s\t%s\n' $$n "$${vet:--}" "$$out" "$${ver:--}" >> $(M)/golden; \
+		rm -rf $$d; \
+	done; \
+	mv $(M)/golden testdata/mutants.golden
+	@cat testdata/mutants.golden
 
 # Dynamic verification: record fresh traces — a clean EM3D run on the
 # paper's network and a seeded self-healing chaos run — and replay both
