@@ -10,7 +10,7 @@
 //	hmpirun -app matmul -n 90 -r 9 -l 9
 //	hmpirun -app matmul -mode both -cluster mynet.json
 //	hmpirun -app em3d -chaos "2@0.5;4@1.2"
-//	hmpirun -app matmul -chaos "rand:k=2,seed=42,tmax=1.0"
+//	hmpirun -app matmul -m 2 -chaos "rand:k=2,seed=42,tmax=1.0"
 //	hmpirun -app em3d -chaos "link:2-5@0.3+0.4:drop=0.2" -degrade
 //	hmpirun -app em3d -chaos "part:{0,1,2}|{3..8}@0.5+0.2"
 //

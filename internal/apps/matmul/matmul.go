@@ -270,10 +270,18 @@ func (d *Dist) ModelArgs() []any {
 // computed from: the host's speed occupies position (0,0) — the model's
 // parent — and the remaining fastest m²−1 processes fill the grid
 // row-major in descending speed order. It returns the grid and the world
-// ranks arranged into it.
+// ranks arranged into it. A process whose speed is not positive is dead
+// (self-healing plans over the survivors with the dead at speed 0) and
+// takes no place.
 func ArrangeGrid(speeds []float64, hostRank, m int) ([][]float64, []int, error) {
-	if len(speeds) < m*m {
-		return nil, nil, fmt.Errorf("matmul: %d processes cannot fill a %dx%d grid", len(speeds), m, m)
+	live := 0
+	for _, s := range speeds {
+		if s > 0 {
+			live++
+		}
+	}
+	if live < m*m {
+		return nil, nil, fmt.Errorf("matmul: %d live processes cannot fill a %dx%d grid", live, m, m)
 	}
 	ranks := apps.SpeedOrder(speeds, hostRank, m*m)
 	grid := make([][]float64, m)

@@ -263,6 +263,26 @@ func TestArrangeGrid(t *testing.T) {
 	}
 }
 
+// TestArrangeGridCountsLiveProcesses: a dead process (speed 0, as the
+// self-healing planner marks it) takes no place in the grid, so nine
+// processes with one dead cannot fill 3x3 but can fill 2x2.
+func TestArrangeGridCountsLiveProcesses(t *testing.T) {
+	speeds := []float64{46, 46, 46, 46, 46, 46, 0, 106, 9}
+	_, _, err := ArrangeGrid(speeds, 0, 3)
+	if want := "matmul: 8 live processes cannot fill a 3x3 grid"; err == nil || err.Error() != want {
+		t.Fatalf("ArrangeGrid = %v, want %q", err, want)
+	}
+	_, ranks, err := ArrangeGrid(speeds, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range ranks {
+		if speeds[r] <= 0 {
+			t.Fatalf("dead rank %d placed in the grid: %v", r, ranks)
+		}
+	}
+}
+
 func TestKernelUnits(t *testing.T) {
 	pr, _ := Generate(Config{M: 2, R: 10, N: 4})
 	// 2*10^3 flops per update.
