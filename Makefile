@@ -19,7 +19,9 @@ build:
 # choices), the receive tests (the pinned receive paths on both
 # transports, and Probe leaving a posted Irecv its message), the abort
 # tests (a rank's panic unwinding peers blocked in a receive, a collective
-# or RunResilient) and the group-lifecycle tests (creation, recreation,
+# or RunResilient), the deadlock tests (a run whose ranks all wait for
+# what none can send ends with the report, and no other run does) and the
+# group-lifecycle tests (creation, recreation,
 # GroupFree, resilient regions, and the self-healing runs pinned in
 # internal/apps/testdata/selfheal.golden) repeat: a race needs the
 # schedule that shows it.
@@ -30,6 +32,7 @@ check: lint
 	$(GO) test -race -count=5 -run TestAutoConcurrentAgreement ./internal/mpi
 	$(GO) test -race -count=5 -run 'TestReceiveGolden|TestProbe' ./internal/mpi
 	$(GO) test -race -count=5 -run PanicAbortsWorld ./internal/mpi ./internal/hmpi
+	$(GO) test -race -count=5 -run TestDeadlock ./internal/mpi
 	$(GO) test -race -count=5 -run 'Resilient|Recreate|GroupFree|SelfHealingGolden' ./internal/hmpi ./internal/apps
 	$(GO) test -race -run TestSmoke ./bench
 
@@ -179,8 +182,8 @@ mutants:
 
 # Dynamic verification: record fresh traces — a clean EM3D run on the
 # paper's network and a seeded self-healing chaos run — and replay both
-# through hmpiverify. Any semantic violation (deadlock, collective
-# divergence, leaked group, phantom message) fails the target.
+# through hmpiverify. Any semantic violation (collective divergence,
+# leaked group, phantom message) fails the target.
 verify:
 	$(GO) run ./cmd/hmpirun -app em3d -mode hmpi -tracefile verify_em3d.trace
 	$(GO) run ./cmd/hmpirun -app em3d -p 6 -chaos "2@0.004;4@0.008" -tracefile verify_chaos.trace

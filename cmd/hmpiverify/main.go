@@ -2,17 +2,17 @@
 // against the semantics of the message-passing model. It is the dynamic
 // counterpart of hmpivet: where hmpivet analyzes source, hmpiverify
 // checks what one execution actually did — message matching and FIFO
-// order, wait-for-graph deadlock over the operations pending at
-// snapshot, collective-sequence consistency across the members of each
+// order, collective-sequence consistency across the members of each
 // communicator, group-lifecycle leak accounting (ULFM recreate paths
 // included), AnySource message races, and nonblocking-request
 // lifecycles (every posted Isend/Irecv must reach a wait or a successful
-// test in clean runs).
+// test in clean runs). A deadlocked run writes no trace: the runtime
+// ends it with an "mpi: deadlock" error naming every wait.
 //
 // Usage:
 //
 //	hmpiverify run.hmpt                    # verify one trace
-//	hmpiverify -checks deadlock,groups run.hmpt
+//	hmpiverify -checks collseq,groups run.hmpt
 //	hmpiverify -json run.hmpt              # machine-readable findings
 //	hmpiverify -list                       # print the checks and exit
 //
@@ -36,7 +36,6 @@ import (
 // checkDocs explains each check for -list.
 var checkDocs = map[string]string{
 	"matching": "every receive has a recorded send, FIFO channels do not reorder, sends are eventually received",
-	"deadlock": "wait-for-graph analysis over operations still pending at snapshot",
 	"collseq":  "members of each communicator ran the same collectives in the same order",
 	"groups":   "every group creation is balanced by a dissolution record",
 	"races":    "AnySource receives whose match was decided by arrival order",

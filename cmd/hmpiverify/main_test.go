@@ -32,20 +32,6 @@ func cleanTrace() *trace.Data {
 	}
 }
 
-// deadlockTrace freezes two ranks waiting on each other.
-func deadlockTrace() *trace.Data {
-	return &trace.Data{
-		Meta: trace.Meta{
-			NRanks: 2,
-			Pending: []trace.PendingOp{
-				{Rank: 0, Kind: "recv", Peer: 1, Tag: 5, Ctx: 1, Since: 2.0},
-				{Rank: 1, Kind: "recv", Peer: 0, Tag: 5, Ctx: 1, Since: 2.0},
-			},
-		},
-		PerRank: make([][]trace.Event, 2),
-	}
-}
-
 // leakTrace creates a group and never frees it.
 func leakTrace() *trace.Data {
 	return &trace.Data{
@@ -96,17 +82,6 @@ func TestCleanTracePasses(t *testing.T) {
 	}
 }
 
-func TestDeadlockDetected(t *testing.T) {
-	path := writeTrace(t, "dead.hmpt", deadlockTrace())
-	var out bytes.Buffer
-	if code := run([]string{path}, "", false, &out); code != 1 {
-		t.Fatalf("exit = %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "deadlock") {
-		t.Fatalf("missing deadlock finding:\n%s", out.String())
-	}
-}
-
 func TestGroupLeakDetected(t *testing.T) {
 	path := writeTrace(t, "leak.hmpt", leakTrace())
 	var out bytes.Buffer
@@ -119,19 +94,21 @@ func TestGroupLeakDetected(t *testing.T) {
 }
 
 func TestChecksFilter(t *testing.T) {
-	// The leak trace passes when only the deadlock check runs.
+	// The leak trace passes when only the collseq check runs.
 	path := writeTrace(t, "leak.hmpt", leakTrace())
 	var out bytes.Buffer
-	if code := run([]string{path}, "deadlock", false, &out); code != 0 {
+	if code := run([]string{path}, "collseq", false, &out); code != 0 {
 		t.Fatalf("exit = %d, want 0; output:\n%s", code, out.String())
 	}
-	if code := run([]string{path}, "nosuch", false, &out); code != 2 {
-		t.Fatalf("unknown check: exit = %d, want 2", code)
+	for _, c := range []string{"nosuch", "deadlock"} {
+		if code := run([]string{path}, c, false, &out); code != 2 {
+			t.Fatalf("unknown check %q: exit = %d, want 2", c, code)
+		}
 	}
 }
 
 func TestJSONOutput(t *testing.T) {
-	path := writeTrace(t, "dead.hmpt", deadlockTrace())
+	path := writeTrace(t, "leak.hmpt", leakTrace())
 	var out bytes.Buffer
 	if code := run([]string{path}, "", true, &out); code != 1 {
 		t.Fatalf("exit = %d, want 1; output:\n%s", code, out.String())
@@ -147,12 +124,12 @@ func TestJSONOutput(t *testing.T) {
 	}
 	found := false
 	for _, f := range finds {
-		if f.Check == "deadlock" && f.Severity == "violation" && f.File == path {
+		if f.Check == "groups" && f.Severity == "violation" && f.File == path {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no deadlock violation in JSON output:\n%s", out.String())
+		t.Fatalf("no groups violation in JSON output:\n%s", out.String())
 	}
 
 	// A clean trace must yield an empty array, not null.

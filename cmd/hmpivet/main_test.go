@@ -91,7 +91,7 @@ func TestSeededModelViolation(t *testing.T) {
 }
 
 // TestOnlySelectsAnalyzers pins -only: with groupfree excluded, the
-// seeded leak must pass.
+// seeded leak must pass, and tagconst passes literal tags that differ.
 func TestOnlySelectsAnalyzers(t *testing.T) {
 	dir := t.TempDir()
 	src := `package scratch
@@ -107,6 +107,18 @@ func (g *Group) Rank() int { return 0 }
 func leak(h *Process) {
 	g, _ := h.GroupCreate(nil)
 	_ = g.Rank()
+}
+
+type Comm struct{}
+
+func (c *Comm) Send(dst, tag int, data []byte)  {}
+func (c *Comm) Recv(src, tag int) ([]byte, int) { return nil, 0 }
+
+// Tags that never match deadlock at run time; tagconst checks only
+// computed tags.
+func exchange(c *Comm) {
+	c.Send(1, 3, nil)
+	_, _ = c.Recv(0, 4)
 }
 `
 	if err := os.WriteFile(filepath.Join(dir, "scratch.go"), []byte(src), 0o644); err != nil {

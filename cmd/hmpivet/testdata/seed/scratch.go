@@ -1,5 +1,5 @@
 // Seeded violations for the -json golden test: one groupfree leak, one
-// deadlock cycle, and one runtimeclose leak.
+// computed tag, and one runtimeclose leak.
 package scratch
 
 type Group struct{}
@@ -21,13 +21,13 @@ func leak(h *Process) {
 	_ = g.Rank()
 }
 
-func cycle(c *Comm) {
+func exchange(c *Comm) {
 	if c.Rank() == 0 {
-		_, _ = c.Recv(1, 4)
+		_, _ = c.Recv(1, c.Rank()+4)
 		c.Send(1, 4, nil)
 	} else if c.Rank() == 1 {
-		_, _ = c.Recv(0, 4)
 		c.Send(0, 4, nil)
+		_, _ = c.Recv(0, 4)
 	}
 }
 

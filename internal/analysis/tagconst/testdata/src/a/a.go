@@ -39,22 +39,12 @@ func computedRecvTagBad(c *Comm) {
 	_, _ = c.Recv(0, freshTag()+1) // want "computed by a function call"
 }
 
-func disjointTagsBad(c *Comm) {
-	c.Send(1, tagHalo, nil)
-	c.Recv(0, tagAck) // want "disjoint"
+func sendrecvOK(c *Comm) {
+	c.Sendrecv(1, tagHalo, nil, 0, tagAck)
 }
 
-func disjointLiteralsBad(c *Comm) {
-	c.Send(1, 3, nil)
-	_, _ = c.Recv(0, 4) // want "disjoint"
-}
-
-func sendrecvMatchedOK(c *Comm) {
-	c.Sendrecv(1, tagHalo, nil, 0, tagHalo)
-}
-
-func sendrecvDisjointBad(c *Comm) {
-	c.Sendrecv(1, tagHalo, nil, 0, tagAck) // want "disjoint"
+func sendrecvComputedBad(c *Comm) {
+	c.Sendrecv(1, tagHalo, nil, 0, freshTag()) // want "computed by a function call"
 }
 
 func separateBlocksOK(c *Comm) {
@@ -65,9 +55,7 @@ func separateBlocksOK(c *Comm) {
 	}
 }
 
-func variableTagSkipped(c *Comm, t int) {
-	// A variable tag keys by name on both sides, so matched names pass
-	// and the analyzer stays silent on expressions it cannot compare.
+func variableTagOK(c *Comm, t int) {
 	c.Send(1, t, nil)
 	c.Recv(0, t)
 }
@@ -85,9 +73,8 @@ func (p *pool) next() int { return 0 }
 
 func workerPoolNotP2P(p *pool, job, tries int) {
 	// Send here has 2 args (mpi Send has 3): its second argument is a job
-	// id, not a tag. Before the arity gate this block reported "disjoint"
-	// send/recv tags {job} vs nothing and flagged p.next() as a computed
-	// tag. None of these are messaging calls.
+	// id, not a tag, so p.next() is not a computed tag. None of these are
+	// messaging calls.
 	p.Send(1, job)
 	p.Send(2, p.next())
 	_ = p.Recv()

@@ -377,7 +377,7 @@ func (h *Process) sendMarker(marker int64, except []int) {
 func (h *Process) receiveGroup(parent int) (*Group, error) {
 	me := h.Rank()
 	comm := h.CommWorld()
-	payload, _ := comm.Recv(parent, tagGroupCreate) //hmpivet:ignore tagconst -- asymmetric protocol: the parent side sends these tags from distributeGroup and sendMarker
+	payload, _ := comm.Recv(parent, tagGroupCreate)
 	msg := mpi.BytesInt64(payload)
 	switch msg[0] {
 	case abortMarker:

@@ -253,13 +253,13 @@ func (w *World) agree(key ctxKey, members []int, me int, now vclock.Time) ([]int
 		if w.agreeComplete(st) {
 			st.value = w.failedAmong(st.members)
 			st.decided = true
-			w.agreeCond.Broadcast()
+			w.wakeAgreements()
 			break
 		}
 		if w.aborted {
 			panic(errAborted)
 		}
-		w.agreeCond.Wait()
+		w.sleepAgreement(me)
 	}
 	return append([]int(nil), st.value...), st.maxT
 }
@@ -284,13 +284,13 @@ func (w *World) agreeVote(key ctxKey, members []int, me int, now vclock.Time, lo
 	for !st.decided {
 		if w.agreeComplete(st) {
 			st.decided = true
-			w.agreeCond.Broadcast()
+			w.wakeAgreements()
 			break
 		}
 		if w.aborted {
 			panic(errAborted)
 		}
-		w.agreeCond.Wait()
+		w.sleepAgreement(me)
 	}
 	return st.vote, st.maxT
 }

@@ -68,6 +68,10 @@ type mailbox struct {
 	aborted bool        // closed by World.abort rather than a failure
 	kind    FailureKind // why the owner failed, for error reporting
 	owner   int         // world rank, for failure reporting
+	w       *World
+	// sleeping is set while the owner waits on cond and no waker has
+	// counted it awake (wake).
+	sleeping bool
 	// enq is the monotone enqueue counter; it stamps envelope.order. It
 	// is written under mu and snapshotted without it (Proc.await, Iprobe).
 	enq atomic.Int64
@@ -116,7 +120,7 @@ func (m *mailbox) put(e *envelope) {
 	e.order = m.enq.Add(1) - 1
 	k := mbKey{ctx: e.ctx, src: e.src}
 	m.q[k] = append(m.q[k], e)
-	m.cond.Broadcast()
+	m.wake()
 	m.mu.Unlock()
 }
 
@@ -166,11 +170,22 @@ func (m *mailbox) pop(k mbKey, i int) *envelope {
 	return e
 }
 
-// notify wakes all waiters so they can re-evaluate giveUp conditions.
+// notify wakes the owner so it can re-evaluate its giveUp condition.
 func (m *mailbox) notify() {
 	m.mu.Lock()
-	m.cond.Broadcast()
+	m.wake()
 	m.mu.Unlock()
+}
+
+// wake wakes the owner if it sleeps, counting it awake first: the one
+// way a rank asleep on its mailbox is woken (deadlock.go). Called with
+// m.mu held.
+func (m *mailbox) wake() {
+	if m.sleeping {
+		m.sleeping = false
+		m.w.woken(1)
+		m.cond.Broadcast()
+	}
 }
 
 // tryGet returns the earliest-queued envelope the selector accepts, if it
@@ -197,7 +212,9 @@ func (m *mailbox) tryGet(sel recvSel, before int64, peek bool) *envelope {
 // taken — or the owner fails, or giveUp reports an error. Failure
 // surfaces by panic; the caller re-runs its matching attempt on return.
 // Wakeups without an enqueue (failure notifications broadcast to all
-// mailboxes) re-check the abort conditions and sleep again.
+// mailboxes) re-check the abort conditions and sleep again. The sleep
+// that leaves no rank able to run reports the deadlock instead, which
+// closes the mailbox.
 func (m *mailbox) awaitArrival(seen int64, giveUp func() error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -210,6 +227,13 @@ func (m *mailbox) awaitArrival(seen int64, giveUp func() error) {
 				panic(err)
 			}
 		}
+		m.sleeping = true
+		if m.w.sleep() {
+			m.mu.Unlock()
+			m.w.deadlocked()
+			m.mu.Lock()
+			continue
+		}
 		m.cond.Wait()
 	}
 }
@@ -218,7 +242,7 @@ func (m *mailbox) close(kind FailureKind) {
 	m.mu.Lock()
 	m.closed = true
 	m.kind = kind
-	m.cond.Broadcast()
+	m.wake()
 	m.mu.Unlock()
 }
 
@@ -226,7 +250,7 @@ func (m *mailbox) close(kind FailureKind) {
 func (m *mailbox) abort() {
 	m.mu.Lock()
 	m.closed, m.aborted = true, true
-	m.cond.Broadcast()
+	m.wake()
 	m.mu.Unlock()
 }
 
@@ -510,7 +534,7 @@ func (c *Comm) Iprobe(src, tag int) (bool, Status) {
 // overlapping the two transfers as MPI_Sendrecv does.
 func (c *Comm) Sendrecv(dst, sendTag int, data []byte, src, recvTag int) ([]byte, Status) {
 	sreq := c.Isend(dst, sendTag, data)
-	buf, st := c.Recv(src, recvTag) //hmpivet:ignore tagconst -- forwarding the caller's two tags is the operation itself
+	buf, st := c.Recv(src, recvTag)
 	sreq.Wait()
 	return buf, st
 }

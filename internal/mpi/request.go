@@ -102,31 +102,16 @@ func (p *Proc) progress() {
 // holds by construction. With nothing taken the rank sleeps until an
 // enqueue moves the count past the snapshot, so an arrival racing the
 // round is never slept through; giveUp and the mailbox's closing abort
-// the sleep by panic. The first round runs before anything is published,
-// so a message already queued costs one lock. A non-empty kind publishes
-// the wait on sel as a pending operation for as long as it blocks, so a
-// trace snapshotted mid-run — after a deadlock or a hang — shows what
-// every rank was waiting for; hmpiverify builds its wait-for graph from
-// these entries.
+// the sleep by panic. The first round runs before anything is stored,
+// so a message already queued costs one lock. kind and sel name the wait
+// in a deadlock report (deadlock.go).
 func (p *Proc) await(kind string, sel recvSel, giveUp func() error, take func(before int64) *envelope) *envelope {
 	seen := p.mbox.enq.Load()
 	p.progress()
 	if e := take(seen); e != nil {
 		return e
 	}
-	if rec := p.world.rec; rec != nil && kind != "" {
-		peer := -1
-		if sel.src != AnySource {
-			peer = sel.src
-		}
-		rec.PendingBegin(p.rank, trace.PendingOp{
-			Kind: kind, Peer: peer, Tag: sel.tag, Ctx: sel.ctx,
-			AnySrc: sel.src == AnySource, Since: float64(p.clock.Now()),
-		})
-		// The pop must run even when the wait aborts by panic (failed peer,
-		// revoked communicator): the rank is no longer waiting on this op.
-		defer rec.PendingEnd(p.rank)
-	}
+	p.wait = waitFor{kind, sel}
 	for {
 		p.mbox.awaitArrival(seen, giveUp)
 		seen = p.mbox.enq.Load()
@@ -339,9 +324,8 @@ func WaitAny(reqs []*Request) (int, []byte, Status) {
 		data, st := r.Wait()
 		return pending, data, st
 	}
-	// No selector covers the set, so the wait publishes nothing.
 	i := 0
-	r.c.p.await("", recvSel{}, waitAnyGiveUp(reqs), func(int64) *envelope {
+	r.c.p.await("waitany", recvSel{}, waitAnyGiveUp(reqs), func(int64) *envelope {
 		for i = range reqs {
 			if q := reqs[i]; !q.done && q.kind == reqRecv && q.env != nil {
 				return q.env

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hnoc"
 	"repro/internal/trace"
@@ -69,7 +70,13 @@ type World struct {
 	agreeMu   sync.Mutex
 	agreeCond *sync.Cond
 	agreeTab  map[ctxKey]*agreeState
-	aborted   bool // set by abort, under agreeMu
+	aborted   bool  // set by abort, under agreeMu
+	agreeing  int64 // ranks asleep on agreeCond, under agreeMu
+
+	// live and deadlock are the deadlock detector (deadlock.go): the
+	// ranks still running main and the ranks asleep, and what it found.
+	live     atomic.Int64
+	deadlock atomic.Pointer[DeadlockError]
 
 	// tick, when non-nil, observes every operation boundary of every
 	// process: the hook through which a chaos schedule kills a process
@@ -217,7 +224,7 @@ func (w *World) failWithKind(rank int, kind FailureKind) {
 	}
 	// Wake agreements waiting for the failed rank's arrival.
 	w.agreeMu.Lock()
-	w.agreeCond.Broadcast()
+	w.wakeAgreements()
 	w.agreeMu.Unlock()
 	w.hookMu.Lock()
 	hooks := append([]func(rank int){}, w.failHooks...)
@@ -328,14 +335,19 @@ func (e *ProcessFailedError) Error() string {
 // fault-tolerance protocol — anything but a process failure, a
 // revocation or an injected kill — aborts the world: every rank still
 // blocked unwinds, past any Catch, and Run returns the panicking rank's
-// error. Run may be called once per World.
+// error. So does a deadlock, on the in-process transport: once every rank
+// still running waits for what no running rank can provide, the world is
+// aborted and, when no rank returned an error of its own, Run returns a
+// *DeadlockError naming each wait. Run may be called once per World.
 func (w *World) Run(main func(p *Proc) error) error {
 	errs := make([]error, len(w.procs))
+	w.live.Store(int64(len(w.procs)) << 32)
 	var wg sync.WaitGroup
 	for _, p := range w.procs {
 		wg.Add(1)
 		go func(p *Proc) {
 			defer wg.Done()
+			defer w.leave(p)
 			defer func() {
 				if r := recover(); r != nil {
 					switch e := r.(type) {
@@ -368,6 +380,9 @@ func (w *World) Run(main func(p *Proc) error) error {
 			return err
 		}
 	}
+	if d := w.deadlock.Load(); d != nil {
+		return d
+	}
 	return nil
 }
 
@@ -384,7 +399,7 @@ func (w *World) abort() {
 	}
 	w.agreeMu.Lock()
 	w.aborted = true
-	w.agreeCond.Broadcast()
+	w.wakeAgreements()
 	w.agreeMu.Unlock()
 }
 
@@ -432,6 +447,8 @@ type Proc struct {
 	// reqID numbers the rank's nonblocking requests from 1; trace events
 	// carry it so verifiers can follow a request's lifecycle.
 	reqID int64
+	// wait is what the rank last went to sleep on, for a deadlock report.
+	wait waitFor
 }
 
 // Stats counts the work a process performed.
@@ -448,6 +465,7 @@ func newProc(w *World, rank int) *Proc {
 	p := &Proc{world: w, rank: rank, machine: w.place[rank]}
 	p.mbox.init()
 	p.mbox.owner = rank
+	p.mbox.w = w
 	return p
 }
 

@@ -155,27 +155,6 @@ type Meta struct {
 	Cluster   json.RawMessage   `json:"cluster,omitempty"`   // hnoc.Cluster JSON
 	Dropped   int64             `json:"dropped,omitempty"`
 	Unclosed  int64             `json:"unclosed_regions,omitempty"`
-	// Pending holds the blocking operations still in flight when the
-	// snapshot was taken. A run that completed cleanly has none; a run
-	// cut short by a deadlock or a hang freezes its wait state here,
-	// which is what lets hmpiverify diagnose cycles a finished-events
-	// trace cannot show.
-	Pending []PendingOp `json:"pending,omitempty"`
-}
-
-// PendingOp is one blocking operation that had begun but not completed
-// when the trace was snapshotted.
-type PendingOp struct {
-	Rank int    `json:"rank"`
-	Kind string `json:"kind"` // "recv", "coll", ...
-	Peer int    `json:"peer"` // awaited world rank, -1 for AnySource
-	Tag  int    `json:"tag"`
-	Ctx  int64  `json:"ctx"`
-	// AnySrc marks a receive posted with AnySource (Peer then records
-	// -1, not a resolved sender).
-	AnySrc bool `json:"any_src,omitempty"`
-	// Since is the virtual time the wait began.
-	Since float64 `json:"since"`
 }
 
 // regionFrame is one open Region on a rank's stack.
@@ -196,13 +175,6 @@ type shard struct {
 	n       atomic.Int64 // total emitted (monotone; retained = min(n, cap))
 	regions []regionFrame
 	badEnds atomic.Int64 // RegionEnd calls with no matching begin
-	// pending is the rank's stack of in-flight blocking operations,
-	// fixed-size so PendingBegin never allocates on the hot path. Writes
-	// follow the slot-then-count publication pattern: npending is stored
-	// after the slot, so a reader that acquire-loads the count sees
-	// fully written entries.
-	pending  [4]PendingOp
-	npending atomic.Int32
 }
 
 // Recorder collects events for every rank of one world. Create with
@@ -288,47 +260,6 @@ func (r *Recorder) Predict(rank int, name string, seconds float64, now vclock.Ti
 	})
 }
 
-// PendingBegin pushes a blocking operation onto rank's in-flight stack.
-// Must be called from the goroutine owning the rank, like Emit. Depth
-// beyond the fixed capacity is dropped silently (blocking operations do
-// not nest that deep; the stack exists for post-mortem diagnosis, not
-// accounting).
-func (r *Recorder) PendingBegin(rank int, op PendingOp) {
-	s := &r.shards[rank]
-	n := s.npending.Load()
-	if int(n) >= len(s.pending) {
-		return
-	}
-	op.Rank = rank
-	s.pending[n] = op
-	s.npending.Store(n + 1)
-}
-
-// PendingEnd pops the most recent in-flight operation of rank: the
-// blocking call completed (or aborted).
-func (r *Recorder) PendingEnd(rank int) {
-	s := &r.shards[rank]
-	if n := s.npending.Load(); n > 0 {
-		s.npending.Store(n - 1)
-	}
-}
-
-// PendingOps snapshots the in-flight blocking operations across all
-// ranks, ordered by rank. Safe to call while ranks are blocked (that is
-// the point): the count publication makes each entry's prefix
-// consistent.
-func (r *Recorder) PendingOps() []PendingOp {
-	var out []PendingOp
-	for i := range r.shards {
-		s := &r.shards[i]
-		n := int(s.npending.Load())
-		for k := 0; k < n && k < len(s.pending); k++ {
-			out = append(out, s.pending[k])
-		}
-	}
-	return out
-}
-
 // SetMeta replaces the descriptive metadata attached to exported traces.
 // Call before or after the run, not concurrently with Data.
 func (r *Recorder) SetMeta(m Meta) {
@@ -375,7 +306,6 @@ func (r *Recorder) Data() *Data {
 		d.Meta.Unclosed += int64(len(s.regions))
 	}
 	d.Meta.Dropped = r.Dropped()
-	d.Meta.Pending = r.PendingOps()
 	return d
 }
 

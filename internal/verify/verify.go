@@ -1,16 +1,16 @@
 // Package verify replays a recorded HMPT trace and checks that the run
 // it describes respected the semantics of the message-passing model: no
-// phantom or lost messages, no deadlocked wait cycle, collective
-// sequences consistent across the members of each communicator, every
-// created group eventually dissolved, and wildcard receives free of
-// message races. It is the dynamic counterpart of the hmpivet static
-// analyzers: hmpivet proves properties of the source, hmpiverify checks
-// the same contracts against what one execution actually did.
+// phantom or lost messages, collective sequences consistent across the
+// members of each communicator, every created group eventually dissolved,
+// and wildcard receives free of message races. It is the dynamic
+// counterpart of the hmpivet static analyzers: hmpivet proves properties
+// of the source, hmpiverify checks the same contracts against what one
+// execution actually did. A deadlock never reaches a trace: the runtime
+// ends the run and reports it (mpi.DeadlockError).
 //
 // The verifier is a pure consumer of the trace package: it never needs
 // the live runtime, so it can run over a trace file produced on another
-// machine (or by a run that deadlocked and was snapshotted mid-flight,
-// which is where the wait-for-graph check earns its keep).
+// machine.
 package verify
 
 import (
@@ -19,14 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/trace"
-)
-
-// Mirrors of the mpi package's wildcard constants. Defined here rather
-// than imported so the verifier depends only on the trace format, never
-// on the runtime.
-const (
-	anySource = -1
-	anyTag    = -1
 )
 
 // Severity ranks a finding. Only Violation affects the exit status of
@@ -98,7 +90,7 @@ func (r *Report) add(check string, sev Severity, rank int, ctx int64, format str
 }
 
 // AllChecks names every check Run knows, in execution order.
-var AllChecks = []string{"matching", "deadlock", "collseq", "groups", "races", "requests"}
+var AllChecks = []string{"matching", "collseq", "groups", "races", "requests"}
 
 // Run verifies the snapshot. With no explicit checks every check runs;
 // otherwise only the named ones (an unknown name is an error, matching
@@ -146,9 +138,6 @@ func Run(d *trace.Data, checks ...string) (*Report, error) {
 
 	if want["matching"] && sound {
 		st.checkMatching(rep)
-	}
-	if want["deadlock"] {
-		st.checkDeadlock(rep)
 	}
 	if want["collseq"] && sound {
 		st.checkCollSeq(rep)
@@ -209,9 +198,6 @@ type state struct {
 	created map[int64]trace.Event
 	freed   map[int64]int
 	chaos   bool // link-chaos events present (frames may have been dropped)
-	// pending is Meta.Pending: the blocking operations still in flight at
-	// snapshot, stack order per rank.
-	pending []trace.PendingOp
 	// reqPosts maps rank -> request id -> the posting event (isend or
 	// irecv); reqDone marks the ids whose wait (or successful test) was
 	// recorded.
@@ -243,7 +229,6 @@ func replay(d *trace.Data) *state {
 		ctxRanks: map[int64]map[int]bool{},
 		created:  map[int64]trace.Event{},
 		freed:    map[int64]int{},
-		pending:  d.Meta.Pending,
 		reqPosts: map[int]map[int64]trace.Event{},
 		reqDone:  map[int]map[int64]bool{},
 	}
@@ -397,106 +382,6 @@ func (st *state) checkMatching(rep *Report) {
 			"%d message(s) from rank %d to rank %d (ctx %d, tag %d) were sent but never received%s",
 			l.n, l.key.src, l.key.dst, l.key.ctx, l.key.tag, extra)
 	}
-}
-
-// checkDeadlock runs the wait-for-graph analysis over the operations
-// still pending when the trace was snapshotted. Starting from every
-// blocked rank, it repeatedly releases ranks whose wait is satisfiable —
-// a matching send already in flight, an awaited peer that is not itself
-// blocked (it may yet send), a killed peer or revoked context (the
-// runtime aborts those waits) — until a fixpoint. Whatever remains is a
-// genuine cycle: every rank in it waits on another member of the set.
-func (st *state) checkDeadlock(rep *Report) {
-	// Innermost pending operation per rank: PendingOps lists each rank's
-	// stack bottom-up, so the last entry wins.
-	blocked := map[int]trace.PendingOp{}
-	for _, op := range st.pending {
-		if st.killed[op.Rank] {
-			continue // a corpse is dead, not deadlocked
-		}
-		blocked[op.Rank] = op
-	}
-	for changed := true; changed; {
-		changed = false
-		for r, op := range blocked {
-			if st.releasable(r, op, blocked) {
-				delete(blocked, r)
-				changed = true
-			}
-		}
-	}
-	if len(blocked) == 0 {
-		if n := len(st.pending); n > 0 {
-			rep.add("deadlock", Warning, -1, 0,
-				"%d blocking operation(s) were still pending at snapshot but all are satisfiable; the run was cut short, not deadlocked", n)
-		}
-		return
-	}
-	ranks := make([]int, 0, len(blocked))
-	for r := range blocked {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	var b strings.Builder
-	fmt.Fprintf(&b, "deadlock: %d rank(s) wait on each other with no satisfying message in flight:", len(ranks))
-	for _, r := range ranks {
-		op := blocked[r]
-		peer := fmt.Sprintf("rank %d", op.Peer)
-		if op.AnySrc {
-			peer = "any source"
-		}
-		fmt.Fprintf(&b, " rank %d blocked in %s awaiting %s (ctx %d, tag %d) since t=%.6f;", r, op.Kind, peer, op.Ctx, op.Tag, op.Since)
-	}
-	rep.add("deadlock", Violation, ranks[0], blocked[ranks[0]].Ctx, "%s", strings.TrimSuffix(b.String(), ";"))
-}
-
-// releasable reports whether rank r's wait can still complete given the
-// set of currently blocked ranks.
-func (st *state) releasable(r int, op trace.PendingOp, blocked map[int]trace.PendingOp) bool {
-	if st.revoked[op.Ctx] {
-		return true // failWatch aborts waits on a revoked communicator
-	}
-	if op.AnySrc {
-		// A wildcard wait completes if any message is headed here, or if
-		// any other live rank is still running and could produce one.
-		if st.hasInFlight(anySource, r, op) {
-			return true
-		}
-		for s := 0; s < st.nranks; s++ {
-			if s == r || st.killed[s] {
-				continue
-			}
-			if _, isBlocked := blocked[s]; !isBlocked {
-				return true
-			}
-		}
-		return false
-	}
-	if st.killed[op.Peer] {
-		return true // failWatch turns the wait into an error
-	}
-	if _, isBlocked := blocked[op.Peer]; !isBlocked {
-		return true // the peer is still running; it may yet send
-	}
-	return st.hasInFlight(op.Peer, r, op)
-}
-
-// hasInFlight reports whether an unreceived send matching the pending
-// wait exists. src == anySource accepts any sender.
-func (st *state) hasInFlight(src, dst int, op trace.PendingOp) bool {
-	for k, q := range st.queues {
-		if len(q) == 0 || k.ctx != op.Ctx || k.dst != dst {
-			continue
-		}
-		if src != anySource && k.src != src {
-			continue
-		}
-		if op.Tag != anyTag && k.tag != op.Tag {
-			continue
-		}
-		return true
-	}
-	return false
 }
 
 // checkCollSeq verifies that the members of each communicator executed
