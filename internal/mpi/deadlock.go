@@ -46,8 +46,7 @@ func (w *World) sleep() bool {
 	if w.wireTransport {
 		return false
 	}
-	v := w.live.Add(1)
-	return v>>32 == v&(1<<32-1)
+	return stuck(w.live.Add(1))
 }
 
 // woken counts n sleepers awake; their waker calls it before waking them.
@@ -64,9 +63,15 @@ func (w *World) leave(p *Proc) {
 	if w.wireTransport {
 		return
 	}
-	if v := w.live.Add(-1 << 32); v>>32 > 0 && v>>32 == v&(1<<32-1) {
+	if stuck(w.live.Add(-1 << 32)) {
 		w.deadlocked()
 	}
+}
+
+// stuck reports whether a value of World.live has ranks running and every
+// one of them asleep.
+func stuck(v int64) bool {
+	return v>>32 > 0 && v>>32 == v&(1<<32-1)
 }
 
 // deadlocked records what every sleeping rank waits for and aborts the
