@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/hnoc"
+	"repro/internal/mpi"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -82,6 +86,46 @@ func TestCleanTracePasses(t *testing.T) {
 	}
 }
 
+// TestDeadlockDetected: a deadlock is detected by the run, not by
+// hmpiverify. A recorded head-to-head run ends with *mpi.DeadlockError,
+// its trace verifies clean, and -checks deadlock is an unknown check.
+func TestDeadlockDetected(t *testing.T) {
+	cl := hnoc.Homogeneous(2, 10)
+	w := mpi.NewWorld(cl, mpi.OneProcessPerMachine(cl))
+	rec := trace.NewRecorder(2, trace.Options{})
+	w.SetRecorder(rec)
+	done := make(chan error, 1)
+	go func() {
+		done <- w.Run(func(p *mpi.Proc) error {
+			c := p.CommWorld()
+			me := c.Rank()
+			c.Send(1-me, 1, []byte{byte(me)})
+			c.Recv(1-me, 1)
+			c.Recv(1-me, 5)
+			return nil
+		})
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still blocked after 10s")
+	}
+	var dl *mpi.DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("Run = %v, want a *mpi.DeadlockError", err)
+	}
+
+	path := writeTrace(t, "dead.hmpt", rec.Data())
+	var out bytes.Buffer
+	if code := run([]string{path}, "", false, &out); code != 0 {
+		t.Fatalf("exit = %d, want 0; output:\n%s", code, out.String())
+	}
+	if code := run([]string{path}, "deadlock", false, &out); code != 2 {
+		t.Fatalf("-checks deadlock: exit = %d, want 2", code)
+	}
+}
+
 func TestGroupLeakDetected(t *testing.T) {
 	path := writeTrace(t, "leak.hmpt", leakTrace())
 	var out bytes.Buffer
@@ -100,10 +144,8 @@ func TestChecksFilter(t *testing.T) {
 	if code := run([]string{path}, "collseq", false, &out); code != 0 {
 		t.Fatalf("exit = %d, want 0; output:\n%s", code, out.String())
 	}
-	for _, c := range []string{"nosuch", "deadlock"} {
-		if code := run([]string{path}, c, false, &out); code != 2 {
-			t.Fatalf("unknown check %q: exit = %d, want 2", c, code)
-		}
+	if code := run([]string{path}, "nosuch", false, &out); code != 2 {
+		t.Fatalf("unknown check: exit = %d, want 2", code)
 	}
 }
 
