@@ -20,7 +20,9 @@ build:
 # transports, and Probe leaving a posted Irecv its message), the abort
 # tests (a rank's panic unwinding peers blocked in a receive, a collective
 # or RunResilient), the deadlock tests (a run whose ranks all wait for
-# what none can send ends with the report, and no other run does) and the
+# what none can send ends with the report, and no other run does), the
+# shared selection-cache tests (concurrent searches share the solve layer
+# and the heuristics' values, nothing else) and the
 # group-lifecycle tests (creation, recreation,
 # GroupFree, resilient regions, and the self-healing runs pinned in
 # internal/apps/testdata/selfheal.golden) repeat: a race needs the
@@ -33,6 +35,7 @@ check: lint
 	$(GO) test -race -count=5 -run 'TestReceiveGolden|TestProbe' ./internal/mpi
 	$(GO) test -race -count=5 -run PanicAbortsWorld ./internal/mpi ./internal/hmpi
 	$(GO) test -race -count=5 -run TestDeadlock ./internal/mpi
+	$(GO) test -race -count=5 -run 'SharedCache|SolveMemo|ConcurrentMatchesSerial' ./internal/mapper ./internal/service
 	$(GO) test -race -count=5 -run 'Resilient|Recreate|GroupFree|SelfHealingGolden' ./internal/hmpi ./internal/apps
 	$(GO) test -race -run TestSmoke ./bench
 

@@ -1,9 +1,10 @@
-// Search support for the group-selection engine: per-worker evaluation
-// arenas (Session), a compute-only lower bound for branch-and-bound, and a
-// canonical candidate key exploiting machine symmetry. Together they make
-// the inner loop of HMPI_Group_create — scoring one candidate arrangement —
-// allocation-free, safe to run from many goroutines, and skippable when a
-// symmetric candidate has already been scored.
+// Search support for the group-selection engine: per-search evaluation
+// arenas (Session), a compute-only lower bound for branch-and-bound, the
+// classes of interchangeable processes the exhaustive search enumerates
+// orbits by, and a canonical candidate key exploiting machine symmetry for
+// the heuristics' value memo. Together they make the inner loop of
+// HMPI_Group_create — scoring one candidate arrangement — allocation-free,
+// and let the search score one candidate per symmetry class.
 
 package estimator
 
@@ -16,7 +17,7 @@ import (
 	"repro/internal/sched"
 )
 
-// Session is a per-worker evaluation context: it owns the reusable state
+// Session is a per-search evaluation context: it owns the reusable state
 // of one candidate replay (machine share counts and the scheduler's
 // scratch), so Timeof allocates nothing after the first call. A Session
 // must be used by one goroutine at a time; the parent Estimator is
@@ -29,7 +30,7 @@ type Session struct {
 	res     sched.Resources
 }
 
-// Session returns a fresh evaluation context for one search worker.
+// Session returns a fresh evaluation context for one search.
 func (e *Estimator) Session() *Session {
 	s := &Session{e: e, share: make([]int, e.cluster.Size())}
 	s.res = sched.Resources{
@@ -130,6 +131,39 @@ func (e *Estimator) AppendCanonicalKey(dst []byte, cand []int) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.speeds[r]))
 	}
 	return dst
+}
+
+// ProcessClasses returns, per rank of avail, a class label such that
+// exchanging two ranks of one class in any candidate leaves Timeof and
+// LowerBound bit-identical: the group-selection engine's
+// mapper.Problem.Classes. Two ranks share a class when their speeds are
+// equal and either they run on the same machine — the exchange changes
+// nothing the replay reads — or their machines are interchangeable (one
+// class of classifyMachines) and each hosts no other rank of avail — the
+// exchange is then a relabelling of the two machines, which the link
+// classes allow, and both machines' share counts are 1 in any candidate.
+// Ranks on interchangeable machines that each host several processes stay
+// apart: exploiting that symmetry would need whole-machine relabellings.
+// Safe for concurrent use.
+func (e *Estimator) ProcessClasses(avail []int) []int {
+	hosted := make([]int, e.cluster.Size()) // machine -> ranks of avail on it
+	for _, r := range avail {
+		hosted[e.placement[r]]++
+	}
+	class := make([]int, len(avail))
+	for i, r := range avail {
+		class[i] = i
+		m := e.placement[r]
+		for j, q := range avail[:i] {
+			n := e.placement[q]
+			alone := hosted[m] == 1 && hosted[n] == 1 && e.machClass[m] == e.machClass[n]
+			if e.speeds[r] == e.speeds[q] && (m == n || alone) {
+				class[i] = class[j]
+				break
+			}
+		}
+	}
+	return class
 }
 
 // sameCost compares the fields of a link that Timeof consumes.

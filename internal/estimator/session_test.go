@@ -266,3 +266,149 @@ func TestClassifyMachines(t *testing.T) {
 		}
 	}
 }
+
+// TestProcessClassesContract is the safety property behind the orbit
+// walk: on random clusters mixing interchangeable and distinct machines,
+// one to three processes per machine and repeated speeds, exchanging any
+// two ranks of one class in a candidate leaves Timeof and LowerBound
+// bit-identical.
+func TestProcessClassesContract(t *testing.T) {
+	m, err := pmdl.ParseModel(ringSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := uint64(0x13198A2E03707344)
+	next := func(n int) int {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		return int(state % uint64(n))
+	}
+	slow := hnoc.LinkSpec{Protocol: hnoc.ProtoTCP, Latency: 1e-3, Bandwidth: 10e6, Overhead: 10e-6}
+	bus := hnoc.LinkSpec{Protocol: hnoc.ProtoSHM, Latency: 4e-6, Bandwidth: 600e6, Overhead: 2e-6}
+	var crossMachine, sameMachine int
+	for trial := 0; trial < 40; trial++ {
+		machines := 3 + next(3)
+		cluster := hnoc.Homogeneous(machines, 50)
+		// Some machines get a faster bus or a slow uplink to machine 0:
+		// both break their interchangeability with the rest.
+		for mi := 1; mi < machines; mi++ {
+			switch next(4) {
+			case 0:
+				cluster.Overrides = append(cluster.Overrides, hnoc.LinkOverride{A: mi, B: mi, Link: bus})
+			case 1:
+				cluster.Overrides = append(cluster.Overrides, hnoc.LinkOverride{A: 0, B: mi, Link: slow})
+			}
+		}
+		var placement []int
+		var speeds []float64
+		for mi := 0; mi < machines; mi++ {
+			for k := 1 + next(3); k > 0; k-- {
+				placement = append(placement, mi)
+				speeds = append(speeds, []float64{40, 50}[next(2)])
+			}
+		}
+		var avail []int
+		for r := range placement {
+			if next(4) != 0 {
+				avail = append(avail, r)
+			}
+		}
+		p := 2 + next(2)
+		if len(avail) < p {
+			continue
+		}
+		vols := make([]int, p)
+		for i := range vols {
+			vols[i] = 50 + next(200)
+		}
+		inst, err := m.Instantiate(p, vols, 1024*(1+next(8)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(inst, cluster, speeds, placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		classes := e.ProcessClasses(avail)
+		s := e.Session()
+		all := []bool{true, true, true}[:p]
+		for c := 0; c < 20; c++ {
+			perm := append([]int(nil), avail...)
+			for i := len(perm) - 1; i > 0; i-- {
+				j := next(i + 1)
+				perm[i], perm[j] = perm[j], perm[i]
+			}
+			cand := perm[:p]
+			want, wantLB := s.Timeof(cand), e.LowerBound(cand, all)
+			for i, a := range avail {
+				for j, b := range avail[:i] {
+					if classes[i] != classes[j] {
+						continue
+					}
+					swapped := make([]int, p)
+					for k, r := range cand {
+						switch r {
+						case a:
+							r = b
+						case b:
+							r = a
+						}
+						swapped[k] = r
+					}
+					if got := s.Timeof(swapped); got != want {
+						t.Fatalf("trial %d: ranks %d and %d share a class, but %v predicts %v and %v predicts %v",
+							trial, a, b, cand, want, swapped, got)
+					}
+					if got := e.LowerBound(swapped, all); got != wantLB {
+						t.Fatalf("trial %d: ranks %d and %d share a class, but LowerBound moves %v -> %v", trial, a, b, wantLB, got)
+					}
+					if placement[a] == placement[b] {
+						sameMachine++
+					} else {
+						crossMachine++
+					}
+				}
+			}
+		}
+	}
+	if sameMachine == 0 || crossMachine == 0 {
+		t.Fatalf("exchanges tested: %d on one machine, %d across machines; the test lost its teeth", sameMachine, crossMachine)
+	}
+}
+
+// TestProcessClassesColocation pins the negative case: a rank that shares
+// its machine is not interchangeable with an equal-speed rank alone on an
+// interchangeable machine — exchanging them would turn a co-located
+// candidate into a spread one — while the two co-located ranks are, and on
+// the paper network the six identical workstations form one class.
+func TestProcessClassesColocation(t *testing.T) {
+	m, err := pmdl.ParseModel(ringSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := m.Instantiate(2, []int{100, 100}, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(inst, hnoc.Homogeneous(2, 50), []float64{50, 50, 50}, []int{0, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := e.ProcessClasses([]int{0, 1, 2})
+	if classes[0] != classes[1] || classes[2] == classes[0] {
+		t.Fatalf("classes %v, want ranks 0 and 1 together and rank 2 apart", classes)
+	}
+	if e.Timeof([]int{0, 1}) == e.Timeof([]int{0, 2}) {
+		t.Fatal("fixture broken: co-located and spread candidates predict the same time")
+	}
+	got := paper9Ring(t).ProcessClasses([]int{0, 1, 2, 3, 4, 5, 6, 7, 8})
+	for r := 1; r < 6; r++ {
+		if got[r] != got[0] {
+			t.Fatalf("Paper9 classes %v: the 46-speed workstations are not one class", got)
+		}
+	}
+	if got[6] == got[0] || got[7] == got[0] || got[8] == got[0] || got[6] == got[7] || got[7] == got[8] {
+		t.Fatalf("Paper9 classes %v: machines of distinct speed share a class", got)
+	}
+}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -257,9 +258,10 @@ func TestFigureDeterminism(t *testing.T) {
 }
 
 // TestSearchTableDeterminismContract: every engine configuration of the
-// search figure returns the serial scan's prediction bit for bit, and the
-// symmetry cache answers all but a sliver of the serial scan's
-// evaluations.
+// search figure returns the serial scan's prediction bit for bit, the orbit
+// walk scores under 1% of the serial scan's candidates and accounts for the
+// rest as leaves a symmetric candidate stood for, and Table E's sixteen
+// values are pinned exactly.
 func TestSearchTableDeterminismContract(t *testing.T) {
 	f, err := TableSearch()
 	if err != nil {
@@ -271,11 +273,27 @@ func TestSearchTableDeterminismContract(t *testing.T) {
 			t.Errorf("config %d predicts %v, serial %v", i+1, pred[i], pred[0])
 		}
 	}
-	// Config 3 is the serial scan plus the symmetry cache alone.
+	// Config 3 is the serial scan plus the orbit walk alone.
 	if evals[2]+hits[2] != evals[0] {
-		t.Errorf("symmetry config visited %v candidates, serial %v", evals[2]+hits[2], evals[0])
+		t.Errorf("symmetry config accounted for %v candidates, serial %v", evals[2]+hits[2], evals[0])
 	}
 	if evals[2] > evals[0]/100 {
 		t.Errorf("symmetry config evaluated %v of serial's %v candidates, want under 1%%", evals[2], evals[0])
+	}
+	// Rows: configs 1-4; columns: predicted, evaluations, cache hits,
+	// pruned.
+	p := math.Float64frombits(0x3fc7f6e3a87f542d) // 0.18722196319018405
+	want := [4][4]float64{
+		{p, 40320, 0, 0},
+		{p, 40320, 0, 0},
+		{p, 336, 39984, 0},
+		{p, 336, 39984, 0},
+	}
+	for i, row := range want {
+		for j, v := range row {
+			if got := f.Series[j].Y[i]; got != v {
+				t.Errorf("config %d %s = %v, want %v", i+1, f.Series[j].Name, got, v)
+			}
+		}
 	}
 }

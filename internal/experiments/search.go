@@ -7,24 +7,25 @@ import (
 
 // engineProblem wires a selection problem to what the exhaustive search
 // engine can exploit, when asked: the compute-only lower bound (the engine
-// then prunes) and the machine-symmetry canonical key (it then memoises).
-func engineProblem(est *estimator.Estimator, bound, key bool) mapper.Problem {
+// then prunes) and the classes of interchangeable processes (it then
+// scores one candidate per orbit).
+func engineProblem(est *estimator.Estimator, bound, sym bool) mapper.Problem {
 	pr := selectionProblem(est, est.Session().Timeof)
 	if bound {
 		pr.LowerBound = est.LowerBound
 	}
-	if key {
-		pr.CanonicalKey = est.AppendCanonicalKey
+	if sym {
+		pr.Classes = est.ProcessClasses(pr.Avail)
 	}
 	return pr
 }
 
 // searchConfigs are the engine configurations the search table sweeps.
-// Pruning and the symmetry memo have no switch — the engine uses whatever
+// Pruning and the orbit walk have no switch — the engine uses whatever
 // hooks the Problem supplies — so the ablation rows withhold the hooks.
 var searchConfigs = []struct {
 	Name       string
-	Bound, Key bool
+	Bound, Sym bool
 }{
 	{"serial", false, false},
 	{"pruned", true, false},
@@ -35,14 +36,10 @@ var searchConfigs = []struct {
 // TableSearch runs the exhaustive group selection for the EM3D instance
 // on the paper network under each engine configuration and renders the
 // search work as a figure: the prediction, evaluations, cache hits and
-// pruned assignments per configuration. Every configuration must
-// reproduce the serial prediction exactly — the engine's determinism
-// contract. The table is serial so that it is a function of its input: a
-// parallel search returns the same selection (mapper's
-// TestEngineParallelismInvariance) but splits its leaves between
-// evaluations and cache hits by which worker misses a key first. The host
-// time of the same searches, parallel included, is bench/'s
-// mapper.solve_ms.* rows.
+// pruned assignments per configuration; a cache hit is a leaf a symmetric
+// candidate stood for. Every configuration must reproduce the serial
+// prediction exactly — the engine's determinism contract. The host time of
+// the same searches is bench/'s mapper.solve_ms.* rows.
 func TableSearch() (*Figure, error) {
 	est, err := em3dEstimator(hostileCluster(), 400_000)
 	if err != nil {
@@ -57,7 +54,7 @@ func TableSearch() (*Figure, error) {
 	var pred, evals, hits, pruned []float64
 	for i, cfg := range searchConfigs {
 		opts := mapper.Options{Strategy: mapper.StrategyExhaustive, ExhaustiveLimit: 1_000_000}
-		a, err := mapper.Solve(engineProblem(est, cfg.Bound, cfg.Key), opts)
+		a, err := mapper.Solve(engineProblem(est, cfg.Bound, cfg.Sym), opts)
 		if err != nil {
 			return nil, err
 		}

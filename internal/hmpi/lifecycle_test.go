@@ -109,7 +109,7 @@ func TestSharedSelectionCacheBitIdentical(t *testing.T) {
 		}
 	}
 	st := cache.Stats()
-	if st.Hits == 0 {
+	if st.SolveHits == 0 {
 		t.Fatalf("shared cache never hit across repeated jobs: %+v", st)
 	}
 	var wg sync.WaitGroup
@@ -193,7 +193,7 @@ func TestPredictTimeof(t *testing.T) {
 	if warm != pred {
 		t.Fatalf("cached prediction %v != uncached %v", warm, pred)
 	}
-	if cache.Stats().Hits == 0 {
+	if cache.Stats().SolveHits == 0 {
 		t.Fatal("repeated prediction never hit the shared cache")
 	}
 }

@@ -123,7 +123,8 @@ func (h *Process) solveSelection(model *pmdl.Model, args []any, parentRank int) 
 // before, by this process's last Timeof or by another job's admission, is
 // that solve, search statistics included; only a miss builds the task graph
 // and hands the mapper what its engine exploits: an estimator session, the
-// compute-only lower bound, the machine-symmetry canonical key.
+// compute-only lower bound, the classes of interchangeable processes, and
+// the machine-symmetry canonical key the heuristics memoise under.
 func (cfg Config) solve(placement []int, speeds []float64, avail []int, parentRank int, model *pmdl.Model, args []any) (*pmdl.Instance, mapper.Assignment, error) {
 	inst, err := model.Instantiate(args...)
 	if err != nil {
@@ -149,6 +150,7 @@ func (cfg Config) solve(placement []int, speeds []float64, avail []int, parentRa
 		}
 		pr.Objective = est.Session().Timeof
 		pr.LowerBound = est.LowerBound
+		pr.Classes = est.ProcessClasses(pr.Avail)
 		pr.CanonicalKey = est.AppendCanonicalKey
 		return nil
 	})

@@ -43,7 +43,8 @@ func (rt *Runtime) EnableRecorder(app string, opts trace.Options) *trace.Recorde
 // communicator-derivation key (the Ctx), size the member count (Bytes),
 // and the aux fields carry the selection search behind the decision —
 // A0 the model's predicted execution time (FloatBits), A1 objective
-// evaluations, A2 symmetry-cache hits, A3 pruned assignments.
+// evaluations, A2 the leaves a symmetric candidate stood for
+// (SearchStats.CacheHits), A3 pruned assignments.
 func (h *Process) recordGroupEvent(kind trace.Kind, key int64, size int, asg mapper.Assignment, t0 vclock.Time, w0 int64) {
 	rec := h.proc.Recorder()
 	if rec == nil {

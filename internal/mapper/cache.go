@@ -25,7 +25,7 @@ import (
 )
 
 // lruShards is the number of independently locked segments of an lru.
-// Sharding keeps the search workers' leaf lookups from serialising on one
+// Sharding keeps concurrent searches' lookups from serialising on one
 // mutex.
 const (
 	lruShardBits = 4
@@ -39,9 +39,9 @@ const DefaultSelectionCacheEntries = 1 << 16
 // concurrent use by any number of searches: objective values by
 // namespace-qualified canonical candidate key, and solved problems by a
 // digest of the problem, the options and the caller's Options.MemoKey.
-// The value layer makes a repeated search skip its objective evaluations;
-// the solve layer makes it skip the search walk itself, and whatever the
-// caller would have built to run it. The zero value is not usable; create
+// The value layer makes a repeated heuristic search skip its objective
+// evaluations; the solve layer makes any repeated search skip the walk
+// itself, and whatever the caller would have built to run it. The zero value is not usable; create
 // one with NewSelectionCache.
 type SelectionCache struct {
 	values lru[float64]
@@ -110,7 +110,7 @@ func (sh *lruShard[V]) pushFront(e *lruEntry[V]) {
 	sh.first = e
 }
 
-// shard hashes a key to its segment: FNV-1a over eight-byte words (a leaf
+// shard hashes a key to its segment: FNV-1a over eight-byte words (a value
 // lookup hashes ~80 bytes, and byte-at-a-time was half its cost), the top
 // bits because a product's low bits see only its factors' low bits.
 func (c *lru[V]) shard(key []byte) *lruShard[V] {
@@ -205,11 +205,11 @@ func (c *SelectionCache) solved(key []byte, search func() (Assignment, error)) (
 // cache: each evaluation first looks its canonical key up under the
 // namespace, and misses store the computed value. This is how the
 // heuristic strategies (greedy, local search, random sampling) reuse the
-// cache — the exhaustive engine instead wires the cache into its leaf
-// loop, where it can also keep exact leaf accounting. Values for equal
-// keys are bit-identical by the CanonicalKey contract, so wrapped and
-// unwrapped searches return identical results. The wrapper owns its key
-// buffer: like the heuristic that calls it, it runs on one goroutine.
+// cache; the exhaustive engine needs no value memo, it scores one
+// candidate per symmetry orbit (engine.go). Values for equal keys are
+// bit-identical by the CanonicalKey contract, so wrapped and unwrapped
+// searches return identical results. The wrapper owns its key buffer:
+// like the heuristic that calls it, it runs on one goroutine.
 func sharedObjective(pr Problem, shared *SelectionCache, ns []byte) Problem {
 	obj, key := pr.Objective, pr.CanonicalKey
 	var buf []byte
@@ -245,7 +245,7 @@ type CacheStats struct {
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 before any lookup — the
-// value layer's rate, dominated by within-search symmetry reuse.
+// value layer's rate, which only the heuristic strategies read and write.
 func (s CacheStats) HitRate() float64 {
 	if s.Hits+s.Misses == 0 {
 		return 0

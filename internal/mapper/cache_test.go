@@ -101,13 +101,14 @@ func TestSelectionCacheConcurrent(t *testing.T) {
 
 // TestSharedCacheMatchesSerial is the promotion-correctness property:
 // a Solve using a daemon-style shared cache returns the exact Time and
-// Ranks of the serial scan, leaves stay fully accounted for, and a second
-// identical search in the same namespace runs almost entirely on hits.
+// Ranks of the serial scan with leaves fully accounted for, and a second
+// identical search with the same MemoKey is served from the solve layer,
+// bit-identical.
 func TestSharedCacheMatchesSerial(t *testing.T) {
 	shared := NewSelectionCache(0)
 	state := uint64(0xA5A5A5A55A5A5A5A)
-	var crossSearchHits int64
-	for caseNo := 0; caseNo < 60; caseNo++ {
+	const cases = 60
+	for caseNo := 0; caseNo < cases; caseNo++ {
 		pr := randomProblem(&state)
 		ns := []byte(fmt.Sprintf("problem-%d/", caseNo))
 		want := refExhaustive(pr)
@@ -118,7 +119,7 @@ func TestSharedCacheMatchesSerial(t *testing.T) {
 		leaves := fallingFactorial(len(pr.Avail)-len(fixedRanks), pr.P-len(pr.Fixed))
 		for pass := 0; pass < 2; pass++ {
 			got, err := Solve(pr, Options{
-				Strategy: StrategyExhaustive, Shared: shared, Namespace: ns,
+				Strategy: StrategyExhaustive, Shared: shared, Namespace: ns, MemoKey: ns,
 			})
 			if err != nil {
 				t.Fatalf("case %d pass %d: %v", caseNo, pass, err)
@@ -132,37 +133,44 @@ func TestSharedCacheMatchesSerial(t *testing.T) {
 				t.Fatalf("case %d pass %d: %d evals + %d hits + %d pruned != %d leaves",
 					caseNo, pass, st.Evaluations, st.CacheHits, st.Pruned, leaves)
 			}
-			if pass == 1 {
-				crossSearchHits += st.CacheHits
-				if st.CacheHits == 0 && leaves > 1 {
-					t.Fatalf("case %d warm pass: no hits over %d leaves", caseNo, leaves)
-				}
+			if st.Memoized != (pass == 1) {
+				t.Fatalf("case %d pass %d: Memoized = %v", caseNo, pass, st.Memoized)
 			}
 		}
 	}
-	if crossSearchHits == 0 {
-		t.Fatal("shared cache never produced a cross-search hit")
-	}
-	if st := shared.Stats(); st.Hits == 0 || st.Puts == 0 {
-		t.Fatalf("cache stats never moved: %+v", st)
+	if st := shared.Stats(); st.SolveHits != cases || st.SolveMisses != cases {
+		t.Fatalf("solve counters %+v, want %d hits / %d misses", st, cases, cases)
 	}
 }
 
 // TestSharedCacheConcurrentSearches: many goroutines solving overlapping
-// problems through one shared cache all get the serial answer (-race is
-// the memory-safety half, bit-identity the semantic half).
+// problems through one shared cache — exhaustive searches sharing its solve
+// layer, heuristic ones its value layer too — all get the answer a search
+// without the cache gets (-race is the memory-safety half, bit-identity
+// the semantic half).
 func TestSharedCacheConcurrentSearches(t *testing.T) {
 	shared := NewSelectionCache(0)
 	state := uint64(0x0123456789ABCDEF)
 	type job struct {
 		pr   Problem
 		ns   []byte
+		opts Options
 		want Assignment
 	}
 	var jobs []job
 	for i := 0; i < 10; i++ {
 		pr := randomProblem(&state)
-		jobs = append(jobs, job{pr, []byte(fmt.Sprintf("ns-%d/", i)), refExhaustive(pr)})
+		ns := []byte(fmt.Sprintf("ns-%d/", i))
+		opts := Options{Strategy: StrategyExhaustive, MemoKey: ns}
+		if i%2 == 1 {
+			opts = Options{Strategy: StrategyGreedyLocal}
+		}
+		want, err := Solve(pr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Shared, opts.Namespace = shared, ns
+		jobs = append(jobs, job{pr, ns, opts, want})
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -171,9 +179,7 @@ func TestSharedCacheConcurrentSearches(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 5; rep++ {
 				j := jobs[(g+rep)%len(jobs)]
-				got, err := Solve(j.pr, Options{
-					Strategy: StrategyExhaustive, Shared: shared, Namespace: j.ns,
-				})
+				got, err := Solve(j.pr, j.opts)
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
@@ -187,6 +193,9 @@ func TestSharedCacheConcurrentSearches(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if st := shared.Stats(); st.SolveHits == 0 || st.Hits == 0 {
+		t.Fatalf("concurrent searches shared nothing: %+v", st)
+	}
 }
 
 // TestSharedCacheHeuristicStrategies: the cache also serves the
@@ -241,13 +250,14 @@ func TestSharedCacheRequiresNamespace(t *testing.T) {
 	}
 }
 
-// TestNamespaceCollisionRegression is the satellite (b) regression: two
-// problems with byte-identical canonical keys but different cost models
-// (think: same machine shapes, different network) share one cache. Under
-// distinct namespaces both searches return their own reference answer;
-// the control leg shows that without the namespace split the second
-// search would inherit the first problem's cached values and return a
-// wrong makespan — exactly the aliasing the namespace exists to prevent.
+// TestNamespaceCollisionRegression: two problems with byte-identical
+// canonical keys but different cost models (think: same machine shapes,
+// different network) share one cache's value layer, which the heuristic
+// strategies score through. Under distinct namespaces both searches return
+// their own reference answer; the control leg shows that without the
+// namespace split the second search would inherit the first problem's
+// cached values and return a wrong makespan — exactly the aliasing the
+// namespace exists to prevent.
 func TestNamespaceCollisionRegression(t *testing.T) {
 	w := []float64{5, 3, 2}
 	s := []float64{1, 1, 2, 2, 4}
@@ -264,19 +274,26 @@ func TestNamespaceCollisionRegression(t *testing.T) {
 	shifted.Objective = func(cand []int) float64 {
 		return loadBalanceObjective(w, s)(cand) + 100
 	}
-	wantBase := refExhaustive(base)
-	wantShifted := refExhaustive(shifted)
+	local := Options{Strategy: StrategyGreedyLocal}
+	wantBase, err := Solve(base, local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantShifted, err := Solve(shifted, local)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if wantBase.Time == wantShifted.Time {
 		t.Fatal("fixture broken: the two problems must disagree on Time")
 	}
 
 	t.Run("distinct namespaces never alias", func(t *testing.T) {
 		shared := NewSelectionCache(0)
-		a, err := Solve(base, Options{Strategy: StrategyExhaustive, Shared: shared, Namespace: []byte("clusterA/")})
+		a, err := Solve(base, Options{Strategy: StrategyGreedyLocal, Shared: shared, Namespace: []byte("clusterA/")})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Solve(shifted, Options{Strategy: StrategyExhaustive, Shared: shared, Namespace: []byte("clusterB/")})
+		b, err := Solve(shifted, Options{Strategy: StrategyGreedyLocal, Shared: shared, Namespace: []byte("clusterB/")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,10 +307,10 @@ func TestNamespaceCollisionRegression(t *testing.T) {
 
 	t.Run("same namespace demonstrably aliases", func(t *testing.T) {
 		shared := NewSelectionCache(0)
-		if _, err := Solve(base, Options{Strategy: StrategyExhaustive, Shared: shared, Namespace: []byte("one/")}); err != nil {
+		if _, err := Solve(base, Options{Strategy: StrategyGreedyLocal, Shared: shared, Namespace: []byte("one/")}); err != nil {
 			t.Fatal(err)
 		}
-		b, err := Solve(shifted, Options{Strategy: StrategyExhaustive, Shared: shared, Namespace: []byte("one/")})
+		b, err := Solve(shifted, Options{Strategy: StrategyGreedyLocal, Shared: shared, Namespace: []byte("one/")})
 		if err != nil {
 			t.Fatal(err)
 		}

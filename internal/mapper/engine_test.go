@@ -3,7 +3,7 @@ package mapper
 import (
 	"encoding/binary"
 	"math"
-	"sync/atomic"
+	"reflect"
 	"testing"
 )
 
@@ -98,23 +98,24 @@ func sameRanks(a, b []int) bool {
 }
 
 // randomProblem builds a deterministic pseudo-random load-balancing
-// problem with duplicated speeds (so the symmetry cache has collisions to
-// find) and an occasional pinned slot.
+// problem with duplicated speeds (so the orbit walk has symmetry to
+// exploit) and an occasional pinned slot. Its Classes are a random
+// refinement of the speed classes: ranks of equal speed are
+// interchangeable under the load-balancing objective, so any split of
+// them is a valid labelling.
 func randomProblem(state *uint64) Problem {
-	next := func(n int) int {
-		*state ^= *state << 13
-		*state ^= *state >> 7
-		*state ^= *state << 17
-		return int(*state % uint64(n))
-	}
+	next := xorshift(state)
 	n := 3 + next(5)            // 3..7 available processes
 	k := 1 + next(minInt(4, n)) // 1..min(4,n) abstract processors
 	speedChoices := []float64{1, 2, 4}
 	s := make([]float64, n)
 	avail := make([]int, n)
+	classes := make([]int, n)
 	for i := range s {
-		s[i] = speedChoices[next(len(speedChoices))]
+		c := next(len(speedChoices))
+		s[i] = speedChoices[c]
 		avail[i] = i
+		classes[i] = 2*c + next(2)
 	}
 	w := make([]float64, k)
 	for i := range w {
@@ -125,8 +126,87 @@ func randomProblem(state *uint64) Problem {
 		SpeedOf:      func(r int) float64 { return s[r] },
 		Objective:    loadBalanceObjective(w, s),
 		LowerBound:   loadBalanceBound(w, s),
+		Classes:      classes,
 		CanonicalKey: loadBalanceKey(s),
 	}
+	if k > 1 && next(3) == 0 {
+		pr.Fixed = map[int]int{next(k): avail[next(n)]}
+	}
+	return pr
+}
+
+// xorshift returns a deterministic generator of ints in [0, n).
+func xorshift(state *uint64) func(n int) int {
+	return func(n int) int {
+		*state ^= *state << 13
+		*state ^= *state >> 7
+		*state ^= *state << 17
+		return int(*state % uint64(n))
+	}
+}
+
+// colocatedProblem builds a problem whose objective is a pure function of
+// each position's class and of which positions share a machine, the
+// structure estimator.ProcessClasses describes: ranks sit on machines
+// holding one to three of them; ranks of a shared machine are classed per
+// machine, ranks alone on theirs draw from one pool of labels, so
+// exchanging two ranks of a class never changes which positions are
+// co-located. Labels are random, so classes of every size occur.
+func colocatedProblem(state *uint64) Problem {
+	next := xorshift(state)
+	var machine, classes []int
+	for m := 0; len(machine) < 4; m++ {
+		hosted := 1 + next(3)
+		for j := 0; j < hosted && len(machine) < 8; j++ {
+			machine = append(machine, m)
+			label := next(2) // alone on m: shared labels
+			if hosted > 1 {
+				label = 2 + 2*m + next(2)
+			}
+			classes = append(classes, label)
+		}
+	}
+	n := len(machine)
+	k := 1 + next(minInt(4, n))
+	value := []float64{1, 3, 0.5, 2, 5, 1.5, 4, 2.5, 6, 7, 0.25, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	w := make([]float64, k)
+	for i := range w {
+		w[i] = float64(1 + next(8))
+	}
+	penalty := make([][]float64, k)
+	for i := range penalty {
+		penalty[i] = make([]float64, k)
+		for j := range penalty[i] {
+			penalty[i][j] = float64(next(5)) / 4
+		}
+	}
+	avail := make([]int, n)
+	for i := range avail {
+		avail[i] = i
+	}
+	cost := func(i, r int) float64 { return w[i] * value[classes[r]] }
+	obj := func(cand []int) float64 {
+		t := 0.0
+		for i, r := range cand {
+			t = math.Max(t, cost(i, r))
+			for j := i + 1; j < len(cand); j++ {
+				if machine[cand[j]] == machine[r] {
+					t += penalty[i][j]
+				}
+			}
+		}
+		return t
+	}
+	bound := func(cand []int, assigned []bool) float64 {
+		lb := 0.0
+		for i, ok := range assigned {
+			if ok {
+				lb = math.Max(lb, cost(i, cand[i]))
+			}
+		}
+		return lb
+	}
+	pr := Problem{P: k, Avail: avail, Weights: w, Objective: obj, LowerBound: bound, Classes: classes}
 	if k > 1 && next(3) == 0 {
 		pr.Fixed = map[int]int{next(k): avail[next(n)]}
 	}
@@ -141,36 +221,35 @@ func minInt(a, b int) int {
 }
 
 // TestEngineMatchesSerialProperty is the core determinism property of the
-// engine: over many random problems, the parallel, pruned, and
-// symmetry-cached variants all return the exact Time and Ranks of the
-// serial first-improvement scan, and every leaf of the permutation tree
-// is accounted for as evaluated, cache-hit, or pruned.
+// engine: over many random problems, the pruned, orbit-walking and
+// combined variants all return the exact Time and Ranks of the serial
+// first-improvement scan, every leaf of the permutation tree is accounted
+// for as evaluated, stood for by a symmetric candidate, or pruned, and the
+// evaluations are the objective calls made.
 func TestEngineMatchesSerialProperty(t *testing.T) {
-	// Pruning and the symmetry memo follow the hooks the problem supplies,
-	// so the ablation variants withhold them.
+	// Pruning and the orbit walk follow the hooks the problem supplies, so
+	// the ablation variants withhold them.
 	variants := []struct {
 		name       string
-		bound, key bool
-		opts       Options
+		bound, sym bool
 	}{
-		{"serial-engine", false, false, Options{Strategy: StrategyExhaustive}},
-		{"parallel4", false, false, Options{Strategy: StrategyExhaustive, Parallelism: 4}},
-		{"pruned", true, false, Options{Strategy: StrategyExhaustive}},
-		{"cached", false, true, Options{Strategy: StrategyExhaustive}},
-		{"all", true, true, Options{Strategy: StrategyExhaustive, Parallelism: 3}},
+		{"serial-engine", false, false},
+		{"pruned", true, false},
+		{"orbits", false, true},
+		{"all", true, true},
 	}
 	state := uint64(0x9E3779B97F4A7C15)
 	var totalHits, totalPruned int64
-	for caseNo := 0; caseNo < 120; caseNo++ {
-		pr := randomProblem(&state)
-		// Give parallel workers independent counting objectives; the
-		// count must agree with the engine's own.
-		var calls atomic.Int64
-		serialObj := pr.Objective
-		pr.Objective = func(cand []int) float64 { calls.Add(1); return serialObj(cand) }
-		pr.NewObjective = func() Objective {
-			return func(cand []int) float64 { calls.Add(1); return serialObj(cand) }
+	for caseNo := 0; caseNo < 240; caseNo++ {
+		var pr Problem
+		if caseNo%2 == 0 {
+			pr = randomProblem(&state)
+		} else {
+			pr = colocatedProblem(&state)
 		}
+		var calls int64
+		serialObj := pr.Objective
+		pr.Objective = func(cand []int) float64 { calls++; return serialObj(cand) }
 		want := refExhaustive(Problem{P: pr.P, Avail: pr.Avail, Fixed: pr.Fixed, Objective: serialObj})
 		fixedRanks := map[int]bool{}
 		for _, r := range pr.Fixed {
@@ -178,15 +257,15 @@ func TestEngineMatchesSerialProperty(t *testing.T) {
 		}
 		leaves := fallingFactorial(len(pr.Avail)-len(fixedRanks), pr.P-len(pr.Fixed))
 		for _, v := range variants {
-			calls.Store(0)
+			calls = 0
 			vpr := pr
 			if !v.bound {
 				vpr.LowerBound = nil
 			}
-			if !v.key {
-				vpr.CanonicalKey = nil
+			if !v.sym {
+				vpr.Classes = nil
 			}
-			got, err := Solve(vpr, v.opts)
+			got, err := Solve(vpr, Options{Strategy: StrategyExhaustive})
 			if err != nil {
 				t.Fatalf("case %d %s: %v", caseNo, v.name, err)
 			}
@@ -201,11 +280,11 @@ func TestEngineMatchesSerialProperty(t *testing.T) {
 				t.Fatalf("case %d %s: %d evals + %d hits + %d pruned != %d leaves",
 					caseNo, v.name, st.Evaluations, st.CacheHits, st.Pruned, leaves)
 			}
-			if st.Evaluations != calls.Load() {
+			if st.Evaluations != calls {
 				t.Fatalf("case %d %s: stats claim %d evaluations, objective saw %d",
-					caseNo, v.name, st.Evaluations, calls.Load())
+					caseNo, v.name, st.Evaluations, calls)
 			}
-			if !v.bound && !v.key && st.Evaluations != leaves {
+			if !v.bound && !v.sym && st.Evaluations != leaves {
 				t.Fatalf("case %d %s: plain enumeration evaluated %d of %d leaves",
 					caseNo, v.name, st.Evaluations, leaves)
 			}
@@ -213,43 +292,42 @@ func TestEngineMatchesSerialProperty(t *testing.T) {
 			totalPruned += st.Pruned
 		}
 	}
-	// The property only has teeth if pruning and caching actually fired
-	// somewhere across the random cases.
+	// The property only has teeth if pruning and the orbit walk actually
+	// fired somewhere across the random cases.
 	if totalHits == 0 {
-		t.Fatal("symmetry cache never hit across 120 random problems")
+		t.Fatal("no orbit held two candidates across 240 random problems")
 	}
 	if totalPruned == 0 {
-		t.Fatal("branch-and-bound never pruned across 120 random problems")
+		t.Fatal("branch-and-bound never pruned across 240 random problems")
 	}
 }
 
-// TestEngineParallelismInvariance pins one fixed problem across worker
-// counts, including counts that do not divide the job list evenly.
+// TestEngineParallelismInvariance: the deprecated Parallelism option is
+// ignored — any value returns the identical assignment, counters included.
 func TestEngineParallelismInvariance(t *testing.T) {
 	w := []float64{9, 4, 7, 2, 5}
 	s := []float64{1, 2, 4, 2, 1, 4, 2, 1}
 	avail := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	pr := Problem{
 		P: 5, Avail: avail, Weights: w,
-		SpeedOf:      func(r int) float64 { return s[r] },
-		Objective:    loadBalanceObjective(w, s),
-		LowerBound:   loadBalanceBound(w, s),
-		CanonicalKey: loadBalanceKey(s),
+		SpeedOf:    func(r int) float64 { return s[r] },
+		Objective:  loadBalanceObjective(w, s),
+		LowerBound: loadBalanceBound(w, s),
+		Classes:    []int{1, 2, 4, 2, 1, 4, 2, 1},
 	}
 	want, err := Solve(pr, Options{Strategy: StrategyExhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 5, 8, 16} {
+	want.Stats.WallTime = 0
+	for workers := 1; workers <= 16; workers++ {
 		got, err := Solve(pr, Options{Strategy: StrategyExhaustive, Parallelism: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got.Time != want.Time || !sameRanks(got.Ranks, want.Ranks) {
-			t.Fatalf("workers=%d: got (%v, %v), want (%v, %v)", workers, got.Time, got.Ranks, want.Time, want.Ranks)
-		}
-		if got.Stats.Workers < 1 || got.Stats.Workers > workers {
-			t.Fatalf("workers=%d: stats claim %d workers", workers, got.Stats.Workers)
+		got.Stats.WallTime = 0
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: got %+v, want %+v", workers, got, want)
 		}
 	}
 }

@@ -112,6 +112,7 @@ func goldenSolve(gc goldenCluster, inst *pmdl.Instance, parent int) (mapper.Assi
 		}
 		pr.Objective = est.Session().Timeof
 		pr.LowerBound = est.LowerBound
+		pr.Classes = est.ProcessClasses(pr.Avail)
 		pr.CanonicalKey = est.AppendCanonicalKey
 		return nil
 	})
@@ -130,8 +131,8 @@ func treeSize(n, p int) int64 {
 // TestSearchGolden pins, for every exhaustive selection StrategyAuto makes
 // for the em3d, jacobi and matmul models at small sizes on five networks,
 // with the host (rank 0) or the fastest process as the parent, what the
-// search returns — the predicted time as a float64 bit pattern
-// and the ranks — and what it cost: the candidates scored, the candidates
+// search returns — the predicted time as a float64 bit pattern and the
+// ranks — and what it cost: the candidates scored, the candidates
 // scored for free (symmetric ones and pruned ones), and their total, which
 // is the size of the permutation tree. A line per field, so a diff names
 // the field that moved; testdata/search.golden was captured before the

@@ -42,25 +42,33 @@ type Problem struct {
 	// Objective scores candidates.
 	Objective Objective
 
-	// NewObjective, when set, returns a fresh independently-usable
-	// objective for one exhaustive-search worker (typically binding a new
-	// estimator.Session); the engine gives every worker its own. When nil,
-	// workers share Objective, which must then be safe for concurrent use.
-	// The heuristic strategies run on one goroutine and use Objective.
-	NewObjective func() Objective
 	// LowerBound, when set, returns a lower bound on Objective over
 	// every completion of a partial candidate: cand[i] is meaningful
 	// where assigned[i]. The exhaustive search then prunes by branch and
-	// bound: subtrees whose bound exceeds the best time found anywhere
-	// are skipped, which never changes the result (only strictly worse
-	// subtrees are cut). It must be safe for concurrent use.
+	// bound: subtrees whose bound exceeds the best time found so far are
+	// skipped, which never changes the result (only strictly worse
+	// subtrees are cut).
 	LowerBound func(cand []int, assigned []bool) float64
+	// Classes, when set, runs parallel to Avail: ranks with equal labels
+	// are interchangeable — exchanging two of them in any candidate leaves
+	// Objective and LowerBound bit-identical (typically
+	// (*estimator.Estimator).ProcessClasses). The exhaustive search then
+	// scores one candidate per orbit of those exchanges. Nil means no
+	// symmetry: every rank is its own class.
+	Classes []int
 	// CanonicalKey, when set, appends to dst a key such that candidates
 	// with equal keys have identical Objective values (typically
 	// (*estimator.Estimator).AppendCanonicalKey, which canonicalises
-	// machine symmetry). The exhaustive search then scores candidates
-	// whose keys collide once. It must be safe for concurrent use.
+	// machine symmetry). The heuristic strategies then score candidates
+	// through the Shared cache's value layer under it.
 	CanonicalKey func(dst []byte, cand []int) []byte
+
+	// Deprecated: NewObjective is ignored; the exhaustive search runs on
+	// one goroutine and uses Objective. The field exists only because the
+	// benchmark's sources (bench/model.go), which this repository's changes
+	// may not touch, still set it; it goes in the first change that may
+	// edit that line.
+	NewObjective func() Objective
 }
 
 // Strategy selects the search algorithm.
@@ -95,24 +103,18 @@ type Options struct {
 	// ExhaustiveLimit caps the number of exhaustive evaluations
 	// (default 200000).
 	ExhaustiveLimit int
-	// Parallelism is the number of exhaustive-search workers (0 or 1:
-	// serial). The assignment returned is independent of the worker count:
-	// the permutation tree is partitioned deterministically and reduced
-	// with the serial tie-break (lower time wins, earlier enumeration order
-	// on ties).
-	Parallelism int
-	// Deprecated: Prune and Cache are ignored. Branch-and-bound and the
-	// symmetry memo never change the result, so they are on whenever the
-	// Problem supplies LowerBound / CanonicalKey. The fields exist only
-	// because the benchmark's sources (bench/layers.go), which this
-	// repository's changes may not touch, still set them; they go in the
-	// first change that may edit that line.
+	// Deprecated: Prune, Cache and Parallelism are ignored. Branch-and-
+	// bound and the orbit walk never change the result, so they are on
+	// whenever the Problem supplies LowerBound / Classes, and the search is
+	// serial. The fields exist only because the benchmark's sources
+	// (bench/layers.go), which this repository's changes may not touch,
+	// still set them; they go in the first change that may edit that line.
 	Prune, Cache bool
+	Parallelism  int
 	// Shared, when non-nil, is the caller's SelectionCache — the one store
 	// of scored candidates and solved problems — so what this search works
 	// out outlives the call (a runtime's planning round, the hmpid daemon's
-	// warm path); without one an exhaustive search memoises into a cache it
-	// throws away. It requires a non-empty Namespace when the problem
+	// warm path). It requires a non-empty Namespace when the problem
 	// supplies a CanonicalKey: canonical keys identify a candidate's shape,
 	// not the cost model scoring it, so entries from different clusters or
 	// model instances must never alias. Hits return values bit-identical to
@@ -139,9 +141,6 @@ func (o *Options) fill() {
 	if o.ExhaustiveLimit == 0 {
 		o.ExhaustiveLimit = 200_000
 	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = 1
-	}
 }
 
 // Assignment is a solved selection.
@@ -162,7 +161,7 @@ func Solve(pr Problem, opts Options) (Assignment, error) {
 }
 
 // SolveLazy is Solve for a caller whose objective is costly to build: pr
-// arrives without Objective, NewObjective, LowerBound and CanonicalKey —
+// arrives without Objective, LowerBound, Classes and CanonicalKey —
 // none of which the solve layer's key reads — and bind, when non-nil,
 // supplies them, called only once a search is certain to run. A problem
 // the Shared cache has already solved (Options.MemoKey) therefore costs
@@ -181,6 +180,9 @@ func SolveLazy(pr Problem, opts Options, bind func(*Problem) error) (Assignment,
 		if pr.Objective == nil {
 			return Assignment{}, fmt.Errorf("mapper: nil objective")
 		}
+		if pr.Classes != nil && len(pr.Classes) != len(pr.Avail) {
+			return Assignment{}, fmt.Errorf("mapper: %d classes for %d available processes", len(pr.Classes), len(pr.Avail))
+		}
 		if opts.Shared != nil && len(opts.Namespace) == 0 && pr.CanonicalKey != nil {
 			return Assignment{}, fmt.Errorf("mapper: a Shared selection cache needs a Namespace (canonical keys do not identify the cluster or model)")
 		}
@@ -194,9 +196,8 @@ func SolveLazy(pr Problem, opts Options, bind func(*Problem) error) (Assignment,
 }
 
 // appendSolveDigest extends the caller's MemoKey with every problem and
-// option field that determines the search result. Parallelism is absent
-// on purpose: it never changes the assignment (only how fast it is
-// found), so solves differing only there share entries.
+// option field that determines the search result. Classes is absent on
+// purpose: it never changes the assignment, only how fast it is found.
 func appendSolveDigest(dst []byte, pr Problem, opts Options) []byte {
 	var buf [8]byte
 	u64 := func(v uint64) {
@@ -231,9 +232,9 @@ func appendSolveDigest(dst []byte, pr Problem, opts Options) []byte {
 	return dst
 }
 
-// solve resolves StrategyAuto and runs the search. The exhaustive engine
-// reads the shared cache at its leaves (see newEngine); the heuristic
-// strategies reach it through a wrapped objective.
+// solve resolves StrategyAuto and runs the search. The heuristic
+// strategies reach the shared cache's value layer through a wrapped
+// objective; the exhaustive engine needs none (see engine.go).
 func solve(pr Problem, opts Options) (Assignment, error) {
 	strategy := opts.Strategy
 	if strategy == StrategyAuto {
@@ -253,7 +254,7 @@ func solve(pr Problem, opts Options) (Assignment, error) {
 			return Assignment{}, fmt.Errorf("mapper: exhaustive search over %d processes in %d slots exceeds limit %d",
 				len(pr.Avail), pr.P, opts.ExhaustiveLimit)
 		}
-		return runExhaustive(pr, opts)
+		return runExhaustive(pr)
 	case StrategyGreedy:
 		a = greedy(pr)
 		a.Time, a.Evaluations = pr.Objective(a.Ranks), 1

@@ -272,8 +272,8 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 
 // TestCacheCarriesAcrossJobs: repeated specs hit the daemon-lifetime
 // cache, and the stats expose it. Six processes on the paper's nine
-// machines keep the selection search exhaustive (9^5 candidates), the
-// regime where both cache layers carry most lookups.
+// machines keep the selection search exhaustive (9^5 candidates), so the
+// solve layer carries the repeats: the exhaustive search reads no values.
 func TestCacheCarriesAcrossJobs(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
@@ -289,14 +289,11 @@ func TestCacheCarriesAcrossJobs(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Cache.Hits == 0 || st.Cache.SolveHits == 0 {
+	if st.Cache.SolveHits == 0 {
 		t.Fatalf("repeated specs never hit the daemon cache: %+v", st.Cache)
 	}
 	if st.Cache.SolveHitRate() <= 0.5 {
 		t.Fatalf("solve hit rate %.2f on identical repeats, want > 0.5", st.Cache.SolveHitRate())
-	}
-	if st.Cache.HitRate() <= 0.5 {
-		t.Fatalf("value-layer hit rate %.2f on identical repeats, want > 0.5", st.Cache.HitRate())
 	}
 	if st.Tenants[""] != 3 {
 		t.Fatalf("served counter = %v, want 3", st.Tenants)
