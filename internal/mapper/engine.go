@@ -31,8 +31,6 @@ type SearchStats struct {
 	// every leaf of a cut subtree is counted, so for exhaustive search
 	// Evaluations + CacheHits + Pruned equals the full tree size.
 	Pruned int64
-	// Workers is the number of search workers used: always 1.
-	Workers int
 	// WallTime is the elapsed time of the search.
 	WallTime time.Duration
 	// Memoized marks an assignment served from the selection cache's solve
@@ -167,7 +165,6 @@ func runExhaustive(pr Problem) (Assignment, error) {
 		Evaluations: e.evals,
 		CacheHits:   e.hits,
 		Pruned:      e.pruned,
-		Workers:     1,
 		WallTime:    time.Since(start),
 	}
 	if math.IsInf(e.best.Time, 1) {

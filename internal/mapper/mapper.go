@@ -266,7 +266,7 @@ func solve(pr Problem, opts Options) (Assignment, error) {
 	default:
 		return Assignment{}, fmt.Errorf("mapper: unknown strategy %d", opts.Strategy)
 	}
-	a.Stats = SearchStats{Evaluations: int64(a.Evaluations), Workers: 1, WallTime: time.Since(start)}
+	a.Stats = SearchStats{Evaluations: int64(a.Evaluations), WallTime: time.Since(start)}
 	return a, nil
 }
 
