@@ -168,7 +168,7 @@ func colocatedProblem(state *uint64) Problem {
 	}
 	n := len(machine)
 	k := 1 + next(minInt(4, n))
-	value := []float64{1, 3, 0.5, 2, 5, 1.5, 4, 2.5, 6, 7, 0.25, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	value := []float64{1, 3, 0.5, 2, 5, 1.5, 4, 2.5, 6, 7} // by label; labels stay below 10
 	w := make([]float64, k)
 	for i := range w {
 		w[i] = float64(1 + next(8))
