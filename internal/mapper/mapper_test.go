@@ -193,6 +193,7 @@ func TestValidation(t *testing.T) {
 			return p
 		}},
 		{"bad weights len", func(p Problem) Problem { p.Weights = []float64{1, 2}; return p }},
+		{"bad classes len", func(p Problem) Problem { p.Classes = []int{0, 0}; return p }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
