@@ -140,20 +140,23 @@ reach:
 
 # The mutant matrix: each patch in testdata/mutants/ breaks one contract
 # of an example or an application (a head-to-head receive, a wrong tag, a
-# rank-guarded collective, a dropped GroupFree, Wait, Finalize or region
-# end, a communicating Recon benchmark). Every patch is applied to a copy
-# of the working tree under out/mutants/, never to the checkout, and the
-# copy is measured the way a user meets the bug: `hmpivet .`, then a run
-# bounded at 60 s — the example binary, or, for a patch whose `run:` line
-# names an app, `hmpirun -app A -mode hmpi -tracefile` followed by
-# hmpiverify on the trace. testdata/mutants.golden gets one row per patch:
-# the analyzers that fired, the run's outcome (ok, hang, or its first error
-# line) and the hmpiverify checks that found a violation. A copy is removed
-# as soon as its row is written, so no other target walks it.
+# rank-guarded or reordered collective, a dropped GroupFree, Wait, request,
+# Finalize or region end, a communicating Recon benchmark). Every patch is
+# applied to a copy of the working tree under out/mutants/, never to the
+# checkout, and the copy is measured the way a user meets the bug: `hmpivet
+# .`, then a run bounded at 60 s — the example binary, or, for a patch
+# whose `run:` line names an app, `hmpirun -app A -mode hmpi -tracefile`
+# followed by hmpiverify on the trace — then `go test -count=1` over the
+# directories the patch touches, bounded at 60 s too.
+# testdata/mutants.golden gets one row per patch: the analyzers that fired,
+# the run's outcome (ok, hang, or its first error line), the hmpiverify
+# checks that found a violation and the tests' outcome (ok, no tests, hang,
+# or the failing tests). A copy is removed as soon as its row is written,
+# so no other target walks it.
 M := out/mutants
 mutants:
 	rm -rf $(M) && mkdir -p $(M)
-	set -e; printf '# mutant\thmpivet\trun\thmpiverify\n' > $(M)/golden; \
+	set -e; printf '# mutant\thmpivet\trun\thmpiverify\ttests\n' > $(M)/golden; \
 	for p in testdata/mutants/*.patch; do \
 		n=$$(basename $$p .patch); d=$(M)/$$n; run=$$(sed -n 's/^run: //p' $$p); \
 		mkdir -p $$d && tar --exclude=./.git --exclude=./out -cf - . | tar -xf - -C $$d; \
@@ -177,7 +180,14 @@ mutants:
 				ver=$$($$d/bin/hmpiverify $$d/run.trace | sed -n 's/.*\[violation\] \([a-z]*\): .*/\1/p' | sort -u | paste -sd, -); \
 			fi;; \
 		esac; \
-		printf '%s\t%s\t%s\t%s\n' $$n "$${vet:--}" "$$out" "$${ver:--}" >> $(M)/golden; \
+		dirs=$$(sed -n 's,^+++ b/\(.*\)/[^/]*$$,./\1,p' $$p | sort -u); \
+		st=0; (cd $$d && timeout 60 $(GO) test -count=1 $$dirs >test.out 2>&1) || st=$$?; \
+		case $$st in \
+		0) tst=ok; grep -qv 'no test files' $$d/test.out || tst="no tests";; \
+		124) tst=hang;; \
+		*) tst=$$(sed -n 's/^--- FAIL: \([^ ]*\) .*/\1/p' $$d/test.out | sort -u | paste -sd, -);; \
+		esac; \
+		printf '%s\t%s\t%s\t%s\t%s\n' $$n "$${vet:--}" "$$out" "$${ver:--}" "$${tst:-fail}" >> $(M)/golden; \
 		rm -rf $$d; \
 	done; \
 	mv $(M)/golden testdata/mutants.golden
