@@ -98,6 +98,11 @@ func run(args []string) error {
 		}
 		res, err := jobspec.Execute(spec, opts)
 		if err != nil {
+			// The failed run is the one that most needs verifying: keep
+			// what the recorder holds.
+			if rec != nil {
+				err = errors.Join(err, saveObs(rec.Data(), *traceFile, *metricsFile))
+			}
 			return err
 		}
 		printResult(spec, res)
@@ -153,7 +158,7 @@ func printResult(spec jobspec.Spec, res *jobspec.Result) {
 }
 
 // saveObs writes the recorded structured trace and metrics snapshot after
-// a traced run completes.
+// a traced run ends, whether it completed or failed.
 func saveObs(d *trc.Data, traceFile, metricsFile string) error {
 	if traceFile != "" {
 		if err := d.WriteFile(traceFile); err != nil {
