@@ -5,6 +5,10 @@
 // root also sweeps every .mpc model below it, so one invocation covers
 // both fronts. A deadlock is not among the contracts checked here: the
 // runtime ends a deadlocked run and names every wait (mpi.DeadlockError).
+// Nor is collective order, which the runtime checks the same way (members
+// entering collectives in different orders deadlock) and hmpiverify's
+// collseq checks in a recorded trace, or request completion, which
+// hmpiverify's requests check reads from the trace.
 //
 // Usage:
 //
@@ -37,11 +41,9 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/bufalias"
-	"repro/internal/analysis/collmatch"
 	"repro/internal/analysis/ftcontract"
 	"repro/internal/analysis/groupfree"
 	"repro/internal/analysis/reconpure"
-	"repro/internal/analysis/reqwait"
 	"repro/internal/analysis/runtimeclose"
 	"repro/internal/analysis/tagconst"
 	"repro/internal/analysis/tracescope"
@@ -51,11 +53,9 @@ import (
 // all registers every analyzer the multichecker knows.
 var all = []*analysis.Analyzer{
 	bufalias.Analyzer,
-	collmatch.Analyzer,
 	ftcontract.Analyzer,
 	groupfree.Analyzer,
 	reconpure.Analyzer,
-	reqwait.Analyzer,
 	runtimeclose.Analyzer,
 	tagconst.Analyzer,
 	tracescope.Analyzer,

@@ -6,10 +6,8 @@ package analysis
 // resolution is name-based — a call `helper(g)` resolves to every known
 // function named helper with a compatible arity, preferring candidates in
 // the caller's own package — and summaries merge conservatively across
-// candidates. That is enough to track HMPI Group/Comm handles across
-// helper-function boundaries (the flow-sensitive groupfree upgrade), to
-// know which functions perform collectives (collmatch), and to answer
-// def-use taint queries (rank-dependence) within one function body.
+// candidates. That is enough to track HMPI group and runtime handles
+// across helper-function boundaries (groupfree, runtimeclose).
 
 import (
 	"go/ast"
@@ -54,15 +52,12 @@ type Summary struct {
 	// started itself (directly or through a callee that returns one): the
 	// caller inherits the obligation to release it.
 	Returns [numHandles]bool
-	// CollOps is the set of collective operation names the function
-	// performs, directly or through known callees (transitively).
-	CollOps map[string]bool
 }
 
 // newSummary is the summary of a function of np parameters that does
 // nothing: where the fixpoint starts, and where each round's recount does.
 func newSummary(np int) Summary {
-	s := Summary{EscapesParam: make([]bool, np), CollOps: make(map[string]bool)}
+	s := Summary{EscapesParam: make([]bool, np)}
 	for k := range s.Releases {
 		s.Releases[k] = make([]bool, np)
 	}
@@ -178,11 +173,12 @@ func CalleeName(call *ast.CallExpr) string {
 }
 
 // Handle describes one kind of paired obligation of the programming
-// model — HMPI_Group_create … HMPI_Group_free, Isend/Irecv … Wait,
-// HMPI_Init … HMPI_Finalize — as the call names that start a lifetime,
-// release it, or merely read it. The summaries below are indexed by kind
-// and Lifetime walks one kind per analyzer; the three instances are the
-// whole vocabulary.
+// model — HMPI_Group_create … HMPI_Group_free, HMPI_Init … HMPI_Finalize
+// — as the call names that start a lifetime, release it, or merely read
+// it. The summaries below are indexed by kind and Lifetime walks one kind
+// per analyzer; the two instances are the whole vocabulary. Request
+// completion (Isend/Irecv … Wait) has none: hmpiverify's requests check
+// reads it from the run.
 type Handle struct {
 	kind int
 	// Qualifier, when set, is the package identifier a start must be
@@ -191,8 +187,7 @@ type Handle struct {
 	// Starts are the methods whose first result is a handle the caller
 	// must release.
 	Starts map[string]bool
-	// ReleaseCalls release every handle passed to them as an argument,
-	// slice literals included.
+	// ReleaseCalls release every handle passed to them as an argument.
 	ReleaseCalls map[string]bool
 	// ReleaseMethods are the argument-less methods that release their
 	// receiver.
@@ -203,7 +198,6 @@ type Handle struct {
 
 const (
 	groupKind = iota
-	requestKind
 	runtimeKind
 	numHandles
 )
@@ -218,13 +212,6 @@ var (
 		ReleaseCalls: set("GroupFree", "GroupRecreate"),
 		ReadCalls:    set("IsMember"),
 	}
-	// RequestHandle: the nonblocking operations and their completions.
-	RequestHandle = &Handle{
-		kind:           requestKind,
-		Starts:         set("Isend", "IsendOwned", "Irecv"),
-		ReleaseCalls:   set("WaitAll", "WaitAny"),
-		ReleaseMethods: set("Wait", "Test"),
-	}
 	// RuntimeHandle: the per-job runtime, hmpi.New … rt.Finalize().
 	RuntimeHandle = &Handle{
 		kind:           runtimeKind,
@@ -233,7 +220,7 @@ var (
 		ReleaseMethods: set("Finalize"),
 	}
 
-	handles = [numHandles]*Handle{GroupHandle, RequestHandle, RuntimeHandle}
+	handles = [numHandles]*Handle{GroupHandle, RuntimeHandle}
 )
 
 func set(names ...string) map[string]bool {
@@ -261,8 +248,9 @@ func (h *Handle) startName(call *ast.CallExpr) string {
 }
 
 // CollectiveOps are the communicator operations that every member of a
-// communicator must call in the same order: a rank-dependent subset of
-// members entering one is a cross-rank consistency hazard (collmatch).
+// communicator must call in the same order. That order is checked where
+// it happens: the runtime reports the deadlock a mismatch causes, and
+// hmpiverify's collseq check compares the members' sequences.
 var CollectiveOps = map[string]bool{
 	"Barrier":       true,
 	"Bcast":         true,
@@ -289,7 +277,7 @@ var PointToPointOps = map[string]bool{
 // IsCommOp reports whether name is an operation that needs its peers
 // alive and participating: point-to-point, or a collective other than the
 // failure-tolerant agreements. reconpure and ftcontract ban these in the
-// places they guard; this is the one list all three analyzers read.
+// places they guard; this is the one list both analyzers read.
 func IsCommOp(name string) bool {
 	return PointToPointOps[name] || CollectiveOps[name] && name != "AgreeFailed" && name != "AgreeVote"
 }
@@ -343,7 +331,7 @@ func (p *Program) EscapesArg(name string, nargs, ai int, from *Package) bool {
 	})
 }
 
-// buildSummaries computes Releases/EscapesParam/Returns/CollOps for every
+// buildSummaries computes Releases/EscapesParam/Returns for every
 // function, iterating to a fixpoint so wrapper chains (a helper that calls
 // a helper that frees) converge.
 func (p *Program) buildSummaries() {
@@ -417,9 +405,6 @@ func (p *Program) summarize(fn *Func) bool {
 
 		case *ast.CallExpr:
 			name := CalleeName(x)
-			if CollectiveOps[name] {
-				next.CollOps[name] = true
-			}
 			// Classify each argument ourselves and stop the generic walk
 			// (return false below): a parameter passed to a call is
 			// judged by the callee's summary, not by the blanket
@@ -465,11 +450,6 @@ func (p *Program) summarize(fn *Func) bool {
 				return false
 			}
 			cands := p.Resolve(name, len(x.Args), fn.Pkg)
-			for _, c := range cands {
-				for op := range c.CollOps {
-					next.CollOps[op] = true
-				}
-			}
 			for ai, a := range x.Args {
 				i, isParam := param(a)
 				if !isParam {
@@ -515,123 +495,4 @@ func (p *Program) summarize(fn *Func) bool {
 	changed := !reflect.DeepEqual(next, fn.Summary)
 	fn.Summary = next
 	return changed
-}
-
-// PerformsCollective returns the collective operations a call to the
-// named function may perform (transitively), or nil when none resolve.
-func (p *Program) PerformsCollective(name string, nargs int, from *Package) map[string]bool {
-	if CollectiveOps[name] {
-		return map[string]bool{name: true}
-	}
-	cands := p.Resolve(name, nargs, from)
-	if len(cands) == 0 {
-		return nil
-	}
-	out := make(map[string]bool)
-	for _, c := range cands {
-		for op := range c.CollOps {
-			out[op] = true
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------
-// Def-use chains: per-function taint queries.
-
-// DefUse answers taint queries over one function body: an identifier is
-// tainted when any of its reaching definitions (flow-insensitively, any
-// assignment in the body) contains a source expression, directly or
-// through other tainted identifiers.
-type DefUse struct {
-	// deps maps each assigned identifier to the identifiers and calls
-	// appearing in its defining expressions.
-	deps map[string][]ast.Expr
-}
-
-// NewDefUse builds the def-use index for one function body.
-func NewDefUse(body *ast.BlockStmt) *DefUse {
-	du := &DefUse{deps: make(map[string][]ast.Expr)}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			// Pair lhs with rhs; a multi-assign from one call taints
-			// every target with the whole call.
-			for i, lhs := range x.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				if len(x.Rhs) == len(x.Lhs) {
-					du.deps[id.Name] = append(du.deps[id.Name], x.Rhs[i])
-				} else if len(x.Rhs) > 0 {
-					du.deps[id.Name] = append(du.deps[id.Name], x.Rhs[0])
-				}
-			}
-		case *ast.ValueSpec:
-			for i, name := range x.Names {
-				if name.Name == "_" {
-					continue
-				}
-				if i < len(x.Values) {
-					du.deps[name.Name] = append(du.deps[name.Name], x.Values[i])
-				}
-			}
-		}
-		return true
-	})
-	return du
-}
-
-// Tainted reports whether the expression transitively contains a source:
-// either isSource(sub-expression) holds directly, or an identifier in the
-// expression has a tainted definition.
-func (du *DefUse) Tainted(e ast.Expr, isSource func(ast.Expr) bool) bool {
-	return du.tainted(e, isSource, make(map[string]bool))
-}
-
-func (du *DefUse) tainted(e ast.Expr, isSource func(ast.Expr) bool, seen map[string]bool) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if ex, ok := n.(ast.Expr); ok && isSource(ex) {
-			found = true
-			return false
-		}
-		// A call that is not itself a source launders taint: its result
-		// is the callee's, not a function of whichever arguments happen
-		// to be tainted. Without this cut, one `f(x, rank)` call makes
-		// every downstream value rank-dependent.
-		if _, ok := n.(*ast.CallExpr); ok {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && !seen[id.Name] {
-			seen[id.Name] = true
-			for _, def := range du.deps[id.Name] {
-				if du.tainted(def, isSource, seen) {
-					found = true
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// RankSource reports whether the expression is a direct rank query — a
-// call to a method named Rank. Conditions tainted by it differ across the
-// processes of an SPMD program.
-func RankSource(e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "Rank" && len(call.Args) == 0
 }

@@ -1,10 +1,10 @@
 package analysis
 
 // The lifetime walk: one flow-sensitive walker that follows a started
-// handle through a function body to its release, shared by every analyzer
-// whose contract is "what you start you must finish" (groupfree, reqwait,
+// handle through a function body to its release, shared by the analyzers
+// whose contract is "what you start you must finish" (groupfree,
 // runtimeclose). An analyzer is a Handle table from flow.go plus the
-// wording of its findings; the rules are the same for all of them:
+// wording of its findings; the rules are the same for both:
 //
 //   - a start result bound to a variable that is never released (and never
 //     escapes the function) is reported at the start;
@@ -419,9 +419,8 @@ func (w *walker) scanExpr(e ast.Expr) {
 	}
 }
 
-// releaseMentions marks every tracked identifier in a release call's
-// argument as released, reaching through slice literals and parens:
-// WaitAll(r1, r2) / WaitAll([]*Request{r1, r2}...) / GroupFree(g).
+// releaseMentions marks a tracked identifier passed to a release call as
+// released, reaching through parens: GroupFree(g), GroupRecreate(old, ...).
 func (w *walker) releaseMentions(e ast.Expr) {
 	switch x := e.(type) {
 	case *ast.Ident:
@@ -431,11 +430,6 @@ func (w *walker) releaseMentions(e ast.Expr) {
 		}
 	case *ast.ParenExpr:
 		w.releaseMentions(x.X)
-		return
-	case *ast.CompositeLit:
-		for _, el := range x.Elts {
-			w.releaseMentions(el)
-		}
 		return
 	}
 	w.scanExpr(e)

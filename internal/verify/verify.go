@@ -2,11 +2,13 @@
 // it describes respected the semantics of the message-passing model: no
 // phantom or lost messages, collective sequences consistent across the
 // members of each communicator, every created group eventually dissolved,
-// and wildcard receives free of message races. It is the dynamic
-// counterpart of the hmpivet static analyzers: hmpivet proves properties
-// of the source, hmpiverify checks the same contracts against what one
-// execution actually did. A deadlock never reaches a trace: the runtime
-// ends the run and reports it (mpi.DeadlockError).
+// every posted request completed, and wildcard receives free of message
+// races. It complements the hmpivet
+// static analyzers: hmpivet checks contracts in the source, hmpiverify
+// checks what one execution actually did. Collective order and request
+// completion are checked here and not statically. A deadlock never
+// reaches a trace: the runtime ends the run and reports it
+// (mpi.DeadlockError).
 //
 // The verifier is a pure consumer of the trace package: it never needs
 // the live runtime, so it can run over a trace file produced on another
