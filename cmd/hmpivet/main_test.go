@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/verify"
 )
 
 // TestRepoIsClean is the acceptance gate: one hmpivet invocation over
@@ -181,5 +185,41 @@ func TestFileArgRejected(t *testing.T) {
 	}
 	if code := run([]string{dir}, "", false, false, &out); code != 0 {
 		t.Fatalf("directory with Go source: exit = %d, want 0", code)
+	}
+}
+
+// TestAnalyzersDocumented: docs/ANALYZERS.md has one `### <name> —`
+// section per check, static ones under the hmpivet heading and dynamic
+// ones under the hmpiverify heading, so adding or deleting a check
+// cannot leave the doc behind.
+func TestAnalyzersDocumented(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "ANALYZERS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string][]string{}
+	var tool string
+	for _, line := range strings.Split(string(doc), "\n") {
+		if h, ok := strings.CutPrefix(line, "## "); ok {
+			tool, _, _ = strings.Cut(h, " ")
+		}
+		if h, ok := strings.CutPrefix(line, "### "); ok {
+			if name, _, ok := strings.Cut(h, " — "); ok {
+				sections[tool] = append(sections[tool], name)
+			}
+		}
+	}
+	var static []string
+	for _, a := range all {
+		static = append(static, a.Name)
+	}
+	for tool, want := range map[string][]string{"hmpivet": static, "hmpiverify": verify.AllChecks} {
+		got := append([]string(nil), sections[tool]...)
+		want = append([]string(nil), want...)
+		sort.Strings(got)
+		sort.Strings(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("docs/ANALYZERS.md %s sections %v, want %v", tool, got, want)
+		}
 	}
 }
