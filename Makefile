@@ -61,7 +61,8 @@ lint:
 
 # Size of the system: non-test Go lines per package (testdata excluded),
 # then the total, then the selection path (hmpi + mapper + estimator) that
-# ROADMAP's one-memo item is judged on. Simplicity PRs quote these numbers.
+# ROADMAP's search item ("Enumerate orbits, not permutations") is judged
+# on. Simplicity PRs quote these numbers.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \

@@ -72,7 +72,7 @@ func TableSearch() (*Figure, error) {
 	}
 	f.Notes = append(f.Notes,
 		"Every configuration returns the bit-identical selection of the serial scan;",
-		"symmetry caching collapses the six identical workstations' permutations and",
-		"branch-and-bound cuts subtrees whose compute-only bound exceeds the best.")
+		"the orbit walk scores one assignment per orbit of exchanges among the six identical",
+		"workstations, and branch-and-bound cuts subtrees whose compute-only bound exceeds the best.")
 	return f, nil
 }

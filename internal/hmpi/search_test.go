@@ -60,7 +60,7 @@ func TestGroupCreateSelectDeterministic(t *testing.T) {
 
 // TestPaper9EvaluationReduction pins the headline efficiency claim on the
 // paper's own network: on the 9-workstation cluster — six of them
-// identical — symmetry caching plus branch-and-bound must cut the
+// identical — the orbit walk plus branch-and-bound must cut the
 // objective evaluations of the job's group selection at least 5x.
 func TestPaper9EvaluationReduction(t *testing.T) {
 	model := testModel(t)
