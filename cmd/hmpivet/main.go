@@ -5,10 +5,9 @@
 // root also sweeps every .mpc model below it, so one invocation covers
 // both fronts. A deadlock is not among the contracts checked here: the
 // runtime ends a deadlocked run and names every wait (mpi.DeadlockError).
-// Nor is collective order, which the runtime checks the same way (members
-// entering collectives in different orders deadlock) and hmpiverify's
-// collseq checks in a recorded trace, or request completion, which
-// hmpiverify's requests check reads from the trace.
+// Nor are collective order and request completion: a mismatched
+// collective order deadlocks, which the runtime reports, and hmpiverify's
+// collseq and requests checks read both from a recorded trace.
 //
 // Usage:
 //

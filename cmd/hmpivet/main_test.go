@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -214,11 +213,10 @@ func TestAnalyzersDocumented(t *testing.T) {
 		static = append(static, a.Name)
 	}
 	for tool, want := range map[string][]string{"hmpivet": static, "hmpiverify": verify.AllChecks} {
-		got := append([]string(nil), sections[tool]...)
-		want = append([]string(nil), want...)
-		sort.Strings(got)
-		sort.Strings(want)
-		if !reflect.DeepEqual(got, want) {
+		got, want := slices.Clone(sections[tool]), slices.Clone(want)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
 			t.Errorf("docs/ANALYZERS.md %s sections %v, want %v", tool, got, want)
 		}
 	}

@@ -248,9 +248,9 @@ func (h *Handle) startName(call *ast.CallExpr) string {
 }
 
 // CollectiveOps are the communicator operations that every member of a
-// communicator must call in the same order. That order is checked where
-// it happens: the runtime reports the deadlock a mismatch causes, and
-// hmpiverify's collseq check compares the members' sequences.
+// communicator must call in the same order. The runtime reports the
+// deadlock a mismatched order causes, and hmpiverify's collseq check
+// compares the members' sequences.
 var CollectiveOps = map[string]bool{
 	"Barrier":       true,
 	"Bcast":         true,
