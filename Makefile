@@ -24,9 +24,9 @@ build:
 # shared selection-cache tests (concurrent searches share the solve layer
 # and the heuristics' values, nothing else) and the
 # group-lifecycle tests (creation, recreation,
-# GroupFree, resilient regions, and the self-healing runs pinned in
-# internal/apps/testdata/selfheal.golden) repeat: a race needs the
-# schedule that shows it.
+# GroupFree, resilient regions, Run's report of a leaked group, and the
+# self-healing runs pinned in internal/apps/testdata/selfheal.golden)
+# repeat: a race needs the schedule that shows it.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race -short ./...
@@ -36,14 +36,13 @@ check: lint
 	$(GO) test -race -count=5 -run PanicAbortsWorld ./internal/mpi ./internal/hmpi
 	$(GO) test -race -count=5 -run TestDeadlock ./internal/mpi
 	$(GO) test -race -count=5 -run 'SharedCache|SolveMemo|ConcurrentMatchesSerial' ./internal/mapper ./internal/service
-	$(GO) test -race -count=5 -run 'Resilient|Recreate|GroupFree|SelfHealingGolden' ./internal/hmpi ./internal/apps
+	$(GO) test -race -count=5 -run 'Resilient|Recreate|GroupFree|GroupLeak|SelfHealingGolden' ./internal/hmpi ./internal/apps
 	$(GO) test -race -run TestSmoke ./bench
 
 # Static analysis: gofmt with nothing left to rewrite, go vet, the HMPI
 # analyzers (hmpivet) over the tree — a directory walk sweeps every
-# shipped .mpc model too — runtimeclose over the tests as well (every
-# hmpi.New in a test reaches Finalize; the other analyzers' test findings
-# are deliberate contract violations under test), the PMDL lints, and
+# shipped .mpc model too; the tests are left out, their findings are
+# deliberate contract violations under test — the PMDL lints, and
 # staticcheck when the binary is on PATH (CI installs a pinned version;
 # locally it is optional so an offline checkout still gates on the in-tree
 # checks).
@@ -51,7 +50,6 @@ lint:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/hmpivet .
-	$(GO) run ./cmd/hmpivet -tests -only runtimeclose .
 	for m in models/*.mpc; do $(GO) run ./cmd/pmc -lint $$m || exit 1; done
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
@@ -77,7 +75,8 @@ loc:
 # spec (must fail), the daemon from serve to shutdown, bench -smoke — and
 # each CLI's remaining modes (hmpirun -trace, hmpitrace links|metrics, pmc
 # describe|-args|-dag|-fmt|-gen|-lint=warn, hmpid
-# status|result|watch|cancel), all under one GOCOVERDIR. Kill chaos makes
+# status|result|watch|cancel, hmpivet's seeded fixture with its findings
+# and a suppressed one), all under one GOCOVERDIR. Kill chaos makes
 # a few paths host-timing races (a message reaching the mailbox its
 # owner's death has just closed: ~40% of `-fig degradation` runs), so that
 # figure runs twenty more times and the lists come out the same on every
@@ -112,7 +111,7 @@ reach:
 		for c in info report critical breakdown links metrics; do hmpitrace $$c $(R)/$$t.trace >/dev/null; done; \
 		hmpitrace export -o $(R)/$$t.chrome.json $(R)/$$t.trace; \
 	done && \
-	hmpivet . && hmpivet -tests -only runtimeclose . && hmpivet -json . >/dev/null && \
+	hmpivet . && hmpivet -json . >/dev/null && ! hmpivet cmd/hmpivet/testdata/seed >/dev/null && \
 	for m in models/*.mpc; do pmc -lint $$m; pmc -fmt $$m >/dev/null; pmc -gen models $$m >/dev/null; done && \
 	for m in internal/pmdl/testdata/lint/*.mpc; do pmc -lint=warn $$m >/dev/null; done && \
 	pmc -args '[3,10,[100,200,300],[[0,5,0],[5,0,5],[0,5,0]]]' -dag models/em3d.mpc >/dev/null && \
@@ -141,8 +140,8 @@ reach:
 
 # The mutant matrix: each patch in testdata/mutants/ breaks one contract
 # of an example or an application (a head-to-head receive, a wrong tag, a
-# rank-guarded or reordered collective, a dropped GroupFree, Wait, request,
-# Finalize or region end, a communicating Recon benchmark). Every patch is
+# rank-guarded or reordered collective, a dropped GroupFree, Wait, request
+# or region end, a communicating Recon benchmark). Every patch is
 # applied to a copy of the working tree under out/mutants/, never to the
 # checkout, and the copy is measured the way a user meets the bug: `hmpivet
 # .`, then a run bounded at 60 s — the example binary, or, for a patch
@@ -196,8 +195,9 @@ mutants:
 
 # Dynamic verification: record fresh traces — a clean EM3D run on the
 # paper's network and a seeded self-healing chaos run — and replay both
-# through hmpiverify. Any semantic violation (collective divergence,
-# leaked group, phantom message) fails the target.
+# through hmpiverify. Any semantic violation (collective divergence, an
+# unclosed region, phantom message) fails the target, and so does a run
+# that leaks a group: hmpirun exits with Run's error.
 verify:
 	$(GO) run ./cmd/hmpirun -app em3d -mode hmpi -tracefile verify_em3d.trace
 	$(GO) run ./cmd/hmpirun -app em3d -p 6 -chaos "2@0.004;4@0.008" -tracefile verify_chaos.trace

@@ -3,16 +3,17 @@
 // counterpart of hmpivet: where hmpivet analyzes source, hmpiverify
 // checks what one execution actually did — message matching and FIFO
 // order, collective-sequence consistency across the members of each
-// communicator, group-lifecycle leak accounting (ULFM recreate paths
-// included), AnySource message races, and nonblocking-request
-// lifecycles (every posted Isend/Irecv must reach a wait or a successful
-// test in clean runs). A deadlocked run writes no trace: the runtime
-// ends it with an "mpi: deadlock" error naming every wait.
+// communicator, balanced trace regions, AnySource message races, and
+// nonblocking-request lifecycles (every posted Isend/Irecv must reach a
+// wait or a successful test in clean runs). A deadlocked run writes no
+// trace: the runtime ends it with an "mpi: deadlock" error naming every
+// wait. Nor is a leaked group a trace check: Run fails when a process
+// returns still a member of a group.
 //
 // Usage:
 //
 //	hmpiverify run.hmpt                    # verify one trace
-//	hmpiverify -checks collseq,groups run.hmpt
+//	hmpiverify -checks collseq,regions run.hmpt
 //	hmpiverify -json run.hmpt              # machine-readable findings
 //	hmpiverify -list                       # print the checks and exit
 //
@@ -37,7 +38,7 @@ import (
 var checkDocs = map[string]string{
 	"matching": "every receive has a recorded send, FIFO channels do not reorder, sends are eventually received",
 	"collseq":  "members of each communicator ran the same collectives in the same order",
-	"groups":   "every group creation is balanced by a dissolution record",
+	"regions":  "every trace region begun is ended, and every end closes a region",
 	"races":    "AnySource receives whose match was decided by arrival order",
 	"requests": "every posted nonblocking request reaches a wait or successful test (clean runs)",
 }

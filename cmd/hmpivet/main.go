@@ -7,14 +7,16 @@
 // runtime ends a deadlocked run and names every wait (mpi.DeadlockError).
 // Nor are collective order and request completion: a mismatched
 // collective order deadlocks, which the runtime reports, and hmpiverify's
-// collseq and requests checks read both from a recorded trace.
+// collseq and requests checks read both from a recorded trace. Nor are
+// lifecycles: the runtime reports a process that returns still a member
+// of a group, and hmpiverify's regions check reads trace regions.
 //
 // Usage:
 //
 //	hmpivet ./...                      # analyze the tree rooted here, models included
 //	hmpivet internal/apps examples     # several roots
 //	hmpivet models/jacobi.mpc          # lint one performance model
-//	hmpivet -only groupfree,tagconst ./...
+//	hmpivet -only bufalias,tagconst ./...
 //	hmpivet -tests ./...               # include _test.go files
 //	hmpivet -json ./...                # machine-readable findings
 //	hmpivet -list                      # print the analyzers and exit
@@ -41,11 +43,8 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/bufalias"
 	"repro/internal/analysis/ftcontract"
-	"repro/internal/analysis/groupfree"
 	"repro/internal/analysis/reconpure"
-	"repro/internal/analysis/runtimeclose"
 	"repro/internal/analysis/tagconst"
-	"repro/internal/analysis/tracescope"
 	"repro/internal/pmdl"
 )
 
@@ -53,11 +52,8 @@ import (
 var all = []*analysis.Analyzer{
 	bufalias.Analyzer,
 	ftcontract.Analyzer,
-	groupfree.Analyzer,
 	reconpure.Analyzer,
-	runtimeclose.Analyzer,
 	tagconst.Analyzer,
-	tracescope.Analyzer,
 }
 
 // finding is one diagnostic in the output (text or -json).

@@ -22,23 +22,22 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestSeededGoViolation proves the Go analyzers actually fire: a leaked
-// group seeded into a scratch package must flag and exit non-zero.
+// TestSeededGoViolation proves the Go analyzers actually fire: a pooled
+// buffer read after its release, seeded into a scratch package, must flag
+// and exit non-zero.
 func TestSeededGoViolation(t *testing.T) {
 	dir := t.TempDir()
 	src := `package scratch
 
-type Group struct{}
+type poolBuf struct{ b []byte }
 
-type Process struct{}
+func getBuf(n int) *poolBuf  { return &poolBuf{b: make([]byte, n)} }
+func (pb *poolBuf) release() {}
 
-func (h *Process) GroupCreate(m any) (*Group, error) { return nil, nil }
-
-func (g *Group) Rank() int { return 0 }
-
-func leak(h *Process) {
-	g, _ := h.GroupCreate(nil)
-	_ = g.Rank()
+func useAfterRelease() []byte {
+	pb := getBuf(8)
+	pb.release()
+	return pb.b
 }
 `
 	if err := os.WriteFile(filepath.Join(dir, "scratch.go"), []byte(src), 0o644); err != nil {
@@ -49,8 +48,8 @@ func leak(h *Process) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; output:\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "never freed") {
-		t.Fatalf("missing groupfree finding:\n%s", out.String())
+	if !strings.Contains(out.String(), "use of pb after release") {
+		t.Fatalf("missing bufalias finding:\n%s", out.String())
 	}
 }
 
@@ -93,23 +92,22 @@ func TestSeededModelViolation(t *testing.T) {
 	}
 }
 
-// TestOnlySelectsAnalyzers pins -only: with groupfree excluded, the
-// seeded leak must pass, and tagconst passes literal tags that differ.
+// TestOnlySelectsAnalyzers pins -only: with bufalias excluded, the
+// seeded use after release must pass, and tagconst passes literal tags
+// that differ. The deleted lifecycle analyzers are unknown names.
 func TestOnlySelectsAnalyzers(t *testing.T) {
 	dir := t.TempDir()
 	src := `package scratch
 
-type Group struct{}
+type poolBuf struct{ b []byte }
 
-type Process struct{}
+func getBuf(n int) *poolBuf  { return &poolBuf{b: make([]byte, n)} }
+func (pb *poolBuf) release() {}
 
-func (h *Process) GroupCreate(m any) (*Group, error) { return nil, nil }
-
-func (g *Group) Rank() int { return 0 }
-
-func leak(h *Process) {
-	g, _ := h.GroupCreate(nil)
-	_ = g.Rank()
+func useAfterRelease() []byte {
+	pb := getBuf(8)
+	pb.release()
+	return pb.b
 }
 
 type Comm struct{}
@@ -131,8 +129,10 @@ func exchange(c *Comm) {
 	if code := run([]string{dir}, "tagconst", false, false, &out); code != 0 {
 		t.Fatalf("-only tagconst still flagged (exit %d):\n%s", code, out.String())
 	}
-	if _, err := selectAnalyzers("nosuch"); err == nil {
-		t.Fatal("unknown analyzer name must be rejected")
+	for _, name := range []string{"nosuch", "groupfree", "runtimeclose", "tracescope"} {
+		if code := run([]string{dir}, name, false, false, &out); code != 2 {
+			t.Fatalf("-only %s: exit = %d, want 2 (unknown analyzer)", name, code)
+		}
 	}
 }
 

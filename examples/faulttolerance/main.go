@@ -107,8 +107,10 @@ func main() {
 		victim := g.WorldRanks()[g.Size()-1]
 		if h.Rank() == victim {
 			rt2.InjectFailure(victim)
-			// Silent corpse; peers see the failure.
-			return nil //hmpivet:ignore groupfree -- the victim just failed itself: a corpse cannot free its group, the survivors dissolve it via GroupRecreate
+			// Silent corpse; peers see the failure. A failed process
+			// cannot free its group: the survivors dissolve it in
+			// GroupRecreate, and Run does not count it as leaked.
+			return nil
 		}
 		// The work phase aborts on the failure; Catch it, revoke so no
 		// member stays blocked on a live peer (the communicator refuses any

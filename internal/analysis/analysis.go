@@ -34,19 +34,9 @@ type Pass struct {
 	Files []*ast.File
 	// Pkg is the package directory relative to the analysis root.
 	Pkg string
-	// Prog is the cross-package program view (function index and
-	// interprocedural summaries) over every package of this Run. Never
-	// nil when driven through Run.
-	Prog *Program
-	// pkg is the package under analysis, for Prog resolution.
-	pkg *Package
 
 	diags *[]Diagnostic
 }
-
-// Package returns the package under analysis (the receiver for
-// Prog.Resolve's same-package preference).
-func (p *Pass) Package() *Package { return p.pkg }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
@@ -79,7 +69,6 @@ func (d Diagnostic) String() string {
 // itself reported as a finding: the escape hatch must say what it
 // disables and why.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	prog := BuildProgram(pkgs)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		ignored, bad := ignoreLines(pkg)
@@ -91,8 +80,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Fset:     pkg.Fset,
 				Files:    pkg.Files,
 				Pkg:      pkg.Dir,
-				Prog:     prog,
-				pkg:      pkg,
 				diags:    &local,
 			}
 			if err := a.Run(pass); err != nil {
@@ -122,9 +109,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		if a.Analyzer != b.Analyzer {
 			return a.Analyzer < b.Analyzer
 		}
-		// One analyzer can make two findings at one position (two groups
-		// live at one return): the message is the last key, so the output
-		// is a function of the input alone.
+		// One analyzer can make two findings at one position: the message
+		// is the last key, so the output is a function of the input alone.
 		return a.Message < b.Message
 	})
 	return diags, nil

@@ -4,12 +4,8 @@
 // rather than regex matching). Fixtures live under the analyzer's
 // testdata/src/<pkg> directory and only need to parse, not compile.
 //
-// Run analyses one fixture package (which may span several files — every
-// .go file of the directory is loaded). RunRoot analyses a whole fixture
-// tree of several packages in one Run, so the cross-package view
-// (analysis.Program) spans all of them: the harness for interprocedural
-// fixtures where the helper the analyzer must see lives in a sibling
-// package.
+// Run analyses one fixture package, which may span several files: every
+// .go file of the directory is loaded.
 package analysistest
 
 import (
@@ -33,30 +29,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	if pkg == nil {
 		t.Fatalf("no Go source in %s", dir)
 	}
-	check(t, []*analysis.Package{pkg}, a)
-}
-
-// RunRoot analyses every package directory under root (typically
-// testdata/src) in a single Run, so interprocedural analyzers resolve
-// helpers across the fixture packages. Want comments are checked across
-// all of them.
-func RunRoot(t *testing.T, root string, a *analysis.Analyzer) {
-	t.Helper()
-	pkgs, err := analysis.Load(root, true)
-	if err != nil {
-		t.Fatalf("loading %s: %v", root, err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatalf("no Go packages under %s", root)
-	}
-	check(t, pkgs, a)
-}
-
-// check runs the analyzer over the packages and diffs findings against
-// the fixtures' want comments.
-func check(t *testing.T, pkgs []*analysis.Package, a *analysis.Analyzer) {
-	t.Helper()
-	diags, err := analysis.Run(pkgs, []*analysis.Analyzer{a})
+	diags, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
@@ -66,15 +39,13 @@ func check(t *testing.T, pkgs []*analysis.Package, a *analysis.Analyzer) {
 		line int
 	}
 	wants := make(map[key][]string)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					pos := pkg.Fset.Position(c.Pos())
-					for _, w := range parseWants(c.Text) {
-						k := key{pos.Filename, pos.Line}
-						wants[k] = append(wants[k], w)
-					}
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				pos := pkg.Fset.Position(c.Pos())
+				for _, w := range parseWants(c.Text) {
+					k := key{pos.Filename, pos.Line}
+					wants[k] = append(wants[k], w)
 				}
 			}
 		}

@@ -88,6 +88,143 @@ func TestGroupFreeWithFailedMember(t *testing.T) {
 	}
 }
 
+// TestGroupLeakReported: a process that returns from Run still a member
+// of a group fails the run with the group's key — its processes would
+// never rejoin the free pool — unless the process has failed, and main's
+// own error is reported in its place. Every case runs on three ranks, so
+// the model's three processors select all of them into group 1.
+func TestGroupLeakReported(t *testing.T) {
+	model := testModel(t)
+	args := []any{3, []int{1, 1, 1}, 1}
+	// create puts every rank into group 1.
+	create := func(h *Process) (*Group, error) { return h.GroupCreate(model, args...) }
+	for _, tc := range []struct {
+		name string
+		size int
+		main func(rt *Runtime) func(h *Process) error
+		want string // substring of Run's error; "" for success
+	}{
+		{
+			name: "host leak",
+			size: 3,
+			main: func(*Runtime) func(h *Process) error {
+				return func(h *Process) error {
+					_, err := create(h)
+					return err
+				}
+			},
+			want: "hmpi: process 0 returned from Run still a member of group 1: missing GroupFree",
+		},
+		{
+			// The other members wait in GroupFree's barrier for the one
+			// that left: the leak is reported, not the deadlock it causes.
+			name: "member leak",
+			size: 3,
+			main: func(*Runtime) func(h *Process) error {
+				return func(h *Process) error {
+					g, err := create(h)
+					if err != nil || h.Rank() == 2 {
+						return err
+					}
+					return h.GroupFree(g)
+				}
+			},
+			want: "hmpi: process 2 returned from Run still a member of group 1: missing GroupFree",
+		},
+		{
+			name: "failed victim excused",
+			size: 3,
+			main: func(rt *Runtime) func(h *Process) error {
+				return func(h *Process) error {
+					g, err := create(h)
+					if err != nil {
+						return err
+					}
+					if h.Rank() == 2 {
+						rt.InjectFailure(2)
+						return nil
+					}
+					return h.GroupFree(g)
+				}
+			},
+		},
+		{
+			// Rank 3 is left out of group 1 and joins the recreation as a
+			// free process; the survivors free what the recreation made.
+			name: "GroupRecreate",
+			size: 4,
+			main: func(rt *Runtime) func(h *Process) error {
+				return func(h *Process) error {
+					g, err := create(h)
+					if err != nil {
+						return err
+					}
+					if !h.IsMember(g) {
+						ng, err := h.GroupCreate(nil)
+						if err != nil {
+							return err
+						}
+						return h.GroupFree(ng)
+					}
+					victim := g.WorldRanks()[g.Size()-1]
+					if h.Rank() == victim {
+						rt.InjectFailure(victim)
+						return nil
+					}
+					for len(g.Health().Failed) == 0 {
+						time.Sleep(time.Millisecond)
+					}
+					if h.IsHost() {
+						g, err = h.GroupRecreate(g, model, args...)
+					} else {
+						g, err = h.GroupRecreate(g, nil)
+					}
+					if err != nil {
+						return err
+					}
+					return h.GroupFree(g)
+				}
+			},
+		},
+		{
+			name: "RunResilient",
+			size: 4,
+			main: func(*Runtime) func(h *Process) error {
+				return func(h *Process) error {
+					return h.RunResilient(FixedPlan(model, args...), func(g *Group) error {
+						g.Comm().Barrier()
+						return nil
+					})
+				}
+			},
+		},
+		{
+			name: "main's error first",
+			size: 3,
+			main: func(*Runtime) func(h *Process) error {
+				return func(h *Process) error {
+					if _, err := create(h); err != nil {
+						return err
+					}
+					return fmt.Errorf("work failed on rank %d", h.Rank())
+				}
+			},
+			want: "work failed on rank 0",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRuntime(t, hnoc.Homogeneous(tc.size, 10))
+			err := runRuntimeWithTimeout(t, rt, 30*time.Second, tc.main(rt))
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("Run = %v, want nil", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("Run = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestGroupHealthReportsFailures(t *testing.T) {
 	rt := newRuntime(t, hnoc.Homogeneous(4, 10))
 	model := testModel(t)
@@ -128,7 +265,9 @@ func TestGroupHealthReportsFailures(t *testing.T) {
 				return fmt.Errorf("FailedRanks = %v, want [%d]", g.Health().Failed, victim)
 			}
 		}
-		return nil
+		// The dissolution barrier waits for the parent, which enters it
+		// only after the kill: the victim dies in it, the survivors leave.
+		return h.GroupFree(g)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +294,7 @@ func TestGroupRecreateExcludesFailed(t *testing.T) {
 			if h.IsMember(ng) {
 				ng.Comm().Barrier()
 			}
-			return nil
+			return h.GroupFree(ng)
 		}
 		// The last member dies; the survivors recreate the group.
 		v := g.WorldRanks()[g.Size()-1]
@@ -194,7 +333,7 @@ func TestGroupRecreateExcludesFailed(t *testing.T) {
 			// The new group is fully functional.
 			ng.Comm().Barrier()
 		}
-		return nil
+		return h.GroupFree(ng)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -396,7 +535,7 @@ func TestTimeofExcludesFailedMachines(t *testing.T) {
 				}
 			}
 		}
-		return nil
+		return h.GroupFree(g)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -146,13 +146,11 @@ func New(cfg Config) (*Runtime, error) {
 // World exposes the underlying message-passing world.
 func (rt *Runtime) World() *mpi.World { return rt.world }
 
-// Finalize releases the runtime, the analogue of HMPI_Finalize. It is
-// idempotent and safe to defer next to New; after it returns, Run
-// refuses to execute. Accessors (Makespan, World) stay readable so
-// results can be collected after the runtime is closed. Every
-// constructed Runtime must reach Finalize (per-job lifecycle discipline
-// for long-running services; the hmpivet runtimeclose analyzer enforces
-// it).
+// Finalize closes the runtime, the analogue of HMPI_Finalize. It is
+// idempotent; after it returns, Run refuses to execute. It releases
+// nothing — a runtime holds no resource beyond its memory — and
+// accessors (Makespan, World) stay readable so results can be collected
+// after the runtime is closed.
 func (rt *Runtime) Finalize() {
 	rt.finalized.Store(true)
 }
@@ -170,6 +168,10 @@ func (rt *Runtime) InjectFailure(rank int) {
 
 // Run executes main as the body of every HMPI process, the SPMD region
 // between HMPI_Init and HMPI_Finalize. It returns the first process error.
+// A process whose main returns nil while still a member of a group has
+// leaked it — its processes never return to the free pool later
+// selections choose from — and that is its error, unless the process has
+// failed: a corpse cannot free its group, and the survivors dissolve it.
 func (rt *Runtime) Run(main func(h *Process) error) error {
 	if rt.finalized.Load() {
 		return fmt.Errorf("hmpi: Run on a finalized runtime")
@@ -183,7 +185,13 @@ func (rt *Runtime) Run(main func(h *Process) error) error {
 		for r := range h.speeds {
 			h.speeds[r] = rt.cfg.Cluster.Machines[rt.placement[r]].Speed
 		}
-		return main(h)
+		if err := main(h); err != nil {
+			return err
+		}
+		if len(h.groups) > 0 && !rt.world.IsFailed(h.Rank()) {
+			return fmt.Errorf("hmpi: process %d returned from Run still a member of group %d: missing GroupFree", h.Rank(), h.groups[0])
+		}
+		return nil
 	})
 }
 

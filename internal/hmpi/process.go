@@ -22,6 +22,10 @@ type Process struct {
 	// Recon. Every process holds its own copy, as in a distributed
 	// runtime.
 	speeds []float64
+	// groups holds the keys of the groups this process is a member of,
+	// oldest first: buildGroup adds one, leave removes it. Run reports
+	// a process that returns still holding one.
+	groups []int64
 }
 
 // Proc exposes the underlying message-passing process, for computation
@@ -421,6 +425,7 @@ func (h *Process) buildGroup(ranks []int, parentIdx int, key int64) (*Group, err
 	}
 	g.comm = mpi.NewCommFromGroup(h.proc, mpi.NewGroup(ranks), key)
 	h.rt.setFree(me, false)
+	h.groups = append(h.groups, key)
 	return g, nil
 }
 
@@ -458,10 +463,12 @@ func (h *Process) release(g *Group) {
 }
 
 // leave is the one tail of every way out of a group (GroupFree, dissolve,
-// the end of a resilient region): the handle stops being a member's, its
-// communicator is released, and the trace records the dissolution.
+// the end of a resilient region): the handle stops being a member's, the
+// process no longer counts the group, its communicator is released, and
+// the trace records the dissolution.
 func (h *Process) leave(g *Group) {
 	g.rank = -1
+	h.groups = slices.DeleteFunc(h.groups, func(k int64) bool { return k == g.key })
 	g.comm.Free()
 	h.recordGroupFree(g.key)
 }

@@ -41,7 +41,7 @@ func TestGroupCreateSelectDeterministic(t *testing.T) {
 			if h.IsMember(g) && !h.IsHost() && g.stats.Evaluations != 0 {
 				return fmt.Errorf("member rank %d carries search stats", h.Rank())
 			}
-			return nil
+			return h.GroupFree(g)
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -31,8 +31,8 @@ func (p *Proc) Recorder() *trace.Recorder { return p.world.rec }
 
 // TraceRegionBegin opens a named application phase on this process's
 // shard at the current virtual time. No-op without a recorder. Every
-// begin must be matched by a TraceRegionEnd with the same name (the
-// hmpivet `tracescope` analyzer flags unbalanced functions).
+// begin must be matched by a TraceRegionEnd with the same name
+// (hmpiverify's regions check reports a run that leaves one open).
 func (p *Proc) TraceRegionBegin(name string) {
 	if r := p.world.rec; r != nil {
 		r.RegionBegin(p.rank, name, p.clock.Now())

@@ -155,6 +155,7 @@ type Meta struct {
 	Cluster   json.RawMessage   `json:"cluster,omitempty"`   // hnoc.Cluster JSON
 	Dropped   int64             `json:"dropped,omitempty"`
 	Unclosed  int64             `json:"unclosed_regions,omitempty"`
+	Unmatched int64             `json:"unmatched_region_ends,omitempty"`
 }
 
 // regionFrame is one open Region on a rank's stack.
@@ -222,8 +223,9 @@ func (r *Recorder) Emit(rank int, e Event) {
 
 // RegionBegin opens a named application phase on rank at virtual time
 // now. Regions nest; each begin must be matched by a RegionEnd with the
-// same name on the same rank (the hmpivet `tracescope` analyzer flags
-// functions that begin a region without ending it).
+// same name on the same rank. Data counts the begins left open
+// (Meta.Unclosed) and the ends that matched none (Meta.Unmatched), and
+// hmpiverify's regions check reports both.
 func (r *Recorder) RegionBegin(rank int, name string, now vclock.Time) {
 	s := &r.shards[rank]
 	s.regions = append(s.regions, regionFrame{name: name, start: now, wall: r.NowNS()})
@@ -231,7 +233,7 @@ func (r *Recorder) RegionBegin(rank int, name string, now vclock.Time) {
 
 // RegionEnd closes the innermost open region with the given name on rank
 // and emits the Region event. An end with no matching begin is counted
-// (see Meta.Unclosed for begins left open) and otherwise ignored.
+// (Meta.Unmatched) and otherwise ignored.
 func (r *Recorder) RegionEnd(rank int, name string, now vclock.Time) {
 	s := &r.shards[rank]
 	for i := len(s.regions) - 1; i >= 0; i-- {
@@ -304,6 +306,7 @@ func (r *Recorder) Data() *Data {
 			d.PerRank[i] = s.unwrap(n)
 		}
 		d.Meta.Unclosed += int64(len(s.regions))
+		d.Meta.Unmatched += s.badEnds.Load()
 	}
 	d.Meta.Dropped = r.Dropped()
 	return d

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"reflect"
 	"runtime"
 	"slices"
@@ -168,10 +169,19 @@ func TestRegionEndWithoutBeginIgnored(t *testing.T) {
 	if evs := r.Data().PerRank[0]; len(evs) != 0 {
 		t.Fatalf("bad end emitted %d events", len(evs))
 	}
-	// An unmatched begin is surfaced through the snapshot metadata.
+	// The bad end and an unmatched begin are surfaced through the
+	// snapshot metadata, and survive the binary round trip.
 	r.RegionBegin(0, "open", 2)
-	if d := r.Data(); d.Meta.Unclosed != 1 {
-		t.Fatalf("unclosed = %d, want 1", d.Meta.Unclosed)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, r.Data()); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Meta.Unclosed != 1 || d.Meta.Unmatched != 1 {
+		t.Fatalf("unclosed, unmatched = %d, %d, want 1, 1", d.Meta.Unclosed, d.Meta.Unmatched)
 	}
 }
 

@@ -149,14 +149,53 @@ func TestE2EChaosRecreateVerifies(t *testing.T) {
 	if count(d, trace.KindKill) == 0 || count(d, trace.KindGroupRecreate) == 0 {
 		t.Fatal("trace shows no kill/recreate; the chaos path did not run")
 	}
-	// The recreate dissolved the old group and the run freed the new one:
-	// lifecycle accounting must balance, and nothing else may fire either.
+	// The recreate dissolved the old group and the run freed the new one;
+	// nothing may fire.
 	rep, err := verify.Run(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v := rep.Violations(); len(v) != 0 {
 		t.Fatalf("chaos run with recovery produced violations:\n%v", v)
+	}
+}
+
+// TestGroupLeak: a leaked group is found by the run, not by the trace. A
+// recorded run whose members return without GroupFree fails with the
+// leak, its trace — a group_create with no group_free — verifies clean,
+// and groups is not a check.
+func TestGroupLeak(t *testing.T) {
+	rt, err := hmpi.New(hmpi.Config{Cluster: hnoc.Homogeneous(3, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Finalize()
+	model := ringModel(t)
+	rec := rt.EnableRecorder("verify-e2e-leak", trace.Options{})
+	err = runWithTimeout(t, rt, 30*time.Second, func(h *hmpi.Process) error {
+		g, err := h.GroupCreate(model, 3, []int{1, 1, 1}, 1)
+		if err != nil {
+			return err
+		}
+		g.Comm().Barrier()
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "still a member of group 1: missing GroupFree") {
+		t.Fatalf("Run = %v, want the leaked group reported", err)
+	}
+	d := rec.Data()
+	if count(d, trace.KindGroupCreate) == 0 || count(d, trace.KindGroupFree) != 0 {
+		t.Fatal("trace does not show a group created and never freed")
+	}
+	rep, err := verify.Run(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := rep.Violations(); len(v) != 0 {
+		t.Fatalf("leaked group's trace produced violations:\n%v", v)
+	}
+	if _, err := verify.Run(d, "groups"); err == nil {
+		t.Fatal("groups must be an unknown check")
 	}
 }
 

@@ -1,14 +1,15 @@
 // Package verify replays a recorded HMPT trace and checks that the run
 // it describes respected the semantics of the message-passing model: no
 // phantom or lost messages, collective sequences consistent across the
-// members of each communicator, every created group eventually dissolved,
-// every posted request completed, and wildcard receives free of message
-// races. It complements the hmpivet
-// static analyzers: hmpivet checks contracts in the source, hmpiverify
-// checks what one execution actually did. Collective order and request
-// completion are checked here and not statically. A deadlock never
-// reaches a trace: the runtime ends the run and reports it
-// (mpi.DeadlockError).
+// members of each communicator, every trace region closed, every posted
+// request completed, and wildcard receives free of message races. It
+// complements the hmpivet static analyzers: hmpivet checks contracts in
+// the source, hmpiverify checks what one execution actually did.
+// Collective order, region balance and request completion are checked
+// here and not statically. Neither a deadlock nor a leaked group needs a
+// trace: the runtime ends a deadlocked run and reports it
+// (mpi.DeadlockError), and Run fails when a process returns still a
+// member of a group (hmpi.Runtime.Run).
 //
 // The verifier is a pure consumer of the trace package: it never needs
 // the live runtime, so it can run over a trace file produced on another
@@ -92,7 +93,7 @@ func (r *Report) add(check string, sev Severity, rank int, ctx int64, format str
 }
 
 // AllChecks names every check Run knows, in execution order.
-var AllChecks = []string{"matching", "collseq", "groups", "races", "requests"}
+var AllChecks = []string{"matching", "collseq", "regions", "races", "requests"}
 
 // Run verifies the snapshot. With no explicit checks every check runs;
 // otherwise only the named ones (an unknown name is an error, matching
@@ -132,10 +133,7 @@ func Run(d *trace.Data, checks ...string) (*Report, error) {
 	sound := st.dropped == 0
 	if !sound {
 		rep.add("matching", Warning, -1, 0,
-			"%d events were dropped from the recording ring; message-level checks are skipped and lifecycle findings downgraded", st.dropped)
-	}
-	if d.Meta.Unclosed > 0 {
-		rep.add("matching", Warning, -1, 0, "%d trace regions were never closed", d.Meta.Unclosed)
+			"%d events were dropped from the recording ring; message-level checks are skipped", st.dropped)
 	}
 
 	if want["matching"] && sound {
@@ -144,8 +142,8 @@ func Run(d *trace.Data, checks ...string) (*Report, error) {
 	if want["collseq"] && sound {
 		st.checkCollSeq(rep)
 	}
-	if want["groups"] {
-		st.checkGroups(rep, sound)
+	if want["regions"] {
+		st.checkRegions(rep, d.Meta)
 	}
 	if want["races"] && sound {
 		st.checkRaces(rep)
@@ -195,11 +193,7 @@ type state struct {
 	// ctxRanks approximates communicator membership: the ranks that
 	// produced any event on the context.
 	ctxRanks map[int64]map[int]bool
-	// created maps group key -> the creation (or recreation) event;
-	// freed counts group_free events per key.
-	created map[int64]trace.Event
-	freed   map[int64]int
-	chaos   bool // link-chaos events present (frames may have been dropped)
+	chaos    bool // link-chaos events present (frames may have been dropped)
 	// reqPosts maps rank -> request id -> the posting event (isend or
 	// irecv); reqDone marks the ids whose wait (or successful test) was
 	// recorded.
@@ -229,8 +223,6 @@ func replay(d *trace.Data) *state {
 		races:    map[raceKey]int{},
 		colls:    map[int64]map[int][]string{},
 		ctxRanks: map[int64]map[int]bool{},
-		created:  map[int64]trace.Event{},
-		freed:    map[int64]int{},
 		reqPosts: map[int]map[int64]trace.Event{},
 		reqDone:  map[int]map[int64]bool{},
 	}
@@ -284,10 +276,6 @@ func replay(d *trace.Data) *state {
 			if e.A0 == 1 {
 				done(rank, e.A2)
 			}
-		case trace.KindGroupCreate, trace.KindGroupRecreate:
-			st.created[e.Ctx] = e
-		case trace.KindGroupFree:
-			st.freed[e.Ctx]++
 		case trace.KindLinkFault, trace.KindRetransmit:
 			st.chaos = true
 		}
@@ -446,27 +434,22 @@ func (st *state) checkCollSeq(rep *Report) {
 	}
 }
 
-// checkGroups verifies group lifecycle accounting: every group creation
-// (or recreation) must be balanced by at least one dissolution record.
-// The members each record their own group_free, so a healthy trace has
-// several frees per key; zero means the group leaked.
-func (st *state) checkGroups(rep *Report, sound bool) {
-	sev := Violation
-	if !sound {
-		sev = Warning // creation events may have been overwritten
-	}
-	keys := make([]int64, 0, len(st.created))
-	for k := range st.created {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		if st.freed[k] > 0 {
-			continue
+// checkRegions verifies that every trace region the run began it also
+// ended, and that every end closed a region: the recorder counts both
+// imbalances (trace.Meta.Unclosed, Meta.Unmatched), and no overwrite of
+// the ring can lose them. A failed process cannot end the region it died
+// in, nor can the survivors whose work the failure aborted, so on a trace
+// with a kill or a revocation regions left open are only a warning.
+func (st *state) checkRegions(rep *Report, m trace.Meta) {
+	if m.Unclosed > 0 {
+		sev := Violation
+		if len(st.killed) > 0 || len(st.revoked) > 0 {
+			sev = Warning
 		}
-		e := st.created[k]
-		rep.add("groups", sev, int(e.Rank), k,
-			"group key %d (%s by rank %d, %d members) was never freed", k, e.Kind, e.Rank, e.Bytes)
+		rep.add("regions", sev, -1, 0, "%d trace region(s) were begun and never ended: missing TraceRegionEnd", m.Unclosed)
+	}
+	if m.Unmatched > 0 {
+		rep.add("regions", Violation, -1, 0, "%d trace region end(s) closed no open region of that name", m.Unmatched)
 	}
 }
 

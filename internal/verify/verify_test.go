@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -159,28 +160,33 @@ func TestCollSeqPrefix(t *testing.T) {
 	}
 }
 
-func TestGroupLeak(t *testing.T) {
-	create := trace.Event{Rank: 0, Kind: trace.KindGroupCreate, Peer: -1, Ctx: 42, Bytes: 3}
-	free := trace.Event{Rank: 0, Kind: trace.KindGroupFree, Peer: -1, Ctx: 42}
-
-	rep := mustRun(t, mkData(1, create))
-	v := rep.Violations()
-	if len(v) != 1 || v[0].Check != "groups" || !strings.Contains(v[0].Message, "never freed") {
-		t.Fatalf("violations = %v, want group leak", v)
-	}
-
-	rep = mustRun(t, mkData(1, create, free))
-	if v := rep.Violations(); len(v) != 0 {
-		t.Fatalf("freed group flagged: %v", v)
-	}
-
-	// ULFM recreate path: the old key is dissolved, a new key created
-	// and freed. No leak on either.
-	recreate := trace.Event{Rank: 0, Kind: trace.KindGroupRecreate, Peer: -1, Ctx: 43, Bytes: 2}
-	free43 := trace.Event{Rank: 0, Kind: trace.KindGroupFree, Peer: -1, Ctx: 43}
-	rep = mustRun(t, mkData(1, create, free, recreate, free43))
-	if v := rep.Violations(); len(v) != 0 {
-		t.Fatalf("recreate lifecycle flagged: %v", v)
+func TestRegions(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		d         *trace.Data
+		unclosed  int64
+		unmatched int64
+		want      []Severity
+	}{
+		{name: "balanced", d: mkData(1)},
+		{name: "unclosed", d: mkData(1), unclosed: 2, want: []Severity{Violation}},
+		{name: "unmatched", d: mkData(1), unmatched: 1, want: []Severity{Violation}},
+		{name: "both", d: mkData(1), unclosed: 1, unmatched: 1, want: []Severity{Violation, Violation}},
+		// A killed rank cannot end the region it died in.
+		{name: "unclosed under a kill", d: mkData(2, kill(1, 1.0)), unclosed: 1, want: []Severity{Warning}},
+		// An end that closes nothing is never explained by a failure.
+		{name: "unmatched under a kill", d: mkData(2, kill(1, 1.0)), unmatched: 1, want: []Severity{Violation}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.d.Meta.Unclosed, tc.d.Meta.Unmatched = tc.unclosed, tc.unmatched
+			var got []Severity
+			for _, f := range findings(mustRun(t, tc.d), "regions") {
+				got = append(got, f.Severity)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("regions findings %v, want severities %v", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -208,44 +214,38 @@ func TestAnySourceRace(t *testing.T) {
 
 func TestDroppedEventsDowngrade(t *testing.T) {
 	// With ring overwrites the message-level checks are unsound: the
-	// phantom receive is NOT reported, the group leak degrades to a
-	// warning, and the drop itself is surfaced.
-	d := mkData(2,
-		recv(1, 0, 9, 1, 64, 1.5),
-		trace.Event{Rank: 0, Kind: trace.KindGroupCreate, Peer: -1, Ctx: 42, Bytes: 3},
-	)
+	// phantom receive is NOT reported, and the drop itself is surfaced.
+	d := mkData(2, recv(1, 0, 9, 1, 64, 1.5))
 	d.Meta.Dropped = 7
 	rep := mustRun(t, d)
 	if v := rep.Violations(); len(v) != 0 {
 		t.Fatalf("unsound trace produced violations: %v", v)
 	}
-	var sawDrop, sawLeak bool
+	sawDrop := false
 	for _, f := range rep.Findings {
 		sawDrop = sawDrop || strings.Contains(f.Message, "dropped")
-		sawLeak = sawLeak || (f.Check == "groups" && f.Severity == Warning)
 	}
-	if !sawDrop || !sawLeak {
-		t.Fatalf("findings = %v, want drop warning and downgraded leak", rep.Findings)
+	if !sawDrop {
+		t.Fatalf("findings = %v, want drop warning", rep.Findings)
 	}
 }
 
 func TestCheckSelection(t *testing.T) {
-	// A trace violating both matching and groups, verified with only the
-	// groups check: matching findings must not appear.
-	d := mkData(2,
-		recv(1, 0, 9, 1, 64, 1.5),
-		trace.Event{Rank: 0, Kind: trace.KindGroupCreate, Peer: -1, Ctx: 42, Bytes: 3},
-	)
-	rep := mustRun(t, d, "groups")
+	// A trace violating both matching and regions, verified with only the
+	// regions check: matching findings must not appear.
+	d := mkData(2, recv(1, 0, 9, 1, 64, 1.5))
+	d.Meta.Unclosed = 1
+	rep := mustRun(t, d, "regions")
 	if fs := findings(rep, "matching"); len(fs) != 0 {
 		t.Fatalf("unselected check reported: %v", fs)
 	}
-	if fs := findings(rep, "groups"); len(fs) != 1 {
+	if fs := findings(rep, "regions"); len(fs) != 1 {
 		t.Fatalf("selected check missing: %v", rep.Findings)
 	}
 
-	// deadlock is not a check: the runtime reports a deadlock itself.
-	for _, c := range []string{"nosuch", "deadlock"} {
+	// deadlock and groups are not checks: the runtime reports a deadlock
+	// and a leaked group itself.
+	for _, c := range []string{"nosuch", "deadlock", "groups"} {
 		if _, err := Run(d, c); err == nil {
 			t.Fatalf("unknown check %q must be rejected", c)
 		}
