@@ -18,22 +18,25 @@ import (
 // EnableRecorder creates a structured event recorder sized for the world,
 // stamps it with the run's metadata (application name, placement, cluster
 // description), and attaches it; call before Run. The returned recorder
-// yields the trace via its Data method after the run completes.
+// yields the trace via its Data method after the run completes. A
+// count-only recorder exports no trace, so it gets no metadata.
 //
 // The recorder observes metadata only — byte counts, algorithm names,
 // model predictions — never payload slices, so it composes with the
 // pooled message path (internal/mpi's bufpool.go).
 func (rt *Runtime) EnableRecorder(app string, opts trace.Options) *trace.Recorder {
 	rec := trace.NewRecorder(rt.world.Size(), opts)
-	meta := trace.Meta{
-		App:       app,
-		NRanks:    rt.world.Size(),
-		Placement: append([]int(nil), rt.placement...),
+	if !opts.CountOnly {
+		meta := trace.Meta{
+			App:       app,
+			NRanks:    rt.world.Size(),
+			Placement: append([]int(nil), rt.placement...),
+		}
+		if b, err := json.Marshal(rt.cfg.Cluster); err == nil {
+			meta.Cluster = b
+		}
+		rec.SetMeta(meta)
 	}
-	if b, err := json.Marshal(rt.cfg.Cluster); err == nil {
-		meta.Cluster = b
-	}
-	rec.SetMeta(meta)
 	rt.world.SetRecorder(rec)
 	return rec
 }

@@ -18,9 +18,9 @@
 //     (jobspec.Predict, itself cache-warm): jobs whose predicted makespan
 //     exceeds the configured budget are rejected at submit time, and a
 //     deficit scheduler shares the workers fairly across tenants.
-//   - Each job records a structured trace; its summary and a metrics
-//     registry snapshot are attached to the job and streamed to watchers
-//     over the control socket (see proto.go).
+//   - Each job's trace is condensed as it is emitted into a summary and a
+//     metrics registry snapshot, attached to the job and streamed to
+//     watchers over the control socket (see proto.go).
 package service
 
 import (
@@ -82,7 +82,7 @@ type JobEvent struct {
 	Note  string `json:"note,omitempty"`
 }
 
-// TraceSummary condenses a job's recorded trace.
+// TraceSummary condenses a job's trace. Its counts are exact: Dropped is 0.
 type TraceSummary struct {
 	Events   int     `json:"events"`
 	Dropped  int64   `json:"dropped"`
@@ -456,33 +456,24 @@ func (s *Server) worker() {
 	}
 }
 
-// traceShardCap bounds each job recorder's per-rank event ring. The daemon
-// condenses every trace to a summary and a metrics snapshot, so a bounded
-// ring is the right trade: a small job keeps its full trace, a huge one
-// reports Dropped instead of holding every event until it is condensed.
-const traceShardCap = 4096
-
-// run executes one job on a fresh runtime with a recorder attached, and
-// condenses its observability payload.
+// run executes one job on a fresh runtime with a count-only recorder
+// attached: the daemon exports no events, so each rank folds its events
+// into a fixed-size tally as they are emitted. The counts are exact for
+// any job size and the recorder's memory is O(ranks), not O(events).
 func (s *Server) run(j *job) (*jobspec.Result, *TraceSummary, *trc.Snapshot, error) {
 	var rec *trc.Recorder
 	res, err := jobspec.Execute(j.spec, jobspec.ExecOptions{
 		Selection: s.cache,
 		OnRuntime: func(rt *hmpi.Runtime) {
-			rec = rt.EnableRecorder(j.spec.App, trc.Options{ShardCap: traceShardCap})
+			rec = rt.EnableRecorder(j.spec.App, trc.Options{CountOnly: true})
 		},
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	d := rec.Data()
-	tr := &TraceSummary{
-		Events:   d.NumEvents(),
-		Dropped:  d.Meta.Dropped,
-		Makespan: float64(d.Makespan()),
-	}
 	reg := trc.NewRegistry()
-	reg.FillFromData(d)
+	events, makespan := rec.Condense(reg)
+	tr := &TraceSummary{Events: int(events), Makespan: float64(makespan)}
 	snap := reg.Snapshot()
 	return res, tr, &snap, nil
 }

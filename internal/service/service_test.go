@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/chaos"
+	"repro/internal/hmpi"
 	"repro/internal/hnoc"
 	"repro/internal/jobspec"
 	trc "repro/internal/trace"
@@ -401,5 +403,124 @@ func TestCondensedGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("condensed trace/metrics differ from %s:\n got:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
+	}
+}
+
+// runJob submits spec to s and waits for its full snapshot.
+func runJob(t *testing.T, s *Server, spec jobspec.Spec) JobInfo {
+	t.Helper()
+	info, err := s.Submit(spec)
+	if err == nil {
+		info, err = s.Result(info.ID)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", spec.App, err)
+	}
+	return info
+}
+
+// retained runs spec the way hmpirun -tracefile does, with a retaining
+// recorder, and returns its trace.
+func retained(t *testing.T, spec jobspec.Spec) *trc.Data {
+	t.Helper()
+	var rec *trc.Recorder
+	if _, err := jobspec.Execute(spec, jobspec.ExecOptions{
+		OnRuntime: func(rt *hmpi.Runtime) { rec = rt.EnableRecorder(spec.App, trc.Options{}) },
+	}); err != nil {
+		t.Fatalf("%s: %v", spec.App, err)
+	}
+	return rec.Data()
+}
+
+// snapshotJSON serialises a snapshot; filledJSON the snapshot
+// FillFromData makes of d.
+func snapshotJSON(t *testing.T, s trc.Snapshot) []byte {
+	t.Helper()
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func filledJSON(t *testing.T, d *trc.Data) []byte {
+	t.Helper()
+	reg := trc.NewRegistry()
+	reg.FillFromData(d)
+	return snapshotJSON(t, reg.Snapshot())
+}
+
+// TestCountsExactPastOldCap: a job that emits more events on a rank than
+// a 4 096-event ring holds (em3d over 400 iterations, about 7 300 per
+// rank) loses none of them: the daemon reports nothing dropped, and the
+// event count and metrics of the retaining recorder's whole trace.
+func TestCountsExactPastOldCap(t *testing.T) {
+	spec := quickSpec(40_000)
+	spec.Iters = 400
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	info := runJob(t, s, spec)
+	d := retained(t, spec)
+	if d.Meta.Dropped != 0 || len(d.PerRank[1]) <= 4096 {
+		t.Fatalf("reference trace dropped %d and holds %d events on rank 1; want 0 and > 4096", d.Meta.Dropped, len(d.PerRank[1]))
+	}
+	if info.Trace.Dropped != 0 || info.Trace.Events != d.NumEvents() {
+		t.Errorf("daemon trace = %+v; want 0 dropped of %d events", *info.Trace, d.NumEvents())
+	}
+	if got, want := snapshotJSON(t, *info.Metrics), filledJSON(t, d); !bytes.Equal(got, want) {
+		t.Errorf("daemon metrics:\n%s\nFillFromData of the whole trace:\n%s", got, want)
+	}
+}
+
+// TestCountOnlyMatchesRetaining: the daemon's count-only snapshot is
+// byte-identical to FillFromData of a retaining recorder's trace of the
+// same run, for quick jobs of every app and for a kill-chaos run.
+func TestCountOnlyMatchesRetaining(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	for i, sp := range mixedSpecs(6) {
+		info := runJob(t, s, sp)
+		if got, want := snapshotJSON(t, *info.Metrics), filledJSON(t, retained(t, sp)); !bytes.Equal(got, want) {
+			t.Errorf("job %d (%s): daemon metrics:\n%s\nFillFromData of the trace:\n%s", i, sp.App, got, want)
+		}
+	}
+
+	// Which survivor of a kill notices it first is host scheduling, so a
+	// kill-chaos run is not repeatable: its one retaining trace is
+	// condensed both ways, once by FillFromData and once replayed through
+	// a count-only recorder. The victim opens a region as it dies and
+	// never closes it.
+	spec := quickSpec(40_000)
+	spec.P, spec.Iters, spec.Chaos = 6, 5, "2@0.002"
+	var rec *trc.Recorder
+	var killed chaos.Event
+	if _, err := jobspec.Execute(spec, jobspec.ExecOptions{
+		OnRuntime: func(rt *hmpi.Runtime) { rec = rt.EnableRecorder(spec.App, trc.Options{}) },
+		OnChaosKill: func(e chaos.Event) {
+			killed = e
+			rec.RegionBegin(e.Rank, "killed", e.At)
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	d := rec.Data()
+	count := trc.NewRecorder(d.NumRanks(), trc.Options{CountOnly: true})
+	d.EachEvent(func(rank int, e trc.Event) bool {
+		count.Emit(rank, e)
+		return true
+	})
+	count.RegionBegin(killed.Rank, "killed", killed.At)
+	reg := trc.NewRegistry()
+	events, makespan := count.Condense(reg)
+	got, want := snapshotJSON(t, reg.Snapshot()), filledJSON(t, d)
+	if !bytes.Contains(want, []byte(`{"name":"events_kill_total","value":1}`)) ||
+		!bytes.Contains(want, []byte(`{"name":"trace_unclosed_regions_total","value":1}`)) {
+		t.Fatalf("the chaos run recorded no kill or no open region:\n%s", want)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("kill chaos: count-only metrics:\n%s\nFillFromData of the trace:\n%s", got, want)
+	}
+	if events != int64(d.NumEvents()) || makespan != d.Makespan() {
+		t.Errorf("kill chaos: Condense = %d events, makespan %v; trace holds %d, %v", events, makespan, d.NumEvents(), d.Makespan())
 	}
 }

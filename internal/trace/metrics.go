@@ -12,9 +12,10 @@ package trace
 import (
 	"encoding/json"
 	"io"
-	"math"
 	"sort"
 	"sync"
+
+	"repro/internal/vclock"
 )
 
 // Registry holds named metrics. Safe for concurrent use; the zero value
@@ -26,10 +27,9 @@ type Registry struct {
 	hists    map[string]*histogram
 }
 
-// histogram accumulates observations into power-of-two buckets.
+// histogram accumulates observations into power-of-four buckets.
 type histogram struct {
-	counts map[float64]int64 // upper bound -> count (+Inf bucket keyed by -1 in snapshot)
-	over   int64             // observations above the largest bound
+	counts [len(histBounds) + 1]int64 // per bucket of histBounds, then the +Inf bucket
 	sum    float64
 	n      int64
 }
@@ -37,15 +37,37 @@ type histogram struct {
 // histBounds are the fixed histogram bucket upper bounds (inclusive):
 // powers of four from 1 to 4^12 ≈ 16.7M, a range that covers both message
 // sizes in bytes and durations in microseconds.
-var histBounds = func() []float64 {
-	var b []float64
+var histBounds = func() (b [13]float64) {
 	v := 1.0
-	for i := 0; i <= 12; i++ {
-		b = append(b, v)
+	for i := range b {
+		b[i] = v
 		v *= 4
 	}
 	return b
 }()
+
+// observe counts v in the first bucket whose bound holds it, or in the
+// +Inf bucket.
+func (h *histogram) observe(v float64) {
+	i := len(histBounds)
+	for j, b := range histBounds {
+		if v <= b {
+			i = j
+			break
+		}
+	}
+	h.counts[i]++
+	h.sum += v
+	h.n++
+}
+
+func (h *histogram) merge(o *histogram) {
+	for i, c := range o.counts {
+		h.counts[i] += c
+	}
+	h.sum += o.sum
+	h.n += o.n
+}
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
@@ -67,30 +89,6 @@ func (g *Registry) Add(name string, delta int64) {
 func (g *Registry) SetGauge(name string, v float64) {
 	g.mu.Lock()
 	g.gauges[name] = v
-	g.mu.Unlock()
-}
-
-// Observe records one observation into a histogram.
-func (g *Registry) Observe(name string, v float64) {
-	g.mu.Lock()
-	h := g.hists[name]
-	if h == nil {
-		h = &histogram{counts: make(map[float64]int64)}
-		g.hists[name] = h
-	}
-	placed := false
-	for _, b := range histBounds {
-		if v <= b {
-			h.counts[b]++
-			placed = true
-			break
-		}
-	}
-	if !placed {
-		h.over++
-	}
-	h.sum += v
-	h.n++
 	g.mu.Unlock()
 }
 
@@ -144,13 +142,13 @@ func (g *Registry) Snapshot() Snapshot {
 	for _, name := range sortedKeys(g.hists) {
 		h := g.hists[name]
 		hs := HistogramSnapshot{Name: name, Count: h.n, Sum: h.sum}
-		for _, b := range histBounds {
-			if c := h.counts[b]; c > 0 {
+		for i, b := range histBounds {
+			if c := h.counts[i]; c > 0 {
 				hs.Buckets = append(hs.Buckets, Bucket{LE: b, Count: c})
 			}
 		}
-		if h.over > 0 {
-			hs.Buckets = append(hs.Buckets, Bucket{LE: -1, Count: h.over})
+		if c := h.counts[len(histBounds)]; c > 0 {
+			hs.Buckets = append(hs.Buckets, Bucket{LE: -1, Count: c})
 		}
 		s.Histograms = append(s.Histograms, hs)
 	}
@@ -176,26 +174,71 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// FillFromData populates standard trace-derived metrics: per-kind event
-// counters, a message-size histogram over sends, and gauges for makespan
-// and drop/unclosed counts.
+// FillFromData populates standard trace-derived metrics — per-kind event
+// counters, a message-size histogram over sends, gauges for makespan and
+// drop/unclosed counts — by folding d's events through the tally a
+// count-only Recorder keeps per rank (Recorder.Condense).
 func (g *Registry) FillFromData(d *Data) {
-	var counts [math.MaxUint8 + 1]int64 // by Kind
+	var t tally
 	for _, evs := range d.PerRank {
 		for i := range evs {
-			e := &evs[i]
-			counts[e.Kind]++
-			if e.Kind == KindSend {
-				g.Observe("send_bytes", float64(e.Bytes))
-			}
+			t.add(&evs[i])
 		}
 	}
-	for k, n := range counts {
+	t.fill(g, d.Meta.Dropped, d.Meta.Unclosed)
+}
+
+// tally is what FillFromData reports of a stream of events, folded one
+// event at a time in fixed space.
+type tally struct {
+	kinds [len(kindNames)]int64 // events per Kind; unnamed kinds count at 0, "unknown"
+	sends histogram             // Bytes of the KindSend events
+	end   vclock.Time           // the latest End
+}
+
+func (t *tally) add(e *Event) {
+	k := int(e.Kind)
+	if k >= len(t.kinds) {
+		k = 0
+	}
+	t.kinds[k]++
+	if e.Kind == KindSend {
+		t.sends.observe(float64(e.Bytes))
+	}
+	if e.End > t.end {
+		t.end = e.End
+	}
+}
+
+func (t *tally) merge(o *tally) {
+	for k, n := range o.kinds {
+		t.kinds[k] += n
+	}
+	t.sends.merge(&o.sends)
+	t.end = max(t.end, o.end)
+}
+
+// fill writes the tally into g, with the dropped and unclosed counts of
+// the run it describes, and returns the number of events it holds.
+func (t *tally) fill(g *Registry, dropped, unclosed int64) (events int64) {
+	for k, n := range t.kinds {
 		if n > 0 {
 			g.Add("events_"+Kind(k).String()+"_total", n)
 		}
+		events += n
 	}
-	g.SetGauge("trace_makespan_s", float64(d.Makespan()))
-	g.Add("trace_dropped_events_total", d.Meta.Dropped)
-	g.Add("trace_unclosed_regions_total", d.Meta.Unclosed)
+	if t.sends.n > 0 {
+		g.mu.Lock()
+		h := g.hists["send_bytes"]
+		if h == nil {
+			h = new(histogram)
+			g.hists["send_bytes"] = h
+		}
+		h.merge(&t.sends)
+		g.mu.Unlock()
+	}
+	g.SetGauge("trace_makespan_s", float64(t.end))
+	g.Add("trace_dropped_events_total", dropped)
+	g.Add("trace_unclosed_regions_total", unclosed)
+	return events
 }

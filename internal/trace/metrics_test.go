@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -13,16 +14,19 @@ func TestRegistrySnapshotSortedAndDeterministic(t *testing.T) {
 		g.Add("alpha", 1)
 		g.SetGauge("g2", 2.5)
 		g.SetGauge("g1", 1.5)
-		g.Observe("h", 3)   // bucket le=4
-		g.Observe("h", 100) // bucket le=256
-		g.Observe("h", 1e9) // overflow
+		// Sends of 3, 100 and 1e9 bytes: buckets le=4, le=256 and the overflow.
+		g.FillFromData(&Data{PerRank: [][]Event{{{Kind: KindSend, Bytes: 3}, {Kind: KindSend, Bytes: 100}, {Kind: KindSend, Bytes: 1e9}}}})
 		return g
 	}
 	s := fill().Snapshot()
-	if len(s.Counters) != 2 || s.Counters[0].Name != "alpha" || s.Counters[1].Name != "zebra" {
-		t.Fatalf("counters = %+v", s.Counters)
+	var names []string
+	for _, c := range s.Counters {
+		names = append(names, c.Name)
 	}
-	if len(s.Gauges) != 2 || s.Gauges[0].Name != "g1" {
+	if want := []string{"alpha", "events_send_total", "trace_dropped_events_total", "trace_unclosed_regions_total", "zebra"}; !slices.Equal(names, want) {
+		t.Fatalf("counters = %+v, want the names %v", s.Counters, want)
+	}
+	if len(s.Gauges) != 3 || s.Gauges[0].Name != "g1" {
 		t.Fatalf("gauges = %+v", s.Gauges)
 	}
 	if len(s.Histograms) != 1 {
@@ -56,7 +60,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				g.Add("c", 1)
-				g.Observe("h", float64(j))
+				g.FillFromData(&Data{PerRank: [][]Event{{{Kind: KindSend, Bytes: int64(j)}}}})
 			}
 		}()
 	}

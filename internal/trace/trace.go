@@ -14,9 +14,11 @@
 // the rank it describes (simulated processes are goroutine-confined), so
 // each shard has exactly one writer and appends without locks; the
 // published count is an atomic so concurrent metadata reads (Dropped)
-// see a consistent value. When the recorder is not attached the
-// instrumentation in mpi/hmpi is a single nil check — zero allocations, no
-// atomic traffic.
+// see a consistent value. A count-only recorder (Options.CountOnly) keeps
+// no ring: each shard folds its events into a fixed-size tally of what
+// Registry.FillFromData reports, exact for any run length and never
+// allocating. When the recorder is not attached the instrumentation in
+// mpi/hmpi is a single nil check — zero allocations, no atomic traffic.
 //
 // Ownership rule (see bufpool.go in internal/mpi): events never
 // retain message payloads. An Event carries the byte count and metadata
@@ -135,6 +137,10 @@ type Options struct {
 	// are overwritten and counted as dropped. Zero means the default
 	// (16384 events/rank).
 	ShardCap int
+	// CountOnly keeps no events: Emit folds each into its rank's tally
+	// and Condense reports the tallies. Data then holds no events, and
+	// nothing is ever dropped.
+	CountOnly bool
 }
 
 const (
@@ -169,11 +175,12 @@ type regionFrame struct {
 // goroutine); n is atomic so post-run readers and metric snapshots load a
 // published count. events holds min(n, cap) retained events in a slice
 // that is reallocated as it grows, so only the writer, or a reader after
-// the run, may touch it.
+// the run, may touch it. A count-only recorder folds events into tally.
 type shard struct {
 	events  []Event
 	cap     int64        // retention bound: len(events) never exceeds it
 	n       atomic.Int64 // total emitted (monotone; retained = min(n, cap))
+	tally   tally
 	regions []regionFrame
 	badEnds atomic.Int64 // RegionEnd calls with no matching begin
 }
@@ -182,9 +189,10 @@ type shard struct {
 // NewRecorder, attach via mpi.World.SetRecorder (or the runtime helpers),
 // read after the run with Data.
 type Recorder struct {
-	start  time.Time
-	shards []shard
-	meta   Meta
+	start     time.Time
+	shards    []shard
+	meta      Meta
+	countOnly bool
 }
 
 // NewRecorder creates a recorder for nranks ranks.
@@ -193,7 +201,7 @@ func NewRecorder(nranks int, opts Options) *Recorder {
 	if cap <= 0 {
 		cap = defaultShardCap
 	}
-	r := &Recorder{start: time.Now(), shards: make([]shard, nranks)}
+	r := &Recorder{start: time.Now(), shards: make([]shard, nranks), countOnly: opts.CountOnly}
 	r.meta.NRanks = nranks
 	for i := range r.shards {
 		r.shards[i].cap = int64(cap)
@@ -208,9 +216,13 @@ func (r *Recorder) NowNS() int64 { return time.Since(r.start).Nanoseconds() }
 // Emit records one event on rank's shard. Must be called from the
 // goroutine owning that rank (the simulation confines each rank to one
 // goroutine, so every instrumentation site satisfies this for free). It
-// allocates only when the shard grows.
+// allocates only when the shard grows, and never on a count-only recorder.
 func (r *Recorder) Emit(rank int, e Event) {
 	s := &r.shards[rank]
+	if r.countOnly {
+		s.tally.add(&e)
+		return
+	}
 	n := s.n.Load()
 	if n == int64(len(s.events)) && n < s.cap {
 		grown := make([]Event, min(max(2*n, shardBlock), s.cap))
@@ -269,6 +281,20 @@ func (r *Recorder) SetMeta(m Meta) {
 		m.NRanks = len(r.shards)
 	}
 	r.meta = m
+}
+
+// Condense writes into g, from a count-only recorder's tallies, what
+// FillFromData(r.Data()) writes for a retaining recorder of the same run,
+// and returns the number of events emitted and their latest End. Call
+// after the run; a retaining recorder's tallies are empty.
+func (r *Recorder) Condense(g *Registry) (events int64, makespan vclock.Time) {
+	var t tally
+	var unclosed int64
+	for i := range r.shards {
+		t.merge(&r.shards[i].tally)
+		unclosed += int64(len(r.shards[i].regions))
+	}
+	return t.fill(g, 0, unclosed), t.end
 }
 
 // Dropped returns the number of events lost to ring overwrites so far.

@@ -126,6 +126,60 @@ func TestRecorderAllocationFollowsEvents(t *testing.T) {
 	}
 }
 
+// TestCountOnlyEmitAllocatesNothing: a count-only recorder folds each
+// event into a fixed-size tally, so Emit allocates nothing at any count —
+// the first event, and far past what a ring of ShardCap would hold.
+func TestCountOnlyEmitAllocatesNothing(t *testing.T) {
+	r := NewRecorder(2, Options{ShardCap: 4, CountOnly: true})
+	e := Event{Kind: KindSend, Bytes: 100, End: 1}
+	if allocs := testing.AllocsPerRun(1000, func() { r.Emit(1, e) }); allocs != 0 {
+		t.Errorf("count-only Emit allocates %.1f times per call", allocs)
+	}
+	if d := r.Data(); d.NumEvents() != 0 || d.Meta.Dropped != 0 || r.Dropped() != 0 {
+		t.Errorf("count-only recorder retained %d events, dropped %d/%d; want none", d.NumEvents(), d.Meta.Dropped, r.Dropped())
+	}
+}
+
+// TestCondenseMatchesFillFromData is the one fold seen from both feeders:
+// the same calls on a count-only and a retaining recorder — every kind,
+// unnamed ones included, send sizes in every histogram bucket and past the
+// last, regions closed, unmatched and left open — condense to
+// byte-identical snapshots, event counts and makespans.
+func TestCondenseMatchesFillFromData(t *testing.T) {
+	count := NewRecorder(3, Options{CountOnly: true})
+	keep := NewRecorder(3, Options{})
+	for _, r := range []*Recorder{count, keep} {
+		for i := 0; i < 600; i++ {
+			rank := i % 3
+			r.Emit(rank, Event{
+				Rank: int32(rank), Kind: Kind(i % 30), Bytes: int64(1) << (i % 31),
+				Start: vclock.Time(i), End: vclock.Time((i * 7919) % 1000),
+			})
+		}
+		r.RegionBegin(0, "closed", 5)
+		r.RegionEnd(0, "closed", 2000)
+		r.RegionEnd(1, "ghost", 6)
+		r.RegionBegin(2, "open", 7)
+	}
+	gc, gk := NewRegistry(), NewRegistry()
+	nc, mc := count.Condense(gc)
+	d := keep.Data()
+	gk.FillFromData(d)
+	var a, b bytes.Buffer
+	if err := gc.Snapshot().WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := gk.Snapshot().WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("count-only snapshot:\n%s\nFillFromData of the retained events:\n%s", a.Bytes(), b.Bytes())
+	}
+	if nc != int64(d.NumEvents()) || mc != d.Makespan() || mc != 2000 {
+		t.Errorf("Condense = %d events, makespan %v; retained %d, %v", nc, mc, d.NumEvents(), d.Makespan())
+	}
+}
+
 func TestRecorderNoWrap(t *testing.T) {
 	r := NewRecorder(2, Options{ShardCap: 8})
 	r.Emit(1, Event{Rank: 1, Kind: KindSend, Peer: 0, Start: 1, End: 2})
