@@ -1,14 +1,13 @@
 // Command hmpiverify replays recorded HMPT traces and checks them
-// against the semantics of the message-passing model. It is the dynamic
-// counterpart of hmpivet: where hmpivet analyzes source, hmpiverify
-// checks what one execution actually did — message matching and FIFO
-// order, collective-sequence consistency across the members of each
-// communicator, balanced trace regions, AnySource message races, and
-// nonblocking-request lifecycles (every posted Isend/Irecv must reach a
-// wait or a successful test in clean runs). A deadlocked run writes no
-// trace: the runtime ends it with an "mpi: deadlock" error naming every
-// wait. Nor is a leaked group a trace check: Run fails when a process
-// returns still a member of a group.
+// against the semantics of the message-passing model: what one execution
+// actually did — message matching and FIFO order, collective-sequence
+// consistency across the members of each communicator, balanced trace
+// regions, AnySource message races, and nonblocking-request lifecycles
+// (every posted Isend/Irecv must reach a wait or a successful test in
+// clean runs). A deadlocked run writes no trace: the runtime ends it with
+// an "mpi: deadlock" error naming every wait. Nor is a leaked group a
+// trace check: Run fails when a process returns still a member of a
+// group.
 //
 // Usage:
 //

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/trace"
 	"repro/internal/vclock"
+	"repro/internal/verify"
 )
 
 // writeTrace serialises a snapshot to a temp HMPT file.
@@ -201,5 +204,33 @@ func TestMissingFile(t *testing.T) {
 	var out bytes.Buffer
 	if code := run([]string{filepath.Join(t.TempDir(), "absent.hmpt")}, "", false, &out); code != 2 {
 		t.Fatalf("exit = %d, want 2", code)
+	}
+}
+
+// TestAnalyzersDocumented: docs/ANALYZERS.md has one `### <name> —`
+// section per check under its hmpiverify heading, so adding or deleting a
+// check cannot leave the doc behind.
+func TestAnalyzersDocumented(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "ANALYZERS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tool string
+	var got []string
+	for _, line := range strings.Split(string(doc), "\n") {
+		if h, ok := strings.CutPrefix(line, "## "); ok {
+			tool, _, _ = strings.Cut(h, " ")
+		}
+		if h, ok := strings.CutPrefix(line, "### "); ok && tool == "hmpiverify" {
+			if name, _, ok := strings.Cut(h, " — "); ok {
+				got = append(got, name)
+			}
+		}
+	}
+	want := slices.Clone(verify.AllChecks)
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("docs/ANALYZERS.md hmpiverify sections %v, want %v", got, want)
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestShippedModelsAreTheCompiledOnes: the model files under models/ —
-// what hmpivet lints and the pmdl fuzz and golden corpora read — are the
+// what pmc -lint checks and the pmdl fuzz and golden corpora read — are the
 // models the applications compile, up to formatting.
 func TestShippedModelsAreTheCompiledOnes(t *testing.T) {
 	for file, m := range map[string]*pmdl.Model{

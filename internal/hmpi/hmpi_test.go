@@ -3,11 +3,13 @@ package hmpi
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/hnoc"
-
+	"repro/internal/mpi"
 	"repro/internal/pmdl"
 )
 
@@ -390,15 +392,51 @@ func TestMakespanPositiveAfterWork(t *testing.T) {
 }
 
 func TestReconRejectsBadBenchmarks(t *testing.T) {
-	rt := newRuntime(t, hnoc.Homogeneous(2, 10))
-	err := rt.Run(func(h *Process) error {
-		if err := h.Recon(BenchmarkFunc{}); err == nil {
-			return fmt.Errorf("empty benchmark accepted")
-		}
+	// A benchmark measures its process alone: one that sends or receives
+	// fails on every rank that did, naming it, before the speeds are
+	// shared. %d in want is the rank; an empty want means Recon succeeds.
+	ring := func(p *mpi.Proc) error {
+		p.Compute(1)
+		w := p.CommWorld()
+		w.Sendrecv((w.Rank()+1)%w.Size(), 0, []byte{1}, (w.Rank()+w.Size()-1)%w.Size(), 0)
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		bench BenchmarkFunc
+		want  string
+	}{
+		{"empty", BenchmarkFunc{}, "positive volume"},
+		{"barrier", BenchmarkFunc{Units: 1, Run: func(p *mpi.Proc) error {
+			p.Compute(1)
+			p.CommWorld().Barrier()
+			return nil
+		}}, "hmpi: benchmark on process %d communicated"},
+		{"p2p ring", BenchmarkFunc{Units: 1, Run: ring}, "hmpi: benchmark on process %d communicated"},
+		{"default", DefaultBenchmark(1), ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRuntime(t, hnoc.Homogeneous(3, 10))
+			err := rt.Run(func(h *Process) error {
+				err := h.Recon(tc.bench)
+				switch {
+				case tc.want == "" && err != nil:
+					return err
+				case tc.want != "" && err == nil:
+					return fmt.Errorf("rank %d: benchmark accepted", h.Rank())
+				case tc.want != "" && !strings.Contains(err.Error(), strings.ReplaceAll(tc.want, "%d", fmt.Sprint(h.Rank()))):
+					return fmt.Errorf("rank %d: %v, want %q", h.Rank(), err, tc.want)
+				}
+				if got := h.Speeds(); !slices.Equal(got, []float64{10, 10, 10}) {
+					return fmt.Errorf("rank %d: speeds %v, want the nominal 10s", h.Rank(), got)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

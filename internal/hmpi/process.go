@@ -82,14 +82,20 @@ func DefaultBenchmark(units float64) BenchmarkFunc {
 // processes. It must be called collectively by all processes. Applications
 // whose machines carry changing external load call Recon before creating
 // groups so the selection reflects actual rather than nominal speeds.
+// The benchmark measures its process alone, so it must not communicate: a
+// message would time its peers and the network too, and Recon fails on a
+// process whose benchmark sent or received one.
 func (h *Process) Recon(bench BenchmarkFunc) error {
 	if bench.Run == nil || bench.Units <= 0 {
 		return fmt.Errorf("hmpi: Recon needs a benchmark with positive volume")
 	}
 	t0, w0 := h.traceStart()
-	start := h.proc.Now()
+	start, before := h.proc.Now(), h.proc.Stats()
 	if err := bench.Run(h.proc); err != nil {
 		return fmt.Errorf("hmpi: benchmark failed on process %d: %w", h.Rank(), err)
+	}
+	if after := h.proc.Stats(); after.MsgsSent != before.MsgsSent || after.MsgsRecv != before.MsgsRecv {
+		return fmt.Errorf("hmpi: benchmark on process %d communicated", h.Rank())
 	}
 	elapsed := float64(h.proc.Now() - start)
 	if elapsed <= 0 {

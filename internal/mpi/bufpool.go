@@ -19,8 +19,8 @@ package mpi
 //     collRun.deliver in collexec.go) enforce copy-on-retain: payloads
 //     handed onward to user code leave through envelope.retained, which
 //     copies them out of the pooled buffer first; payloads folded into an
-//     accumulator are used in place and recycled without a copy (hmpivet's
-//     bufalias reports an in-place consumer that keeps e.data).
+//     accumulator are used in place and recycled without a copy (a
+//     consumer that keeps e.data fails the collective tests: mutant 17).
 
 import (
 	"math/bits"

@@ -64,8 +64,8 @@ func TestDeadlockDetected(t *testing.T) {
 			c.AgreeFailed()
 		},
 			"mpi: deadlock: rank 0 waits in an agreement; rank 1 waits in an agreement; rank 2 waits in an agreement; rank 3 waits in recv for source 0 tag 0 context 0"},
-		// What the static deadlock analyzer and tagconst's disjoint-tag
-		// rule flagged, found at run time instead.
+		// A cycle of receives, or tags that differ per rank, found at run
+		// time.
 		{"receive-only cycle", func(c *Comm) {
 			if me := c.Rank(); me < 2 {
 				c.Recv(1-me, 9)

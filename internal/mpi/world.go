@@ -475,6 +475,10 @@ func (p *Proc) Rank() int { return p.rank }
 // Now returns the process's current virtual time.
 func (p *Proc) Now() vclock.Time { return p.clock.Now() }
 
+// Stats returns what the process has counted so far: its computation and
+// every message it sent or received, collectives' included.
+func (p *Proc) Stats() Stats { return p.stats }
+
 // Compute advances the process's virtual clock by the time its machine
 // needs to execute `units` benchmark units of computation, honouring the
 // machine's external load profile. It is the hook through which

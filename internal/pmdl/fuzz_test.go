@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// Model text and instantiation arguments are user input (pmc, hmpivet, the
-// embedding program): whatever they hold, the answer is a value or an
+// Model text and instantiation arguments are user input (pmc, the embedding
+// program): whatever they hold, the answer is a value or an
 // error, never a panic. Both fuzzers start from every .mpc in the tree.
 
 func addModelSeeds(f *testing.F, add func(src string)) {

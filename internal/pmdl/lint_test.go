@@ -183,7 +183,7 @@ func TestAutoInstantiateFailure(t *testing.T) {
 
 // TestAutoInstantiateShippedModels pins the heuristic to the shipped model
 // set: every model in models/ must instantiate with the automatic small
-// arguments, so pmc -lint and hmpivet can analyse them with no -args.
+// arguments, so pmc -lint can analyse them with no -args.
 func TestAutoInstantiateShippedModels(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "models", "*.mpc"))
 	if err != nil || len(paths) == 0 {

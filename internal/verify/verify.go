@@ -3,11 +3,8 @@
 // phantom or lost messages, collective sequences consistent across the
 // members of each communicator, every trace region closed, every posted
 // request completed, and wildcard receives free of message races. It
-// complements the hmpivet static analyzers: hmpivet checks contracts in
-// the source, hmpiverify checks what one execution actually did.
-// Collective order, region balance and request completion are checked
-// here and not statically. Neither a deadlock nor a leaked group needs a
-// trace: the runtime ends a deadlocked run and reports it
+// checks what one execution actually did. Neither a deadlock nor a leaked
+// group needs a trace: the runtime ends a deadlocked run and reports it
 // (mpi.DeadlockError), and Run fails when a process returns still a
 // member of a group (hmpi.Runtime.Run).
 //
@@ -96,8 +93,7 @@ func (r *Report) add(check string, sev Severity, rank int, ctx int64, format str
 var AllChecks = []string{"matching", "collseq", "regions", "races", "requests"}
 
 // Run verifies the snapshot. With no explicit checks every check runs;
-// otherwise only the named ones (an unknown name is an error, matching
-// the hmpivet -only contract).
+// otherwise only the named ones (an unknown name is an error).
 func Run(d *trace.Data, checks ...string) (*Report, error) {
 	want := map[string]bool{}
 	if len(checks) == 0 {
