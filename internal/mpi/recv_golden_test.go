@@ -3,12 +3,14 @@ package mpi
 // Golden receives: the point-to-point receive paths whose matching rules
 // are easiest to get subtly wrong — a blocking receive behind an
 // overlapping posted Irecv, WaitAny over mixed requests, Sendrecv, a Test
-// spin and a traced flat Gather, whose drain takes messages in arrival
-// order — pinned per rank as the payloads and Status in the order
-// received, the final virtual clock (float64 bits) and every recv event's
-// Peer, Bytes and A1 (the wildcard flag). Both transports must reproduce
-// the same lines. `go test ./internal/mpi -run TestReceiveGolden -update`
-// rewrites testdata/recv.golden from the in-process run.
+// spin, a traced flat Gather, whose drain takes messages in arrival
+// order, and a backlog of a thousand messages on two communicators taken
+// out of posting order — pinned per rank as the payloads and Status in
+// the order received, the final virtual clock (float64 bits) and every
+// recv event's Peer, Bytes and A1 (the wildcard flag); a list of more
+// than 64 entries is pinned by its count and hash. Both transports must
+// reproduce the same lines. `go test ./internal/mpi -run TestReceiveGolden
+// -update` rewrites testdata/recv.golden from the in-process run.
 
 import (
 	"flag"
@@ -139,6 +141,61 @@ func recvCases() []recvCase {
 				runtime.Gosched()
 			}
 		}},
+		{name: "deep-queue/world+split", cluster: func() *hnoc.Cluster { return testCluster(3) }, body: func(c *Comm) (data [][]byte, sts []Status) {
+			// Rank 1 queues 2n+1 messages at rank 0, alternating CommWorld
+			// and a Split communicator over the same ranks, before rank 0
+			// takes any. Rank 0 then takes the world tags and the Split
+			// tags out of posting order, so most receives pop from inside
+			// a queue, and both queues stay non-empty to the end. Rank 2
+			// sends only after rank 1's messages are all queued, so the
+			// AnySource receives that find both senders take rank 1's.
+			const n = 510
+			sub := c.Split(0, c.Rank())
+			switch c.Rank() {
+			case 1:
+				for i := 0; i < n; i++ {
+					c.Send(0, i%3, pattern(16+i%3, i))
+					sub.Send(0, i%2, pattern(24, n+i))
+				}
+				c.Send(0, 9, []byte("done"))
+				return
+			case 2:
+				d, st := c.Recv(0, 8)
+				data, sts = got(data, sts, d, st)
+				for i := 0; i < 3; i++ {
+					c.Send(0, 2, pattern(32, 2*n+i))
+				}
+				return
+			}
+			first := sub.Irecv(1, 1)
+			d, st := c.Recv(1, 9)
+			data, sts = got(data, sts, d, st)
+			c.Send(2, 8, []byte("go"))
+			for i := 0; i < n; i += 3 {
+				src := 1
+				if i%2 == 1 {
+					src = AnySource
+				}
+				for _, tag := range []int{2, 0, 1} {
+					d, st = c.Recv(src, tag)
+					data, sts = got(data, sts, d, st)
+				}
+				for _, tag := range []int{1, 0} {
+					d, st = sub.Recv(1, tag)
+					data, sts = got(data, sts, d, st)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				d, st = c.Recv(AnySource, 2)
+				data, sts = got(data, sts, d, st)
+			}
+			for i := 0; i < n-1-2*n/3; i++ {
+				d, st = sub.Recv(AnySource, AnyTag)
+				data, sts = got(data, sts, d, st)
+			}
+			d, st = first.Wait()
+			return got(data, sts, d, st)
+		}},
 		{name: "gather-flat/paper9", cluster: hnoc.Paper9, tuning: &CollTuning{Gather: GatherFlat}, body: func(c *Comm) (data [][]byte, sts []Status) {
 			c.p.Compute(float64(10 * (9 - c.Rank())))
 			for _, part := range c.Gather(0, pattern(1000+c.Rank(), c.Rank())) {
@@ -172,31 +229,41 @@ func recvGoldenRun(t *testing.T, k recvCase, transport string) []string {
 	lines := make([]string, w.Size())
 	err := runWithTimeout(t, w, 30*time.Second, func(p *Proc) error {
 		data, sts := k.body(p.CommWorld())
-		var sb strings.Builder
+		var got []string
 		for i := range data {
-			if len(data[i]) <= 8 {
-				fmt.Fprintf(&sb, "%q", data[i])
-			} else {
-				fmt.Fprintf(&sb, "%d#%x", len(data[i]), goldenHash(goldenSeed, data[i]))
+			s := fmt.Sprintf("%q", data[i])
+			if len(data[i]) > 8 {
+				s = fmt.Sprintf("%d#%x", len(data[i]), goldenHash(goldenSeed, data[i]))
 			}
-			fmt.Fprintf(&sb, "%+v ", sts[i])
+			got = append(got, fmt.Sprintf("%s%+v ", s, sts[i]))
 		}
-		lines[p.Rank()] = sb.String()
+		lines[p.Rank()] = foldGolden(got, "%d#%x ")
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("%s/%s: %v", transport, k.name, err)
 	}
 	for r, evs := range rec.Data().PerRank {
-		lines[r] += fmt.Sprintf("clock=%x recv=[", math.Float64bits(float64(w.procs[r].clock.Now())))
+		var recvs []string
 		for _, e := range evs {
 			if e.Kind == trace.KindRecv {
-				lines[r] += fmt.Sprintf(" %d/%d/%d", e.Peer, e.Bytes, e.A1)
+				recvs = append(recvs, fmt.Sprintf(" %d/%d/%d", e.Peer, e.Bytes, e.A1))
 			}
 		}
-		lines[r] += " ]"
+		lines[r] += fmt.Sprintf("clock=%x recv=[%s ]", math.Float64bits(float64(w.procs[r].clock.Now())), foldGolden(recvs, " %d#%x"))
 	}
 	return lines
+}
+
+// foldGolden joins the entries of a golden line, or, past 64 of them,
+// prints their count and the hash of their join in format instead, so a
+// case of a thousand messages pins every one of them in one short line.
+func foldGolden(entries []string, format string) string {
+	s := strings.Join(entries, "")
+	if len(entries) <= 64 {
+		return s
+	}
+	return fmt.Sprintf(format, len(entries), goldenHash(goldenSeed, []byte(s)))
 }
 
 // TestReceiveGolden replays every case on both transports and demands the
