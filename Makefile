@@ -17,7 +17,9 @@ build:
 # pmdl concurrency tests (one Model, one Instance, many goroutines),
 # mpi's Auto agreement test (24 ranks racing to one World's priced
 # choices), the receive tests (the pinned receive paths on both
-# transports, and Probe leaving a posted Irecv its message), the abort
+# transports, Probe leaving a posted Irecv its message, a mailbox queue
+# that never drains, racing Fail marks), the copy-on-write link
+# degradation (Clones and views, racing DegradeLink calls), the abort
 # tests (a rank's panic unwinding peers blocked in a receive, a collective
 # or RunResilient), the deadlock tests (a run whose ranks all wait for
 # what none can send ends with the report, and no other run does), the
@@ -32,7 +34,8 @@ check: lint
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 -run 'Concurrent|SharedAcrossGoroutines' ./internal/pmdl
 	$(GO) test -race -count=5 -run TestAutoConcurrentAgreement ./internal/mpi
-	$(GO) test -race -count=5 -run 'TestReceiveGolden|TestProbe' ./internal/mpi
+	$(GO) test -race -count=5 -run 'TestReceiveGolden|TestProbe|TestMailbox|TestFailState' ./internal/mpi
+	$(GO) test -race -count=5 -run 'TestCloneDegradation|TestDegradeLinkConcurrent' ./internal/hnoc
 	$(GO) test -race -count=5 -run PanicAbortsWorld ./internal/mpi ./internal/hmpi
 	$(GO) test -race -count=5 -run TestDeadlock ./internal/mpi
 	$(GO) test -race -count=5 -run 'SharedCache|SolveMemo|ConcurrentMatchesSerial' ./internal/mapper ./internal/service

@@ -22,9 +22,9 @@ import (
 type Estimator struct {
 	inst      *pmdl.Instance
 	dag       *sched.DAG
-	cluster   *hnoc.Cluster
-	speeds    []float64 // estimated speed per world process
-	placement []int     // world rank -> machine index
+	links     hnoc.LinkView // the network's links as of New
+	speeds    []float64     // estimated speed per world process
+	placement []int         // world rank -> machine index
 
 	// Search-support state, precomputed once so the group-selection
 	// engine's hot path touches only read-only data:
@@ -33,15 +33,23 @@ type Estimator struct {
 	machClass []int     // machine -> link-interchangeability class
 }
 
-// New prepares an estimator. speeds[r] is the estimated speed of world
-// process r in benchmark units per second (from HMPI_Recon); placement[r]
-// is the machine process r runs on.
+// New prepares an estimator over the cluster's links as they are now: a
+// DegradeLink issued after New leaves its predictions unchanged. speeds[r]
+// is the estimated speed of world process r in benchmark units per second
+// (from HMPI_Recon); placement[r] is the machine process r runs on.
 func New(inst *pmdl.Instance, cluster *hnoc.Cluster, speeds []float64, placement []int) (*Estimator, error) {
+	return NewWithLinks(inst, cluster.LinkView(), speeds, placement)
+}
+
+// NewWithLinks is New over the given view of the links, so a caller that
+// has priced something else through the view — AppendNamespace — predicts
+// on the same network.
+func NewWithLinks(inst *pmdl.Instance, links hnoc.LinkView, speeds []float64, placement []int) (*Estimator, error) {
 	if len(speeds) != len(placement) {
 		return nil, fmt.Errorf("estimator: %d speeds for %d processes", len(speeds), len(placement))
 	}
 	for r, m := range placement {
-		if m < 0 || m >= cluster.Size() {
+		if m < 0 || m >= links.Size() {
 			return nil, fmt.Errorf("estimator: process %d placed on machine %d out of range", r, m)
 		}
 		if speeds[r] <= 0 {
@@ -67,12 +75,12 @@ func New(inst *pmdl.Instance, cluster *hnoc.Cluster, speeds []float64, placement
 	return &Estimator{
 		inst:      inst,
 		dag:       dag,
-		cluster:   cluster,
+		links:     links,
 		speeds:    append([]float64(nil), speeds...),
 		placement: append([]int(nil), placement...),
 		compBusy:  compBusy,
 		maxSpeed:  maxSpeed,
-		machClass: classifyMachines(cluster),
+		machClass: classifyMachines(links),
 	}, nil
 }
 
@@ -116,7 +124,7 @@ func (e *Estimator) NaiveTimeof(candidate []int) float64 {
 			if q == p {
 				continue
 			}
-			out := e.cluster.ModelLink(e.placement[r], e.placement[candidate[q]])
+			out := e.links.ModelLink(e.placement[r], e.placement[candidate[q]])
 			t += e.inst.CommVolume[p][q]/out.Bandwidth + e.inst.CommVolume[q][p]/out.Bandwidth
 		}
 		if t > worst {

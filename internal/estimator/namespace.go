@@ -10,8 +10,10 @@
 //
 //   - the model instance (pmdl.Instance.Digest: source and arguments, of
 //     which the task graph and the process count are pure functions);
-//   - the full all-pairs link-cost matrix, via ModelLink so degradation
-//     state is folded in (a degraded link is a different cost model).
+//   - the full all-pairs link-cost matrix, via a hnoc.LinkView so
+//     degradation state is folded in (a degraded link is a different cost
+//     model); a solve prices its namespace and its estimator through one
+//     view, so a concurrent DegradeLink cannot split them.
 //
 // Per-process speeds and placement are deliberately absent: the canonical
 // key already carries the speed of every selected process per position,
@@ -29,18 +31,18 @@ import (
 )
 
 // AppendNamespace appends a compact digest of the cost model — the model
-// instance and the cluster's link costs — to dst. Estimators of equal
+// instance and the view's link costs — to dst. Estimators of equal
 // namespaces agree on Timeof for key-equal candidates; a different
 // instance or different link costs (including degradation) give a
 // different namespace. Safe for concurrent use.
-func AppendNamespace(dst []byte, inst *pmdl.Instance, cluster *hnoc.Cluster) []byte {
-	n := cluster.Size()
+func AppendNamespace(dst []byte, inst *pmdl.Instance, links hnoc.LinkView) []byte {
+	n := links.Size()
 	b := make([]byte, 0, 8192) // on the stack; sixteen machines fit
 	b = append(b, inst.Digest[:]...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(n))
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			ls := cluster.ModelLink(i, j)
+			ls := links.ModelLink(i, j)
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ls.Latency))
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ls.Bandwidth))
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ls.Overhead))
@@ -68,9 +70,9 @@ func AppendMemoKey(dst, ns []byte, speeds []float64, placement []int) []byte {
 }
 
 // AppendNamespace is AppendNamespace of the estimator's instance and
-// cluster.
+// links.
 func (e *Estimator) AppendNamespace(dst []byte) []byte {
-	return AppendNamespace(dst, e.inst, e.cluster)
+	return AppendNamespace(dst, e.inst, e.links)
 }
 
 // AppendMemoKey is AppendMemoKey of the estimator's namespace, speeds and

@@ -76,7 +76,9 @@ func TestNamespaceSeparatesLinkCosts(t *testing.T) {
 }
 
 // TestNamespaceTracksDegradation: degrading a link changes what
-// ModelLink reports, so it must change the namespace too.
+// ModelLink reports, so it changes the namespace of an estimator built
+// after it. An estimator built before prices the links as of its New: its
+// namespace and its Timeof stay as they were, so the two never disagree.
 func TestNamespaceTracksDegradation(t *testing.T) {
 	inst := chainInstance(t)
 	cl, speeds, place := testNet()
@@ -84,11 +86,21 @@ func TestNamespaceTracksDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := nsOf(t, e)
+	cand := []int{0, 1}
+	before, timeBefore := nsOf(t, e), e.Timeof(cand)
 	cl.DegradeLink(0, 1, 4)
-	after := nsOf(t, e)
-	if bytes.Equal(before, after) {
+	if !bytes.Equal(nsOf(t, e), before) || e.Timeof(cand) != timeBefore {
+		t.Fatal("a DegradeLink after New changed the estimator's namespace or Timeof")
+	}
+	fresh, err := New(inst, cl, speeds, place)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(nsOf(t, fresh), before) {
 		t.Fatal("degrading a link did not change the namespace")
+	}
+	if fresh.Timeof(cand) <= timeBefore {
+		t.Fatalf("Timeof on the degraded link %v, want more than %v", fresh.Timeof(cand), timeBefore)
 	}
 }
 

@@ -32,14 +32,14 @@ type Session struct {
 
 // Session returns a fresh evaluation context for one search.
 func (e *Estimator) Session() *Session {
-	s := &Session{e: e, share: make([]int, e.cluster.Size())}
+	s := &Session{e: e, share: make([]int, e.links.Size())}
 	s.res = sched.Resources{
 		Speed: func(p int) float64 {
 			r := s.cand[p]
 			return e.speeds[r] / float64(s.share[e.placement[r]])
 		},
 		Link: func(src, dst int) sched.Link {
-			ls := e.cluster.ModelLink(e.placement[s.cand[src]], e.placement[s.cand[dst]])
+			ls := e.links.ModelLink(e.placement[s.cand[src]], e.placement[s.cand[dst]])
 			return sched.Link{Latency: ls.Latency, Bandwidth: ls.Bandwidth, Overhead: ls.Overhead}
 		},
 		SerialiseNIC: true,
@@ -146,7 +146,7 @@ func (e *Estimator) AppendCanonicalKey(dst []byte, cand []int) []byte {
 // apart: exploiting that symmetry would need whole-machine relabellings.
 // Safe for concurrent use.
 func (e *Estimator) ProcessClasses(avail []int) []int {
-	hosted := make([]int, e.cluster.Size()) // machine -> ranks of avail on it
+	hosted := make([]int, e.links.Size()) // machine -> ranks of avail on it
 	for _, r := range avail {
 		hosted[e.placement[r]]++
 	}
@@ -177,7 +177,7 @@ func sameCost(a, b hnoc.LinkSpec) bool {
 // The relation is transitive (any two members of a class see identical
 // links everywhere), so checking a candidate member against one class
 // representative suffices.
-func interchangeable(c *hnoc.Cluster, a, b int) bool {
+func interchangeable(c hnoc.LinkView, a, b int) bool {
 	if !sameCost(c.ModelLink(a, a), c.ModelLink(b, b)) || !sameCost(c.ModelLink(a, b), c.ModelLink(b, a)) {
 		return false
 	}
@@ -196,7 +196,7 @@ func interchangeable(c *hnoc.Cluster, a, b int) bool {
 // interchangeability classes. Machine speeds are deliberately ignored:
 // the estimator reads speed per process (from HMPI_Recon), and the
 // canonical key carries it separately per position.
-func classifyMachines(c *hnoc.Cluster) []int {
+func classifyMachines(c hnoc.LinkView) []int {
 	n := c.Size()
 	class := make([]int, n)
 	var reps []int // one representative machine per class

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/hnoc"
+	"repro/internal/mapper"
 	"repro/internal/mpi"
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -193,5 +194,43 @@ func TestDegradeObserveMapsToMachines(t *testing.T) {
 	}
 	if got := rt.DegradedPairs(); len(got) != 1 || got[0] != [2]int{0, 1} {
 		t.Fatalf("DegradedPairs = %v, want [(0,1)]", got)
+	}
+}
+
+// TestSolveSeesDegradation: a solve prices its selection-cache namespace
+// and its estimator through one view of the links, so the prediction it
+// caches is the one its namespace stands for. A solve after a DegradeLink
+// misses the healthy entry, prices the degraded links and agrees with an
+// uncached solve on the degraded cluster; clearing the degradation brings
+// the healthy entry back.
+func TestSolveSeesDegradation(t *testing.T) {
+	model := testModel(t)
+	args := []any{3, []int{10, 10, 1000}, 100}
+	cl := hnoc.Paper9()
+	cfg := Config{Cluster: cl, Selection: mapper.NewSelectionCache(0)}
+	predict := func(cfg Config) float64 {
+		t.Helper()
+		v, _, err := PredictTimeof(cfg, model, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	degradeAll := func(factor float64) {
+		for i := 0; i < cl.Size(); i++ {
+			for j := i + 1; j < cl.Size(); j++ {
+				cl.DegradeLink(i, j, factor)
+			}
+		}
+	}
+	healthy := predict(cfg)
+	degradeAll(8)
+	degraded := predict(cfg)
+	if uncached := predict(Config{Cluster: cl}); degraded != uncached || degraded <= healthy {
+		t.Fatalf("after DegradeLink: cached solve %v, uncached %v, healthy %v", degraded, uncached, healthy)
+	}
+	degradeAll(1)
+	if again := predict(cfg); again != healthy {
+		t.Fatalf("after clearing the degradation: %v, want the healthy %v", again, healthy)
 	}
 }

@@ -140,10 +140,11 @@ func (cfg Config) solve(placement []int, speeds []float64, avail []int, parentRa
 	if err != nil {
 		return nil, mapper.Assignment{}, err
 	}
+	links := cfg.Cluster.LinkView()
 	var opts mapper.Options
 	if cfg.Selection != nil {
 		opts.Shared = cfg.Selection
-		opts.Namespace = estimator.AppendNamespace(nil, inst, cfg.Cluster)
+		opts.Namespace = estimator.AppendNamespace(nil, inst, links)
 		opts.MemoKey = estimator.AppendMemoKey(nil, opts.Namespace, speeds, placement)
 	}
 	pr := mapper.Problem{
@@ -154,7 +155,7 @@ func (cfg Config) solve(placement []int, speeds []float64, avail []int, parentRa
 		SpeedOf: func(r int) float64 { return speeds[r] },
 	}
 	asg, err := mapper.SolveLazy(pr, opts, func(pr *mapper.Problem) error {
-		est, err := estimator.New(inst, cfg.Cluster, speeds, placement)
+		est, err := estimator.NewWithLinks(inst, links, speeds, placement)
 		if err != nil {
 			return err
 		}

@@ -2,7 +2,9 @@ package hnoc
 
 import (
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 )
 
 // Protocol identifies the network protocol used between a pair of machines.
@@ -90,14 +92,16 @@ type Cluster struct {
 	// flips concurrently with readers.
 	failMu sync.Mutex
 
-	// degMu guards degraded: per machine-pair slowdown factors observed at
+	// degraded holds the per machine-pair slowdown factors observed at
 	// run time (chronic link faults noticed by the degradation policy).
 	// They affect only ModelLink — the cost model's view — never Link, the
 	// simulation's ground truth: degradation is something the runtime
 	// *believes* about the network, and the belief steers group selection
-	// away from the affected pairs.
+	// away from the affected pairs. The map is copy-on-write: DegradeLink
+	// stores a new one under degMu, readers load the current one without a
+	// lock, and a Clone shares it.
 	degMu    sync.Mutex
-	degraded map[[2]int]float64
+	degraded atomic.Pointer[map[[2]int]float64]
 }
 
 // DegradeLink records that the link between machines i and j behaves
@@ -111,44 +115,73 @@ func (c *Cluster) DegradeLink(i, j int, factor float64) {
 	}
 	c.degMu.Lock()
 	defer c.degMu.Unlock()
+	next := make(map[[2]int]float64)
+	if old := c.degraded.Load(); old != nil {
+		maps.Copy(next, *old)
+	}
 	if factor <= 1 {
-		delete(c.degraded, [2]int{i, j})
-		return
+		delete(next, [2]int{i, j})
+	} else {
+		next[[2]int{i, j}] = factor
 	}
-	if c.degraded == nil {
-		c.degraded = make(map[[2]int]float64)
-	}
-	c.degraded[[2]int{i, j}] = factor
+	c.degraded.Store(&next)
 }
 
-// LinkDegradation returns the recorded slowdown factor for the machine
-// pair (1 when the pair is healthy). Safe for concurrent use.
-func (c *Cluster) LinkDegradation(i, j int) float64 {
+// LinkView is the cost model's view of a cluster's links at one moment:
+// the configured specifications worsened by the degradation recorded when
+// the view was taken. A later DegradeLink does not show in it, so
+// everything priced through one view prices the same network.
+type LinkView struct {
+	c        *Cluster
+	degraded map[[2]int]float64
+}
+
+// LinkView returns the cost model's view of the links as they are now.
+// Safe for concurrent use.
+func (c *Cluster) LinkView() LinkView {
+	v := LinkView{c: c}
+	if d := c.degraded.Load(); d != nil {
+		v.degraded = *d
+	}
+	return v
+}
+
+// Size returns the number of machines.
+func (v LinkView) Size() int { return v.c.Size() }
+
+// degradation returns the slowdown factor of the machine pair in the view
+// (1 when the pair is healthy).
+func (v LinkView) degradation(i, j int) float64 {
 	if i > j {
 		i, j = j, i
 	}
-	c.degMu.Lock()
-	defer c.degMu.Unlock()
-	if f, ok := c.degraded[[2]int{i, j}]; ok {
+	if f, ok := v.degraded[[2]int{i, j}]; ok {
 		return f
 	}
 	return 1
 }
 
-// ModelLink returns the cost model's view of the i->j link: the
-// configured specification worsened by any recorded degradation factor
-// (latency multiplied, bandwidth divided). The estimator and group
-// selection read links through this method; the simulation itself keeps
-// reading Link, so observed degradation changes predictions and
-// placement, not physics.
-func (c *Cluster) ModelLink(i, j int) LinkSpec {
-	l := c.Link(i, j)
-	if f := c.LinkDegradation(i, j); f > 1 {
+// ModelLink returns the view's i->j link: the configured specification
+// worsened by its degradation factor (latency multiplied, bandwidth
+// divided). The estimator and group selection read links through it; the
+// simulation itself keeps reading Link, so observed degradation changes
+// predictions and placement, not physics.
+func (v LinkView) ModelLink(i, j int) LinkSpec {
+	l := v.c.Link(i, j)
+	if f := v.degradation(i, j); f > 1 {
 		l.Latency *= f
 		l.Bandwidth /= f
 	}
 	return l
 }
+
+// LinkDegradation returns the recorded slowdown factor for the machine
+// pair (1 when the pair is healthy). Safe for concurrent use.
+func (c *Cluster) LinkDegradation(i, j int) float64 { return c.LinkView().degradation(i, j) }
+
+// ModelLink is LinkView().ModelLink: the cost model's current view of the
+// i->j link. Safe for concurrent use.
+func (c *Cluster) ModelLink(i, j int) LinkSpec { return c.LinkView().ModelLink(i, j) }
 
 // MarkFailed marks machine i as crashed (fault-tolerance extension). A
 // failed machine's processes are excluded from group selection and from
@@ -234,8 +267,9 @@ func (c *Cluster) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the cluster. Load profiles are shared (they
-// are immutable).
+// Clone returns a deep copy of the cluster. Load profiles and the
+// degradation map are shared (they are immutable; DegradeLink on either
+// cluster replaces its own map).
 func (c *Cluster) Clone() *Cluster {
 	out := &Cluster{
 		Machines:  append([]Machine(nil), c.Machines...),
@@ -243,14 +277,7 @@ func (c *Cluster) Clone() *Cluster {
 		Local:     c.Local,
 		Overrides: append([]LinkOverride(nil), c.Overrides...),
 	}
-	c.degMu.Lock()
-	if len(c.degraded) > 0 {
-		out.degraded = make(map[[2]int]float64, len(c.degraded))
-		for k, v := range c.degraded {
-			out.degraded[k] = v
-		}
-	}
-	c.degMu.Unlock()
+	out.degraded.Store(c.degraded.Load())
 	return out
 }
 

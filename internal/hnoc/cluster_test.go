@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -266,6 +267,69 @@ func TestCloneIsDeep(t *testing.T) {
 	d.Remote.Bandwidth = 1
 	if c.Machines[0].Speed == 999 || c.Remote.Bandwidth == 1 {
 		t.Fatal("Clone shares mutable state with original")
+	}
+}
+
+// TestCloneDegradationIndependent: a Clone starts with the original's
+// degradation, after which a DegradeLink on either cluster does not show
+// in the other, and a LinkView keeps the degradation it was taken with.
+func TestCloneDegradationIndependent(t *testing.T) {
+	a := Paper9()
+	a.DegradeLink(0, 1, 4)
+	b := a.Clone()
+	view := a.LinkView()
+	a.DegradeLink(2, 3, 8)
+	b.DegradeLink(1, 0, 1)
+	b.DegradeLink(4, 5, 2)
+	for _, c := range []struct {
+		name string
+		got  func(i, j int) float64
+		want map[[2]int]float64
+	}{
+		{"original", a.LinkDegradation, map[[2]int]float64{{0, 1}: 4, {2, 3}: 8, {4, 5}: 1}},
+		{"clone", b.LinkDegradation, map[[2]int]float64{{0, 1}: 1, {2, 3}: 1, {4, 5}: 2}},
+		{"view", view.degradation, map[[2]int]float64{{0, 1}: 4, {2, 3}: 1, {4, 5}: 1}},
+	} {
+		for pair, want := range c.want {
+			if got := c.got(pair[1], pair[0]); got != want {
+				t.Errorf("%s: degradation of %v = %v, want %v", c.name, pair, got, want)
+			}
+		}
+	}
+	if got, base := view.ModelLink(0, 1), a.Link(0, 1); got.Latency != 4*base.Latency || got.Bandwidth != base.Bandwidth/4 {
+		t.Errorf("view.ModelLink(0, 1) = %+v on a link of %+v degraded 4x", got, base)
+	}
+}
+
+// TestDegradeLinkConcurrent: DegradeLink calls racing with readers and
+// Clones lose no update.
+func TestDegradeLinkConcurrent(t *testing.T) {
+	c := Paper9()
+	n := c.Size()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for j := i + 1; j < n; j++ {
+				c.DegradeLink(i, j, float64(2+i+j))
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for j := 0; j < n; j++ {
+				_ = c.ModelLink(i, j)
+				_ = c.Clone().LinkDegradation(i, j)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if got := c.LinkDegradation(i, j); got != float64(2+i+j) {
+				t.Fatalf("degradation of (%d,%d) = %v, want %v", i, j, got, 2+i+j)
+			}
+		}
 	}
 }
 

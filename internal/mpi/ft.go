@@ -206,6 +206,7 @@ func (w *World) revokeCtx(id int64) {
 	w.revMu.Lock()
 	already := w.revoked[id]
 	w.revoked[id] = true
+	w.nRevoked.Store(int32(len(w.revoked)))
 	w.revMu.Unlock()
 	if already {
 		return
@@ -217,6 +218,9 @@ func (w *World) revokeCtx(id int64) {
 
 // ctxRevoked reports whether a context id has been revoked.
 func (w *World) ctxRevoked(id int64) bool {
+	if w.nRevoked.Load() == 0 {
+		return false
+	}
 	w.revMu.RLock()
 	defer w.revMu.RUnlock()
 	return w.revoked[id]

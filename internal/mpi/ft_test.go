@@ -302,6 +302,57 @@ func TestWorldFailedRanks(t *testing.T) {
 	}
 }
 
+// TestFailStateFirstMarkWins: concurrent Fail and FailPartitioned calls
+// on one rank mark it once. The hooks run once, and FailedKind, the error
+// a peer gets and the error a wait on the rank's own mailbox panics with
+// all report the kind of the mark that won.
+func TestFailStateFirstMarkWins(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		w := newTestWorld(t, 3)
+		var hooks sync.WaitGroup
+		hooks.Add(1) // a second run of the hooks panics on a negative count
+		w.OnFail(func(int) { hooks.Done() })
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if i%2 == 0 {
+					w.Fail(1)
+				} else {
+					w.FailPartitioned(1)
+				}
+			}()
+		}
+		wg.Wait()
+		hooks.Wait()
+		kind, failed := w.FailedKind(1)
+		if !failed || !w.IsFailed(1) || w.IsFailed(0) || w.IsFailed(2) {
+			t.Fatalf("round %d: failed ranks wrong after marking rank 1", round)
+		}
+		if got := w.failedError(1).Kind; got != kind {
+			t.Fatalf("round %d: a peer's error reports %v, FailedKind %v", round, got, kind)
+		}
+		if err, _ := w.procs[1].mbox.closedErr().(*ProcessFailedError); err == nil || err.Kind != kind {
+			t.Fatalf("round %d: the closed mailbox reports %v, FailedKind %v", round, w.procs[1].mbox.closedErr(), kind)
+		}
+	}
+}
+
+// TestFailStateOutOfRange: a rank outside the world is not failed.
+func TestFailStateOutOfRange(t *testing.T) {
+	w := newTestWorld(t, 3)
+	w.Fail(2)
+	for _, r := range []int{-1, 3, 1 << 40} {
+		if w.IsFailed(r) {
+			t.Errorf("IsFailed(%d) = true", r)
+		}
+		if kind, failed := w.FailedKind(r); failed || kind != FailureCrash {
+			t.Errorf("FailedKind(%d) = %v, %v", r, kind, failed)
+		}
+	}
+}
+
 // TestAbortedWaitLeavesTheQueue: a Wait that aborts — here the only possible
 // sender of an Irecv dies — takes its request out of the progress engine. A
 // corpse left there would claim the next matching message ahead of the

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -27,13 +28,6 @@ type envelope struct {
 	pbuf   *poolBuf    // non-nil when data is pool-backed (copy-on-retain)
 }
 
-// mbKey indexes a mailbox bucket: every queued message lives in the FIFO
-// of its (communicator context, sender) pair.
-type mbKey struct {
-	ctx int64
-	src int // world rank of the sender
-}
-
 // recvSel describes what a receive or probe accepts: one context, a
 // single source (world rank) or a candidate set, and a tag or AnyTag.
 type recvSel struct {
@@ -56,14 +50,14 @@ func (s recvSel) matchesTag(tag int) bool {
 }
 
 // mailbox holds the messages addressed to one process that no receive has
-// consumed yet, indexed by (context, sender) so a directed receive
-// inspects one short per-pair FIFO instead of scanning the whole backlog.
-// put, awaitArrival and the snapshot of enq form the only cross-goroutine
-// interaction in the simulation.
+// consumed yet: per sender world rank, one FIFO per context, so a directed
+// receive inspects one short per-pair FIFO instead of scanning the whole
+// backlog, and no receive hashes. put, awaitArrival and the snapshot of
+// enq form the only cross-goroutine interaction in the simulation.
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	q       map[mbKey][]*envelope
+	from    []sender // by sender world rank
 	closed  bool
 	aborted bool        // closed by World.abort rather than a failure
 	kind    FailureKind // why the owner failed, for error reporting
@@ -75,30 +69,89 @@ type mailbox struct {
 	// enq is the monotone enqueue counter; it stamps envelope.order. It
 	// is written under mu and snapshotted without it (Proc.await, Iprobe).
 	enq atomic.Int64
-
-	// maxSeq, when non-nil, records the highest sender sequence consumed
-	// per source: the duplicate-suppression window of the reliable
-	// delivery path. Per-sender sequences arrive monotonically (in-process
-	// delivery is synchronous with the send, the TCP transport is FIFO per
-	// connection), so a frame whose sequence does not advance the high
-	// mark is a duplicate injected on the wire. Enabled only when a link
-	// filter is installed; without one sequences always advance and the
-	// map would never fire.
-	maxSeq map[int]int64
+	// dedupe arms sender.maxSeq, the duplicate-suppression window of the
+	// reliable delivery path. Set only when a link filter is installed;
+	// without one sequences always advance and the check would never fire.
+	dedupe bool
 }
 
-func (m *mailbox) init() {
+// sender holds one sender's queued messages, a FIFO per context, and
+// maxSeq, the highest sequence consumed from it. Per-sender sequences
+// arrive monotonically (in-process delivery is synchronous with the send,
+// the TCP transport is FIFO per connection), so a frame whose sequence
+// does not advance maxSeq is a duplicate injected on the wire.
+type sender struct {
+	fifos  []fifo
+	maxSeq int64
+}
+
+// fifo is the queue of one (sender, context) pair: q[head:], oldest first.
+// Once empty its context is drained, and the next new context reuses it.
+type fifo struct {
+	ctx  int64
+	head int
+	q    []*envelope
+}
+
+const drained = math.MinInt64 // no communicator has this context id
+
+// find returns the sender's FIFO for ctx, or nil.
+func (s *sender) find(ctx int64) *fifo {
+	for i := range s.fifos {
+		if s.fifos[i].ctx == ctx {
+			return &s.fifos[i]
+		}
+	}
+	return nil
+}
+
+// push appends e to the FIFO of its context. A full backing array is
+// compacted in place when a take has freed a slot and doubled only when
+// every slot is queued, so a queue that never drains keeps its capacity
+// within twice its deepest backlog.
+func (s *sender) push(e *envelope) {
+	f := s.find(e.ctx)
+	if f == nil {
+		if f = s.find(drained); f == nil {
+			s.fifos = append(s.fifos, fifo{})
+			f = &s.fifos[len(s.fifos)-1]
+		}
+		f.ctx = e.ctx
+	}
+	if len(f.q) == cap(f.q) {
+		if f.head == 0 {
+			f.q = append(make([]*envelope, 0, max(2*len(f.q), 2)), f.q...)
+		} else {
+			n := copy(f.q, f.q[f.head:])
+			clear(f.q[n:])
+			f.q, f.head = f.q[:n], 0
+		}
+	}
+	f.q = append(f.q, e)
+}
+
+// take removes and returns q[i], moving the envelopes queued before it up
+// one slot, so taking the oldest is O(1).
+func (f *fifo) take(i int) *envelope {
+	e := f.q[i]
+	copy(f.q[f.head+1:i+1], f.q[f.head:i])
+	f.q[f.head] = nil
+	if f.head++; f.head == len(f.q) {
+		f.ctx, f.head, f.q = drained, 0, f.q[:0]
+	}
+	return e
+}
+
+func (m *mailbox) init(senders int) {
 	m.cond = sync.NewCond(&m.mu)
-	m.q = make(map[mbKey][]*envelope)
+	m.from = make([]sender, senders)
 }
 
 // enableDedupe arms duplicate suppression; called before Run when a link
 // filter (which may duplicate frames) is installed.
 func (m *mailbox) enableDedupe() {
 	m.mu.Lock()
-	if m.maxSeq == nil {
-		m.maxSeq = make(map[int]int64)
-	}
+	m.dedupe = true
 	m.mu.Unlock()
 }
 
@@ -109,65 +162,48 @@ func (m *mailbox) put(e *envelope) {
 		releaseEnvelope(e) // message to a failed process disappears
 		return
 	}
-	if m.maxSeq != nil && e.seq > 0 {
-		if last, ok := m.maxSeq[e.src]; ok && e.seq <= last {
+	s := &m.from[e.src]
+	if m.dedupe && e.seq > 0 {
+		if e.seq <= s.maxSeq {
 			m.mu.Unlock()
 			releaseEnvelope(e) // duplicate frame suppressed
 			return
 		}
-		m.maxSeq[e.src] = e.seq
+		s.maxSeq = e.seq
 	}
 	e.order = m.enq.Add(1) - 1
-	k := mbKey{ctx: e.ctx, src: e.src}
-	m.q[k] = append(m.q[k], e)
+	s.push(e)
 	m.wake()
 	m.mu.Unlock()
 }
 
-// locate returns the bucket and index of the earliest-queued envelope the
-// selector accepts. Buckets are FIFO, so within one bucket the first tag
-// match is the earliest; across buckets the enqueue order decides, which
-// preserves the pre-indexing semantics (earliest queued wins, so
-// per-sender delivery stays non-overtaking). Called with m.mu held.
-func (m *mailbox) locate(sel recvSel) (mbKey, int, bool) {
+// locate returns the FIFO and index of the earliest-queued envelope the
+// selector accepts. FIFOs are in arrival order, so within one the first
+// tag match is the earliest; across senders the enqueue order decides
+// (earliest queued wins, so per-sender delivery stays non-overtaking).
+// Called with m.mu held.
+func (m *mailbox) locate(sel recvSel) (*fifo, int) {
+	srcs := sel.srcs
 	if sel.src != AnySource {
-		k := mbKey{ctx: sel.ctx, src: sel.src}
-		for i, e := range m.q[k] {
-			if sel.matchesTag(e.tag) {
-				return k, i, true
+		srcs = []int{sel.src}
+	}
+	var best *fifo
+	bestI := 0
+	for _, src := range srcs {
+		f := m.from[src].find(sel.ctx)
+		if f == nil {
+			continue
+		}
+		for i := f.head; i < len(f.q); i++ {
+			if sel.matchesTag(f.q[i].tag) {
+				if best == nil || f.q[i].order < best.q[bestI].order {
+					best, bestI = f, i
+				}
+				break // FIFO: later entries are younger
 			}
 		}
-		return mbKey{}, 0, false
 	}
-	var bestK mbKey
-	bestI := -1
-	var bestOrder int64
-	for _, src := range sel.srcs {
-		k := mbKey{ctx: sel.ctx, src: src}
-		for i, e := range m.q[k] {
-			if !sel.matchesTag(e.tag) {
-				continue
-			}
-			if bestI < 0 || e.order < bestOrder {
-				bestK, bestI, bestOrder = k, i, e.order
-			}
-			break // FIFO bucket: later entries are younger
-		}
-	}
-	if bestI < 0 {
-		return mbKey{}, 0, false
-	}
-	return bestK, bestI, true
-}
-
-// pop removes and returns the envelope at (k, i). Called with m.mu held.
-func (m *mailbox) pop(k mbKey, i int) *envelope {
-	q := m.q[k]
-	e := q[i]
-	copy(q[i:], q[i+1:])
-	q[len(q)-1] = nil
-	m.q[k] = q[:len(q)-1]
-	return e
+	return best, bestI
 }
 
 // notify wakes the owner so it can re-evaluate its giveUp condition.
@@ -197,14 +233,14 @@ func (m *mailbox) wake() {
 func (m *mailbox) tryGet(sel recvSel, before int64, peek bool) *envelope {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k, i, ok := m.locate(sel)
-	if !ok || m.q[k][i].order >= before {
+	f, i := m.locate(sel)
+	if f == nil || f.q[i].order >= before {
 		return nil
 	}
 	if peek {
-		return m.q[k][i]
+		return f.q[i]
 	}
-	return m.pop(k, i)
+	return f.take(i)
 }
 
 // awaitArrival blocks until the enqueue counter moves past seen — some

@@ -82,8 +82,8 @@ func (p *Proc) progress() {
 	m.mu.Lock()
 	kept := q[:0]
 	for _, r := range q {
-		if k, i, ok := m.locate(r.rsel); ok {
-			r.env = m.pop(k, i)
+		if f, i := m.locate(r.rsel); f != nil {
+			r.env = f.take(i)
 		} else {
 			kept = append(kept, r)
 		}

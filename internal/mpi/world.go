@@ -51,9 +51,10 @@ type World struct {
 	nextCtx int64
 	ctxTab  map[ctxKey]int64
 
-	failedMu sync.RWMutex
-	failed   map[int]bool        // world ranks marked failed (fault injection)
-	failKind map[int]FailureKind // why each failed rank is unreachable
+	// failed holds, per world rank, 0 while the rank is alive and 1+kind
+	// once it is marked failed (fault injection); the first mark wins, and
+	// a check is one atomic load.
+	failed []atomic.Int32
 
 	// failHooks run after a rank is marked failed: transports close the
 	// rank's sockets, the HMPI runtime removes it from the free pool and
@@ -62,9 +63,11 @@ type World struct {
 	failHooks []func(rank int)
 
 	// revoked holds the context ids of revoked communicators (ULFM
-	// extension, see ft.go).
-	revMu   sync.RWMutex
-	revoked map[int64]bool
+	// extension, see ft.go); nRevoked counts them, so the check on every
+	// operation takes no lock until something is revoked.
+	revMu    sync.RWMutex
+	revoked  map[int64]bool
+	nRevoked atomic.Int32
 
 	// agreeTab holds in-flight failure agreements (ft.go).
 	agreeMu   sync.Mutex
@@ -139,8 +142,7 @@ func NewWorld(cluster *hnoc.Cluster, placement []int) *World {
 		place:    append([]int(nil), placement...),
 		nextCtx:  1,
 		ctxTab:   make(map[ctxKey]int64),
-		failed:   make(map[int]bool),
-		failKind: make(map[int]FailureKind),
+		failed:   make([]atomic.Int32, len(placement)),
 		revoked:  make(map[int64]bool),
 		agreeTab: make(map[ctxKey]*agreeState),
 	}
@@ -209,14 +211,9 @@ func (w *World) Fail(rank int) { w.failWithKind(rank, FailureCrash) }
 func (w *World) FailPartitioned(rank int) { w.failWithKind(rank, FailurePartition) }
 
 func (w *World) failWithKind(rank int, kind FailureKind) {
-	w.failedMu.Lock()
-	if w.failed[rank] {
-		w.failedMu.Unlock()
+	if !w.failed[rank].CompareAndSwap(0, 1+int32(kind)) {
 		return
 	}
-	w.failed[rank] = true
-	w.failKind[rank] = kind
-	w.failedMu.Unlock()
 	w.procs[rank].mbox.close(kind)
 	// Wake every blocked receiver so it can notice the failure.
 	for _, p := range w.procs {
@@ -264,21 +261,19 @@ func (p *Proc) opTick() {
 
 // IsFailed reports whether a world rank has been failed.
 func (w *World) IsFailed(rank int) bool {
-	w.failedMu.RLock()
-	defer w.failedMu.RUnlock()
-	return w.failed[rank]
+	_, failed := w.FailedKind(rank)
+	return failed
 }
 
 // FailedKind returns why a failed rank is unreachable (crash or suspected
 // partition). For a rank that has not failed it returns FailureCrash and
 // false.
 func (w *World) FailedKind(rank int) (FailureKind, bool) {
-	w.failedMu.RLock()
-	defer w.failedMu.RUnlock()
-	if !w.failed[rank] {
-		return FailureCrash, false
+	var v int32
+	if uint(rank) < uint(len(w.failed)) {
+		v = w.failed[rank].Load()
 	}
-	return w.failKind[rank], true
+	return FailureKind(max(v-1, 0)), v != 0
 }
 
 // failedError builds the error for communication with a failed rank,
@@ -463,7 +458,7 @@ type Stats struct {
 
 func newProc(w *World, rank int) *Proc {
 	p := &Proc{world: w, rank: rank, machine: w.place[rank]}
-	p.mbox.init()
+	p.mbox.init(len(w.place))
 	p.mbox.owner = rank
 	p.mbox.w = w
 	return p
