@@ -5,6 +5,4 @@ package pmdl
 
 type TraceNode = traceNode
 
-func (m *Model) AutoInstantiate() (*Instance, error) { return m.autoInstantiate() }
-
 func (inst *Instance) UnrollScheme() (*TraceNode, error) { return inst.unrollScheme() }

@@ -16,16 +16,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/apps"
-	"repro/internal/apps/em3d"
-	"repro/internal/apps/jacobi"
-	"repro/internal/apps/matmul"
-	"repro/internal/hnoc"
+	"repro/internal/goldencases"
 	"repro/internal/jobspec"
 	"repro/internal/pmdl"
 	"repro/internal/sched"
@@ -58,117 +53,6 @@ func checkGolden(t *testing.T, name string, got []byte) {
 		}
 	}
 	t.Fatalf("%s: got %d lines, want %d", path, len(gl), len(wl))
-}
-
-// goldenCase is one model bound to one argument list (nil: AutoInstantiate).
-type goldenCase struct {
-	name  string
-	model *pmdl.Model
-	args  []any
-}
-
-// appCases returns one case per plan the program prices under the
-// cluster's nominal speeds — what a job's HMPI_Timeof calls instantiate.
-func appCases(t *testing.T, name string, prog apps.Program, cluster *hnoc.Cluster) []goldenCase {
-	t.Helper()
-	plans, err := prog.Plans(cluster.Speeds())
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	var out []goldenCase
-	for i, plan := range plans {
-		n := name
-		if len(plans) > 1 {
-			n = fmt.Sprintf("%s/plan%d", name, i)
-		}
-		out = append(out, goldenCase{n, prog.Model(), plan.ModelArgs()})
-	}
-	return out
-}
-
-func em3dProgram(t *testing.T, nodes, p int) apps.Program {
-	t.Helper()
-	pr, err := em3d.Generate(em3d.Config{P: p, TotalNodes: nodes, Light: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &em3d.Program{Problem: pr, Opts: em3d.RunOptions{Iters: 2}}
-}
-
-func jacobiProgram(t *testing.T, grid, p int) apps.Program {
-	t.Helper()
-	pr, err := jacobi.Generate(jacobi.Config{Rows: grid, Cols: grid, Iters: 2, P: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &jacobi.Program{Problem: pr}
-}
-
-func matmulProgram(t *testing.T, n, r, m int, ls []int) apps.Program {
-	t.Helper()
-	pr, err := matmul.Generate(matmul.Config{M: m, R: r, N: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &matmul.Program{Problem: pr, Ls: ls}
-}
-
-// goldenCases lists the instances: the three shipped models at the paper's
-// sizes (matmul once per candidate block size of the L=0 search), the 32
-// small job shapes of the benchmark's select-cold and svc-repeat workloads
-// (bench/gen.go's jobSpecs with the seed's jitter at zero), and every .mpc
-// in the tree auto-instantiated.
-func goldenCases(t *testing.T) []goldenCase {
-	t.Helper()
-	paper9 := hnoc.Paper9()
-	var cases []goldenCase
-	cases = append(cases, appCases(t, "paper/em3d", em3dProgram(t, 400_000, 9), paper9)...)
-	cases = append(cases, appCases(t, "paper/matmul", matmulProgram(t, 90, 9, 3, jobspec.CandidateBlockSizes(3, 90)), paper9)...)
-	cases = append(cases, appCases(t, "paper/jacobi", jacobiProgram(t, 1800, 9), paper9)...)
-
-	for k := 0; k < 8; k++ {
-		cases = append(cases, appCases(t, fmt.Sprintf("small/em3d%d", k), em3dProgram(t, 6_000+1_000*k, 6), paper9)...)
-	}
-	for k := 0; k < 8; k++ {
-		cases = append(cases, appCases(t, fmt.Sprintf("small/jacobi%d", k), jacobiProgram(t, 100+16*k, 6), paper9)...)
-	}
-	for k := 0; k < 8; k++ {
-		cases = append(cases, appCases(t, fmt.Sprintf("small/matmul%d", k), matmulProgram(t, 12+3*(k%4), 6+k/4, 3, []int{3}), paper9)...)
-	}
-	wide := &hnoc.Cluster{Remote: hnoc.Ethernet100(), Local: hnoc.SharedMemory()}
-	for i, s := range []float64{46, 176, 106, 9, 46, 60, 88, 30, 46, 120, 75, 20, 46, 150, 95, 12} {
-		wide.Machines = append(wide.Machines, hnoc.Machine{Name: fmt.Sprintf("wide%02d", i), Speed: s})
-	}
-	for k := 0; k < 8; k++ {
-		p := 14 + 2*(k%2)
-		if k < 4 {
-			cases = append(cases, appCases(t, fmt.Sprintf("small/wide-em3d%d", k), em3dProgram(t, 16_000+4_000*k, p), wide)...)
-		} else {
-			cases = append(cases, appCases(t, fmt.Sprintf("small/wide-jacobi%d", k), jacobiProgram(t, 240+40*(k-4), p), wide)...)
-		}
-	}
-
-	var files []string
-	for _, pat := range []string{"../../models/*.mpc", "testdata/lint/*.mpc"} {
-		m, err := filepath.Glob(pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, m...)
-	}
-	sort.Strings(files)
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := pmdl.ParseModel(string(src))
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		cases = append(cases, goldenCase{"auto/" + filepath.Base(f), m, nil})
-	}
-	return cases
 }
 
 // dagDigest hashes a task graph: kind, endpoints, volume bits and
@@ -237,14 +121,14 @@ func bitsOf(xs []float64) string {
 
 // renderInstance is one golden entry: every stage's outcome, errors
 // included (an auto-instantiation that fails is pinned as its message).
-func renderInstance(b *strings.Builder, c goldenCase) {
-	fmt.Fprintf(b, "== %s\n", c.name)
+func renderInstance(b *strings.Builder, c goldencases.Case) {
+	fmt.Fprintf(b, "== %s\n", c.Name)
 	var inst *pmdl.Instance
 	var err error
-	if c.args == nil {
-		inst, err = c.model.AutoInstantiate()
+	if c.Args == nil {
+		inst, err = c.Model.AutoInstantiate()
 	} else {
-		inst, err = c.model.Instantiate(c.args...)
+		inst, err = c.Model.Instantiate(c.Args...)
 	}
 	if err != nil {
 		fmt.Fprintf(b, "instantiate: %v\n", err)
@@ -271,7 +155,11 @@ func renderInstance(b *strings.Builder, c goldenCase) {
 
 func TestInstancesGolden(t *testing.T) {
 	var b strings.Builder
-	for _, c := range goldenCases(t) {
+	cases, err := goldencases.Cases("../../models", "testdata/lint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
 		renderInstance(&b, c)
 	}
 	checkGolden(t, "instances.golden", []byte(b.String()))
@@ -441,14 +329,16 @@ func TestLoopLimitError(t *testing.T) {
 // op instantiates the matmul model at each of the six candidate block sizes
 // of the paper's problem and builds each task graph.
 func BenchmarkPaperMatmulSweep(b *testing.B) {
-	var t testing.T
-	cases := appCases(&t, "paper/matmul", matmulProgram(&t, 90, 9, 3, jobspec.CandidateBlockSizes(3, 90)), hnoc.Paper9())
+	cases, err := goldencases.Matmul(90, 9, 3, jobspec.CandidateBlockSizes(3, 90))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, stage := range []string{"instantiate", "builddag"} {
 		b.Run(stage, func(b *testing.B) {
 			insts := make([]*pmdl.Instance, len(cases))
 			for i, c := range cases {
 				var err error
-				if insts[i], err = c.model.Instantiate(c.args...); err != nil {
+				if insts[i], err = c.Model.Instantiate(c.Args...); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -458,7 +348,7 @@ func BenchmarkPaperMatmulSweep(b *testing.B) {
 				for i, c := range cases {
 					var err error
 					if stage == "instantiate" {
-						_, err = c.model.Instantiate(c.args...)
+						_, err = c.Model.Instantiate(c.Args...)
 					} else {
 						_, err = insts[i].BuildDAG()
 					}
@@ -483,10 +373,13 @@ func TestInstanceBuildDAGConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := appCases(t, "matmul", matmulProgram(t, 90, 9, 3, []int{9}), hnoc.Paper9())
-	cases = append(cases, goldenCase{"writer", writer, []any{3, []int{10, 20, 30}}})
+	cases, err := goldencases.Matmul(90, 9, 3, []int{9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, goldencases.Case{Name: "writer", Model: writer, Args: []any{3, []int{10, 20, 30}}})
 	for _, c := range cases {
-		inst, err := c.model.Instantiate(c.args...)
+		inst, err := c.Model.Instantiate(c.Args...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,7 +407,7 @@ func TestInstanceBuildDAGConcurrent(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 4; i++ {
 					if got, err := digest(); err != nil || got != want {
-						t.Errorf("%s: concurrent evaluation gave %s (%v), a lone one %s", c.name, got, err, want)
+						t.Errorf("%s: concurrent evaluation gave %s (%v), a lone one %s", c.Name, got, err, want)
 						return
 					}
 				}

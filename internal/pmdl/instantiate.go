@@ -119,7 +119,7 @@ func (m *Model) Instantiate(args ...any) (*Instance, error) {
 
 // instantiate is Instantiate with parameter i's argument supplied by
 // argOf, which is handed the parameter's evaluated dimensions. A non-zero
-// maxDim bounds them (autoInstantiate's guard against huge guesses).
+// maxDim bounds them (AutoInstantiate's guard against huge guesses).
 func (m *Model) instantiate(argOf func(i int, dims []int) (any, error), maxDim int64) (*Instance, error) {
 	alg, p := m.File.Algorithm, m.prog
 	fr := p.newFrame(m.hosts, nil)

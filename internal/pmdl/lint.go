@@ -9,7 +9,7 @@ package pmdl
 // selfcomm) are recorded by the checker (sema.go) while it compiles the
 // node, link, parent and scheme sections, so every name resolves the way
 // compilation resolves it. The communication-graph lints bind heuristic
-// small arguments (autoInstantiate) unless explicit ones are given, unroll
+// small arguments (AutoInstantiate) unless explicit ones are given, unroll
 // the scheme into a series-parallel trace (unrollScheme) and check its
 // transfers against the link section and against each other.
 
@@ -87,7 +87,7 @@ func Lint(m *Model, args ...any) []Diag {
 	if len(args) > 0 {
 		inst, err = m.Instantiate(args...)
 	} else {
-		inst, err = m.autoInstantiate()
+		inst, err = m.AutoInstantiate()
 	}
 	var trace *traceNode
 	if err != nil {
@@ -270,14 +270,14 @@ func exprEqual(a, b Expr) bool {
 
 // --- Auto-instantiation --------------------------------------------------
 
-// autoInstantiate binds heuristic small actual parameters — scalar ints
+// AutoInstantiate binds heuristic small actual parameters — scalar ints
 // become 2, doubles 1.0, integer arrays are filled with ones — and
 // evaluates the model. The communication-graph lints use the resulting
 // tiny instance to unroll the scheme; models whose parameters carry
 // non-trivial invariants (block sizes that must divide, distributions that
 // must tile) may fail to auto-instantiate, in which case callers fall back
 // to explicit arguments.
-func (m *Model) autoInstantiate() (*Instance, error) {
+func (m *Model) AutoInstantiate() (*Instance, error) {
 	return m.instantiate(func(i int, dims []int) (any, error) {
 		prm := m.File.Algorithm.Params[i]
 		switch {

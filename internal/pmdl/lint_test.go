@@ -162,7 +162,7 @@ func TestShippedModelsLintClean(t *testing.T) {
 
 func TestAutoInstantiate(t *testing.T) {
 	m := mustModelFile(t, filepath.Join("testdata", "lint", "clean.mpc"))
-	inst, err := m.autoInstantiate()
+	inst, err := m.AutoInstantiate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestAutoInstantiate(t *testing.T) {
 
 func TestAutoInstantiateFailure(t *testing.T) {
 	m := mustModelFile(t, filepath.Join("testdata", "lint", "noinstance.mpc"))
-	if _, err := m.autoInstantiate(); err == nil {
+	if _, err := m.AutoInstantiate(); err == nil {
 		t.Fatal("expected auto-instantiation to fail (division by zero at q=2)")
 	}
 }
@@ -192,7 +192,7 @@ func TestAutoInstantiateShippedModels(t *testing.T) {
 	for _, p := range paths {
 		t.Run(filepath.Base(p), func(t *testing.T) {
 			m := mustModelFile(t, p)
-			inst, err := m.autoInstantiate()
+			inst, err := m.AutoInstantiate()
 			if err != nil {
 				t.Fatalf("auto-instantiate: %v", err)
 			}
@@ -205,7 +205,7 @@ func TestAutoInstantiateShippedModels(t *testing.T) {
 
 func TestUnrollSchemeStructure(t *testing.T) {
 	m := mustModelFile(t, filepath.Join("testdata", "lint", "clean.mpc"))
-	inst, err := m.autoInstantiate()
+	inst, err := m.AutoInstantiate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestUnrollSchemeStructure(t *testing.T) {
 
 func TestUnrollSchemeSequentialRun(t *testing.T) {
 	m := mustModelFile(t, filepath.Join("testdata", "lint", "seqcycle.mpc"))
-	inst, err := m.autoInstantiate()
+	inst, err := m.AutoInstantiate()
 	if err != nil {
 		t.Fatal(err)
 	}
