@@ -15,6 +15,8 @@ build:
 # detector gets through in seconds (internal/mpi/golden_test.go); the only
 # other test it skips, the benchmark's smoke run, is run after it. The
 # pmdl concurrency tests (one Model, one Instance, many goroutines),
+# the estimator's concurrent sessions and the sched replay's oracle (every
+# session replays one shared, read-only task graph),
 # mpi's Auto agreement test (24 ranks racing to one World's priced
 # choices), the receive tests (the pinned receive paths on both
 # transports, Probe leaving a posted Irecv its message, a mailbox queue
@@ -33,6 +35,7 @@ check: lint
 	$(GO) build ./...
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 -run 'Concurrent|SharedAcrossGoroutines' ./internal/pmdl
+	$(GO) test -race -count=5 -run 'TestSessionsConcurrent|TestScheduleMatchesPointerReplay' ./internal/estimator ./internal/sched
 	$(GO) test -race -count=5 -run TestAutoConcurrentAgreement ./internal/mpi
 	$(GO) test -race -count=5 -run 'TestReceiveGolden|TestProbe|TestMailbox|TestFailState' ./internal/mpi
 	$(GO) test -race -count=5 -run 'TestCloneDegradation|TestDegradeLinkConcurrent' ./internal/hnoc

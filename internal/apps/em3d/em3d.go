@@ -15,7 +15,7 @@ package em3d
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 	"sync"
 
 	"repro/internal/hnoc"
@@ -242,9 +242,7 @@ func Generate(cfg Config) (*Problem, error) {
 	}
 	// Two boundary values may land on one node: a node is listed once.
 	for _, b := range pr.Bodies {
-		slices.Sort(b.EBound)
-		slices.Sort(b.HBound)
-		b.EBound, b.HBound = slices.Compact(b.EBound), slices.Compact(b.HBound)
+		b.EBound, b.HBound = sortedSet(b.EBound, len(b.E)), sortedSet(b.HBound, len(b.H))
 	}
 	return pr, nil
 }
@@ -254,16 +252,41 @@ func pickDistinct(rng *xorshift, limit, n int) []int {
 	if n > limit {
 		n = limit
 	}
-	seen := make(map[int]bool, n)
+	seen := make(bitset, (limit+63)/64)
 	out := make([]int, 0, n)
 	for len(out) < n {
-		v := rng.intn(limit)
-		if !seen[v] {
-			seen[v] = true
+		if v := rng.intn(limit); seen.add(v) {
 			out = append(out, v)
 		}
 	}
 	return out
+}
+
+// sortedSet returns the distinct values of xs, each in [0,limit), in
+// ascending order, reusing xs's backing array.
+func sortedSet(xs []int, limit int) []int {
+	seen := make(bitset, (limit+63)/64)
+	for _, x := range xs {
+		seen.add(x)
+	}
+	out := xs[:0]
+	for w, word := range seen {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w*64+bits.TrailingZeros64(word))
+		}
+	}
+	return out
+}
+
+// bitset is a set of non-negative ints below 64 times its length.
+type bitset []uint64
+
+// add inserts v and reports whether it was absent.
+func (s bitset) add(v int) bool {
+	w, m := v/64, uint64(1)<<(v%64)
+	absent := s[w]&m == 0
+	s[w] |= m
+	return absent
 }
 
 // D returns the node counts per subbody: the d parameter of the

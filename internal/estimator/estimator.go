@@ -23,6 +23,7 @@ type Estimator struct {
 	inst      *pmdl.Instance
 	dag       *sched.DAG
 	links     hnoc.LinkView // the network's links as of New
+	linkCost  linkTable     // their ModelLink costs, tabulated
 	speeds    []float64     // estimated speed per world process
 	placement []int         // world rank -> machine index
 
@@ -61,8 +62,8 @@ func NewWithLinks(inst *pmdl.Instance, links hnoc.LinkView, speeds []float64, pl
 		return nil, err
 	}
 	compBusy := make([]float64, inst.NumProcs)
-	for _, t := range dag.Tasks {
-		if t.Kind == sched.KindCompute {
+	for i := range dag.Size() {
+		if t := dag.Task(i); t.Kind == sched.KindCompute {
 			compBusy[t.Proc] += t.Units
 		}
 	}
@@ -72,15 +73,17 @@ func NewWithLinks(inst *pmdl.Instance, links hnoc.LinkView, speeds []float64, pl
 			maxSpeed = s
 		}
 	}
+	linkCost := tabulate(links)
 	return &Estimator{
 		inst:      inst,
 		dag:       dag,
 		links:     links,
+		linkCost:  linkCost,
 		speeds:    append([]float64(nil), speeds...),
 		placement: append([]int(nil), placement...),
 		compBusy:  compBusy,
 		maxSpeed:  maxSpeed,
-		machClass: classifyMachines(links),
+		machClass: classifyMachines(linkCost),
 	}, nil
 }
 
@@ -124,7 +127,7 @@ func (e *Estimator) NaiveTimeof(candidate []int) float64 {
 			if q == p {
 				continue
 			}
-			out := e.links.ModelLink(e.placement[r], e.placement[candidate[q]])
+			out := e.linkCost.at(e.placement[r], e.placement[candidate[q]])
 			t += e.inst.CommVolume[p][q]/out.Bandwidth + e.inst.CommVolume[q][p]/out.Bandwidth
 		}
 		if t > worst {

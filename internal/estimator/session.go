@@ -32,15 +32,14 @@ type Session struct {
 
 // Session returns a fresh evaluation context for one search.
 func (e *Estimator) Session() *Session {
-	s := &Session{e: e, share: make([]int, e.links.Size())}
+	s := &Session{e: e, share: make([]int, e.linkCost.n)}
 	s.res = sched.Resources{
 		Speed: func(p int) float64 {
 			r := s.cand[p]
 			return e.speeds[r] / float64(s.share[e.placement[r]])
 		},
 		Link: func(src, dst int) sched.Link {
-			ls := e.links.ModelLink(e.placement[s.cand[src]], e.placement[s.cand[dst]])
-			return sched.Link{Latency: ls.Latency, Bandwidth: ls.Bandwidth, Overhead: ls.Overhead}
+			return e.linkCost.at(e.placement[s.cand[src]], e.placement[s.cand[dst]])
 		},
 		SerialiseNIC: true,
 	}
@@ -146,7 +145,7 @@ func (e *Estimator) AppendCanonicalKey(dst []byte, cand []int) []byte {
 // apart: exploiting that symmetry would need whole-machine relabellings.
 // Safe for concurrent use.
 func (e *Estimator) ProcessClasses(avail []int) []int {
-	hosted := make([]int, e.links.Size()) // machine -> ranks of avail on it
+	hosted := make([]int, e.linkCost.n) // machine -> ranks of avail on it
 	for _, r := range avail {
 		hosted[e.placement[r]]++
 	}
@@ -166,10 +165,23 @@ func (e *Estimator) ProcessClasses(avail []int) []int {
 	return class
 }
 
-// sameCost compares the fields of a link that Timeof consumes.
-func sameCost(a, b hnoc.LinkSpec) bool {
-	return a.Latency == b.Latency && a.Bandwidth == b.Bandwidth && a.Overhead == b.Overhead
+// linkTable holds a LinkView's ModelLink costs, as the replay reads them,
+// for every ordered machine pair: machine i to j at cost[i*n+j].
+type linkTable struct {
+	n    int
+	cost []sched.Link
 }
+
+func tabulate(v hnoc.LinkView) linkTable {
+	t := linkTable{v.Size(), make([]sched.Link, v.Size()*v.Size())}
+	for k := range t.cost {
+		ls := v.ModelLink(k/t.n, k%t.n)
+		t.cost[k] = sched.Link{Latency: ls.Latency, Bandwidth: ls.Bandwidth, Overhead: ls.Overhead}
+	}
+	return t
+}
+
+func (t linkTable) at(i, j int) sched.Link { return t.cost[i*t.n+j] }
 
 // interchangeable reports whether swapping machines a and b changes no
 // link cost the estimator can observe: equal self links, an exchange-
@@ -177,15 +189,12 @@ func sameCost(a, b hnoc.LinkSpec) bool {
 // The relation is transitive (any two members of a class see identical
 // links everywhere), so checking a candidate member against one class
 // representative suffices.
-func interchangeable(c hnoc.LinkView, a, b int) bool {
-	if !sameCost(c.ModelLink(a, a), c.ModelLink(b, b)) || !sameCost(c.ModelLink(a, b), c.ModelLink(b, a)) {
+func interchangeable(t linkTable, a, b int) bool {
+	if t.at(a, a) != t.at(b, b) || t.at(a, b) != t.at(b, a) {
 		return false
 	}
-	for m := 0; m < c.Size(); m++ {
-		if m == a || m == b {
-			continue
-		}
-		if !sameCost(c.ModelLink(a, m), c.ModelLink(b, m)) || !sameCost(c.ModelLink(m, a), c.ModelLink(m, b)) {
+	for m := range t.n {
+		if m != a && m != b && (t.at(a, m) != t.at(b, m) || t.at(m, a) != t.at(m, b)) {
 			return false
 		}
 	}
@@ -196,14 +205,13 @@ func interchangeable(c hnoc.LinkView, a, b int) bool {
 // interchangeability classes. Machine speeds are deliberately ignored:
 // the estimator reads speed per process (from HMPI_Recon), and the
 // canonical key carries it separately per position.
-func classifyMachines(c hnoc.LinkView) []int {
-	n := c.Size()
-	class := make([]int, n)
+func classifyMachines(t linkTable) []int {
+	class := make([]int, t.n)
 	var reps []int // one representative machine per class
-	for m := 0; m < n; m++ {
+	for m := range t.n {
 		class[m] = -1
 		for ci, r := range reps {
-			if interchangeable(c, r, m) {
+			if interchangeable(t, r, m) {
 				class[m] = ci
 				break
 			}

@@ -252,7 +252,7 @@ func TestClassifyMachines(t *testing.T) {
 	for _, pair := range [][2]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}} {
 		c.Overrides = append(c.Overrides, hnoc.LinkOverride{A: pair[0], B: pair[1], Link: uplink})
 	}
-	got := classifyMachines(c.LinkView())
+	got := classifyMachines(tabulate(c.LinkView()))
 	want := []int{0, 0, 1, 1}
 	for i := range want {
 		if got[i] != want[i] {
@@ -260,7 +260,7 @@ func TestClassifyMachines(t *testing.T) {
 		}
 	}
 	// The paper network is a uniform switch: every machine is one class.
-	for i, cls := range classifyMachines(hnoc.Paper9().LinkView()) {
+	for i, cls := range classifyMachines(tabulate(hnoc.Paper9().LinkView())) {
 		if cls != 0 {
 			t.Fatalf("Paper9 machine %d in class %d, want 0", i, cls)
 		}

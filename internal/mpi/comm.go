@@ -12,20 +12,24 @@ import (
 type commShared struct {
 	id      int64 // context id isolating this communicator's messages
 	members []int // world ranks; index is the communicator rank
-	rankIdx map[int]int
+	rankIdx []int // world rank -> communicator rank + 1 (0: not a member), built on first use
 }
 
 func (s *commShared) rankOf(worldRank int) int {
 	if s.rankIdx == nil {
-		s.rankIdx = make(map[int]int, len(s.members))
+		n := 0
+		for _, r := range s.members {
+			n = max(n, r+1)
+		}
+		s.rankIdx = make([]int, n)
 		for i, r := range s.members {
-			s.rankIdx[r] = i
+			s.rankIdx[r] = i + 1
 		}
 	}
-	if r, ok := s.rankIdx[worldRank]; ok {
-		return r
+	if worldRank < 0 || worldRank >= len(s.rankIdx) {
+		return -1
 	}
-	return -1
+	return s.rankIdx[worldRank] - 1
 }
 
 // Comm is a communicator: a communication context over an ordered group of

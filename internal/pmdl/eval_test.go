@@ -125,7 +125,7 @@ func TestSchemeSideEffects(t *testing.T) {
 	if dag.Size() != 1 {
 		t.Fatalf("expected 1 task, got %d", dag.Size())
 	}
-	if got := dag.Tasks[0].Units; got != 60 {
+	if got := dag.Task(0).Units; got != 60 {
 		t.Fatalf("computed units %v, want 60 (struct copy must not alias)", got)
 	}
 }
@@ -171,7 +171,7 @@ func TestHostFunctionWithRef(t *testing.T) {
 		t.Fatalf("host function saw %v", got)
 	}
 	// out == 42 -> 42% of 10 units = 4.2
-	if u := dag.Tasks[0].Units; u != 4.2 {
+	if u := dag.Task(0).Units; u != 4.2 {
 		t.Fatalf("units = %v, want 4.2", u)
 	}
 }
@@ -203,8 +203,8 @@ func TestParFanOutStructure(t *testing.T) {
 	}
 	// 8 computes; possibly join nops.
 	var computes, withDeps int
-	for _, task := range dag.Tasks {
-		if task.Units > 0 {
+	for i := range dag.Size() {
+		if task := dag.Task(i); task.Units > 0 {
 			computes++
 			if len(task.Deps) > 0 {
 				withDeps++
@@ -319,8 +319,8 @@ func TestPercentEvaluatesReal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dag.Tasks[0].Units <= 0 {
-		t.Fatalf("percentage collapsed to %v", dag.Tasks[0].Units)
+	if dag.Task(0).Units <= 0 {
+		t.Fatalf("percentage collapsed to %v", dag.Task(0).Units)
 	}
 }
 

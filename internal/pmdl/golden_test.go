@@ -64,8 +64,9 @@ func dagDigest(d *sched.DAG) string {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	u64(uint64(len(d.Tasks)))
-	for _, t := range d.Tasks {
+	u64(uint64(d.Size()))
+	for i := range d.Size() {
+		t := d.Task(i)
 		u64(uint64(t.Kind))
 		if t.Kind == sched.KindCompute {
 			u64(uint64(t.Proc))
@@ -358,6 +359,35 @@ func BenchmarkPaperMatmulSweep(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestBuildDAGAllocations: the task graph is a few flat arrays and the
+// builder carves its dependency frontiers from an arena, so building the
+// graph of every paper matmul instance allocates fewer objects than the
+// graph has tasks.
+func TestBuildDAGAllocations(t *testing.T) {
+	cases, err := goldencases.Matmul(90, 9, 3, jobspec.CandidateBlockSizes(3, 90))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cases {
+		inst, err := c.Model.Instantiate(c.Args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dag, err := inst.BuildDAG()
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := inst.BuildDAG(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs >= float64(dag.Size()) {
+			t.Errorf("block size %d of %d: BuildDAG allocates %v objects for %d tasks", i+1, len(cases), allocs, dag.Size())
+		}
 	}
 }
 

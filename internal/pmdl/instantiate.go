@@ -472,28 +472,44 @@ func (inst *Instance) schemeFrame() *frame {
 // dagBuilder is the scheme sink that threads dependency frontiers: the
 // state is the set of tasks the next activity must wait for.
 type dagBuilder struct {
-	inst *Instance
-	d    *sched.DAG
+	inst  *Instance
+	d     *sched.DAG
+	arena []int // frontiers are carved from it
+}
+
+// take carves a frontier of n tasks from the arena. Its capacity is n, so
+// an append past it copies rather than overwriting the next frontier.
+func (b *dagBuilder) take(n int) []int {
+	if len(b.arena) < n {
+		b.arena = make([]int, 1024)
+	}
+	out := b.arena[:n:n]
+	b.arena = b.arena[n:]
+	return out
 }
 
 func (b *dagBuilder) action(_ Pos, src, dst int, pct float64, in []int) ([]int, error) {
+	out := b.take(1)
 	if dst < 0 {
-		return []int{b.d.AddCompute(src, pct/100*b.inst.CompVolume[src], in)}, nil
+		out[0] = b.d.AddCompute(src, pct/100*b.inst.CompVolume[src], in)
+	} else {
+		out[0] = b.d.AddTransfer(src, dst, pct/100*b.inst.CommVolume[src][dst], in)
 	}
-	return []int{b.d.AddTransfer(src, dst, pct/100*b.inst.CommVolume[src][dst], in)}, nil
+	return out, nil
 }
 
 func (b *dagBuilder) fork(in []int) []int { return in }
 
 // join collapses a wide frontier into a single Nop so dependency lists
 // stay small. A frontier therefore never holds more than 8 tasks, and the
-// buffer a par loop accumulates into rarely regrows.
+// buffer a par loop accumulates into holds 9: eight tasks plus the next
+// one-task frontier, the usual fold, collapse without regrowing it.
 func (b *dagBuilder) join(acc, out []int) []int {
 	if len(out) == 0 {
 		return acc
 	}
 	if acc == nil {
-		acc = make([]int, 0, 8)
+		acc = b.take(9)[:0]
 	}
 	acc = append(acc, out...)
 	if len(acc) > 8 {

@@ -166,8 +166,8 @@ func TestEm3dDAGStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var computes, transfers int
-	for _, task := range dag.Tasks {
-		switch task.Kind {
+	for i := range dag.Size() {
+		switch task := dag.Task(i); task.Kind {
 		case sched.KindCompute:
 			computes++
 		case sched.KindTransfer:
@@ -313,8 +313,8 @@ func TestParallelAxBDAG(t *testing.T) {
 	}
 	var computes, transfers int
 	var units, bytes float64
-	for _, task := range dag.Tasks {
-		switch task.Kind {
+	for i := range dag.Size() {
+		switch task := dag.Task(i); task.Kind {
 		case sched.KindCompute:
 			computes++
 			units += task.Units
@@ -434,7 +434,7 @@ func TestModelSharedAcrossGoroutines(t *testing.T) {
 					return
 				}
 				if !reflect.DeepEqual(inst.CompVolume, want.CompVolume) || !reflect.DeepEqual(inst.CommVolume, want.CommVolume) ||
-					len(dag.Tasks) != len(wantDAG.Tasks) {
+					dag.Size() != wantDAG.Size() {
 					t.Errorf("concurrent instance differs from the serial one")
 					return
 				}

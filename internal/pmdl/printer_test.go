@@ -71,8 +71,8 @@ func TestFormatPreservesSemantics(t *testing.T) {
 	if d1.Size() != d2.Size() {
 		t.Fatalf("DAG sizes differ: %d vs %d", d1.Size(), d2.Size())
 	}
-	for i := range d1.Tasks {
-		a, b := d1.Tasks[i], d2.Tasks[i]
+	for i := range d1.Size() {
+		a, b := d1.Task(i), d2.Task(i)
 		if a.Kind != b.Kind || a.Proc != b.Proc || a.Src != b.Src || a.Dst != b.Dst ||
 			a.Units != b.Units || a.Bytes != b.Bytes {
 			t.Fatalf("task %d differs: %+v vs %+v", i, a, b)

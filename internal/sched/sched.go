@@ -13,7 +13,7 @@ import (
 )
 
 // Kind discriminates task types.
-type Kind int
+type Kind uint8
 
 // Task kinds.
 const (
@@ -26,9 +26,8 @@ const (
 	KindNop
 )
 
-// Task is one node of the graph.
+// Task is one node of the graph, as DAG.Task reads it back.
 type Task struct {
-	ID   int
 	Kind Kind
 	// Proc is the computing abstract processor (KindCompute).
 	Proc int
@@ -38,27 +37,41 @@ type Task struct {
 	Units float64
 	// Bytes is the transfer volume (KindTransfer).
 	Bytes float64
-	// Deps are the IDs of tasks that must finish first.
-	Deps []int
+	// Deps are the indices of tasks that must finish first. The slice
+	// aliases the graph: read it, never write it.
+	Deps []int32
 }
 
-// DAG is a task graph under construction. Tasks must be appended in a
+// DAG is a task graph under construction, stored as parallel arrays
+// indexed by task (compressed sparse rows): no per-task object, and one
+// dependency array shared by every task. Tasks must be appended in a
 // topological order (dependencies before dependents); the interpreter's
-// program order guarantees this naturally.
+// program order guarantees this naturally. The zero value is an empty
+// graph; a built graph is read-only to any number of concurrent replays.
 type DAG struct {
-	Tasks []*Task
+	kind   []Kind
+	ends   [][2]int32 // {processor, 0} (compute) or {source, destination} (transfer)
+	vol    []float64  // benchmark units (compute) or bytes (transfer)
+	depEnd []int32    // task i depends on deps[depEnd[i-1]:depEnd[i]] (from 0 for task 0)
+	deps   []int32
 }
 
 // add appends a task, validating the dependency ordering invariant.
-func (d *DAG) add(t *Task) int {
-	t.ID = len(d.Tasks)
-	for _, dep := range t.Deps {
-		if dep < 0 || dep >= t.ID {
-			panic(fmt.Sprintf("sched: task %d depends on %d, not yet defined", t.ID, dep))
+func (d *DAG) add(k Kind, a, b int, vol float64, deps []int) int {
+	id := len(d.kind)
+	for _, dep := range deps {
+		if dep < 0 || dep >= id {
+			panic(fmt.Sprintf("sched: task %d depends on %d, not yet defined", id, dep))
 		}
 	}
-	d.Tasks = append(d.Tasks, t)
-	return t.ID
+	for _, dep := range deps {
+		d.deps = append(d.deps, int32(dep))
+	}
+	d.kind = append(d.kind, k)
+	d.ends = append(d.ends, [2]int32{int32(a), int32(b)})
+	d.vol = append(d.vol, vol)
+	d.depEnd = append(d.depEnd, int32(len(d.deps)))
+	return id
 }
 
 // AddCompute appends a computation of `units` benchmark units on abstract
@@ -67,7 +80,7 @@ func (d *DAG) AddCompute(proc int, units float64, deps []int) int {
 	if units < 0 {
 		panic(fmt.Sprintf("sched: negative compute volume %v", units))
 	}
-	return d.add(&Task{Kind: KindCompute, Proc: proc, Units: units, Deps: dupDeps(deps)})
+	return d.add(KindCompute, proc, 0, units, deps)
 }
 
 // AddTransfer appends a transfer of bytes from src to dst and returns its
@@ -76,18 +89,30 @@ func (d *DAG) AddTransfer(src, dst int, bytes float64, deps []int) int {
 	if bytes < 0 {
 		panic(fmt.Sprintf("sched: negative transfer volume %v", bytes))
 	}
-	return d.add(&Task{Kind: KindTransfer, Src: src, Dst: dst, Bytes: bytes, Deps: dupDeps(deps)})
+	return d.add(KindTransfer, src, dst, bytes, deps)
 }
 
 // AddNop appends a synchronisation node joining deps and returns its ID.
-func (d *DAG) AddNop(deps []int) int {
-	return d.add(&Task{Kind: KindNop, Deps: dupDeps(deps)})
-}
-
-func dupDeps(deps []int) []int { return append([]int(nil), deps...) }
+func (d *DAG) AddNop(deps []int) int { return d.add(KindNop, 0, 0, 0, deps) }
 
 // Size returns the number of tasks.
-func (d *DAG) Size() int { return len(d.Tasks) }
+func (d *DAG) Size() int { return len(d.kind) }
+
+// Task returns task i.
+func (d *DAG) Task(i int) Task {
+	lo := int32(0)
+	if i > 0 {
+		lo = d.depEnd[i-1]
+	}
+	t := Task{Kind: d.kind[i], Deps: d.deps[lo:d.depEnd[i]]}
+	switch t.Kind {
+	case KindCompute:
+		t.Proc, t.Units = int(d.ends[i][0]), d.vol[i]
+	case KindTransfer:
+		t.Src, t.Dst, t.Bytes = int(d.ends[i][0]), int(d.ends[i][1]), d.vol[i]
+	}
+	return t
+}
 
 // Link is the cost model of one directed channel between two abstract
 // processors.
@@ -134,31 +159,26 @@ type Result struct {
 // Scratches never share state, so any number may replay one DAG
 // concurrently.
 type Scratch struct {
-	finish   []float64
-	procFree []float64
-	nicFree  []float64
-	busy     []float64
-	bytesOut []float64
+	finish, procFree, nicFree, busy, bytesOut []float64
+	// The replay's resources, tabulated: speed[p] is read from
+	// Resources.Speed once per replay, link[src*numProcs+dst] from
+	// Resources.Link at the pair's first transfer (haveLink marks it).
+	speed    []float64
+	link     []Link
+	haveLink []bool
 }
 
-// reset sizes every buffer and zeroes the active prefix.
-func (s *Scratch) reset(tasks, procs int) {
-	s.finish = resizeZero(s.finish, tasks)
-	s.procFree = resizeZero(s.procFree, procs)
-	s.nicFree = resizeZero(s.nicFree, procs)
-	s.busy = resizeZero(s.busy, procs)
-	s.bytesOut = resizeZero(s.bytesOut, procs)
-}
-
-func resizeZero(b []float64, n int) []float64 {
-	if cap(b) < n {
-		return make([]float64, n)
+// grow sizes *b to n, reallocating when it is too short, zeroes it when
+// asked, and returns it.
+func grow[T any](b *[]T, n int, zero bool) []T {
+	if cap(*b) < n {
+		*b = make([]T, n)
 	}
-	b = b[:n]
-	for i := range b {
-		b[i] = 0
+	*b = (*b)[:n]
+	if zero {
+		clear(*b)
 	}
-	return b
+	return *b
 }
 
 // ScheduleInto replays the DAG in insertion order (a topological order)
@@ -167,50 +187,55 @@ func resizeZero(b []float64, n int) []float64 {
 // scratch: the returned Result's slices alias it and are valid only until
 // its next use.
 func ScheduleInto(sc *Scratch, d *DAG, numProcs int, res Resources) Result {
-	sc.reset(len(d.Tasks), numProcs)
-	finish := sc.finish
-	procFree := sc.procFree
-	nicFree := sc.nicFree
-	busy := sc.busy
-	bytesOut := sc.bytesOut
+	// finish, speeds and links are written before they are read; the
+	// rest accumulates from zero.
+	finish, speeds := grow(&sc.finish, d.Size(), false), grow(&sc.speed, numProcs, false)
+	procFree, nicFree := grow(&sc.procFree, numProcs, true), grow(&sc.nicFree, numProcs, true)
+	busy, bytesOut := grow(&sc.busy, numProcs, true), grow(&sc.bytesOut, numProcs, true)
+	links, haveLink := grow(&sc.link, numProcs*numProcs, false), grow(&sc.haveLink, numProcs*numProcs, true)
+	for p := range speeds {
+		speeds[p] = res.Speed(p)
+	}
 
 	makespan := 0.0
-	for _, t := range d.Tasks {
+	lo := int32(0)
+	for i, kind := range d.kind {
+		hi := d.depEnd[i]
 		ready := 0.0
-		for _, dep := range t.Deps {
+		for _, dep := range d.deps[lo:hi] {
 			if finish[dep] > ready {
 				ready = finish[dep]
 			}
 		}
-		var end float64
-		switch t.Kind {
-		case KindNop:
-			end = ready
-		case KindCompute:
-			speed := res.Speed(t.Proc)
+		lo = hi
+		end := ready // a Nop, or a self transfer: free
+		a, b, vol := d.ends[i][0], d.ends[i][1], d.vol[i]
+		switch {
+		case kind == KindCompute:
+			speed := speeds[a]
 			if speed <= 0 || math.IsNaN(speed) {
-				panic(fmt.Sprintf("sched: non-positive speed %v for processor %d", speed, t.Proc))
+				panic(fmt.Sprintf("sched: non-positive speed %v for processor %d", speed, a))
 			}
-			start := math.Max(ready, procFree[t.Proc])
-			end = start + t.Units/speed
-			procFree[t.Proc] = end
-			busy[t.Proc] += t.Units / speed
-		case KindTransfer:
-			if t.Src == t.Dst {
-				end = ready // self transfer is free
-				break
+			work := vol / speed
+			end = math.Max(ready, procFree[a]) + work
+			procFree[a] = end
+			busy[a] += work
+		case kind == KindTransfer && a != b:
+			k := int(a)*numProcs + int(b)
+			if !haveLink[k] {
+				links[k], haveLink[k] = res.Link(int(a), int(b)), true
 			}
-			link := res.Link(t.Src, t.Dst)
-			occupy := t.Bytes/link.Bandwidth + link.Overhead
+			link := links[k]
+			occupy := vol/link.Bandwidth + link.Overhead
 			start := ready
 			if res.SerialiseNIC {
-				start = math.Max(ready, nicFree[t.Src])
-				nicFree[t.Src] = start + occupy
+				start = math.Max(ready, nicFree[a])
+				nicFree[a] = start + occupy
 			}
 			end = start + occupy + link.Latency
-			bytesOut[t.Src] += t.Bytes
+			bytesOut[a] += vol
 		}
-		finish[t.ID] = end
+		finish[i] = end
 		if end > makespan {
 			makespan = end
 		}

@@ -165,7 +165,7 @@ func TestMakespanLowerBounds(t *testing.T) {
 		procWork := map[int]float64{}
 		prev := -1
 		for i, s := range seed {
-			if len(d.Tasks) > 60 {
+			if d.Size() > 60 {
 				break
 			}
 			proc := int(s % 4)
@@ -180,7 +180,7 @@ func TestMakespanLowerBounds(t *testing.T) {
 				d.AddTransfer(proc, (proc+1)%4, float64(s)*100, []int{prev})
 			}
 		}
-		if len(d.Tasks) == 0 {
+		if d.Size() == 0 {
 			return true
 		}
 		res := uniformRes(10, 0.001, 1e6, true)
