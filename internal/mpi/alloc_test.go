@@ -106,3 +106,39 @@ func TestInPlaceCollectivesAllocateTheirResults(t *testing.T) {
 		}
 	}
 }
+
+// TestPingPongAllocationFloor: two ranks, each on its own goroutine, play
+// 10 000 IsendOwned→Recv ping-pongs after a warm-up; the whole process
+// allocates less than one object per hundred messages, so nothing a
+// message passes through between two goroutines reaches the heap.
+func TestPingPongAllocationFloor(t *testing.T) {
+	skipUnlessAllocsAreExact(t)
+	const warm, n = 1000, 10000
+	var before, after runtime.MemStats
+	w := newTestWorld(t, 2)
+	err := w.Run(func(p *Proc) error {
+		c := p.CommWorld()
+		me := c.Rank()
+		data := make([]byte, 64)
+		for i := range warm + n {
+			if i == warm && me == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			if i%2 == me {
+				c.IsendOwned(1-me, 0, data)
+			} else {
+				c.Recv(1-me, 0)
+			}
+		}
+		if me == 0 {
+			runtime.ReadMemStats(&after)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / n; per >= 0.01 {
+		t.Fatalf("%.4f allocations per message (%d over %d), want < 0.01", per, after.Mallocs-before.Mallocs, n)
+	}
+}
