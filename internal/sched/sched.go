@@ -217,7 +217,7 @@ func ScheduleInto(sc *Scratch, d *DAG, numProcs int, res Resources) Result {
 				panic(fmt.Sprintf("sched: non-positive speed %v for processor %d", speed, a))
 			}
 			work := vol / speed
-			end = math.Max(ready, procFree[a]) + work
+			end = fmax(ready, procFree[a]) + work
 			procFree[a] = end
 			busy[a] += work
 		case kind == KindTransfer && a != b:
@@ -229,7 +229,7 @@ func ScheduleInto(sc *Scratch, d *DAG, numProcs int, res Resources) Result {
 			occupy := vol/link.Bandwidth + link.Overhead
 			start := ready
 			if res.SerialiseNIC {
-				start = math.Max(ready, nicFree[a])
+				start = fmax(ready, nicFree[a])
 				nicFree[a] = start + occupy
 			}
 			end = start + occupy + link.Latency
@@ -247,4 +247,19 @@ func ScheduleInto(sc *Scratch, d *DAG, numProcs int, res Resources) Result {
 // allocation-free inner loop of group selection.
 func MakespanInto(sc *Scratch, d *DAG, numProcs int, res Resources) float64 {
 	return ScheduleInto(sc, d, numProcs, res).Makespan
+}
+
+// fmax is math.Max, inlined when the operands are ordered and distinct:
+// math.Max is an assembly call on amd64 that the compiler never inlines.
+// Ties (±0 among them), infinities and NaN fall through to math.Max, so
+// the result is its bits exactly; the builtin max is not, it returns NaN
+// for max(+Inf, NaN).
+func fmax(a, b float64) float64 {
+	if a > b {
+		return a
+	}
+	if b > a {
+		return b
+	}
+	return math.Max(a, b)
 }

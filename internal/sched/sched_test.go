@@ -201,3 +201,16 @@ func TestMakespanLowerBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFmaxIsMathMax: the inlined max returns math.Max's bits for every
+// pair of ±0, ±1, ±Inf and NaN, in both orders.
+func TestFmaxIsMathMax(t *testing.T) {
+	vals := []float64{math.Copysign(0, -1), 0, -1, 1, math.Inf(-1), math.Inf(1), math.NaN()}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := fmax(a, b), math.Max(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("fmax(%v, %v) = %v, math.Max says %v", a, b, got, want)
+			}
+		}
+	}
+}
