@@ -210,8 +210,15 @@ func NewRecorder(nranks int, opts Options) *Recorder {
 }
 
 // NowNS returns host nanoseconds since the recorder was created, the
-// wall-clock timeline of WallStart/WallEnd.
-func (r *Recorder) NowNS() int64 { return time.Since(r.start).Nanoseconds() }
+// wall-clock timeline of WallStart/WallEnd. A count-only recorder keeps
+// no event and its tally reads no wall time, so there it returns 0 and
+// reads no clock.
+func (r *Recorder) NowNS() int64 {
+	if r.countOnly {
+		return 0
+	}
+	return time.Since(r.start).Nanoseconds()
+}
 
 // Emit records one event on rank's shard. Must be called from the
 // goroutine owning that rank (the simulation confines each rank to one
