@@ -20,7 +20,9 @@ build:
 # mpi's Auto agreement test (24 ranks racing to one World's priced
 # choices), the receive tests (the pinned receive paths on both
 # transports, Probe leaving a posted Irecv its message, a mailbox queue
-# that never drains, racing Fail marks), the copy-on-write link
+# that never drains, racing Fail marks, eight senders' lanes into one
+# receiver on both transports, blocking against nonblocking exchanges),
+# the copy-on-write link
 # degradation (Clones and views, racing DegradeLink calls), the abort
 # tests (a rank's panic unwinding peers blocked in a receive, a collective
 # or RunResilient), the deadlock tests (a run whose ranks all wait for
@@ -37,7 +39,7 @@ check: lint
 	$(GO) test -race -count=5 -run 'Concurrent|SharedAcrossGoroutines' ./internal/pmdl
 	$(GO) test -race -count=5 -run 'TestSessionsConcurrent|TestScheduleMatchesPointerReplay' ./internal/estimator ./internal/sched
 	$(GO) test -race -count=5 -run TestAutoConcurrentAgreement ./internal/mpi
-	$(GO) test -race -count=5 -run 'TestReceiveGolden|TestProbe|TestMailbox|TestFailState' ./internal/mpi
+	$(GO) test -race -count=5 -run 'TestReceiveGolden|TestProbe|TestMailbox|TestFailState|TestLane|TestNonblockingEquivalence' ./internal/mpi
 	$(GO) test -race -count=5 -run 'TestCloneDegradation|TestDegradeLinkConcurrent' ./internal/hnoc
 	$(GO) test -race -count=5 -run PanicAbortsWorld ./internal/mpi ./internal/hmpi
 	$(GO) test -race -count=5 -run TestDeadlock ./internal/mpi

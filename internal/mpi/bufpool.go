@@ -1,14 +1,15 @@
 package mpi
 
-// Pooled buffers and envelopes for the per-message hot path: a message
-// allocates what its receiver keeps and nothing else. The pools recycle
-// every envelope struct; on the TCP transport the header+payload frame of
-// a write and the payload slice of a read; in-process (and for wire
-// self-delivery) the copy of a collective send whose receive folds or lands
-// the payload in place (a step marked pooled, collsched.go). They never
-// held the copy of a send whose receiver is handed the payload — Recv,
-// Wait, a collective's stRecv: that copy is the receiver's from the start,
-// one allocation and one copy per message (sendCommon). The ownership rule:
+// Pooled buffers for the per-message hot path: a message allocates what
+// its receiver keeps and nothing else (its envelope travels by value
+// through the lanes of p2p.go). The pools recycle, on the TCP transport,
+// the header+payload frame of a write and the payload slice of a read;
+// in-process (and for wire self-delivery) the copy of a collective send
+// whose receive folds or lands the payload in place (a step marked pooled,
+// collsched.go). They never held the copy of a send whose receiver is
+// handed the payload — Recv, Wait, a collective's stRecv: that copy is the
+// receiver's from the start, one allocation and one copy per message
+// (sendCommon). The ownership rule:
 //
 //   - A *poolBuf is owned by whoever obtained it from getBuf. Passing the
 //     underlying bytes to another component does NOT transfer ownership;
@@ -81,19 +82,6 @@ func (pb *poolBuf) release() {
 	bufPools[pb.class].Put(pb)
 }
 
-// envPool recycles envelope structs. Envelopes are single-consumer: the
-// mailbox removes one exactly once, and the consumption helpers recycle
-// it after extracting the payload.
-var envPool sync.Pool
-
-// getEnv returns a zeroed envelope.
-func getEnv() *envelope {
-	if v := envPool.Get(); v != nil {
-		return v.(*envelope)
-	}
-	return &envelope{}
-}
-
 // retained returns e's payload for a consumer that keeps it: pool-backed
 // bytes are copied out first (copy-on-retain), everything else is handed
 // over as it is.
@@ -104,22 +92,15 @@ func (e *envelope) retained() []byte {
 	return e.data
 }
 
-// putEnv recycles the envelope struct only; the payload must already
-// have been handed over or released by the caller.
-func putEnv(e *envelope) {
-	*e = envelope{}
-	envPool.Put(e)
-}
-
-// releaseEnvelope recycles the envelope and, when it carries a
-// pool-backed payload, the payload too. Used on paths that drop a
-// message without handing its bytes to anyone (failed destinations,
-// protocol violations, wire sends once the frame is written).
-func releaseEnvelope(e *envelope) {
+// release recycles e's pool-backed payload, if it has one: after a
+// consumer copied it out (copy-on-retain) or folded it in place, and on
+// paths that drop a message without handing its bytes to anyone (failed
+// destinations, suppressed duplicates, protocol violations, wire sends
+// once the frame is written).
+func (e *envelope) release() {
 	if pb := e.pbuf; pb != nil {
 		e.pbuf = nil
 		e.data = nil
 		pb.release()
 	}
-	putEnv(e)
 }

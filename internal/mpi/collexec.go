@@ -116,7 +116,7 @@ func (x *collRun) payload(s *step) []byte {
 }
 
 // deliver moves the payload of envelope e where receive step s wants it
-// and recycles the envelope. Only stRecv retains the payload
+// and frees its lane slot. Only stRecv retains the payload
 // (copy-on-retain, see bufpool.go); every other kind consumes it in place.
 func (x *collRun) deliver(s *step, e *envelope) {
 	switch s.kind {
@@ -142,8 +142,8 @@ func (x *collRun) deliver(s *step, e *envelope) {
 	case stRecvFrame:
 		x.buf = bundleAppend(x.buf, s.peer, e.data)
 	}
-	e.data = nil
-	releaseEnvelope(e)
+	e.release()
+	x.comm.p.mbox.free(e)
 }
 
 // run executes the plan's steps in order with blocking primitives. The
@@ -183,7 +183,7 @@ func (x *collRun) run() {
 				e, x.envs[i], t0, drained = x.envs[i], nil, x.drained, true
 			} else {
 				sel := c.sel(peer, s.tag)
-				e = c.p.await("coll", sel, x.comm.collWatch(), func(before int64) *envelope { return c.p.mbox.tryGet(sel, before, false) })
+				e = c.p.await("coll", sel, x.comm.collWatch(), func() *envelope { return c.p.mbox.get(sel, false) })
 			}
 			c.finishRecvTiming(e, t0, drained) // a drained message was an any-source receive
 			x.deliver(s, e)
@@ -206,7 +206,7 @@ func (x *collRun) drain(c *Comm, tag, first, end int) {
 	}
 	for len(x.srcs) > 0 {
 		sel := recvSel{ctx: c.s.id, src: AnySource, tag: tag, srcs: x.srcs}
-		e := c.p.await("coll", sel, x.comm.collWatch(), func(before int64) *envelope { return c.p.mbox.tryGet(sel, before, false) })
+		e := c.p.await("coll", sel, x.comm.collWatch(), func() *envelope { return c.p.mbox.get(sel, false) })
 		k := first
 		for x.envs[k] != nil || world(k) != e.src {
 			k++

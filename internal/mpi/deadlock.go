@@ -1,7 +1,7 @@
 package mpi
 
 // Deadlock detection. A rank sleeps in one of two places: on its mailbox
-// (mailbox.awaitArrival, under Proc.await) or on the agreement service
+// (Proc.sleep, under Proc.await) or on the agreement service
 // (World.agree, World.agreeVote). World.live counts, in one word, the
 // ranks still running main (high half) and the ranks asleep that no
 // waker has counted awake (low half). A rank adds itself to the low half

@@ -49,7 +49,8 @@ func TestMailboxFIFOBounded(t *testing.T) {
 				pos = len(model) / 2
 			}
 			want := model[pos]
-			e := m.tryGet(recvSel{ctx: 7, src: 1, tag: want}, m.enq.Load(), false)
+			m.drain(recvSel{ctx: 7, src: 1, tag: want})
+			e := m.get(recvSel{ctx: 7, src: 1, tag: want}, false)
 			if e == nil || e.tag != want {
 				t.Fatalf("k=%d step %d: took %v, want tag %d", k, step, e, want)
 			}

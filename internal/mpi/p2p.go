@@ -16,7 +16,8 @@ const (
 	AnyTag    = -1
 )
 
-// envelope is one in-flight message.
+// envelope is one in-flight message. It travels by value into a slot of
+// its lane, where it stays until its receive frees it (mailbox.free).
 type envelope struct {
 	ctx    int64 // communicator context id
 	src    int   // world rank of the sender
@@ -24,8 +25,9 @@ type envelope struct {
 	data   []byte
 	arrive vclock.Time // virtual time the last byte reaches the receiver
 	seq    int64       // per-sender sequence, for deterministic tie-breaks
-	order  int64       // mailbox enqueue order; earliest queued wins wildcards
+	order  int64       // the owner's drain stamp; earliest drained wins wildcards
 	pbuf   *poolBuf    // non-nil when data is pool-backed (copy-on-retain)
+	home   *segment    // the lane segment holding it, once drained
 }
 
 // recvSel describes what a receive or probe accepts: one context, a
@@ -49,37 +51,100 @@ func (s recvSel) matchesTag(tag int) bool {
 	return tag == s.tag
 }
 
-// mailbox holds the messages addressed to one process that no receive has
-// consumed yet: per sender world rank, one FIFO per context, so a directed
-// receive inspects one short per-pair FIFO instead of scanning the whole
-// backlog, and no receive hashes. put, awaitArrival and the snapshot of
-// enq form the only cross-goroutine interaction in the simulation.
+// mailbox holds the messages addressed to one process: one lane per
+// sender world rank, which only that sender fills (on TCP, its
+// connection's pump), drained by the owner into a private index — per
+// sender, a FIFO per context of pointers into the lane slots, so no
+// receive hashes — where it matches without a lock. The mutex serves the
+// sleep/wake handshake alone (Proc.sleep, wake).
 type mailbox struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	from    []sender // by sender world rank
-	closed  bool
-	aborted bool        // closed by World.abort rather than a failure
-	kind    FailureKind // why the owner failed, for error reporting
-	owner   int         // world rank, for failure reporting
-	w       *World
-	// sleeping is set while the owner waits on cond and no waker has
-	// counted it awake (wake).
-	sleeping bool
-	// enq is the monotone enqueue counter; it stamps envelope.order. It
-	// is written under mu and snapshotted without it (Proc.await, Iprobe).
-	enq atomic.Int64
-	// dedupe arms sender.maxSeq, the duplicate-suppression window of the
-	// reliable delivery path. Set only when a link filter is installed;
-	// without one sequences always advance and the check would never fire.
-	dedupe bool
+	lanes  []lane   // by sender world rank
+	from   []sender // the owner's index, by sender world rank
+	stamp  int64    // the owner's last drain stamp (envelope.order)
+	dedupe bool     // arms sender.maxSeq; set before Run with a link filter
+
+	mu       sync.Mutex
+	cond     *sync.Cond
+	sleeping atomic.Bool // the owner sleeps, or is about to, uncounted by a waker
+	closed   atomic.Bool // producers drop their messages once it is set
+	aborted  atomic.Bool // closed by World.abort rather than a failure
+	kind     FailureKind // why the owner failed, for error reporting
+	owner    int         // world rank, for failure reporting
+	w        *World
 }
 
-// sender holds one sender's queued messages, a FIFO per context, and
-// maxSeq, the highest sequence consumed from it. Per-sender sequences
-// arrive monotonically (in-process delivery is synchronous with the send,
-// the TCP transport is FIFO per connection), so a frame whose sequence
-// does not advance maxSeq is a duplicate injected on the wire.
+const laneSeg = 16 // envelopes per lane segment
+
+// lane is the single-producer queue from one sender to one receiver:
+// envelopes by value in segments. The producer fills a slot, then
+// publishes it with one atomic store of the segment's count.
+type lane struct {
+	tail  *segment                // the producer's segment
+	head  atomic.Pointer[segment] // the segment the owner drains
+	spare atomic.Pointer[segment] // a recycled segment, for the producer
+}
+
+type segment struct {
+	n     atomic.Int32 // slots published
+	next  atomic.Pointer[segment]
+	slots [laneSeg]envelope
+	taken int32 // owner: slots drained
+	gone  int32 // owner: slots drained, then freed or dropped
+}
+
+// freeSegs keeps recycled segments for any lane: at most 1 024 (1.5 MB),
+// twice the most the paper-apps bench workload ever leaves free. It is
+// not a sync.Pool, which each collection empties: paper-apps collects
+// about seven times per op, and its lanes re-allocated their backlogs.
+var freeSegs = make(chan *segment, 1024)
+
+func newSegment() *segment {
+	select {
+	case s := <-freeSegs:
+		return s
+	default:
+		return new(segment)
+	}
+}
+
+// push copies e into the lane and publishes it. Producer only.
+func (l *lane) push(e *envelope) {
+	s := l.tail
+	if s == nil {
+		s = newSegment()
+		l.tail = s
+		l.head.Store(s)
+	}
+	i := s.n.Load()
+	if i == laneSeg {
+		next := l.spare.Swap(nil)
+		if next == nil {
+			next = newSegment()
+		}
+		s.next.Store(next)
+		l.tail, s, i = next, next, 0
+	}
+	s.slots[i] = *e
+	s.n.Store(i + 1)
+}
+
+// recycle empties s, which nothing reaches any more, for the spare of
+// lane l (when non-nil) or else for freeSegs.
+func (s *segment) recycle(l *lane) {
+	*s = segment{}
+	if l == nil || !l.spare.CompareAndSwap(nil, s) {
+		select {
+		case freeSegs <- s:
+		default:
+		}
+	}
+}
+
+// sender holds one sender's drained messages, a FIFO per context, and
+// maxSeq, the highest sequence drained from it. Per-sender sequences
+// arrive monotonically (a lane is FIFO, and so is a TCP connection), so a
+// frame whose sequence does not advance maxSeq is a duplicate injected on
+// the wire.
 type sender struct {
 	fifos  []fifo
 	maxSeq int64
@@ -144,44 +209,94 @@ func (f *fifo) take(i int) *envelope {
 
 func (m *mailbox) init(senders int) {
 	m.cond = sync.NewCond(&m.mu)
+	m.lanes = make([]lane, senders)
 	m.from = make([]sender, senders)
 }
 
-// enableDedupe arms duplicate suppression; called before Run when a link
-// filter (which may duplicate frames) is installed.
-func (m *mailbox) enableDedupe() {
-	m.mu.Lock()
-	m.dedupe = true
-	m.mu.Unlock()
-}
-
+// put publishes e in its sender's lane and wakes the owner if it sleeps.
+// Only the lane's one producer calls it. It publishes before it loads
+// sleeping, and Proc.sleep stores sleeping before it re-checks the lanes:
+// Go's atomics are sequentially consistent, so one of the two sees the
+// other and no arrival is slept through.
 func (m *mailbox) put(e *envelope) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		releaseEnvelope(e) // message to a failed process disappears
+	if m.closed.Load() {
+		e.release() // message to a failed process disappears
 		return
 	}
-	s := &m.from[e.src]
-	if m.dedupe && e.seq > 0 {
-		if e.seq <= s.maxSeq {
-			m.mu.Unlock()
-			releaseEnvelope(e) // duplicate frame suppressed
-			return
-		}
-		s.maxSeq = e.seq
+	m.lanes[e.src].push(e)
+	if m.sleeping.Load() {
+		m.notify()
 	}
-	e.order = m.enq.Add(1) - 1
-	s.push(e)
-	m.wake()
-	m.mu.Unlock()
 }
 
-// locate returns the FIFO and index of the earliest-queued envelope the
+// drain indexes what the lanes sel can take from have published,
+// stamping each envelope's order and suppressing wire duplicates, and
+// reports whether it moved anything. Owner only.
+func (m *mailbox) drain(sel recvSel) bool {
+	srcs, moved := sel.srcs, false
+	if sel.src != AnySource {
+		srcs = []int{sel.src}
+	}
+	for _, src := range srcs {
+		l, s := &m.lanes[src], &m.from[src]
+		for seg := l.head.Load(); seg != nil; seg = l.head.Load() {
+			for n := seg.n.Load(); seg.taken < n; seg.taken++ {
+				moved = true
+				e := &seg.slots[seg.taken]
+				if m.dedupe && e.seq > 0 {
+					if e.seq <= s.maxSeq {
+						e.release() // duplicate frame suppressed
+						seg.gone++
+						continue
+					}
+					s.maxSeq = e.seq
+				}
+				m.stamp++
+				e.order, e.home = m.stamp, seg
+				s.push(e)
+			}
+			next := seg.next.Load()
+			if seg.taken < laneSeg || next == nil {
+				break
+			}
+			l.head.Store(next)
+			if seg.gone == laneSeg {
+				seg.recycle(l)
+			}
+		}
+	}
+	return moved
+}
+
+// free hands e's slot back once the receive that took e is done with it;
+// the last slot freed recycles a segment the owner has drained past.
+func (m *mailbox) free(e *envelope) {
+	l, seg := &m.lanes[e.src], e.home
+	if seg.gone++; seg.gone == laneSeg && seg != l.head.Load() {
+		seg.recycle(l)
+	}
+}
+
+// recycle keeps every lane's segments for the next world once no rank of
+// this one runs.
+func (m *mailbox) recycle() {
+	for i := range m.lanes {
+		l := &m.lanes[i]
+		for s := l.head.Load(); s != nil; s = l.head.Load() {
+			l.head.Store(s.next.Load())
+			s.recycle(nil)
+		}
+		if s := l.spare.Swap(nil); s != nil {
+			s.recycle(nil)
+		}
+		l.tail = nil
+	}
+}
+
+// locate returns the FIFO and index of the earliest-drained envelope the
 // selector accepts. FIFOs are in arrival order, so within one the first
-// tag match is the earliest; across senders the enqueue order decides
-// (earliest queued wins, so per-sender delivery stays non-overtaking).
-// Called with m.mu held.
+// tag match is the earliest; across senders the drain stamp decides
+// (earliest drained wins, so per-sender delivery stays non-overtaking).
 func (m *mailbox) locate(sel recvSel) (*fifo, int) {
 	srcs := sel.srcs
 	if sel.src != AnySource {
@@ -206,7 +321,21 @@ func (m *mailbox) locate(sel recvSel) (*fifo, int) {
 	return best, bestI
 }
 
-// notify wakes the owner so it can re-evaluate its giveUp condition.
+// get returns the earliest-drained envelope the selector accepts, removed
+// from the index unless peek is set; otherwise nil.
+func (m *mailbox) get(sel recvSel, peek bool) *envelope {
+	f, i := m.locate(sel)
+	if f == nil {
+		return nil
+	}
+	if peek {
+		return f.q[i]
+	}
+	return f.take(i)
+}
+
+// notify wakes the owner so it can drain its lanes or re-evaluate its
+// giveUp condition.
 func (m *mailbox) notify() {
 	m.mu.Lock()
 	m.wake()
@@ -217,67 +346,50 @@ func (m *mailbox) notify() {
 // way a rank asleep on its mailbox is woken (deadlock.go). Called with
 // m.mu held.
 func (m *mailbox) wake() {
-	if m.sleeping {
-		m.sleeping = false
+	if m.sleeping.Load() {
+		m.sleeping.Store(false)
 		m.w.woken(1)
 		m.cond.Broadcast()
 	}
 }
 
-// tryGet returns the earliest-queued envelope the selector accepts, if it
-// was enqueued before the count before, removed from its queue unless peek
-// is set; otherwise nil. Among queued matches the earliest queued wins,
-// which preserves per-sender FIFO (non-overtaking). The bound is a
-// snapshot taken before the last progress (see Proc.await): a message
-// queued after it may belong to a posted receive that has not seen it.
-func (m *mailbox) tryGet(sel recvSel, before int64, peek bool) *envelope {
+// sleep blocks the owner until a producer or a failure wakes it, then
+// returns for the next round of Proc.await. Under the mutex it stores
+// sleeping, re-checks the lanes of sel and of every posted receive, and
+// counts itself asleep only if none has published since the round drained
+// them (the other half of put's handshake). giveUp and the mailbox's
+// closing abort the sleep by panic. The sleep that leaves no rank able to
+// run reports the deadlock instead, which closes the mailbox.
+func (p *Proc) sleep(sel recvSel, giveUp func() error) {
+	m := &p.mbox
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f, i := m.locate(sel)
-	if f == nil || f.q[i].order >= before {
-		return nil
-	}
-	if peek {
-		return f.q[i]
-	}
-	return f.take(i)
-}
-
-// awaitArrival blocks until the enqueue counter moves past seen — some
-// message, not necessarily a matching one, arrived after the snapshot was
-// taken — or the owner fails, or giveUp reports an error. Failure
-// surfaces by panic; the caller re-runs its matching attempt on return.
-// Wakeups without an enqueue (failure notifications broadcast to all
-// mailboxes) re-check the abort conditions and sleep again. The sleep
-// that leaves no rank able to run reports the deadlock instead, which
-// closes the mailbox.
-func (m *mailbox) awaitArrival(seen int64, giveUp func() error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.enq.Load() == seen {
-		if m.closed {
+	for {
+		if m.closed.Load() {
 			panic(m.closedErr())
 		}
-		if giveUp != nil {
-			if err := giveUp(); err != nil {
-				panic(err)
-			}
+		if err := giveUp(); err != nil {
+			panic(err)
 		}
-		m.sleeping = true
-		if m.w.sleep() {
-			m.mu.Unlock()
-			m.w.deadlocked()
-			m.mu.Lock()
-			continue
+		m.sleeping.Store(true)
+		if m.drain(sel) || p.drainPosted() {
+			m.sleeping.Store(false)
+			return
 		}
-		m.cond.Wait()
+		if !m.w.sleep() {
+			m.cond.Wait()
+			return
+		}
+		m.mu.Unlock()
+		m.w.deadlocked()
+		m.mu.Lock()
 	}
 }
 
 func (m *mailbox) close(kind FailureKind) {
 	m.mu.Lock()
-	m.closed = true
 	m.kind = kind
+	m.closed.Store(true)
 	m.wake()
 	m.mu.Unlock()
 }
@@ -285,7 +397,8 @@ func (m *mailbox) close(kind FailureKind) {
 // abort closes the mailbox for World.abort.
 func (m *mailbox) abort() {
 	m.mu.Lock()
-	m.closed, m.aborted = true, true
+	m.aborted.Store(true)
+	m.closed.Store(true)
 	m.wake()
 	m.mu.Unlock()
 }
@@ -293,7 +406,7 @@ func (m *mailbox) abort() {
 // closedErr is what a wait on the closed mailbox panics with: the owner's
 // failure, or errAborted once the world is aborted.
 func (m *mailbox) closedErr() any {
-	if m.aborted {
+	if m.aborted.Load() {
 		return errAborted
 	}
 	return &ProcessFailedError{Rank: m.owner, Kind: m.kind}
@@ -362,14 +475,10 @@ func (c *Comm) sendCommon(dst, tag int, data []byte, mode payloadMode) vclock.Ti
 		}
 	}
 	p.reqSeq++
-	env := getEnv()
-	env.ctx = c.s.id
-	env.src = p.rank
-	env.tag = tag
-	env.data = buf
-	env.pbuf = pb
-	env.arrive = end + vclock.Time(link.Latency)
-	env.seq = p.reqSeq
+	env := envelope{
+		ctx: c.s.id, src: p.rank, tag: tag, data: buf, pbuf: pb,
+		arrive: end + vclock.Time(link.Latency), seq: p.reqSeq,
+	}
 	p.stats.BytesSent += int64(len(data))
 	p.stats.MsgsSent++
 	if r := p.world.rec; r != nil {
@@ -383,7 +492,7 @@ func (c *Comm) sendCommon(dst, tag int, data []byte, mode payloadMode) vclock.Ti
 	if p.world.linkFilter != nil && dstW != p.rank {
 		// Chaos-adjudicated path: the frame may be delayed, duplicated or
 		// dropped (and then retransmitted) before it reaches the wire.
-		p.transmitFiltered(dstW, env, link, end)
+		p.transmitFiltered(dstW, &env, link, end)
 		return end
 	}
 	p.world.deliver(dstW, env)
@@ -524,13 +633,13 @@ func (p *Proc) noteRecv(e *envelope, start, end vclock.Time, anySrc bool) {
 
 // consume applies receive timing for e and transfers its payload to the
 // caller. Pool-backed payloads are copied out and recycled
-// (copy-on-retain); everything else is handed over as-is. The envelope is
-// recycled and must not be touched afterwards.
+// (copy-on-retain); everything else is handed over as-is. The lane slot is
+// freed and e must not be touched afterwards.
 func (c *Comm) consume(e *envelope, t0 vclock.Time, anySrc bool) ([]byte, Status) {
 	st := c.finishRecvTiming(e, t0, anySrc)
 	data := e.retained()
-	e.data = nil
-	releaseEnvelope(e)
+	e.release()
+	c.p.mbox.free(e)
 	return data, st
 }
 
@@ -542,7 +651,7 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status) {
 	p := c.p
 	s := c.sel(src, tag)
 	t0 := p.clock.Now()
-	e := p.await("recv", s, c.failWatch(src), func(before int64) *envelope { return p.mbox.tryGet(s, before, false) })
+	e := p.await("recv", s, c.failWatch(src), func() *envelope { return p.mbox.get(s, false) })
 	return c.consume(e, t0, src == AnySource)
 }
 
@@ -551,15 +660,17 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status) {
 func (c *Comm) Probe(src, tag int) Status {
 	p := c.p
 	s := c.sel(src, tag)
-	e := p.await("probe", s, c.failWatch(src), func(before int64) *envelope { return p.mbox.tryGet(s, before, true) })
+	e := p.await("probe", s, c.failWatch(src), func() *envelope { return p.mbox.get(s, true) })
 	return Status{Source: c.s.rankOf(e.src), Tag: e.tag, Bytes: len(e.data)}
 }
 
 // Iprobe reports whether a matching message is available.
 func (c *Comm) Iprobe(src, tag int) (bool, Status) {
-	seen := c.p.mbox.enq.Load()
-	c.p.progress()
-	e := c.p.mbox.tryGet(c.sel(src, tag), seen, true)
+	p := c.p
+	s := c.sel(src, tag)
+	p.mbox.drain(s)
+	p.progress()
+	e := p.mbox.get(s, true)
 	if e == nil {
 		return false, Status{}
 	}

@@ -18,7 +18,7 @@ package mpi
 //     exponentially, charged in virtual time (the resend also re-occupies
 //     the sender's interface, so retransmissions consume bandwidth);
 //   - duplicated frames are suppressed in the destination mailbox by the
-//     sequence high-mark (see mailbox.maxSeq);
+//     sequence high-mark (see sender.maxSeq);
 //   - a frame still undeliverable after maxRetransmits resends declares
 //     the destination unreachable: a *ProcessFailedError whose Kind is
 //     FailurePartition when the peer is not known dead — the caller (or
@@ -99,7 +99,7 @@ func (w *World) SetLinkFilter(f LinkFilter) {
 	}
 	w.linkMu.Unlock()
 	for _, p := range w.procs {
-		p.mbox.enableDedupe()
+		p.mbox.dedupe = true
 	}
 }
 
@@ -145,9 +145,8 @@ func (p *Proc) recordLinkEvent(kind trace.Kind, dst int, name string, start, end
 
 // cloneEnvelope builds an independently owned copy of e (same metadata
 // and sequence stamp, pool-backed payload copy): the wire duplicate.
-func cloneEnvelope(e *envelope) *envelope {
-	d := getEnv()
-	d.ctx, d.src, d.tag, d.seq, d.arrive = e.ctx, e.src, e.tag, e.seq, e.arrive
+func cloneEnvelope(e *envelope) envelope {
+	d := envelope{ctx: e.ctx, src: e.src, tag: e.tag, seq: e.seq, arrive: e.arrive}
 	if len(e.data) > 0 {
 		pb := getBuf(len(e.data))
 		copy(pb.b, e.data)
@@ -182,13 +181,13 @@ func (p *Proc) transmitFiltered(dstW int, env *envelope, link hnoc.LinkSpec, end
 				w.noteLink(env.src, dstW, func(st *LinkStats) { st.Dups++ })
 				w.deliver(dstW, cloneEnvelope(env))
 			}
-			w.deliver(dstW, env)
+			w.deliver(dstW, *env)
 			return
 		}
 		p.recordLinkEvent(trace.KindLinkFault, dstW, "drop", wireAt, wireAt, env.seq, int64(attempt))
 		w.noteLink(env.src, dstW, func(st *LinkStats) { st.Drops++ })
 		if attempt >= maxRetransmits {
-			releaseEnvelope(env)
+			env.release()
 			kind := FailurePartition
 			if w.IsFailed(dstW) {
 				kind = FailureCrash

@@ -50,8 +50,7 @@ type Request struct {
 	done bool
 
 	// Receive requests.
-	src  int // requested source (comm rank or AnySource)
-	tag  int
+	src  int       // requested source (comm rank or AnySource)
 	rsel recvSel   // selector, cached at post time
 	env  *envelope // matched by the engine, not yet consumed
 
@@ -69,17 +68,17 @@ type progressState struct {
 	recvQ []*Request // posted Irecvs not yet matched to an envelope
 }
 
-// progress advances the engine: under one mailbox lock it matches queued
-// envelopes to pending receives in posting order. Claiming is
-// timing-neutral (see the package comment above), so calling this at
-// arbitrary points is safe for determinism.
+// progress advances the engine: it drains the lanes the pending receives
+// can take from, then matches the drained envelopes to them in posting
+// order. Claiming is timing-neutral (see the package comment above), so
+// calling this at arbitrary points is safe for determinism.
 func (p *Proc) progress() {
 	q := p.eng.recvQ
 	if len(q) == 0 {
 		return
 	}
 	m := &p.mbox
-	m.mu.Lock()
+	p.drainPosted()
 	kept := q[:0]
 	for _, r := range q {
 		if f, i := m.locate(r.rsel); f != nil {
@@ -88,37 +87,38 @@ func (p *Proc) progress() {
 			kept = append(kept, r)
 		}
 	}
-	m.mu.Unlock()
 	clear(q[len(kept):])
 	p.eng.recvQ = kept
 }
 
-// await is the one blocking wait of the package: Recv, Probe, Wait,
-// WaitAny and every collective receive end here. Each round snapshots the
-// mailbox's enqueue count, runs progress, so posted receives claim first,
-// then calls take, which returns the awaited message or nil. take may only
-// take a message queued before the snapshot: progress has seen every such
-// message and claimed those a posted receive accepts, so posting order
-// holds by construction. With nothing taken the rank sleeps until an
-// enqueue moves the count past the snapshot, so an arrival racing the
-// round is never slept through; giveUp and the mailbox's closing abort
-// the sleep by panic. The first round runs before anything is stored,
-// so a message already queued costs one lock. kind and sel name the wait
-// in a deadlock report (deadlock.go).
-func (p *Proc) await(kind string, sel recvSel, giveUp func() error, take func(before int64) *envelope) *envelope {
-	seen := p.mbox.enq.Load()
-	p.progress()
-	if e := take(seen); e != nil {
-		return e
+// drainPosted drains the lanes every pending receive can take from and
+// reports whether any moved.
+func (p *Proc) drainPosted() bool {
+	moved := false
+	for _, r := range p.eng.recvQ {
+		moved = p.mbox.drain(r.rsel) || moved
 	}
-	p.wait = waitFor{kind, sel}
+	return moved
+}
+
+// await is the one blocking wait of the package: Recv, Probe, Wait,
+// WaitAny and every collective receive end here. Each round drains sel's
+// lanes, runs progress, so posted receives claim first, then calls take,
+// which returns the awaited message or nil. progress and take read the
+// same private index with nothing drained between them, so progress has
+// claimed every message take could see that a posted receive accepts:
+// posting order holds by construction. With nothing taken the rank sleeps
+// (Proc.sleep) until a producer publishes or a failure wakes it. A round
+// takes no lock. kind and sel name the wait in a deadlock report.
+func (p *Proc) await(kind string, sel recvSel, giveUp func() error, take func() *envelope) *envelope {
 	for {
-		p.mbox.awaitArrival(seen, giveUp)
-		seen = p.mbox.enq.Load()
+		p.mbox.drain(sel)
 		p.progress()
-		if e := take(seen); e != nil {
+		if e := take(); e != nil {
 			return e
 		}
+		p.wait = waitFor{kind, sel}
+		p.sleep(sel, giveUp)
 	}
 }
 
@@ -191,7 +191,7 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	p := c.p
 	s := c.sel(src, tag)
 	p.reqID++
-	r := &Request{id: p.reqID, kind: reqRecv, c: c, src: src, tag: tag, rsel: s}
+	r := &Request{id: p.reqID, kind: reqRecv, c: c, src: src, rsel: s}
 	p.eng.recvQ = append(p.eng.recvQ, r)
 	peer := -1
 	if s.src != AnySource {
@@ -225,7 +225,7 @@ func (r *Request) Wait() ([]byte, Status) {
 				p.engDropRecv(r)
 			}
 		}()
-		p.await("recv", r.rsel, r.c.failWatch(r.src), func(int64) *envelope { return r.env })
+		p.await("recv", r.rsel, r.c.failWatch(r.src), func() *envelope { return r.env })
 		r.data, r.status = r.c.consume(r.env, t0, r.src == AnySource)
 		r.env = nil
 	}
@@ -325,7 +325,7 @@ func WaitAny(reqs []*Request) (int, []byte, Status) {
 		return pending, data, st
 	}
 	i := 0
-	r.c.p.await("waitany", recvSel{}, waitAnyGiveUp(reqs), func(int64) *envelope {
+	r.c.p.await("waitany", recvSel{src: AnySource}, waitAnyGiveUp(reqs), func() *envelope {
 		for i = range reqs {
 			if q := reqs[i]; !q.done && q.kind == reqRecv && q.env != nil {
 				return q.env

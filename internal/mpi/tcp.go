@@ -103,6 +103,9 @@ type tcpTransport struct {
 	listeners []net.Listener
 	connMu    []sync.Mutex // per (src,dst) pair: serialises writers and conn swaps
 	conns     [][]net.Conn // conns[src][dst]
+	// pumpMu[dst*n+src] is held by the one pump feeding dst's lane from src
+	// (a lane has one producer); the receiver never takes it.
+	pumpMu []sync.Mutex
 
 	// lastSeen[dst][src] is the UnixNano time dst's pump last heard any
 	// frame from src (heartbeat or payload).
@@ -196,6 +199,7 @@ func newTCPTransport(w *World, opts tcpOptions) (*tcpTransport, error) {
 	// Dial the mesh.
 	t.conns = make([][]net.Conn, n)
 	t.connMu = make([]sync.Mutex, n*n)
+	t.pumpMu = make([]sync.Mutex, n*n)
 	for src := 0; src < n; src++ {
 		t.conns[src] = make([]net.Conn, n)
 		for dst := 0; dst < n; dst++ {
@@ -343,23 +347,23 @@ func (t *tcpTransport) writeFrame(src, dst int, buf []byte) error {
 // deliver frames the envelope onto the src->dst connection, re-dialling
 // with exponential backoff on write failure before declaring the
 // destination dead.
-func (t *tcpTransport) deliver(dst int, e *envelope) {
+func (t *tcpTransport) deliver(dst int, e envelope) {
 	if e.src == dst {
 		// Self-delivery has no wire.
-		t.world.procs[dst].mbox.put(e)
+		t.world.procs[dst].mbox.put(&e)
 		return
 	}
 	if t.world.IsFailed(dst) {
-		releaseEnvelope(e)
+		e.release()
 		return // message to a failed process disappears
 	}
 	// The frame captures the payload, so the envelope (and, for
 	// sendCommon's copy elision, the sender's buffer) is done with as soon
 	// as the frame is built; the pooled frame buffer outlives the write.
-	pb := frameBuf(e)
+	pb := frameBuf(&e)
 	defer pb.release()
 	src := e.src
-	releaseEnvelope(e)
+	e.release()
 	if t.writeFrame(src, dst, pb.b) == nil {
 		return
 	}
@@ -414,7 +418,8 @@ func (t *tcpTransport) reconnect(src, dst int, buf []byte) bool {
 	return false
 }
 
-// pump decodes frames from one connection into the destination mailbox.
+// pump decodes frames from one connection into the destination's lane
+// from src.
 // An unexpected end of stream is a failure signal: without heartbeats the
 // peer is declared dead on the spot (a closed socket means the process is
 // gone); with heartbeats the verdict is left to the silence monitor, which
@@ -422,6 +427,9 @@ func (t *tcpTransport) reconnect(src, dst int, buf []byte) bool {
 func (t *tcpTransport) pump(dst, src int, conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
+	mu := &t.pumpMu[dst*len(t.world.procs)+src] // a reconnect's pump waits for the old one
+	mu.Lock()
+	defer mu.Unlock()
 	hdr := make([]byte, frameHeaderLen)
 	for {
 		if _, err := io.ReadFull(conn, hdr); err != nil {
@@ -434,39 +442,37 @@ func (t *tcpTransport) pump(dst, src int, conn net.Conn) {
 			t.observe(dst, src, time.Now().UnixNano())
 			continue
 		}
-		e := getEnv()
-		e.ctx = ctx
-		e.src = int(int64(binary.LittleEndian.Uint64(hdr[8:])))
-		e.tag = int(int64(binary.LittleEndian.Uint64(hdr[16:])))
-		e.seq = int64(binary.LittleEndian.Uint64(hdr[24:]))
-		e.arrive = vclock.Time(math.Float64frombits(binary.LittleEndian.Uint64(hdr[32:])))
+		e := envelope{
+			ctx:    ctx,
+			src:    int(int64(binary.LittleEndian.Uint64(hdr[8:]))),
+			tag:    int(int64(binary.LittleEndian.Uint64(hdr[16:]))),
+			seq:    int64(binary.LittleEndian.Uint64(hdr[24:])),
+			arrive: vclock.Time(math.Float64frombits(binary.LittleEndian.Uint64(hdr[32:]))),
+		}
 		if size > 0 {
 			// Pool-backed payload: the consumption helpers copy-on-retain,
 			// so recycling the buffer after the receive is safe.
 			pb := getBuf(int(size))
 			if _, err := io.ReadFull(conn, pb.b); err != nil {
 				pb.release()
-				putEnv(e)
 				t.peerGone(dst, src)
 				return
 			}
-			e.data = pb.b
-			e.pbuf = pb
+			e.data, e.pbuf = pb.b, pb
 		}
 		if e.src != src {
-			releaseEnvelope(e)
+			e.release()
 			return // protocol violation; drop the connection
 		}
 		t.observe(dst, src, time.Now().UnixNano())
-		t.world.procs[dst].mbox.put(e)
+		t.world.procs[dst].mbox.put(&e)
 	}
 }
 
 // observe records that dst heard from src at wall time now (UnixNano) and
 // folds the interarrival sample into the Jacobson estimators behind the
-// adaptive silence threshold. Updates are load/store (not CAS): two pumps
-// can overlap briefly across a reconnect, and a lost statistical sample
-// is harmless.
+// adaptive silence threshold. Updates are load/store (not CAS): one pump
+// per pair runs at a time (pumpMu).
 func (t *tcpTransport) observe(dst, src int, now int64) {
 	prev := t.lastSeen[dst][src].Swap(now)
 	sample := now - prev

@@ -89,7 +89,7 @@ type World struct {
 	// deliver routes an envelope to a destination's mailbox. The default
 	// is the in-process path; NewWorldTCP substitutes a real network
 	// transport.
-	deliver func(dst int, e *envelope)
+	deliver func(dst int, e envelope)
 
 	// wireTransport is set by transports whose deliver serialises the
 	// payload before returning (TCP): sendCommon can then skip its
@@ -151,7 +151,7 @@ func NewWorld(cluster *hnoc.Cluster, placement []int) *World {
 	for r := range placement {
 		w.procs = append(w.procs, newProc(w, r))
 	}
-	w.deliver = func(dst int, e *envelope) { w.procs[dst].mbox.put(e) }
+	w.deliver = func(dst int, e envelope) { w.procs[dst].mbox.put(&e) }
 	return w
 }
 
@@ -370,6 +370,11 @@ func (w *World) Run(main func(p *Proc) error) error {
 		}(p)
 	}
 	wg.Wait()
+	if !w.wireTransport { // no rank runs, and nothing else sends in-process
+		for _, p := range w.procs {
+			p.mbox.recycle()
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err
