@@ -40,7 +40,7 @@ func TestSendRequestStaysOnTheStack(t *testing.T) {
 			{"Send, Recv", 1, func() { comm.Send(0, 1, data); comm.Recv(0, 1) }},
 			{"Sendrecv", 1, func() { comm.Sendrecv(0, 1, data, 0, 1) }},
 		} {
-			k.f() // the mailbox bucket and the envelope pool fill on the first message
+			k.f() // the first message makes the lane's segment and its context's queue
 			if got := testing.AllocsPerRun(100, k.f); got != k.want {
 				t.Errorf("%s: %v allocations per message, want %v", k.name, got, k.want)
 			}
@@ -137,6 +137,54 @@ func TestPingPongAllocationFloor(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / n; per >= 0.01 {
+		t.Fatalf("%.4f allocations per message (%d over %d), want < 0.01", per, after.Mallocs-before.Mallocs, n)
+	}
+}
+
+// TestBacklogAllocationFloor: rank 1 runs 1 000 IsendOwned messages ahead
+// of rank 0, alternately on two communicators, and rank 0 takes the
+// second communicator's half first; the whole process allocates less than
+// one object per hundred messages, so a backlog queues in the lane slots
+// that hold it. A first world warms freeSegs.
+func TestBacklogAllocationFloor(t *testing.T) {
+	skipUnlessAllocsAreExact(t)
+	const n = 1000
+	var before, after runtime.MemStats
+	for _, measure := range []bool{false, true} {
+		w := newTestWorld(t, 2)
+		err := w.Run(func(p *Proc) error {
+			c := p.CommWorld()
+			comms := []*Comm{c, c.Dup()}
+			data := make([]byte, 64)
+			c.Barrier()
+			if measure && c.Rank() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			c.Barrier()
+			if c.Rank() == 1 {
+				for i := range n {
+					comms[i%2].IsendOwned(0, 0, data)
+				}
+			}
+			c.Barrier()
+			if c.Rank() == 0 {
+				for _, comm := range []*Comm{comms[1], c} {
+					for range n / 2 {
+						comm.Recv(1, 0)
+					}
+				}
+			}
+			c.Barrier()
+			if measure && c.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if per := float64(after.Mallocs-before.Mallocs) / n; per >= 0.01 {
 		t.Fatalf("%.4f allocations per message (%d over %d), want < 0.01", per, after.Mallocs-before.Mallocs, n)

@@ -142,7 +142,6 @@ func (x *collRun) deliver(s *step, e *envelope) {
 	case stRecvFrame:
 		x.buf = bundleAppend(x.buf, s.peer, e.data)
 	}
-	e.release()
 	x.comm.p.mbox.free(e)
 }
 

@@ -76,8 +76,12 @@ func stuck(v int64) bool {
 
 // deadlocked records what every sleeping rank waits for and aborts the
 // world. Its caller holds no mailbox lock and not agreeMu: abort takes
-// them all.
+// them all. It reports nothing once an abort has begun, whose wakes may
+// make the counts meet while the ranks already woken run.
 func (w *World) deadlocked() {
+	if w.aborted.Load() {
+		return
+	}
 	var waits []string
 	for _, p := range w.procs {
 		switch f := p.wait; f.kind {

@@ -260,7 +260,7 @@ func (w *World) agree(key ctxKey, members []int, me int, now vclock.Time) ([]int
 			w.wakeAgreements()
 			break
 		}
-		if w.aborted {
+		if w.aborted.Load() {
 			panic(errAborted)
 		}
 		w.sleepAgreement(me)
@@ -291,7 +291,7 @@ func (w *World) agreeVote(key ctxKey, members []int, me int, now vclock.Time, lo
 			w.wakeAgreements()
 			break
 		}
-		if w.aborted {
+		if w.aborted.Load() {
 			panic(errAborted)
 		}
 		w.sleepAgreement(me)

@@ -17,7 +17,8 @@ const (
 )
 
 // envelope is one in-flight message. It travels by value into a slot of
-// its lane, where it stays until its receive frees it (mailbox.free).
+// its sender's lane, where it stays, once drained linked into its queue,
+// until its receive frees it (mailbox.free).
 type envelope struct {
 	ctx    int64 // communicator context id
 	src    int   // world rank of the sender
@@ -28,6 +29,7 @@ type envelope struct {
 	order  int64       // the owner's drain stamp; earliest drained wins wildcards
 	pbuf   *poolBuf    // non-nil when data is pool-backed (copy-on-retain)
 	home   *segment    // the lane segment holding it, once drained
+	next   *envelope   // the next envelope of its queue, once drained
 }
 
 // recvSel describes what a receive or probe accepts: one context, a
@@ -51,17 +53,22 @@ func (s recvSel) matchesTag(tag int) bool {
 	return tag == s.tag
 }
 
-// mailbox holds the messages addressed to one process: one lane per
-// sender world rank, which only that sender fills (on TCP, its
-// connection's pump), drained by the owner into a private index — per
-// sender, a FIFO per context of pointers into the lane slots, so no
-// receive hashes — where it matches without a lock. The mutex serves the
-// sleep/wake handshake alone (Proc.sleep, wake).
+// senders returns the world ranks the selector takes from.
+func (s recvSel) senders() []int {
+	if s.src == AnySource {
+		return s.srcs
+	}
+	return []int{s.src}
+}
+
+// mailbox holds the messages addressed to one process: one peer per
+// sender world rank, whose lane only that sender fills (on TCP, its
+// connection's pump). The owner drains a lane by linking its slots into
+// the peer's per-context queues, where it matches without a lock. The
+// mutex serves the sleep/wake handshake alone (Proc.sleep, wake).
 type mailbox struct {
-	lanes  []lane   // by sender world rank
-	from   []sender // the owner's index, by sender world rank
-	stamp  int64    // the owner's last drain stamp (envelope.order)
-	dedupe bool     // arms sender.maxSeq; set before Run with a link filter
+	peers []peer // by sender world rank
+	stamp int64  // the owner's last drain stamp (envelope.order)
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -75,14 +82,26 @@ type mailbox struct {
 
 const laneSeg = 16 // envelopes per lane segment
 
-// lane is the single-producer queue from one sender to one receiver:
-// envelopes by value in segments. The producer fills a slot, then
-// publishes it with one atomic store of the segment's count.
-type lane struct {
-	tail  *segment                // the producer's segment
-	head  atomic.Pointer[segment] // the segment the owner drains
-	spare atomic.Pointer[segment] // a recycled segment, for the producer
+// peer is one sender's lane into the owner — envelopes by value in
+// segments, each slot published by one atomic store of its segment's
+// count — and the owner's queues of what it drained. A sender's sequences
+// arrive in order (a lane is FIFO, so is a TCP connection): one that does
+// not advance maxSeq is a wire duplicate.
+type peer struct {
+	tail   *segment                // the producer's segment
+	head   atomic.Pointer[segment] // the segment the owner drains
+	maxSeq int64                   // owner: the highest sequence drained
+	queues []queue                 // owner: one per context
 }
+
+// queue is the drained envelopes of one context, oldest first, linked
+// through envelope.next. An empty one is drained, for the next context.
+type queue struct {
+	ctx         int64
+	first, last *envelope
+}
+
+const drained = math.MinInt64 // no communicator has this context id
 
 type segment struct {
 	n     atomic.Int32 // slots published
@@ -92,125 +111,90 @@ type segment struct {
 	gone  int32 // owner: slots drained, then freed or dropped
 }
 
-// freeSegs keeps recycled segments for any lane: at most 1 024 (1.5 MB),
+// freeSegs keeps recycled segments for any lane: at most 1 024 (1.6 MB),
 // twice the most the paper-apps bench workload ever leaves free. It is
 // not a sync.Pool, which each collection empties: paper-apps collects
 // about seven times per op, and its lanes re-allocated their backlogs.
 var freeSegs = make(chan *segment, 1024)
 
-func newSegment() *segment {
-	select {
-	case s := <-freeSegs:
-		return s
-	default:
-		return new(segment)
-	}
-}
-
 // push copies e into the lane and publishes it. Producer only.
-func (l *lane) push(e *envelope) {
-	s := l.tail
-	if s == nil {
-		s = newSegment()
-		l.tail = s
-		l.head.Store(s)
+func (p *peer) push(e *envelope) {
+	s := p.tail
+	if s == nil || s.n.Load() == laneSeg {
+		select {
+		case p.tail = <-freeSegs:
+		default:
+			p.tail = new(segment)
+		}
+		if s == nil {
+			p.head.Store(p.tail)
+		} else {
+			s.next.Store(p.tail)
+		}
+		s = p.tail
 	}
 	i := s.n.Load()
-	if i == laneSeg {
-		next := l.spare.Swap(nil)
-		if next == nil {
-			next = newSegment()
-		}
-		s.next.Store(next)
-		l.tail, s, i = next, next, 0
-	}
 	s.slots[i] = *e
 	s.n.Store(i + 1)
 }
 
-// recycle empties s, which nothing reaches any more, for the spare of
-// lane l (when non-nil) or else for freeSegs.
-func (s *segment) recycle(l *lane) {
+// recycle empties s, which nothing reaches any more, for freeSegs.
+func (s *segment) recycle() {
 	*s = segment{}
-	if l == nil || !l.spare.CompareAndSwap(nil, s) {
-		select {
-		case freeSegs <- s:
-		default:
-		}
+	select {
+	case freeSegs <- s:
+	default:
 	}
 }
 
-// sender holds one sender's drained messages, a FIFO per context, and
-// maxSeq, the highest sequence drained from it. Per-sender sequences
-// arrive monotonically (a lane is FIFO, and so is a TCP connection), so a
-// frame whose sequence does not advance maxSeq is a duplicate injected on
-// the wire.
-type sender struct {
-	fifos  []fifo
-	maxSeq int64
-}
-
-// fifo is the queue of one (sender, context) pair: q[head:], oldest first.
-// Once empty its context is drained, and the next new context reuses it.
-type fifo struct {
-	ctx  int64
-	head int
-	q    []*envelope
-}
-
-const drained = math.MinInt64 // no communicator has this context id
-
-// find returns the sender's FIFO for ctx, or nil.
-func (s *sender) find(ctx int64) *fifo {
-	for i := range s.fifos {
-		if s.fifos[i].ctx == ctx {
-			return &s.fifos[i]
+// queue returns the peer's queue of ctx, or nil.
+func (p *peer) queue(ctx int64) *queue {
+	for i := range p.queues {
+		if p.queues[i].ctx == ctx {
+			return &p.queues[i]
 		}
 	}
 	return nil
 }
 
-// push appends e to the FIFO of its context. A full backing array is
-// compacted in place when a take has freed a slot and doubled only when
-// every slot is queued, so a queue that never drains keeps its capacity
-// within twice its deepest backlog.
-func (s *sender) push(e *envelope) {
-	f := s.find(e.ctx)
-	if f == nil {
-		if f = s.find(drained); f == nil {
-			s.fifos = append(s.fifos, fifo{})
-			f = &s.fifos[len(s.fifos)-1]
+// add links e at the end of the queue of its context.
+func (p *peer) add(e *envelope) {
+	q := p.queue(e.ctx)
+	if q == nil {
+		if q = p.queue(drained); q == nil {
+			p.queues = append(p.queues, queue{})
+			q = &p.queues[len(p.queues)-1]
 		}
-		f.ctx = e.ctx
+		q.ctx = e.ctx
 	}
-	if len(f.q) == cap(f.q) {
-		if f.head == 0 {
-			f.q = append(make([]*envelope, 0, max(2*len(f.q), 2)), f.q...)
-		} else {
-			n := copy(f.q, f.q[f.head:])
-			clear(f.q[n:])
-			f.q, f.head = f.q[:n], 0
-		}
+	if q.last == nil {
+		q.first = e
+	} else {
+		q.last.next = e
 	}
-	f.q = append(f.q, e)
+	q.last = e
 }
 
-// take removes and returns q[i], moving the envelopes queued before it up
-// one slot, so taking the oldest is O(1).
-func (f *fifo) take(i int) *envelope {
-	e := f.q[i]
-	copy(f.q[f.head+1:i+1], f.q[f.head:i])
-	f.q[f.head] = nil
-	if f.head++; f.head == len(f.q) {
-		f.ctx, f.head, f.q = drained, 0, f.q[:0]
+// unlink takes e, which follows prev (nil when e is first), out of q.
+func (q *queue) unlink(e, prev *envelope) *envelope {
+	if prev == nil {
+		q.first = e.next
+	} else {
+		prev.next = e.next
 	}
+	if q.last == e {
+		q.last = prev
+	}
+	if q.first == nil {
+		q.ctx = drained
+	}
+	e.next = nil
 	return e
 }
 
 func (m *mailbox) init(senders int) {
 	m.cond = sync.NewCond(&m.mu)
-	m.lanes = make([]lane, senders)
-	m.from = make([]sender, senders)
+	m.peers = make([]peer, senders)
 }
 
 // put publishes e in its sender's lane and wakes the owner if it sleeps.
@@ -223,115 +207,102 @@ func (m *mailbox) put(e *envelope) {
 		e.release() // message to a failed process disappears
 		return
 	}
-	m.lanes[e.src].push(e)
+	m.peers[e.src].push(e)
 	if m.sleeping.Load() {
 		m.notify()
 	}
 }
 
-// drain indexes what the lanes sel can take from have published,
-// stamping each envelope's order and suppressing wire duplicates, and
-// reports whether it moved anything. Owner only.
+// drain queues what the lanes sel can take from have published, stamping
+// each envelope's order and suppressing wire duplicates, and reports
+// whether it moved anything. Owner only.
 func (m *mailbox) drain(sel recvSel) bool {
-	srcs, moved := sel.srcs, false
-	if sel.src != AnySource {
-		srcs = []int{sel.src}
-	}
-	for _, src := range srcs {
-		l, s := &m.lanes[src], &m.from[src]
-		for seg := l.head.Load(); seg != nil; seg = l.head.Load() {
+	moved := false
+	for _, src := range sel.senders() {
+		p := &m.peers[src]
+		for seg := p.head.Load(); seg != nil; seg = p.head.Load() {
 			for n := seg.n.Load(); seg.taken < n; seg.taken++ {
 				moved = true
 				e := &seg.slots[seg.taken]
-				if m.dedupe && e.seq > 0 {
-					if e.seq <= s.maxSeq {
-						e.release() // duplicate frame suppressed
-						seg.gone++
-						continue
-					}
-					s.maxSeq = e.seq
+				if e.seq > 0 && e.seq <= p.maxSeq {
+					e.release() // duplicate frame suppressed
+					seg.gone++
+					continue
 				}
+				p.maxSeq = max(p.maxSeq, e.seq)
 				m.stamp++
 				e.order, e.home = m.stamp, seg
-				s.push(e)
+				p.add(e)
 			}
 			next := seg.next.Load()
 			if seg.taken < laneSeg || next == nil {
 				break
 			}
-			l.head.Store(next)
+			p.head.Store(next)
 			if seg.gone == laneSeg {
-				seg.recycle(l)
+				seg.recycle()
 			}
 		}
 	}
 	return moved
 }
 
-// free hands e's slot back once the receive that took e is done with it;
-// the last slot freed recycles a segment the owner has drained past.
+// free releases e's pooled payload and hands its slot back once the
+// receive that took e is done with it; the last slot freed recycles a
+// segment the owner has drained past.
 func (m *mailbox) free(e *envelope) {
-	l, seg := &m.lanes[e.src], e.home
-	if seg.gone++; seg.gone == laneSeg && seg != l.head.Load() {
-		seg.recycle(l)
+	e.release()
+	seg := e.home
+	if seg.gone++; seg.gone == laneSeg && seg != m.peers[e.src].head.Load() {
+		seg.recycle()
 	}
 }
 
 // recycle keeps every lane's segments for the next world once no rank of
 // this one runs.
 func (m *mailbox) recycle() {
-	for i := range m.lanes {
-		l := &m.lanes[i]
-		for s := l.head.Load(); s != nil; s = l.head.Load() {
-			l.head.Store(s.next.Load())
-			s.recycle(nil)
+	for i := range m.peers {
+		p := &m.peers[i]
+		for s := p.head.Load(); s != nil; s = p.head.Load() {
+			p.head.Store(s.next.Load())
+			s.recycle()
 		}
-		if s := l.spare.Swap(nil); s != nil {
-			s.recycle(nil)
-		}
-		l.tail = nil
+		p.tail = nil
 	}
 }
 
-// locate returns the FIFO and index of the earliest-drained envelope the
-// selector accepts. FIFOs are in arrival order, so within one the first
-// tag match is the earliest; across senders the drain stamp decides
-// (earliest drained wins, so per-sender delivery stays non-overtaking).
-func (m *mailbox) locate(sel recvSel) (*fifo, int) {
-	srcs := sel.srcs
-	if sel.src != AnySource {
-		srcs = []int{sel.src}
-	}
-	var best *fifo
-	bestI := 0
-	for _, src := range srcs {
-		f := m.from[src].find(sel.ctx)
-		if f == nil {
+// locate returns the earliest-drained envelope the selector accepts, its
+// queue and the envelope before it there. Queues are in arrival order,
+// so within one the first tag match is the earliest; across senders the
+// drain stamp decides (earliest drained wins, so per-sender delivery
+// stays non-overtaking).
+func (m *mailbox) locate(sel recvSel) (q *queue, e, prev *envelope) {
+	for _, src := range sel.senders() {
+		sq := m.peers[src].queue(sel.ctx)
+		if sq == nil {
 			continue
 		}
-		for i := f.head; i < len(f.q); i++ {
-			if sel.matchesTag(f.q[i].tag) {
-				if best == nil || f.q[i].order < best.q[bestI].order {
-					best, bestI = f, i
+		var before *envelope
+		for x := sq.first; x != nil; x, before = x.next, x {
+			if sel.matchesTag(x.tag) {
+				if e == nil || x.order < e.order {
+					q, e, prev = sq, x, before
 				}
 				break // FIFO: later entries are younger
 			}
 		}
 	}
-	return best, bestI
+	return q, e, prev
 }
 
-// get returns the earliest-drained envelope the selector accepts, removed
-// from the index unless peek is set; otherwise nil.
+// get returns the earliest-drained envelope the selector accepts,
+// unlinked from its queue unless peek is set; otherwise nil.
 func (m *mailbox) get(sel recvSel, peek bool) *envelope {
-	f, i := m.locate(sel)
-	if f == nil {
-		return nil
+	q, e, prev := m.locate(sel)
+	if e == nil || peek {
+		return e
 	}
-	if peek {
-		return f.q[i]
-	}
-	return f.take(i)
+	return q.unlink(e, prev)
 }
 
 // notify wakes the owner so it can drain its lanes or re-evaluate its
@@ -638,7 +609,6 @@ func (p *Proc) noteRecv(e *envelope, start, end vclock.Time, anySrc bool) {
 func (c *Comm) consume(e *envelope, t0 vclock.Time, anySrc bool) ([]byte, Status) {
 	st := c.finishRecvTiming(e, t0, anySrc)
 	data := e.retained()
-	e.release()
 	c.p.mbox.free(e)
 	return data, st
 }

@@ -18,7 +18,7 @@ package mpi
 //     exponentially, charged in virtual time (the resend also re-occupies
 //     the sender's interface, so retransmissions consume bandwidth);
 //   - duplicated frames are suppressed in the destination mailbox by the
-//     sequence high-mark (see sender.maxSeq);
+//     sequence high-mark (see peer.maxSeq);
 //   - a frame still undeliverable after maxRetransmits resends declares
 //     the destination unreachable: a *ProcessFailedError whose Kind is
 //     FailurePartition when the peer is not known dead — the caller (or
@@ -40,7 +40,7 @@ type LinkOutcome struct {
 	// ack timeout.
 	Drop bool
 	// Dup delivers a second, identical copy of the frame immediately
-	// after the first (suppressed by the receiver's dedupe window).
+	// after the first (suppressed by the receiver: peer.maxSeq).
 	Dup bool
 	// Delay defers the frame's arrival by this much virtual time on top
 	// of the modeled link latency.
@@ -86,8 +86,9 @@ type LinkStats struct {
 }
 
 // SetLinkFilter installs the frame adjudicator (nil removes it), which
-// arms the retransmit path and the duplicate-suppression window in every
-// mailbox. Install before Run.
+// arms the retransmit path. Install before Run. The duplicates it injects
+// need no arming: every mailbox drops a frame whose sequence does not
+// advance its sender's (peer.maxSeq).
 func (w *World) SetLinkFilter(f LinkFilter) {
 	w.linkFilter = f
 	if f == nil {
@@ -98,9 +99,6 @@ func (w *World) SetLinkFilter(f LinkFilter) {
 		w.linkStats = make(map[linkPair]*LinkStats)
 	}
 	w.linkMu.Unlock()
-	for _, p := range w.procs {
-		p.mbox.dedupe = true
-	}
 }
 
 // LinkStatsSnapshot returns a copy of the per-link fault statistics

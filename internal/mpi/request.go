@@ -81,8 +81,8 @@ func (p *Proc) progress() {
 	p.drainPosted()
 	kept := q[:0]
 	for _, r := range q {
-		if f, i := m.locate(r.rsel); f != nil {
-			r.env = f.take(i)
+		if q, e, prev := m.locate(r.rsel); e != nil {
+			r.env = q.unlink(e, prev)
 		} else {
 			kept = append(kept, r)
 		}

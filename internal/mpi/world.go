@@ -73,8 +73,8 @@ type World struct {
 	agreeMu   sync.Mutex
 	agreeCond *sync.Cond
 	agreeTab  map[ctxKey]*agreeState
-	aborted   bool  // set by abort, under agreeMu
-	agreeing  int64 // ranks asleep on agreeCond, under agreeMu
+	aborted   atomic.Bool // set by abort before it wakes anyone
+	agreeing  int64       // ranks asleep on agreeCond, under agreeMu
 
 	// live and deadlock are the deadlock detector (deadlock.go): the
 	// ranks still running main and the ranks asleep, and what it found.
@@ -394,11 +394,11 @@ var errAborted = errors.New("mpi: world aborted")
 // waiting — on the panicked rank or on anyone else — panics with
 // errAborted.
 func (w *World) abort() {
+	w.aborted.Store(true)
 	for _, p := range w.procs {
 		p.mbox.abort()
 	}
 	w.agreeMu.Lock()
-	w.aborted = true
 	w.wakeAgreements()
 	w.agreeMu.Unlock()
 }
