@@ -44,9 +44,9 @@ func TestTimingOnlyRunAllocatesWhatItSends(t *testing.T) {
 		t.Fatal(err)
 	}
 	jaSent := 2 * (ja.P - 1) * 8 * ja.Cols * iters
-	// The blocking schedule on the homogeneous 3x3 grid: at each of the N
-	// steps every block of the pivot column and of the pivot row goes to the
-	// M-1 other processor columns (rows).
+	// Either schedule on the homogeneous 3x3 grid: at each of the N steps
+	// every block of the pivot column and of the pivot row goes to the M-1
+	// other processor columns (rows).
 	mm, err := matmul.Generate(matmul.Config{M: 3, R: 9, N: 90})
 	if err != nil {
 		t.Fatal(err)
@@ -62,6 +62,7 @@ func TestTimingOnlyRunAllocatesWhatItSends(t *testing.T) {
 		{"em3d-overlap", &em3d.Program{Problem: em, Opts: em3d.RunOptions{Iters: iters, Overlap: true}}, emSent},
 		{"jacobi", &jacobi.Program{Problem: ja}, jaSent},
 		{"matmul", &matmul.Program{Problem: mm}, mmSent},
+		{"matmul-overlap", &matmul.Program{Problem: mm, Opts: matmul.RunOptions{Overlap: true}}, mmSent},
 	} {
 		got := allocated(func() {
 			if _, err := apps.RunOn(hnoc.Paper9(), c.prog, apps.MPI); err != nil {

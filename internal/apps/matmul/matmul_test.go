@@ -102,7 +102,7 @@ func TestSerialMultiplyIdentity(t *testing.T) {
 
 // TestParallelMatchesSerial verifies the distributed multiplication
 // against the serial reference for both distributions and awkward sizes
-// (L dividing N and not).
+// (L dividing N and not), under the blocking and the pipelined schedule.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -140,32 +140,34 @@ func TestParallelMatchesSerial(t *testing.T) {
 				dist = NewHomogeneous(tc.m, tc.n, tc.r)
 			}
 
-			cluster := hnoc.Homogeneous(tc.m*tc.m, 50)
-			rt, err := hmpi.New(hmpi.Config{Cluster: cluster})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rt.Finalize()
-			var got []float64
-			err = rt.Run(func(h *hmpi.Process) error {
-				c, err := RunParallel(h.CommWorld(), pr, dist, RunOptions{CollectC: true})
+			for _, overlap := range []bool{false, true} {
+				cluster := hnoc.Homogeneous(tc.m*tc.m, 50)
+				rt, err := hmpi.New(hmpi.Config{Cluster: cluster})
 				if err != nil {
-					return err
+					t.Fatal(err)
 				}
-				if h.IsHost() {
-					got = c
+				var got []float64
+				err = rt.Run(func(h *hmpi.Process) error {
+					c, err := RunParallel(h.CommWorld(), pr, dist, RunOptions{CollectC: true, Overlap: overlap})
+					if err != nil {
+						return err
+					}
+					if h.IsHost() {
+						got = c
+					}
+					return nil
+				})
+				rt.Finalize()
+				if err != nil {
+					t.Fatalf("overlap=%v: %v", overlap, err)
 				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("C has %d elements, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-9 {
-					t.Fatalf("C[%d] = %v, want %v", i, got[i], want[i])
+				if len(got) != len(want) {
+					t.Fatalf("overlap=%v: C has %d elements, want %d", overlap, len(got), len(want))
+				}
+				for i := range want {
+					if math.Abs(got[i]-want[i]) > 1e-9 {
+						t.Fatalf("overlap=%v: C[%d] = %v, want %v", overlap, i, got[i], want[i])
+					}
 				}
 			}
 		})
