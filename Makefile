@@ -31,7 +31,9 @@ build:
 # and the heuristics' values, nothing else) and the
 # group-lifecycle tests (creation, recreation,
 # GroupFree, resilient regions, Run's report of a leaked group, and the
-# self-healing runs pinned in internal/apps/testdata/selfheal.golden)
+# self-healing runs pinned in internal/apps/testdata/selfheal.golden) and
+# matmul's product under both schedules (the pipelined one keeps two
+# steps in flight on one progress engine) and its resilient run
 # repeat: a race needs the schedule that shows it.
 check: lint
 	$(GO) build ./...
@@ -45,6 +47,7 @@ check: lint
 	$(GO) test -race -count=5 -run TestDeadlock ./internal/mpi
 	$(GO) test -race -count=5 -run 'SharedCache|SolveMemo|ConcurrentMatchesSerial' ./internal/mapper ./internal/service
 	$(GO) test -race -count=5 -run 'Resilient|Recreate|GroupFree|GroupLeak|SelfHealingGolden' ./internal/hmpi ./internal/apps
+	$(GO) test -race -count=5 -run 'TestParallelMatchesSerial|TestResilientMatmulRecovers' ./internal/apps/matmul
 	$(GO) test -race -run TestSmoke ./bench
 
 # Static analysis: gofmt with nothing left to rewrite, go vet, the PMDL

@@ -42,8 +42,6 @@ type procState struct {
 
 	owned   int    // number of owned C blocks
 	zeroBuf []byte // shared payload for charge-only transfers
-	stashA  map[int][]float64
-	stashB  map[int][]float64
 }
 
 // myRows returns my rectangle's block-row residues.
@@ -131,105 +129,45 @@ func RunParallel(comm *mpi.Comm, pr *Problem, dist *Dist, opts RunOptions) ([]fl
 			dist.N, dist.R, pr.N, pr.R)
 	}
 	st := newProcState(pr, dist, comm.Rank())
-	n, l := pr.N, dist.L()
+	n := pr.N
 	unitsPerStep := pr.KernelUnits(float64(st.owned))
-	if opts.Overlap {
-		return runPipelined(comm, pr, dist, st, opts)
+	// At most two steps are in flight — the pipelined schedule posts step
+	// k+1 before step k's update — so a run keeps two step states.
+	var steps [2]stepState
+	if pr.RealMath {
+		for i := range steps {
+			steps[i].a, steps[i].b = map[int][]float64{}, map[int][]float64{}
+		}
 	}
-
+	if opts.Overlap {
+		st.post(comm, &steps[0], 0)
+	}
 	for k := 0; k < n; k++ {
-		krho := k % l
-		if pr.RealMath {
-			st.stashA, st.stashB = map[int][]float64{}, map[int][]float64{}
+		s := &steps[k%2]
+		if !opts.Overlap {
+			st.exchange(comm, s, k)
+		} else if k+1 < n {
+			st.post(comm, &steps[(k+1)%2], k+1)
 		}
-		// ---- Pivot column of A moves horizontally. ----
-		jStar := dist.ColOwner(krho)
-		if st.mj == jStar {
-			// I own the pivot blocks for my row residues; send each
-			// to the row-overlapping processor of every other column.
-			rlo, rhi := st.myRows()
-			for rho := rlo; rho < rhi; rho++ {
-				for bi := rho; bi < n; bi += l {
-					var blk []float64
-					if pr.RealMath {
-						blk = st.a[blockKey{bi, k}]
-					}
-					for j := 0; j < pr.M; j++ {
-						if j == jStar {
-							continue
-						}
-						dst := dist.RankOf(dist.RowOwnerInColumn(rho, j), j)
-						comm.IsendOwned(dst, tagA, st.payload(blk))
-					}
-					if pr.RealMath {
-						st.stashA[bi] = blk
-					}
-				}
-			}
-		} else {
-			// Receive the pivot blocks covering my row residues from
-			// the owners in column jStar, in the sender's emission
-			// order.
-			rlo, rhi := st.myRows()
-			for rho := rlo; rho < rhi; rho++ {
-				src := dist.RankOf(dist.RowOwnerInColumn(rho, jStar), jStar)
-				for bi := rho; bi < n; bi += l {
-					data, _ := comm.Recv(src, tagA)
-					if pr.RealMath {
-						st.stashA[bi] = mpi.BytesFloat64(data)
-					}
-				}
-			}
-		}
-
-		// ---- Pivot row of B moves vertically within columns. ----
-		iStar := dist.RowOwnerInColumn(krho, st.mj)
-		clo, chi := st.myCols()
-		if st.mi == iStar {
-			for sigma := clo; sigma < chi; sigma++ {
-				for bj := sigma; bj < n; bj += l {
-					var blk []float64
-					if pr.RealMath {
-						blk = st.b[blockKey{k, bj}]
-					}
-					for i := 0; i < pr.M; i++ {
-						if i == iStar {
-							continue
-						}
-						comm.IsendOwned(dist.RankOf(i, st.mj), tagB, st.payload(blk))
-					}
-					if pr.RealMath {
-						st.stashB[bj] = blk
-					}
-				}
-			}
-		} else {
-			src := dist.RankOf(iStar, st.mj)
-			for sigma := clo; sigma < chi; sigma++ {
-				for bj := sigma; bj < n; bj += l {
-					data, _ := comm.Recv(src, tagB)
-					if pr.RealMath {
-						st.stashB[bj] = mpi.BytesFloat64(data)
-					}
-				}
-			}
-		}
+		s.complete()
 
 		// ---- Update: every owned C block gains a[bi][k]*b[k][bj]. ----
 		comm.Proc().Compute(unitsPerStep)
 		if pr.RealMath {
 			for key, cblk := range st.c {
-				ablk, ok := st.stashA[key.bi]
+				ablk, ok := s.a[key.bi]
 				if !ok {
 					return nil, fmt.Errorf("matmul: step %d: process %d missing A block row %d", k, st.me, key.bi)
 				}
-				bblk, ok := st.stashB[key.bj]
+				bblk, ok := s.b[key.bj]
 				if !ok {
 					return nil, fmt.Errorf("matmul: step %d: process %d missing B block col %d", k, st.me, key.bj)
 				}
 				mulAdd(cblk, ablk, bblk, pr.R)
 			}
 		}
+		mpi.WaitAll(s.sends)
+		s.reset()
 	}
 
 	if pr.RealMath && opts.CollectC {
@@ -238,151 +176,140 @@ func RunParallel(comm *mpi.Comm, pr *Problem, dist *Dist, opts RunOptions) ([]fl
 	return nil, nil
 }
 
-// stepComm is the in-flight communication of one pipelined step: the
-// pivot receives (with the block coordinate each carries), the posted
-// sends, and the owner-side stashes captured at posting time.
-type stepComm struct {
-	recvsA  []*mpi.Request
-	recvAbi []int
-	recvsB  []*mpi.Request
-	recvBbj []int
-	sends   []*mpi.Request
-	stashA  map[int][]float64
-	stashB  map[int][]float64
-}
-
-// postStep starts step k's pivot transfers without blocking: receives
-// are posted before sends (post-early), in the same per-peer order as the
-// blocking schedule, so the progress engine assigns arriving blocks to
-// steps by posting order even when two steps are in flight.
-func postStep(comm *mpi.Comm, st *procState, k int) *stepComm {
+// pivots walks step k's pivot blocks in the per-peer order both schedules
+// move them in: the A column (tagA, by block row), then the B row (tagB,
+// by block column). On the owning column (row) it calls send once per
+// block and destination, then own once per block; everywhere else it calls
+// recv once per block, naming the sender. A nil callback is skipped.
+func (st *procState) pivots(k int, own func(tag, idx int, blk []float64), send func(dst, tag int, blk []float64), recv func(src, tag, idx int)) {
 	pr, dist := st.pr, st.dist
 	n, l := pr.N, dist.L()
 	krho := k % l
-	sc := &stepComm{}
-	if pr.RealMath {
-		sc.stashA, sc.stashB = map[int][]float64{}, map[int][]float64{}
-	}
 
-	// Pivot column of A moves horizontally.
+	// The pivot column of A moves horizontally: the owner of each of my
+	// row residues in column jStar sends it to every other column.
 	jStar := dist.ColOwner(krho)
 	rlo, rhi := st.myRows()
-	if st.mj != jStar {
-		for rho := rlo; rho < rhi; rho++ {
-			src := dist.RankOf(dist.RowOwnerInColumn(rho, jStar), jStar)
-			for bi := rho; bi < n; bi += l {
-				sc.recvsA = append(sc.recvsA, comm.Irecv(src, tagA))
-				sc.recvAbi = append(sc.recvAbi, bi)
+	for rho := rlo; rho < rhi; rho++ {
+		src := dist.RankOf(dist.RowOwnerInColumn(rho, jStar), jStar)
+		for bi := rho; bi < n; bi += l {
+			if st.mj != jStar {
+				if recv != nil {
+					recv(src, tagA, bi)
+				}
+				continue
+			}
+			blk := st.a[blockKey{bi, k}]
+			for j := 0; j < pr.M && send != nil; j++ {
+				if j != jStar {
+					send(dist.RankOf(dist.RowOwnerInColumn(rho, j), j), tagA, blk)
+				}
+			}
+			if own != nil {
+				own(tagA, bi, blk)
 			}
 		}
 	}
-	// Pivot row of B moves vertically within columns.
+
+	// The pivot row of B moves vertically within my column.
 	iStar := dist.RowOwnerInColumn(krho, st.mj)
 	clo, chi := st.myCols()
-	if st.mi != iStar {
-		src := dist.RankOf(iStar, st.mj)
-		for sigma := clo; sigma < chi; sigma++ {
-			for bj := sigma; bj < n; bj += l {
-				sc.recvsB = append(sc.recvsB, comm.Irecv(src, tagB))
-				sc.recvBbj = append(sc.recvBbj, bj)
+	for sigma := clo; sigma < chi; sigma++ {
+		for bj := sigma; bj < n; bj += l {
+			if st.mi != iStar {
+				if recv != nil {
+					recv(dist.RankOf(iStar, st.mj), tagB, bj)
+				}
+				continue
 			}
-		}
-	}
-
-	if st.mj == jStar {
-		for rho := rlo; rho < rhi; rho++ {
-			for bi := rho; bi < n; bi += l {
-				var blk []float64
-				if pr.RealMath {
-					blk = st.a[blockKey{bi, k}]
-				}
-				for j := 0; j < pr.M; j++ {
-					if j == jStar {
-						continue
-					}
-					dst := dist.RankOf(dist.RowOwnerInColumn(rho, j), j)
-					sc.sends = append(sc.sends, comm.IsendOwned(dst, tagA, st.payload(blk)))
-				}
-				if pr.RealMath {
-					sc.stashA[bi] = blk
+			blk := st.b[blockKey{k, bj}]
+			for i := 0; i < pr.M && send != nil; i++ {
+				if i != iStar {
+					send(dist.RankOf(i, st.mj), tagB, blk)
 				}
 			}
-		}
-	}
-	if st.mi == iStar {
-		for sigma := clo; sigma < chi; sigma++ {
-			for bj := sigma; bj < n; bj += l {
-				var blk []float64
-				if pr.RealMath {
-					blk = st.b[blockKey{k, bj}]
-				}
-				for i := 0; i < pr.M; i++ {
-					if i == iStar {
-						continue
-					}
-					sc.sends = append(sc.sends, comm.IsendOwned(dist.RankOf(i, st.mj), tagB, st.payload(blk)))
-				}
-				if pr.RealMath {
-					sc.stashB[bj] = blk
-				}
+			if own != nil {
+				own(tagB, bj, blk)
 			}
-		}
-	}
-	return sc
-}
-
-// completeRecvs waits for step k's pivot blocks and stashes them by
-// block coordinate.
-func (sc *stepComm) completeRecvs(realMath bool) {
-	for idx, r := range sc.recvsA {
-		data, _ := r.Wait()
-		if realMath {
-			sc.stashA[sc.recvAbi[idx]] = mpi.BytesFloat64(data)
-		}
-	}
-	for idx, r := range sc.recvsB {
-		data, _ := r.Wait()
-		if realMath {
-			sc.stashB[sc.recvBbj[idx]] = mpi.BytesFloat64(data)
 		}
 	}
 }
 
-// runPipelined is the overlapped schedule of RunParallel: step k+1's
-// pivot transfers are posted before step k's update, so each step's
-// communication hides behind the previous step's compute. Send requests
-// complete after the update they were hidden behind.
-func runPipelined(comm *mpi.Comm, pr *Problem, dist *Dist, st *procState, opts RunOptions) ([]float64, error) {
-	n := pr.N
-	unitsPerStep := pr.KernelUnits(float64(st.owned))
-	sc := postStep(comm, st, 0)
-	for k := 0; k < n; k++ {
-		var next *stepComm
-		if k+1 < n {
-			next = postStep(comm, st, k+1)
-		}
-		sc.completeRecvs(pr.RealMath)
-		comm.Proc().Compute(unitsPerStep)
-		if pr.RealMath {
-			for key, cblk := range st.c {
-				ablk, ok := sc.stashA[key.bi]
-				if !ok {
-					return nil, fmt.Errorf("matmul: step %d: process %d missing A block row %d", k, st.me, key.bi)
-				}
-				bblk, ok := sc.stashB[key.bj]
-				if !ok {
-					return nil, fmt.Errorf("matmul: step %d: process %d missing B block col %d", k, st.me, key.bj)
-				}
-				mulAdd(cblk, ablk, bblk, pr.R)
-			}
-		}
-		mpi.WaitAll(sc.sends)
-		sc = next
+// exchange is step k of the blocking schedule: it sends the pivot blocks it
+// owns, fire and forget, and receives the others in turn.
+func (st *procState) exchange(comm *mpi.Comm, s *stepState, k int) {
+	st.pivots(k, s.keep, func(dst, tag int, blk []float64) {
+		comm.IsendOwned(dst, tag, st.payload(blk))
+	}, func(src, tag, idx int) {
+		data, _ := comm.Recv(src, tag)
+		s.received(tag, idx, data)
+	})
+}
+
+// post starts step k of the pipelined schedule without blocking: every
+// receive is posted before any send (post-early), in the blocking
+// schedule's per-peer order, so the progress engine assigns arriving
+// blocks to steps by posting order even when two steps are in flight.
+func (st *procState) post(comm *mpi.Comm, s *stepState, k int) {
+	st.pivots(k, nil, nil, func(src, tag, idx int) {
+		s.recvs = append(s.recvs, pendingRecv{comm.Irecv(src, tag), tag, idx})
+	})
+	st.pivots(k, s.keep, func(dst, tag int, blk []float64) {
+		s.sends = append(s.sends, comm.IsendOwned(dst, tag, st.payload(blk)))
+	}, nil)
+}
+
+// stepState is one step's pivot exchange: its blocks filed by block row
+// (A) and block column (B) for the update (RealMath only), and the
+// pipelined schedule's receives and sends still in flight.
+type stepState struct {
+	a, b  map[int][]float64
+	recvs []pendingRecv
+	sends []*mpi.Request
+}
+
+// pendingRecv is a posted pivot receive and the block it carries.
+type pendingRecv struct {
+	req      *mpi.Request
+	tag, idx int
+}
+
+// keep files a pivot block under its block row (tagA) or column (tagB). A
+// timing-only run has no block maps and keeps nothing.
+func (s *stepState) keep(tag, idx int, blk []float64) {
+	switch {
+	case s.a == nil:
+	case tag == tagA:
+		s.a[idx] = blk
+	default:
+		s.b[idx] = blk
 	}
-	if pr.RealMath && opts.CollectC {
-		return collectC(comm, pr, dist, st)
+}
+
+// received files a received pivot block; a timing-only run decodes none.
+func (s *stepState) received(tag, idx int, data []byte) {
+	if s.a != nil {
+		s.keep(tag, idx, mpi.BytesFloat64(data))
 	}
-	return nil, nil
+}
+
+// complete waits for the step's posted receives, in posting order, and
+// files their blocks. The blocking schedule posts none.
+func (s *stepState) complete() {
+	for _, r := range s.recvs {
+		data, _ := r.req.Wait()
+		s.received(r.tag, r.idx, data)
+	}
+}
+
+// reset empties the step state for the step after next, keeping its
+// storage.
+func (s *stepState) reset() {
+	clear(s.a)
+	clear(s.b)
+	clear(s.recvs)
+	clear(s.sends)
+	s.recvs, s.sends = s.recvs[:0], s.sends[:0]
 }
 
 // collectC gathers the distributed C on comm rank 0 and assembles the

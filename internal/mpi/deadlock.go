@@ -2,7 +2,7 @@ package mpi
 
 // Deadlock detection. A rank sleeps in one of two places: on its mailbox
 // (Proc.sleep, under Proc.await) or on the agreement service
-// (World.agree, World.agreeVote). World.live counts, in one word, the
+// (World.agree). World.live counts, in one word, the
 // ranks still running main (high half) and the ranks asleep that no
 // waker has counted awake (low half). A rank adds itself to the low half
 // before it sleeps and leaves the high half when its main returns; a

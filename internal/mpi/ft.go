@@ -104,25 +104,7 @@ func (c *Comm) Revoke() {
 // protocol); the charged cost models the 2·⌈log₂ n⌉ message rounds such a
 // protocol needs.
 func (c *Comm) AgreeFailed() []int {
-	c.agreeSeq++
-	rec, t0, w0 := c.collStart()
-	key := ctxKey{parent: c.s.id, seq: c.agreeSeq}
-	failed, maxT := c.p.world.agree(key, c.s.members, c.p.rank, c.p.clock.Now())
-	// All participants leave with the same clock: the decision time plus
-	// the cost of the agreement rounds over the slowest link involved.
-	c.p.clock.AbsorbAtLeast(maxT)
-	if n := len(c.s.members); n > 1 {
-		link := c.p.world.cluster.Remote
-		rounds := 2 * int(math.Ceil(math.Log2(float64(n))))
-		c.p.clock.Advance(vclock.Time(float64(rounds) * (link.Latency + 2*link.Overhead)))
-	}
-	if rec != nil {
-		rec.Emit(c.p.rank, trace.Event{
-			Rank: int32(c.p.rank), Kind: trace.KindAgree, Peer: -1, Ctx: c.s.id,
-			Start: t0, End: c.p.clock.Now(), WallStart: w0, WallEnd: rec.NowNS(),
-			A0: int64(len(failed)),
-		})
-	}
+	failed, _ := c.agreement("", false)
 	return failed
 }
 
@@ -135,10 +117,21 @@ func (c *Comm) AgreeFailed() []int {
 // single member can take alone without desynchronising the recovery
 // protocol.
 func (c *Comm) AgreeVote(local bool) bool {
+	_, vote := c.agreement("vote", local)
+	return vote
+}
+
+// agreement is the one body of AgreeFailed and AgreeVote: it decides the
+// failed set and the OR of the members' local inputs together, leaves
+// every participant with the same clock, and records a KindAgree event
+// named name whose A0 is the failed count ("") or the vote ("vote").
+func (c *Comm) agreement(name string, local bool) ([]int, bool) {
 	c.agreeSeq++
 	rec, t0, w0 := c.collStart()
 	key := ctxKey{parent: c.s.id, seq: c.agreeSeq}
-	vote, maxT := c.p.world.agreeVote(key, c.s.members, c.p.rank, c.p.clock.Now(), local)
+	failed, vote, maxT := c.p.world.agree(key, c.s.members, c.p.rank, c.p.clock.Now(), local)
+	// All participants leave with the same clock: the decision time plus
+	// the cost of the agreement rounds over the slowest link involved.
 	c.p.clock.AbsorbAtLeast(maxT)
 	if n := len(c.s.members); n > 1 {
 		link := c.p.world.cluster.Remote
@@ -146,18 +139,21 @@ func (c *Comm) AgreeVote(local bool) bool {
 		c.p.clock.Advance(vclock.Time(float64(rounds) * (link.Latency + 2*link.Overhead)))
 	}
 	if rec != nil {
-		var a0 int64
-		if vote {
-			a0 = 1
+		a0 := int64(len(failed))
+		if name == "vote" {
+			a0 = 0
+			if vote {
+				a0 = 1
+			}
 		}
 		rec.Emit(c.p.rank, trace.Event{
 			Rank: int32(c.p.rank), Kind: trace.KindAgree, Peer: -1, Ctx: c.s.id,
-			Name:  "vote",
+			Name:  name,
 			Start: t0, End: c.p.clock.Now(), WallStart: w0, WallEnd: rec.NowNS(),
 			A0: a0,
 		})
 	}
-	return vote
+	return failed, vote
 }
 
 // Shrink agrees on the failed set and returns a new communicator over the
@@ -234,14 +230,15 @@ type agreeState struct {
 	arrived map[int]bool
 	decided bool
 	value   []int
-	vote    bool // OR of the participants' AgreeVote inputs
+	vote    bool // OR of the participants' local inputs
 	maxT    vclock.Time
 }
 
 // agree blocks until every member of the agreement identified by key has
-// arrived or failed, then returns the decided failed set (identical for
-// all participants) and the maximum arrival clock.
-func (w *World) agree(key ctxKey, members []int, me int, now vclock.Time) ([]int, vclock.Time) {
+// arrived or failed, then returns what the first to see that decided,
+// identical for all participants: the failed members, the OR of the
+// arrivals' local inputs, and the maximum arrival clock.
+func (w *World) agree(key ctxKey, members []int, me int, now vclock.Time, local bool) ([]int, bool, vclock.Time) {
 	w.agreeMu.Lock()
 	defer w.agreeMu.Unlock()
 	st, ok := w.agreeTab[key]
@@ -250,6 +247,7 @@ func (w *World) agree(key ctxKey, members []int, me int, now vclock.Time) ([]int
 		w.agreeTab[key] = st
 	}
 	st.arrived[me] = true
+	st.vote = st.vote || local
 	if now > st.maxT {
 		st.maxT = now
 	}
@@ -265,38 +263,7 @@ func (w *World) agree(key ctxKey, members []int, me int, now vclock.Time) ([]int
 		}
 		w.sleepAgreement(me)
 	}
-	return append([]int(nil), st.value...), st.maxT
-}
-
-// agreeVote blocks until every member of the agreement identified by key
-// has arrived or failed, then returns the OR of the surviving members'
-// local inputs (identical for all participants) and the maximum arrival
-// clock.
-func (w *World) agreeVote(key ctxKey, members []int, me int, now vclock.Time, local bool) (bool, vclock.Time) {
-	w.agreeMu.Lock()
-	defer w.agreeMu.Unlock()
-	st, ok := w.agreeTab[key]
-	if !ok {
-		st = &agreeState{members: members, arrived: make(map[int]bool, len(members))}
-		w.agreeTab[key] = st
-	}
-	st.arrived[me] = true
-	st.vote = st.vote || local
-	if now > st.maxT {
-		st.maxT = now
-	}
-	for !st.decided {
-		if w.agreeComplete(st) {
-			st.decided = true
-			w.wakeAgreements()
-			break
-		}
-		if w.aborted.Load() {
-			panic(errAborted)
-		}
-		w.sleepAgreement(me)
-	}
-	return st.vote, st.maxT
+	return append([]int(nil), st.value...), st.vote, st.maxT
 }
 
 // agreeComplete reports whether every member has arrived or failed.

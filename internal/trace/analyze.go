@@ -174,7 +174,7 @@ func ExtractCriticalPath(d *Data) *CriticalPath {
 	// Per-rank atomic activities in emission order (which is also
 	// virtual-time order within one rank).
 	perRank := make([][]Event, d.NumRanks())
-	sends := make(map[sendKey][]Event)
+	sends := make(map[sendKey][]eventID)
 	for r, evs := range d.PerRank {
 		for i := range evs {
 			e := evs[i]
@@ -186,7 +186,7 @@ func ExtractCriticalPath(d *Data) *CriticalPath {
 			}
 			if e.Kind == KindSend {
 				k := sendKey{src: e.Rank, dst: e.Peer, ctx: e.Ctx, tag: e.Tag}
-				sends[k] = append(sends[k], e)
+				sends[k] = append(sends[k], eventID{r, len(perRank[r]) - 1})
 			}
 		}
 	}
@@ -194,7 +194,7 @@ func ExtractCriticalPath(d *Data) *CriticalPath {
 	// Receives must be matched in each key's arrival order, which equals
 	// the per-rank emission order of the recv events; walk all receives
 	// up front to build the recv -> send mapping.
-	matched := make(map[eventID]Event)
+	matched := make(map[eventID]eventID)
 	next := make(map[sendKey]int)
 	for r, evs := range perRank {
 		for i := range evs {
@@ -209,8 +209,6 @@ func ExtractCriticalPath(d *Data) *CriticalPath {
 			}
 		}
 	}
-	// Index each rank's activities so a send event can be located again
-	// when the walk jumps rank through a recv -> send edge.
 	cp := &CriticalPath{ByKind: make(map[Kind]vclock.Time)}
 	curRank, curIdx := -1, -1
 	for r, evs := range perRank {
@@ -235,18 +233,11 @@ func ExtractCriticalPath(d *Data) *CriticalPath {
 		if curIdx > 0 {
 			prevRank, prevIdx = curRank, curIdx-1
 		}
-		if e.Kind == KindRecv {
-			if s, ok := matched[eventID{curRank, curIdx}]; ok {
-				si := locate(perRank[s.Rank], s)
-				// A self-send sits on the same rank as its receive; only
-				// an earlier index is a predecessor (guards the walk
-				// against cycles).
-				if si >= 0 && (int(s.Rank) != curRank || si < curIdx) {
-					if prevRank < 0 || s.End >= perRank[prevRank][prevIdx].End {
-						prevRank, prevIdx = int(s.Rank), si
-					}
-				}
-			}
+		// A self-send sits on the same rank as its receive; only an earlier
+		// index is a predecessor (guards the walk against cycles).
+		if s, ok := matched[eventID{curRank, curIdx}]; ok && (s.rank != curRank || s.idx < curIdx) &&
+			(prevRank < 0 || perRank[s.rank][s.idx].End >= perRank[prevRank][prevIdx].End) {
+			prevRank, prevIdx = s.rank, s.idx
 		}
 		curRank, curIdx = prevRank, prevIdx
 	}
@@ -259,21 +250,8 @@ func ExtractCriticalPath(d *Data) *CriticalPath {
 	return cp
 }
 
+// eventID names an activity by its rank and index in perRank.
 type eventID struct{ rank, idx int }
-
-// locate finds the index of event e in a rank's activity list by its
-// identity fields (start, end, kind, peer, seq of identical events is
-// resolved by taking the first unconsumed match — identical events are
-// interchangeable on the path).
-func locate(evs []Event, e Event) int {
-	for i := range evs {
-		if evs[i].Kind == e.Kind && evs[i].Start == e.Start && evs[i].End == e.End &&
-			evs[i].Peer == e.Peer && evs[i].Tag == e.Tag && evs[i].Ctx == e.Ctx && evs[i].Bytes == e.Bytes {
-			return i
-		}
-	}
-	return -1
-}
 
 // Render prints the critical path: the per-kind budget, then each step.
 func (cp *CriticalPath) Render(w io.Writer) error {
