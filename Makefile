@@ -34,7 +34,9 @@ build:
 # self-healing runs pinned in internal/apps/testdata/selfheal.golden) and
 # matmul's product under both schedules (the pipelined one keeps two
 # steps in flight on one progress engine) and its resilient run
-# repeat: a race needs the schedule that shows it.
+# repeat: a race needs the schedule that shows it. The TCP transport's
+# tests (heartbeats, the silence monitor, re-dials under the pair mutex)
+# repeat three times: each waits out the 2 s detection floor.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race -short ./...
@@ -45,6 +47,7 @@ check: lint
 	$(GO) test -race -count=5 -run 'TestCloneDegradation|TestDegradeLinkConcurrent' ./internal/hnoc
 	$(GO) test -race -count=5 -run PanicAbortsWorld ./internal/mpi ./internal/hmpi
 	$(GO) test -race -count=5 -run TestDeadlock ./internal/mpi
+	$(GO) test -race -count=3 -run 'TestTCP|TestSilenceLimit' ./internal/mpi
 	$(GO) test -race -count=5 -run 'SharedCache|SolveMemo|ConcurrentMatchesSerial' ./internal/mapper ./internal/service
 	$(GO) test -race -count=5 -run 'Resilient|Recreate|GroupFree|GroupLeak|SelfHealingGolden' ./internal/hmpi ./internal/apps
 	$(GO) test -race -count=5 -run 'TestParallelMatchesSerial|TestResilientMatmulRecovers' ./internal/apps/matmul

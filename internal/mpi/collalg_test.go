@@ -16,7 +16,7 @@ func runTuned(t *testing.T, n int, tcp bool, tuning *CollTuning, main func(p *Pr
 	t.Helper()
 	c := testCluster(n)
 	if tcp {
-		w, closeT, err := newWorldTCPOpts(c, OneProcessPerMachine(c), tcpOptions{})
+		w, closeT, err := NewWorldTCP(c, OneProcessPerMachine(c))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -25,6 +25,7 @@ func runTuned(t *testing.T, n int, tcp bool, tuning *CollTuning, main func(p *Pr
 		if err := w.Run(main); err != nil {
 			t.Fatal(err)
 		}
+		assertNoneFailed(t, w)
 		return
 	}
 	w := NewWorld(c, OneProcessPerMachine(c))
@@ -370,7 +371,7 @@ func TestTunedCollectivesTCPMatchesInProcessTiming(t *testing.T) {
 	if err := inproc.Run(program); err != nil {
 		t.Fatal(err)
 	}
-	wire, closeT, err := newWorldTCPOpts(c, OneProcessPerMachine(c), tcpOptions{})
+	wire, closeT, err := NewWorldTCP(c, OneProcessPerMachine(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,6 +380,7 @@ func TestTunedCollectivesTCPMatchesInProcessTiming(t *testing.T) {
 	if err := wire.Run(program); err != nil {
 		t.Fatal(err)
 	}
+	assertNoneFailed(t, wire)
 	if inproc.Makespan() != wire.Makespan() {
 		t.Fatalf("makespan: inproc %v, tcp %v", inproc.Makespan(), wire.Makespan())
 	}

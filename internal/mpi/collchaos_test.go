@@ -33,7 +33,7 @@ func runTunedChaos(t *testing.T, n int, tcp bool, tuning *CollTuning, f LinkFilt
 	var w *World
 	if tcp {
 		c := testCluster(n)
-		tw, closeT, err := newWorldTCPOpts(c, OneProcessPerMachine(c), tcpOptions{})
+		tw, closeT, err := NewWorldTCP(c, OneProcessPerMachine(c))
 		if err != nil {
 			t.Fatal(err)
 		}

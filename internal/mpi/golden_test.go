@@ -319,7 +319,7 @@ func TestGoldenClocks(t *testing.T) {
 				cases := goldenCases(len(cfg.place))
 				var shared *World
 				if transport == "tcp" {
-					w, closeT, err := newWorldTCPOpts(cfg.cluster, cfg.place, tcpOptions{})
+					w, closeT, err := NewWorldTCP(cfg.cluster, cfg.place)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -347,6 +347,9 @@ func TestGoldenClocks(t *testing.T) {
 							t.Fatal("too many mismatches")
 						}
 					}
+				}
+				if shared != nil {
+					assertNoneFailed(t, shared)
 				}
 			})
 		}

@@ -37,7 +37,7 @@ func runPlaced(t *testing.T, cl *hnoc.Cluster, place []int, tcp bool, tuning *Co
 		t.Fatal(err)
 	}
 	if tcp {
-		w, closeT, err := newWorldTCPOpts(cl, place, tcpOptions{})
+		w, closeT, err := NewWorldTCP(cl, place)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,6 +46,7 @@ func runPlaced(t *testing.T, cl *hnoc.Cluster, place []int, tcp bool, tuning *Co
 		if err := w.Run(main); err != nil {
 			t.Fatal(err)
 		}
+		assertNoneFailed(t, w)
 		return
 	}
 	w := NewWorld(cl, place)

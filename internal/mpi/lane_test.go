@@ -216,21 +216,16 @@ func TestLaneStress(t *testing.T) {
 // sender's connection to the owner closed between the halves, so the
 // second half travels over a re-dialled connection and a fresh pump.
 func TestLaneStressTCPReconnect(t *testing.T) {
-	w, tr := newTestTCP(t, 9, tcpOptions{
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatTimeout:  10 * time.Second, // a closed socket must not kill
-		DialRetries:       5,
-		DialBackoff:       5 * time.Millisecond,
-		WriteTimeout:      5 * time.Second,
-	})
-	laneStress(t, w, 50000, func(p *Proc) { tr.closePair(p.Rank(), 0) })
+	w, tr := newTestTCP(t, 9)
+	laneStress(t, w, 50000, func(p *Proc) { tr.pair(p.Rank(), 0).close() })
 	for r := 1; r < w.Size(); r++ {
 		if w.IsFailed(r) {
 			t.Fatalf("rank %d was marked failed across a reconnect", r)
 		}
-		tr.connMu[r*w.Size()].Lock()
-		redialled := tr.conns[r][0] != nil
-		tr.connMu[r*w.Size()].Unlock()
+		p := tr.pair(r, 0)
+		p.mu.Lock()
+		redialled := p.conn != nil
+		p.mu.Unlock()
 		if !redialled {
 			t.Fatalf("rank %d never re-dialled its connection to rank 0", r)
 		}

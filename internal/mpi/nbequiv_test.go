@@ -53,11 +53,14 @@ func nbWorld(t *testing.T, n int, transport string, filtered bool) *World {
 	case "inprocess":
 		w = NewWorld(c, place)
 	case "tcp":
-		tw, closeT, err := newWorldTCPOpts(c, place, tcpOptions{})
+		tw, closeT, err := NewWorldTCP(c, place)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { _ = closeT() })
+		t.Cleanup(func() {
+			assertNoneFailed(t, tw)
+			_ = closeT()
+		})
 		w = tw
 	default:
 		t.Fatalf("unknown transport %q", transport)

@@ -90,7 +90,7 @@ func TestIrecvPooledOwnershipInProcess(t *testing.T) {
 
 func TestIrecvPooledOwnershipTCP(t *testing.T) {
 	c := testCluster(2)
-	w, closeT, err := newWorldTCPOpts(c, OneProcessPerMachine(c), tcpOptions{})
+	w, closeT, err := NewWorldTCP(c, OneProcessPerMachine(c))
 	if err != nil {
 		t.Fatal(err)
 	}

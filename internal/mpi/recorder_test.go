@@ -252,7 +252,7 @@ func TestTracingPreservesVirtualClocks(t *testing.T) {
 // payloads or events.
 func TestTCPPooledTraced(t *testing.T) {
 	c := testCluster(2)
-	w, closeT, err := newWorldTCPOpts(c, OneProcessPerMachine(c), tcpOptions{})
+	w, closeT, err := NewWorldTCP(c, OneProcessPerMachine(c))
 	if err != nil {
 		t.Fatal(err)
 	}

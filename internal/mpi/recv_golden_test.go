@@ -214,7 +214,7 @@ func recvGoldenRun(t *testing.T, k recvCase, transport string) []string {
 	place := OneProcessPerMachine(cl)
 	var w *World
 	if transport == "tcp" {
-		tw, closeT, err := newWorldTCPOpts(cl, place, tcpOptions{})
+		tw, closeT, err := NewWorldTCP(cl, place)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,6 +243,7 @@ func recvGoldenRun(t *testing.T, k recvCase, transport string) []string {
 	if err != nil {
 		t.Fatalf("%s/%s: %v", transport, k.name, err)
 	}
+	assertNoneFailed(t, w)
 	for r, evs := range rec.Data().PerRank {
 		var recvs []string
 		for _, e := range evs {

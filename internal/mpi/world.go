@@ -292,8 +292,8 @@ func (w *World) failedError(rank int) *ProcessFailedError {
 type FailureKind int
 
 const (
-	// FailureCrash: the process is dead (socket closed, heartbeat silence
-	// towards every peer, or injected kill).
+	// FailureCrash: the process is dead (unreachable through every TCP
+	// re-dial, heartbeat silence towards every peer, or injected kill).
 	FailureCrash FailureKind = iota
 	// FailurePartition: the process is unreachable but not provably dead
 	// (retransmissions exhausted on a live peer, or heartbeat silence
