@@ -33,7 +33,9 @@ build:
 # GroupFree, resilient regions, Run's report of a leaked group, and the
 # self-healing runs pinned in internal/apps/testdata/selfheal.golden) and
 # matmul's product under both schedules (the pipelined one keeps two
-# steps in flight on one progress engine) and its resilient run
+# steps in flight on one progress engine) and its resilient run, and the
+# apps' shared read-only inputs (every app's timing-only messages share one
+# charge-only payload, concurrent EM3D runs one problem)
 # repeat: a race needs the schedule that shows it. The TCP transport's
 # tests (heartbeats, the silence monitor, re-dials under the pair mutex)
 # repeat three times: each waits out the 2 s detection floor.
@@ -51,6 +53,7 @@ check: lint
 	$(GO) test -race -count=5 -run 'SharedCache|SolveMemo|ConcurrentMatchesSerial' ./internal/mapper ./internal/service
 	$(GO) test -race -count=5 -run 'Resilient|Recreate|GroupFree|GroupLeak|SelfHealingGolden' ./internal/hmpi ./internal/apps
 	$(GO) test -race -count=5 -run 'TestParallelMatchesSerial|TestResilientMatmulRecovers' ./internal/apps/matmul
+	$(GO) test -race -count=5 -run 'TestChargeOnlyNeverWritten|TestConcurrentRunsShareOneProblem' ./internal/apps/...
 	$(GO) test -race -run TestSmoke ./bench
 
 # Static analysis: gofmt with nothing left to rewrite, go vet, the PMDL

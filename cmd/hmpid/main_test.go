@@ -122,14 +122,16 @@ func TestServeAndShutdown(t *testing.T) {
 			cmdServe([]string{"-socket", socket, "-workers", "1"})
 		})
 	}()
-	// Wait for the daemon's socket.
+	// Wait until the daemon accepts a connection: its socket file exists
+	// from bind on, before listen, while a dial is still refused.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := os.Stat(socket); err == nil {
+		if conn, err := net.Dial("unix", socket); err == nil {
+			conn.Close()
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("daemon socket never appeared")
+			t.Fatal("daemon never accepted a connection")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

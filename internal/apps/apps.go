@@ -263,6 +263,21 @@ func choose(prog Program, speeds []float64, timeof func(args ...any) (float64, e
 	return best, bestTime * prog.Scale(), nil
 }
 
+// chargeOnly backs every charge-only payload up to its size. Nothing ever
+// writes it: its receivers read only a message's length.
+var chargeOnly [1 << 20]byte
+
+// ChargeOnly returns an n-byte zero payload for a timing-only message,
+// whose receiver reads only its length. Up to 1 MiB it is a slice of one
+// shared array and allocates nothing; the caller passes it to IsendOwned (an
+// immutable buffer) and must never write it.
+func ChargeOnly(n int) []byte {
+	if n > len(chargeOnly) {
+		return make([]byte, n)
+	}
+	return chargeOnly[:n:n]
+}
+
 // SpeedOrder returns the first p ≤ len(speeds) process ranks host-first,
 // then by descending speed (stable on rank): the order in which data
 // distributions hand out their shares, mirroring the greedy order the

@@ -16,6 +16,7 @@ package em3d
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/hnoc"
@@ -29,7 +30,10 @@ type NodeRef struct {
 
 // Body is one subbody of the decomposed object.
 type Body struct {
-	// E and H are the field values.
+	// NE and NH are the numbers of E and H nodes.
+	NE, NH int
+	// E and H are the field values, NE and NH of them. Both are nil on a
+	// Light problem: a timing-only run reads only the counts.
 	E, H []float64
 	// EDeps[i] lists the H nodes the value of E node i depends on;
 	// HDeps[i] lists the E nodes H node i depends on. Dependencies may
@@ -42,7 +46,7 @@ type Body struct {
 }
 
 // Nodes returns the total node count of the subbody.
-func (b *Body) Nodes() int { return len(b.E) + len(b.H) }
+func (b *Body) Nodes() int { return b.NE + b.NH }
 
 // Problem is a generated EM3D workload.
 type Problem struct {
@@ -77,11 +81,12 @@ type Config struct {
 	Degree int
 	// K is the benchmark kernel size in nodes (default 1000).
 	K int
-	// Light skips materialising the per-node dependency lists, which
-	// timing-only runs never read (real-math runs need them and must not
-	// set Light): the problem then holds no per-node slice at all. The
-	// field arrays and boundary lists, which the communication code
-	// reads, are always built.
+	// Light skips materialising the field values and the per-node
+	// dependency lists, which timing-only runs never read (real-math runs
+	// need them and must not set Light): the problem then holds node
+	// counts and the boundary lists, the only things the communication
+	// code reads, and no array sized by a body. It draws what the
+	// real-math problem draws, so both have the same lists and D().
 	Light bool
 	// Seed makes generation deterministic.
 	Seed uint64
@@ -175,12 +180,20 @@ func Generate(cfg Config) (*Problem, error) {
 	for i := 0; i < cfg.P; i++ {
 		nE := sizes[i] / 2
 		nH := sizes[i] - nE
-		b := &Body{E: make([]float64, nE), H: make([]float64, nH)}
-		for n := 0; n < nE; n++ {
-			b.E[n] = rng.float()
-		}
-		for n := 0; n < nH; n++ {
-			b.H[n] = rng.float()
+		b := &Body{NE: nE, NH: nH}
+		if cfg.Light {
+			// Skip the field's draws: every later draw stays the same.
+			for range nE + nH {
+				rng.next()
+			}
+		} else {
+			b.E, b.H = make([]float64, nE), make([]float64, nH)
+			for n := range b.E {
+				b.E[n] = rng.float()
+			}
+			for n := range b.H {
+				b.H[n] = rng.float()
+			}
 		}
 		pr.Bodies = append(pr.Bodies, b)
 		pr.DepH[i] = make([][]int, cfg.P)
@@ -190,22 +203,28 @@ func Generate(cfg Config) (*Problem, error) {
 	// Local dependencies.
 	if !cfg.Light {
 		for _, b := range pr.Bodies {
-			b.EDeps, b.HDeps = make([][]NodeRef, len(b.E)), make([][]NodeRef, len(b.H))
-			for n := range b.E {
+			b.EDeps, b.HDeps = make([][]NodeRef, b.NE), make([][]NodeRef, b.NH)
+			for n := range b.EDeps {
 				for d := 0; d < cfg.Degree; d++ {
-					b.EDeps[n] = append(b.EDeps[n], NodeRef{Body: -1, Index: rng.intn(len(b.H))})
+					b.EDeps[n] = append(b.EDeps[n], NodeRef{Body: -1, Index: rng.intn(b.NH)})
 				}
 			}
-			for n := range b.H {
+			for n := range b.HDeps {
 				for d := 0; d < cfg.Degree; d++ {
-					b.HDeps[n] = append(b.HDeps[n], NodeRef{Body: -1, Index: rng.intn(len(b.E))})
+					b.HDeps[n] = append(b.HDeps[n], NodeRef{Body: -1, Index: rng.intn(b.NE)})
 				}
 			}
 		}
 	}
 
 	// Boundary dependencies between ring neighbours: some E nodes of
-	// body i read H nodes of bodies i±1, and vice versa.
+	// body i read H nodes of bodies i±1, and vice versa. Each body marks
+	// its boundary nodes as they are drawn; two boundary values may land
+	// on one node, which is listed once.
+	eBound, hBound := make([]bitset, cfg.P), make([]bitset, cfg.P)
+	for i, b := range pr.Bodies {
+		eBound[i], hBound[i] = newBitset(b.NE), newBitset(b.NH)
+	}
 	if cfg.P > 1 {
 		for i := range pr.Bodies {
 			for _, j := range []int{(i + 1) % cfg.P, (i - 1 + cfg.P) % cfg.P} {
@@ -218,21 +237,21 @@ func Generate(cfg Config) (*Problem, error) {
 					nBound = 1
 				}
 				// E nodes of i reading H nodes of j.
-				hIdx := pickDistinct(&rng, len(bj.H), nBound)
-				pr.DepH[i][j] = append(pr.DepH[i][j], hIdx...)
-				for _, h := range hIdx {
-					e := rng.intn(len(bi.E))
-					bi.EBound = append(bi.EBound, e)
+				from := len(pr.DepH[i][j])
+				pr.DepH[i][j] = pickDistinct(&rng, bj.NH, nBound, pr.DepH[i][j])
+				for _, h := range pr.DepH[i][j][from:] {
+					e := rng.intn(bi.NE)
+					eBound[i].add(e)
 					if !cfg.Light {
 						bi.EDeps[e] = append(bi.EDeps[e], NodeRef{Body: j, Index: h})
 					}
 				}
 				// H nodes of i reading E nodes of j.
-				eIdx := pickDistinct(&rng, len(bj.E), nBound)
-				pr.DepE[i][j] = append(pr.DepE[i][j], eIdx...)
-				for _, ei := range eIdx {
-					hn := rng.intn(len(bi.H))
-					bi.HBound = append(bi.HBound, hn)
+				from = len(pr.DepE[i][j])
+				pr.DepE[i][j] = pickDistinct(&rng, bj.NE, nBound, pr.DepE[i][j])
+				for _, ei := range pr.DepE[i][j][from:] {
+					hn := rng.intn(bi.NH)
+					hBound[i].add(hn)
 					if !cfg.Light {
 						bi.HDeps[hn] = append(bi.HDeps[hn], NodeRef{Body: j, Index: ei})
 					}
@@ -240,39 +259,20 @@ func Generate(cfg Config) (*Problem, error) {
 			}
 		}
 	}
-	// Two boundary values may land on one node: a node is listed once.
-	for _, b := range pr.Bodies {
-		b.EBound, b.HBound = sortedSet(b.EBound, len(b.E)), sortedSet(b.HBound, len(b.H))
+	for i, b := range pr.Bodies {
+		b.EBound, b.HBound = eBound[i].members(), hBound[i].members()
 	}
 	return pr, nil
 }
 
-// pickDistinct selects n distinct indices in [0,limit).
-func pickDistinct(rng *xorshift, limit, n int) []int {
-	if n > limit {
-		n = limit
-	}
-	seen := make(bitset, (limit+63)/64)
-	out := make([]int, 0, n)
-	for len(out) < n {
+// pickDistinct appends n distinct indices in [0,limit) to out.
+func pickDistinct(rng *xorshift, limit, n int, out []int) []int {
+	n = min(n, limit)
+	seen := newBitset(limit)
+	out = slices.Grow(out, n)
+	for end := len(out) + n; len(out) < end; {
 		if v := rng.intn(limit); seen.add(v) {
 			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// sortedSet returns the distinct values of xs, each in [0,limit), in
-// ascending order, reusing xs's backing array.
-func sortedSet(xs []int, limit int) []int {
-	seen := make(bitset, (limit+63)/64)
-	for _, x := range xs {
-		seen.add(x)
-	}
-	out := xs[:0]
-	for w, word := range seen {
-		for ; word != 0; word &= word - 1 {
-			out = append(out, w*64+bits.TrailingZeros64(word))
 		}
 	}
 	return out
@@ -281,12 +281,30 @@ func sortedSet(xs []int, limit int) []int {
 // bitset is a set of non-negative ints below 64 times its length.
 type bitset []uint64
 
+// newBitset returns an empty set of ints below n.
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
 // add inserts v and reports whether it was absent.
 func (s bitset) add(v int) bool {
 	w, m := v/64, uint64(1)<<(v%64)
 	absent := s[w]&m == 0
 	s[w] |= m
 	return absent
+}
+
+// members returns the elements of s in ascending order.
+func (s bitset) members() []int {
+	n := 0
+	for _, word := range s {
+		n += bits.OnesCount64(word)
+	}
+	out := make([]int, 0, n)
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w*64+bits.TrailingZeros64(word))
+		}
+	}
+	return out
 }
 
 // D returns the node counts per subbody: the d parameter of the

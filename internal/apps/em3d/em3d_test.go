@@ -189,7 +189,7 @@ func TestConcurrentRunsShareOneProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := pr.digest()
+	before := pr.digest(pr)
 	var wg sync.WaitGroup
 	for _, overlap := range []bool{false, true} {
 		wg.Add(1)
@@ -202,7 +202,7 @@ func TestConcurrentRunsShareOneProblem(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if pr.digest() != before {
+	if pr.digest(pr) != before {
 		t.Fatal("a timing-only run wrote to the shared problem")
 	}
 }

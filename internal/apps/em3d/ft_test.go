@@ -48,9 +48,9 @@ func TestResilientSurvivesAnySingleFailure(t *testing.T) {
 	want := pr.Clone().SerialRun(iters)
 	// Every attempt, restarted ones included, starts from the field as
 	// generated: no run writes to the problem.
-	pristine := pr.digest()
+	pristine := pr.digest(pr)
 	defer func() {
-		if pr.digest() != pristine {
+		if pr.digest(pr) != pristine {
 			t.Error("a run wrote to the program's problem")
 		}
 	}()

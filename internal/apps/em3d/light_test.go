@@ -28,20 +28,22 @@ var lightConfigs = []Config{
 	{P: 16, TotalNodes: 32_000},
 }
 
-// digest hashes everything a timing-only run and the performance model
-// read of a problem: the field values bit for bit, both boundary lists
-// and D().
-func (pr *Problem) digest() string {
+// digest hashes everything a run and the performance model read of a
+// problem: the field values of `field` bit for bit, both boundary lists and
+// D(). A Light problem holds no field values; TestLightGolden hashes those
+// of its real-math twin (Generate of the same Config without Light), which
+// draws the same field first and then the same lists.
+func (pr *Problem) digest(field *Problem) string {
 	h := sha256.New()
 	put := func(v uint64) {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	for _, b := range pr.Bodies {
-		for _, field := range [][]float64{b.E, b.H} {
-			put(uint64(len(field)))
-			for _, v := range field {
+	for _, b := range field.Bodies {
+		for _, values := range [][]float64{b.E, b.H} {
+			put(uint64(len(values)))
+			for _, v := range values {
 				put(math.Float64bits(v))
 			}
 		}
@@ -67,19 +69,23 @@ func (pr *Problem) digest() string {
 // of every body for both fields, and the blocking and overlapped makespans
 // of the MPI baseline on the paper's network as float64 bit patterns — to
 // testdata/light.golden, captured before Light problems stopped holding
-// per-node dependency slices.
+// per-node dependency slices and field values.
 func TestLightGolden(t *testing.T) {
 	var buf bytes.Buffer
 	for _, cfg := range lightConfigs {
+		twin, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cfg.Light = true
 		pr, err := Generate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&buf, "p=%d nodes=%d frac=%v sha256=%s\n", cfg.P, cfg.TotalNodes, cfg.BoundaryFrac, pr.digest())
+		fmt.Fprintf(&buf, "p=%d nodes=%d frac=%v sha256=%s\n", cfg.P, cfg.TotalNodes, cfg.BoundaryFrac, pr.digest(twin))
 		for i, b := range pr.Bodies {
 			fmt.Fprintf(&buf, "  body %d: E %d+%d H %d+%d\n", i,
-				len(b.E)-len(b.EBound), len(b.EBound), len(b.H)-len(b.HBound), len(b.HBound))
+				b.NE-len(b.EBound), len(b.EBound), b.NH-len(b.HBound), len(b.HBound))
 		}
 		if cfg.P > 9 {
 			continue

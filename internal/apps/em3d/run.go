@@ -149,14 +149,14 @@ func RunParallel(comm *mpi.Comm, pr *Problem, opts RunOptions) error {
 	haloE := newHalo(comm, pr, opts, tagEBoundary, pr.DepE, func(b *Body) []float64 { return b.E })
 	for it := 0; it < opts.Iters; it++ {
 		// Phase 1: gather remote H boundary values and compute E.
-		if err := haloH.exchange(len(body.E), len(body.EBound)); err != nil {
+		if err := haloH.exchange(body.NE, len(body.EBound)); err != nil {
 			return err
 		}
 		if opts.RealMath {
 			pr.computeE(me, haloH.remote)
 		}
 		// Phase 2: gather remote E boundary values and compute H.
-		if err := haloE.exchange(len(body.H), len(body.HBound)); err != nil {
+		if err := haloE.exchange(body.NH, len(body.HBound)); err != nil {
 			return err
 		}
 		if opts.RealMath {
@@ -168,16 +168,18 @@ func RunParallel(comm *mpi.Comm, pr *Problem, opts RunOptions) error {
 
 // halo is one rank's boundary exchange of one field (H or E), built once
 // per run and reused every iteration. dep[i][j] lists the indices of body
-// j's field that body i reads. What a run allocates per exchange is the
-// wire buffers it sends: nothing here is sized by a body's node count
-// unless RealMath needs the values.
+// j's field that body i reads. A timing-only exchange sends charge-only
+// payloads: only RealMath packs and unpacks values, into wire buffers and
+// arrays sized by a body.
 type halo struct {
 	comm    *mpi.Comm
 	pr      *Problem
 	me, tag int
 	dep     [][][]int
-	mine    []float64 // this rank's field, packed as it stands at each exchange
-	overlap bool
+	// mine is this rank's field, packed as it stands at each exchange
+	// (RealMath only).
+	mine              []float64
+	realMath, overlap bool
 	// from are the bodies this one reads values of, to those that read
 	// its own, both ascending.
 	from, to []int
@@ -189,9 +191,9 @@ type halo struct {
 }
 
 func newHalo(comm *mpi.Comm, pr *Problem, opts RunOptions, tag int, dep [][][]int, field func(*Body) []float64) *halo {
-	h := &halo{comm: comm, pr: pr, me: comm.Rank(), tag: tag, dep: dep, overlap: opts.Overlap}
-	h.mine = field(pr.Bodies[h.me])
+	h := &halo{comm: comm, pr: pr, me: comm.Rank(), tag: tag, dep: dep, realMath: opts.RealMath, overlap: opts.Overlap}
 	if opts.RealMath {
+		h.mine = field(pr.Bodies[h.me])
 		h.remote = make(map[int][]float64)
 	}
 	for j, b := range pr.Bodies {
@@ -228,11 +230,16 @@ func (h *halo) exchange(nodes, boundary int) error {
 		}
 	}
 	for _, i := range h.to {
-		// Packed straight into the buffer the message path takes over.
 		idx := h.dep[i][h.me]
-		buf := make([]byte, 8*len(idx))
-		for k, n := range idx {
-			binary.LittleEndian.PutUint64(buf[8*k:], math.Float64bits(h.mine[n]))
+		var buf []byte
+		if h.realMath {
+			// Packed straight into the buffer the message path takes over.
+			buf = make([]byte, 8*len(idx))
+			for k, n := range idx {
+				binary.LittleEndian.PutUint64(buf[8*k:], math.Float64bits(h.mine[n]))
+			}
+		} else {
+			buf = apps.ChargeOnly(8 * len(idx))
 		}
 		h.sends = append(h.sends, h.comm.IsendOwned(i, h.tag, buf))
 	}

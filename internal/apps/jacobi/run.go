@@ -51,9 +51,9 @@ func RunParallel(comm *mpi.Comm, pr *Problem, heights []int, collect bool) ([]fl
 		copy(cur, pr.Grid[start*w:(start+myH+2)*w])
 		copy(next, cur)
 	}
-	// payload carries strip row r. A timing-only run sends the rank's one
-	// zero row every time: only its size is read.
-	zeroRow := make([]byte, pr.Cols*8)
+	// payload carries strip row r. A timing-only run sends a charge-only
+	// row every time: only its size is read.
+	zeroRow := apps.ChargeOnly(pr.Cols * 8)
 	payload := func(r int) []byte {
 		if !pr.RealMath {
 			return zeroRow

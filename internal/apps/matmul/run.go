@@ -40,8 +40,7 @@ type procState struct {
 
 	a, b, c map[blockKey][]float64 // owned blocks (RealMath)
 
-	owned   int    // number of owned C blocks
-	zeroBuf []byte // shared payload for charge-only transfers
+	owned int // number of owned C blocks
 }
 
 // myRows returns my rectangle's block-row residues.
@@ -86,7 +85,6 @@ func newProcState(pr *Problem, dist *Dist, rank int) *procState {
 	st := &procState{pr: pr, dist: dist, me: rank}
 	st.mi, st.mj = dist.GridOf(rank)
 	st.owned = dist.OwnedBlocks(st.mi, st.mj)
-	st.zeroBuf = make([]byte, pr.R*pr.R*8)
 	if pr.RealMath {
 		st.a = make(map[blockKey][]float64)
 		st.b = make(map[blockKey][]float64)
@@ -106,11 +104,11 @@ func newProcState(pr *Problem, dist *Dist, rank int) *procState {
 	return st
 }
 
-// payload serialises a block for transfer (or reuses the charge-only
-// buffer).
+// payload serialises a block for transfer (or returns a charge-only one
+// of its size).
 func (st *procState) payload(blk []float64) []byte {
 	if !st.pr.RealMath {
-		return st.zeroBuf
+		return apps.ChargeOnly(st.pr.R * st.pr.R * 8)
 	}
 	return mpi.Float64Bytes(blk)
 }
