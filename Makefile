@@ -25,8 +25,9 @@ build:
 # the copy-on-write link
 # degradation (Clones and views, racing DegradeLink calls), the abort
 # tests (a rank's panic unwinding peers blocked in a receive, a collective
-# or RunResilient), the deadlock tests (a run whose ranks all wait for
-# what none can send ends with the report, and no other run does), the
+# or RunResilient), the deadlock tests on both transports (a run whose
+# ranks all wait for what none can send ends with the report, and no
+# other run does), the
 # shared selection-cache tests (concurrent searches share the solve layer
 # and the heuristics' values, nothing else) and the
 # group-lifecycle tests (creation, recreation,

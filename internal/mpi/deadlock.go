@@ -2,19 +2,21 @@ package mpi
 
 // Deadlock detection. A rank sleeps in one of two places: on its mailbox
 // (Proc.sleep, under Proc.await) or on the agreement service
-// (World.agree). World.live counts, in one word, the
-// ranks still running main (high half) and the ranks asleep that no
-// waker has counted awake (low half). A rank adds itself to the low half
-// before it sleeps and leaves the high half when its main returns; a
-// waker counts its sleeper awake before it wakes it, under the lock the
-// sleeper sleeps under (mailbox.wake, World.wakeAgreements), so a sender
-// that sleeps right after waking its receiver never sees the halves meet.
-// When they meet, every rank still running sleeps with nobody left to wake
-// it: the rank that saw it records every wait and aborts the world.
-//
-// Nothing else may wake a rank. A wire transport breaks that (its pump
-// goroutines deliver messages and its heartbeat monitor fails ranks), so
-// the detector is off there. It reads no clock.
+// (World.agree). World.live counts, in one word, the runners (high half)
+// and the ranks asleep that no waker has counted awake (low half). A
+// runner is a rank still running main or a frame on the wire: all ranks
+// share one host process, so a frame in flight is the one waker a TCP
+// world adds. A rank adds itself to the low half before it sleeps and
+// departs the high half when its main returns; a waker counts its sleeper
+// awake before it wakes it, under the lock the sleeper sleeps under
+// (mailbox.wake, World.wakeAgreements), so a sender that sleeps right
+// after waking its receiver never sees the halves meet. A frame is counted
+// by its running sender before the write and departs after mailbox.put
+// has counted its receiver awake, or once its write fails (tcp.go). A
+// frame lost after a successful write stays counted: that world can hang,
+// but never reports a false deadlock. When the halves meet, every rank
+// still running sleeps with nobody left to wake it: the runner that saw
+// it records every wait and aborts the world. It reads no clock.
 
 import (
 	"fmt"
@@ -43,33 +45,32 @@ type waitFor struct {
 // sleep counts the calling rank asleep, under the lock it is about to
 // sleep under, and reports whether that leaves no rank able to run.
 func (w *World) sleep() bool {
-	if w.wireTransport {
-		return false
-	}
 	return stuck(w.live.Add(1))
 }
 
 // woken counts n sleepers awake; their waker calls it before waking them.
 func (w *World) woken(n int64) {
-	if n > 0 && !w.wireTransport {
+	if n > 0 {
 		w.live.Add(-n)
 	}
 }
 
-// leave takes p out of the running ranks as its main returns; if every
-// rank still running is asleep, the run is deadlocked.
+// leave takes p out of the runners as its main returns.
 func (w *World) leave(p *Proc) {
 	p.wait = waitFor{}
-	if w.wireTransport {
-		return
-	}
+	w.depart()
+}
+
+// depart takes one runner, a rank or a frame, out of live; if every
+// runner left is asleep, the run is deadlocked.
+func (w *World) depart() {
 	if stuck(w.live.Add(-1 << 32)) {
 		w.deadlocked()
 	}
 }
 
-// stuck reports whether a value of World.live has ranks running and every
-// one of them asleep.
+// stuck reports whether a value of World.live has runners and every one
+// of them asleep.
 func stuck(v int64) bool {
 	return v>>32 > 0 && v>>32 == v&(1<<32-1)
 }

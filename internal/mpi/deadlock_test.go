@@ -6,11 +6,28 @@ import (
 	"time"
 )
 
-// runBounded runs main on a fresh four-rank world and returns Run's error,
-// failing the test if Run is still blocked after 10 s.
-func runBounded(t *testing.T, main func(p *Proc) error) error {
+// runBounded runs main on a fresh four-rank world on the named transport
+// (one of nbTransports) and returns Run's error, failing the test if Run
+// is still blocked after 10 s.
+func runBounded(t *testing.T, transport string, main func(p *Proc) error) error {
 	t.Helper()
-	w := newTestWorld(t, 4)
+	return runBoundedOn(t, deadlockWorld(t, transport), main)
+}
+
+// deadlockWorld builds a four-rank world on the named transport.
+func deadlockWorld(t *testing.T, transport string) *World {
+	t.Helper()
+	if transport == "tcp" {
+		w, _ := newTestTCP(t, 4)
+		return w
+	}
+	return newTestWorld(t, 4)
+}
+
+// runBoundedOn runs main on w and returns Run's error, failing the test
+// if Run is still blocked after 10 s.
+func runBoundedOn(t *testing.T, w *World, main func(p *Proc) error) error {
+	t.Helper()
 	done := make(chan error, 1)
 	go func() { done <- w.Run(main) }()
 	select {
@@ -22,9 +39,16 @@ func runBounded(t *testing.T, main func(p *Proc) error) error {
 	}
 }
 
+// eachTransport runs f as one subtest per transport of nbTransports.
+func eachTransport(t *testing.T, f func(t *testing.T, transport string)) {
+	for _, transport := range nbTransports {
+		t.Run(transport, func(t *testing.T) { f(t, transport) })
+	}
+}
+
 // TestDeadlockDetected: a run in which every rank still running waits for
 // what no running rank can provide ends with a *DeadlockError naming each
-// wait, the same text on every run.
+// wait, the same text on every run and on both transports.
 func TestDeadlockDetected(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -94,18 +118,52 @@ func TestDeadlockDetected(t *testing.T) {
 			"mpi: deadlock: rank 0 waits in recv for source 1 tag 8 context 0; rank 1 waits in recv for source 0 tag 8 context 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := runBounded(t, func(p *Proc) error {
-				tc.rank(p.CommWorld())
-				return nil
+			eachTransport(t, func(t *testing.T, transport string) {
+				err := runBounded(t, transport, func(p *Proc) error {
+					tc.rank(p.CommWorld())
+					return nil
+				})
+				wantDeadlock(t, err, tc.want)
 			})
-			var d *DeadlockError
-			if !errors.As(err, &d) {
-				t.Fatalf("Run = %v, want a *DeadlockError", err)
-			}
-			if err.Error() != tc.want {
-				t.Fatalf("Run = %q\nwant  %q", err, tc.want)
-			}
 		})
+	}
+}
+
+// wantDeadlock fails the test unless err is a *DeadlockError reading want.
+func wantDeadlock(t *testing.T, err error, want string) {
+	t.Helper()
+	var d *DeadlockError
+	if !errors.As(err, &d) {
+		t.Fatalf("Run = %v, want a *DeadlockError", err)
+	}
+	if err.Error() != want {
+		t.Fatalf("Run = %q\nwant  %q", err, want)
+	}
+}
+
+// TestDeadlockAfterCleanRun: a TCP world whose clean run returned with
+// frames still on the wire (sends nobody receives) reports the deadlock
+// of its next program exactly: a frame that departs after its Run
+// returned neither hides nor invents a runner of the next. Whether a
+// frame departs that late is host timing, so four worlds try.
+func TestDeadlockAfterCleanRun(t *testing.T) {
+	for range 4 {
+		w := deadlockWorld(t, "tcp")
+		if err := runBoundedOn(t, w, func(p *Proc) error {
+			for i := 0; i < 1000; i++ {
+				p.CommWorld().Send((p.Rank()+1)%4, 7, nil)
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("clean run: %v", err)
+		}
+		err := runBoundedOn(t, w, func(p *Proc) error {
+			if me := p.Rank(); me < 2 {
+				p.CommWorld().Recv(1-me, 5)
+			}
+			return nil
+		})
+		wantDeadlock(t, err, "mpi: deadlock: rank 0 waits in recv for source 1 tag 5 context 0; rank 1 waits in recv for source 0 tag 5 context 0")
 	}
 }
 
@@ -113,23 +171,26 @@ func TestDeadlockDetected(t *testing.T) {
 // waits on it ends the run with that error, not the deadlock it leaves.
 func TestDeadlockRankErrorFirst(t *testing.T) {
 	bad := errors.New("rank 1 gave up")
-	err := runBounded(t, func(p *Proc) error {
-		switch p.Rank() {
-		case 0:
-			p.CommWorld().Recv(1, 0)
-		case 1:
-			return bad
+	eachTransport(t, func(t *testing.T, transport string) {
+		err := runBounded(t, transport, func(p *Proc) error {
+			switch p.Rank() {
+			case 0:
+				p.CommWorld().Recv(1, 0)
+			case 1:
+				return bad
+			}
+			return nil
+		})
+		if err != bad {
+			t.Fatalf("Run = %v, want %v", err, bad)
 		}
-		return nil
 	})
-	if err != bad {
-		t.Fatalf("Run = %v, want %v", err, bad)
-	}
 }
 
 // TestDeadlockNotReported: waits that a message already sent, a rank
 // still running or a failure can end are not deadlocks, and a sender that
-// sleeps right after waking its receiver leaves no false report.
+// sleeps right after waking its receiver leaves no false report, on
+// either transport.
 func TestDeadlockNotReported(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -190,9 +251,11 @@ func TestDeadlockNotReported(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := runBounded(t, func(p *Proc) error { return tc.rank(p, p.CommWorld()) }); err != nil {
-				t.Fatalf("Run = %v", err)
-			}
+			eachTransport(t, func(t *testing.T, transport string) {
+				if err := runBounded(t, transport, func(p *Proc) error { return tc.rank(p, p.CommWorld()) }); err != nil {
+					t.Fatalf("Run = %v", err)
+				}
+			})
 		})
 	}
 }

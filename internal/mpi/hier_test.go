@@ -202,38 +202,42 @@ func TestHierGatherMatchesFlat(t *testing.T) {
 
 // TestHierReduceScatterMatchesFlat: the hierarchical reduce-scatter
 // returns each member's reduced block exactly, with irregular
-// per-destination sizes, on both transports.
+// per-destination sizes, on both transports. Each world runs several
+// rounds whose values differ, so a block read from a payload buffer
+// already handed back to the pool shows as a wrong value.
 func TestHierReduceScatterMatchesFlat(t *testing.T) {
 	cl, place := fatTestCluster()
 	n := len(place)
 	elemsFor := func(dst int) int { return dst%3 + 1 }
-	partFor := func(rank, dst int) []int64 {
+	partFor := func(round, rank, dst int) []int64 {
 		out := make([]int64, elemsFor(dst))
 		for i := range out {
-			out[i] = int64(rank*1009 + dst*97 + i)
+			out[i] = int64(round*100003 + rank*1009 + dst*97 + i)
 		}
 		return out
 	}
 	for _, tcp := range []bool{false, true} {
 		t.Run(transports(tcp), func(t *testing.T) {
 			runPlaced(t, cl, place, tcp, &CollTuning{ReduceScatter: ReduceScatterHier}, func(p *Proc) error {
-				parts := make([][]byte, n)
-				for d := 0; d < n; d++ {
-					parts[d] = Int64Bytes(partFor(p.Rank(), d))
-				}
-				got := BytesInt64(p.CommWorld().ReduceScatter(parts, SumInt64))
-				want := make([]int64, elemsFor(p.Rank()))
-				for r := 0; r < n; r++ {
-					for i, v := range partFor(r, p.Rank()) {
-						want[i] += v
+				for round := 0; round < 32; round++ {
+					parts := make([][]byte, n)
+					for d := 0; d < n; d++ {
+						parts[d] = Int64Bytes(partFor(round, p.Rank(), d))
 					}
-				}
-				if len(got) != len(want) {
-					return fmt.Errorf("rank %d: got %d elems, want %d", p.Rank(), len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						return fmt.Errorf("rank %d elem %d: got %d, want %d", p.Rank(), i, got[i], want[i])
+					got := BytesInt64(p.CommWorld().ReduceScatter(parts, SumInt64))
+					want := make([]int64, elemsFor(p.Rank()))
+					for r := 0; r < n; r++ {
+						for i, v := range partFor(round, r, p.Rank()) {
+							want[i] += v
+						}
+					}
+					if len(got) != len(want) {
+						return fmt.Errorf("round %d rank %d: got %d elems, want %d", round, p.Rank(), len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							return fmt.Errorf("round %d rank %d elem %d: got %d, want %d", round, p.Rank(), i, got[i], want[i])
+						}
 					}
 				}
 				return nil

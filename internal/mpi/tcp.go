@@ -273,8 +273,8 @@ func frameInto(buf []byte, e *envelope) {
 // every retry is dead: it is marked failed (unless the transport is
 // closing) so blocked receivers abort instead of hanging, and the frame
 // disappears, exactly like the in-process path's delivery to a closed
-// mailbox.
-func (t *tcpTransport) send(src, dst int, buf []byte) {
+// mailbox. send reports whether the frame went out.
+func (t *tcpTransport) send(src, dst int, buf []byte) bool {
 	p := t.pair(src, dst)
 	p.mu.Lock()
 	ok := p.write(buf)
@@ -296,14 +296,14 @@ func (t *tcpTransport) send(src, dst int, buf []byte) {
 	}
 	// Unlocked before Fail: its hooks close this pair.
 	p.mu.Unlock()
-	if ok {
-		return
+	if !ok {
+		select {
+		case <-t.closed:
+		default:
+			t.world.Fail(dst)
+		}
 	}
-	select {
-	case <-t.closed:
-	default:
-		t.world.Fail(dst)
-	}
+	return ok
 }
 
 // write sends buf on the pair's connection under the write deadline and
@@ -327,7 +327,8 @@ func (t *tcpTransport) wait(d time.Duration) bool {
 	}
 }
 
-// deliver frames the envelope onto the src->dst connection.
+// deliver frames the envelope onto the src->dst connection, counted a
+// runner (deadlock.go) until the pump puts it or its write fails.
 func (t *tcpTransport) deliver(dst int, e envelope) {
 	if e.src == dst {
 		// Self-delivery has no wire.
@@ -346,7 +347,10 @@ func (t *tcpTransport) deliver(dst int, e envelope) {
 	frameInto(pb.b, &e)
 	src := e.src
 	e.release()
-	t.send(src, dst, pb.b)
+	t.world.live.Add(1 << 32)
+	if !t.send(src, dst, pb.b) {
+		t.world.depart()
+	}
 }
 
 // pump decodes frames from one connection into the destination's lane
@@ -392,6 +396,7 @@ func (t *tcpTransport) pump(dst, src int, conn net.Conn) {
 			return // protocol violation; drop the connection
 		}
 		t.world.procs[dst].mbox.put(&e)
+		t.world.depart()
 	}
 }
 

@@ -91,12 +91,9 @@ func TestTCPMonitorDisambiguatesPartition(t *testing.T) {
 	// Rank 2 keeps heartbeating to rank 1 but falls silent towards rank 0:
 	// an asymmetric partition. (No payload traffic flows 2->0 either.)
 	tr.pair(2, 0).mute.Store(true)
-	err := runWithTimeout(t, w, 30*time.Second, func(p *Proc) error {
-		if p.Rank() == 0 {
-			p.CommWorld().Recv(2, 0) // blocks until the monitor's verdict
-		}
-		return nil
-	})
+	err := runWithTimeout(t, w, 30*time.Second, hangRank2(func(p *Proc) {
+		p.CommWorld().Recv(2, 0) // blocks until the monitor's verdict
+	}))
 	pf, ok := err.(*ProcessFailedError)
 	if !ok {
 		t.Fatalf("error = %v, want *ProcessFailedError", err)

@@ -40,18 +40,32 @@ func TestTCPHeartbeatDetectsSilentPeer(t *testing.T) {
 	w, tr := newTestTCP(t, 3)
 	tr.pair(2, 0).mute.Store(true) // rank 2 hangs: silent to every peer
 	tr.pair(2, 1).mute.Store(true)
-	err := runWithTimeout(t, w, 30*time.Second, func(p *Proc) error {
-		if p.Rank() == 0 {
-			p.CommWorld().Recv(2, 0) // rank 2 hangs instead of sending
-		}
-		return nil
-	})
+	err := runWithTimeout(t, w, 30*time.Second, hangRank2(func(p *Proc) {
+		p.CommWorld().Recv(2, 0) // rank 2 hangs instead of sending
+	}))
 	pf, ok := err.(*ProcessFailedError)
 	if !ok {
 		t.Fatalf("error = %v, want *ProcessFailedError", err)
 	}
 	if pf.Rank != 2 || pf.Kind != FailureCrash {
 		t.Fatalf("failed rank = %d (%v), want 2 (crash)", pf.Rank, pf.Kind)
+	}
+}
+
+// hangRank2 is a program whose rank 0 runs recv while rank 2 hangs:
+// running and silent, never in an MPI wait, until recv is over. A rank 2
+// that returned instead would leave rank 0's wait a deadlock.
+func hangRank2(recv func(p *Proc)) func(p *Proc) error {
+	hung := make(chan struct{})
+	return func(p *Proc) error {
+		switch p.Rank() {
+		case 0:
+			defer close(hung)
+			recv(p)
+		case 2:
+			<-hung
+		}
+		return nil
 	}
 }
 

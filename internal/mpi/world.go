@@ -77,7 +77,7 @@ type World struct {
 	agreeing  int64       // ranks asleep on agreeCond, under agreeMu
 
 	// live and deadlock are the deadlock detector (deadlock.go): the
-	// ranks still running main and the ranks asleep, and what it found.
+	// runners and the ranks asleep, and what it found.
 	live     atomic.Int64
 	deadlock atomic.Pointer[DeadlockError]
 
@@ -330,13 +330,14 @@ func (e *ProcessFailedError) Error() string {
 // fault-tolerance protocol — anything but a process failure, a
 // revocation or an injected kill — aborts the world: every rank still
 // blocked unwinds, past any Catch, and Run returns the panicking rank's
-// error. So does a deadlock, on the in-process transport: once every rank
-// still running waits for what no running rank can provide, the world is
+// error. So does a deadlock: once every rank still running waits for
+// what no running rank or frame in flight can provide, the world is
 // aborted and, when no rank returned an error of its own, Run returns a
 // *DeadlockError naming each wait. Run may be called once per World.
 func (w *World) Run(main func(p *Proc) error) error {
 	errs := make([]error, len(w.procs))
-	w.live.Store(int64(len(w.procs)) << 32)
+	// Added, not stored: a frame of an earlier Run may depart late.
+	w.live.Add(int64(len(w.procs)) << 32)
 	var wg sync.WaitGroup
 	for _, p := range w.procs {
 		wg.Add(1)
