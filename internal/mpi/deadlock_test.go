@@ -6,15 +6,8 @@ import (
 	"time"
 )
 
-// runBounded runs main on a fresh four-rank world on the named transport
-// (one of nbTransports) and returns Run's error, failing the test if Run
-// is still blocked after 10 s.
-func runBounded(t *testing.T, transport string, main func(p *Proc) error) error {
-	t.Helper()
-	return runBoundedOn(t, deadlockWorld(t, transport), main)
-}
-
-// deadlockWorld builds a four-rank world on the named transport.
+// deadlockWorld builds a four-rank world on the named transport, one of
+// nbTransports.
 func deadlockWorld(t *testing.T, transport string) *World {
 	t.Helper()
 	if transport == "tcp" {
@@ -24,9 +17,9 @@ func deadlockWorld(t *testing.T, transport string) *World {
 	return newTestWorld(t, 4)
 }
 
-// runBoundedOn runs main on w and returns Run's error, failing the test
-// if Run is still blocked after 10 s.
-func runBoundedOn(t *testing.T, w *World, main func(p *Proc) error) error {
+// runBounded runs main on w and returns Run's error, failing the test if
+// Run is still blocked after 10 s.
+func runBounded(t *testing.T, w *World, main func(p *Proc) error) error {
 	t.Helper()
 	done := make(chan error, 1)
 	go func() { done <- w.Run(main) }()
@@ -119,7 +112,7 @@ func TestDeadlockDetected(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eachTransport(t, func(t *testing.T, transport string) {
-				err := runBounded(t, transport, func(p *Proc) error {
+				err := runBounded(t, deadlockWorld(t, transport), func(p *Proc) error {
 					tc.rank(p.CommWorld())
 					return nil
 				})
@@ -149,7 +142,7 @@ func wantDeadlock(t *testing.T, err error, want string) {
 func TestDeadlockAfterCleanRun(t *testing.T) {
 	for range 4 {
 		w := deadlockWorld(t, "tcp")
-		if err := runBoundedOn(t, w, func(p *Proc) error {
+		if err := runBounded(t, w, func(p *Proc) error {
 			for i := 0; i < 1000; i++ {
 				p.CommWorld().Send((p.Rank()+1)%4, 7, nil)
 			}
@@ -157,7 +150,7 @@ func TestDeadlockAfterCleanRun(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("clean run: %v", err)
 		}
-		err := runBoundedOn(t, w, func(p *Proc) error {
+		err := runBounded(t, w, func(p *Proc) error {
 			if me := p.Rank(); me < 2 {
 				p.CommWorld().Recv(1-me, 5)
 			}
@@ -172,7 +165,7 @@ func TestDeadlockAfterCleanRun(t *testing.T) {
 func TestDeadlockRankErrorFirst(t *testing.T) {
 	bad := errors.New("rank 1 gave up")
 	eachTransport(t, func(t *testing.T, transport string) {
-		err := runBounded(t, transport, func(p *Proc) error {
+		err := runBounded(t, deadlockWorld(t, transport), func(p *Proc) error {
 			switch p.Rank() {
 			case 0:
 				p.CommWorld().Recv(1, 0)
@@ -252,7 +245,7 @@ func TestDeadlockNotReported(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eachTransport(t, func(t *testing.T, transport string) {
-				if err := runBounded(t, transport, func(p *Proc) error { return tc.rank(p, p.CommWorld()) }); err != nil {
+				if err := runBounded(t, deadlockWorld(t, transport), func(p *Proc) error { return tc.rank(p, p.CommWorld()) }); err != nil {
 					t.Fatalf("Run = %v", err)
 				}
 			})
